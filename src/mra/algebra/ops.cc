@@ -6,8 +6,6 @@
 namespace mra {
 namespace ops {
 
-namespace {
-
 Status CheckCompatible(const Relation& left, const Relation& right,
                        const char* op) {
   if (!left.schema().CompatibleWith(right.schema())) {
@@ -17,8 +15,6 @@ Status CheckCompatible(const Relation& left, const Relation& right,
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Result<Relation> Union(const Relation& left, const Relation& right) {
   MRA_RETURN_IF_ERROR(CheckCompatible(left, right, "union"));
@@ -125,13 +121,10 @@ int CompareForSort(const Tuple& a, const Tuple& b,
     int c = a.at(keys[i]).Compare(b.at(keys[i]));
     if (c != 0) return desc[i] ? -c : c;
   }
-  // Whole-tuple ascending tiebreak: totalises the order so equal-key ties
-  // resolve the same way everywhere (definitional, in-memory, spilled).
-  for (size_t i = 0; i < a.arity(); ++i) {
-    int c = a.at(i).Compare(b.at(i));
-    if (c != 0) return c;
-  }
-  return 0;
+  // Canonical-order tiebreak (Tuple::Compare): totalises the order so
+  // equal-key ties resolve the same way everywhere (definitional,
+  // in-memory, spilled) and agree with every encoder's tuple order.
+  return a.Compare(b);
 }
 
 Result<Relation> Sort(const std::vector<size_t>& keys,

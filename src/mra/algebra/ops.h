@@ -29,6 +29,12 @@
 namespace mra {
 namespace ops {
 
+/// The operand check of ⊎, −, ∩: InvalidArgument naming `op` unless the
+/// two schemas are compatible.  Shared with the transaction layer, whose
+/// in-place insert/delete must fail exactly as Union/Difference do.
+Status CheckCompatible(const Relation& left, const Relation& right,
+                       const char* op);
+
 /// E1 ⊎ E2 — additive multi-set union (Definition 3.1).  Operands must have
 /// compatible schemas.
 Result<Relation> Union(const Relation& left, const Relation& right);
@@ -86,9 +92,10 @@ Result<RelationSchema> GroupBySchema(const std::vector<size_t>& keys,
                                      const RelationSchema& input);
 
 /// Three-way comparison of two tuples under the sort total order: the listed
-/// keys in order (desc[i] flips key i), then the *whole* tuple ascending as
-/// the tiebreak.  The tiebreak makes the order total, which is what lets the
-/// weighted LIMIT below (and the physical Top-K) be deterministic.
+/// keys in order (desc[i] flips key i), then the *whole* tuple in canonical
+/// order (Tuple::Compare) as the tiebreak.  The tiebreak makes the order
+/// total, which is what lets the weighted LIMIT below (and the physical
+/// Top-K) be deterministic.
 int CompareForSort(const Tuple& a, const Tuple& b,
                    const std::vector<size_t>& keys,
                    const std::vector<bool>& desc);

@@ -1,6 +1,7 @@
 #include "mra/core/relation.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 namespace mra {
@@ -33,6 +34,16 @@ uint64_t Relation::Remove(const Tuple& tuple, uint64_t count) {
   return removed;
 }
 
+void Relation::SetMultiplicity(const Tuple& tuple, uint64_t count) {
+  if (count == 0) {
+    Remove(tuple, UINT64_MAX);
+    return;
+  }
+  uint64_t& slot = map_[tuple];
+  total_ = total_ - slot + count;
+  slot = count;
+}
+
 uint64_t Relation::Multiplicity(const Tuple& tuple) const {
   auto it = map_.find(tuple);
   return it == map_.end() ? 0 : it->second;
@@ -61,20 +72,28 @@ bool Relation::MultiSubsetOf(const Relation& other) const {
   return true;
 }
 
+std::vector<const Relation::Entry*> Relation::SortedView() const {
+  std::vector<const Entry*> view;
+  view.reserve(map_.size());
+  for (const Entry& entry : map_) view.push_back(&entry);
+  std::sort(view.begin(), view.end(), [](const Entry* a, const Entry* b) {
+    return a->first.Compare(b->first) < 0;
+  });
+  return view;
+}
+
 std::vector<std::pair<Tuple, uint64_t>> Relation::SortedEntries() const {
-  std::vector<std::pair<Tuple, uint64_t>> entries(map_.begin(), map_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.ToString() < b.first.ToString();
-            });
+  std::vector<std::pair<Tuple, uint64_t>> entries;
+  entries.reserve(map_.size());
+  for (const Entry* entry : SortedView()) entries.emplace_back(*entry);
   return entries;
 }
 
 std::vector<Tuple> Relation::ExpandedTuples() const {
   std::vector<Tuple> tuples;
   tuples.reserve(total_);
-  for (const auto& [tuple, count] : SortedEntries()) {
-    for (uint64_t i = 0; i < count; ++i) tuples.push_back(tuple);
+  for (const Entry* entry : SortedView()) {
+    for (uint64_t i = 0; i < entry->second; ++i) tuples.push_back(entry->first);
   }
   return tuples;
 }
@@ -83,10 +102,10 @@ std::string Relation::ToString() const {
   std::ostringstream out;
   out << "{";
   bool first = true;
-  for (const auto& [tuple, count] : SortedEntries()) {
+  for (const Entry* entry : SortedView()) {
     if (!first) out << ", ";
     first = false;
-    out << tuple.ToString() << " : " << count;
+    out << entry->first.ToString() << " : " << entry->second;
   }
   out << "}";
   return out.str();

@@ -23,6 +23,8 @@ class Relation {
  public:
   using Map = std::unordered_map<Tuple, uint64_t, TupleHash, TupleEq>;
   using const_iterator = Map::const_iterator;
+  /// One (tuple, multiplicity) pair of the support.
+  using Entry = Map::value_type;
 
   Relation() = default;
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
@@ -42,6 +44,11 @@ class Relation {
   /// Removes up to `count` occurrences (clamped at zero, like the multi-set
   /// difference of Definition 3.1).  Returns how many were actually removed.
   uint64_t Remove(const Tuple& tuple, uint64_t count = 1);
+
+  /// R(x) ← count: sets the absolute multiplicity of `tuple`, without
+  /// schema validation; count == 0 removes it.  WAL replay applies logged
+  /// per-tuple multiplicities through this.
+  void SetMultiplicity(const Tuple& tuple, uint64_t count);
 
   /// R(x): the multiplicity of `tuple` (0 when absent) — Definition 2.2.
   uint64_t Multiplicity(const Tuple& tuple) const;
@@ -70,13 +77,18 @@ class Relation {
   const_iterator begin() const { return map_.begin(); }
   const_iterator end() const { return map_.end(); }
 
-  /// All tuples with duplicates materialised (Σ R(x) entries).  Intended for
-  /// tests and small results; order is deterministic (sorted by display
-  /// form) so output is reproducible.
+  /// The support in the canonical order of Tuple::Compare, as pointers
+  /// into this relation's map: valid until the relation is next modified.
+  /// Every deterministic walk (ToString, the storage and wire encoders,
+  /// the printer, CSV export) goes through this view, so equal bags yield
+  /// identical output whatever their insertion history.
+  std::vector<const Entry*> SortedView() const;
+
+  /// All tuples with duplicates materialised (Σ R(x) entries), in
+  /// canonical order.  Intended for tests and small results.
   std::vector<Tuple> ExpandedTuples() const;
 
-  /// Distinct tuples sorted by display form — deterministic iteration for
-  /// printing.
+  /// A copy of the support in canonical order (see SortedView).
   std::vector<std::pair<Tuple, uint64_t>> SortedEntries() const;
 
   /// "{(a, b) : 2, (c, d) : 1}" — the paper's pair notation, sorted.

@@ -1,5 +1,6 @@
 #include "mra/core/tuple.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "mra/common/hash.h"
@@ -54,6 +55,16 @@ bool Tuple::Equals(const Tuple& other) const {
     }
   }
   return true;
+}
+
+int Tuple::Compare(const Tuple& other) const {
+  const size_t n = std::min(values_.size(), other.values_.size());
+  for (size_t i = 0; i < n; ++i) {
+    int c = values_[i].Compare(other.values_[i]);
+    if (c != 0) return c;
+  }
+  if (values_.size() == other.values_.size()) return 0;
+  return values_.size() < other.values_.size() ? -1 : 1;
 }
 
 size_t Tuple::Hash() const {

@@ -63,6 +63,14 @@ class Tuple {
   bool operator==(const Tuple& other) const { return Equals(other); }
   bool operator!=(const Tuple& other) const { return !Equals(other); }
 
+  /// The canonical order on dom(ℛ): attribute by attribute under
+  /// Value::Compare, returning -1, 0 or +1.  Typed and column-wise (so
+  /// 9 < 10 and NaN sorts last); 0 exactly when Equals.  Every
+  /// deterministic walk of a relation — printing, encoders, checkpoints,
+  /// the sort tiebreak — uses this one order.  A shorter tuple sorts
+  /// first, though tuples of one schema always share an arity.
+  int Compare(const Tuple& other) const;
+
   size_t Hash() const;
 
   /// Hash of π_attrs(*this) without materialising the projection; equal to

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "mra/common/hash.h"
@@ -145,6 +146,12 @@ bool Value::Equals(const Value& other) const {
   MRA_CHECK(kind_ == other.kind_)
       << "Value::Equals across domains:" << ToString() << "vs"
       << other.ToString();
+  if (kind_ == TypeKind::kReal) {
+    // Agrees with Compare and Hash: -0.0 = 0.0 (IEEE says so) and
+    // NaN = NaN (IEEE says not).
+    double a = std::get<double>(rep_), b = std::get<double>(other.rep_);
+    return a == b || (std::isnan(a) && std::isnan(b));
+  }
   return rep_ == other.rep_;
 }
 
@@ -155,7 +162,12 @@ int Value::Compare(const Value& other) const {
   switch (kind_) {
     case TypeKind::kReal: {
       double a = std::get<double>(rep_), b = std::get<double>(other.rep_);
-      return a < b ? -1 : (a > b ? 1 : 0);
+      if (a < b) return -1;
+      if (a > b) return 1;
+      if (a == b) return 0;  // -0.0 ties with 0.0.
+      // Unordered, so at least one is NaN.  A strict weak order needs NaN
+      // somewhere: it sorts after every number and ties with NaN.
+      return std::isnan(a) == std::isnan(b) ? 0 : (std::isnan(a) ? 1 : -1);
     }
     case TypeKind::kString: {
       const std::string& a = std::get<std::string>(rep_);
@@ -175,8 +187,9 @@ size_t Value::Hash() const {
   switch (kind_) {
     case TypeKind::kReal: {
       double v = std::get<double>(rep_);
-      // Normalise -0.0 so equal reals hash equally.
+      // Normalise -0.0 and every NaN payload so equal reals hash equally.
       if (v == 0.0) v = 0.0;
+      if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(v));
       __builtin_memcpy(&bits, &v, sizeof(bits));

@@ -85,11 +85,14 @@ class Value {
   double AsReal() const;
 
   /// Equality per Definition 2.4: only defined between values of the same
-  /// domain (tuples compared attribute-wise share a schema).
+  /// domain (tuples compared attribute-wise share a schema).  Agrees with
+  /// Compare: NaN equals NaN and -0.0 equals 0.0.
   bool Equals(const Value& other) const;
 
-  /// Three-way comparison within one domain: -1, 0 or +1.  Booleans order
-  /// false < true; strings lexicographically; others numerically.
+  /// Three-way comparison within one domain: -1, 0 or +1 — the canonical
+  /// order, a strict weak order on every domain.  Booleans order
+  /// false < true; strings lexicographically (bytewise); others
+  /// numerically, with NaN after every real and -0.0 tied with 0.0.
   int Compare(const Value& other) const;
   bool Less(const Value& other) const { return Compare(other) < 0; }
 

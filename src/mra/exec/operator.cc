@@ -598,13 +598,7 @@ Status SortDedupOp::OpenImpl() {
   }
   child_->Close();
   std::sort(tuples_.begin(), tuples_.end(),
-            [](const Tuple& a, const Tuple& b) {
-              for (size_t i = 0; i < a.arity(); ++i) {
-                int c = a.at(i).Compare(b.at(i));
-                if (c != 0) return c < 0;
-              }
-              return false;
-            });
+            [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
   tuples_.erase(std::unique(tuples_.begin(), tuples_.end(),
                             [](const Tuple& a, const Tuple& b) {
                               return a.Equals(b);

@@ -18,6 +18,14 @@ namespace lang {
 
 namespace {
 
+// Clears a slow-log source slot when the call that set it returns, so the
+// slot never outlives the statement or text it points at.
+template <typename T>
+struct ClearOnExit {
+  T* slot;
+  ~ClearOnExit() { *slot = T{}; }
+};
+
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -163,7 +171,9 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
     entry.lower_us = last_query_stats_.lower_us;
     entry.exec_us = last_query_stats_.exec_us;
     entry.result_rows = last_query_stats_.result_rows;
-    entry.source = current_source_;
+    // Rendered only now, for the one statement the log keeps.
+    entry.source = current_stmt_ != nullptr ? current_stmt_->ToString()
+                                            : std::string(current_source_);
     entry.plan = exec::RenderPlanWithMetrics(*root);
     if (governed_kill) {
       entry.events.push_back("killed:" +
@@ -176,7 +186,8 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
 
 Status Interpreter::ExecuteStmt(const Stmt& stmt, Transaction& txn,
                                 const QueryCallback& on_query) {
-  current_source_ = stmt.ToString();
+  current_stmt_ = &stmt;
+  ClearOnExit<const Stmt*> clear{&current_stmt_};
   switch (stmt.kind) {
     case Stmt::Kind::kCreate:
     case Stmt::Kind::kDrop:
@@ -323,7 +334,8 @@ Result<std::vector<Relation>> Interpreter::ExecuteScriptCollect(
 Result<Relation> Interpreter::Query(std::string_view rel_expr_source) {
   std::optional<obs::ScopedQueryId> qid;
   if (obs::CurrentQueryId() == 0) qid.emplace(obs::NextQueryId());
-  current_source_ = std::string(rel_expr_source);
+  current_source_ = rel_expr_source;
+  ClearOnExit<std::string_view> clear{&current_source_};
   obs::ScopedSpan query_span("query");
   RelExprPtr expr;
   {

@@ -159,9 +159,12 @@ class Interpreter {
   Database* db_;
   Options options_;
   QueryStats last_query_stats_;
-  /// Source text of the query being evaluated, for the slow-query log
-  /// (set by Query/ExecuteScript; the interpreter is single-threaded).
-  std::string current_source_;
+  /// What the slow-query log names as the source of the evaluation in
+  /// progress: the statement ExecuteStmt runs (rendered only when an entry
+  /// is recorded), else the text Query was given.  Each is set for the
+  /// duration of that call only; the interpreter is single-threaded.
+  const Stmt* current_stmt_ = nullptr;
+  std::string_view current_source_;
   /// Guards the two members below against CancelQuery from other threads.
   std::mutex govern_mutex_;
   std::shared_ptr<exec::ExecContext> current_ctx_;

@@ -257,17 +257,17 @@ void EncodeRelations(storage::Encoder& enc,
     // Chunked row encoding (protocol v2): the sorted entries stream out in
     // batches of kResultSetChunkRows, each prefixed with its row count, so
     // a streaming server can flush per executor RowBatch without knowing
-    // the total cardinality up front.  SortedEntries keeps the bytes
+    // the total cardinality up front.  The canonical order keeps the bytes
     // deterministic for a given relation.
-    const std::vector<std::pair<Tuple, uint64_t>> entries = r.SortedEntries();
+    const std::vector<const Relation::Entry*> entries = r.SortedView();
     for (size_t begin = 0; begin < entries.size();
          begin += kResultSetChunkRows) {
       size_t end = std::min<size_t>(begin + kResultSetChunkRows,
                                     entries.size());
       enc.PutU32(static_cast<uint32_t>(end - begin));
       for (size_t j = begin; j < end; ++j) {
-        enc.PutTuple(entries[j].first);
-        enc.PutU64(entries[j].second);
+        enc.PutTuple(entries[j]->first);
+        enc.PutU64(entries[j]->second);
       }
     }
     enc.PutU32(0);  // end-of-relation terminator
@@ -275,7 +275,8 @@ void EncodeRelations(storage::Encoder& enc,
 }
 
 Result<std::vector<Relation>> DecodeRelations(storage::Decoder& dec) {
-  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+  // A relation costs at least an empty schema and its terminator.
+  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount(12));
   if (n > kMaxRelationsPerResultSet) {
     return Status::Corruption("implausible ResultSet cardinality");
   }
@@ -340,7 +341,8 @@ Result<WireQueryStats> DecodeWireQueryStats(storage::Decoder& dec) {
   MRA_ASSIGN_OR_RETURN(s.optimize_us, dec.GetU64());
   MRA_ASSIGN_OR_RETURN(s.lower_us, dec.GetU64());
   MRA_ASSIGN_OR_RETURN(s.exec_us, dec.GetU64());
-  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+  // Name length, depth and ten 8-byte fields per operator.
+  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount(88));
   if (n > kMaxWireOperators) {
     return Status::Corruption("implausible operator count in stats trailer");
   }
@@ -510,7 +512,8 @@ Result<ServerStatsReply> DecodeServerStatsReply(std::string_view payload) {
     }
     out.query_latency.buckets[index] = count;
   }
-  MRA_ASSIGN_OR_RETURN(uint32_t n_sessions, dec.GetU32());
+  // Id, two string lengths, the busy flag and three 8-byte fields.
+  MRA_ASSIGN_OR_RETURN(uint32_t n_sessions, dec.GetCount(41));
   if (n_sessions > kMaxSessions) {
     return Status::Corruption("implausible session count");
   }
@@ -528,7 +531,7 @@ Result<ServerStatsReply> DecodeServerStatsReply(std::string_view payload) {
     MRA_ASSIGN_OR_RETURN(s.idle_ms, dec.GetU64());
     out.sessions.push_back(std::move(s));
   }
-  MRA_ASSIGN_OR_RETURN(uint32_t n_lines, dec.GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t n_lines, dec.GetCount(4));
   if (n_lines > kMaxSlowLogLines) {
     return Status::Corruption("implausible slow-log line count");
   }

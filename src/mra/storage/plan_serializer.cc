@@ -193,7 +193,9 @@ Result<PlanPtr> DecodePlanAtDepth(Decoder* decoder, int depth) {
       return Plan::Select(std::move(condition), std::move(input));
     }
     case PlanKind::kProject: {
-      MRA_ASSIGN_OR_RETURN(uint32_t n, decoder->GetU32());
+      // Each projection costs at least a one-byte expression tag and a
+      // four-byte name length.
+      MRA_ASSIGN_OR_RETURN(uint32_t n, decoder->GetCount(5));
       std::vector<ExprPtr> exprs;
       exprs.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
@@ -215,14 +217,15 @@ Result<PlanPtr> DecodePlanAtDepth(Decoder* decoder, int depth) {
       return Plan::Unique(std::move(input));
     }
     case PlanKind::kGroupBy: {
-      MRA_ASSIGN_OR_RETURN(uint32_t nkeys, decoder->GetU32());
+      MRA_ASSIGN_OR_RETURN(uint32_t nkeys, decoder->GetCount(8));
       std::vector<size_t> keys;
       keys.reserve(nkeys);
       for (uint32_t i = 0; i < nkeys; ++i) {
         MRA_ASSIGN_OR_RETURN(uint64_t k, decoder->GetU64());
         keys.push_back(static_cast<size_t>(k));
       }
-      MRA_ASSIGN_OR_RETURN(uint32_t naggs, decoder->GetU32());
+      // Kind tag, attribute index and name length.
+      MRA_ASSIGN_OR_RETURN(uint32_t naggs, decoder->GetCount(13));
       std::vector<AggSpec> aggs;
       aggs.reserve(naggs);
       for (uint32_t i = 0; i < naggs; ++i) {
@@ -244,7 +247,7 @@ Result<PlanPtr> DecodePlanAtDepth(Decoder* decoder, int depth) {
       return Plan::Closure(std::move(input));
     }
     case PlanKind::kSort: {
-      MRA_ASSIGN_OR_RETURN(uint32_t nkeys, decoder->GetU32());
+      MRA_ASSIGN_OR_RETURN(uint32_t nkeys, decoder->GetCount(9));
       std::vector<size_t> keys;
       std::vector<bool> desc;
       keys.reserve(nkeys);

@@ -14,6 +14,13 @@ namespace {
 // corrupt input.
 constexpr uint32_t kMaxStringLen = 1u << 30;
 
+// The fewest bytes one encoded item can occupy, for Decoder::GetCount.
+constexpr size_t kMinValueBytes = 2;       // kind tag + a bool
+constexpr size_t kMinAttributeBytes = 5;   // empty name + type tag
+constexpr size_t kMinEntryBytes = 12;      // empty tuple + multiplicity
+constexpr size_t kMinColumnBytes = 37;     // ColumnStatistics, no buckets
+constexpr size_t kBucketBytes = 32;        // one HistogramBucket
+
 }  // namespace
 
 void Encoder::PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
@@ -84,9 +91,9 @@ void Encoder::PutSchema(const RelationSchema& s) {
 void Encoder::PutRelation(const Relation& r) {
   PutSchema(r.schema());
   PutU64(r.distinct_size());
-  for (const auto& [tuple, count] : r.SortedEntries()) {
-    PutTuple(tuple);
-    PutU64(count);
+  for (const Relation::Entry* entry : r.SortedView()) {
+    PutTuple(entry->first);
+    PutU64(entry->second);
   }
 }
 
@@ -118,6 +125,21 @@ Status Decoder::Need(size_t n) const {
                               std::to_string(pos_));
   }
   return Status::OK();
+}
+
+Status Decoder::CheckCount(uint64_t count, size_t min_item_bytes) const {
+  if (min_item_bytes > 0 && count > remaining() / min_item_bytes) {
+    return Status::Corruption("element count " + std::to_string(count) +
+                              " exceeds the " + std::to_string(remaining()) +
+                              " bytes left at offset " + std::to_string(pos_));
+  }
+  return Status::OK();
+}
+
+Result<uint32_t> Decoder::GetCount(size_t min_item_bytes) {
+  MRA_ASSIGN_OR_RETURN(uint32_t count, GetU32());
+  MRA_RETURN_IF_ERROR(CheckCount(count, min_item_bytes));
+  return count;
 }
 
 Result<uint8_t> Decoder::GetU8() {
@@ -202,7 +224,7 @@ Result<Value> Decoder::GetValue() {
 }
 
 Result<Tuple> Decoder::GetTuple() {
-  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetCount(kMinValueBytes));
   std::vector<Value> values;
   values.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
@@ -214,7 +236,7 @@ Result<Tuple> Decoder::GetTuple() {
 
 Result<RelationSchema> Decoder::GetSchema() {
   MRA_ASSIGN_OR_RETURN(std::string name, GetString());
-  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetCount(kMinAttributeBytes));
   std::vector<Attribute> attrs;
   attrs.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
@@ -231,6 +253,7 @@ Result<RelationSchema> Decoder::GetSchema() {
 Result<Relation> Decoder::GetRelation() {
   MRA_ASSIGN_OR_RETURN(RelationSchema schema, GetSchema());
   MRA_ASSIGN_OR_RETURN(uint64_t distinct, GetU64());
+  MRA_RETURN_IF_ERROR(CheckCount(distinct, kMinEntryBytes));
   Relation out(std::move(schema));
   for (uint64_t i = 0; i < distinct; ++i) {
     MRA_ASSIGN_OR_RETURN(Tuple t, GetTuple());
@@ -246,7 +269,7 @@ Result<stats::TableStatistics> Decoder::GetStatistics() {
   MRA_ASSIGN_OR_RETURN(out.row_count, GetU64());
   MRA_ASSIGN_OR_RETURN(out.distinct_count, GetU64());
   MRA_ASSIGN_OR_RETURN(out.collected_at, GetU64());
-  MRA_ASSIGN_OR_RETURN(uint32_t columns, GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t columns, GetCount(kMinColumnBytes));
   out.columns.resize(columns);
   for (uint32_t i = 0; i < columns; ++i) {
     stats::ColumnStatistics& c = out.columns[i];
@@ -256,7 +279,7 @@ Result<stats::TableStatistics> Decoder::GetStatistics() {
     c.has_range = has_range != 0;
     MRA_ASSIGN_OR_RETURN(c.min, GetDouble());
     MRA_ASSIGN_OR_RETURN(c.max, GetDouble());
-    MRA_ASSIGN_OR_RETURN(uint32_t buckets_n, GetU32());
+    MRA_ASSIGN_OR_RETURN(uint32_t buckets_n, GetCount(kBucketBytes));
     std::vector<stats::HistogramBucket> buckets(buckets_n);
     for (stats::HistogramBucket& b : buckets) {
       MRA_ASSIGN_OR_RETURN(b.lo, GetDouble());

@@ -32,7 +32,8 @@ class Encoder {
   void PutValue(const Value& v);
   void PutTuple(const Tuple& t);
   void PutSchema(const RelationSchema& s);
-  /// Schema + (tuple, multiplicity) pairs, deterministic order.
+  /// Schema + (tuple, multiplicity) pairs in canonical order
+  /// (Relation::SortedView), so equal bags encode to identical bytes.
   void PutRelation(const Relation& r);
   /// An ANALYZE snapshot (cardinalities, per-column sketches, histograms).
   void PutStatistics(const stats::TableStatistics& s);
@@ -63,8 +64,18 @@ class Decoder {
   Result<Relation> GetRelation();
   Result<stats::TableStatistics> GetStatistics();
 
+  /// Reads a u32 element count and refuses it (Corruption) unless `count`
+  /// elements of at least `min_item_bytes` each fit in the bytes that
+  /// remain — so a corrupted count fails here, before any reserve() or
+  /// resize() sized by it can allocate.
+  Result<uint32_t> GetCount(size_t min_item_bytes);
+  /// The same bound for a count read some other way (a u64 count, or one
+  /// that is validated later).
+  Status CheckCount(uint64_t count, size_t min_item_bytes) const;
+
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t position() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   Status Need(size_t n) const;

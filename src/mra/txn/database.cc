@@ -19,13 +19,27 @@ namespace mra {
 
 namespace {
 
-// WAL record kinds.
+// WAL record kinds (layouts in docs/RECOVERY.md).
+//
+// kRecCommit is the original commit record — every touched relation's
+// whole after-image.  It is no longer written, but recovery still replays
+// it so logs from before kRecCommitDelta keep loading.
 constexpr uint8_t kRecCommit = 1;
 constexpr uint8_t kRecCreateRelation = 2;
 constexpr uint8_t kRecDropRelation = 3;
 constexpr uint8_t kRecAddConstraint = 4;
 constexpr uint8_t kRecDropConstraint = 5;
 constexpr uint8_t kRecAnalyze = 6;
+constexpr uint8_t kRecCommitDelta = 7;
+
+// How kRecCommitDelta logs one relation: the touched tuples with their
+// new absolute multiplicities, or (when the bracket replaced the
+// relation) its whole after-image.
+constexpr uint8_t kChangeTuples = 0;
+constexpr uint8_t kChangeImage = 1;
+
+// The fewest bytes one (tuple, multiplicity) entry can occupy.
+constexpr size_t kMinEntryBytes = 12;
 
 constexpr char kWalFile[] = "wal.log";
 constexpr char kCheckpointFile[] = "checkpoint.mra";
@@ -117,6 +131,30 @@ Status WriteFileAtomically(const std::string& path,
   return SyncParentDir(path);
 }
 
+obs::Counter* ReplayToleratedCounter() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Global().GetCounter("wal.replay.tolerated");
+  return c;
+}
+
+// Installs a logged after-image during replay.  In the already-applied
+// region before a checkpoint the relation may have been dropped later
+// (NotFound), or dropped and recreated over another schema
+// (InvalidArgument), so the image has nowhere to land — and needs none.
+Status InstallReplayedImage(Catalog* catalog, Relation rel,
+                            bool checkpoint_loaded) {
+  std::string name = rel.schema().name();
+  Status s = catalog->SetRelation(name, std::move(rel));
+  if (!s.ok()) {
+    if (!(checkpoint_loaded && (s.code() == StatusCode::kNotFound ||
+                                s.code() == StatusCode::kInvalidArgument))) {
+      return s;
+    }
+    ReplayToleratedCounter()->Inc();
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string Database::wal_path() const {
@@ -173,12 +211,11 @@ Status Database::Recover() {
   // reflected in it is tolerated rather than treated as corruption: a
   // crash between the checkpoint's rename and the WAL truncate leaves a
   // log whose records are all already applied (commit records carry
-  // absolute after-images, so re-installing them is naturally
-  // idempotent; DDL replay must be made so).  Without a checkpoint the
-  // WAL is the entire history and a duplicate create / missing drop is
-  // genuine corruption.
-  static obs::Counter* tolerated =
-      obs::MetricsRegistry::Global().GetCounter("wal.replay.tolerated");
+  // absolute multiplicities or after-images, so re-applying them is
+  // naturally idempotent; DDL replay must be made so).  Without a
+  // checkpoint the WAL is the entire history and a duplicate create /
+  // missing drop is genuine corruption.
+  obs::Counter* tolerated = ReplayToleratedCounter();
   MRA_ASSIGN_OR_RETURN(
       storage::WalReadResult wal,
       storage::ReadWal(wal_path(), options_.salvage_wal
@@ -246,22 +283,16 @@ Status Database::Recover() {
         MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
         for (uint32_t i = 0; i < n; ++i) {
           MRA_ASSIGN_OR_RETURN(Relation rel, dec.GetRelation());
-          std::string name = rel.schema().name();
-          Status s = catalog_.SetRelation(name, std::move(rel));
-          if (!s.ok()) {
-            // Already-applied region only: the relation was dropped
-            // later in the same pre-checkpoint stretch, so its
-            // after-image has nowhere to land — and needs none.
-            if (!(checkpoint_loaded && s.code() == StatusCode::kNotFound)) {
-              return s;
-            }
-            tolerated->Inc();
-          }
+          MRA_RETURN_IF_ERROR(InstallReplayedImage(&catalog_, std::move(rel),
+                                                   checkpoint_loaded));
         }
         catalog_.set_logical_time(std::max(catalog_.logical_time(), time));
         next_txn_id_ = std::max(next_txn_id_, txn_id + 1);
         break;
       }
+      case kRecCommitDelta:
+        MRA_RETURN_IF_ERROR(ReplayCommitDelta(&dec, checkpoint_loaded));
+        break;
       default:
         return Status::Corruption("unknown WAL record kind " +
                                   std::to_string(kind));
@@ -279,6 +310,64 @@ Status Database::Recover() {
     MRA_RETURN_IF_ERROR(
         storage::TruncateWalToOffset(wal_path(), wal.valid_bytes));
   }
+  return Status::OK();
+}
+
+Status Database::ReplayCommitDelta(storage::Decoder* dec,
+                                   bool checkpoint_loaded) {
+  MRA_ASSIGN_OR_RETURN(uint64_t txn_id, dec->GetU64());
+  MRA_ASSIGN_OR_RETURN(uint64_t time, dec->GetU64());
+  MRA_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+  for (uint32_t i = 0; i < n; ++i) {
+    MRA_ASSIGN_OR_RETURN(uint8_t form, dec->GetU8());
+    if (form == kChangeImage) {
+      MRA_ASSIGN_OR_RETURN(Relation rel, dec->GetRelation());
+      MRA_RETURN_IF_ERROR(InstallReplayedImage(&catalog_, std::move(rel),
+                                               checkpoint_loaded));
+      continue;
+    }
+    if (form != kChangeTuples) {
+      return Status::Corruption("unknown change form " +
+                                std::to_string(form) + " in commit record");
+    }
+    MRA_ASSIGN_OR_RETURN(RelationSchema schema, dec->GetSchema());
+    MRA_ASSIGN_OR_RETURN(uint64_t count, dec->GetU64());
+    MRA_RETURN_IF_ERROR(dec->CheckCount(count, kMinEntryBytes));
+    // Where the tuples land.  Before a checkpoint, the relation may since
+    // have been dropped (or dropped and recreated over another schema);
+    // the record is then already superseded and its tuples land nowhere.
+    Relation* target = nullptr;
+    Result<Relation*> found = catalog_.GetMutableRelation(schema.name());
+    if (found.ok() && (*found)->schema().CompatibleWith(schema)) {
+      target = *found;
+    } else if (checkpoint_loaded) {
+      ReplayToleratedCounter()->Inc();
+    } else if (!found.ok()) {
+      return found.status();
+    } else {
+      return Status::Corruption("commit record for " + schema.name() +
+                                " has schema " + schema.ToString() +
+                                ", the catalog has " +
+                                (*found)->schema().ToString());
+    }
+    Tuple previous;
+    for (uint64_t k = 0; k < count; ++k) {
+      MRA_ASSIGN_OR_RETURN(Tuple tuple, dec->GetTuple());
+      MRA_ASSIGN_OR_RETURN(uint64_t multiplicity, dec->GetU64());
+      if (Status s = tuple.ConformsTo(schema); !s.ok()) {
+        return Status::Corruption("commit record tuple: " + s.message());
+      }
+      if (k > 0 && previous.Compare(tuple) >= 0) {
+        return Status::Corruption("commit record tuples of " + schema.name() +
+                                  " are not in canonical order");
+      }
+      // An absolute count: applying it twice is applying it once.
+      if (target != nullptr) target->SetMultiplicity(tuple, multiplicity);
+      previous = std::move(tuple);
+    }
+  }
+  catalog_.set_logical_time(std::max(catalog_.logical_time(), time));
+  next_txn_id_ = std::max(next_txn_id_, txn_id + 1);
   return Status::OK();
 }
 
@@ -444,23 +533,58 @@ Result<std::unique_ptr<Transaction>> Database::Begin(bool wait) {
   return std::unique_ptr<Transaction>(new Transaction(this, next_txn_id_++));
 }
 
-Status Database::ApplyCommit(
-    uint64_t txn_id, const std::map<std::string, Relation>& after_images) {
+std::string Database::EncodeCommitRecord(
+    uint64_t txn_id,
+    const std::map<std::string, RelationChange>& changes) const {
+  storage::Encoder enc;
+  enc.PutU8(kRecCommitDelta);
+  enc.PutU64(txn_id);
+  enc.PutU64(catalog_.logical_time() + 1);
+  enc.PutU32(static_cast<uint32_t>(changes.size()));
+  for (const auto& [name, change] : changes) {
+    if (change.replaced) {
+      enc.PutU8(kChangeImage);
+      enc.PutRelation(change.after);
+      continue;
+    }
+    enc.PutU8(kChangeTuples);
+    enc.PutSchema(change.after.schema());
+    std::vector<const Tuple*> touched;
+    touched.reserve(change.touched.size());
+    for (const Tuple& tuple : change.touched) touched.push_back(&tuple);
+    std::sort(touched.begin(), touched.end(),
+              [](const Tuple* a, const Tuple* b) { return a->Compare(*b) < 0; });
+    enc.PutU64(touched.size());
+    for (const Tuple* tuple : touched) {
+      enc.PutTuple(*tuple);
+      enc.PutU64(change.after.Multiplicity(*tuple));
+    }
+  }
+  return enc.TakeBuffer();
+}
+
+Status Database::ApplyCommit(uint64_t txn_id,
+                             std::map<std::string, RelationChange> changes) {
+  // Encoded before the exclusive lock, so readers run while it is built.
+  // The caller holds the transaction slot, which refuses every other
+  // writer: the logical time the record names cannot move meanwhile.
+  std::string record;
+  if (durable()) record = EncodeCommitRecord(txn_id, changes);
+  // A replaced relation was rebuilt by insertions, which scatter its hash
+  // nodes across the heap.  A copy lays them out again in iteration
+  // order, which every later scan of the committed state walks; an edited
+  // relation kept that layout from the copy GetWritable made.  O(R), like
+  // the whole image a replaced relation logs.
+  for (auto& [name, change] : changes) {
+    if (change.replaced) change.after = Relation(change.after);
+  }
   std::unique_lock<std::shared_mutex> lock(mutex_);
   // Log first (write-ahead), then install in memory.
   if (durable()) {
-    storage::Encoder enc;
-    enc.PutU8(kRecCommit);
-    enc.PutU64(txn_id);
-    enc.PutU64(catalog_.logical_time() + 1);
-    enc.PutU32(static_cast<uint32_t>(after_images.size()));
-    for (const auto& [name, rel] : after_images) {
-      enc.PutRelation(rel);
-    }
-    MRA_RETURN_IF_ERROR(wal_.Append(enc.buffer(), options_.sync_commits));
+    MRA_RETURN_IF_ERROR(wal_.Append(record, options_.sync_commits));
   }
-  for (const auto& [name, rel] : after_images) {
-    MRA_RETURN_IF_ERROR(catalog_.SetRelation(name, rel));
+  for (auto& [name, change] : changes) {
+    MRA_RETURN_IF_ERROR(catalog_.SetRelation(name, std::move(change.after)));
   }
   catalog_.AdvanceTime();
   txn_active_ = false;

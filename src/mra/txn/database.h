@@ -18,9 +18,11 @@
 #define MRA_TXN_DATABASE_H_
 
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <unordered_set>
 
 #include "mra/algebra/plan.h"
 #include "mra/catalog/catalog.h"
@@ -28,7 +30,27 @@
 
 namespace mra {
 
+namespace storage {
+class Decoder;
+}  // namespace storage
+
 class Transaction;
+
+/// What one transaction bracket did to one database relation: its
+/// after-image, plus what the commit record needs to log it in O(delta).
+struct RelationChange {
+  /// The working copy, R's state at the end of the bracket.
+  Relation after;
+  /// The bracket replaced R rather than edited it (update, or an
+  /// insert/delete whose operand had at least as many distinct tuples as
+  /// R): the commit logs the whole after-image and installs a compact
+  /// copy of it.
+  bool replaced = false;
+  /// Durable databases only, unless `replaced`: every tuple an
+  /// insert/delete named.  The commit logs each with its new absolute
+  /// multiplicity after.Multiplicity(t), 0 meaning removed.
+  std::unordered_set<Tuple, TupleHash, TupleEq> touched;
+};
 
 struct DatabaseOptions {
   /// Directory for the WAL and checkpoint files.  Empty means a purely
@@ -115,11 +137,22 @@ class Database {
 
   bool durable() const { return !options_.directory.empty(); }
 
-  // Called by Transaction::Commit with the after-images of modified
-  // relations; installs them, advances time, logs the commit record and
-  // releases the transaction slot.
+  // Called by Transaction::Commit with the bracket's changes.  Encodes the
+  // commit record (before taking the exclusive lock: the caller holds the
+  // transaction slot, so logical time cannot move meanwhile), logs it,
+  // moves the after-images into the catalog, advances time and releases
+  // the transaction slot.
   Status ApplyCommit(uint64_t txn_id,
-                     const std::map<std::string, Relation>& after_images);
+                     std::map<std::string, RelationChange> changes);
+
+  // The WAL record of a commit: per relation, either the touched tuples
+  // with their new absolute multiplicities or the whole after-image.
+  std::string EncodeCommitRecord(
+      uint64_t txn_id,
+      const std::map<std::string, RelationChange>& changes) const;
+
+  // Replays one kRecCommitDelta record (the fields after its kind byte).
+  Status ReplayCommitDelta(storage::Decoder* dec, bool checkpoint_loaded);
 
   // Releases the transaction slot without committing (abort / destruction).
   void EndTransaction();

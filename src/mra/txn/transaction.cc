@@ -49,7 +49,9 @@ Result<const Relation*> Transaction::GetRelation(
     const std::string& name) const {
   MRA_RETURN_IF_ERROR(CheckActive());
   if (auto it = temps_.find(name); it != temps_.end()) return &it->second;
-  if (auto it = working_.find(name); it != working_.end()) return &it->second;
+  if (auto it = working_.find(name); it != working_.end()) {
+    return &it->second.after;
+  }
   return db_->catalog_.GetRelation(name);
 }
 
@@ -59,42 +61,60 @@ const stats::TableStatistics* Transaction::GetStatistics(
   return db_->catalog_.GetStatistics(name);
 }
 
-Result<Relation*> Transaction::GetWritable(const std::string& name) {
+Result<RelationChange*> Transaction::GetWritable(const std::string& name) {
   if (temps_.count(name) > 0) {
     return Status::TxnError("cannot update temporary relation " + name +
                             " (temporaries are assignment-only)");
   }
   if (auto it = working_.find(name); it != working_.end()) return &it->second;
   MRA_ASSIGN_OR_RETURN(const Relation* base, db_->catalog_.GetRelation(name));
-  auto [it, inserted] = working_.emplace(name, *base);
-  (void)inserted;
-  return &it->second;
+  RelationChange* change = &working_[name];
+  change->after = *base;
+  return change;
+}
+
+void Transaction::NoteTouched(RelationChange* change,
+                              const Relation& delta) const {
+  if (change->replaced) return;
+  if (delta.distinct_size() >= change->after.distinct_size()) {
+    change->replaced = true;
+    change->touched.clear();
+    return;
+  }
+  if (!db_->durable()) return;
+  for (const auto& [tuple, count] : delta) change->touched.insert(tuple);
 }
 
 Status Transaction::Insert(const std::string& name, const Relation& delta) {
   MRA_RETURN_IF_ERROR(CheckActive());
-  MRA_ASSIGN_OR_RETURN(Relation* rel, GetWritable(name));
-  // R ← R ⊎ E.
-  MRA_ASSIGN_OR_RETURN(Relation merged, ops::Union(*rel, delta));
-  merged.set_schema_name(name);
-  *rel = std::move(merged);
+  MRA_ASSIGN_OR_RETURN(RelationChange* change, GetWritable(name));
+  Relation& rel = change->after;
+  MRA_RETURN_IF_ERROR(ops::CheckCompatible(rel, delta, "union"));
+  // insert(R, R) through the API: read the operand before editing it.
+  if (&delta == &rel) return Insert(name, Relation(delta));
+  NoteTouched(change, delta);
+  // R ← R ⊎ E, in place.
+  for (const auto& [tuple, count] : delta) rel.InsertUnchecked(tuple, count);
   return Status::OK();
 }
 
 Status Transaction::Delete(const std::string& name, const Relation& delta) {
   MRA_RETURN_IF_ERROR(CheckActive());
-  MRA_ASSIGN_OR_RETURN(Relation* rel, GetWritable(name));
-  // R ← R − E.
-  MRA_ASSIGN_OR_RETURN(Relation remaining, ops::Difference(*rel, delta));
-  remaining.set_schema_name(name);
-  *rel = std::move(remaining);
+  MRA_ASSIGN_OR_RETURN(RelationChange* change, GetWritable(name));
+  Relation& rel = change->after;
+  MRA_RETURN_IF_ERROR(ops::CheckCompatible(rel, delta, "difference"));
+  if (&delta == &rel) return Delete(name, Relation(delta));
+  NoteTouched(change, delta);
+  // R ← R − E, in place; Remove clamps at zero.
+  for (const auto& [tuple, count] : delta) rel.Remove(tuple, count);
   return Status::OK();
 }
 
 Status Transaction::Update(const std::string& name, const Relation& matched,
                            const std::vector<ExprPtr>& alpha) {
   MRA_RETURN_IF_ERROR(CheckActive());
-  MRA_ASSIGN_OR_RETURN(Relation* rel, GetWritable(name));
+  MRA_ASSIGN_OR_RETURN(RelationChange* change, GetWritable(name));
+  Relation* rel = &change->after;
   // Definition 4.1 requires α to be structure-preserving: π_α of a
   // relation with R's schema has R's schema again.
   MRA_ASSIGN_OR_RETURN(RelationSchema projected,
@@ -116,6 +136,8 @@ Status Transaction::Update(const std::string& name, const Relation& matched,
   MRA_ASSIGN_OR_RETURN(Relation result, ops::Union(untouched, renamed));
   result.set_schema_name(name);
   *rel = std::move(result);
+  change->replaced = true;  // Logged whole: α may rewrite any tuple.
+  change->touched.clear();
   return Status::OK();
 }
 
@@ -150,7 +172,7 @@ Status Transaction::Commit() {
     TxnAbortCounter()->Inc();
     return valid;
   }
-  Status s = db_->ApplyCommit(id_, working_);
+  Status s = db_->ApplyCommit(id_, std::move(working_));
   if (!s.ok()) {
     // Failed installation leaves D_t current; the bracket ends aborted.
     active_ = false;

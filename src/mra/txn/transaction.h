@@ -5,7 +5,9 @@
 //  * reads resolve temporaries first, then modified working copies, then
 //    the committed catalog — these are the intermediate states D^{t.i},
 //    visible only inside the bracket;
-//  * insert/delete/update replace a working copy (R ← … of Definition 4.1);
+//  * insert/delete edit a working copy in place and update replaces it
+//    (R ← … of Definition 4.1); on durable databases insert/delete also
+//    note the tuples they touch, so the commit logs O(delta) bytes;
 //  * assignment creates a temporary relation, removed at the bracket's end;
 //  * Commit atomically installs D_{t+1} (and logs it when durable);
 //  * Abort discards everything, leaving D_t untouched.
@@ -38,11 +40,13 @@ class Transaction final : public RelationProvider {
   const stats::TableStatistics* GetStatistics(
       const std::string& name) const override;
 
-  /// insert(R, E): R ← R ⊎ E (Definition 4.1).  `delta` must be
-  /// schema-compatible with R.
+  /// insert(R, E): R ← R ⊎ E (Definition 4.1), edited in place.  `delta`
+  /// must be schema-compatible with R; the check and its error are
+  /// ops::Union's.
   Status Insert(const std::string& name, const Relation& delta);
 
-  /// delete(R, E): R ← R − E (Definition 4.1).
+  /// delete(R, E): R ← R − E (Definition 4.1), edited in place, with
+  /// ops::Difference's operand check and error.
   Status Delete(const std::string& name, const Relation& delta);
 
   /// update(R, E, α): R ← (R − E) ⊎ π_α(R ∩ E) (Definition 4.1).  α must
@@ -75,14 +79,19 @@ class Transaction final : public RelationProvider {
 
   // Fetches the current working version of a database relation, copying it
   // into the overlay on first write.
-  Result<Relation*> GetWritable(const std::string& name);
+  Result<RelationChange*> GetWritable(const std::string& name);
+
+  // Before an insert/delete of `delta` into `change`: marks the relation
+  // replaced when `delta` has at least as many distinct tuples as it;
+  // otherwise, on durable databases, notes the tuples `delta` names.
+  void NoteTouched(RelationChange* change, const Relation& delta) const;
 
   Status CheckActive() const;
 
   Database* db_;
   uint64_t id_;
   bool active_ = true;
-  std::map<std::string, Relation> working_;  // Modified database relations.
+  std::map<std::string, RelationChange> working_;  // Modified relations.
   std::map<std::string, Relation> temps_;    // Assignment targets.
 };
 

@@ -181,7 +181,8 @@ std::string RelationToCsv(const Relation& relation) {
     AppendCsvField(schema.attribute(i).name, &out);
   }
   out += '\n';
-  for (const auto& [tuple, count] : relation.SortedEntries()) {
+  for (const Relation::Entry* entry : relation.SortedView()) {
+    const auto& [tuple, count] = *entry;
     std::string row;
     for (size_t i = 0; i < tuple.arity(); ++i) {
       if (i > 0) row += ',';

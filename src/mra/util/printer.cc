@@ -9,10 +9,10 @@ namespace util {
 
 std::string RenderTable(const Relation& relation, PrintOptions options) {
   const RelationSchema& schema = relation.schema();
-  auto entries = relation.SortedEntries();
+  const auto entries = relation.SortedView();
 
   bool any_dup = false;
-  for (const auto& [tuple, count] : entries) any_dup |= (count > 1);
+  for (const Relation::Entry* entry : entries) any_dup |= (entry->second > 1);
   const bool show_count = options.show_multiplicity && any_dup;
 
   // Column headers.
@@ -31,7 +31,7 @@ std::string RenderTable(const Relation& relation, PrintOptions options) {
   rows.reserve(limit);
   for (size_t r = 0; r < limit; ++r) {
     std::vector<std::string> cells;
-    const auto& [tuple, count] = entries[r];
+    const auto& [tuple, count] = *entries[r];
     for (size_t i = 0; i < tuple.arity(); ++i) {
       cells.push_back(tuple.at(i).ToString());
     }

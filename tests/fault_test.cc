@@ -9,10 +9,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include "mra/fault/failpoint.h"
 #include "mra/obs/metrics.h"
 #include "mra/storage/wal.h"
+#include "mra/txn/database.h"
+#include "mra/txn/transaction.h"
 #include "test_util.h"
 
 namespace mra {
@@ -31,6 +35,7 @@ class TempDir {
   std::string file(const std::string& name) const {
     return (path_ / name).string();
   }
+  std::string path() const { return path_.string(); }
 
  private:
   static inline int counter_ = 0;
@@ -208,6 +213,80 @@ TEST_F(FaultTest, ErrorActionFailsAppendWithoutWriting) {
   ASSERT_EQ(read->records.size(), 1u);
   EXPECT_EQ(read->records[0], "accepted");
   EXPECT_FALSE(read->torn_tail);
+}
+
+// The wal.truncate window: the checkpoint is installed but the log it
+// folded in survives.  Recovery replays per-tuple records, whole images
+// and DDL over the checkpoint again — and again on a second reopen — and
+// must land on the live state both times.
+TEST_F(FaultTest, CommitRecordsReplayIdempotentlyInTheTruncateWindow) {
+  using ::mra::testing::IntTuple;
+  TempDir dir;
+  auto schema = [](const char* name) {
+    return RelationSchema(name, {{"x", Type::Int()}});
+  };
+  auto delta = [&](std::initializer_list<std::pair<int64_t, uint64_t>> rows) {
+    Relation d(schema(""));
+    for (auto [v, c] : rows) d.InsertUnchecked(IntTuple({v}), c);
+    return d;
+  };
+  std::map<std::string, Relation> live;
+  uint64_t time = 0;
+  {
+    auto db = Database::Open({.directory = dir.path()});
+    ASSERT_OK(db);
+    // After the first checkpoint, r is only ever edited, so its per-tuple
+    // records replay straight over its checkpointed state.  s is also
+    // updated (logged whole) and dropped and recreated mid-log, so its
+    // earlier records must not leak into the recreated relation.
+    for (const char* name : {"r", "s"}) {
+      ASSERT_OK((*db)->CreateRelation(schema(name)));
+    }
+    for (int round = 0; round < 8; ++round) {
+      auto txn = (*db)->Begin();
+      ASSERT_OK(txn);
+      for (const char* name : {"r", "s"}) {
+        if (round == 0) {
+          ASSERT_OK((*txn)->Insert(
+              name, delta({{0, 1}, {1, 5}, {2, 1'000'000}, {3, 1}, {4, 2}})));
+        } else if (round == 4 && std::string(name) == "s") {
+          ASSERT_OK((*txn)->Update(name, delta({{1, 1}}),
+                                   {Add(Attr(0), Lit(int64_t{100}))}));
+        } else {
+          ASSERT_OK((*txn)->Insert(name, delta({{10 + round, 5}})));
+          ASSERT_OK((*txn)->Delete(name, delta({{round, 3}})));
+        }
+      }
+      ASSERT_OK((*txn)->Commit());
+      if (round == 0) ASSERT_OK((*db)->Checkpoint());
+      if (round == 5) {
+        Relation keep = *(*db)->catalog().GetRelation("s").value();
+        ASSERT_OK((*db)->DropRelation("s"));
+        ASSERT_OK((*db)->CreateRelation(schema("s")));
+        auto refill = (*db)->Begin();
+        ASSERT_OK(refill);
+        ASSERT_OK((*refill)->Insert("s", keep));
+        ASSERT_OK((*refill)->Commit());
+      }
+    }
+    ASSERT_OK(FaultRegistry::Global().ConfigureFromSpec("wal.truncate=error"));
+    EXPECT_FALSE((*db)->Checkpoint().ok());
+    FaultRegistry::Global().DisarmAll();
+    EXPECT_GT(std::filesystem::file_size((*db)->wal_path()), 0u);
+    for (const char* name : {"r", "s"}) {
+      live.emplace(name, *(*db)->catalog().GetRelation(name).value());
+    }
+    time = (*db)->logical_time();
+  }
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    auto db = Database::Open({.directory = dir.path()});
+    ASSERT_OK(db);
+    for (const auto& [name, rel] : live) {
+      EXPECT_REL_EQ(*(*db)->catalog().GetRelation(name).value(), rel)
+          << name << " on reopen " << reopen;
+    }
+    EXPECT_EQ((*db)->logical_time(), time);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "mra/exec/exec_context.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "mra/exec/sort.h"
 #include "mra/fault/failpoint.h"
 #include "mra/lang/interpreter.h"
+#include "mra/lang/parser.h"
 #include "mra/obs/metrics.h"
 #include "mra/obs/slow_log.h"
 #include "mra/obs/trace.h"
@@ -347,6 +349,27 @@ TEST_F(GovernanceTest, SlowLogTagsKillsWithTheReason) {
   EXPECT_NE(lines.find("killed:cancelled"), std::string::npos) << lines;
 }
 
+TEST_F(GovernanceTest, SlowLogNamesTheStatementItRecords) {
+  // Statements are rendered only when an entry is recorded; the entry
+  // still carries the statement's own rendering, and a plain Query its
+  // source text.
+  auto db = MakeDb();
+  obs::SlowQueryLog::Global().Clear();
+  obs::SlowQueryLog::Global().SetThresholdMs(0);  // Record everything.
+  lang::Interpreter interp(db.get());
+  const std::string script = "begin ? select(%1 > 50, r); end";
+  auto parsed = lang::ParseScript(script);
+  ASSERT_TRUE(parsed.ok());
+  const std::string rendered = parsed->items.at(0).stmts.at(0).ToString();
+  ASSERT_TRUE(interp.ExecuteScriptCollect(script).ok());
+  ASSERT_TRUE(interp.Query("unique(s)").ok());
+  std::string lines = obs::SlowQueryLog::Global().RenderJsonLines();
+  EXPECT_NE(lines.find("\"source\":\"" + rendered + "\""), std::string::npos)
+      << lines;
+  EXPECT_NE(lines.find("\"source\":\"unique(s)\""), std::string::npos)
+      << lines;
+}
+
 TEST_F(GovernanceTest, ExplainAnalyzeIsGovernedPlainExplainIsNot) {
   auto db = MakeDb();
   lang::InterpreterOptions options;
@@ -362,13 +385,16 @@ TEST_F(GovernanceTest, ExplainAnalyzeIsGovernedPlainExplainIsNot) {
 
 // --- Spill governance: budget-pressure spill and kill-mid-spill. ---------
 
-// Run files the sort spilled and did not reclaim (both published runs and
-// in-flight .tmp files land under the mra_sort_ prefix).
+// Run files this process's sorts spilled and did not reclaim (both
+// published runs and in-flight .tmp files land under the
+// mra_sort_<pid>_ prefix).  Only this process's files count: other test
+// processes running concurrently spill into the same temp directory.
 size_t LeakedRunFiles() {
+  const std::string prefix = "mra_sort_" + std::to_string(::getpid()) + "_";
   size_t n = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::filesystem::temp_directory_path())) {
-    if (entry.path().filename().string().rfind("mra_sort_", 0) == 0) ++n;
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
   }
   return n;
 }

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <set>
+
 #include "test_util.h"
 
 namespace mra {
@@ -136,6 +140,64 @@ TEST(RelationTest, LargeMultiplicityIsCompact) {
   ASSERT_OK(r.Insert(IntTuple({1}), 1000000));
   EXPECT_EQ(r.size(), 1000000u);
   EXPECT_EQ(r.distinct_size(), 1u);
+}
+
+TEST(RelationTest, SortedEntriesUseTheTypedCanonicalOrder) {
+  // Typed, column-wise: 9 < 10 (display-form order would put "10" first),
+  // and the first column decides before the second.
+  Relation r = IntRel("r", {{10, 1}, {9, 5}, {9, -3}, {-2, 7}}, 2);
+  auto entries = r.SortedEntries();
+  ASSERT_EQ(entries.size(), 4u);
+  EXPECT_TRUE(entries[0].first.Equals(IntTuple({-2, 7})));
+  EXPECT_TRUE(entries[1].first.Equals(IntTuple({9, -3})));
+  EXPECT_TRUE(entries[2].first.Equals(IntTuple({9, 5})));
+  EXPECT_TRUE(entries[3].first.Equals(IntTuple({10, 1})));
+  EXPECT_EQ(r.ToString(), "{(-2, 7) : 1, (9, -3) : 1, (9, 5) : 1, (10, 1) : 1}");
+
+  // The view points into the relation's own map, in the same order.
+  std::set<const Relation::Entry*> in_map;
+  for (const Relation::Entry& entry : r) in_map.insert(&entry);
+  auto view = r.SortedView();
+  ASSERT_EQ(view.size(), entries.size());
+  for (size_t i = 0; i < view.size(); ++i) {
+    EXPECT_EQ(in_map.count(view[i]), 1u);
+    EXPECT_TRUE(view[i]->first.Equals(entries[i].first));
+  }
+}
+
+TEST(RelationTest, SortedEntriesPutNaNLastAndMergeSignedZero) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Relation r(RelationSchema("f", {{"x", Type::Real()}}));
+  for (double v : {nan, inf, -0.0, -inf, 0.0, nan, 1.0}) {
+    ASSERT_OK(r.Insert(Tuple({Value::Real(v)})));
+  }
+  auto entries = r.SortedEntries();
+  ASSERT_EQ(entries.size(), 5u);
+  EXPECT_EQ(entries[0].first.at(0).real_value(), -inf);
+  EXPECT_EQ(entries[1].first.at(0).real_value(), 0.0);
+  EXPECT_EQ(entries[1].second, 2u);  // -0.0 and 0.0 are one tuple
+  EXPECT_EQ(entries[2].first.at(0).real_value(), 1.0);
+  EXPECT_EQ(entries[3].first.at(0).real_value(), inf);
+  EXPECT_TRUE(std::isnan(entries[4].first.at(0).real_value()));
+  EXPECT_EQ(entries[4].second, 2u);  // NaN = NaN, as a bag element
+  EXPECT_EQ(r.Remove(Tuple({Value::Real(nan)}), 5), 2u);
+}
+
+TEST(RelationTest, SetMultiplicityIsAbsolute) {
+  Relation r = IntRel("r", {{1}, {1}, {2}}, 1);
+  r.SetMultiplicity(IntTuple({1}), 5);
+  r.SetMultiplicity(IntTuple({3}), 1);
+  r.SetMultiplicity(IntTuple({2}), 0);
+  r.SetMultiplicity(IntTuple({4}), 0);
+  EXPECT_EQ(r.Multiplicity(IntTuple({1})), 5u);
+  EXPECT_EQ(r.Multiplicity(IntTuple({3})), 1u);
+  EXPECT_FALSE(r.Contains(IntTuple({2})));
+  EXPECT_EQ(r.distinct_size(), 2u);
+  EXPECT_EQ(r.size(), 6u);
+  // Applying the same absolute count again changes nothing.
+  r.SetMultiplicity(IntTuple({1}), 5);
+  EXPECT_EQ(r.size(), 6u);
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 
+#include "mra/catalog/catalog.h"
 #include "mra/storage/serializer.h"
 
 namespace mra {
@@ -225,6 +228,149 @@ TEST(SerializerRoundTrip, DuplicateSupportEntriesMergeWithoutCrashing) {
   if (decoded.ok()) {
     EXPECT_EQ(decoded->Multiplicity(Tuple({Value::Int(1)})), 7u);
   }
+}
+
+// --- Counts are bounded by the bytes that remain. -----------------------
+//
+// Each count below would make the decoder reserve gigabytes if trusted;
+// it must be refused as Corruption before anything is allocated.
+
+TEST(SerializerRoundTrip, HugeTupleArityIsCorruption) {
+  Encoder enc;
+  enc.PutU32(0xFFFFFFFFu);
+  enc.PutValue(Value::Int(1));
+  Decoder dec(enc.buffer());
+  auto decoded = dec.GetTuple();
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(SerializerRoundTrip, HugeAttributeCountIsCorruption) {
+  Encoder enc;
+  enc.PutString("s");
+  enc.PutU32(0x7FFFFFFFu);
+  enc.PutString("a");
+  enc.PutU8(static_cast<uint8_t>(TypeKind::kInt));
+  Decoder dec(enc.buffer());
+  auto decoded = dec.GetSchema();
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(SerializerRoundTrip, HugeStatisticsCountsAreCorruption) {
+  for (bool huge_buckets : {false, true}) {
+    Encoder enc;
+    enc.PutU64(10);  // row_count
+    enc.PutU64(5);   // distinct_count
+    enc.PutU64(1);   // collected_at
+    enc.PutU32(huge_buckets ? 1 : 0x10000000u);  // columns
+    enc.PutU64(5);
+    enc.PutDouble(0.0);
+    enc.PutU8(1);
+    enc.PutDouble(0.0);
+    enc.PutDouble(1.0);
+    enc.PutU32(huge_buckets ? 0x40000000u : 0);  // histogram buckets
+    Decoder dec(enc.buffer());
+    auto decoded = dec.GetStatistics();
+    ASSERT_FALSE(decoded.ok()) << huge_buckets;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(SerializerRoundTrip, HugeDistinctCountIsCorruption) {
+  Encoder enc;
+  enc.PutSchema(RelationSchema("h", {Attribute{"a", Type::Int()}}));
+  enc.PutU64(uint64_t{1} << 62);
+  enc.PutTuple(Tuple({Value::Int(1)}));
+  enc.PutU64(1);
+  Decoder dec(enc.buffer());
+  auto decoded = dec.GetRelation();
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(SerializerRoundTrip, GetCountAcceptsExactlyWhatFits) {
+  Encoder enc;
+  enc.PutU32(2);
+  enc.PutU64(0);
+  enc.PutU64(0);
+  Decoder fits(enc.buffer());
+  auto ok = fits.GetCount(8);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, 2u);
+  Decoder over(enc.buffer());
+  EXPECT_EQ(over.GetCount(9).status().code(), StatusCode::kCorruption);
+}
+
+// --- Canonical order: one byte image per bag. ----------------------------
+
+TEST(SerializerRoundTrip, EqualBagsWithDifferentHistoriesEncodeIdentically) {
+  std::mt19937_64 rng(5);
+  for (int round = 0; round < 20; ++round) {
+    Relation a = RandomRelation(rng);
+    // The same bag built backwards, in single steps, with a detour
+    // through an extra tuple that is then removed again.
+    Relation b(a.schema());
+    std::vector<std::pair<Tuple, uint64_t>> entries(a.begin(), a.end());
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      b.InsertUnchecked(it->first, 1);
+      b.InsertUnchecked(it->first, it->second - 1);
+    }
+    if (!entries.empty()) {
+      b.InsertUnchecked(entries.front().first, 3);
+      b.Remove(entries.front().first, 3);
+    }
+    ASSERT_TRUE(a.Equals(b));
+    Encoder ea, eb;
+    ea.PutRelation(a);
+    eb.PutRelation(b);
+    EXPECT_EQ(ea.buffer(), eb.buffer()) << "round " << round;
+
+    Catalog ca, cb;
+    ASSERT_TRUE(ca.CreateRelation(a.schema()).ok());
+    ASSERT_TRUE(ca.SetRelation("rnd", a).ok());
+    ASSERT_TRUE(cb.CreateRelation(b.schema()).ok());
+    ASSERT_TRUE(cb.SetRelation("rnd", b).ok());
+    EXPECT_EQ(EncodeCatalog(ca), EncodeCatalog(cb)) << "round " << round;
+  }
+}
+
+TEST(SerializerRoundTrip, NonFiniteRealsRoundTripInCanonicalOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Relation rel(RelationSchema("f", {Attribute{"x", Type::Real()}}));
+  for (double v : {nan, 1.5, -inf, 0.0, inf, -0.0, -2.0, -nan}) {
+    ASSERT_TRUE(rel.Insert(Tuple({Value::Real(v)}), 2).ok());
+  }
+  // -0.0 joins 0.0 and both NaNs share one entry.
+  ASSERT_EQ(rel.distinct_size(), 6u);
+  EXPECT_EQ(rel.Multiplicity(Tuple({Value::Real(0.0)})), 4u);
+  EXPECT_EQ(rel.Multiplicity(Tuple({Value::Real(nan)})), 4u);
+
+  Encoder enc;
+  enc.PutRelation(rel);
+  Decoder dec(enc.buffer());
+  auto decoded = dec.GetRelation();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->Equals(rel));
+
+  // The entries sit on disk in canonical order: -inf … inf, NaN last.
+  Decoder walk(enc.buffer());
+  ASSERT_TRUE(walk.GetSchema().ok());
+  ASSERT_EQ(*walk.GetU64(), 6u);
+  std::vector<double> order;
+  for (int i = 0; i < 6; ++i) {
+    auto t = walk.GetTuple();
+    ASSERT_TRUE(t.ok());
+    order.push_back(t->at(0).real_value());
+    ASSERT_TRUE(walk.GetU64().ok());
+  }
+  EXPECT_EQ(order[0], -inf);
+  EXPECT_EQ(order[1], -2.0);
+  EXPECT_EQ(order[2], 0.0);
+  EXPECT_EQ(order[3], 1.5);
+  EXPECT_EQ(order[4], inf);
+  EXPECT_TRUE(std::isnan(order[5]));
 }
 
 }  // namespace

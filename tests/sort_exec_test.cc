@@ -19,10 +19,14 @@
 #include "mra/exec/sort.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <functional>
 #include <random>
+#include <string>
 
 #include "mra/algebra/ops.h"
 #include "mra/common/config.h"
@@ -257,6 +261,43 @@ TEST(SortContractTest, ReopenReplaysTheStream) {
   }
 }
 
+TEST(SortContractTest, NonFiniteRealsSortWithNaNLast) {
+  // NaN sorts after every number (ties with NaN), -0.0 ties with 0.0:
+  // ops::Sort, the in-memory and the spilling SortOp all agree, ascending
+  // and descending, with and without a weighted LIMIT.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Relation r(RelationSchema("f", {{"x", Type::Real()}, {"k", Type::Int()}}));
+  const std::vector<double> xs = {nan, 2.0,  -inf, -0.0, inf,
+                                  0.0, nan, -1.0, inf,  2.0};
+  for (size_t i = 0; i < xs.size(); ++i) {
+    // Tuple i is (xs[i], i mod 3) with multiplicity 1 + (i + 1) mod 2.
+    ASSERT_OK(r.Insert(
+        Tuple({Value::Real(xs[i]), Value::Int(static_cast<int64_t>(i % 3))}),
+        1 + (i + 1) % 2));
+  }
+  for (bool desc : {false, true}) {
+    for (uint64_t limit : {uint64_t{0}, uint64_t{4}}) {
+      for (uint64_t spill : {uint64_t{0}, uint64_t{64}}) {
+        ExpectSortAgreement(r, {0}, {desc}, limit, spill, false);
+      }
+    }
+  }
+  // The three smallest by %1 are -inf (×2) then -1.0 (×1); descending,
+  // the first two are the NaN tuple's (×4, both NaNs merged).
+  auto bottom = ops::Sort({0}, {false}, 3, r);
+  ASSERT_OK(bottom);
+  EXPECT_EQ(bottom->Multiplicity(Tuple({Value::Real(-inf), Value::Int(2)})),
+            2u);
+  EXPECT_EQ(bottom->Multiplicity(Tuple({Value::Real(-1.0), Value::Int(1)})),
+            1u);
+  auto top = ops::Sort({0}, {true}, 2, r);
+  ASSERT_OK(top);
+  for (const auto& [tuple, count] : *top) {
+    EXPECT_TRUE(std::isnan(tuple.at(0).real_value())) << tuple.ToString();
+  }
+}
+
 TEST(SortContractTest, SpilledReopenReplaysAndRewritesRuns) {
   std::mt19937_64 rng(7);
   Relation r = RandomIntRelation(rng, 2, 200, 50, 3);
@@ -272,11 +313,15 @@ TEST(SortContractTest, SpilledReopenReplaysAndRewritesRuns) {
 TEST(SortContractTest, RunFilesAreRemovedOnClose) {
   std::mt19937_64 rng(11);
   Relation r = RandomIntRelation(rng, 2, 300, 50, 3);
+  // Counts this process's run files only: concurrently running test
+  // processes spill into the same temp directory.
   auto leftover = [] {
+    const std::string prefix =
+        "mra_sort_" + std::to_string(::getpid()) + "_";
     size_t n = 0;
     for (const auto& entry : std::filesystem::directory_iterator(
              std::filesystem::temp_directory_path())) {
-      if (entry.path().filename().string().rfind("mra_sort_", 0) == 0) ++n;
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
     }
     return n;
   };

@@ -12,6 +12,8 @@
 #include "mra/catalog/catalog.h"
 #include "mra/storage/serializer.h"
 #include "mra/storage/wal.h"
+#include "mra/txn/database.h"
+#include "mra/txn/transaction.h"
 #include "test_util.h"
 
 namespace mra {
@@ -19,6 +21,7 @@ namespace storage {
 namespace {
 
 using ::mra::testing::IntRel;
+using ::mra::testing::IntTuple;
 using ::mra::testing::PaperBeerDb;
 
 class TempDir {
@@ -372,6 +375,147 @@ TEST_P(SerializerFuzzTest, RandomRelationRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializerFuzzTest,
                          ::testing::Range(uint64_t{1}, uint64_t{26}));
+
+// --- Commit records as recovery reads them (layouts: docs/RECOVERY.md). --
+
+constexpr uint8_t kRecCommitImage = 1;
+constexpr uint8_t kRecCreateRelation = 2;
+constexpr uint8_t kRecCommitDelta = 7;
+constexpr uint8_t kChangeTuples = 0;
+
+RelationSchema RSchema() { return RelationSchema("r", {{"x", Type::Int()}}); }
+
+std::string CreateRecord() {
+  Encoder enc;
+  enc.PutU8(kRecCreateRelation);
+  enc.PutSchema(RSchema());
+  return enc.TakeBuffer();
+}
+
+// The legacy commit record: each relation's whole after-image.
+std::string ImageRecord(uint64_t txn, const Relation& after) {
+  Encoder enc;
+  enc.PutU8(kRecCommitImage);
+  enc.PutU64(txn);
+  enc.PutU64(txn);  // logical time
+  enc.PutU32(1);
+  enc.PutRelation(after);
+  return enc.TakeBuffer();
+}
+
+// A per-tuple record for r: `count` announced entries, then `entries`.
+std::string DeltaRecord(uint64_t txn, uint64_t count,
+                        const std::vector<std::pair<Tuple, uint64_t>>& entries) {
+  Encoder enc;
+  enc.PutU8(kRecCommitDelta);
+  enc.PutU64(txn);
+  enc.PutU64(txn);
+  enc.PutU32(1);
+  enc.PutU8(kChangeTuples);
+  enc.PutSchema(RSchema());
+  enc.PutU64(count);
+  for (const auto& [tuple, multiplicity] : entries) {
+    enc.PutTuple(tuple);
+    enc.PutU64(multiplicity);
+  }
+  return enc.TakeBuffer();
+}
+
+// Writes `records` as a fresh log in `dir` and recovers a database from it.
+Result<std::unique_ptr<Database>> RecoverFrom(
+    const std::string& dir, const std::vector<std::string>& records) {
+  std::filesystem::create_directories(dir);
+  {
+    MRA_ASSIGN_OR_RETURN(WalWriter wal, WalWriter::Open(dir + "/wal.log"));
+    for (const std::string& record : records) {
+      MRA_RETURN_IF_ERROR(wal.Append(record, false));
+    }
+  }
+  DatabaseOptions options;
+  options.directory = dir;
+  return Database::Open(options);
+}
+
+TEST(CommitRecordTest, AfterImageLogStillRecovers) {
+  TempDir dir;
+  const std::string path = dir.file("db");
+  Relation first = IntRel("r", {{1}, {1}, {3}}, 1);
+  Relation second = IntRel("r", {{3}, {4}, {4}}, 1);
+  {
+    auto db = RecoverFrom(path, {CreateRecord(), ImageRecord(1, first),
+                                 ImageRecord(2, second)});
+    ASSERT_OK(db);
+    EXPECT_REL_EQ(*(*db)->catalog().GetRelation("r").value(), second);
+    EXPECT_EQ((*db)->logical_time(), 2u);
+    // New commits append per-tuple records after the old ones.
+    auto txn = (*db)->Begin();
+    ASSERT_OK(txn);
+    ASSERT_OK((*txn)->Insert("r", IntRel("", {{5}}, 1)));
+    ASSERT_OK((*txn)->Commit());
+  }
+  DatabaseOptions options;
+  options.directory = path;
+  auto reopened = Database::Open(options);
+  ASSERT_OK(reopened);
+  EXPECT_REL_EQ(*(*reopened)->catalog().GetRelation("r").value(),
+                IntRel("r", {{3}, {4}, {4}, {5}}, 1));
+  EXPECT_EQ((*reopened)->logical_time(), 3u);
+}
+
+TEST(CommitRecordTest, PerTupleRecordSetsAbsoluteMultiplicities) {
+  TempDir dir;
+  const std::vector<std::pair<Tuple, uint64_t>> entries = {
+      {IntTuple({1}), 0}, {IntTuple({2}), 5}, {IntTuple({3}), 4}};
+  const std::string delta = DeltaRecord(2, entries.size(), entries);
+  // Applied once or twice, the record lands on the same state.
+  for (int copies : {1, 2}) {
+    std::vector<std::string> records = {
+        CreateRecord(), ImageRecord(1, IntRel("r", {{1}, {2}, {2}}, 1))};
+    for (int i = 0; i < copies; ++i) records.push_back(delta);
+    auto db = RecoverFrom(dir.file("db" + std::to_string(copies)), records);
+    ASSERT_OK(db);
+    const Relation* r = (*db)->catalog().GetRelation("r").value();
+    EXPECT_FALSE(r->Contains(IntTuple({1})));
+    EXPECT_EQ(r->Multiplicity(IntTuple({2})), 5u);
+    EXPECT_EQ(r->Multiplicity(IntTuple({3})), 4u);
+    EXPECT_EQ(r->size(), 9u);
+    EXPECT_EQ((*db)->logical_time(), 2u);
+  }
+}
+
+TEST(CommitRecordTest, HugeDeltaCountIsCorruption) {
+  TempDir dir;
+  auto db = RecoverFrom(
+      dir.file("db"),
+      {CreateRecord(), DeltaRecord(1, uint64_t{1} << 40, {{IntTuple({1}), 1}})});
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
+}
+
+TEST(CommitRecordTest, MalformedEntriesAreCorruption) {
+  TempDir dir;
+  const std::vector<std::vector<std::pair<Tuple, uint64_t>>> bad = {
+      // Out of canonical order.
+      {{IntTuple({2}), 1}, {IntTuple({1}), 1}},
+      // The same tuple twice.
+      {{IntTuple({1}), 1}, {IntTuple({1}), 2}},
+      // Not in dom(r).
+      {{Tuple({Value::Str("x")}), 1}},
+      {{IntTuple({1, 2}), 1}},
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto db = RecoverFrom(dir.file("db" + std::to_string(i)),
+                          {CreateRecord(), DeltaRecord(1, bad[i].size(), bad[i])});
+    ASSERT_FALSE(db.ok()) << i;
+    EXPECT_EQ(db.status().code(), StatusCode::kCorruption) << i;
+  }
+  // An unknown change form.
+  std::string record = DeltaRecord(1, 0, {});
+  record[1 + 8 + 8 + 4] = 9;
+  auto db = RecoverFrom(dir.file("form"), {CreateRecord(), record});
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
+}
 
 }  // namespace
 }  // namespace storage

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "test_util.h"
 
 namespace mra {
@@ -195,6 +200,42 @@ TEST(ResultTest, ValueAndErrorPaths) {
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(bad.value_or(-1), -1);
   EXPECT_EQ(good.value_or(-1), 42);
+}
+
+TEST(ValueTest, RealCompareIsAStrictWeakOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Ascending canonical classes: -inf < -1 < {-0.0, 0.0} < 2 < inf < NaN.
+  const std::vector<std::vector<double>> classes = {
+      {-inf}, {-1.0}, {-0.0, 0.0}, {2.0}, {inf}, {nan, -nan}};
+  for (size_t i = 0; i < classes.size(); ++i) {
+    for (size_t j = 0; j < classes.size(); ++j) {
+      for (double a : classes[i]) {
+        for (double b : classes[j]) {
+          const int want = i < j ? -1 : (i > j ? 1 : 0);
+          EXPECT_EQ(Value::Real(a).Compare(Value::Real(b)), want)
+              << a << " vs " << b;
+          EXPECT_EQ(Value::Real(a).Equals(Value::Real(b)), want == 0)
+              << a << " vs " << b;
+          if (want == 0) {
+            EXPECT_EQ(Value::Real(a).Hash(), Value::Real(b).Hash())
+                << a << " vs " << b;
+          }
+        }
+      }
+    }
+  }
+  // std::sort over NaN-bearing input is well defined and puts NaN last.
+  std::vector<Value> values;
+  for (double v : {nan, 3.0, -inf, nan, 0.0, inf, -0.0}) {
+    values.push_back(Value::Real(v));
+  }
+  std::sort(values.begin(), values.end(),
+            [](const Value& a, const Value& b) { return a.Less(b); });
+  EXPECT_EQ(values.front().real_value(), -inf);
+  EXPECT_EQ(values[4].real_value(), inf);
+  EXPECT_TRUE(std::isnan(values[5].real_value()));
+  EXPECT_TRUE(std::isnan(values[6].real_value()));
 }
 
 }  // namespace
