@@ -75,36 +75,52 @@ std::string NextRunPath() {
 
 }  // namespace
 
-// Streams one run file: `length(u32) ++ payload` entries where payload is
-// the storage encoding of `tuple ++ count`.  The length prefix makes each
-// entry independently decodable, so the merge never buffers a whole run.
+Result<std::optional<Row>> ReadRunEntry(std::istream& in,
+                                        uint64_t* bytes_left,
+                                        const std::string& path) {
+  char len_buf[4];
+  in.read(len_buf, sizeof(len_buf));
+  if (in.gcount() == 0 && in.eof()) return std::optional<Row>();
+  if (in.gcount() != sizeof(len_buf)) {
+    return Status::Corruption("torn entry header in sort run " + path);
+  }
+  *bytes_left -= std::min<uint64_t>(*bytes_left, sizeof(len_buf));
+  storage::Decoder len_dec(std::string_view(len_buf, sizeof(len_buf)));
+  MRA_ASSIGN_OR_RETURN(uint32_t len, len_dec.GetU32());
+  if (len > *bytes_left) {
+    return Status::Corruption("entry length " + std::to_string(len) +
+                              " exceeds the " + std::to_string(*bytes_left) +
+                              " bytes left in sort run " + path);
+  }
+  *bytes_left -= len;
+  std::string payload(len, '\0');
+  in.read(payload.data(), len);
+  if (static_cast<uint32_t>(in.gcount()) != len) {
+    return Status::Corruption("torn entry payload in sort run " + path);
+  }
+  storage::Decoder dec(payload);
+  Row row;
+  MRA_ASSIGN_OR_RETURN(row.tuple, dec.GetTuple());
+  MRA_ASSIGN_OR_RETURN(row.count, dec.GetU64());
+  return std::optional<Row>(std::move(row));
+}
+
+// Streams one run file entry by entry (see ReadRunEntry): the length
+// prefix makes each entry independently decodable, so the merge never
+// buffers a whole run.
 struct SortOp::RunReader {
   std::ifstream in;
   std::string path;
+  uint64_t bytes_left = 0;
   Row current;
   bool done = false;
 
   Status Advance() {
     MRA_RETURN_IF_ERROR(fault::InjectIfArmed(SpillReadFp()));
-    char len_buf[4];
-    in.read(len_buf, sizeof(len_buf));
-    if (in.gcount() == 0 && in.eof()) {
-      done = true;
-      return Status::OK();
-    }
-    if (in.gcount() != sizeof(len_buf)) {
-      return Status::Corruption("torn entry header in sort run " + path);
-    }
-    storage::Decoder len_dec(std::string_view(len_buf, sizeof(len_buf)));
-    MRA_ASSIGN_OR_RETURN(uint32_t len, len_dec.GetU32());
-    std::string payload(len, '\0');
-    in.read(payload.data(), len);
-    if (static_cast<uint32_t>(in.gcount()) != len) {
-      return Status::Corruption("torn entry payload in sort run " + path);
-    }
-    storage::Decoder dec(payload);
-    MRA_ASSIGN_OR_RETURN(current.tuple, dec.GetTuple());
-    MRA_ASSIGN_OR_RETURN(current.count, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(std::optional<Row> next,
+                         ReadRunEntry(in, &bytes_left, path));
+    done = !next.has_value();
+    if (next) current = std::move(*next);
     return Status::OK();
   }
 };
@@ -290,7 +306,9 @@ Status SortOp::StartMerge() {
     auto reader = std::make_unique<RunReader>();
     reader->path = path;
     reader->in.open(path, std::ios::binary);
-    if (!reader->in) {
+    std::error_code ec;
+    reader->bytes_left = fs::file_size(path, ec);
+    if (!reader->in || ec) {
       return Status::IoError("cannot reopen sort run " + path);
     }
     MRA_RETURN_IF_ERROR(reader->Advance());

@@ -25,6 +25,7 @@
 #ifndef MRA_EXEC_SORT_H_
 #define MRA_EXEC_SORT_H_
 
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,6 +36,15 @@
 
 namespace mra {
 namespace exec {
+
+/// Reads the next entry of a sort run file — `length(u32) ++ payload`,
+/// the payload the storage encoding of `tuple ++ count` — from `in`, of
+/// which `*bytes_left` bytes remain; nullopt at the file's clean end.  A
+/// length past the bytes left is Corruption before anything is allocated.
+/// `path` names the run in errors.  Exposed for tests.
+Result<std::optional<Row>> ReadRunEntry(std::istream& in,
+                                        uint64_t* bytes_left,
+                                        const std::string& path);
 
 /// Ordered emission with optional weighted LIMIT and external-merge spill.
 class SortOp final : public PhysicalOperator {

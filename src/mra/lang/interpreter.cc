@@ -198,7 +198,7 @@ Status Interpreter::ExecuteStmt(const Stmt& stmt, Transaction& txn,
           std::to_string(stmt.line) + ")");
     case Stmt::Kind::kAnalyze:
       // Statistics describe committed state; collecting them against a
-      // transaction's working copies would persist uncommitted numbers.
+      // transaction's writes would persist uncommitted numbers.
       return Status::TxnError(
           "analyze is top-level only (line " + std::to_string(stmt.line) +
           ")");

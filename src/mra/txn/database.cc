@@ -544,20 +544,21 @@ std::string Database::EncodeCommitRecord(
   for (const auto& [name, change] : changes) {
     if (change.replaced) {
       enc.PutU8(kChangeImage);
-      enc.PutRelation(change.after);
+      enc.PutRelation(*change.image);
       continue;
     }
     enc.PutU8(kChangeTuples);
-    enc.PutSchema(change.after.schema());
-    std::vector<const Tuple*> touched;
-    touched.reserve(change.touched.size());
-    for (const Tuple& tuple : change.touched) touched.push_back(&tuple);
-    std::sort(touched.begin(), touched.end(),
-              [](const Tuple* a, const Tuple* b) { return a->Compare(*b) < 0; });
-    enc.PutU64(touched.size());
-    for (const Tuple* tuple : touched) {
-      enc.PutTuple(*tuple);
-      enc.PutU64(change.after.Multiplicity(*tuple));
+    enc.PutSchema(change.base->schema());
+    std::vector<const RelationChange::Overlay::value_type*> entries;
+    entries.reserve(change.overlay.size());
+    for (const auto& entry : change.overlay) entries.push_back(&entry);
+    std::sort(entries.begin(), entries.end(), [](const auto* a, const auto* b) {
+      return a->first.Compare(b->first) < 0;
+    });
+    enc.PutU64(entries.size());
+    for (const auto* entry : entries) {
+      enc.PutTuple(entry->first);
+      enc.PutU64(entry->second);
     }
   }
   return enc.TakeBuffer();
@@ -567,16 +568,17 @@ Status Database::ApplyCommit(uint64_t txn_id,
                              std::map<std::string, RelationChange> changes) {
   // Encoded before the exclusive lock, so readers run while it is built.
   // The caller holds the transaction slot, which refuses every other
-  // writer: the logical time the record names cannot move meanwhile.
+  // writer: the logical time the record names cannot move meanwhile, and
+  // each change's `base` is still the catalog's relation.
   std::string record;
   if (durable()) record = EncodeCommitRecord(txn_id, changes);
   // A replaced relation was rebuilt by insertions, which scatter its hash
   // nodes across the heap.  A copy lays them out again in iteration
-  // order, which every later scan of the committed state walks; an edited
-  // relation kept that layout from the copy GetWritable made.  O(R), like
-  // the whole image a replaced relation logs.
+  // order, which every later scan of the committed state walks.  O(R),
+  // like the whole image a replaced relation logs; an edited relation is
+  // changed in place below, in O(delta).
   for (auto& [name, change] : changes) {
-    if (change.replaced) change.after = Relation(change.after);
+    if (change.replaced) *change.image = Relation(*change.image);
   }
   std::unique_lock<std::shared_mutex> lock(mutex_);
   // Log first (write-ahead), then install in memory.
@@ -584,11 +586,21 @@ Status Database::ApplyCommit(uint64_t txn_id,
     MRA_RETURN_IF_ERROR(wal_.Append(record, options_.sync_commits));
   }
   for (auto& [name, change] : changes) {
-    MRA_RETURN_IF_ERROR(catalog_.SetRelation(name, std::move(change.after)));
+    MRA_ASSIGN_OR_RETURN(Relation* target, catalog_.GetMutableRelation(name));
+    if (change.replaced) {
+      // The displaced image stays in `changes`, freed after the lock.
+      std::swap(*target, *change.image);
+      continue;
+    }
+    for (const auto& [tuple, count] : change.overlay) {
+      target->SetMultiplicity(tuple, count);
+    }
   }
   catalog_.AdvanceTime();
   txn_active_ = false;
   txn_slot_cv_.notify_all();
+  lock.unlock();
+  changes.clear();
   return Status::OK();
 }
 

@@ -20,9 +20,10 @@
 #include <condition_variable>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "mra/algebra/plan.h"
 #include "mra/catalog/catalog.h"
@@ -36,20 +37,32 @@ class Decoder;
 
 class Transaction;
 
-/// What one transaction bracket did to one database relation: its
-/// after-image, plus what the commit record needs to log it in O(delta).
+/// What one transaction bracket did to one database relation R.  Until the
+/// bracket replaces R it is an overlay over the committed relation: R's
+/// touched tuples with their new absolute multiplicities, the partial
+/// count function base ⊕ overlay denotes.  Once replaced, it is R's whole
+/// after-image.
 struct RelationChange {
-  /// The working copy, R's state at the end of the bracket.
-  Relation after;
+  using Overlay = std::unordered_map<Tuple, uint64_t, TupleHash, TupleEq>;
+
+  /// The committed R the bracket started from, read but never written by
+  /// the bracket (see Transaction on why it stays valid).
+  const Relation* base = nullptr;
+  /// Unless `replaced`: every tuple an insert/delete named, with R's new
+  /// multiplicity, 0 meaning removed.  The commit logs exactly these and
+  /// applies them to the committed relation in place.
+  Overlay overlay;
+  /// Distinct tuples of base ⊕ overlay: the size the replacement rule
+  /// compares against.
+  size_t distinct = 0;
+  /// Unless `replaced`: base ⊕ overlay, materialised when the bracket
+  /// first reads R after writing it and kept current by later edits.
+  /// Once `replaced`: R's after-image.
+  std::optional<Relation> image;
   /// The bracket replaced R rather than edited it (update, or an
   /// insert/delete whose operand had at least as many distinct tuples as
-  /// R): the commit logs the whole after-image and installs a compact
-  /// copy of it.
+  /// R): the commit logs `image` whole and installs a compact copy of it.
   bool replaced = false;
-  /// Durable databases only, unless `replaced`: every tuple an
-  /// insert/delete named.  The commit logs each with its new absolute
-  /// multiplicity after.Multiplicity(t), 0 meaning removed.
-  std::unordered_set<Tuple, TupleHash, TupleEq> touched;
 };
 
 struct DatabaseOptions {
@@ -140,8 +153,9 @@ class Database {
   // Called by Transaction::Commit with the bracket's changes.  Encodes the
   // commit record (before taking the exclusive lock: the caller holds the
   // transaction slot, so logical time cannot move meanwhile), logs it,
-  // moves the after-images into the catalog, advances time and releases
-  // the transaction slot.
+  // applies each overlay to its committed relation in place and swaps in
+  // each replaced relation's image, advances time and releases the
+  // transaction slot.
   Status ApplyCommit(uint64_t txn_id,
                      std::map<std::string, RelationChange> changes);
 

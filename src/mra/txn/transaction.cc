@@ -1,5 +1,6 @@
 #include "mra/txn/transaction.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "mra/algebra/ops.h"
@@ -28,6 +29,47 @@ uint64_t NowMicros() {
           .count());
 }
 
+// The bracket's current state of R: the committed relation while nothing
+// was edited, else base ⊕ overlay, materialised once and then kept current
+// by EditCount.
+const Relation& View(RelationChange& change) {
+  if (change.image) return *change.image;
+  if (change.overlay.empty()) return *change.base;
+  change.image = *change.base;
+  for (const auto& [tuple, count] : change.overlay) {
+    change.image->SetMultiplicity(tuple, count);
+  }
+  return *change.image;
+}
+
+// The replacement rule: an insert/delete whose operand has at least as
+// many distinct tuples as R's current state replaces R, keeping that state
+// as the after-image.  Returns the after-image to edit, or nullptr when
+// the statement edits the overlay.
+Relation* ReplacedTarget(RelationChange& change, const Relation& delta) {
+  if (!change.replaced) {
+    if (delta.distinct_size() < change.distinct) return nullptr;
+    View(change);
+    if (!change.image) change.image = *change.base;
+    change.overlay.clear();
+    change.replaced = true;
+  }
+  return &*change.image;
+}
+
+// R(tuple) ← next(R(tuple)) on an edited relation: the new absolute count
+// goes into the overlay, and into the materialised view when there is one.
+template <typename Next>
+void EditCount(RelationChange& change, const Tuple& tuple, Next next) {
+  auto [it, fresh] = change.overlay.try_emplace(tuple, 0);
+  const uint64_t old = fresh ? change.base->Multiplicity(tuple) : it->second;
+  const uint64_t count = next(old);
+  it->second = count;
+  if (old == 0 && count > 0) ++change.distinct;
+  if (old > 0 && count == 0) --change.distinct;
+  if (change.image) change.image->SetMultiplicity(tuple, count);
+}
+
 }  // namespace
 
 Transaction::~Transaction() {
@@ -50,7 +92,7 @@ Result<const Relation*> Transaction::GetRelation(
   MRA_RETURN_IF_ERROR(CheckActive());
   if (auto it = temps_.find(name); it != temps_.end()) return &it->second;
   if (auto it = working_.find(name); it != working_.end()) {
-    return &it->second.after;
+    return &View(it->second);
   }
   return db_->catalog_.GetRelation(name);
 }
@@ -69,44 +111,47 @@ Result<RelationChange*> Transaction::GetWritable(const std::string& name) {
   if (auto it = working_.find(name); it != working_.end()) return &it->second;
   MRA_ASSIGN_OR_RETURN(const Relation* base, db_->catalog_.GetRelation(name));
   RelationChange* change = &working_[name];
-  change->after = *base;
+  change->base = base;
+  change->distinct = base->distinct_size();
   return change;
-}
-
-void Transaction::NoteTouched(RelationChange* change,
-                              const Relation& delta) const {
-  if (change->replaced) return;
-  if (delta.distinct_size() >= change->after.distinct_size()) {
-    change->replaced = true;
-    change->touched.clear();
-    return;
-  }
-  if (!db_->durable()) return;
-  for (const auto& [tuple, count] : delta) change->touched.insert(tuple);
 }
 
 Status Transaction::Insert(const std::string& name, const Relation& delta) {
   MRA_RETURN_IF_ERROR(CheckActive());
   MRA_ASSIGN_OR_RETURN(RelationChange* change, GetWritable(name));
-  Relation& rel = change->after;
-  MRA_RETURN_IF_ERROR(ops::CheckCompatible(rel, delta, "union"));
+  MRA_RETURN_IF_ERROR(ops::CheckCompatible(*change->base, delta, "union"));
   // insert(R, R) through the API: read the operand before editing it.
-  if (&delta == &rel) return Insert(name, Relation(delta));
-  NoteTouched(change, delta);
-  // R ← R ⊎ E, in place.
-  for (const auto& [tuple, count] : delta) rel.InsertUnchecked(tuple, count);
+  if (change->image && &delta == &*change->image) {
+    return Insert(name, Relation(delta));
+  }
+  // R ← R ⊎ E.
+  if (Relation* rel = ReplacedTarget(*change, delta)) {
+    for (const auto& [tuple, count] : delta) rel->InsertUnchecked(tuple, count);
+    return Status::OK();
+  }
+  for (const auto& [tuple, count] : delta) {
+    EditCount(*change, tuple, [count](uint64_t old) { return old + count; });
+  }
   return Status::OK();
 }
 
 Status Transaction::Delete(const std::string& name, const Relation& delta) {
   MRA_RETURN_IF_ERROR(CheckActive());
   MRA_ASSIGN_OR_RETURN(RelationChange* change, GetWritable(name));
-  Relation& rel = change->after;
-  MRA_RETURN_IF_ERROR(ops::CheckCompatible(rel, delta, "difference"));
-  if (&delta == &rel) return Delete(name, Relation(delta));
-  NoteTouched(change, delta);
-  // R ← R − E, in place; Remove clamps at zero.
-  for (const auto& [tuple, count] : delta) rel.Remove(tuple, count);
+  MRA_RETURN_IF_ERROR(
+      ops::CheckCompatible(*change->base, delta, "difference"));
+  if (change->image && &delta == &*change->image) {
+    return Delete(name, Relation(delta));
+  }
+  // R ← R − E, clamped at zero.
+  if (Relation* rel = ReplacedTarget(*change, delta)) {
+    for (const auto& [tuple, count] : delta) rel->Remove(tuple, count);
+    return Status::OK();
+  }
+  for (const auto& [tuple, count] : delta) {
+    EditCount(*change, tuple,
+              [count](uint64_t old) { return old - std::min(old, count); });
+  }
   return Status::OK();
 }
 
@@ -114,30 +159,30 @@ Status Transaction::Update(const std::string& name, const Relation& matched,
                            const std::vector<ExprPtr>& alpha) {
   MRA_RETURN_IF_ERROR(CheckActive());
   MRA_ASSIGN_OR_RETURN(RelationChange* change, GetWritable(name));
-  Relation* rel = &change->after;
+  const Relation& rel = View(*change);
   // Definition 4.1 requires α to be structure-preserving: π_α of a
   // relation with R's schema has R's schema again.
   MRA_ASSIGN_OR_RETURN(RelationSchema projected,
-                       InferProjectionSchema(alpha, rel->schema()));
-  if (!projected.CompatibleWith(rel->schema())) {
+                       InferProjectionSchema(alpha, rel.schema()));
+  if (!projected.CompatibleWith(rel.schema())) {
     return Status::TypeError(
         "update expression list is not structure-preserving: yields " +
-        projected.ToString() + " for relation " + rel->schema().ToString());
+        projected.ToString() + " for relation " + rel.schema().ToString());
   }
   // R ← (R − E) ⊎ π_α(R ∩ E).
-  MRA_ASSIGN_OR_RETURN(Relation untouched, ops::Difference(*rel, matched));
-  MRA_ASSIGN_OR_RETURN(Relation hit, ops::Intersect(*rel, matched));
+  MRA_ASSIGN_OR_RETURN(Relation untouched, ops::Difference(rel, matched));
+  MRA_ASSIGN_OR_RETURN(Relation hit, ops::Intersect(rel, matched));
   MRA_ASSIGN_OR_RETURN(Relation rewritten, ops::Project(alpha, hit));
   // ops::Project synthesises attribute names; restore R's.
-  Relation renamed(rel->schema());
+  Relation renamed(rel.schema());
   for (const auto& [tuple, count] : rewritten) {
     MRA_RETURN_IF_ERROR(renamed.Insert(tuple, count));
   }
   MRA_ASSIGN_OR_RETURN(Relation result, ops::Union(untouched, renamed));
   result.set_schema_name(name);
-  *rel = std::move(result);
+  change->image = std::move(result);
+  change->overlay.clear();
   change->replaced = true;  // Logged whole: α may rewrite any tuple.
-  change->touched.clear();
   return Status::OK();
 }
 

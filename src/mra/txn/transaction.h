@@ -1,16 +1,24 @@
 // Transactions (Definition 4.3) and the statement semantics of
 // Definition 4.1 they execute.
 //
-// A Transaction is a copy-on-write overlay over the committed state D_t:
-//  * reads resolve temporaries first, then modified working copies, then
-//    the committed catalog — these are the intermediate states D^{t.i},
-//    visible only inside the bracket;
-//  * insert/delete edit a working copy in place and update replaces it
-//    (R ← … of Definition 4.1); on durable databases insert/delete also
-//    note the tuples they touch, so the commit logs O(delta) bytes;
+// A Transaction is an overlay over the committed state D_t:
+//  * reads resolve temporaries first, then the relations the bracket
+//    wrote, then the committed catalog — these are the intermediate states
+//    D^{t.i}, visible only inside the bracket;
+//  * insert/delete record, per touched tuple, R's new absolute
+//    multiplicity over the committed R (R ← R ⊎ E and R ← R − E of
+//    Definition 4.1 in O(|E|), never copying R); update, or an operand at
+//    least as large as R, replaces R with a whole after-image instead;
 //  * assignment creates a temporary relation, removed at the bracket's end;
-//  * Commit atomically installs D_{t+1} (and logs it when durable);
+//  * Commit atomically installs D_{t+1} (and logs it when durable),
+//    applying each overlay to the committed relation in place;
 //  * Abort discards everything, leaving D_t untouched.
+//
+// The committed relations an overlay points into stay valid for the whole
+// bracket: while the bracket holds the transaction slot, every catalog
+// mutator (DDL, constraints, Analyze, Checkpoint) is refused, only the
+// commit itself writes the catalog, and the catalog is a std::map whose
+// nodes never move.
 
 #ifndef MRA_TXN_TRANSACTION_H_
 #define MRA_TXN_TRANSACTION_H_
@@ -30,22 +38,24 @@ class Transaction final : public RelationProvider {
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
-  /// Reads through the overlay: temporaries, then working copies, then the
-  /// committed state.  This is the view expressions evaluate against.
+  /// Reads through the overlay: temporaries, then written relations, then
+  /// the committed state.  This is the view expressions evaluate against.
+  /// A relation the bracket edited is materialised once, on its first read
+  /// after a write, and kept current by later edits.
   Result<const Relation*> GetRelation(const std::string& name) const override;
 
   /// Statistics resolve against the committed state: snapshots describe
-  /// D_t and simply read stale against the bracket's working copies, the
+  /// D_t and simply read stale against the bracket's writes, the
   /// same staleness contract as ordinary writes.  Temporaries have none.
   const stats::TableStatistics* GetStatistics(
       const std::string& name) const override;
 
-  /// insert(R, E): R ← R ⊎ E (Definition 4.1), edited in place.  `delta`
-  /// must be schema-compatible with R; the check and its error are
-  /// ops::Union's.
+  /// insert(R, E): R ← R ⊎ E (Definition 4.1), in O(|E|) unless E is at
+  /// least as large as R.  `delta` must be schema-compatible with R; the
+  /// check and its error are ops::Union's.
   Status Insert(const std::string& name, const Relation& delta);
 
-  /// delete(R, E): R ← R − E (Definition 4.1), edited in place, with
+  /// delete(R, E): R ← R − E (Definition 4.1), like Insert, with
   /// ops::Difference's operand check and error.
   Status Delete(const std::string& name, const Relation& delta);
 
@@ -77,21 +87,18 @@ class Transaction final : public RelationProvider {
 
   Transaction(Database* db, uint64_t id) : db_(db), id_(id) {}
 
-  // Fetches the current working version of a database relation, copying it
-  // into the overlay on first write.
+  // The bracket's change to database relation `name`, started as an empty
+  // overlay over the committed relation on first write.
   Result<RelationChange*> GetWritable(const std::string& name);
-
-  // Before an insert/delete of `delta` into `change`: marks the relation
-  // replaced when `delta` has at least as many distinct tuples as it;
-  // otherwise, on durable databases, notes the tuples `delta` names.
-  void NoteTouched(RelationChange* change, const Relation& delta) const;
 
   Status CheckActive() const;
 
   Database* db_;
   uint64_t id_;
   bool active_ = true;
-  std::map<std::string, RelationChange> working_;  // Modified relations.
+  // Written relations; mutable because GetRelation materialises a written
+  // relation's view on first read.
+  mutable std::map<std::string, RelationChange> working_;
   std::map<std::string, Relation> temps_;    // Assignment targets.
 };
 

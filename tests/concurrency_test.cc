@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "mra/lang/interpreter.h"
+#include "mra/txn/transaction.h"
 
 namespace mra {
 namespace {
@@ -76,6 +79,84 @@ TEST(Concurrency, ReadersRaceOneWriter) {
   auto final_state = interp.Query("r");
   ASSERT_TRUE(final_state.ok());
   EXPECT_EQ(final_state->size(), 5u + kCommits);
+}
+
+// Readers racing brackets small enough to edit the committed relation in
+// place through the overlay, with reads inside the bracket and every
+// fourth bracket aborted.  Committed state k is the window
+// [k * kStep, k * kStep + kWindow) at multiplicity 2; a reader must see
+// exactly such a window, never a bracket's inserts without its deletes
+// nor a commit half-applied to the shared relation.
+TEST(Concurrency, ReadersSeeOnlyCommittedStatesOfOverlayBrackets) {
+  auto db = std::move(Database::Open({}).value());
+  constexpr int64_t kWindow = 200;
+  constexpr int64_t kStep = 4;
+  constexpr int kBrackets = 60;
+  const RelationSchema schema("w", {{"a", Type::Int()}});
+  ASSERT_TRUE(db->CreateRelation(schema).ok());
+  auto rows = [&schema](int64_t first, int64_t n) {
+    Relation r(schema);
+    for (int64_t a = first; a < first + n; ++a) {
+      r.InsertUnchecked(Tuple({Value::Int(a)}), 2);
+    }
+    return r;
+  };
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE((*txn)->Insert("w", rows(0, kWindow)).ok());
+    ASSERT_TRUE((*txn)->Commit().ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) {
+    readers.emplace_back([&] {
+      lang::Interpreter interp(db.get());
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto result = interp.Query("w");
+        if (!result.ok() ||
+            result->distinct_size() != static_cast<size_t>(kWindow)) {
+          ++failures;
+          continue;
+        }
+        int64_t first = INT64_MAX;
+        for (const auto& [tuple, count] : *result) {
+          first = std::min(first, tuple.at(0).int_value());
+        }
+        if (first % kStep != 0 || !result->Equals(rows(first, kWindow))) {
+          ++failures;
+        }
+      }
+    });
+  }
+
+  int64_t committed = 0;  // The window start of the committed state.
+  for (int k = 1; k <= kBrackets; ++k) {
+    auto txn = db->Begin(/*wait=*/true);
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(
+        (*txn)->Insert("w", rows(committed + kWindow, kStep)).ok());
+    std::this_thread::yield();
+    ASSERT_TRUE((*txn)->Delete("w", rows(committed, kStep)).ok());
+    // Read-after-write inside the bracket sees its own next window.
+    auto own = (*txn)->GetRelation("w");
+    ASSERT_TRUE(own.ok());
+    EXPECT_TRUE((*own)->Equals(rows(committed + kStep, kWindow)));
+    if (k % 4 == 0) {
+      ASSERT_TRUE((*txn)->Abort().ok());
+    } else {
+      ASSERT_TRUE((*txn)->Commit().ok());
+      committed += kStep;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  auto read_lock = db->ReadLock();
+  EXPECT_TRUE(
+      db->catalog().GetRelation("w").value()->Equals(rows(committed, kWindow)));
 }
 
 TEST(Concurrency, CommitStormSerializesOnTheSlot) {

@@ -26,6 +26,7 @@
 #include <limits>
 #include <functional>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include "mra/algebra/ops.h"
@@ -33,6 +34,7 @@
 #include "mra/exec/exec_context.h"
 #include "mra/exec/operator.h"
 #include "mra/lang/interpreter.h"
+#include "mra/storage/serializer.h"
 #include "test_util.h"
 
 namespace mra {
@@ -40,6 +42,7 @@ namespace exec {
 namespace {
 
 using ::mra::testing::IntRel;
+using ::mra::testing::IntTuple;
 using ::mra::testing::RandomIntRelation;
 using ::mra::testing::RandomMixedRelation;
 
@@ -258,6 +261,48 @@ TEST(SortContractTest, ReopenReplaysTheStream) {
     auto got = DrainOrdered(op, {0}, {false});
     ASSERT_OK(got);
     EXPECT_REL_EQ(*got, r);
+  }
+}
+
+// The run reader decodes what SpillRun writes, and a length prefix it
+// cannot trust is Corruption before it allocates: 0xFFFFFFFF once asked
+// for a 4 GiB buffer and died of std::bad_alloc.
+TEST(SortRunReaderTest, ReadsEntriesThenEndsCleanly) {
+  std::string run;
+  for (int64_t v : {1, 2}) {
+    storage::Encoder payload;
+    payload.PutTuple(IntTuple({v}));
+    payload.PutU64(static_cast<uint64_t>(v) * 10);
+    storage::Encoder header;
+    header.PutU32(static_cast<uint32_t>(payload.buffer().size()));
+    run += header.buffer() + payload.buffer();
+  }
+  std::istringstream in(run);
+  uint64_t left = run.size();
+  for (int64_t v : {1, 2}) {
+    auto entry = ReadRunEntry(in, &left, "run");
+    ASSERT_OK(entry);
+    ASSERT_TRUE(entry->has_value());
+    EXPECT_TRUE((*entry)->tuple.Equals(IntTuple({v})));
+    EXPECT_EQ((*entry)->count, static_cast<uint64_t>(v) * 10);
+  }
+  EXPECT_EQ(left, 0u);
+  auto end = ReadRunEntry(in, &left, "run");
+  ASSERT_OK(end);
+  EXPECT_FALSE(end->has_value());
+}
+
+TEST(SortRunReaderTest, LengthPastTheFileIsCorruption) {
+  for (uint32_t len : {0xFFFFFFFFu, 9u}) {
+    SCOPED_TRACE(len);
+    storage::Encoder header;
+    header.PutU32(len);
+    const std::string run = header.buffer() + "12345678";  // 8 bytes left.
+    std::istringstream in(run);
+    uint64_t left = run.size();
+    auto entry = ReadRunEntry(in, &left, "run");
+    EXPECT_EQ(entry.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(in.tellg(), 4) << "read past the header before rejecting it";
   }
 }
 

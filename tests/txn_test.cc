@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "mra/algebra/ops.h"
+#include "mra/storage/serializer.h"
 #include "mra/txn/database.h"
 #include "mra/txn/transaction.h"
 #include "test_util.h"
@@ -457,9 +458,11 @@ RelationSchema PairSchema(const std::string& name) {
   return RelationSchema(name, {{"c1", Type::Int()}, {"c2", Type::Int()}});
 }
 
-// Insert/Delete edit the working copy in place; ops::Union/Difference stay
-// the oracle: the same bag after every statement (clamp-at-zero included),
-// the same operand check and error, and an abort that leaves D_t alone.
+// Insert/Delete from an empty relation, so every bracket edits a whole
+// after-image (OverlayBracketsMatchTheOpsOracle covers the overlay);
+// ops::Union/Difference stay the oracle: the same bag after every
+// statement (clamp-at-zero included), the same operand check and error,
+// and an abort that leaves D_t alone.
 TEST(TransactionTest, InPlaceInsertDeleteMatchTheOpsOracle) {
   for (bool durable : {false, true}) {
     for (uint64_t seed : {1, 2, 3}) {
@@ -491,7 +494,7 @@ TEST(TransactionTest, InPlaceInsertDeleteMatchTheOpsOracle) {
           EXPECT_REL_EQ(**(*txn)->GetRelation("r"), bracket);
         }
         // A mismatched operand fails exactly as the oracle does, and
-        // leaves the working copy as it was.
+        // leaves the bracket's state as it was.
         Relation wrong = IntRel("w", {{1}}, 1);
         Status got_insert = (*txn)->Insert("r", wrong);
         Status want_union = ops::Union(bracket, wrong).status();
@@ -516,7 +519,7 @@ TEST(TransactionTest, InPlaceInsertDeleteMatchTheOpsOracle) {
 
 TEST(TransactionTest, SelfInsertAndSelfDeleteThroughTheApi) {
   // insert(R, R) doubles every multiplicity; delete(R, R) empties R — also
-  // when the operand *is* the working copy.
+  // when the operand *is* the bracket's after-image.
   auto db = Database::Open();
   ASSERT_OK(db);
   ASSERT_OK((*db)->CreateRelation(XSchema("r")));
@@ -527,6 +530,234 @@ TEST(TransactionTest, SelfInsertAndSelfDeleteThroughTheApi) {
   EXPECT_REL_EQ(**(*txn)->GetRelation("r"), Delta({{1, 4}, {2, 2}}));
   ASSERT_OK((*txn)->Delete("r", **(*txn)->GetRelation("r")));
   EXPECT_TRUE((*(*txn)->GetRelation("r"))->empty());
+}
+
+// The committed state {0..9} with multiplicity 2: a base that every
+// small operand below edits through the overlay.
+std::unique_ptr<Database> OpenWithTenRows(const DatabaseOptions& options) {
+  auto db = Database::Open(options);
+  EXPECT_TRUE(db.ok());
+  EXPECT_TRUE((*db)->CreateRelation(XSchema("r")).ok());
+  std::vector<std::pair<int64_t, uint64_t>> rows;
+  for (int64_t i = 0; i < 10; ++i) rows.push_back({i, 2});
+  auto txn = (*db)->Begin();
+  EXPECT_TRUE((*txn)->Insert("r", Delta(rows)).ok());
+  EXPECT_TRUE((*txn)->Commit().ok());
+  return std::move(*db);
+}
+
+TEST(TransactionTest, OverlayInsertThenDeleteDropsATupleToZero) {
+  TempDir dir;
+  auto db = OpenWithTenRows({.directory = dir.path()});
+  const uint64_t wal_before = std::filesystem::file_size(db->wal_path());
+  {
+    auto txn = db->Begin();
+    ASSERT_OK(txn);
+    ASSERT_OK((*txn)->Insert("r", Delta({{99, 3}})));
+    EXPECT_EQ((*(*txn)->GetRelation("r"))->Multiplicity(IntTuple({99})), 3u);
+    ASSERT_OK((*txn)->Delete("r", Delta({{99, 5}, {1, 2}, {2, 1}})));
+    const Relation* view = *(*txn)->GetRelation("r");
+    EXPECT_FALSE(view->Contains(IntTuple({99})));
+    EXPECT_FALSE(view->Contains(IntTuple({1})));
+    EXPECT_EQ(view->Multiplicity(IntTuple({2})), 1u);
+    EXPECT_EQ(view->distinct_size(), 9u);
+    // The committed state is untouched until the commit.
+    EXPECT_EQ(db->catalog().GetRelation("r").value()->Multiplicity(
+                  IntTuple({1})),
+              2u);
+    ASSERT_OK((*txn)->Commit());
+  }
+  Relation want = Delta({{0, 2}, {2, 1}, {3, 2}, {4, 2}, {5, 2}, {6, 2},
+                         {7, 2}, {8, 2}, {9, 2}});
+  // Three (tuple, multiplicity) entries, less than the 9-tuple image.
+  storage::Encoder image;
+  image.PutRelation(want);
+  EXPECT_LT(std::filesystem::file_size(db->wal_path()) - wal_before,
+            image.buffer().size());
+  EXPECT_REL_EQ(*db->catalog().GetRelation("r").value(), want);
+  db.reset();
+  auto reopened = Database::Open({.directory = dir.path()});
+  ASSERT_OK(reopened);
+  EXPECT_REL_EQ(*(*reopened)->catalog().GetRelation("r").value(), want);
+}
+
+// The replacement rule compares an operand with R's current distinct
+// count, the committed tuples plus those the bracket added: inserts of 9,
+// 9 and 20 fresh tuples into 10 committed ones all stay in the overlay
+// (9 < 10, 9 < 19, 20 < 28) and log 38 entries, less than the 48-tuple
+// image.
+TEST(DurabilityTest, ReplacementRuleCountsTheBracketsOwnTuples) {
+  TempDir dir;
+  auto db = OpenWithTenRows({.directory = dir.path()});
+  auto fresh = [](int64_t first, int64_t n) {
+    std::vector<std::pair<int64_t, uint64_t>> rows;
+    for (int64_t i = first; i < first + n; ++i) rows.push_back({i, 1});
+    return Delta(rows);
+  };
+  const uint64_t before = std::filesystem::file_size(db->wal_path());
+  auto txn = db->Begin();
+  ASSERT_OK(txn);
+  ASSERT_OK((*txn)->Insert("r", fresh(100, 9)));
+  ASSERT_OK((*txn)->Insert("r", fresh(200, 9)));
+  ASSERT_OK((*txn)->Insert("r", fresh(300, 20)));
+  ASSERT_OK((*txn)->Commit());
+  const Relation* r = db->catalog().GetRelation("r").value();
+  EXPECT_EQ(r->distinct_size(), 48u);
+  storage::Encoder image;
+  image.PutRelation(*r);
+  EXPECT_LT(std::filesystem::file_size(db->wal_path()) - before,
+            image.buffer().size());
+}
+
+TEST(TransactionTest, SelfInsertOfAnEditedRelation) {
+  // The operand is the bracket's materialised view of R: it is read
+  // before R is edited, and the statement switches to the after-image.
+  auto db = OpenWithTenRows({});
+  auto txn = db->Begin();
+  ASSERT_OK(txn);
+  ASSERT_OK((*txn)->Insert("r", Delta({{10, 1}})));
+  Relation doubled = **(*txn)->GetRelation("r");
+  for (const auto& [tuple, count] : doubled) {
+    doubled.SetMultiplicity(tuple, 2 * count);
+  }
+  ASSERT_OK((*txn)->Insert("r", **(*txn)->GetRelation("r")));
+  EXPECT_REL_EQ(**(*txn)->GetRelation("r"), doubled);
+  ASSERT_OK((*txn)->Delete("r", Delta({{10, 2}})));
+  ASSERT_OK((*txn)->Commit());
+  doubled.SetMultiplicity(IntTuple({10}), 0);
+  EXPECT_REL_EQ(*db->catalog().GetRelation("r").value(), doubled);
+}
+
+// Random brackets over a relation much larger than most operands, so
+// they edit the overlay over the shared committed relation; an operand at
+// least as large as R, or an update, switches the bracket to a whole
+// after-image mid-way.  ops:: is the oracle for every statement, for reads
+// inside the bracket, for a constraint that reads the written relation at
+// commit, for abort, and for the state a reopen replays.
+TEST(TransactionTest, OverlayBracketsMatchTheOpsOracle) {
+  for (bool durable : {false, true}) {
+    for (uint64_t seed : {1, 2, 3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "durable=" << durable
+                                        << " seed=" << seed);
+      TempDir dir;
+      DatabaseOptions options;
+      if (durable) options.directory = dir.path();
+      auto db = Database::Open(options);
+      ASSERT_OK(db);
+      ASSERT_OK((*db)->CreateRelation(PairSchema("r")));
+      // No committed tuple may have c1 >= 1000.
+      auto violation = Plan::Select(Ge(Attr(0), Lit(int64_t{1000})),
+                                    Plan::Scan("r", PairSchema("r")));
+      ASSERT_OK(violation);
+      ASSERT_OK((*db)->AddConstraint("small_c1", *violation));
+      std::mt19937_64 rng(seed);
+      Relation oracle = RandomIntRelation(rng, 2, 80, 40, 3);
+      {
+        auto txn = (*db)->Begin();
+        ASSERT_OK(txn);
+        ASSERT_OK((*txn)->Insert("r", oracle));
+        ASSERT_OK((*txn)->Commit());
+      }
+      for (int bracket = 0; bracket < 40; ++bracket) {
+        SCOPED_TRACE(::testing::Message() << "bracket=" << bracket);
+        auto txn = (*db)->Begin();
+        ASSERT_OK(txn);
+        Relation state = oracle;
+        bool violates = false;
+        const int stmts = 1 + static_cast<int>(rng() % 6);
+        for (int k = 0; k < stmts; ++k) {
+          Result<Relation> want = state;
+          switch (rng() % 10) {
+            case 0: {  // A fresh tuple in and out again: down to zero.
+              Relation fresh(PairSchema(""));
+              Tuple tuple = IntTuple({500 + bracket, k});
+              fresh.InsertUnchecked(tuple, 1 + rng() % 3);
+              ASSERT_OK((*txn)->Insert("r", fresh));
+              ASSERT_OK((*txn)->Delete("r", fresh));
+              EXPECT_FALSE((*(*txn)->GetRelation("r"))->Contains(tuple));
+              break;
+            }
+            case 1:  // insert(R, R) through the API, rarely: it doubles.
+              if (rng() % 4 == 0) {
+                want = ops::Union(state, state);
+                ASSERT_OK((*txn)->Insert("r", **(*txn)->GetRelation("r")));
+              }
+              break;
+            case 2: {  // Usually as large as R: switches to the image.
+              Relation delta = RandomIntRelation(rng, 2, 160, 40, 3);
+              if (rng() % 2 == 0) {
+                want = ops::Union(state, delta);
+                ASSERT_OK((*txn)->Insert("r", delta));
+              } else {
+                want = ops::Difference(state, delta);
+                ASSERT_OK((*txn)->Delete("r", delta));
+              }
+              break;
+            }
+            case 3: {  // update(R, E, α) with α = (c1 + 1, c2).
+              Relation matched = RandomIntRelation(rng, 2, 6, 40, 2);
+              std::vector<ExprPtr> alpha = {Add(Attr(0), Lit(int64_t{1})),
+                                            Attr(1)};
+              auto untouched = ops::Difference(state, matched);
+              auto hit = ops::Intersect(state, matched);
+              ASSERT_OK(hit);
+              auto rewritten = ops::Project(alpha, *hit);
+              ASSERT_OK(untouched);
+              ASSERT_OK(rewritten);
+              want = ops::Union(*untouched, *rewritten);
+              ASSERT_OK((*txn)->Update("r", matched, alpha));
+              break;
+            }
+            case 4:  // Rarely, a tuple the constraint rejects at commit.
+              if (rng() % 3 == 0) {
+                Relation bad(PairSchema(""));
+                bad.InsertUnchecked(IntTuple({1000 + k, 0}), 1);
+                want = ops::Union(state, bad);
+                ASSERT_OK((*txn)->Insert("r", bad));
+                violates = true;
+              }
+              break;
+            case 5:
+            case 6: {
+              Relation delta = RandomIntRelation(rng, 2, 5, 40, 4);
+              want = ops::Difference(state, delta);
+              ASSERT_OK((*txn)->Delete("r", delta));
+              break;
+            }
+            default: {
+              Relation delta = RandomIntRelation(rng, 2, 5, 40, 4);
+              want = ops::Union(state, delta);
+              ASSERT_OK((*txn)->Insert("r", delta));
+              break;
+            }
+          }
+          ASSERT_OK(want);
+          state = *want;
+          // Read-after-write, now and then: a materialised view that later
+          // edits must keep current.
+          if (rng() % 4 == 0) {
+            EXPECT_REL_EQ(**(*txn)->GetRelation("r"), state);
+          }
+        }
+        if (rng() % 6 == 0) {
+          ASSERT_OK((*txn)->Abort());
+        } else if (violates) {
+          EXPECT_EQ((*txn)->Commit().code(),
+                    StatusCode::kConstraintViolation);
+        } else {
+          ASSERT_OK((*txn)->Commit());
+          oracle = state;
+        }
+        EXPECT_REL_EQ(*(*db)->catalog().GetRelation("r").value(), oracle);
+        if (durable && bracket % 10 == 9) {
+          db->reset();
+          db = Database::Open(options);
+          ASSERT_OK(db);
+          EXPECT_REL_EQ(*(*db)->catalog().GetRelation("r").value(), oracle);
+        }
+      }
+    }
+  }
 }
 
 using Snapshot = std::map<std::string, Relation>;
