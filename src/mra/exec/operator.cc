@@ -359,6 +359,16 @@ ScanOp::ScanOp(const Relation* relation) : relation_(relation) {
   MRA_CHECK(relation != nullptr);
 }
 
+ScanOp::ScanOp(const Relation* relation, std::vector<size_t> columns,
+               RelationSchema schema)
+    : relation_(relation),
+      columns_(std::move(columns)),
+      projected_schema_(std::move(schema)) {
+  MRA_CHECK(relation != nullptr);
+  MRA_CHECK_EQ(columns_->size(), projected_schema_.arity());
+  for (size_t c : *columns_) MRA_CHECK_LT(c, relation->schema().arity());
+}
+
 Status ScanOp::OpenImpl() {
   it_ = relation_->begin();
   return Status::OK();
@@ -366,16 +376,23 @@ Status ScanOp::OpenImpl() {
 
 Result<std::optional<Row>> ScanOp::NextImpl() {
   if (it_ == relation_->end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
+  Row row{columns_ ? it_->first.Project(*columns_) : it_->first, it_->second};
   ++it_;
   return std::optional<Row>(std::move(row));
 }
 
 Status ScanOp::NextBatchImpl(RowBatch& out) {
+  // Assign into the recycled slot: the tuple's value storage from the
+  // previous batch is reused, so a steady-state scan never allocates.
+  if (columns_) {
+    for (; it_ != relation_->end() && !out.full(); ++it_) {
+      Row& slot = out.AppendSlot();
+      slot.tuple.AssignProjection(it_->first, *columns_);
+      slot.count = it_->second;
+    }
+    return Status::OK();
+  }
   for (; it_ != relation_->end() && !out.full(); ++it_) {
-    // Copy-assign into the recycled slot: the tuple's value storage from
-    // the previous batch is reused, so a steady-state scan never
-    // allocates.
     Row& slot = out.AppendSlot();
     slot.tuple = it_->first;
     slot.count = it_->second;
@@ -385,7 +402,9 @@ Status ScanOp::NextBatchImpl(RowBatch& out) {
 
 void ScanOp::CloseImpl() {}
 
-const RelationSchema& ScanOp::schema() const { return relation_->schema(); }
+const RelationSchema& ScanOp::schema() const {
+  return columns_ ? projected_schema_ : relation_->schema();
+}
 
 // --- ConstScanOp. ---
 

@@ -250,9 +250,19 @@ std::string RenderPlanWithMetrics(const PhysicalOperator& root);
 // --- Leaf operators. ---
 
 /// Scans a borrowed relation (the caller guarantees it outlives execution).
+///
+/// A projecting scan is π_columns(Scan R) fused into the leaf: each stored
+/// tuple is assign-projected straight into the recycled batch slot, so the
+/// attributes the plan drops are never copied.  Multiplicities pass through
+/// unchanged (Definition 3.1), so tuples that the projection collapses are
+/// emitted as separate rows of the bag stream and fold downstream.
 class ScanOp final : public PhysicalOperator {
  public:
   explicit ScanOp(const Relation* relation);
+  /// The projecting scan; `columns` index the relation's schema and
+  /// `schema` is the projected schema (the π node's).
+  ScanOp(const Relation* relation, std::vector<size_t> columns,
+         RelationSchema schema);
 
   const RelationSchema& schema() const override;
   std::string_view name() const override { return "Scan"; }
@@ -265,6 +275,8 @@ class ScanOp final : public PhysicalOperator {
 
  private:
   const Relation* relation_;
+  std::optional<std::vector<size_t>> columns_;  // Set on a projecting scan.
+  RelationSchema projected_schema_;
   Relation::const_iterator it_;
 };
 

@@ -88,16 +88,24 @@ void CountReusableSubtrees(const PlanPtr& plan,
 
 Result<PhysOpPtr> LowerPlanImpl(const PlanPtr& plan, LowerContext& ctx);
 
+/// The stored relation a Scan node reads, checked against the schema the
+/// plan was bound with.
+Result<const Relation*> ScannedRelation(const Plan& scan,
+                                        const LowerContext& ctx) {
+  MRA_ASSIGN_OR_RETURN(const Relation* rel,
+                       ctx.provider.GetRelation(scan.relation_name()));
+  if (!rel->schema().CompatibleWith(scan.schema())) {
+    return Status::Internal("relation " + scan.relation_name() +
+                            " changed schema after planning");
+  }
+  return rel;
+}
+
 /// Picks and constructs the physical operator for one logical node.
 Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
   switch (plan->kind()) {
     case PlanKind::kScan: {
-      MRA_ASSIGN_OR_RETURN(const Relation* rel,
-                           ctx.provider.GetRelation(plan->relation_name()));
-      if (!rel->schema().CompatibleWith(plan->schema())) {
-        return Status::Internal("relation " + plan->relation_name() +
-                                " changed schema after planning");
-      }
+      MRA_ASSIGN_OR_RETURN(const Relation* rel, ScannedRelation(*plan, ctx));
       return PhysOpPtr(std::make_unique<ScanOp>(rel));
     }
     case PlanKind::kConstRel:
@@ -108,7 +116,26 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
           std::make_unique<FilterOp>(plan->condition(), std::move(child)));
     }
     case PlanKind::kProject: {
-      MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
+      // An attribute-only π over a stored relation is a projecting scan:
+      // the stored tuples are never copied whole only to be rewritten.
+      const PlanPtr& input = plan->child(0);
+      if (input->kind() == PlanKind::kScan) {
+        std::optional<std::vector<size_t>> columns =
+            AttrOnlyProjection(plan->projections(), input->schema().arity());
+        if (columns.has_value()) {
+          MRA_ASSIGN_OR_RETURN(const Relation* rel,
+                               ScannedRelation(*input, ctx));
+          std::string detail;
+          for (size_t c : *columns) {
+            detail += (detail.empty() ? "%" : ", %") + std::to_string(c + 1);
+          }
+          PhysOpPtr op(std::make_unique<ScanOp>(rel, std::move(*columns),
+                                                plan->schema()));
+          op->set_annotation(AnnotationText("project", detail));
+          return op;
+        }
+      }
+      MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(input, ctx));
       return PhysOpPtr(std::make_unique<ComputeOp>(
           plan->projections(), plan->schema(), std::move(child)));
     }

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -73,6 +75,131 @@ std::string NextRunPath() {
       .string();
 }
 
+// --- Keyed sort. ---
+//
+// A buffered run is ordered through a flat array of fixed-width entries:
+// per row, one order-preserving uint64_t word per normalized sort key plus
+// the row's index.  Comparing two entries' words as unsigned integers
+// agrees with Value::Compare (direction applied) wherever the words
+// differ; where every word ties, the full ops::CompareForSort decides,
+// then the row index.  So the order is exactly CompareForSort's, made
+// stable, and the rows themselves move once, by a final permutation.
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+// At most this many keys are normalized; the rest are decided by the
+// CompareForSort fallback.
+constexpr size_t kMaxKeyWords = 4;
+
+template <size_t N>
+struct KeyedEntry {
+  uint64_t words[N > 0 ? N : 1];
+  uint32_t row;
+};
+static_assert(sizeof(KeyedEntry<1>) == 2 * sizeof(uint64_t));
+static_assert(sizeof(KeyedEntry<kMaxKeyWords>) ==
+              (kMaxKeyWords + 1) * sizeof(uint64_t));
+
+// The order-preserving word of one key value.  Integers, decimals, dates
+// and booleans flip the sign bit of their int64.  A real maps its IEEE
+// bits to a sign-magnitude-ordered word, with -0.0 folded onto 0.0 and
+// every NaN onto the maximum (Value::Compare ties both pairs, and sorts
+// NaN after +inf).  A string keeps an 8-byte big-endian prefix, zero
+// padded: a prefix that differs orders like the whole bytewise compare.
+uint64_t KeyWord(const Value& v) {
+  switch (v.kind()) {
+    case TypeKind::kReal: {
+      double d = v.real_value();
+      if (std::isnan(d)) return UINT64_MAX;
+      if (d == 0.0) d = 0.0;
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+    }
+    case TypeKind::kString: {
+      const std::string& str = v.string_value();
+      uint64_t word = 0;
+      for (size_t i = 0; i < std::min<size_t>(str.size(), 8); ++i) {
+        word |= uint64_t{static_cast<unsigned char>(str[i])} << (56 - 8 * i);
+      }
+      return word;
+    }
+    case TypeKind::kBool:
+      return (v.bool_value() ? 1 : 0) ^ kSignBit;
+    case TypeKind::kInt:
+      return static_cast<uint64_t>(v.int_value()) ^ kSignBit;
+    case TypeKind::kDecimal:
+      return static_cast<uint64_t>(v.decimal_scaled()) ^ kSignBit;
+    case TypeKind::kDate:
+      return static_cast<uint64_t>(int64_t{v.date_days()}) ^ kSignBit;
+  }
+  return 0;
+}
+
+// How many leading keys get a word: up to and including the first string
+// key, since equal string prefixes need not be equal strings and a later
+// word must not decide past them.
+size_t NormalizedKeyWords(const RelationSchema& schema,
+                          const std::vector<size_t>& keys) {
+  size_t n = 0;
+  for (size_t k : keys) {
+    if (n == kMaxKeyWords) break;
+    ++n;
+    if (schema.TypeOf(k).kind() == TypeKind::kString) break;
+  }
+  return n;
+}
+
+// Bytes of one entry of the key array (the words plus the row index,
+// padded to a word), charged per buffered row.
+uint64_t KeyEntryBytes(size_t words) {
+  return (std::max<size_t>(words, 1) + 1) * sizeof(uint64_t);
+}
+
+// Sorts `rows` under CompareForSort (stable) through an N-word key array,
+// then applies the permutation in place by following its cycles.
+template <size_t N>
+void SortKeyed(std::vector<Row>& rows, const std::vector<size_t>& keys,
+               const std::vector<bool>& desc) {
+  MRA_CHECK_LE(rows.size(), size_t{UINT32_MAX});
+  std::vector<KeyedEntry<N>> entries(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Tuple& tuple = rows[i].tuple;
+    for (size_t w = 0; w < N; ++w) {
+      uint64_t word = KeyWord(tuple.at(keys[w]));
+      entries[i].words[w] = desc[w] ? ~word : word;
+    }
+    entries[i].row = static_cast<uint32_t>(i);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [&](const KeyedEntry<N>& a, const KeyedEntry<N>& b) {
+              for (size_t w = 0; w < N; ++w) {
+                if (a.words[w] != b.words[w]) return a.words[w] < b.words[w];
+              }
+              int c = ops::CompareForSort(rows[a.row].tuple,
+                                          rows[b.row].tuple, keys, desc);
+              if (c != 0) return c < 0;
+              return a.row < b.row;
+            });
+  // entries[i].row is the row that belongs at i; a visited slot is marked
+  // by pointing it at itself.
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].row == i) continue;
+    Row held = std::move(rows[i]);
+    size_t at = i;
+    while (true) {
+      size_t from = entries[at].row;
+      entries[at].row = static_cast<uint32_t>(at);
+      if (from == i) {
+        rows[at] = std::move(held);
+        break;
+      }
+      rows[at] = std::move(rows[from]);
+      at = from;
+    }
+  }
+}
+
 }  // namespace
 
 Result<std::optional<Row>> ReadRunEntry(std::istream& in,
@@ -131,7 +258,9 @@ SortOp::SortOp(std::vector<size_t> keys, std::vector<bool> desc,
       desc_(std::move(desc)),
       limit_(limit),
       spill_bytes_(spill_bytes),
-      child_(std::move(child)) {}
+      child_(std::move(child)),
+      key_words_(NormalizedKeyWords(child_->schema(), keys_)),
+      key_entry_bytes_(KeyEntryBytes(key_words_)) {}
 
 SortOp::~SortOp() { RemoveRunFiles(); }
 
@@ -176,7 +305,17 @@ Status SortOp::OpenInner() {
     MRA_RETURN_IF_ERROR(child_->NextBatch(batch));
     if (batch.empty()) break;
     for (Row& row : batch) {
-      buffer_bytes_ += ApproxRowBytes(row);
+      // Top-K: once the heap holds `limit_` weight, a row ordering at or
+      // after its worst entry is out-weighed by entries that all order
+      // before it, so it could never be emitted — skip it unbuffered.
+      if (limit_ > 0 && buffer_weight_ >= limit_ &&
+          ops::CompareForSort(row.tuple, buffer_.front().tuple, keys_,
+                              desc_) >= 0) {
+        continue;
+      }
+      // The row's key-array entry is charged with it: the sort allocates
+      // one per buffered row, so it counts toward the spill threshold.
+      buffer_bytes_ += ApproxRowBytes(row) + key_entry_bytes_;
       buffer_weight_ += row.count;
       buffer_.push_back(std::move(row));
       if (limit_ > 0) {
@@ -198,7 +337,7 @@ Status SortOp::OpenInner() {
 
   if (run_files_.empty()) {
     // In-memory fast path: one sort, emission walks the buffer.
-    std::sort(buffer_.begin(), buffer_.end(), by_sort_order);
+    SortBuffer();
     return Status::OK();
   }
 
@@ -242,16 +381,29 @@ void SortOp::PruneTopK() {
          buffer_weight_ - buffer_.front().count >= limit_) {
     std::pop_heap(buffer_.begin(), buffer_.end(), by_sort_order);
     buffer_weight_ -= buffer_.back().count;
-    buffer_bytes_ -= std::min(buffer_bytes_, ApproxRowBytes(buffer_.back()));
+    buffer_bytes_ -= std::min(
+        buffer_bytes_, ApproxRowBytes(buffer_.back()) + key_entry_bytes_);
     buffer_.pop_back();
   }
 }
 
+void SortOp::SortBuffer() {
+  switch (key_words_) {
+    case 0:
+      return SortKeyed<0>(buffer_, keys_, desc_);
+    case 1:
+      return SortKeyed<1>(buffer_, keys_, desc_);
+    case 2:
+      return SortKeyed<2>(buffer_, keys_, desc_);
+    case 3:
+      return SortKeyed<3>(buffer_, keys_, desc_);
+    default:
+      return SortKeyed<kMaxKeyWords>(buffer_, keys_, desc_);
+  }
+}
+
 Status SortOp::SpillRun() {
-  auto by_sort_order = [this](const Row& a, const Row& b) {
-    return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
-  };
-  std::sort(buffer_.begin(), buffer_.end(), by_sort_order);
+  SortBuffer();
 
   std::string final_path = NextRunPath();
   std::string tmp_path = final_path + ".tmp";
@@ -317,57 +469,69 @@ Status SortOp::StartMerge() {
     }
     readers_.push_back(std::move(reader));
   }
-  auto heap_after = [this](size_t a, size_t b) {
-    // std::*_heap build a max-heap; invert for a min-heap, with the reader
-    // index as a deterministic tie-break (ties are identical tuples).
-    int c = ops::CompareForSort(readers_[a]->current.tuple,
-                                readers_[b]->current.tuple, keys_, desc_);
-    if (c != 0) return c > 0;
-    return a > b;
-  };
-  std::make_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
+  std::make_heap(merge_heap_.begin(), merge_heap_.end(),
+                 [this](size_t a, size_t b) { return MergeAfter(a, b); });
   merging_ = true;
   return Status::OK();
 }
 
-std::optional<Row> SortOp::ClampEmit(Row row) {
-  if (limit_ == 0) return std::optional<Row>(std::move(row));
-  if (emitted_weight_ >= limit_) return std::nullopt;
-  row.count = std::min<uint64_t>(row.count, limit_ - emitted_weight_);
-  emitted_weight_ += row.count;
-  return std::optional<Row>(std::move(row));
+bool SortOp::MergeAfter(size_t a, size_t b) const {
+  // std::*_heap build a max-heap; invert for a min-heap, with the reader
+  // index as a deterministic tie-break (ties are identical tuples, and
+  // runs are written in input order, so the merge stays stable).
+  int c = ops::CompareForSort(readers_[a]->current.tuple,
+                              readers_[b]->current.tuple, keys_, desc_);
+  if (c != 0) return c > 0;
+  return a > b;
 }
 
-Result<std::optional<Row>> SortOp::NextImpl() {
+Result<bool> SortOp::NextSorted(Row& slot) {
+  if (limit_ > 0 && emitted_weight_ >= limit_) return false;
   if (!merging_) {
-    if (pos_ >= buffer_.size()) return std::optional<Row>();
-    std::optional<Row> out = ClampEmit(std::move(buffer_[pos_]));
-    if (!out.has_value()) return std::optional<Row>();
+    if (pos_ >= buffer_.size()) return false;
+    // Swap rather than move: the slot's parked storage goes back to the
+    // buffer, which Close frees wholesale.
+    slot.tuple.Swap(buffer_[pos_].tuple);
+    slot.count = buffer_[pos_].count;
     ++pos_;
-    return out;
-  }
-
-  auto heap_after = [this](size_t a, size_t b) {
-    int c = ops::CompareForSort(readers_[a]->current.tuple,
-                                readers_[b]->current.tuple, keys_, desc_);
-    if (c != 0) return c > 0;
-    return a > b;
-  };
-  while (!merge_heap_.empty()) {
+  } else {
+    if (merge_heap_.empty()) return false;
+    auto heap_after = [this](size_t a, size_t b) {
+      return MergeAfter(a, b);
+    };
     std::pop_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
     size_t idx = merge_heap_.back();
     merge_heap_.pop_back();
-    Row row = std::move(readers_[idx]->current);
+    slot = std::move(readers_[idx]->current);
     MRA_RETURN_IF_ERROR(readers_[idx]->Advance());
     if (!readers_[idx]->done) {
       merge_heap_.push_back(idx);
       std::push_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
     }
-    std::optional<Row> out = ClampEmit(std::move(row));
-    if (!out.has_value()) return std::optional<Row>();  // LIMIT exhausted.
-    return Result<std::optional<Row>>(std::move(out));
   }
-  return std::optional<Row>();
+  if (limit_ > 0) {
+    slot.count = std::min<uint64_t>(slot.count, limit_ - emitted_weight_);
+    emitted_weight_ += slot.count;
+  }
+  return true;
+}
+
+Result<std::optional<Row>> SortOp::NextImpl() {
+  Row row;
+  MRA_ASSIGN_OR_RETURN(bool more, NextSorted(row));
+  if (!more) return std::optional<Row>();
+  return std::optional<Row>(std::move(row));
+}
+
+Status SortOp::NextBatchImpl(RowBatch& out) {
+  while (!out.full()) {
+    MRA_ASSIGN_OR_RETURN(bool more, NextSorted(out.AppendSlot()));
+    if (!more) {
+      out.Truncate(out.size() - 1);
+      break;
+    }
+  }
+  return Status::OK();
 }
 
 void SortOp::CloseImpl() {

@@ -1,11 +1,16 @@
 // Ordered emission for the bag-stream executor: SortOp materialises its
 // child, orders the rows under the shared ops::CompareForSort total order
 // (sort keys with per-key direction, then a whole-tuple ascending
-// tiebreak), and re-emits them as an ordered bag stream.  Multiplicities
-// stay folded: a row carrying count 1e6 is one run entry, never a million.
+// tiebreak), and re-emits them as an ordered bag stream, batch by batch.
+// Multiplicities stay folded: a row carrying count 1e6 is one run entry,
+// never a million.  The order is computed over a flat array of
+// order-preserving key words per row (docs/EXECUTION.md "Keyed sort"):
+// CompareForSort only runs where every word ties, and the buffered rows
+// move once, by the final permutation.
 //
 // Memory discipline (docs/EXECUTION.md "Ordering and spill"): buffered
-// rows are charged against the query budget per input batch; when the
+// rows, each with its key-array entry, are charged against the query
+// budget per input batch; when the
 // buffer crosses the spill threshold — the `sort_spill_bytes` knob, or
 // half the armed query memory budget, whichever is smaller — the buffer
 // is sorted and written out as a merge run through the storage encoder,
@@ -71,6 +76,7 @@ class SortOp final : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -82,6 +88,9 @@ class SortOp final : public PhysicalOperator {
   /// must be reclaimed here.
   Status OpenInner();
   void AbortOpen();
+
+  /// Orders buffer_ under CompareForSort (stable) through the key array.
+  void SortBuffer();
 
   /// Sorts buffer_ and writes it as one length-prefixed run file
   /// (run.tmp, fsync-free write, then rename); clears the buffer.
@@ -96,15 +105,21 @@ class SortOp final : public PhysicalOperator {
 
   void RemoveRunFiles();
 
-  /// Clamps `row` against the remaining LIMIT weight; nullopt when the
-  /// limit is exhausted.
-  std::optional<Row> ClampEmit(Row row);
+  /// The merge heap's order over reader indexes (a min-heap on the
+  /// readers' current rows).
+  bool MergeAfter(size_t a, size_t b) const;
+
+  /// Moves the next row in sort order into `slot`, its count clamped
+  /// against the remaining LIMIT weight; false at end of stream.
+  Result<bool> NextSorted(Row& slot);
 
   std::vector<size_t> keys_;
   std::vector<bool> desc_;
   uint64_t limit_;
   uint64_t spill_bytes_;
   PhysOpPtr child_;
+  size_t key_words_;           // Leading keys normalized into key words.
+  uint64_t key_entry_bytes_;   // One key-array entry, charged per row.
 
   // In-memory buffer: plain rows for a full sort, a max-heap (worst entry
   // at the front) while a LIMIT is pruning.

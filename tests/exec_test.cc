@@ -10,6 +10,8 @@
 #include "mra/catalog/catalog.h"
 #include "mra/exec/operator.h"
 #include "mra/exec/physical_planner.h"
+#include "mra/lang/interpreter.h"
+#include "mra/txn/database.h"
 #include "test_util.h"
 
 namespace mra {
@@ -331,6 +333,113 @@ TEST(OperatorContractTest, CloseMidStreamReleasesCleanly) {
   op.Close();  // Build table freed with the stream half-drained.
   op.Close();
   EXPECT_EQ(op.metrics().peak_hash_entries, 3u);
+}
+
+// --- Projecting scan: π over a stored relation fused into the leaf. ------
+
+// π_columns through the projecting scan at every protocol, against the
+// definitional ops::Project.
+void ExpectProjectingScanMatches(const Relation& r,
+                                 const std::vector<size_t>& columns) {
+  std::vector<ExprPtr> exprs;
+  for (size_t c : columns) exprs.push_back(Attr(c));
+  auto expected = ops::Project(exprs, r);
+  ASSERT_OK(expected);
+  auto schema = r.schema().Project(columns);
+  ASSERT_OK(schema);
+  for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
+    ScanOp scan(&r, columns, *schema);
+    EXPECT_EQ(scan.schema().arity(), columns.size());
+    auto got = ExecuteToRelation(scan, batch_size);
+    ASSERT_OK(got);
+    EXPECT_REL_EQ(*got, *expected) << "batch size " << batch_size;
+    EXPECT_EQ(scan.metrics().weighted_rows, r.size());
+  }
+}
+
+TEST(ProjectingScanTest, ReorderedAndRepeatedAttributesMatchProject) {
+  std::mt19937_64 rng(41);
+  Relation r = RandomIntRelation(rng, 4, 200, 6, 4);
+  ExpectProjectingScanMatches(r, {2, 0});
+  ExpectProjectingScanMatches(r, {3, 3, 1, 3});
+  ExpectProjectingScanMatches(r, {0, 1, 2, 3});
+  ExpectProjectingScanMatches(r, {1});
+}
+
+TEST(ProjectingScanTest, CollapsedTuplesAddTheirCountsOnceFolded) {
+  // (1, 10) x3, (1, 20) x2 and (1, 30) x1 all project to (1): the scan
+  // emits three rows, and folding them gives (1) x6 — not x3, not x1.
+  Relation r = IntRel("r", {{1, 10}, {1, 10}, {1, 10}, {1, 20}, {1, 20},
+                            {1, 30}, {2, 10}},
+                      2);
+  ExpectProjectingScanMatches(r, {0});
+  auto schema = r.schema().Project({0});
+  ASSERT_OK(schema);
+  ScanOp scan(&r, {0}, *schema);
+  auto got = ExecuteToRelation(scan);
+  ASSERT_OK(got);
+  EXPECT_EQ(got->Multiplicity(IntTuple({1})), 6u);
+  EXPECT_EQ(got->Multiplicity(IntTuple({2})), 1u);
+  EXPECT_EQ(scan.metrics().rows_emitted, 4u);  // One row per stored tuple.
+}
+
+TEST(ProjectingScanTest, EmptyRelation) {
+  Relation r = IntRel("r", {}, 3);
+  ExpectProjectingScanMatches(r, {2, 0, 2});
+}
+
+TEST(ProjectingScanTest, PlannerFusesAttributeOnlyProjectionOverAScan) {
+  Catalog catalog;
+  std::mt19937_64 rng(43);
+  Relation r = RandomIntRelation(rng, 3, 80, 5, 3);
+  ASSERT_OK(catalog.CreateRelation(r.schema()));
+  ASSERT_OK(catalog.SetRelation("rnd", r));
+  PlanPtr scan = Plan::Scan("rnd", r.schema());
+
+  auto fused = Plan::Project({Attr(2), Attr(0), Attr(2)}, scan);
+  ASSERT_OK(fused);
+  auto op = LowerPlan(*fused, catalog);
+  ASSERT_OK(op);
+  EXPECT_EQ((*op)->name(), "Scan");
+  EXPECT_TRUE((*op)->children().empty());
+  EXPECT_EQ((*op)->annotation(), "project: %3, %1, %3");
+  EXPECT_TRUE((*op)->schema().CompatibleWith((*fused)->schema()));
+  auto got = ExecuteToRelation(**op);
+  ASSERT_OK(got);
+  EXPECT_REL_EQ(*got, *ops::ProjectIndexes({2, 0, 2}, r));
+
+  // A computed expression, or a π over anything but a scan, keeps Compute.
+  auto computed = Plan::Project({Add(Attr(0), Attr(1))}, scan);
+  ASSERT_OK(computed);
+  auto op2 = LowerPlan(*computed, catalog);
+  ASSERT_OK(op2);
+  EXPECT_EQ((*op2)->name(), "Compute");
+  auto filtered = Plan::Select(Ge(Attr(0), Lit(int64_t{2})), scan);
+  ASSERT_OK(filtered);
+  auto over_filter = Plan::Project({Attr(1)}, *filtered);
+  ASSERT_OK(over_filter);
+  auto op3 = LowerPlan(*over_filter, catalog);
+  ASSERT_OK(op3);
+  EXPECT_EQ((*op3)->name(), "Compute");
+}
+
+TEST(ProjectingScanTest, ExplainAnalyzeShowsTheFusedScansRows) {
+  auto db = std::move(Database::Open({}).value());
+  lang::Interpreter interp(db.get());
+  ASSERT_OK(interp.ExecuteScript(
+      "create r(a: int, b: int, c: int);"
+      "insert(r, {(1, 2, 3) : 2, (4, 2, 6), (7, 8, 9) : 3});",
+      nullptr));
+  auto text = interp.ExplainAnalyze("project([%2], r)");
+  ASSERT_OK(text);
+  EXPECT_EQ(text->find("Compute"), std::string::npos) << *text;
+  EXPECT_NE(text->find("Scan  [project: %2]"), std::string::npos) << *text;
+  EXPECT_NE(text->find("actual rows=3 weighted=6"), std::string::npos)
+      << *text;
+  auto result = interp.Query("project([%2], r)");
+  ASSERT_OK(result);
+  EXPECT_EQ(result->Multiplicity(IntTuple({2})), 3u);
+  EXPECT_EQ(result->Multiplicity(IntTuple({8})), 3u);
 }
 
 TEST(OperatorContractTest, EstimateAnnotationDefaultsToUnset) {

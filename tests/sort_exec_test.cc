@@ -14,14 +14,18 @@
 // Each property runs over 8 random seeds, all six value domains (bool,
 // int, real, string, decimal, date), multi-key and descending orders,
 // multiplicities up to 1e6, batch sizes 1/7/1024, and — via a tiny
-// sort_spill_bytes — the forced external-merge spill path.
+// sort_spill_bytes — the forced external-merge spill path.  The keyed-sort
+// cases at the end pin the exact emitted sequence against std::sort under
+// CompareForSort on the values where key words are least like values.
 
 #include "mra/exec/sort.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <functional>
@@ -520,6 +524,329 @@ TEST(SortKnobTest, SessionSetStatementReachesTheExecutor) {
   auto explained = interp.Explain("join(%1 = %4, r, r)");
   ASSERT_OK(explained);
   EXPECT_NE(explained->find("sort-merge"), std::string::npos) << *explained;
+}
+
+// --- Keyed sort: emission-order parity. ----------------------------------
+//
+// SortOp orders through per-row key words and falls back to
+// CompareForSort only where every word ties.  These cases pin the exact
+// emitted sequence — not just the bag — to a plain std::sort under
+// CompareForSort over the child's rows, on the values where a key word is
+// least like the value: shared string prefixes, embedded NUL and high-bit
+// bytes, integer extremes, infinities, NaNs of either sign and payload,
+// and -0.0 against 0.0.
+
+// Bitwise value identity: unlike Value::Equals it tells -0.0 from 0.0
+// and one NaN from another, so a swapped tie shows up.
+bool SameBits(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.kind() != TypeKind::kReal) return a.Equals(b);
+  double x = a.real_value(), y = b.real_value();
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+std::string RowText(const Row& row) {
+  std::string text = row.tuple.ToString() + " x" + std::to_string(row.count);
+  for (const Value& v : row.tuple.values()) {
+    if (v.kind() == TypeKind::kReal && std::signbit(v.real_value())) {
+      text += " (negative sign bit)";
+    }
+  }
+  return text;
+}
+
+// The rows `op` emits, in order: row protocol for batch_size 0, else the
+// batch protocol.
+std::vector<Row> Emitted(PhysicalOperator& op, size_t batch_size) {
+  std::vector<Row> rows;
+  EXPECT_OK(op.Open());
+  if (batch_size == 0) {
+    while (true) {
+      auto row = op.Next();
+      EXPECT_OK(row);
+      if (!row.ok() || !row->has_value()) break;
+      rows.push_back(**row);
+    }
+  } else {
+    RowBatch batch(batch_size);
+    while (true) {
+      EXPECT_OK(op.NextBatch(batch));
+      if (batch.empty()) break;
+      rows.insert(rows.end(), batch.begin(), batch.end());
+    }
+  }
+  op.Close();
+  return rows;
+}
+
+// The reference emission: the child's rows in scan order, std::sort'ed
+// under CompareForSort, then clamped to the weighted LIMIT.
+std::vector<Row> ReferenceEmission(const Relation& input,
+                                   const std::vector<size_t>& keys,
+                                   const std::vector<bool>& desc,
+                                   uint64_t limit) {
+  ScanOp scan(&input);
+  std::vector<Row> rows = Emitted(scan, 1024);
+  std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    return ops::CompareForSort(a.tuple, b.tuple, keys, desc) < 0;
+  });
+  if (limit == 0) return rows;
+  std::vector<Row> clamped;
+  uint64_t left = limit;
+  for (Row& row : rows) {
+    if (left == 0) break;
+    row.count = std::min(row.count, left);
+    left -= row.count;
+    clamped.push_back(std::move(row));
+  }
+  return clamped;
+}
+
+// Keyed SortOp (in memory and forced spill, every protocol) emits exactly
+// the reference sequence, and its folded bag is ops::Sort's.
+void ExpectOrderParity(const Relation& input, const std::vector<size_t>& keys,
+                       const std::vector<bool>& desc, uint64_t limit) {
+  std::vector<Row> want = ReferenceEmission(input, keys, desc, limit);
+  auto bag = ops::Sort(keys, desc, limit, input);
+  ASSERT_OK(bag);
+  for (uint64_t spill : {uint64_t{0}, uint64_t{64}}) {
+    for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
+      SortOp op(keys, desc, limit, spill, std::make_unique<ScanOp>(&input));
+      std::vector<Row> got = Emitted(op, batch_size);
+      if (spill > 0 && input.distinct_size() > 1) {
+        EXPECT_GT(op.spilled_runs(), 0u);
+      }
+      const std::string where = "spill=" + std::to_string(spill) +
+                                " batch=" + std::to_string(batch_size) +
+                                " limit=" + std::to_string(limit);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      Relation folded(input.schema());
+      for (size_t i = 0; i < got.size(); ++i) {
+        bool same = got[i].count == want[i].count &&
+                    got[i].tuple.arity() == want[i].tuple.arity();
+        for (size_t a = 0; same && a < got[i].tuple.arity(); ++a) {
+          same = SameBits(got[i].tuple.at(a), want[i].tuple.at(a));
+        }
+        ASSERT_TRUE(same) << where << ": row " << i << " is "
+                          << RowText(got[i]) << ", want " << RowText(want[i]);
+        folded.InsertUnchecked(got[i].tuple, got[i].count);
+      }
+      EXPECT_REL_EQ(folded, *bag) << where;
+    }
+  }
+}
+
+// Every key in both directions, then with a weighted LIMIT landing inside
+// the third emitted row.
+void ExpectOrderParityAllDirections(const Relation& input,
+                                    const std::vector<size_t>& keys) {
+  const size_t n = keys.size();
+  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+    std::vector<bool> desc(n);
+    for (size_t i = 0; i < n; ++i) desc[i] = (mask >> i) & 1;
+    ExpectOrderParity(input, keys, desc, 0);
+    std::vector<Row> order = ReferenceEmission(input, keys, desc, 0);
+    if (order.size() >= 3) {
+      uint64_t limit = order[0].count + order[1].count + 1;
+      ExpectOrderParity(input, keys, desc, limit);
+    }
+  }
+}
+
+TEST(SortKeyedOrderTest, StringsSharingLongPrefixesNulAndHighBitBytes) {
+  Relation r(RelationSchema("s", {{"s", Type::String()}, {"k", Type::Int()}}));
+  const std::vector<std::string> strs = {
+      "abcdefghZ",   "abcdefghA",        "abcdefgh",
+      std::string("abcdefgh\0", 9),     std::string("abcdefgh\0\0", 10),
+      "abcdefgh\xff", "abcdefgh\x80zz", "abcdefghijklmnopq",
+      "abcdefghijklmnopZ", "",           std::string("\0", 1),
+      std::string("a\0b", 3),           "a",
+      "\xff\xfe",    "\x80",          "\x7f",
+      "zzzzzzzzzzzzzzzz", "zzzzzzzz",         "a\xffz",
+      "a\x80",        "a\x7f",          "b"};
+  for (size_t i = 0; i < strs.size(); ++i) {
+    // Shared strings under different k: the tiebreak decides among them.
+    ASSERT_OK(r.Insert(Tuple({Value::Str(strs[i]),
+                              Value::Int(static_cast<int64_t>(i % 4))}),
+                       1 + i % 3));
+    ASSERT_OK(r.Insert(Tuple({Value::Str(strs[i]),
+                              Value::Int(static_cast<int64_t>(17 - i))}),
+                       2));
+  }
+  ExpectOrderParityAllDirections(r, {0});
+  // A key after the string: equal 8-byte prefixes must not let %2 decide.
+  ExpectOrderParityAllDirections(r, {0, 1});
+  ExpectOrderParityAllDirections(r, {1, 0});
+}
+
+TEST(SortKeyedOrderTest, IntegerExtremesInfinitiesNaNsAndSignedZeros) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double payload_nan;
+  const uint64_t payload_bits = 0x7ff8000000000001ULL;
+  std::memcpy(&payload_nan, &payload_bits, sizeof(payload_nan));
+  Relation r(RelationSchema("x", {{"i", Type::Int()},
+                                  {"x", Type::Real()},
+                                  {"k", Type::Int()}}));
+  const std::vector<int64_t> ints = {std::numeric_limits<int64_t>::min(),
+                                     std::numeric_limits<int64_t>::max(),
+                                     -1, 0, 1,
+                                     std::numeric_limits<int64_t>::min() + 1};
+  const std::vector<double> reals = {-0.0, 0.0,  nan,  -nan, payload_nan,
+                                     inf,  -inf, -1.5, 1.5,
+                                     std::numeric_limits<double>::denorm_min(),
+                                     -std::numeric_limits<double>::max()};
+  int64_t k = 0;
+  for (double x : reals) {
+    for (int copy = 0; copy < 2; ++copy) {
+      // The same real (bitwise) under two ints and a descending k, so ties
+      // on %2 are decided by %1 then %3 and a swapped pair is visible.
+      ASSERT_OK(r.Insert(
+          Tuple({Value::Int(ints[static_cast<size_t>(k) % ints.size()]),
+                 Value::Real(x), Value::Int(100 - k)}),
+          1 + static_cast<uint64_t>(k % 3)));
+      ++k;
+    }
+  }
+  // -0.0 against 0.0, and NaNs of every sign and payload, tie on the key;
+  // only the tiebreak over %1 and %3 may order them.
+  ASSERT_OK(r.Insert(Tuple({Value::Int(0), Value::Real(-0.0), Value::Int(2)}),
+                     3));
+  ASSERT_OK(r.Insert(Tuple({Value::Int(0), Value::Real(0.0), Value::Int(1)}),
+                     2));
+  ASSERT_OK(r.Insert(Tuple({Value::Int(0), Value::Real(-nan), Value::Int(1)}),
+                     1));
+  ASSERT_OK(r.Insert(
+      Tuple({Value::Int(0), Value::Real(payload_nan), Value::Int(0)}), 2));
+  ASSERT_OK(r.Insert(Tuple({Value::Int(0), Value::Real(nan), Value::Int(2)}),
+                     1));
+  ExpectOrderParityAllDirections(r, {1});
+  ExpectOrderParityAllDirections(r, {0});
+  ExpectOrderParityAllDirections(r, {1, 0});
+  ExpectOrderParityAllDirections(r, {0, 1, 2});
+}
+
+TEST(SortKeyedOrderTest, DecimalDateAndBoolKeysWithMultiKeyTies) {
+  Relation r(RelationSchema("d", {{"flag", Type::Bool()},
+                                  {"amount", Type::Decimal()},
+                                  {"day", Type::Date()},
+                                  {"k", Type::Int()}}));
+  const std::vector<int64_t> amounts = {std::numeric_limits<int64_t>::min(),
+                                        -10000, -1, 0, 1, 12345,
+                                        std::numeric_limits<int64_t>::max()};
+  const std::vector<int32_t> days = {std::numeric_limits<int32_t>::min(), -1,
+                                     0, 1, 19000,
+                                     std::numeric_limits<int32_t>::max()};
+  std::mt19937_64 rng(29);
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_OK(r.Insert(
+        Tuple({Value::Bool(rng() % 2 == 0),
+               Value::DecimalScaled(amounts[rng() % amounts.size()]),
+               Value::Date(days[rng() % days.size()]),
+               Value::Int(static_cast<int64_t>(rng() % 5))}),
+        1 + rng() % 4));
+  }
+  ExpectOrderParityAllDirections(r, {0});
+  ExpectOrderParityAllDirections(r, {1});
+  ExpectOrderParityAllDirections(r, {2});
+  // Multi-key ties: the bool and date keys tie often, k breaks some, and
+  // the whole-tuple tiebreak settles the rest.
+  ExpectOrderParityAllDirections(r, {0, 2});
+  ExpectOrderParity(r, {0, 2, 3, 1}, {false, true, false, true}, 0);
+  ExpectOrderParity(r, {0, 2, 3, 1}, {true, false, true, false}, 9);
+  // Five keys: more than the normalized word count, so the tail keys are
+  // decided by the fallback alone.
+  ExpectOrderParity(r, {3, 0, 2, 1, 3}, {true, false, true, false, false},
+                    0);
+}
+
+TEST(SortKeyedOrderTest, LimitBoundaryInsideAHeavyRow) {
+  // (3, 7) x5 is the third row in %1 order, ascending and descending;
+  // LIMITs landing before, inside, at the end of and past it clamp it
+  // and stop.
+  Relation r = IntRel("r", {{4, 1}, {1, 1}, {2, 2}, {5, 0}}, 2);
+  r.InsertUnchecked(IntTuple({3, 7}), 5);
+  for (uint64_t limit : {uint64_t{2}, uint64_t{3}, uint64_t{5},
+                         uint64_t{7}, uint64_t{8}, uint64_t{9}}) {
+    ExpectOrderParity(r, {0}, {false}, limit);
+    ExpectOrderParity(r, {0}, {true}, limit);
+    ExpectOrderParity(r, {1, 0}, {true, false}, limit);
+  }
+}
+
+TEST(SortKeyedOrderTest, StableAmongRowsOfOneTupleFromAProjectingScan) {
+  // π_{%2}(r) through a projecting scan emits one row per stored tuple, so
+  // equal tuples arrive as many rows with different counts.  The sort
+  // keeps them in arrival order (a stable sort), in memory and spilled.
+  Relation r = IntRel("r", {}, 2);
+  std::mt19937_64 rng(31);
+  for (int i = 0; i < 3000; ++i) {
+    r.InsertUnchecked(IntTuple({i, static_cast<int64_t>(rng() % 12)}),
+                      1 + rng() % 9);
+  }
+  auto schema = r.schema().Project({1});
+  ASSERT_OK(schema);
+  auto projected = [&] {
+    return std::make_unique<ScanOp>(&r, std::vector<size_t>{1}, *schema);
+  };
+  for (bool desc : {false, true}) {
+    auto child = projected();
+    std::vector<Row> want = Emitted(*child, 1024);
+    std::stable_sort(want.begin(), want.end(),
+                     [&](const Row& a, const Row& b) {
+                       return ops::CompareForSort(a.tuple, b.tuple, {0},
+                                                  {desc}) < 0;
+                     });
+    for (uint64_t spill : {uint64_t{0}, uint64_t{4096}}) {
+      SortOp op({0}, {desc}, 0, spill, projected());
+      std::vector<Row> got = Emitted(op, 1024);
+      EXPECT_EQ(op.spilled_runs() > 0, spill > 0);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(got[i].tuple == want[i].tuple &&
+                    got[i].count == want[i].count)
+            << "desc=" << desc << " spill=" << spill << ": row " << i
+            << " is " << RowText(got[i]) << ", want " << RowText(want[i]);
+      }
+    }
+  }
+}
+
+TEST_P(SortDifferentialTest, KeyedOrderMatchesCompareForSortOnRandomBags) {
+  std::mt19937_64 rng(GetParam());
+  Relation input = RandomMixedRelation(rng, 150, 5);
+  ExpectOrderParity(input, {3}, {false}, 0);
+  ExpectOrderParity(input, {3, 1}, {true, false}, 0);
+  ExpectOrderParity(input, {2, 5, 4}, {false, true, false}, 7);
+  ExpectOrderParity(input, {0, 1, 2, 3, 4, 5},
+                    {true, false, true, false, true, false}, 0);
+}
+
+TEST(SortKeyedOrderTest, KeyArrayIsChargedAgainstTheBudget) {
+  // Two int keys: each buffered row also holds a 24-byte key-array entry,
+  // so a budget that fits the rows alone but not rows plus keys must
+  // force the sort to spill where a rows-only charge would not.
+  std::mt19937_64 rng(37);
+  Relation r = RandomIntRelation(rng, 2, 300, 1000, 2);
+  uint64_t row_bytes = 0;
+  {
+    ScanOp scan(&r);
+    for (const Row& row : Emitted(scan, 1024)) {
+      row_bytes += sizeof(Row) + row.tuple.arity() * sizeof(Value);
+    }
+  }
+  const uint64_t key_bytes = r.distinct_size() * 3 * sizeof(uint64_t);
+  ExecContext ctx;
+  // Threshold (budget / 2) sits between the rows' bytes and rows + keys.
+  ctx.SetMemoryBudget(2 * (row_bytes + key_bytes / 2));
+  SortOp op({0, 1}, {false, false}, 0, 0, std::make_unique<ScanOp>(&r));
+  op.SetExecContext(&ctx);
+  auto got = ExecuteToRelation(op, 1024);
+  ASSERT_OK(got);
+  EXPECT_REL_EQ(*got, r);
+  EXPECT_GT(op.spilled_runs(), 0u)
+      << "the key array did not count toward the spill threshold";
+  EXPECT_EQ(ctx.mem_used(), 0u);
 }
 
 }  // namespace

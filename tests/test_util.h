@@ -207,16 +207,18 @@ struct TpchMiniDb {
   EXPECT_TRUE((a).Equals(b)) << "left:  " << (a).ToString() << "\n"   \
                              << "right: " << (b).ToString()
 
+// The status is copied out while `expr`'s temporaries are alive: binding
+// a reference to `f().status()` would dangle past the full-expression.
 #define ASSERT_OK(expr)                                               \
   do {                                                                \
-    const auto& mra_st_ = (expr);                                     \
-    ASSERT_TRUE(mra_st_.ok()) << ::mra::internal::ToStatus(mra_st_).ToString(); \
+    const ::mra::Status mra_st_ = ::mra::internal::ToStatus(expr);    \
+    ASSERT_TRUE(mra_st_.ok()) << mra_st_.ToString();                  \
   } while (false)
 
 #define EXPECT_OK(expr)                                               \
   do {                                                                \
-    const auto& mra_st_ = (expr);                                     \
-    EXPECT_TRUE(mra_st_.ok()) << ::mra::internal::ToStatus(mra_st_).ToString(); \
+    const ::mra::Status mra_st_ = ::mra::internal::ToStatus(expr);    \
+    EXPECT_TRUE(mra_st_.ok()) << mra_st_.ToString();                  \
   } while (false)
 
 #endif  // MRA_TESTS_TEST_UTIL_H_
