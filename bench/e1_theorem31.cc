@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 #include "mra/algebra/ops.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 
 namespace mra {

@@ -24,6 +24,7 @@
 #include <functional>
 
 #include "bench_util.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/exec/sort.h"
 #include "mra/expr/scalar_expr.h"

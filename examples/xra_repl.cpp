@@ -418,7 +418,7 @@ int RunShell(session::Session& sess, session::EmbeddedSession* embedded,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // ExecConfig-owned flags (--batch-size, --workers, --no-hash-ops, …) go
+  // ExecConfig-owned flags (--batch-size, --workers, --no-optimize, …) go
   // through the shared funnel; what remains is REPL-specific.
   ExecConfig config;
   if (Status flags = ParseConfigFlags(&argc, argv, &config); !flags.ok()) {

@@ -56,19 +56,12 @@ std::string BoolName(bool v) { return v ? "true" : "false"; }
 
 const Knob kKnobs[] = {
     {"batch_size", false,
-     "rows per executor NextBatch pull; 0 = row-at-a-time",
+     "rows per executor NextBatch pull; 0 = default (1024)",
      [](ExecConfig* c, uint64_t n, bool) {
        c->exec.batch_size = static_cast<size_t>(n);
        return Status::OK();
      },
      [](const ExecConfig& c) { return std::to_string(c.exec.batch_size); }},
-    {"hash_ops", true,
-     "hash join/dedup/group-by kernels (off = nested-loop/sort fallbacks)",
-     [](ExecConfig* c, uint64_t, bool b) {
-       c->exec.hash_ops = b;
-       return Status::OK();
-     },
-     [](const ExecConfig& c) { return BoolName(c.exec.hash_ops); }},
     {"use_physical_exec", true,
      "physical operators (off = definitional evaluator)",
      [](ExecConfig* c, uint64_t, bool b) {
@@ -77,7 +70,7 @@ const Knob kKnobs[] = {
      },
      [](const ExecConfig& c) { return BoolName(c.exec.use_physical_exec); }},
     {"workers", false,
-     "intra-query parallel degree; 0/1 = serial (docs/PARALLELISM.md)",
+     "intra-query parallel degree; 0/1 = one lane (docs/PARALLELISM.md)",
      [](ExecConfig* c, uint64_t n, bool) {
        c->exec.workers = static_cast<size_t>(n);
        return Status::OK();

@@ -1,15 +1,13 @@
-// Unified execution configuration: one layered struct for every knob that
-// used to be scattered across InterpreterOptions, ParallelOptions and
-// PlannerOptions.  Each field is defined exactly once, here; the language,
-// session, server and example layers all consume `ExecConfig` directly
-// (lang::InterpreterOptions is a deprecated alias).
+// Unified execution configuration: one layered struct for every knob.
+// Each field is defined exactly once, here; the language, session, server
+// and example layers all consume `ExecConfig` directly.
 //
 // Three entry points:
 //  * field access         — `config.exec.batch_size = 64;`
 //  * ConfigBuilder        — fluent construction for tests and embedders;
 //  * string-keyed knobs   — `config.Set("workers", "4")` backs the
 //    `SET <knob> = <value>;` statement (XRA + SQL) and the REPL `\set`,
-//    and ParseConfigFlags maps `--workers 4` / `--no-hash-ops` style
+//    and ParseConfigFlags maps `--workers 4` / `--no-optimize` style
 //    command-line flags onto the same registry, so the REPL and serverd
 //    parse flags through one funnel (docs/PARALLELISM.md has the knob
 //    reference).
@@ -34,27 +32,23 @@ struct ExecConfig {
   /// Executor shape: batching, kernel selection, parallelism.
   struct Exec {
     /// Rows pulled per NextBatch() call when draining a physical plan;
-    /// 0 selects the legacy row-at-a-time Next() loop.
+    /// 0 means the default (1024).
     size_t batch_size = 1024;
-    /// Select the hash-based kernels (HashJoin, hash Dedup/GroupBy) when
-    /// they apply; when false the planner falls back to NestedLoopJoin
-    /// and SortDedup.
-    bool hash_ops = true;
     /// Execute through the physical operators (mra/exec); when false the
     /// definitional evaluator (mra/algebra) runs instead.
     bool use_physical_exec = true;
     /// Intra-query parallel degree: number of worker lanes the planner may
-    /// give one operator.  0 and 1 both mean serial execution; higher
-    /// values enable the morsel-driven partitioned kernels when the
+    /// give one hash operator.  0 and 1 both mean one lane; higher values
+    /// run the hash kernels partitioned over that many lanes when the
     /// operator's estimated input reaches `parallel_threshold`
-    /// (docs/PARALLELISM.md).  Requires hash_ops.
+    /// (docs/PARALLELISM.md).
     size_t workers = 0;
     /// Rows per morsel: the unit a worker pulls from a shared child
     /// cursor, and the cancellation granularity inside parallel phases.
     size_t morsel_size = 1024;
     /// Minimum estimated input cardinality (build+probe for joins) before
-    /// the planner lowers an operator to its parallel variant; below it
-    /// the serial kernel wins on fan-out overhead alone.
+    /// the planner gives a hash operator more than one lane; below it the
+    /// one-lane kernel wins on fan-out overhead alone.
     uint64_t parallel_threshold = 8192;
     /// In-memory working-set cap for one sort run, in bytes: a SortOp whose
     /// buffered rows exceed it sorts the buffer and spills it as a merge
@@ -123,7 +117,6 @@ struct ExecConfig {
 class ConfigBuilder {
  public:
   ConfigBuilder& BatchSize(size_t v) { cfg_.exec.batch_size = v; return *this; }
-  ConfigBuilder& HashOps(bool v) { cfg_.exec.hash_ops = v; return *this; }
   ConfigBuilder& UsePhysicalExec(bool v) {
     cfg_.exec.use_physical_exec = v;
     return *this;
@@ -174,7 +167,7 @@ class ConfigBuilder {
 };
 
 /// Consumes the config-owned flags from an argv (`--batch-size 64`,
-/// `--workers 4`, `--no-hash-ops`, `--query-mem-budget-mb 32`, …),
+/// `--workers 4`, `--no-optimize`, `--query-mem-budget-mb 32`, …),
 /// compacting argv in place so the caller's own flag loop only sees what
 /// is left.  Every knob in the registry is reachable: value knobs as
 /// `--<knob-with-hyphens> V`, boolean knobs as `--<knob>` / `--no-<knob>`.

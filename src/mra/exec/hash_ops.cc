@@ -1,21 +1,19 @@
-#include "mra/parallel/parallel_ops.h"
+#include "mra/exec/hash_ops.h"
 
 #include <algorithm>
 #include <chrono>
 #include <mutex>
 
 #include "mra/expr/eval.h"
+#include "mra/obs/metrics.h"
+#include "mra/parallel/worker_pool.h"
 
 namespace mra {
-namespace parallel {
+namespace exec {
 
 namespace {
 
-using exec::ExecContext;
-using exec::HashKeyIndex;
-using exec::PhysicalOperator;
-using exec::Row;
-using exec::RowBatch;
+using parallel::WorkerPool;
 
 constexpr size_t kNone = static_cast<size_t>(-1);
 
@@ -26,13 +24,24 @@ uint64_t NowNs() {
           .count());
 }
 
+// Process-wide hash-operator volumes, added once per operator Close (not
+// per row).
+void CountHashRows(uint64_t build_rows, uint64_t probe_rows) {
+  static obs::Counter* build =
+      obs::MetricsRegistry::Global().GetCounter("hash.build_rows");
+  static obs::Counter* probe =
+      obs::MetricsRegistry::Global().GetCounter("hash.probe_rows");
+  build->Inc(build_rows);
+  if (probe_rows > 0) probe->Inc(probe_rows);
+}
+
 size_t NextPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
 }
 
-// Same coarse budget estimate the serial materialising operators use.
+// Same coarse budget estimate the materialising operators use.
 uint64_t ApproxRowBytes(const Row& row) {
   uint64_t bytes = sizeof(Row) + row.tuple.arity() * sizeof(Value);
   for (const Value& v : row.tuple.values()) {
@@ -108,14 +117,12 @@ struct Phase {
 
 }  // namespace
 
-// --- ParallelHashJoinOp. ---
+// --- HashJoinOp. ---
 
-ParallelHashJoinOp::ParallelHashJoinOp(std::vector<size_t> left_keys,
-                                       std::vector<size_t> right_keys,
-                                       ExprPtr residual_or_null,
-                                       exec::PhysOpPtr left,
-                                       exec::PhysOpPtr right, size_t workers,
-                                       size_t morsel_size)
+HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
+                       std::vector<size_t> right_keys, ExprPtr residual_or_null,
+                       PhysOpPtr left, PhysOpPtr right, size_t workers,
+                       size_t morsel_size)
     : left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual_or_null)),
@@ -123,13 +130,13 @@ ParallelHashJoinOp::ParallelHashJoinOp(std::vector<size_t> left_keys,
       left_(std::move(left)),
       right_(std::move(right)),
       workers_(workers),
-      morsel_size_(morsel_size == 0 ? exec::kDefaultBatchSize : morsel_size) {
+      morsel_size_(morsel_size == 0 ? kDefaultBatchSize : morsel_size) {
   MRA_CHECK_EQ(left_keys_.size(), right_keys_.size());
   MRA_CHECK(!left_keys_.empty())
-      << "ParallelHashJoin requires at least one key pair";
+      << "HashJoin requires at least one key pair";
 }
 
-Status ParallelHashJoinOp::OpenImpl() {
+Status HashJoinOp::OpenImpl() {
   staged_.clear();
   partitions_.clear();
   out_.clear();
@@ -138,7 +145,6 @@ Status ParallelHashJoinOp::OpenImpl() {
   streaming_probe_ = false;
   probe_batch_.Clear();
   probe_pos_ = 0;
-  current_left_.reset();
   chain_ = kNone;
 
   WorkerPool& pool = WorkerPool::Global();
@@ -359,12 +365,13 @@ Status ParallelHashJoinOp::OpenImpl() {
 }
 
 // One-lane fast path: the build lands straight in partitions_[0] (same
-// arena layout, no staging pass) and Next/NextBatch stream the probe
-// exactly like exec::HashJoinOp — bench/e20_parallel_scaling holds this
-// within 5% of the serial kernel.  Governance still lands per batch: the
-// children's own NextBatch wrappers check the context, and the footprint
-// notes below charge the budget as the arena grows.
-Status ParallelHashJoinOp::OpenSerial() {
+// arena layout, no staging pass) and NextBatch streams the probe.
+// Governance still lands per batch: the children's own NextBatch wrappers
+// check the context, and the footprint notes below charge the budget as
+// the arena grows.  Rows with the same key chain newest first — chain
+// order only permutes output order, which the bag stream convention does
+// not observe.
+Status HashJoinOp::OpenSerial() {
   partitions_ = std::vector<Partition>(1);
   Partition& part = partitions_[0];
   uint64_t t0 = NowNs();
@@ -394,31 +401,7 @@ Status ParallelHashJoinOp::OpenSerial() {
   return left_->Open();
 }
 
-Result<std::optional<Row>> ParallelHashJoinOp::StreamNext() {
-  const Partition& part = partitions_[0];
-  while (true) {
-    if (chain_ == kNone) {
-      MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_.has_value()) return std::optional<Row>();
-      ++metrics_.probe_rows;
-      size_t id = part.index.FindKey(current_left_->tuple, left_keys_);
-      if (id == HashKeyIndex::kNotFound) continue;
-      chain_ = part.heads[id];
-      if (chain_ == kNone) continue;
-    }
-    const Row& rhs = part.rows[chain_];
-    chain_ = part.next[chain_];
-    Tuple combined = current_left_->tuple.Concat(rhs.tuple);
-    if (residual_ != nullptr) {
-      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, combined));
-      if (!keep) continue;
-    }
-    return std::optional<Row>(
-        Row{std::move(combined), current_left_->count * rhs.count});
-  }
-}
-
-Status ParallelHashJoinOp::StreamBatch(RowBatch& out) {
+Status HashJoinOp::StreamBatch(RowBatch& out) {
   const Partition& part = partitions_[0];
   while (!out.full()) {
     if (chain_ == kNone) {
@@ -437,7 +420,7 @@ Status ParallelHashJoinOp::StreamBatch(RowBatch& out) {
       chain_ = part.heads[id];
     }
     // Concat into a recycled slot; on residual rejection truncate it back
-    // off (the exec::HashJoinOp::EmitMatch idiom).
+    // off.
     const Row& probe = probe_batch_[probe_pos_];
     Row& slot = out.AppendSlot();
     slot.tuple.AssignConcat(probe.tuple, part.rows[chain_].tuple);
@@ -452,21 +435,7 @@ Status ParallelHashJoinOp::StreamBatch(RowBatch& out) {
   return Status::OK();
 }
 
-Result<std::optional<Row>> ParallelHashJoinOp::NextImpl() {
-  if (streaming_probe_) return StreamNext();
-  while (emit_lane_ < out_.size()) {
-    std::vector<Row>& lane_out = out_[emit_lane_];
-    if (emit_pos_ < lane_out.size()) {
-      Row& r = lane_out[emit_pos_++];
-      return std::optional<Row>(Row{std::move(r.tuple), r.count});
-    }
-    ++emit_lane_;
-    emit_pos_ = 0;
-  }
-  return std::optional<Row>();
-}
-
-Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
+Status HashJoinOp::NextBatchImpl(RowBatch& out) {
   if (streaming_probe_) return StreamBatch(out);
   while (!out.full()) {
     if (emit_lane_ >= out_.size()) return Status::OK();
@@ -484,7 +453,8 @@ Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
   return Status::OK();
 }
 
-void ParallelHashJoinOp::CloseImpl() {
+void HashJoinOp::CloseImpl() {
+  CountHashRows(metrics_.build_rows, metrics_.probe_rows);
   staged_.clear();
   partitions_.clear();
   out_.clear();
@@ -493,7 +463,6 @@ void ParallelHashJoinOp::CloseImpl() {
   streaming_probe_ = false;
   probe_batch_.Clear();
   probe_pos_ = 0;
-  current_left_.reset();
   chain_ = kNone;
   // Children were closed at the end of their phases on the success path;
   // Close is idempotent, so this also covers unwinds.
@@ -501,20 +470,18 @@ void ParallelHashJoinOp::CloseImpl() {
   right_->Close();
 }
 
-// --- ParallelHashGroupByOp. ---
+// --- HashGroupByOp. ---
 
-ParallelHashGroupByOp::ParallelHashGroupByOp(std::vector<size_t> keys,
-                                             std::vector<AggSpec> aggs,
-                                             RelationSchema output_schema,
-                                             exec::PhysOpPtr child,
-                                             size_t workers,
-                                             size_t morsel_size)
+HashGroupByOp::HashGroupByOp(std::vector<size_t> keys,
+                             std::vector<AggSpec> aggs,
+                             RelationSchema output_schema, PhysOpPtr child,
+                             size_t workers, size_t morsel_size)
     : keys_(std::move(keys)),
       aggs_(std::move(aggs)),
       schema_(std::move(output_schema)),
       child_(std::move(child)),
       workers_(workers),
-      morsel_size_(morsel_size == 0 ? exec::kDefaultBatchSize : morsel_size) {
+      morsel_size_(morsel_size == 0 ? kDefaultBatchSize : morsel_size) {
   agg_types_.reserve(aggs_.size());
   for (const AggSpec& agg : aggs_) {
     agg_types_.push_back(child_->schema().TypeOf(agg.attr));
@@ -523,7 +490,7 @@ ParallelHashGroupByOp::ParallelHashGroupByOp(std::vector<size_t> keys,
   for (size_t i = 0; i < keys_.size(); ++i) key_identity_[i] = i;
 }
 
-Status ParallelHashGroupByOp::OpenImpl() {
+Status HashGroupByOp::OpenImpl() {
   lane_tables_.clear();
   merged_.clear();
   emit_part_ = 0;
@@ -697,7 +664,7 @@ Status ParallelHashGroupByOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<Row> ParallelHashGroupByOp::EmitGroup(const GroupTable& table,
+Result<Row> HashGroupByOp::EmitGroup(const GroupTable& table,
                                              size_t id) {
   // Finish() is where Def 3.3's partiality surfaces: AVG/MIN/MAX over an
   // empty group return kUndefined, which propagates out of Next/NextBatch.
@@ -711,21 +678,7 @@ Result<Row> ParallelHashGroupByOp::EmitGroup(const GroupTable& table,
   return Row{Tuple(std::move(values)), 1};
 }
 
-Result<std::optional<Row>> ParallelHashGroupByOp::NextImpl() {
-  while (emit_part_ < merged_.size()) {
-    if (emit_pos_ < merged_[emit_part_].index.size()) {
-      MRA_ASSIGN_OR_RETURN(Row row,
-                           EmitGroup(merged_[emit_part_], emit_pos_));
-      ++emit_pos_;
-      return std::optional<Row>(std::move(row));
-    }
-    ++emit_part_;
-    emit_pos_ = 0;
-  }
-  return std::optional<Row>();
-}
-
-Status ParallelHashGroupByOp::NextBatchImpl(RowBatch& out) {
+Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     if (emit_part_ >= merged_.size()) return Status::OK();
     if (emit_pos_ >= merged_[emit_part_].index.size()) {
@@ -742,7 +695,8 @@ Status ParallelHashGroupByOp::NextBatchImpl(RowBatch& out) {
   return Status::OK();
 }
 
-void ParallelHashGroupByOp::CloseImpl() {
+void HashGroupByOp::CloseImpl() {
+  CountHashRows(metrics_.build_rows, 0);
   lane_tables_.clear();
   merged_.clear();
   emit_part_ = 0;
@@ -750,29 +704,32 @@ void ParallelHashGroupByOp::CloseImpl() {
   child_->Close();
 }
 
-// --- ParallelDedupOp. ---
+// --- DedupOp. ---
 
-ParallelDedupOp::ParallelDedupOp(exec::PhysOpPtr child, size_t workers,
-                                 size_t morsel_size)
+DedupOp::DedupOp(PhysOpPtr child, size_t workers, size_t morsel_size)
     : child_(std::move(child)),
       workers_(workers),
-      morsel_size_(morsel_size == 0 ? exec::kDefaultBatchSize : morsel_size) {
+      morsel_size_(morsel_size == 0 ? kDefaultBatchSize : morsel_size) {
   identity_.resize(child_->schema().arity());
   for (size_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
 }
 
-Status ParallelDedupOp::OpenImpl() {
+Status DedupOp::OpenImpl() {
   lane_seen_.clear();
   merged_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
+  seen_.Reset();
 
   WorkerPool& pool = WorkerPool::Global();
   WorkerPool::Lease lease = pool.Admit(workers_);
   const size_t lanes = lease.lanes();
-  const size_t parts = lanes == 1 ? 1 : NextPow2(4 * lanes);
-  const size_t mask = parts - 1;
   metrics_.workers = static_cast<uint32_t>(lanes);
+  // One lane streams: NextBatch dedups each child batch in place.
+  streaming_ = lanes == 1;
+  if (streaming_) return child_->Open();
+  const size_t parts = NextPow2(4 * lanes);
+  const size_t mask = parts - 1;
   ExecContext* ctx = exec_context();
   const bool governed = ctx != nullptr;
   std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
@@ -804,7 +761,7 @@ Status ParallelDedupOp::OpenImpl() {
         if (!source.Pull(&morsel)) break;
         rows += morsel.size();
         for (const Row& row : morsel) {
-          size_t p = parts == 1 ? 0 : row.tuple.HashKey(identity_) & mask;
+          size_t p = row.tuple.HashKey(identity_) & mask;
           bool inserted = false;
           seen[p].InsertKey(row.tuple, identity_, &inserted);
         }
@@ -892,19 +849,33 @@ Status ParallelDedupOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> ParallelDedupOp::NextImpl() {
-  while (emit_part_ < merged_.size()) {
-    if (emit_pos_ < merged_[emit_part_].size()) {
-      return std::optional<Row>(
-          Row{merged_[emit_part_].key(emit_pos_++), 1});
+Status DedupOp::StreamBatch(RowBatch& out) {
+  // In place like FilterOp: the child fills `out`, first occurrences are
+  // compacted to the front with multiplicity 1, duplicates stay parked for
+  // the child's next refill.  Pull again until something survives or the
+  // child drains.
+  while (true) {
+    MRA_RETURN_IF_ERROR(child_->NextBatch(out));
+    if (out.empty()) return Status::OK();
+    metrics_.build_rows += out.size();
+    size_t kept = 0;
+    for (size_t i = 0; i < out.size(); ++i) {
+      bool inserted = false;
+      seen_.InsertKey(out[i].tuple, identity_, &inserted);
+      if (inserted) {
+        if (kept != i) std::swap(out[kept], out[i]);
+        out[kept].count = 1;
+        ++kept;
+      }
     }
-    ++emit_part_;
-    emit_pos_ = 0;
+    out.Truncate(kept);
+    MRA_RETURN_IF_ERROR(NoteHashFootprint(seen_.ApproxBytes()));
+    if (kept > 0) return Status::OK();
   }
-  return std::optional<Row>();
 }
 
-Status ParallelDedupOp::NextBatchImpl(RowBatch& out) {
+Status DedupOp::NextBatchImpl(RowBatch& out) {
+  if (streaming_) return StreamBatch(out);
   while (!out.full()) {
     if (emit_part_ >= merged_.size()) return Status::OK();
     if (emit_pos_ >= merged_[emit_part_].size()) {
@@ -919,7 +890,14 @@ Status ParallelDedupOp::NextBatchImpl(RowBatch& out) {
   return Status::OK();
 }
 
-void ParallelDedupOp::CloseImpl() {
+void DedupOp::CloseImpl() {
+  if (streaming_) {
+    metrics_.distinct_rows = seen_.size();
+    metrics_.peak_hash_entries = seen_.size();
+    seen_.Reset();
+    streaming_ = false;
+  }
+  CountHashRows(metrics_.build_rows, 0);
   lane_seen_.clear();
   merged_.clear();
   emit_part_ = 0;
@@ -927,5 +905,5 @@ void ParallelDedupOp::CloseImpl() {
   child_->Close();
 }
 
-}  // namespace parallel
+}  // namespace exec
 }  // namespace mra

@@ -16,21 +16,7 @@ namespace exec {
 
 namespace {
 
-// Process-wide hash-operator metrics, recorded once per operator
-// open/close cycle (not per row): build/probe volumes and the largest
-// arena any single operator held.
-obs::Counter* HashBuildRowsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("hash.build_rows");
-  return c;
-}
-
-obs::Counter* HashProbeRowsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("hash.probe_rows");
-  return c;
-}
-
+// The largest arena any single hash operator held, process-wide.
 void NoteHashPeakBytes(uint64_t bytes) {
   static obs::Gauge* g =
       obs::MetricsRegistry::Global().GetGauge("hash.peak_bytes");
@@ -96,6 +82,18 @@ uint64_t ApproxRelationBytes(const Relation& rel) {
   return bytes;
 }
 
+// Copies rows from `it` on into the recycled slots of `out` until it is
+// full or the relation ends: the batch kernel of every operator that
+// streams a stored or materialised relation.
+void FillFromRelation(Relation::const_iterator& it,
+                      Relation::const_iterator end, RowBatch& out) {
+  for (; it != end && !out.full(); ++it) {
+    Row& slot = out.AppendSlot();
+    slot.tuple = it->first;
+    slot.count = it->second;
+  }
+}
+
 // Per-operator batch latency distribution, only fed while exec timing is
 // on (EXPLAIN ANALYZE, or a server started with timing enabled).
 obs::Histogram* OpBatchLatency() {
@@ -144,9 +142,9 @@ void RenderAnalyzed(const PhysicalOperator& op, int depth, std::ostream& out) {
   }
   out << "  (actual rows=" << m.rows_emitted
       << " weighted=" << m.weighted_rows;
-  // `batches` and `time` render uniformly across nodes: `-` marks the
-  // row-at-a-time path (no batches) and an untimed run respectively, so
-  // the columns line up whatever mode produced the tree.
+  // `batches` and `time` render uniformly across nodes: `-` marks an
+  // operator that emitted nothing and an untimed run respectively, so the
+  // columns line up whatever produced the tree.
   out << " batches=";
   if (m.batches_emitted > 0) {
     out << m.batches_emitted;
@@ -216,32 +214,6 @@ Status PhysicalOperator::Open() {
   return s;
 }
 
-Result<std::optional<Row>> PhysicalOperator::Next() {
-  MRA_CHECK(state_ == State::kOpen) << "Next() before Open()";
-  if (exec_ctx_ != nullptr) {
-    // The row-at-a-time path checks per row; the relaxed-load cost is in
-    // the noise next to the per-row virtual dispatch it rides on.
-    Status g = exec_ctx_->Check();
-    if (!g.ok()) return g;
-  }
-  if (timing_) {
-    uint64_t t0 = NowNs();
-    Result<std::optional<Row>> row = NextImpl();
-    metrics_.next_ns += NowNs() - t0;
-    if (row.ok() && row->has_value()) {
-      ++metrics_.rows_emitted;
-      metrics_.weighted_rows += (*row)->count;
-    }
-    return row;
-  }
-  Result<std::optional<Row>> row = NextImpl();
-  if (row.ok() && row->has_value()) {
-    ++metrics_.rows_emitted;
-    metrics_.weighted_rows += (*row)->count;
-  }
-  return row;
-}
-
 Status PhysicalOperator::NextBatch(RowBatch& out) {
   MRA_CHECK(state_ == State::kOpen) << "NextBatch() before Open()";
   out.Clear();
@@ -279,18 +251,6 @@ Status PhysicalOperator::NoteHashFootprint(uint64_t bytes) {
     NoteHashPeakBytes(bytes);
   }
   return ChargeMemTo(bytes);
-}
-
-// Default adapter: any operator with only a row-at-a-time NextImpl still
-// serves batches.  Calls NextImpl directly (not the public Next()) so the
-// batch wrapper above is the single place metrics accrue.
-Status PhysicalOperator::NextBatchImpl(RowBatch& out) {
-  while (!out.full()) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, NextImpl());
-    if (!row.has_value()) break;
-    out.Add(*std::move(row));
-  }
-  return Status::OK();
 }
 
 void PhysicalOperator::Close() {
@@ -332,21 +292,12 @@ std::string RenderPlanWithMetrics(const PhysicalOperator& root) {
 Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t batch_size) {
   MRA_RETURN_IF_ERROR(op.Open());
   Relation out(op.schema());
-  if (batch_size == 0) {
-    // Legacy row-at-a-time drain.
-    while (true) {
-      MRA_ASSIGN_OR_RETURN(std::optional<Row> row, op.Next());
-      if (!row.has_value()) break;
-      out.InsertUnchecked(std::move(row->tuple), row->count);
-    }
-  } else {
-    RowBatch batch(batch_size);
-    while (true) {
-      MRA_RETURN_IF_ERROR(op.NextBatch(batch));
-      if (batch.empty()) break;
-      for (Row& row : batch) {
-        out.InsertUnchecked(std::move(row.tuple), row.count);
-      }
+  RowBatch batch(batch_size);
+  while (true) {
+    MRA_RETURN_IF_ERROR(op.NextBatch(batch));
+    if (batch.empty()) break;
+    for (Row& row : batch) {
+      out.InsertUnchecked(std::move(row.tuple), row.count);
     }
   }
   op.Close();
@@ -374,13 +325,6 @@ Status ScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> ScanOp::NextImpl() {
-  if (it_ == relation_->end()) return std::optional<Row>();
-  Row row{columns_ ? it_->first.Project(*columns_) : it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
-}
-
 Status ScanOp::NextBatchImpl(RowBatch& out) {
   // Assign into the recycled slot: the tuple's value storage from the
   // previous batch is reused, so a steady-state scan never allocates.
@@ -392,11 +336,7 @@ Status ScanOp::NextBatchImpl(RowBatch& out) {
     }
     return Status::OK();
   }
-  for (; it_ != relation_->end() && !out.full(); ++it_) {
-    Row& slot = out.AppendSlot();
-    slot.tuple = it_->first;
-    slot.count = it_->second;
-  }
+  FillFromRelation(it_, relation_->end(), out);
   return Status::OK();
 }
 
@@ -415,19 +355,8 @@ Status ConstScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> ConstScanOp::NextImpl() {
-  if (it_ == relation_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
-}
-
 Status ConstScanOp::NextBatchImpl(RowBatch& out) {
-  for (; it_ != relation_.end() && !out.full(); ++it_) {
-    Row& slot = out.AppendSlot();
-    slot.tuple = it_->first;
-    slot.count = it_->second;
-  }
+  FillFromRelation(it_, relation_.end(), out);
   return Status::OK();
 }
 
@@ -445,15 +374,6 @@ FilterOp::FilterOp(ExprPtr condition, PhysOpPtr child)
 Status FilterOp::OpenImpl() {
   compiled_ = CompiledPredicate::Compile(condition_, child_->schema());
   return child_->Open();
-}
-
-Result<std::optional<Row>> FilterOp::NextImpl() {
-  while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) return row;
-    MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*condition_, row->tuple));
-    if (keep) return row;
-  }
 }
 
 Status FilterOp::NextBatchImpl(RowBatch& out) {
@@ -503,13 +423,6 @@ Status ComputeOp::OpenImpl() {
   return child_->Open();
 }
 
-Result<std::optional<Row>> ComputeOp::NextImpl() {
-  MRA_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-  if (!row.has_value()) return row;
-  MRA_ASSIGN_OR_RETURN(Tuple projected, ProjectTuple(exprs_, row->tuple));
-  return std::optional<Row>(Row{std::move(projected), row->count});
-}
-
 Status ComputeOp::NextBatchImpl(RowBatch& out) {
   // In-place: the child fills `out` and each row's tuple is rewritten
   // where it sits (multiplicities pass through unchanged).
@@ -533,110 +446,6 @@ Status ComputeOp::NextBatchImpl(RowBatch& out) {
 
 void ComputeOp::CloseImpl() { child_->Close(); }
 
-// --- DedupOp. ---
-
-DedupOp::DedupOp(PhysOpPtr child) : child_(std::move(child)) {
-  identity_.resize(child_->schema().arity());
-  for (size_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
-}
-
-Status DedupOp::OpenImpl() {
-  seen_.Reset();
-  return child_->Open();
-}
-
-Result<std::optional<Row>> DedupOp::NextImpl() {
-  while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) return row;
-    ++metrics_.build_rows;
-    bool inserted = false;
-    seen_.InsertKey(row->tuple, identity_, &inserted);
-    if (inserted) {
-      MRA_RETURN_IF_ERROR(NoteHashFootprint(seen_.ApproxBytes()));
-      return std::optional<Row>(Row{std::move(row->tuple), 1});
-    }
-  }
-}
-
-Status DedupOp::NextBatchImpl(RowBatch& out) {
-  // In-place like FilterOp: the child fills `out`, first occurrences are
-  // compacted to the front with multiplicity 1, duplicates stay parked for
-  // the child's next refill.  Pull again until something survives or the
-  // child drains.
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(out));
-    if (out.empty()) return Status::OK();
-    metrics_.build_rows += out.size();
-    size_t kept = 0;
-    for (size_t i = 0; i < out.size(); ++i) {
-      bool inserted = false;
-      seen_.InsertKey(out[i].tuple, identity_, &inserted);
-      if (inserted) {
-        if (kept != i) std::swap(out[kept], out[i]);
-        out[kept].count = 1;
-        ++kept;
-      }
-    }
-    out.Truncate(kept);
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(seen_.ApproxBytes()));
-    if (kept > 0) return Status::OK();
-  }
-}
-
-void DedupOp::CloseImpl() {
-  metrics_.distinct_rows = seen_.size();
-  metrics_.peak_hash_entries = seen_.size();
-  metrics_.hash_bytes = seen_.ApproxBytes();
-  HashBuildRowsCounter()->Inc(metrics_.build_rows);
-  NoteHashPeakBytes(metrics_.hash_bytes);
-  seen_.Reset();
-  child_->Close();
-}
-
-// --- SortDedupOp. ---
-
-SortDedupOp::SortDedupOp(PhysOpPtr child) : child_(std::move(child)) {}
-
-Status SortDedupOp::OpenImpl() {
-  tuples_.clear();
-  pos_ = 0;
-  MRA_RETURN_IF_ERROR(child_->Open());
-  RowBatch batch;
-  uint64_t materialized_bytes = 0;
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(batch));
-    if (batch.empty()) break;
-    for (Row& row : batch) {
-      materialized_bytes += ApproxTupleBytes(row.tuple);
-      tuples_.push_back(std::move(row.tuple));
-    }
-    // Budget check per input batch, so a runaway sort input is caught
-    // while it grows, not after it is fully resident.
-    MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));
-  }
-  child_->Close();
-  std::sort(tuples_.begin(), tuples_.end(),
-            [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
-  tuples_.erase(std::unique(tuples_.begin(), tuples_.end(),
-                            [](const Tuple& a, const Tuple& b) {
-                              return a.Equals(b);
-                            }),
-                tuples_.end());
-  metrics_.distinct_rows = tuples_.size();
-  return Status::OK();
-}
-
-Result<std::optional<Row>> SortDedupOp::NextImpl() {
-  if (pos_ == tuples_.size()) return std::optional<Row>();
-  return std::optional<Row>(Row{std::move(tuples_[pos_++]), 1});
-}
-
-void SortDedupOp::CloseImpl() {
-  tuples_.clear();
-  tuples_.shrink_to_fit();
-}
-
 // --- UnionAllOp. ---
 
 UnionAllOp::UnionAllOp(PhysOpPtr left, PhysOpPtr right)
@@ -649,15 +458,6 @@ Status UnionAllOp::OpenImpl() {
   on_right_ = false;
   MRA_RETURN_IF_ERROR(left_->Open());
   return right_->Open();
-}
-
-Result<std::optional<Row>> UnionAllOp::NextImpl() {
-  if (!on_right_) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, left_->Next());
-    if (row.has_value()) return row;
-    on_right_ = true;
-  }
-  return right_->Next();
 }
 
 Status UnionAllOp::NextBatchImpl(RowBatch& out) {
@@ -704,11 +504,9 @@ Status DifferenceOp::OpenImpl() {
   return ChargeMemTo(ApproxRelationBytes(result_));
 }
 
-Result<std::optional<Row>> DifferenceOp::NextImpl() {
-  if (it_ == result_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
+Status DifferenceOp::NextBatchImpl(RowBatch& out) {
+  FillFromRelation(it_, result_.end(), out);
+  return Status::OK();
 }
 
 void DifferenceOp::CloseImpl() { result_.Clear(); }
@@ -738,11 +536,9 @@ Status IntersectOp::OpenImpl() {
   return ChargeMemTo(ApproxRelationBytes(result_));
 }
 
-Result<std::optional<Row>> IntersectOp::NextImpl() {
-  if (it_ == result_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
+Status IntersectOp::NextBatchImpl(RowBatch& out) {
+  FillFromRelation(it_, result_.end(), out);
+  return Status::OK();
 }
 
 void IntersectOp::CloseImpl() { result_.Clear(); }
@@ -758,186 +554,57 @@ NestedLoopJoinOp::NestedLoopJoinOp(ExprPtr condition_or_null, PhysOpPtr left,
 
 Status NestedLoopJoinOp::OpenImpl() {
   right_rows_.clear();
+  left_batch_.Clear();
+  left_pos_ = 0;
+  right_pos_ = 0;
   MRA_RETURN_IF_ERROR(right_->Open());
   uint64_t materialized_bytes = 0;
-  while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, right_->Next());
-    if (!row.has_value()) break;
-    materialized_bytes += ApproxTupleBytes(row->tuple) + sizeof(Row);
-    right_rows_.push_back(std::move(*row));
-    MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));
-  }
-  right_->Close();
-  current_left_.reset();
-  right_pos_ = 0;
-  return left_->Open();
-}
-
-Result<std::optional<Row>> NestedLoopJoinOp::NextImpl() {
-  while (true) {
-    if (!current_left_.has_value()) {
-      MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_.has_value()) return std::optional<Row>();
-      right_pos_ = 0;
-    }
-    while (right_pos_ < right_rows_.size()) {
-      const Row& rhs = right_rows_[right_pos_++];
-      Tuple combined = current_left_->tuple.Concat(rhs.tuple);
-      if (condition_ != nullptr) {
-        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*condition_, combined));
-        if (!keep) continue;
-      }
-      return std::optional<Row>(
-          Row{std::move(combined), current_left_->count * rhs.count});
-    }
-    current_left_.reset();
-  }
-}
-
-void NestedLoopJoinOp::CloseImpl() {
-  right_rows_.clear();
-  left_->Close();
-}
-
-// --- HashJoinOp. ---
-
-HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
-                       std::vector<size_t> right_keys,
-                       ExprPtr residual_or_null, PhysOpPtr left,
-                       PhysOpPtr right)
-    : left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      residual_(std::move(residual_or_null)),
-      schema_(left->schema().Concat(right->schema())),
-      left_(std::move(left)),
-      right_(std::move(right)) {
-  MRA_CHECK_EQ(left_keys_.size(), right_keys_.size());
-  MRA_CHECK(!left_keys_.empty()) << "HashJoin requires at least one key pair";
-}
-
-Status HashJoinOp::OpenImpl() {
-  // Build phase: drain the right child into the recycled arena.  Rows with
-  // the same key are chained through `next_` off the key's `heads_` entry,
-  // newest first — chain order only permutes output order, which the bag
-  // stream convention does not observe.
-  index_.Reset();
-  heads_.clear();
-  build_size_ = 0;
-  probe_batch_.Clear();
-  probe_pos_ = 0;
-  current_left_.reset();
-  chain_ = kNone;
-
-  MRA_RETURN_IF_ERROR(right_->Open());
-  auto footprint = [this] {
-    return index_.ApproxBytes() + heads_.capacity() * sizeof(size_t) +
-           next_.capacity() * sizeof(size_t) +
-           build_rows_.capacity() * sizeof(Row);
-  };
   RowBatch batch;
   while (true) {
     MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
     if (batch.empty()) break;
     for (Row& row : batch) {
-      bool inserted = false;
-      size_t id = index_.InsertKey(row.tuple, right_keys_, &inserted);
-      if (inserted) heads_.push_back(kNone);
-      if (build_size_ == build_rows_.size()) {
-        build_rows_.emplace_back();
-        next_.emplace_back();
-      }
-      // Copy-assign into the (possibly parked) slot so its buffers recycle.
-      build_rows_[build_size_].tuple = row.tuple;
-      build_rows_[build_size_].count = row.count;
-      next_[build_size_] = heads_[id];
-      heads_[id] = build_size_;
-      ++build_size_;
+      materialized_bytes += ApproxTupleBytes(row.tuple) + sizeof(Row);
+      right_rows_.push_back(std::move(row));
     }
-    // Per-batch: budget check plus live hash_bytes / hash.peak_bytes so
-    // `\top` sees the build while it grows.
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(footprint()));
+    MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));
   }
   right_->Close();
-
-  metrics_.build_rows = build_size_;
-  metrics_.peak_hash_entries = index_.size();
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(footprint()));
   return left_->Open();
 }
 
-Result<bool> HashJoinOp::EmitMatch(const Row& probe, size_t match,
-                                   RowBatch& out) {
-  Row& slot = out.AppendSlot();
-  slot.tuple.AssignConcat(probe.tuple, build_rows_[match].tuple);
-  slot.count = probe.count * build_rows_[match].count;
-  if (residual_ != nullptr) {
-    MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
-    if (!keep) {
-      out.Truncate(out.size() - 1);
-      return false;
-    }
-  }
-  return true;
-}
-
-Result<std::optional<Row>> HashJoinOp::NextImpl() {
-  while (true) {
-    if (chain_ == kNone) {
-      MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_.has_value()) return std::optional<Row>();
-      ++metrics_.probe_rows;
-      size_t id = index_.FindKey(current_left_->tuple, left_keys_);
-      if (id == HashKeyIndex::kNotFound) continue;
-      chain_ = heads_[id];
-      if (chain_ == kNone) continue;
-    }
-    const Row& rhs = build_rows_[chain_];
-    chain_ = next_[chain_];
-    Tuple combined = current_left_->tuple.Concat(rhs.tuple);
-    if (residual_ != nullptr) {
-      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, combined));
-      if (!keep) continue;
-    }
-    return std::optional<Row>(
-        Row{std::move(combined), current_left_->count * rhs.count});
-  }
-}
-
-Status HashJoinOp::NextBatchImpl(RowBatch& out) {
+Status NestedLoopJoinOp::NextBatchImpl(RowBatch& out) {
+  // Pairs the current left row with right rows from right_pos_ on,
+  // concatenating into recycled slots; a pair the condition rejects is
+  // truncated back off.
   while (!out.full()) {
-    if (chain_ == kNone) {
-      if (probe_pos_ == probe_batch_.size()) {
-        MRA_RETURN_IF_ERROR(left_->NextBatch(probe_batch_));
-        probe_pos_ = 0;
-        if (probe_batch_.empty()) return Status::OK();
-      }
-      ++metrics_.probe_rows;
-      size_t id = index_.FindKey(probe_batch_[probe_pos_].tuple, left_keys_);
-      if (id == HashKeyIndex::kNotFound || heads_[id] == kNone) {
-        ++probe_pos_;
-        continue;
-      }
-      chain_ = heads_[id];
+    if (left_pos_ == left_batch_.size()) {
+      MRA_RETURN_IF_ERROR(left_->NextBatch(left_batch_));
+      left_pos_ = 0;
+      if (left_batch_.empty()) return Status::OK();
     }
-    MRA_ASSIGN_OR_RETURN(bool emitted,
-                         EmitMatch(probe_batch_[probe_pos_], chain_, out));
-    (void)emitted;
-    chain_ = next_[chain_];
-    if (chain_ == kNone) ++probe_pos_;
+    const Row& lhs = left_batch_[left_pos_];
+    while (right_pos_ < right_rows_.size() && !out.full()) {
+      const Row& rhs = right_rows_[right_pos_++];
+      Row& slot = out.AppendSlot();
+      slot.tuple.AssignConcat(lhs.tuple, rhs.tuple);
+      slot.count = lhs.count * rhs.count;
+      if (condition_ != nullptr) {
+        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*condition_, slot.tuple));
+        if (!keep) out.Truncate(out.size() - 1);
+      }
+    }
+    if (right_pos_ == right_rows_.size()) {
+      right_pos_ = 0;
+      ++left_pos_;
+    }
   }
   return Status::OK();
 }
 
-void HashJoinOp::CloseImpl() {
-  HashBuildRowsCounter()->Inc(metrics_.build_rows);
-  HashProbeRowsCounter()->Inc(metrics_.probe_rows);
-  NoteHashPeakBytes(metrics_.hash_bytes);
-  index_.Reset();
-  build_size_ = 0;
-  probe_batch_.Clear();
-  probe_pos_ = 0;
-  current_left_.reset();
-  chain_ = kNone;
+void NestedLoopJoinOp::CloseImpl() {
+  right_rows_.clear();
+  left_batch_.Clear();
   left_->Close();
 }
 
@@ -956,11 +623,9 @@ Status ClosureOp::OpenImpl() {
   return ChargeMemTo(ApproxRelationBytes(result_));
 }
 
-Result<std::optional<Row>> ClosureOp::NextImpl() {
-  if (it_ == result_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
+Status ClosureOp::NextBatchImpl(RowBatch& out) {
+  FillFromRelation(it_, result_.end(), out);
+  return Status::OK();
 }
 
 void ClosureOp::CloseImpl() { result_.Clear(); }
@@ -985,19 +650,8 @@ Status SubplanCacheOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> SubplanCacheOp::NextImpl() {
-  if (it_ == state_->cached.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
-}
-
 Status SubplanCacheOp::NextBatchImpl(RowBatch& out) {
-  for (; it_ != state_->cached.end() && !out.full(); ++it_) {
-    Row& slot = out.AppendSlot();
-    slot.tuple = it_->first;
-    slot.count = it_->second;
-  }
+  FillFromRelation(it_, state_->cached.end(), out);
   return Status::OK();
 }
 
@@ -1012,104 +666,6 @@ std::vector<const PhysicalOperator*> SubplanCacheOp::children() const {
   // leaves, so EXPLAIN shows the subplan once.
   if (owner_) return {state_->source.get()};
   return {};
-}
-
-// --- HashGroupByOp. ---
-
-HashGroupByOp::HashGroupByOp(std::vector<size_t> keys,
-                             std::vector<AggSpec> aggs,
-                             RelationSchema output_schema, PhysOpPtr child)
-    : keys_(std::move(keys)),
-      aggs_(std::move(aggs)),
-      schema_(std::move(output_schema)),
-      child_(std::move(child)) {}
-
-Status HashGroupByOp::OpenImpl() {
-  // Aggregation phase: drain the child, folding every row into its group's
-  // accumulators.  InsertKey assigns dense ids in first-occurrence order,
-  // so the flat accumulator array grows strictly at the tail and
-  // accs_[id * aggs_.size() + i] addresses group id's i-th aggregate.
-  const RelationSchema& in_schema = child_->schema();
-  index_.Reset();
-  accs_.clear();
-  emit_pos_ = 0;
-  auto append_accumulators = [&] {
-    for (const AggSpec& agg : aggs_) {
-      accs_.emplace_back(agg.kind, in_schema.TypeOf(agg.attr));
-    }
-  };
-
-  MRA_RETURN_IF_ERROR(child_->Open());
-  auto footprint = [this] {
-    return index_.ApproxBytes() + accs_.capacity() * sizeof(AggAccumulator);
-  };
-  RowBatch batch;
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(batch));
-    if (batch.empty()) break;
-    metrics_.build_rows += batch.size();
-    for (const Row& row : batch) {
-      bool inserted = false;
-      size_t id = index_.InsertKey(row.tuple, keys_, &inserted);
-      if (inserted) append_accumulators();
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        accs_[id * aggs_.size() + i].Add(row.tuple.at(aggs_[i].attr),
-                                         row.count);
-      }
-    }
-    // Per-batch: budget check plus live hash_bytes / hash.peak_bytes.
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(footprint()));
-  }
-  child_->Close();
-
-  // Def 3.3: Γ over an empty relation with no grouping attributes still
-  // denotes the one global group (whose AVG/MIN/MAX are then undefined).
-  if (keys_.empty() && index_.empty()) {
-    bool inserted = false;
-    index_.InsertKey(Tuple{}, keys_, &inserted);
-    append_accumulators();
-  }
-  metrics_.peak_hash_entries = index_.size();
-  metrics_.distinct_rows = index_.size();
-  return NoteHashFootprint(footprint());
-}
-
-Result<Row> HashGroupByOp::EmitGroup(size_t id) {
-  // Finish() is where Def 3.3's partiality surfaces: AVG/MIN/MAX over an
-  // empty group return kUndefined, which propagates out of Next/NextBatch.
-  std::vector<Value> values = index_.key(id).values();
-  values.reserve(keys_.size() + aggs_.size());
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    MRA_ASSIGN_OR_RETURN(Value v, accs_[id * aggs_.size() + i].Finish());
-    values.push_back(std::move(v));
-  }
-  return Row{Tuple(std::move(values)), 1};
-}
-
-Result<std::optional<Row>> HashGroupByOp::NextImpl() {
-  if (emit_pos_ == index_.size()) return std::optional<Row>();
-  MRA_ASSIGN_OR_RETURN(Row row, EmitGroup(emit_pos_));
-  ++emit_pos_;
-  return std::optional<Row>(std::move(row));
-}
-
-Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
-  while (!out.full() && emit_pos_ < index_.size()) {
-    MRA_ASSIGN_OR_RETURN(Row row, EmitGroup(emit_pos_));
-    ++emit_pos_;
-    Row& slot = out.AppendSlot();
-    slot.tuple = std::move(row.tuple);
-    slot.count = row.count;
-  }
-  return Status::OK();
-}
-
-void HashGroupByOp::CloseImpl() {
-  HashBuildRowsCounter()->Inc(metrics_.build_rows);
-  NoteHashPeakBytes(metrics_.hash_bytes);
-  index_.Reset();
-  accs_.clear();
-  emit_pos_ = 0;
 }
 
 // --- Equi-join key extraction. ---

@@ -1,5 +1,5 @@
-// Physical operators: a volcano-style (Open/Next/Close) executor whose rows
-// are (tuple, multiplicity) pairs.  Streaming multiplicities instead of
+// Physical operators: a batch-at-a-time executor whose rows are
+// (tuple, multiplicity) pairs.  Streaming multiplicities instead of
 // repeated tuples is the practical payoff of the paper's multi-set
 // semantics: a tuple occurring a thousand times costs one row.
 //
@@ -8,23 +8,22 @@
 // exact per-tuple totals (difference, intersection, group-by) materialise
 // internally.
 //
-// The public Open/Next/Close entry points are non-virtual wrappers around
-// the per-operator OpenImpl/NextImpl/CloseImpl hooks.  The wrappers own the
-// operator lifecycle contract — Open before Next, Close idempotent, Close
-// without Open a no-op — and collect per-operator execution metrics
-// (obs::OperatorMetrics): emitted rows and multiplicity-weighted counts
-// always, wall time when obs::ExecTimingEnabled() (EXPLAIN ANALYZE flips
-// it around a run).
+// The one protocol is Open / NextBatch* / Close.  The public entry points
+// are non-virtual wrappers around the per-operator OpenImpl /
+// NextBatchImpl / CloseImpl hooks.  The wrappers own the operator
+// lifecycle contract — Open before NextBatch, Close idempotent, Close
+// without Open a no-op — run the governance check once per batch, and
+// collect per-operator execution metrics (obs::OperatorMetrics): emitted
+// rows, batches and multiplicity-weighted counts always, wall time when
+// obs::ExecTimingEnabled() (EXPLAIN ANALYZE flips it around a run).  One
+// virtual call and one metrics update amortize over up to a whole batch
+// of rows, and filter/projection compile their expressions once per Open
+// instead of tree-walking per row.  A drained batch (out.empty() after a
+// successful call) is end of stream; a consumer that wants one row at a
+// time pulls with a capacity-1 batch.
 //
-// Batch-at-a-time execution: NextBatch(RowBatch&) is the same wrapper
-// pattern over NextBatchImpl, which by default loops NextImpl so every
-// operator speaks both protocols.  Hot pipeline operators (scan, filter,
-// projection, union) override NextBatchImpl natively: one virtual call and
-// one metrics update amortize over up to a whole batch of rows, and
-// filter/projection compile their expressions once per Open instead of
-// tree-walking per row.  A drained batch (out.empty() after a successful
-// call) is end of stream.  The two protocols share cursor state — consume
-// an open operator through one of them, not both interleaved.
+// The hash kernels (⋈, Γ, δ) are in hash_ops.h; sort and the sort-merge
+// ⋈ are in sort.h.
 
 #ifndef MRA_EXEC_OPERATOR_H_
 #define MRA_EXEC_OPERATOR_H_
@@ -32,14 +31,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "mra/algebra/aggregate.h"
 #include "mra/core/relation.h"
 #include "mra/exec/exec_context.h"
-#include "mra/exec/hash_table.h"
 #include "mra/expr/eval.h"
 #include "mra/expr/scalar_expr.h"
 #include "mra/obs/op_metrics.h"
@@ -127,12 +122,9 @@ class PhysicalOperator {
   virtual ~PhysicalOperator() = default;
 
   /// Prepares the operator (builds hash tables, opens children).  Must be
-  /// called before Next(); reopening a Closed operator restarts it (and
+  /// called before NextBatch(); reopening a Closed operator restarts it (and
   /// resets its metrics), reopening an Open one is a programming error.
   Status Open();
-
-  /// Produces the next row, or nullopt at end of stream.
-  Result<std::optional<Row>> Next();
 
   /// Produces the next batch of rows: clears `out`, then fills it with up
   /// to out.capacity() rows.  An empty `out` after a successful call is
@@ -162,7 +154,7 @@ class PhysicalOperator {
 
   /// Free-form planner note rendered next to the operator name in EXPLAIN
   /// output ("keys: %2=%4", "fallback: predicate not hashable", …) — how
-  /// the lowering choice between hash and legacy operators stays visible.
+  /// the planner's lowering choices stay visible.
   const std::string& annotation() const { return annotation_; }
   void set_annotation(std::string note) { annotation_ = std::move(note); }
 
@@ -184,14 +176,10 @@ class PhysicalOperator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  virtual Result<std::optional<Row>> NextImpl() = 0;
-  virtual void CloseImpl() = 0;
-
   /// Fills `out` (already cleared) with up to out.capacity() rows; leave
-  /// it empty at end of stream.  The default adapter loops NextImpl, so
-  /// row-at-a-time operators work batched unchanged; hot operators
-  /// override it to amortize work across the whole batch.
-  virtual Status NextBatchImpl(RowBatch& out);
+  /// it empty at end of stream.
+  virtual Status NextBatchImpl(RowBatch& out) = 0;
+  virtual void CloseImpl() = 0;
 
   /// Memory accounting against the per-query budget.  ChargeMemTo makes
   /// this operator's cumulative charge equal `total_bytes` (charging or
@@ -236,9 +224,8 @@ class PhysicalOperator {
 using PhysOpPtr = std::unique_ptr<PhysicalOperator>;
 
 /// Drains `op` (Open/NextBatch*/Close) into a materialised relation,
-/// pulling `batch_size` rows per call; batch_size 0 selects the legacy
-/// row-at-a-time Next() loop (kept for differential testing and the
-/// tuple-vs-batch benchmarks).
+/// pulling `batch_size` rows per call (0 means kDefaultBatchSize, as for
+/// RowBatch).
 Result<Relation> ExecuteToRelation(PhysicalOperator& op,
                                    size_t batch_size = kDefaultBatchSize);
 
@@ -269,7 +256,6 @@ class ScanOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -290,7 +276,6 @@ class ConstScanOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -314,7 +299,6 @@ class FilterOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -339,7 +323,6 @@ class ComputeOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -352,56 +335,6 @@ class ComputeOp final : public PhysicalOperator {
   /// in-place rewrite through `scratch_`.
   std::optional<std::vector<size_t>> attr_only_;
   Tuple scratch_;
-};
-
-/// δ — streaming hash duplicate elimination: first occurrence passes with
-/// multiplicity 1, later occurrences are dropped.  The seen-set is a
-/// recycled HashKeyIndex; the native batch kernel compacts survivors in
-/// place (FilterOp-style), so a drain stays allocation-free once warm.
-class DedupOp final : public PhysicalOperator {
- public:
-  explicit DedupOp(PhysOpPtr child);
-
-  const RelationSchema& schema() const override { return child_->schema(); }
-  std::string_view name() const override { return "Dedup"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  PhysOpPtr child_;
-  HashKeyIndex seen_;
-  std::vector<size_t> identity_;  // 0, 1, …, arity-1: δ keys on all attrs.
-};
-
-/// δ via materialise + sort + adjacent-unique: the hash-free fallback
-/// (selected when hash operators are disabled) and the legacy comparator
-/// for bench/e16_hash_ops.
-class SortDedupOp final : public PhysicalOperator {
- public:
-  explicit SortDedupOp(PhysOpPtr child);
-
-  const RelationSchema& schema() const override { return child_->schema(); }
-  std::string_view name() const override { return "SortDedup"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  void CloseImpl() override;
-
- private:
-  PhysOpPtr child_;
-  std::vector<Tuple> tuples_;  // Sorted, uniqued on Open.
-  size_t pos_ = 0;
 };
 
 // --- Binary operators. ---
@@ -420,7 +353,6 @@ class UnionAllOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -443,7 +375,7 @@ class DifferenceOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -466,7 +398,7 @@ class IntersectOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -494,7 +426,7 @@ class NestedLoopJoinOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -503,68 +435,11 @@ class NestedLoopJoinOp final : public PhysicalOperator {
   PhysOpPtr left_;
   PhysOpPtr right_;
   std::vector<Row> right_rows_;
-  std::optional<Row> current_left_;
+  // Probe cursor: the current left batch, the left row in it and the
+  // next right row to pair with it.
+  RowBatch left_batch_;
+  size_t left_pos_ = 0;
   size_t right_pos_ = 0;
-};
-
-/// ⋈ on equi-key conjuncts %i = %j: builds a hash table over the right
-/// input keyed by its key attributes, probes with left rows, and applies
-/// the residual condition (non-equi conjuncts) to survivors.  Output
-/// multiplicity is the product of the matched input multiplicities
-/// (Definition 3.1 via Theorem 3.1's σ_φ(E1 × E2) equivalence).
-///
-/// The build side lives in a recycled arena: a HashKeyIndex over the key
-/// projection plus per-key chains through flat row storage.  The native
-/// batch kernel pulls whole probe batches, hashes each probe row's key
-/// attributes in place (no key tuple materialised) and concatenates match
-/// rows into recycled output slots.
-class HashJoinOp final : public PhysicalOperator {
- public:
-  /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
-  /// side).  `residual_or_null` is evaluated over the concatenated tuple.
-  HashJoinOp(std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-             ExprPtr residual_or_null, PhysOpPtr left, PhysOpPtr right);
-
-  const RelationSchema& schema() const override { return schema_; }
-  std::string_view name() const override { return "HashJoin"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
-
-  /// Appends probe ⊕ build_rows_[match] to `out` (recycled slot), applying
-  /// the residual; on residual rejection the slot is truncated back off.
-  Result<bool> EmitMatch(const Row& probe, size_t match, RowBatch& out);
-
-  std::vector<size_t> left_keys_;
-  std::vector<size_t> right_keys_;
-  ExprPtr residual_;
-  RelationSchema schema_;
-  PhysOpPtr left_;
-  PhysOpPtr right_;
-
-  // Build arena, all recycled across Opens: key index, per-key chain heads
-  // (id-indexed), flat build rows with next-links.
-  HashKeyIndex index_;
-  std::vector<size_t> heads_;
-  std::vector<Row> build_rows_;  // Parked past build_size_.
-  std::vector<size_t> next_;
-  size_t build_size_ = 0;
-
-  // Probe cursor, shared by both protocols: the current probe row and its
-  // position in the match chain (kNone = fetch the next probe row).
-  RowBatch probe_batch_;
-  size_t probe_pos_ = 0;
-  std::optional<Row> current_left_;  // Row-protocol probe row.
-  size_t chain_ = kNone;
 };
 
 /// Transitive closure (§5 extension): materialises the child on Open and
@@ -581,7 +456,7 @@ class ClosureOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -617,7 +492,6 @@ class SubplanCacheOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -625,44 +499,6 @@ class SubplanCacheOp final : public PhysicalOperator {
   std::shared_ptr<SubplanState> state_;
   bool owner_;
   Relation::const_iterator it_;
-};
-
-/// Γ — hash aggregation (Definition 3.4 with the Definition 3.3
-/// multiplicity-weighted aggregates).  Builds the group table on Open by
-/// draining the child batch-at-a-time into a recycled HashKeyIndex with a
-/// flat accumulator arena (group id × aggregate), then streams one output
-/// row per group, finishing accumulators lazily — AVG/MIN/MAX partiality
-/// over an empty input surfaces as kUndefined at emission, exactly like
-/// the definitional operator.
-class HashGroupByOp final : public PhysicalOperator {
- public:
-  HashGroupByOp(std::vector<size_t> keys, std::vector<AggSpec> aggs,
-                RelationSchema output_schema, PhysOpPtr child);
-
-  const RelationSchema& schema() const override { return schema_; }
-  std::string_view name() const override { return "HashGroupBy"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  /// The output row for one group id: key attributes ⊕ finished aggregates.
-  Result<Row> EmitGroup(size_t id);
-
-  std::vector<size_t> keys_;
-  std::vector<AggSpec> aggs_;
-  RelationSchema schema_;
-  PhysOpPtr child_;
-
-  HashKeyIndex index_;
-  std::vector<AggAccumulator> accs_;  // index_.size() × aggs_.size(), flat.
-  size_t emit_pos_ = 0;
 };
 
 /// Extracts equi-join key pairs from a join condition over a concatenated

@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "mra/common/annotation.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/sort.h"
 #include "mra/obs/metrics.h"
-#include "mra/parallel/parallel_ops.h"
 
 namespace mra {
 namespace exec {
@@ -63,18 +63,18 @@ bool PickSortMergeJoin(const PlanPtr& plan, const LowerContext& ctx) {
   return build_rows * row_bytes > static_cast<double>(budget);
 }
 
-/// Lane count for a hash operator's parallel variant: the configured
-/// worker degree when parallelism is on and the node's estimated input
-/// volume (build + probe sides for a join) reaches the threshold, else 0
-/// (stay serial).  With no estimator the planner never guesses parallel.
+/// Lane count for a hash operator: the configured worker degree when the
+/// node's estimated input volume (build + probe sides for a join) reaches
+/// the threshold, else 1.  With no estimator the planner never guesses
+/// parallel.
 size_t ParallelLanes(const PlanPtr& plan, const LowerContext& ctx) {
   const ExecConfig::Exec& e = ctx.config.exec;
-  if (e.workers <= 1 || !e.hash_ops || ctx.estimator == nullptr) return 0;
+  if (e.workers <= 1 || ctx.estimator == nullptr) return 1;
   double input = 0;
   for (const PlanPtr& child : plan->children()) {
     input += (*ctx.estimator)(*child);
   }
-  if (input < static_cast<double>(e.parallel_threshold)) return 0;
+  if (input < static_cast<double>(e.parallel_threshold)) return 1;
   return e.workers;
 }
 
@@ -142,19 +142,13 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
     case PlanKind::kUnique: {
       size_t lanes = ParallelLanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
-      if (!ctx.config.exec.hash_ops) {
-        PhysOpPtr op(std::make_unique<SortDedupOp>(std::move(child)));
-        op->set_annotation(AnnotationText("fallback", "hash ops disabled"));
-        return op;
-      }
-      if (lanes > 0) {
-        PhysOpPtr op(std::make_unique<parallel::ParallelDedupOp>(
-            std::move(child), lanes, ctx.config.exec.morsel_size));
+      PhysOpPtr op(std::make_unique<DedupOp>(std::move(child), lanes,
+                                             ctx.config.exec.morsel_size));
+      if (lanes > 1) {
         op->set_annotation(
             AnnotationText("parallel", std::to_string(lanes) + " lanes"));
-        return op;
       }
-      return PhysOpPtr(std::make_unique<DedupOp>(std::move(child)));
+      return op;
     }
     case PlanKind::kUnion: {
       MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
@@ -187,8 +181,7 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       std::vector<size_t> left_keys, right_keys;
       ExprPtr residual;
       size_t left_arity = plan->child(0)->schema().arity();
-      if (ctx.config.exec.hash_ops &&
-          ExtractEquiJoinKeys(plan->condition(), plan->schema(), left_arity,
+      if (ExtractEquiJoinKeys(plan->condition(), plan->schema(), left_arity,
                               &left_keys, &right_keys, &residual)) {
         std::string keys;
         for (size_t i = 0; i < left_keys.size(); ++i) {
@@ -204,43 +197,31 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
               AnnotationText("strategy", "sort-merge, keys " + keys));
           return op;
         }
-        if (lanes > 0) {
-          PhysOpPtr op(std::make_unique<parallel::ParallelHashJoinOp>(
-              std::move(left_keys), std::move(right_keys), std::move(residual),
-              std::move(l), std::move(r), lanes, ctx.config.exec.morsel_size));
-          op->set_annotation(AnnotationText(
-              "keys", keys + "; parallel: " + std::to_string(lanes) +
-                          " lanes"));
-          return op;
-        }
         PhysOpPtr op(std::make_unique<HashJoinOp>(
             std::move(left_keys), std::move(right_keys), std::move(residual),
-            std::move(l), std::move(r)));
+            std::move(l), std::move(r), lanes, ctx.config.exec.morsel_size));
+        if (lanes > 1) {
+          keys += "; parallel: " + std::to_string(lanes) + " lanes";
+        }
         op->set_annotation(AnnotationText("keys", keys));
         return op;
       }
       PhysOpPtr op(std::make_unique<NestedLoopJoinOp>(
           plan->condition(), std::move(l), std::move(r)));
-      op->set_annotation(
-          ctx.config.exec.hash_ops
-              ? AnnotationText("fallback", "predicate not hashable")
-              : AnnotationText("fallback", "hash ops disabled"));
+      op->set_annotation(AnnotationText("fallback", "predicate not hashable"));
       return op;
     }
     case PlanKind::kGroupBy: {
       size_t lanes = ParallelLanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
-      if (lanes > 0) {
-        PhysOpPtr op(std::make_unique<parallel::ParallelHashGroupByOp>(
-            plan->group_keys(), plan->aggregates(), plan->schema(),
-            std::move(child), lanes, ctx.config.exec.morsel_size));
+      PhysOpPtr op(std::make_unique<HashGroupByOp>(
+          plan->group_keys(), plan->aggregates(), plan->schema(),
+          std::move(child), lanes, ctx.config.exec.morsel_size));
+      if (lanes > 1) {
         op->set_annotation(
             AnnotationText("parallel", std::to_string(lanes) + " lanes"));
-        return op;
       }
-      return PhysOpPtr(std::make_unique<HashGroupByOp>(
-          plan->group_keys(), plan->aggregates(), plan->schema(),
-          std::move(child)));
+      return op;
     }
     case PlanKind::kClosure: {
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));

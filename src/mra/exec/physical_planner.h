@@ -3,7 +3,7 @@
 // Lowering choices:
 //   σ        → Filter
 //   π        → Compute
-//   δ        → Dedup (streaming hash), SortDedup when hash ops are disabled
+//   δ        → Dedup
 //   ⊎        → UnionAll (streaming)
 //   −        → Difference (materialising)
 //   ∩        → Intersect (materialising)
@@ -18,19 +18,17 @@
 //   sort     → Sort (in-memory, or external merge past the spill
 //              threshold; weighted Top-K heap under a LIMIT)
 //
-// When `config.exec.workers > 1` the hash kernels additionally lower to
-// their morsel-driven partitioned variants (ParallelHashJoin,
-// ParallelHashGroupBy, ParallelDedup — docs/PARALLELISM.md) for operators
-// whose estimated input reaches `config.exec.parallel_threshold`; below
-// the threshold the serial kernel wins on fan-out overhead alone, and with
-// no estimator the planner stays serial rather than guess.
+// The hash kernels (HashJoin, HashGroupBy, Dedup — mra/exec/hash_ops.h)
+// run on `config.exec.workers` lanes when the operator's estimated input
+// reaches `config.exec.parallel_threshold`, and on one lane otherwise:
+// below the threshold fan-out overhead outweighs the parallel speedup,
+// and with no estimator the planner stays on one lane rather than guess
+// (docs/PARALLELISM.md).
 //
 // Each choice is annotated on the operator (PhysicalOperator::annotation):
-// HashJoin shows its key pairs, parallel variants their lane count, the
-// fallbacks say why they were taken — so EXPLAIN makes the selection
-// visible.  `config.exec.hash_ops = false` steers δ to SortDedup and ⋈ to
-// NestedLoopJoin (Γ keeps HashGroupBy — it is the only Γ implementation)
-// and disables the parallel variants, which are hash-partitioned.
+// HashJoin shows its key pairs, multi-lane kernels their lane count, the
+// nested-loop fallback says why it was taken — so EXPLAIN makes the
+// selection visible.
 
 #ifndef MRA_EXEC_PHYSICAL_PLANNER_H_
 #define MRA_EXEC_PHYSICAL_PLANNER_H_
@@ -59,8 +57,9 @@ using CardinalityEstimator = std::function<double(const Plan&)>;
 /// which EXPLAIN ANALYZE renders against the actuals — and which also
 /// drives the parallel-variant decision (see the header comment).
 /// `config` supplies the kernel-selection and parallelism knobs
-/// (exec.hash_ops, exec.workers, exec.morsel_size, exec.parallel_threshold,
-/// planner.subplan_reuse); the remaining layers are the callers' business.
+/// (exec.workers, exec.morsel_size, exec.parallel_threshold,
+/// exec.sort_spill_bytes, exec.sort_merge_join, planner.subplan_reuse);
+/// the remaining layers are the callers' business.
 /// `exec_ctx`, when non-null, is attached to every operator of the lowered
 /// tree (cancellation / deadline / memory budget) and must outlive
 /// execution.

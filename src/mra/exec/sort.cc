@@ -516,13 +516,6 @@ Result<bool> SortOp::NextSorted(Row& slot) {
   return true;
 }
 
-Result<std::optional<Row>> SortOp::NextImpl() {
-  Row row;
-  MRA_ASSIGN_OR_RETURN(bool more, NextSorted(row));
-  if (!more) return std::optional<Row>();
-  return std::optional<Row>(std::move(row));
-}
-
 Status SortOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     MRA_ASSIGN_OR_RETURN(bool more, NextSorted(out.AppendSlot()));
@@ -571,6 +564,8 @@ SortMergeJoinOp::SortMergeJoinOp(std::vector<size_t> left_keys,
       right_keys_, std::vector<bool>(right_keys_.size(), false), 0,
       spill_bytes, std::move(right));
   schema_ = left_sort_->schema().Concat(right_sort_->schema());
+  left_cursor_.side = left_sort_.get();
+  right_cursor_.side = right_sort_.get();
 }
 
 int SortMergeJoinOp::CompareKeys(const Tuple& left,
@@ -592,19 +587,30 @@ Status SortMergeJoinOp::OpenImpl() {
     left_sort_->Close();
     return right_open;
   }
-  MRA_ASSIGN_OR_RETURN(left_ahead_, left_sort_->Next());
-  MRA_ASSIGN_OR_RETURN(right_ahead_, right_sort_->Next());
+  left_cursor_.Reset();
+  right_cursor_.Reset();
+  MRA_ASSIGN_OR_RETURN(left_ahead_, left_cursor_.Next());
+  MRA_ASSIGN_OR_RETURN(right_ahead_, right_cursor_.Next());
   return Status::OK();
 }
 
-Status SortMergeJoinOp::FillGroup(PhysicalOperator& side,
+Result<std::optional<Row>> SortMergeJoinOp::Cursor::Next() {
+  if (pos == batch.size()) {
+    MRA_RETURN_IF_ERROR(side->NextBatch(batch));
+    pos = 0;
+    if (batch.empty()) return std::optional<Row>();
+  }
+  return std::optional<Row>(std::move(batch[pos++]));
+}
+
+Status SortMergeJoinOp::FillGroup(Cursor& cursor,
                                   const std::vector<size_t>& keys,
                                   std::optional<Row>& ahead,
                                   std::vector<Row>& group) {
   group.clear();
   group.push_back(std::move(*ahead));
   while (true) {
-    MRA_ASSIGN_OR_RETURN(ahead, side.Next());
+    MRA_ASSIGN_OR_RETURN(ahead, cursor.Next());
     if (!ahead.has_value()) return Status::OK();
     for (size_t k : keys) {
       if (group.front().tuple.at(k).Compare(ahead->tuple.at(k)) != 0) {
@@ -615,10 +621,11 @@ Status SortMergeJoinOp::FillGroup(PhysicalOperator& side,
   }
 }
 
-Result<std::optional<Row>> SortMergeJoinOp::NextImpl() {
-  while (true) {
-    // Drain the cross product of the current equal-key group pair.
-    while (li_ < left_group_.size()) {
+Status SortMergeJoinOp::NextBatchImpl(RowBatch& out) {
+  while (!out.full()) {
+    // Emit the cross product of the current equal-key group pair into
+    // recycled slots; a pair the residual rejects is truncated back off.
+    if (li_ < left_group_.size()) {
       if (rj_ >= right_group_.size()) {
         rj_ = 0;
         ++li_;
@@ -626,13 +633,14 @@ Result<std::optional<Row>> SortMergeJoinOp::NextImpl() {
       }
       const Row& lhs = left_group_[li_];
       const Row& rhs = right_group_[rj_++];
-      Tuple combined = lhs.tuple.Concat(rhs.tuple);
+      Row& slot = out.AppendSlot();
+      slot.tuple.AssignConcat(lhs.tuple, rhs.tuple);
+      slot.count = lhs.count * rhs.count;
       if (residual_ != nullptr) {
-        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, combined));
-        if (!keep) continue;
+        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
+        if (!keep) out.Truncate(out.size() - 1);
       }
-      return std::optional<Row>(Row{std::move(combined),
-                                    lhs.count * rhs.count});
+      continue;
     }
     left_group_.clear();
     right_group_.clear();
@@ -643,18 +651,16 @@ Result<std::optional<Row>> SortMergeJoinOp::NextImpl() {
       int c = CompareKeys(left_ahead_->tuple, right_ahead_->tuple);
       if (c == 0) break;
       if (c < 0) {
-        MRA_ASSIGN_OR_RETURN(left_ahead_, left_sort_->Next());
+        MRA_ASSIGN_OR_RETURN(left_ahead_, left_cursor_.Next());
       } else {
-        MRA_ASSIGN_OR_RETURN(right_ahead_, right_sort_->Next());
+        MRA_ASSIGN_OR_RETURN(right_ahead_, right_cursor_.Next());
       }
     }
-    if (!left_ahead_.has_value() || !right_ahead_.has_value()) {
-      return std::optional<Row>();
-    }
+    if (!left_ahead_.has_value() || !right_ahead_.has_value()) break;
     MRA_RETURN_IF_ERROR(
-        FillGroup(*left_sort_, left_keys_, left_ahead_, left_group_));
+        FillGroup(left_cursor_, left_keys_, left_ahead_, left_group_));
     MRA_RETURN_IF_ERROR(
-        FillGroup(*right_sort_, right_keys_, right_ahead_, right_group_));
+        FillGroup(right_cursor_, right_keys_, right_ahead_, right_group_));
 
     // Both sides of one key group are resident for the cross product —
     // charge them like any other materialising state.
@@ -663,6 +669,7 @@ Result<std::optional<Row>> SortMergeJoinOp::NextImpl() {
     for (const Row& r : right_group_) group_bytes += ApproxRowBytes(r);
     MRA_RETURN_IF_ERROR(ChargeMemTo(group_bytes));
   }
+  return Status::OK();
 }
 
 void SortMergeJoinOp::CloseImpl() {
@@ -672,6 +679,8 @@ void SortMergeJoinOp::CloseImpl() {
   right_group_.clear();
   left_ahead_.reset();
   right_ahead_.reset();
+  left_cursor_.Reset();
+  right_cursor_.Reset();
   li_ = rj_ = 0;
 }
 

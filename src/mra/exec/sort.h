@@ -75,7 +75,6 @@ class SortOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -160,16 +159,30 @@ class SortMergeJoinOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
+  /// Row-at-a-time reads over one sorted input's batch stream.
+  struct Cursor {
+    SortOp* side = nullptr;
+    RowBatch batch;
+    size_t pos = 0;
+
+    void Reset() {
+      batch.Clear();
+      pos = 0;
+    }
+    /// The next row of `side`, or nullopt at end of stream.
+    Result<std::optional<Row>> Next();
+  };
+
   /// left key attrs vs right key attrs under Value::Compare, in key order.
   int CompareKeys(const Tuple& left, const Tuple& right) const;
 
-  /// Consumes every row whose key equals `group.front()`'s from `side`
+  /// Consumes every row whose key equals `group.front()`'s from `cursor`
   /// into `group`, leaving the first differing row in `ahead`.
-  Status FillGroup(PhysicalOperator& side, const std::vector<size_t>& keys,
+  Status FillGroup(Cursor& cursor, const std::vector<size_t>& keys,
                    std::optional<Row>& ahead, std::vector<Row>& group);
 
   std::vector<size_t> left_keys_;
@@ -179,6 +192,8 @@ class SortMergeJoinOp final : public PhysicalOperator {
   std::unique_ptr<SortOp> right_sort_;
   RelationSchema schema_;
 
+  Cursor left_cursor_;
+  Cursor right_cursor_;
   std::optional<Row> left_ahead_;
   std::optional<Row> right_ahead_;
   std::vector<Row> left_group_;

@@ -29,19 +29,6 @@
 namespace mra {
 namespace lang {
 
-/// Deprecated alias: the interpreter's knobs are the unified ExecConfig
-/// (mra/common/config.h) — one layered struct shared with the planner,
-/// session, server and examples.  Old field names map as:
-///   optimize             → config.planner.optimize
-///   use_physical_exec    → config.exec.use_physical_exec
-///   batch_size           → config.exec.batch_size
-///   hash_ops             → config.exec.hash_ops
-///   block_on_txn_slot    → config.session.block_on_txn_slot
-///   statement_timeout_ms → config.governance.statement_timeout_ms
-///   query_mem_budget_*   → config.governance.query_mem_budget_bytes
-///   cancel_token         → config.governance.cancel_token
-using InterpreterOptions = ExecConfig;
-
 /// Execution statistics of the most recent physically-executed query,
 /// harvested from the operator tree after it drains.  Programmatic
 /// counterpart of EXPLAIN ANALYZE's rendering.

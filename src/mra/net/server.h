@@ -84,7 +84,7 @@ struct ServerOptions {
   int idle_timeout_ms = 300'000;
   /// Per-session interpreter configuration.  block_on_txn_slot is forced
   /// on regardless: concurrent brackets must queue, not error.
-  lang::InterpreterOptions interpreter;
+  ExecConfig interpreter;
 };
 
 class Server {

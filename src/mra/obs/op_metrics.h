@@ -1,5 +1,5 @@
 // Per-operator execution metrics, filled in by the PhysicalOperator
-// Open/Next/Close wrappers (mra/exec/operator.h).
+// Open/NextBatch/Close wrappers (mra/exec/operator.h).
 //
 // Row counts are always collected (plain single-threaded increments on the
 // operator's own state — a volcano tree never shares an operator across
@@ -19,10 +19,10 @@ namespace mra {
 namespace obs {
 
 struct OperatorMetrics {
-  /// Rows emitted by Next() / NextBatch() (bag-stream rows, not tuples).
+  /// Rows emitted by NextBatch() (bag-stream rows, not tuples).
   uint64_t rows_emitted = 0;
-  /// Non-empty batches emitted by NextBatch(); 0 under pure tuple-at-a-time
-  /// execution.  rows_emitted / batches_emitted is the realized batch fill.
+  /// Non-empty batches emitted by NextBatch().  rows_emitted /
+  /// batches_emitted is the realized batch fill.
   uint64_t batches_emitted = 0;
   /// Multiplicity-weighted tuple count: the sum of the emitted counts —
   /// the cardinality of the multi-set the stream denotes.
@@ -41,8 +41,8 @@ struct OperatorMetrics {
   /// Peak approximate heap bytes held by the operator's hash arena
   /// (HashKeyIndex::ApproxBytes plus payload vectors).
   uint64_t hash_bytes = 0;
-  /// Worker lanes a parallel operator ran with (workers=N in EXPLAIN
-  /// ANALYZE); 0 for serial operators.
+  /// Worker lanes a hash operator ran with (workers=N in EXPLAIN
+  /// ANALYZE); 0 for operators that take no worker lease.
   uint32_t workers = 0;
   /// Summed per-lane CPU-side wall time inside parallel phases.  For a
   /// parallel operator this exceeds the elapsed open_ns/next_ns (the
@@ -69,7 +69,8 @@ inline std::atomic<bool>& ExecTimingFlag() {
 }
 }  // namespace internal
 
-/// Whether operators should measure wall time per Open/Next/Close call.
+/// Whether operators should measure wall time per Open/NextBatch/Close
+/// call.
 inline bool ExecTimingEnabled() {
   return internal::ExecTimingFlag().load(std::memory_order_relaxed);
 }

@@ -10,12 +10,12 @@ namespace session {
 // ---- EmbeddedSession ----
 
 EmbeddedSession::EmbeddedSession(std::unique_ptr<Database> db,
-                                 lang::InterpreterOptions interp_options)
+                                 ExecConfig interp_options)
     : db_(std::move(db)),
       interp_(std::make_unique<lang::Interpreter>(db_.get(), interp_options)) {}
 
 Result<std::unique_ptr<EmbeddedSession>> EmbeddedSession::Open(
-    DatabaseOptions db_options, lang::InterpreterOptions interp_options) {
+    DatabaseOptions db_options, ExecConfig interp_options) {
   MRA_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
                        Database::Open(std::move(db_options)));
   return std::unique_ptr<EmbeddedSession>(

@@ -90,10 +90,10 @@ class EmbeddedSession : public Session {
  public:
   /// Opens (and, when `db_options.directory` is set, recovers) a database
   /// and wires an interpreter to it.  `interp_options` selects optimizer,
-  /// executor and batch size (InterpreterOptions::batch_size).
+  /// executor and batch size (ExecConfig::exec.batch_size).
   static Result<std::unique_ptr<EmbeddedSession>> Open(
       DatabaseOptions db_options = {},
-      lang::InterpreterOptions interp_options = {});
+      ExecConfig interp_options = {});
 
   Result<QueryResult> Execute(std::string_view script) override;
   Result<std::string> Stats() override;
@@ -115,7 +115,7 @@ class EmbeddedSession : public Session {
 
  private:
   EmbeddedSession(std::unique_ptr<Database> db,
-                  lang::InterpreterOptions interp_options);
+                  ExecConfig interp_options);
 
   std::unique_ptr<Database> db_;
   std::unique_ptr<lang::Interpreter> interp_;

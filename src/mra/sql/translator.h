@@ -78,7 +78,7 @@ Result<Value> CoerceValue(const Value& v, Type target);
 /// transaction aborts the whole bracket (Definition 4.3 atomicity).
 class SqlSession {
  public:
-  explicit SqlSession(Database* db, lang::InterpreterOptions options = {})
+  explicit SqlSession(Database* db, ExecConfig options = {})
       : db_(db), interp_(db, options) {}
 
   ~SqlSession();

@@ -29,8 +29,8 @@ std::unique_ptr<Database> MakeDb() {
   return db;
 }
 
-lang::InterpreterOptions Blocking() {
-  lang::InterpreterOptions options;
+ExecConfig Blocking() {
+  ExecConfig options;
   options.session.block_on_txn_slot = true;
   return options;
 }

@@ -8,6 +8,7 @@
 
 #include "mra/algebra/ops.h"
 #include "mra/catalog/catalog.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/exec/physical_planner.h"
 #include "mra/lang/interpreter.h"
@@ -327,9 +328,9 @@ TEST(OperatorContractTest, CloseMidStreamReleasesCleanly) {
   HashJoinOp op({0}, {0}, nullptr, std::make_unique<ScanOp>(&a),
                 std::make_unique<ScanOp>(&b));
   ASSERT_OK(op.Open());
-  auto row = op.Next();
-  ASSERT_OK(row);
-  EXPECT_TRUE(row->has_value());
+  RowBatch one(1);
+  ASSERT_OK(op.NextBatch(one));
+  EXPECT_EQ(one.size(), 1u);
   op.Close();  // Build table freed with the stream half-drained.
   op.Close();
   EXPECT_EQ(op.metrics().peak_hash_entries, 3u);
@@ -337,7 +338,7 @@ TEST(OperatorContractTest, CloseMidStreamReleasesCleanly) {
 
 // --- Projecting scan: π over a stored relation fused into the leaf. ------
 
-// π_columns through the projecting scan at every protocol, against the
+// π_columns through the projecting scan at every batch size, against the
 // definitional ops::Project.
 void ExpectProjectingScanMatches(const Relation& r,
                                  const std::vector<size_t>& columns) {
@@ -347,7 +348,7 @@ void ExpectProjectingScanMatches(const Relation& r,
   ASSERT_OK(expected);
   auto schema = r.schema().Project(columns);
   ASSERT_OK(schema);
-  for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
     ScanOp scan(&r, columns, *schema);
     EXPECT_EQ(scan.schema().arity(), columns.size());
     auto got = ExecuteToRelation(scan, batch_size);

@@ -158,9 +158,10 @@ uint64_t CounterValue(const char* name) {
 }
 
 // Every operator kind the planner can emit for these queries, each killed
-// by the exec.cancel.batch failpoint at batch sizes 1, 7 and 1024: the
-// kill must surface as kCancelled, and with the failpoint disarmed the
-// very same query must succeed (no poisoned state left behind).
+// by the exec.cancel.batch failpoint at batch sizes 1, 7 and 1024, with the
+// hash kernels on one lane and on four: the kill must surface as
+// kCancelled, and with the failpoint disarmed the very same query must
+// succeed (no poisoned state left behind).
 TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
   auto db = MakeDb();
   const char* queries[] = {
@@ -177,11 +178,12 @@ TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
       "join(%2 < %3, r, s)",                // NestedLoopJoin (theta)
       "groupby([%2], cnt(%1), r)",          // HashGroupBy
   };
-  for (bool hash_ops : {true, false}) {
+  for (size_t workers : {size_t{1}, size_t{4}}) {
     for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-      lang::InterpreterOptions options;
+      ExecConfig options;
       options.exec.batch_size = batch;
-      options.exec.hash_ops = hash_ops;
+      options.exec.workers = workers;
+      options.exec.parallel_threshold = 0;
       lang::Interpreter interp(db.get(), options);
       for (const char* q : queries) {
         uint64_t cancelled_before = CounterValue("exec.cancelled_total");
@@ -191,7 +193,8 @@ TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
         auto killed = interp.Query(q);
         fault::FaultRegistry::Global().DisarmAll();
         ASSERT_FALSE(killed.ok())
-            << q << " survived an armed cancel (batch=" << batch << ")";
+            << q << " survived an armed cancel (batch=" << batch
+            << ", workers=" << workers << ")";
         EXPECT_EQ(killed.status().code(), StatusCode::kCancelled) << q;
         EXPECT_EQ(CounterValue("exec.cancelled_total"), cancelled_before + 1);
         auto clean = interp.Query(q);
@@ -229,7 +232,7 @@ TEST_F(GovernanceTest, CancelAtCloseIsTooLateToAffectTheResult) {
 
 TEST_F(GovernanceTest, StatementTimeoutKillsWithDeadlineExceeded) {
   auto db = MakeDb();
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.governance.statement_timeout_ms = 1;
   lang::Interpreter interp(db.get(), options);
   uint64_t before = CounterValue("exec.deadline_exceeded_total");
@@ -250,7 +253,7 @@ TEST_F(GovernanceTest, StatementTimeoutKillsWithDeadlineExceeded) {
 
 TEST_F(GovernanceTest, MemoryBudgetKillsWithResourceExhausted) {
   auto db = MakeDb();
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.governance.query_mem_budget_bytes = 4 * 1024;  // Far below the build size.
   lang::Interpreter interp(db.get(), options);
   uint64_t before = CounterValue("exec.mem_rejected_total");
@@ -269,7 +272,7 @@ TEST_F(GovernanceTest, KilledBracketLeavesDatabaseAsIfNeverRun) {
   Relation r_before = **db->catalog().GetRelation("r");
   Relation tally_before = **db->catalog().GetRelation("tally");
 
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.governance.query_mem_budget_bytes = 4 * 1024;
   lang::Interpreter interp(db.get(), options);
   // The bracket mutates tally, then dies on the over-budget query: the
@@ -288,7 +291,7 @@ TEST_F(GovernanceTest, KilledBracketLeavesDatabaseAsIfNeverRun) {
 
 TEST_F(GovernanceTest, CancelTokenCancelsLikeCtrlC) {
   auto db = MakeDb();
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.governance.cancel_token = std::make_shared<std::atomic<bool>>(false);
   lang::Interpreter interp(db.get(), options);
   // Token down: queries run normally.
@@ -337,7 +340,7 @@ TEST_F(GovernanceTest, SlowLogTagsKillsWithTheReason) {
   obs::SlowQueryLog::Global().Clear();
   obs::SlowQueryLog::Global().SetThresholdMs(3'600'000);
 
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.governance.query_mem_budget_bytes = 4 * 1024;
   lang::Interpreter interp(db.get(), options);
   ASSERT_FALSE(interp.Query("unique(product(r, s))").ok());
@@ -377,7 +380,7 @@ TEST_F(GovernanceTest, SlowLogNamesTheStatementItRecords) {
 
 TEST_F(GovernanceTest, ExplainAnalyzeIsGovernedPlainExplainIsNot) {
   auto db = MakeDb();
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.governance.cancel_token = std::make_shared<std::atomic<bool>>(true);
   lang::Interpreter interp(db.get(), options);
   // `explain analyze` executes the plan for real, so governance applies.
@@ -410,7 +413,7 @@ TEST_F(GovernanceTest, SortUnderBudgetPressureSpillsInsteadOfDying) {
   // kResourceExhausted — the sort must instead shed runs to disk and
   // complete.  (The budget still fits the product's own build side.)
   auto db = MakeDb();
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.governance.query_mem_budget_bytes = 64 * 1024;
   lang::Interpreter interp(db.get(), options);
   auto analyzed = interp.ExplainAnalyze("sort([%1, -%3], product(r, s))");
@@ -450,7 +453,7 @@ TEST_F(GovernanceTest, KillMidSpillCleansUpRunFilesAndBudget) {
 
 TEST_F(GovernanceTest, KillMidSpillThroughTheInterpreterIsReusable) {
   auto db = MakeDb();
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.exec.sort_spill_bytes = 64;
   lang::Interpreter interp(db.get(), options);
   size_t files_before = LeakedRunFiles();
@@ -470,7 +473,7 @@ TEST_F(GovernanceTest, CancelLandsInsideASpillingSort) {
   // The cooperative cancel must also reach the spill path (the sort drains
   // its child batch-by-batch, so the batch failpoint fires mid-buffering).
   auto db = MakeDb();
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.exec.sort_spill_bytes = 64;
   lang::Interpreter interp(db.get(), options);
   size_t files_before = LeakedRunFiles();

@@ -1,5 +1,5 @@
-// Differential multiset-correctness suite for the hash-based physical
-// operators (HashJoinOp, HashGroupByOp, DedupOp, SortDedupOp).
+// Differential multiset-correctness suite for the hash kernels (HashJoinOp,
+// HashGroupByOp, DedupOp), each on one lane and on four.
 //
 // Each operator is checked against its *definitional* implementation in
 // mra/algebra/ops.h — direct transcriptions of Definitions 3.1/3.2/3.4 —
@@ -11,7 +11,7 @@
 //
 // The suite also pins the non-algebraic surface: Def 3.3 partiality of
 // AVG/MIN/MAX over an empty input through both the XRA and SQL front ends,
-// the optimizer's hash-vs-fallback choice as shown by EXPLAIN (ANALYZE),
+// the planner's hash-vs-nested-loop choice as shown by EXPLAIN (ANALYZE),
 // and the process-wide hash.* metrics.
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <random>
 
 #include "mra/algebra/ops.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/exec/physical_planner.h"
 #include "mra/lang/interpreter.h"
@@ -47,16 +48,19 @@ struct Profile {
 constexpr Profile kProfiles[] = {
     {1, 200, 25}, {5, 200, 25}, {1'000'000, 40, 8}};
 
-/// Executes through both protocols (row-at-a-time and default batches) and
-/// checks each against `expected`.
-void ExpectOperatorResult(const std::function<PhysOpPtr()>& make,
+/// Executes the operator `make(workers)` builds on one lane and on four,
+/// with single-row and default batches, and checks each run against
+/// `expected`.
+void ExpectOperatorResult(const std::function<PhysOpPtr(size_t)>& make,
                           const Relation& expected, const char* what) {
-  for (size_t batch_size : {size_t{0}, kDefaultBatchSize}) {
-    PhysOpPtr op = make();
-    auto got = ExecuteToRelation(*op, batch_size);
-    ASSERT_OK(got);
-    EXPECT_REL_EQ(*got, expected)
-        << what << " (batch_size=" << batch_size << ")";
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    for (size_t batch_size : {size_t{1}, kDefaultBatchSize}) {
+      PhysOpPtr op = make(workers);
+      auto got = ExecuteToRelation(*op, batch_size);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, expected) << what << " (workers=" << workers
+                                    << ", batch_size=" << batch_size << ")";
+    }
   }
 }
 
@@ -73,10 +77,11 @@ TEST_P(HashOpsDifferentialTest, HashJoinMatchesDefinitionalJoin) {
     auto oracle = ops::Join(condition, r, s);
     ASSERT_OK(oracle);
     ExpectOperatorResult(
-        [&] {
+        [&](size_t workers) {
           return std::make_unique<HashJoinOp>(
               std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-              std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s));
+              std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s),
+              workers);
         },
         *oracle, "hash join vs Def 3.2 join");
   }
@@ -93,11 +98,11 @@ TEST_P(HashOpsDifferentialTest, HashJoinMultiKeyAndResidual) {
   auto oracle = ops::Join(condition, r, s);
   ASSERT_OK(oracle);
   ExpectOperatorResult(
-      [&] {
+      [&](size_t workers) {
         return std::make_unique<HashJoinOp>(
             std::vector<size_t>{0, 1}, std::vector<size_t>{0, 1},
             Lt(Attr(2), Attr(5)), std::make_unique<ScanOp>(&r),
-            std::make_unique<ScanOp>(&s));
+            std::make_unique<ScanOp>(&s), workers);
       },
       *oracle, "multi-key hash join with residual");
 }
@@ -116,10 +121,11 @@ TEST_P(HashOpsDifferentialTest, HashJoinAllDuplicateInputs) {
   ASSERT_OK(oracle);
   EXPECT_EQ(oracle->Multiplicity(IntTuple({7, 1, 7, 2})), m * n);
   ExpectOperatorResult(
-      [&] {
+      [&](size_t workers) {
         return std::make_unique<HashJoinOp>(
             std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-            std::make_unique<ScanOp>(&rm), std::make_unique<ScanOp>(&sn));
+            std::make_unique<ScanOp>(&rm), std::make_unique<ScanOp>(&sn),
+            workers);
       },
       *oracle, "all-duplicate hash join");
 }
@@ -135,11 +141,11 @@ TEST_P(HashOpsDifferentialTest, HashJoinEmptySides) {
     auto oracle = ops::Join(Eq(Attr(0), Attr(2)), *left, *right);
     ASSERT_OK(oracle);
     ExpectOperatorResult(
-        [&, left = left, right = right] {
+        [&, left = left, right = right](size_t workers) {
           return std::make_unique<HashJoinOp>(
               std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-              std::make_unique<ScanOp>(left),
-              std::make_unique<ScanOp>(right));
+              std::make_unique<ScanOp>(left), std::make_unique<ScanOp>(right),
+              workers);
         },
         *oracle, "hash join with empty side(s)");
   }
@@ -154,11 +160,11 @@ TEST(HashOpsTest, HashJoinMixedTypeKeys) {
   auto oracle = ops::Join(condition, db.beer, db.brewery);
   ASSERT_OK(oracle);
   ExpectOperatorResult(
-      [&] {
+      [&](size_t workers) {
         return std::make_unique<HashJoinOp>(
             std::vector<size_t>{1}, std::vector<size_t>{0}, nullptr,
             std::make_unique<ScanOp>(&db.beer),
-            std::make_unique<ScanOp>(&db.brewery));
+            std::make_unique<ScanOp>(&db.brewery), workers);
       },
       *oracle, "string-keyed hash join");
   EXPECT_EQ(oracle->Multiplicity(
@@ -181,15 +187,11 @@ TEST_P(HashOpsDifferentialTest, DedupMatchesDefinitionalUnique) {
     ASSERT_OK(as_set);
     EXPECT_REL_EQ(*oracle, *as_set);
     ExpectOperatorResult(
-        [&] {
-          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&r));
+        [&](size_t workers) {
+          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&r),
+                                           workers);
         },
         *oracle, "hash dedup vs Def 3.4 unique");
-    ExpectOperatorResult(
-        [&] {
-          return std::make_unique<SortDedupOp>(std::make_unique<ScanOp>(&r));
-        },
-        *oracle, "sort dedup vs Def 3.4 unique");
   }
 }
 
@@ -203,16 +205,11 @@ TEST_P(HashOpsDifferentialTest, DedupEdgeInputs) {
     auto oracle = ops::Unique(*input);
     ASSERT_OK(oracle);
     ExpectOperatorResult(
-        [&, input = input] {
-          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(input));
+        [&, input = input](size_t workers) {
+          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(input),
+                                           workers);
         },
         *oracle, "hash dedup edge input");
-    ExpectOperatorResult(
-        [&, input = input] {
-          return std::make_unique<SortDedupOp>(
-              std::make_unique<ScanOp>(input));
-        },
-        *oracle, "sort dedup edge input");
   }
 }
 
@@ -237,9 +234,9 @@ TEST_P(HashOpsDifferentialTest, GroupByMatchesDefinitionalGroupBy) {
       auto schema = ops::GroupBySchema(keys, aggs, r.schema());
       ASSERT_OK(schema);
       ExpectOperatorResult(
-          [&] {
+          [&](size_t workers) {
             return std::make_unique<HashGroupByOp>(
-                keys, aggs, *schema, std::make_unique<ScanOp>(&r));
+                keys, aggs, *schema, std::make_unique<ScanOp>(&r), workers);
           },
           *oracle, "hash group-by vs Def 3.4 Γ");
     }
@@ -264,10 +261,10 @@ TEST(HashOpsTest, GroupByFollowsBagSemanticsNotSetSemantics) {
   auto schema = ops::GroupBySchema({0}, aggs, r.schema());
   ASSERT_OK(schema);
   ExpectOperatorResult(
-      [&] {
+      [&](size_t workers) {
         return std::make_unique<HashGroupByOp>(
             std::vector<size_t>{0}, aggs, *schema,
-            std::make_unique<ScanOp>(&r));
+            std::make_unique<ScanOp>(&r), workers);
       },
       *bag, "hash group-by must follow the bag oracle");
 }
@@ -290,35 +287,31 @@ TEST_P(HashOpsDifferentialTest, JoinDegeneratesToSetJoinOnSupports) {
 
 TEST(HashOpsTest, OperatorReopenRecyclesArena) {
   // Executing the same operator instance twice must give identical results:
-  // the second Open reuses the parked hash arena (HashKeyIndex::Reset).
+  // the second Open rebuilds the hash state the first Close released.
   std::mt19937_64 rng(99);
   Relation r = RandomIntRelation(rng, 2, 200, 25, 5);
   Relation s = RandomIntRelation(rng, 2, 200, 25, 5);
-  HashJoinOp join(std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-                  std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s));
-  auto first = ExecuteToRelation(join);
-  ASSERT_OK(first);
-  auto second = ExecuteToRelation(join);
-  ASSERT_OK(second);
-  EXPECT_REL_EQ(*first, *second);
-
-  DedupOp dedup(std::make_unique<ScanOp>(&r));
-  auto d1 = ExecuteToRelation(dedup);
-  ASSERT_OK(d1);
-  auto d2 = ExecuteToRelation(dedup);
-  ASSERT_OK(d2);
-  EXPECT_REL_EQ(*d1, *d2);
-
   std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "s"}};
   auto schema = ops::GroupBySchema({0}, aggs, r.schema());
   ASSERT_OK(schema);
-  HashGroupByOp gb(std::vector<size_t>{0}, aggs, *schema,
-                   std::make_unique<ScanOp>(&r));
-  auto g1 = ExecuteToRelation(gb);
-  ASSERT_OK(g1);
-  auto g2 = ExecuteToRelation(gb);
-  ASSERT_OK(g2);
-  EXPECT_REL_EQ(*g1, *g2);
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    HashJoinOp join(std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+                    std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s),
+                    workers);
+    DedupOp dedup(std::make_unique<ScanOp>(&r), workers);
+    HashGroupByOp gb(std::vector<size_t>{0}, aggs, *schema,
+                     std::make_unique<ScanOp>(&r), workers);
+    for (PhysicalOperator* op :
+         {static_cast<PhysicalOperator*>(&join),
+          static_cast<PhysicalOperator*>(&dedup),
+          static_cast<PhysicalOperator*>(&gb)}) {
+      auto first = ExecuteToRelation(*op);
+      ASSERT_OK(first);
+      auto second = ExecuteToRelation(*op);
+      ASSERT_OK(second);
+      EXPECT_REL_EQ(*first, *second) << op->name() << " workers=" << workers;
+    }
+  }
 }
 
 TEST(HashOpsTest, HashMetricsSurfaceInRegistryAndOperator) {
@@ -333,18 +326,41 @@ TEST(HashOpsTest, HashMetricsSurfaceInRegistryAndOperator) {
   obs::Counter* probe =
       obs::MetricsRegistry::Global().GetCounter("hash.probe_rows");
   obs::Gauge* peak = obs::MetricsRegistry::Global().GetGauge("hash.peak_bytes");
-  uint64_t build_before = build->value();
-  uint64_t probe_before = probe->value();
+  std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "s"}};
+  auto schema = ops::GroupBySchema({0}, aggs, r.schema());
+  ASSERT_OK(schema);
 
-  HashJoinOp join(std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-                  std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s));
-  ASSERT_OK(ExecuteToRelation(join).status());
-  EXPECT_EQ(join.metrics().build_rows, s.distinct_size());
-  EXPECT_EQ(join.metrics().probe_rows, r.distinct_size());
-  EXPECT_GT(join.metrics().hash_bytes, 0u);
-  EXPECT_EQ(build->value() - build_before, join.metrics().build_rows);
-  EXPECT_EQ(probe->value() - probe_before, join.metrics().probe_rows);
-  EXPECT_GE(static_cast<uint64_t>(peak->value()), join.metrics().hash_bytes);
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    uint64_t build_before = build->value();
+    uint64_t probe_before = probe->value();
+    HashJoinOp join(std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+                    std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s),
+                    workers);
+    ASSERT_OK(ExecuteToRelation(join).status());
+    EXPECT_EQ(join.metrics().build_rows, s.distinct_size());
+    EXPECT_EQ(join.metrics().probe_rows, r.distinct_size());
+    EXPECT_GT(join.metrics().hash_bytes, 0u);
+    EXPECT_EQ(build->value() - build_before, join.metrics().build_rows);
+    EXPECT_EQ(probe->value() - probe_before, join.metrics().probe_rows);
+    EXPECT_GE(static_cast<uint64_t>(peak->value()), join.metrics().hash_bytes);
+
+    // Γ and δ count their input rows as build rows and probe nothing.
+    build_before = build->value();
+    probe_before = probe->value();
+    HashGroupByOp gb(std::vector<size_t>{0}, aggs, *schema,
+                     std::make_unique<ScanOp>(&r), workers);
+    ASSERT_OK(ExecuteToRelation(gb).status());
+    DedupOp dedup(std::make_unique<ScanOp>(&r), workers);
+    ASSERT_OK(ExecuteToRelation(dedup).status());
+    EXPECT_EQ(gb.metrics().build_rows, r.distinct_size());
+    EXPECT_EQ(dedup.metrics().build_rows, r.distinct_size());
+    EXPECT_EQ(build->value() - build_before, 2 * r.distinct_size());
+    EXPECT_EQ(probe->value(), probe_before);
+    EXPECT_GE(static_cast<uint64_t>(peak->value()), gb.metrics().hash_bytes);
+    EXPECT_GE(static_cast<uint64_t>(peak->value()),
+              dedup.metrics().hash_bytes);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HashOpsDifferentialTest,
@@ -438,37 +454,6 @@ TEST_F(HashOpsFrontEndTest, ExplainShowsNestedLoopFallbackForThetaJoin) {
   EXPECT_NE(plan->find("[fallback: predicate not hashable]"),
             std::string::npos)
       << *plan;
-}
-
-TEST_F(HashOpsFrontEndTest, HashOpsDisabledFallsBackEverywhere) {
-  lang::InterpreterOptions options;
-  options.exec.hash_ops = false;
-  lang::Interpreter interp(db_.get(), options);
-
-  auto join_plan = interp.Explain("join(%1 = %3, u, u)");
-  ASSERT_OK(join_plan);
-  EXPECT_EQ(join_plan->find("HashJoin"), std::string::npos) << *join_plan;
-  EXPECT_NE(join_plan->find("NestedLoopJoin"), std::string::npos)
-      << *join_plan;
-  EXPECT_NE(join_plan->find("[fallback: hash ops disabled]"),
-            std::string::npos)
-      << *join_plan;
-
-  auto dedup_plan = interp.Explain("unique(u)");
-  ASSERT_OK(dedup_plan);
-  EXPECT_NE(dedup_plan->find("SortDedup"), std::string::npos) << *dedup_plan;
-
-  // The fallback plans still compute the same multisets.
-  auto with_hash = interp_->Query("join(%1 = %3, u, u)");
-  ASSERT_OK(with_hash);
-  auto without_hash = interp.Query("join(%1 = %3, u, u)");
-  ASSERT_OK(without_hash);
-  EXPECT_REL_EQ(*with_hash, *without_hash);
-  auto uniq_hash = interp_->Query("unique(project([%1], u))");
-  ASSERT_OK(uniq_hash);
-  auto uniq_sort = interp.Query("unique(project([%1], u))");
-  ASSERT_OK(uniq_sort);
-  EXPECT_REL_EQ(*uniq_hash, *uniq_sort);
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ TEST(IntegrationTest, OptimizedAndUnoptimizedAgreeOnComplexScript) {
     for (bool physical : {false, true}) {
       auto db = Database::Open();
       ASSERT_OK(db);
-      lang::InterpreterOptions options;
+      ExecConfig options;
       options.planner.optimize = optimize;
       options.exec.use_physical_exec = physical;
       lang::Interpreter interp(db->get(), options);

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/obs/metrics.h"
 #include "mra/obs/op_metrics.h"

@@ -1,10 +1,10 @@
-// Differential and governance suite for the morsel-driven parallel kernels
+// Differential and governance suite for the morsel-driven hash kernels
 // (docs/PARALLELISM.md).  The oracle is always the single-threaded
 // definitional path (mra/algebra) — Definition 3.1 for join multiplicities,
 // Definition 3.3 for aggregates, δ for dedup — so any partitioning or merge
 // bug shows up as a bag mismatch, not just a flaky count.
 //
-// The matrix runs every parallel operator at worker counts 1/2/8 and
+// The matrix runs every hash kernel at worker counts 1/2/4/8 and
 // morsel/batch granularities 1/7/1024 over seeded random inputs whose
 // multiplicities reach 10^6 (multiplicity arithmetic must not be rebuilt
 // from row repetition).  The cancel hammer and the failpoint kills are the
@@ -23,11 +23,11 @@
 #include "mra/algebra/ops.h"
 #include "mra/common/config.h"
 #include "mra/exec/exec_context.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/fault/failpoint.h"
 #include "mra/lang/interpreter.h"
 #include "mra/obs/metrics.h"
-#include "mra/parallel/parallel_ops.h"
 #include "mra/parallel/worker_pool.h"
 #include "test_util.h"
 
@@ -40,20 +40,20 @@ exec::PhysOpPtr Scan(const Relation& rel) {
   return std::make_unique<exec::ScanOp>(&rel);
 }
 
-exec::PhysOpPtr ParallelJoin(const Relation& left, const Relation& right,
+exec::PhysOpPtr HashJoin(const Relation& left, const Relation& right,
                              size_t workers, size_t morsel) {
-  return std::make_unique<parallel::ParallelHashJoinOp>(
+  return std::make_unique<exec::HashJoinOp>(
       std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr, Scan(left),
       Scan(right), workers, morsel);
 }
 
-exec::PhysOpPtr ParallelGroupBy(const Relation& input,
+exec::PhysOpPtr HashGroupBy(const Relation& input,
                                 const std::vector<size_t>& keys,
                                 const std::vector<AggSpec>& aggs,
                                 size_t workers, size_t morsel) {
   auto schema = ops::GroupBySchema(keys, aggs, input.schema());
   EXPECT_TRUE(schema.ok()) << schema.status().ToString();
-  return std::make_unique<parallel::ParallelHashGroupByOp>(
+  return std::make_unique<exec::HashGroupByOp>(
       keys, aggs, *schema, Scan(input), workers, morsel);
 }
 
@@ -64,11 +64,11 @@ std::vector<AggSpec> AllAggs() {
           {AggKind::kMax, 1, "max_v"}};
 }
 
-// --- The differential matrix: 8 seeds x workers {1,2,8} x morsel {1,7,1024}
+// --- The differential matrix: 8 seeds x workers {1,2,4,8} x morsel {1,7,1024}
 // --- x multiplicities {1, 5, 10^6}, every operator against its definition.
 
 TEST(ParallelExecDifferential, JoinGroupByDedupMatchDefinitionalOracle) {
-  const size_t worker_counts[] = {1, 2, 8};
+  const size_t worker_counts[] = {1, 2, 4, 8};
   const size_t granularities[] = {1, 7, 1024};
   const uint64_t multiplicities[] = {1, 5, 1000000};
   for (uint64_t seed = 1; seed <= 8; ++seed) {
@@ -91,17 +91,17 @@ TEST(ParallelExecDifferential, JoinGroupByDedupMatchDefinitionalOracle) {
                      " morsel=" + std::to_string(morsel) +
                      " mult=" + std::to_string(max_mult));
         auto join = exec::ExecuteToRelation(
-            *ParallelJoin(r, s, workers, morsel), morsel);
+            *HashJoin(r, s, workers, morsel), morsel);
         ASSERT_OK(join);
         EXPECT_REL_EQ(*join, *join_oracle);
 
         auto grouped = exec::ExecuteToRelation(
-            *ParallelGroupBy(r, {0}, AllAggs(), workers, morsel), morsel);
+            *HashGroupBy(r, {0}, AllAggs(), workers, morsel), morsel);
         ASSERT_OK(grouped);
         EXPECT_REL_EQ(*grouped, *group_oracle);
 
         auto deduped = exec::ExecuteToRelation(
-            *std::make_unique<parallel::ParallelDedupOp>(Scan(r), workers,
+            *std::make_unique<exec::DedupOp>(Scan(r), workers,
                                                          morsel),
             morsel);
         ASSERT_OK(deduped);
@@ -120,7 +120,7 @@ TEST(ParallelExecDifferential, ResidualPredicateFiltersMatchPairs) {
   auto oracle =
       ops::Join(And(Eq(Attr(0), Attr(2)), Lt(Attr(1), Attr(3))), r, s);
   ASSERT_OK(oracle);
-  auto op = std::make_unique<parallel::ParallelHashJoinOp>(
+  auto op = std::make_unique<exec::HashJoinOp>(
       std::vector<size_t>{0}, std::vector<size_t>{0}, Lt(Attr(1), Attr(3)),
       Scan(r), Scan(s), /*workers=*/4, /*morsel_size=*/7);
   auto result = exec::ExecuteToRelation(*op);
@@ -142,7 +142,7 @@ TEST(ParallelExecDifferential, KeyFreeAggregationKeepsEmptyInputGroup) {
     auto oracle = ops::GroupBy({}, aggs, *input);
     ASSERT_OK(oracle);
     auto result = exec::ExecuteToRelation(
-        *ParallelGroupBy(*input, {}, aggs, /*workers=*/8, /*morsel=*/7));
+        *HashGroupBy(*input, {}, aggs, /*workers=*/8, /*morsel=*/7));
     ASSERT_OK(result);
     EXPECT_REL_EQ(*result, *oracle);
   }
@@ -173,7 +173,7 @@ TEST(ParallelExecGovernance, CancelHammerFromAnotherThread) {
   ASSERT_OK(oracle);
   for (int round = 0; round < 12; ++round) {
     exec::ExecContext ctx;
-    auto op = ParallelJoin(r, r, /*workers=*/8, /*morsel=*/64);
+    auto op = HashJoin(r, r, /*workers=*/8, /*morsel=*/64);
     op->SetExecContext(&ctx);
     std::thread killer([&ctx, round] {
       std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
@@ -201,11 +201,11 @@ TEST(ParallelExecGovernance, FailpointCancelKillsEachParallelOperator) {
     std::function<exec::PhysOpPtr()> build;
   };
   const Case cases[] = {
-      {"join", [&] { return ParallelJoin(r, r, 8, 32); }},
-      {"groupby", [&] { return ParallelGroupBy(r, {0}, AllAggs(), 8, 32); }},
+      {"join", [&] { return HashJoin(r, r, 8, 32); }},
+      {"groupby", [&] { return HashGroupBy(r, {0}, AllAggs(), 8, 32); }},
       {"dedup",
        [&] {
-         return std::make_unique<parallel::ParallelDedupOp>(Scan(r), 8, 32);
+         return std::make_unique<exec::DedupOp>(Scan(r), 8, 32);
        }},
   };
   for (const Case& c : cases) {
@@ -236,7 +236,7 @@ TEST(ParallelExecGovernance, DeadlineKillLandsWithinAMorsel) {
   exec::ExecContext ctx;
   ctx.SetDeadlineAfterMs(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto op = ParallelJoin(r, r, /*workers=*/8, /*morsel=*/16);
+  auto op = HashJoin(r, r, /*workers=*/8, /*morsel=*/16);
   op->SetExecContext(&ctx);
   auto killed = exec::ExecuteToRelation(*op, 16);
   ASSERT_FALSE(killed.ok());
@@ -248,7 +248,7 @@ TEST(ParallelExecGovernance, MemoryBudgetTripsDuringParallelBuild) {
   Relation r = BigPairs(20000);
   exec::ExecContext ctx;
   ctx.SetMemoryBudget(4 * 1024);  // Far below the build footprint.
-  auto op = ParallelJoin(r, r, /*workers=*/4, /*morsel=*/256);
+  auto op = HashJoin(r, r, /*workers=*/4, /*morsel=*/256);
   op->SetExecContext(&ctx);
   auto killed = exec::ExecuteToRelation(*op, 256);
   ASSERT_FALSE(killed.ok());
@@ -297,15 +297,17 @@ TEST(ParallelExecPlanner, ExplainAnalyzeRendersWorkersAndCpu) {
   ASSERT_OK(interp.ExecuteScript("analyze t;", nullptr));
   auto text = interp.ExplainAnalyze("groupby([%1], sum(%2), unique(t))");
   ASSERT_OK(text);
-  EXPECT_NE(text->find("ParallelHashGroupBy"), std::string::npos) << *text;
-  EXPECT_NE(text->find("ParallelDedup"), std::string::npos) << *text;
+  EXPECT_NE(text->find("HashGroupBy  [parallel: 4 lanes]"), std::string::npos)
+      << *text;
+  EXPECT_NE(text->find("Dedup  [parallel: 4 lanes]"), std::string::npos)
+      << *text;
   EXPECT_NE(text->find("workers="), std::string::npos) << *text;
   EXPECT_NE(text->find("cpu="), std::string::npos) << *text;
 }
 
 TEST(ParallelExecPlanner, ThresholdKeepsSmallQueriesSerial) {
   // Default threshold (8192 estimated rows) vs a 5-row table: the planner
-  // must keep the serial kernels even with workers available.
+  // must keep the hash kernels on one lane even with workers available.
   auto db = Database::Open();
   ASSERT_OK(db);
   lang::Interpreter interp(db->get(), ConfigBuilder().Workers(4).Build());
@@ -314,9 +316,12 @@ TEST(ParallelExecPlanner, ThresholdKeepsSmallQueriesSerial) {
       "insert(t, {(1, 10) : 3, (1, 20), (2, 5) : 2, (3, 7), (4, 1)});",
       nullptr));
   ASSERT_OK(interp.ExecuteScript("analyze t;", nullptr));
-  auto text = interp.Explain("groupby([%1], sum(%2), unique(t))");
+  auto text = interp.ExplainAnalyze("groupby([%1], sum(%2), unique(t))");
   ASSERT_OK(text);
-  EXPECT_EQ(text->find("Parallel"), std::string::npos) << *text;
+  EXPECT_NE(text->find("HashGroupBy"), std::string::npos) << *text;
+  EXPECT_EQ(text->find("parallel:"), std::string::npos) << *text;
+  EXPECT_EQ(text->find("workers=4"), std::string::npos) << *text;
+  EXPECT_NE(text->find("workers=1"), std::string::npos) << *text;
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include "mra/algebra/ops.h"
 #include "mra/common/config.h"
 #include "mra/exec/exec_context.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/lang/interpreter.h"
 #include "mra/storage/serializer.h"
@@ -50,24 +51,29 @@ using ::mra::testing::IntTuple;
 using ::mra::testing::RandomIntRelation;
 using ::mra::testing::RandomMixedRelation;
 
-// Drains `op` row-at-a-time, asserting the emitted stream is ordered
-// under CompareForSort, and returns the emitted bag.
+// Drains `op` batch by batch, asserting the emitted stream is ordered
+// under CompareForSort across batch boundaries, and returns the emitted
+// bag.
 Result<Relation> DrainOrdered(PhysicalOperator& op,
                               const std::vector<size_t>& keys,
-                              const std::vector<bool>& desc) {
+                              const std::vector<bool>& desc,
+                              size_t batch_size = kDefaultBatchSize) {
   MRA_RETURN_IF_ERROR(op.Open());
   Relation out(op.schema());
   std::optional<Tuple> prev;
+  RowBatch batch(batch_size);
   while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, op.Next());
-    if (!row.has_value()) break;
-    if (prev.has_value()) {
-      EXPECT_LE(ops::CompareForSort(*prev, row->tuple, keys, desc), 0)
-          << "stream out of order: " << prev->ToString() << " before "
-          << row->tuple.ToString();
+    MRA_RETURN_IF_ERROR(op.NextBatch(batch));
+    if (batch.empty()) break;
+    for (const Row& row : batch) {
+      if (prev.has_value()) {
+        EXPECT_LE(ops::CompareForSort(*prev, row.tuple, keys, desc), 0)
+            << "stream out of order: " << prev->ToString() << " before "
+            << row.tuple.ToString();
+      }
+      prev = row.tuple;
+      out.InsertUnchecked(row.tuple, row.count);
     }
-    prev = row->tuple;
-    out.InsertUnchecked(row->tuple, row->count);
   }
   op.Close();
   return out;
@@ -75,33 +81,23 @@ Result<Relation> DrainOrdered(PhysicalOperator& op,
 
 // One sort configuration checked end to end: bag equality against the
 // definitional ops::Sort, stream orderedness, and (when expected) the
-// spill trip, at every batch protocol.
+// spill trip, at the three canonical batch sizes.
 void ExpectSortAgreement(const Relation& input, std::vector<size_t> keys,
                          std::vector<bool> desc, uint64_t limit,
                          uint64_t spill_bytes, bool expect_spill) {
   auto expected = ops::Sort(keys, desc, limit, input);
   ASSERT_OK(expected);
-
-  // Row-at-a-time, with the order assertion.
-  {
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
     SortOp op(keys, desc, limit, spill_bytes,
               std::make_unique<ScanOp>(&input));
-    auto got = DrainOrdered(op, keys, desc);
+    auto got = DrainOrdered(op, keys, desc, batch_size);
     ASSERT_OK(got);
-    EXPECT_REL_EQ(*got, *expected);
+    EXPECT_REL_EQ(*got, *expected) << "batch size " << batch_size;
     if (expect_spill) {
       EXPECT_GT(op.spilled_runs(), 0u) << "expected a forced spill";
     } else if (spill_bytes == 0) {
       EXPECT_EQ(op.spilled_runs(), 0u);
     }
-  }
-  // Batch protocol at the three canonical sizes.
-  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
-    SortOp op(keys, desc, limit, spill_bytes,
-              std::make_unique<ScanOp>(&input));
-    auto got = ExecuteToRelation(op, batch_size);
-    ASSERT_OK(got);
-    EXPECT_REL_EQ(*got, *expected) << "batch size " << batch_size;
   }
 }
 
@@ -208,9 +204,9 @@ TEST_P(SortDifferentialTest, SortMergeJoinAgreesWithHashAndNestedLoop) {
         Eq(Attr(0), Attr(2)), std::make_unique<ScanOp>(&r),
         std::make_unique<ScanOp>(&s));
   };
-  Relation via_hash = MustExecute(hash, 0);
-  EXPECT_REL_EQ(MustExecute(nested, 0), via_hash);
-  for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
+  Relation via_hash = MustExecute(hash, kDefaultBatchSize);
+  EXPECT_REL_EQ(MustExecute(nested, kDefaultBatchSize), via_hash);
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
     EXPECT_REL_EQ(MustExecute(merge, batch_size), via_hash)
         << "batch size " << batch_size;
   }
@@ -431,7 +427,7 @@ TEST(SortLanguageTest, XraSortMatchesDefinitionalAcrossConfigs) {
   auto expected_top = ops::Sort({1}, {true}, 10, r);
   ASSERT_OK(expected_top);
   for (uint64_t spill : {uint64_t{0}, uint64_t{64}}) {
-    lang::InterpreterOptions options;
+    ExecConfig options;
     options.exec.sort_spill_bytes = spill;
     lang::Interpreter interp(db.get(), options);
     auto full = interp.Query("sort([%3, -%1], r)");
@@ -445,7 +441,7 @@ TEST(SortLanguageTest, XraSortMatchesDefinitionalAcrossConfigs) {
 
 TEST(SortLanguageTest, ExplainAnalyzeAnnotatesSpillRuns) {
   auto db = SeedDb(22);
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.exec.sort_spill_bytes = 64;
   lang::Interpreter interp(db.get(), options);
   auto text = interp.ExplainAnalyze("sort([%1], r)");
@@ -464,7 +460,7 @@ TEST(SortLanguageTest, ForcedSortMergeJoinMatchesHashJoin) {
   auto via_hash = hash_interp.Query("join(%2 = %5, r, r)");
   ASSERT_OK(via_hash);
 
-  lang::InterpreterOptions options;
+  ExecConfig options;
   options.exec.sort_merge_join = true;
   lang::Interpreter merge_interp(db.get(), options);
   auto explained = merge_interp.Explain("join(%2 = %5, r, r)");
@@ -555,25 +551,15 @@ std::string RowText(const Row& row) {
   return text;
 }
 
-// The rows `op` emits, in order: row protocol for batch_size 0, else the
-// batch protocol.
+// The rows `op` emits, in order, pulled `batch_size` rows at a time.
 std::vector<Row> Emitted(PhysicalOperator& op, size_t batch_size) {
   std::vector<Row> rows;
   EXPECT_OK(op.Open());
-  if (batch_size == 0) {
-    while (true) {
-      auto row = op.Next();
-      EXPECT_OK(row);
-      if (!row.ok() || !row->has_value()) break;
-      rows.push_back(**row);
-    }
-  } else {
-    RowBatch batch(batch_size);
-    while (true) {
-      EXPECT_OK(op.NextBatch(batch));
-      if (batch.empty()) break;
-      rows.insert(rows.end(), batch.begin(), batch.end());
-    }
+  RowBatch batch(batch_size);
+  while (true) {
+    EXPECT_OK(op.NextBatch(batch));
+    if (batch.empty()) break;
+    rows.insert(rows.end(), batch.begin(), batch.end());
   }
   op.Close();
   return rows;
@@ -602,7 +588,7 @@ std::vector<Row> ReferenceEmission(const Relation& input,
   return clamped;
 }
 
-// Keyed SortOp (in memory and forced spill, every protocol) emits exactly
+// Keyed SortOp (in memory and forced spill, every batch size) emits exactly
 // the reference sequence, and its folded bag is ops::Sort's.
 void ExpectOrderParity(const Relation& input, const std::vector<size_t>& keys,
                        const std::vector<bool>& desc, uint64_t limit) {
@@ -610,7 +596,7 @@ void ExpectOrderParity(const Relation& input, const std::vector<size_t>& keys,
   auto bag = ops::Sort(keys, desc, limit, input);
   ASSERT_OK(bag);
   for (uint64_t spill : {uint64_t{0}, uint64_t{64}}) {
-    for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
       SortOp op(keys, desc, limit, spill, std::make_unique<ScanOp>(&input));
       std::vector<Row> got = Emitted(op, batch_size);
       if (spill > 0 && input.distinct_size() > 1) {
