@@ -8,12 +8,15 @@
 // The claim prints a "REGRESSION" line when violated so the CI smoke run
 // can grep for it; the check is skipped (with a note) on machines with
 // fewer than 4 hardware threads, where a 2x expectation is physically
-// meaningless.  Before anything is timed, every lane count's result is
-// asserted equal to the definitional ops::GroupBy(ops::Join(...)) on a
-// sample small enough for its quadratic join, and to the 1-lane result at
-// the measured scale.
+// meaningless.  A second check covers the small inputs of the `analytic`
+// workload: at 10k and 50k rows, 2 lanes must not be slower than 1
+// (REGRESSION otherwise; skipped below 2 hardware threads).  Before
+// anything is timed, every lane count's result is asserted equal to the
+// definitional ops::GroupBy(ops::Join(...)) on a sample small enough for
+// its quadratic join, and to the 1-lane result at the measured scale.
 //
 //   $ ./build/bench/e20_parallel_scaling               # full 1M-row run
+//                                                      # + 10k/50k check
 //   $ ./build/bench/e20_parallel_scaling --rows 50000  # CI smoke scale
 
 #include <benchmark/benchmark.h>
@@ -150,6 +153,54 @@ void VerifyScaling(size_t rows) {
   }
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// The break-even at small scale: the same pipeline on 1 and 2 lanes,
+/// interleaved run by run, compared by median.
+void VerifySmallScaleBreakEven() {
+  Header("E20: 2 lanes against 1 at small inputs",
+         "Claim: at 10k and 50k rows 2 lanes are no slower than 1.");
+  Row("%-10s %-12s %-12s %s", "rows", "1-lane ms", "2-lane ms", "speedup");
+  std::vector<std::pair<size_t, double>> losses;
+  for (size_t rows : {size_t{10'000}, size_t{50'000}}) {
+    size_t side = rows / 2;
+    Relation jl = MakeInput(side, static_cast<int64_t>(side) / 2, 20, "jl");
+    Relation jr = MakeInput(side, static_cast<int64_t>(side) / 2, 21, "jr");
+    MRA_CHECK(Unwrap(exec::ExecuteToRelation(*BuildPipeline(&jl, &jr, 2)))
+                  .Equals(Unwrap(
+                      exec::ExecuteToRelation(*BuildPipeline(&jl, &jr, 1)))))
+        << "2 lanes changed the result multiset at " << rows << " rows";
+    std::vector<double> one, two;
+    for (int rep = 0; rep < 41; ++rep) {
+      for (size_t workers : {size_t{1}, size_t{2}}) {
+        exec::PhysOpPtr root = BuildPipeline(&jl, &jr, workers);
+        auto start = std::chrono::steady_clock::now();
+        Drain(*root);
+        double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+        (workers == 1 ? one : two).push_back(ms);
+      }
+    }
+    double one_ms = Median(one), two_ms = Median(two);
+    Row("%-10zu %-12.3f %-12.3f %.2fx", rows, one_ms, two_ms, one_ms / two_ms);
+    if (two_ms > one_ms) losses.emplace_back(rows, one_ms / two_ms);
+  }
+  Row("");
+  if (std::thread::hardware_concurrency() < 2) {
+    Row("note: fewer than 2 hardware threads — the break-even check is "
+        "skipped on this machine");
+    return;
+  }
+  for (const auto& [rows, speedup] : losses) {
+    Row("REGRESSION: 2 lanes slower than 1 at %zu rows (%.2fx)", rows,
+        speedup);
+  }
+}
+
 // --- Microbenchmarks across lane counts. ---
 
 void BM_ParallelPipeline(benchmark::State& state) {
@@ -182,6 +233,7 @@ int main(int argc, char** argv) {
   }
   argc = out;
   mra::bench::VerifyScaling(rows);
+  mra::bench::VerifySmallScaleBreakEven();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   mra::bench::DumpMetricsJson("E20");

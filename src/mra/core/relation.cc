@@ -14,12 +14,14 @@ Status Relation::Insert(const Tuple& tuple, uint64_t count) {
 
 void Relation::InsertUnchecked(const Tuple& tuple, uint64_t count) {
   if (count == 0) return;
+  split_cache_.Drop();
   map_[tuple] += count;
   total_ += count;
 }
 
 void Relation::InsertUnchecked(Tuple&& tuple, uint64_t count) {
   if (count == 0) return;
+  split_cache_.Drop();
   map_[std::move(tuple)] += count;
   total_ += count;
 }
@@ -30,7 +32,10 @@ uint64_t Relation::Remove(const Tuple& tuple, uint64_t count) {
   uint64_t removed = std::min(count, it->second);
   it->second -= removed;
   total_ -= removed;
-  if (it->second == 0) map_.erase(it);
+  if (it->second == 0) {
+    split_cache_.Drop();
+    map_.erase(it);
+  }
   return removed;
 }
 
@@ -39,6 +44,7 @@ void Relation::SetMultiplicity(const Tuple& tuple, uint64_t count) {
     Remove(tuple, UINT64_MAX);
     return;
   }
+  split_cache_.Drop();
   uint64_t& slot = map_[tuple];
   total_ = total_ - slot + count;
   slot = count;
@@ -50,8 +56,27 @@ uint64_t Relation::Multiplicity(const Tuple& tuple) const {
 }
 
 void Relation::Clear() {
+  split_cache_.Drop();
   map_.clear();
   total_ = 0;
+}
+
+std::shared_ptr<const Relation::Splits> Relation::RangeSplits(
+    size_t stride) const {
+  stride = std::max<size_t>(1, stride);
+  std::lock_guard<std::mutex> lock(split_cache_.mu_);
+  if (split_cache_.splits_ == nullptr || split_cache_.stride_ != stride) {
+    auto splits = std::make_shared<Splits>();
+    splits->reserve(map_.size() / stride + 2);
+    size_t n = 0;
+    for (auto it = map_.begin(); it != map_.end(); ++it, ++n) {
+      if (n % stride == 0) splits->push_back(it);
+    }
+    splits->push_back(map_.end());
+    split_cache_.stride_ = stride;
+    split_cache_.splits_ = std::move(splits);
+  }
+  return split_cache_.splits_;
 }
 
 bool Relation::Equals(const Relation& other) const {

@@ -8,6 +8,8 @@
 #define MRA_CORE_RELATION_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,6 +79,15 @@ class Relation {
   const_iterator begin() const { return map_.begin(); }
   const_iterator end() const { return map_.end(); }
 
+  /// Range access for lane-parallel scans: iterators to every `stride`-th
+  /// pair of the support in iteration order, then end(), so lanes that
+  /// claim disjoint ranges [splits[k], splits[k + 1]) see every (tuple,
+  /// multiplicity) pair exactly once (a bag is the ⊎ of any split of its
+  /// support).  One walk of the support builds it on first use; it stays
+  /// cached until the relation next changes.  Safe for concurrent readers.
+  using Splits = std::vector<const_iterator>;
+  std::shared_ptr<const Splits> RangeSplits(size_t stride) const;
+
   /// The support in the canonical order of Tuple::Compare, as pointers
   /// into this relation's map: valid until the relation is next modified.
   /// Every deterministic walk (ToString, the storage and wire encoders,
@@ -95,9 +106,38 @@ class Relation {
   std::string ToString() const;
 
  private:
+  /// RangeSplits' cache.  Not part of the value: a copied, moved or
+  /// assigned relation starts without one, and every mutator drops it
+  /// (writers have the relation to themselves, so that needs no lock).
+  class SplitCache {
+   public:
+    SplitCache() = default;
+    SplitCache(const SplitCache&) noexcept {}
+    SplitCache(SplitCache&& from) noexcept { from.Drop(); }
+    SplitCache& operator=(const SplitCache&) noexcept {
+      Drop();
+      return *this;
+    }
+    SplitCache& operator=(SplitCache&& from) noexcept {
+      Drop();
+      from.Drop();
+      return *this;
+    }
+    void Drop() {
+      if (splits_ != nullptr) splits_.reset();
+    }
+
+   private:
+    friend class Relation;
+    std::mutex mu_;
+    size_t stride_ = 0;
+    std::shared_ptr<const Splits> splits_;
+  };
+
   RelationSchema schema_;
   Map map_;
   uint64_t total_ = 0;
+  mutable SplitCache split_cache_;
 };
 
 }  // namespace mra

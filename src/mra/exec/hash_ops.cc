@@ -1,6 +1,7 @@
 #include "mra/exec/hash_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <mutex>
 
@@ -14,8 +15,6 @@ namespace exec {
 namespace {
 
 using parallel::WorkerPool;
-
-constexpr size_t kNone = static_cast<size_t>(-1);
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -50,42 +49,28 @@ uint64_t ApproxRowBytes(const Row& row) {
   return bytes;
 }
 
-/// The shared child cursor: each Pull hands the calling lane one morsel
-/// (one RowBatch) under a mutex.  The mutex also serializes the child
-/// subtree's own metrics and budget charges, so single-threaded operators
-/// below a parallel one stay race-free.  The first error — the child's or
-/// one a lane reports through Abort() — latches and ends every lane's
-/// loop.
-class MorselSource {
+// The partition of a key hash among 2^bits: its top bits.  The key
+// indexes place a key by the hash's low bits, so routing on those too
+// would crowd every partition's keys onto 1/P of its index slots.
+size_t PartitionOf(size_t hash, int bits) {
+  static_assert(sizeof(size_t) == sizeof(uint64_t));
+  return bits == 0 ? 0 : hash >> (64 - bits);
+}
+
+// Time this thread spent waiting for a SharedCursor; lanes subtract it
+// from their busy time, however deeply the cursor sits below them.
+thread_local uint64_t tls_blocked_ns = 0;
+
+/// The first error any lane reports; once one has latched, every lane's
+/// loop ends before its next morsel.
+class ErrorLatch {
  public:
-  MorselSource(PhysicalOperator* child, size_t morsel_size)
-      : child_(child), morsel_size_(morsel_size) {}
-
-  /// Fills `out` with the next morsel; false at end of stream or once an
-  /// error has latched.
-  bool Pull(RowBatch* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (done_ || !status_.ok()) return false;
-    out->SetCapacity(morsel_size_);
-    Status s = child_->NextBatch(*out);
-    if (!s.ok()) {
-      status_ = s;
-      return false;
-    }
-    if (out->empty()) {
-      done_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  /// Latches a lane-local error (evaluation failure, governance kill) so
-  /// the other lanes wind down at their next Pull.
-  void Abort(const Status& s) {
+  void Set(const Status& s) {
     std::lock_guard<std::mutex> lock(mu_);
     if (status_.ok()) status_ = s;
+    stop_.store(true, std::memory_order_relaxed);
   }
-
+  bool stopped() const { return stop_.load(std::memory_order_relaxed); }
   Status status() {
     std::lock_guard<std::mutex> lock(mu_);
     return status_;
@@ -93,29 +78,136 @@ class MorselSource {
 
  private:
   std::mutex mu_;
-  PhysicalOperator* child_;
-  size_t morsel_size_;
-  bool done_ = false;
+  std::atomic<bool> stop_{false};
   Status status_;
 };
 
-/// Per-phase lane bookkeeping: a Status slot per lane (first non-OK wins
-/// at the join) and the summed busy time feeding OperatorMetrics::cpu_ns.
-struct Phase {
-  explicit Phase(size_t lanes) : status(lanes) {}
-
-  Status First() const {
-    for (const Status& s : status) {
-      if (!s.ok()) return s;
+/// Runs the lease's lanes until each has drained: a lane checks the
+/// ExecContext, pulls a morsel with pull(lane, morsel) — empty once that
+/// lane is done — and hands it to consume(lane, morsel).  Lane 0, always
+/// the query thread and the only lane that charges memory, then calls
+/// charge().  Adds the lanes' busy time, less time blocked on a
+/// SharedCursor, to *cpu_ns and the pulled rows to *rows; returns the
+/// first error.
+template <typename Pull, typename Consume, typename Charge>
+Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
+                size_t morsel_size, uint64_t* cpu_ns, uint64_t* rows,
+                Pull pull, Consume consume, Charge charge) {
+  ErrorLatch latch;
+  std::atomic<uint64_t> busy_ns{0};
+  std::atomic<uint64_t> pulled{0};
+  WorkerPool::Global().ParallelFor(lease, [&](size_t lane) {
+    const uint64_t t0 = NowNs();
+    const uint64_t blocked0 = tls_blocked_ns;
+    uint64_t n = 0;
+    RowBatch morsel(morsel_size);
+    while (!latch.stopped()) {
+      Status s = ctx != nullptr ? ctx->Check() : Status::OK();
+      if (s.ok()) s = pull(lane, morsel);
+      if (s.ok() && morsel.empty()) break;
+      if (s.ok()) {
+        n += morsel.size();
+        s = consume(lane, morsel);
+      }
+      if (s.ok() && lane == 0) s = charge();
+      if (!s.ok()) {
+        latch.Set(s);
+        break;
+      }
     }
-    return Status::OK();
-  }
+    pulled.fetch_add(n, std::memory_order_relaxed);
+    busy_ns.fetch_add(NowNs() - t0 - (tls_blocked_ns - blocked0),
+                      std::memory_order_relaxed);
+  });
+  *cpu_ns += busy_ns.load(std::memory_order_relaxed);
+  *rows += pulled.load(std::memory_order_relaxed);
+  return latch.status();
+}
 
-  std::vector<Status> status;
-  std::atomic<uint64_t> cpu_ns{0};
-};
+/// One morsel-driven pass over `child`: opens it for the lease's lanes (a
+/// plain Open on a one-lane lease) and runs the lanes over it — each
+/// pulling its own morsels when the child is a partitioned source, else
+/// taking turns at a SharedCursor.  At the join the child's lane counters
+/// fold into its nodes and it closes, whether or not the pass failed.
+template <typename Consume, typename Charge>
+Status DrainChild(const WorkerPool::Lease& lease, ExecContext* ctx,
+                  PhysicalOperator* child, size_t morsel_size,
+                  uint64_t* cpu_ns, uint64_t* rows, Consume consume,
+                  Charge charge) {
+  bool by_lanes = false;
+  if (lease.lanes() > 1) {
+    MRA_RETURN_IF_ERROR(child->OpenForLanes(lease.lanes(), &by_lanes));
+  } else {
+    MRA_RETURN_IF_ERROR(child->Open());
+  }
+  SharedCursor shared;
+  Status s = RunLanes(
+      lease, ctx, morsel_size, cpu_ns, rows,
+      [&](size_t lane, RowBatch& morsel) {
+        return by_lanes ? child->NextLaneBatch(lane, morsel)
+                        : shared.Pull(child, morsel);
+      },
+      consume, charge);
+  // Closing on failure too hands the subtree's budget charges back at
+  // once: a killed kernel's Close never reaches an input it opened here.
+  child->FoldLaneMetrics();
+  child->Close();
+  return s;
+}
+
+/// One partition-wise phase: the lease's lanes claim partitions
+/// [0, parts) off a shared counter and run fn(p) on each, so every
+/// partition is touched by exactly one thread; governance is checked per
+/// partition.  Adds the lanes' busy time to *cpu_ns.
+template <typename Fn>
+Status RunPartitionPhase(const WorkerPool::Lease& lease, ExecContext* ctx,
+                         size_t parts, uint64_t* cpu_ns, Fn fn) {
+  ErrorLatch latch;
+  std::atomic<size_t> claim{0};
+  std::atomic<uint64_t> busy_ns{0};
+  WorkerPool::Global().ParallelFor(lease, [&](size_t) {
+    const uint64_t t0 = NowNs();
+    while (!latch.stopped()) {
+      size_t p = claim.fetch_add(1, std::memory_order_relaxed);
+      if (p >= parts) break;
+      if (ctx != nullptr) {
+        Status g = ctx->Check();
+        if (!g.ok()) {
+          latch.Set(g);
+          break;
+        }
+      }
+      fn(p);
+    }
+    busy_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+  });
+  *cpu_ns += busy_ns.load(std::memory_order_relaxed);
+  return latch.status();
+}
+
+// Sums the footprints the lanes publish.
+uint64_t SumLaneBytes(const std::vector<std::atomic<uint64_t>>& lane_bytes) {
+  uint64_t total = 0;
+  for (const auto& b : lane_bytes) total += b.load(std::memory_order_relaxed);
+  return total;
+}
 
 }  // namespace
+
+Status SharedCursor::Pull(PhysicalOperator* child, RowBatch& out) {
+  const uint64_t t0 = NowNs();
+  std::lock_guard<std::mutex> lock(mu_);
+  tls_blocked_ns += NowNs() - t0;
+  if (done_) {
+    out.Clear();
+    return Status::OK();
+  }
+  Status s = child->NextBatch(out);
+  // After the end of stream, or an error that another lane reports, the
+  // waiting lanes see an empty morsel.
+  if (!s.ok() || out.empty()) done_ = true;
+  return s;
+}
 
 // --- HashJoinOp. ---
 
@@ -136,307 +228,244 @@ HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
       << "HashJoin requires at least one key pair";
 }
 
-Status HashJoinOp::OpenImpl() {
-  staged_.clear();
+void HashJoinOp::Partition::Add(Row&& row, const std::vector<size_t>& keys,
+                                size_t hash) {
+  bool inserted = false;
+  size_t id = index.InsertKey(row.tuple, keys, hash, &inserted);
+  if (inserted) heads.push_back(kNone);
+  next.push_back(heads[id]);
+  heads[id] = rows.size();
+  rows.push_back(std::move(row));
+}
+
+void HashJoinOp::Reset() {
   partitions_.clear();
+  radix_bits_ = 0;
+  streaming_ = false;
+  probe_.batch.Clear();
+  probe_.pos = 0;
+  probe_.part = nullptr;
+  probe_.chain = kNone;
+  probe_.probed = 0;
+  lane_probes_.clear();
+  probe_by_lanes_ = false;
+  probe_cursor_.reset();
   out_.clear();
   emit_lane_ = 0;
   emit_pos_ = 0;
-  streaming_probe_ = false;
-  probe_batch_.Clear();
-  probe_pos_ = 0;
-  chain_ = kNone;
+}
 
-  WorkerPool& pool = WorkerPool::Global();
-  WorkerPool::Lease lease = pool.Admit(workers_);
+Status HashJoinOp::Build(const WorkerPool::Lease& lease,
+                         uint64_t* arena_bytes) {
   const size_t lanes = lease.lanes();
-  metrics_.workers = static_cast<uint32_t>(lanes);
-  // A one-lane lease (workers <= 1, or a saturated pool that shed the
-  // admission to serial) takes the fast path: direct build into a single
-  // arena and a streaming probe, skipping the staging pass, the radix
-  // routing and the output materialisation below.
-  if (lanes == 1) return OpenSerial();
-  // A few partitions per lane so the dynamic claim evens out skewed key
-  // distributions.
-  const size_t parts = NextPow2(4 * lanes);
-  const size_t mask = parts - 1;
-  ExecContext* ctx = exec_context();
-  const bool governed = ctx != nullptr;
-  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
-  auto fold_footprint = [&]() -> Status {  // Lane 0 / query thread only.
-    uint64_t total = 0;
-    for (const auto& b : lane_bytes) {
-      total += b.load(std::memory_order_relaxed);
+  if (lanes == 1) {
+    // One arena filled straight from the right input: no staging pass and
+    // no radix routing.  Governance lands per batch through the input's
+    // own NextBatch checks and the footprint charged as the arena grows.
+    partitions_ = std::vector<Partition>(1);
+    Partition& part = partitions_[0];
+    const uint64_t t0 = NowNs();
+    MRA_RETURN_IF_ERROR(right_->Open());
+    RowBatch batch(morsel_size_);
+    while (true) {
+      MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
+      if (batch.empty()) break;
+      for (Row& row : batch) {
+        const size_t h = row.tuple.HashKey(right_keys_);
+        part.Add(std::move(row), right_keys_, h);
+      }
+      MRA_RETURN_IF_ERROR(NoteHashFootprint(part.ApproxBytes()));
     }
-    return ChargeMemTo(total);
-  };
+    right_->Close();
+    metrics_.build_rows = part.rows.size();
+    metrics_.cpu_ns += NowNs() - t0;
+  } else {
+    // A few partitions per lane so the dynamic claim evens out skewed key
+    // distributions.
+    const size_t parts = NextPow2(4 * lanes);
+    radix_bits_ = std::countr_zero(parts);
+    ExecContext* ctx = exec_context();
+    const bool governed = ctx != nullptr;
+    std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
 
-  // --- Phase 1: radix-partition the build side. ---
-  MRA_RETURN_IF_ERROR(right_->Open());
-  staged_.assign(lanes, std::vector<std::vector<Row>>(parts));
-  {
-    Phase phase(lanes);
-    MorselSource source(right_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<std::vector<Row>>& stage = staged_[lane];
-      uint64_t rows = 0;
-      uint64_t bytes = 0;
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
-        }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
-        for (Row& row : morsel) {
-          size_t p = row.tuple.HashKey(right_keys_) & mask;
-          if (governed) bytes += ApproxRowBytes(row);
-          stage[p].push_back(std::move(row));
-        }
-        if (governed) {
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            Status charged = fold_footprint();
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
-        }
-      }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.build_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  right_->Close();
-  if (governed) MRA_RETURN_IF_ERROR(fold_footprint());
-
-  // --- Phase 2: build one private arena per partition.  Lanes claim
-  // partitions off a shared counter; a partition folds every lane's
-  // staged rows for it, so each arena is built by exactly one thread. ---
-  partitions_ = std::vector<Partition>(parts);
-  {
-    Phase phase(lanes);
-    std::atomic<size_t> claim{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      while (true) {
-        size_t p = claim.fetch_add(1, std::memory_order_relaxed);
-        if (p >= parts) break;
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            break;
-          }
-        }
-        Partition& part = partitions_[p];
-        for (size_t l = 0; l < lanes; ++l) {
-          for (Row& row : staged_[l][p]) {
-            bool inserted = false;
-            size_t id = part.index.InsertKey(row.tuple, right_keys_,
-                                             &inserted);
-            if (inserted) part.heads.push_back(kNone);
-            part.next.push_back(part.heads[id]);
-            part.heads[id] = part.rows.size();
+    // Phase 1: radix-partition the build side, keeping each row's key
+    // hash for the build.
+    std::vector<std::vector<Staged>> staged(lanes, std::vector<Staged>(parts));
+    MRA_RETURN_IF_ERROR(DrainChild(
+        lease, ctx, right_.get(), morsel_size_, &metrics_.cpu_ns,
+        &metrics_.build_rows,
+        [&](size_t lane, RowBatch& morsel) {
+          std::vector<Staged>& stage = staged[lane];
+          uint64_t bytes = 0;
+          for (Row& row : morsel) {
+            const size_t h = row.tuple.HashKey(right_keys_);
+            Staged& part = stage[PartitionOf(h, radix_bits_)];
+            if (governed) bytes += ApproxRowBytes(row);
             part.rows.push_back(std::move(row));
+            part.hashes.push_back(h);
           }
-          // Release staged storage as it is consumed, partition by
-          // partition, so peak memory is staged + one arena, not 2x.
-          staged_[l][p] = std::vector<Row>();
-        }
-      }
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(phase.First());
+          lane_bytes[lane].fetch_add(bytes, std::memory_order_relaxed);
+          return Status::OK();
+        },
+        [&] {
+          return governed ? ChargeMemTo(SumLaneBytes(lane_bytes))
+                          : Status::OK();
+        }));
+    if (governed) MRA_RETURN_IF_ERROR(ChargeMemTo(SumLaneBytes(lane_bytes)));
+
+    // Phase 2: one private arena per partition.  A partition folds every
+    // lane's staged rows for it, so each arena is built by exactly one
+    // thread.
+    partitions_ = std::vector<Partition>(parts);
+    MRA_RETURN_IF_ERROR(RunPartitionPhase(
+        lease, ctx, parts, &metrics_.cpu_ns, [&](size_t p) {
+          for (size_t l = 0; l < lanes; ++l) {
+            Staged& from = staged[l][p];
+            for (size_t i = 0; i < from.rows.size(); ++i) {
+              partitions_[p].Add(std::move(from.rows[i]), right_keys_,
+                                 from.hashes[i]);
+            }
+            // Release staged storage as it is consumed, partition by
+            // partition, so peak memory is staged + one arena, not 2x.
+            from = Staged();
+          }
+        }));
   }
-  staged_.clear();
-  uint64_t arena_bytes = 0;
+  *arena_bytes = 0;
   size_t entries = 0;
   for (const Partition& part : partitions_) {
-    arena_bytes += part.ApproxBytes();
+    *arena_bytes += part.ApproxBytes();
     entries += part.index.size();
   }
   metrics_.peak_hash_entries = entries;
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(arena_bytes));
-  for (auto& b : lane_bytes) b.store(0, std::memory_order_relaxed);
+  return NoteHashFootprint(*arena_bytes);
+}
 
-  // --- Phase 3: probe morsels route by the same radix into read-only
-  // partitions; each lane appends matches to its private output. ---
-  MRA_RETURN_IF_ERROR(left_->Open());
-  out_.assign(lanes, {});
-  {
-    Phase phase(lanes);
-    MorselSource source(left_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<Row>& sink = out_[lane];
-      uint64_t rows = 0;
-      uint64_t bytes = 0;
-      auto process = [&](const RowBatch& batch) -> Status {
-        for (const Row& probe : batch) {
-          size_t p = probe.tuple.HashKey(left_keys_) & mask;
-          const Partition& part = partitions_[p];
-          size_t id = part.index.FindKey(probe.tuple, left_keys_);
-          if (id == HashKeyIndex::kNotFound) continue;
-          for (size_t c = part.heads[id]; c != kNone; c = part.next[c]) {
-            Tuple combined = probe.tuple.Concat(part.rows[c].tuple);
-            if (residual_ != nullptr) {
-              MRA_ASSIGN_OR_RETURN(bool keep,
-                                   EvalPredicate(*residual_, combined));
-              if (!keep) continue;
-            }
-            if (governed) {
-              bytes += sizeof(Row) + combined.arity() * sizeof(Value);
-            }
-            sink.push_back(
-                Row{std::move(combined), probe.count * part.rows[c].count});
-          }
-        }
-        return Status::OK();
-      };
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
-        }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
-        Status s = process(morsel);
-        if (!s.ok()) {
-          phase.status[lane] = s;
-          source.Abort(s);
-          break;
-        }
-        if (governed) {
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            Status charged = ChargeMemTo(arena_bytes + [&] {
-              uint64_t total = 0;
-              for (const auto& b : lane_bytes) {
-                total += b.load(std::memory_order_relaxed);
-              }
-              return total;
-            }());
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
-        }
-      }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.probe_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-    if (governed) {
-      uint64_t total = arena_bytes;
-      for (const auto& b : lane_bytes) {
-        total += b.load(std::memory_order_relaxed);
-      }
-      MRA_RETURN_IF_ERROR(ChargeMemTo(total));
-    }
+Status HashJoinOp::OpenProbe(size_t lanes) {
+  lane_probes_ = std::vector<ProbeCursor>(lanes);
+  for (ProbeCursor& c : lane_probes_) c.batch.SetCapacity(morsel_size_);
+  probe_cursor_ = std::make_unique<SharedCursor>();
+  return left_->OpenForLanes(lanes, &probe_by_lanes_);
+}
+
+Status HashJoinOp::OpenImpl() {
+  Reset();
+  WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
+  const size_t lanes = lease.lanes();
+  metrics_.workers = static_cast<uint32_t>(lanes);
+  uint64_t arena_bytes = 0;
+  MRA_RETURN_IF_ERROR(Build(lease, &arena_bytes));
+  if (lanes == 1) {
+    // One lane streams: NextBatch probes into the caller's recycled
+    // slots, so a one-lane plan materialises nothing.
+    streaming_ = true;
+    probe_.batch.SetCapacity(morsel_size_);
+    return left_->Open();
   }
+
+  // Drained through NextBatch: the lanes probe into per-lane outputs,
+  // which NextBatch then streams.
+  MRA_RETURN_IF_ERROR(OpenProbe(lanes));
+  out_.assign(lanes, {});
+  ExecContext* ctx = exec_context();
+  const bool governed = ctx != nullptr;
+  const uint64_t row_bytes = sizeof(Row) + schema_.arity() * sizeof(Value);
+  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
+  uint64_t emitted = 0;
+  Status s = RunLanes(
+      lease, ctx, morsel_size_, &metrics_.cpu_ns, &emitted,
+      [&](size_t lane, RowBatch& morsel) {
+        morsel.Clear();
+        return LaneBatchImpl(lane, morsel);
+      },
+      [&](size_t lane, RowBatch& morsel) {
+        std::vector<Row>& sink = out_[lane];
+        for (Row& row : morsel) sink.push_back(std::move(row));
+        lane_bytes[lane].fetch_add(morsel.size() * row_bytes,
+                                   std::memory_order_relaxed);
+        return Status::OK();
+      },
+      [&] {
+        return governed ? ChargeMemTo(arena_bytes + SumLaneBytes(lane_bytes))
+                        : Status::OK();
+      });
+  left_->FoldLaneMetrics();
   left_->Close();
+  MRA_RETURN_IF_ERROR(s);
+  if (governed) {
+    MRA_RETURN_IF_ERROR(ChargeMemTo(arena_bytes + SumLaneBytes(lane_bytes)));
+  }
   return Status::OK();
 }
 
-// One-lane fast path: the build lands straight in partitions_[0] (same
-// arena layout, no staging pass) and NextBatch streams the probe.
-// Governance still lands per batch: the children's own NextBatch wrappers
-// check the context, and the footprint notes below charge the budget as
-// the arena grows.  Rows with the same key chain newest first — chain
-// order only permutes output order, which the bag stream convention does
-// not observe.
-Status HashJoinOp::OpenSerial() {
-  partitions_ = std::vector<Partition>(1);
-  Partition& part = partitions_[0];
-  uint64_t t0 = NowNs();
-  MRA_RETURN_IF_ERROR(right_->Open());
-  RowBatch batch(morsel_size_);
-  while (true) {
-    MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
-    if (batch.empty()) break;
-    for (Row& row : batch) {
-      bool inserted = false;
-      size_t id = part.index.InsertKey(row.tuple, right_keys_, &inserted);
-      if (inserted) part.heads.push_back(kNone);
-      part.next.push_back(part.heads[id]);
-      part.heads[id] = part.rows.size();
-      part.rows.push_back(std::move(row));
-    }
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(part.ApproxBytes()));
-  }
-  right_->Close();
-
-  metrics_.build_rows = part.rows.size();
-  metrics_.peak_hash_entries = part.index.size();
-  metrics_.cpu_ns += NowNs() - t0;
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(part.ApproxBytes()));
-  probe_batch_.SetCapacity(morsel_size_);
-  streaming_probe_ = true;
-  return left_->Open();
+// Drained by lanes, the join builds on its own lease and then probes on
+// its consumer's lanes, pulling probe morsels lane by lane.
+Status HashJoinOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
+  Reset();
+  WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
+  metrics_.workers = static_cast<uint32_t>(lease.lanes());
+  uint64_t arena_bytes = 0;
+  MRA_RETURN_IF_ERROR(Build(lease, &arena_bytes));
+  MRA_RETURN_IF_ERROR(OpenProbe(lanes));
+  *by_lanes = true;
+  return Status::OK();
 }
 
-Status HashJoinOp::StreamBatch(RowBatch& out) {
-  const Partition& part = partitions_[0];
+template <typename Pull>
+Status HashJoinOp::Probe(ProbeCursor& c, RowBatch& out, Pull pull) {
   while (!out.full()) {
-    if (chain_ == kNone) {
-      if (probe_pos_ == probe_batch_.size()) {
-        MRA_RETURN_IF_ERROR(left_->NextBatch(probe_batch_));
-        probe_pos_ = 0;
-        if (probe_batch_.empty()) return Status::OK();
+    if (c.chain == kNone) {
+      if (c.pos == c.batch.size()) {
+        MRA_RETURN_IF_ERROR(pull(c.batch));
+        c.pos = 0;
+        if (c.batch.empty()) return Status::OK();
       }
-      ++metrics_.probe_rows;
-      size_t id = part.index.FindKey(probe_batch_[probe_pos_].tuple,
-                                     left_keys_);
-      if (id == HashKeyIndex::kNotFound || part.heads[id] == kNone) {
-        ++probe_pos_;
+      const Tuple& probe = c.batch[c.pos].tuple;
+      ++c.probed;
+      const size_t h = probe.HashKey(left_keys_);
+      c.part = &partitions_[PartitionOf(h, radix_bits_)];
+      size_t id = c.part->index.FindKey(probe, left_keys_, h);
+      if (id == HashKeyIndex::kNotFound) {
+        ++c.pos;
         continue;
       }
-      chain_ = part.heads[id];
+      c.chain = c.part->heads[id];
     }
     // Concat into a recycled slot; on residual rejection truncate it back
-    // off.
-    const Row& probe = probe_batch_[probe_pos_];
+    // off.  Rows with the same key chain newest first — chain order only
+    // permutes output order, which the bag stream convention does not
+    // observe.
+    const Row& probe = c.batch[c.pos];
+    const Row& build = c.part->rows[c.chain];
     Row& slot = out.AppendSlot();
-    slot.tuple.AssignConcat(probe.tuple, part.rows[chain_].tuple);
-    slot.count = probe.count * part.rows[chain_].count;
+    slot.tuple.AssignConcat(probe.tuple, build.tuple);
+    slot.count = probe.count * build.count;
     if (residual_ != nullptr) {
       MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
       if (!keep) out.Truncate(out.size() - 1);
     }
-    chain_ = part.next[chain_];
-    if (chain_ == kNone) ++probe_pos_;
+    c.chain = c.part->next[c.chain];
+    if (c.chain == kNone) ++c.pos;
   }
   return Status::OK();
 }
 
+Status HashJoinOp::LaneBatchImpl(size_t lane, RowBatch& out) {
+  ProbeCursor& c = lane_probes_[lane];
+  if (probe_by_lanes_) {
+    return Probe(c, out,
+                 [&](RowBatch& b) { return left_->NextLaneBatch(lane, b); });
+  }
+  return Probe(c, out, [&](RowBatch& b) {
+    return probe_cursor_->Pull(left_.get(), b);
+  });
+}
+
 Status HashJoinOp::NextBatchImpl(RowBatch& out) {
-  if (streaming_probe_) return StreamBatch(out);
+  if (streaming_) {
+    return Probe(probe_, out,
+                 [&](RowBatch& b) { return left_->NextBatch(b); });
+  }
   while (!out.full()) {
     if (emit_lane_ >= out_.size()) return Status::OK();
     std::vector<Row>& lane_out = out_[emit_lane_];
@@ -454,18 +483,12 @@ Status HashJoinOp::NextBatchImpl(RowBatch& out) {
 }
 
 void HashJoinOp::CloseImpl() {
+  metrics_.probe_rows = probe_.probed;
+  for (const ProbeCursor& c : lane_probes_) metrics_.probe_rows += c.probed;
   CountHashRows(metrics_.build_rows, metrics_.probe_rows);
-  staged_.clear();
-  partitions_.clear();
-  out_.clear();
-  emit_lane_ = 0;
-  emit_pos_ = 0;
-  streaming_probe_ = false;
-  probe_batch_.Clear();
-  probe_pos_ = 0;
-  chain_ = kNone;
-  // Children were closed at the end of their phases on the success path;
-  // Close is idempotent, so this also covers unwinds.
+  Reset();
+  // Inputs close at the end of their phases on the success path; Close is
+  // idempotent, so this also covers unwinds and lane-drained probes.
   left_->Close();
   right_->Close();
 }
@@ -492,99 +515,62 @@ HashGroupByOp::HashGroupByOp(std::vector<size_t> keys,
 
 Status HashGroupByOp::OpenImpl() {
   lane_tables_.clear();
-  merged_.clear();
   emit_part_ = 0;
+  emit_lane_ = 0;
   emit_pos_ = 0;
 
-  WorkerPool& pool = WorkerPool::Global();
-  WorkerPool::Lease lease = pool.Admit(workers_);
+  WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   const size_t lanes = lease.lanes();
   // Key-free aggregation has a single global group: one partition, merged
   // serially — the classic two-phase shape.
   const size_t parts =
       (lanes == 1 || keys_.empty()) ? 1 : NextPow2(4 * lanes);
-  const size_t mask = parts - 1;
+  const int bits = std::countr_zero(parts);
   metrics_.workers = static_cast<uint32_t>(lanes);
   ExecContext* ctx = exec_context();
   const bool governed = ctx != nullptr;
   const size_t num_aggs = aggs_.size();
   std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
-  auto fold_footprint = [&]() -> Status {
-    uint64_t total = 0;
-    for (const auto& b : lane_bytes) {
-      total += b.load(std::memory_order_relaxed);
-    }
-    return NoteHashFootprint(total);
-  };
 
   // --- Phase 1: per-lane pre-aggregation, radix-routed by group key.
   // Folding rows into lane-local accumulators both shrinks the merge and
   // is the parallel speedup: Definition 3.3's aggregates commute with
   // partitioning, so partial per-lane states are exact. ---
-  MRA_RETURN_IF_ERROR(child_->Open());
   lane_tables_.resize(lanes);
   for (auto& tables : lane_tables_) {
     tables = std::vector<GroupTable>(parts);
   }
-  size_t pre_merge_entries = 0;
-  {
-    Phase phase(lanes);
-    MorselSource source(child_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<GroupTable>& tables = lane_tables_[lane];
-      uint64_t rows = 0;
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
-        }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
-        for (const Row& row : morsel) {
-          size_t p = parts == 1 ? 0 : row.tuple.HashKey(keys_) & mask;
-          GroupTable& table = tables[p];
-          bool inserted = false;
-          size_t id = table.index.InsertKey(row.tuple, keys_, &inserted);
-          if (inserted) {
-            for (size_t i = 0; i < num_aggs; ++i) {
-              table.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
-            }
-          }
-          for (size_t i = 0; i < num_aggs; ++i) {
-            table.accs[id * num_aggs + i].Add(row.tuple.at(aggs_[i].attr),
-                                              row.count);
-          }
-        }
-        if (governed) {
-          uint64_t bytes = 0;
-          for (const GroupTable& t : tables) bytes += t.ApproxBytes();
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            Status charged = fold_footprint();
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
+  auto consume = [&](size_t lane, RowBatch& morsel) {
+    std::vector<GroupTable>& tables = lane_tables_[lane];
+    for (const Row& row : morsel) {
+      size_t h = row.tuple.HashKey(keys_);
+      GroupTable& table = tables[PartitionOf(h, bits)];
+      bool inserted = false;
+      size_t id = table.index.InsertKey(row.tuple, keys_, h, &inserted);
+      if (inserted) {
+        for (size_t i = 0; i < num_aggs; ++i) {
+          table.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
         }
       }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.build_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  child_->Close();
+      for (size_t i = 0; i < num_aggs; ++i) {
+        table.accs[id * num_aggs + i].Add(row.tuple.at(aggs_[i].attr),
+                                          row.count);
+      }
+    }
+    if (governed) {
+      uint64_t bytes = 0;
+      for (const GroupTable& t : tables) bytes += t.ApproxBytes();
+      lane_bytes[lane].store(bytes, std::memory_order_relaxed);
+    }
+    return Status::OK();
+  };
+  MRA_RETURN_IF_ERROR(DrainChild(
+      lease, ctx, child_.get(), morsel_size_, &metrics_.cpu_ns,
+      &metrics_.build_rows, consume, [&] {
+        return governed ? NoteHashFootprint(SumLaneBytes(lane_bytes))
+                        : Status::OK();
+      }));
+  size_t pre_merge_entries = 0;
   uint64_t pass1_bytes = 0;
   for (const auto& tables : lane_tables_) {
     for (const GroupTable& t : tables) {
@@ -594,73 +580,54 @@ Status HashGroupByOp::OpenImpl() {
   }
   MRA_RETURN_IF_ERROR(NoteHashFootprint(pass1_bytes));
 
-  // --- Phase 2: merge each partition across lanes.  Lane 0's table seeds
-  // the merge; other lanes' groups re-key on the stored key tuple and
-  // their accumulators fold in with AggAccumulator::Merge. ---
-  merged_ = std::vector<GroupTable>(parts);
-  {
-    Phase phase(lanes);
-    std::atomic<size_t> claim{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      while (true) {
-        size_t p = claim.fetch_add(1, std::memory_order_relaxed);
-        if (p >= parts) break;
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            break;
-          }
-        }
-        GroupTable& m = merged_[p];
-        m = std::move(lane_tables_[0][p]);
-        for (size_t l = 1; l < lanes; ++l) {
-          GroupTable& t = lane_tables_[l][p];
-          for (size_t id = 0; id < t.index.size(); ++id) {
-            bool inserted = false;
-            size_t mid =
-                m.index.InsertKey(t.index.key(id), key_identity_, &inserted);
-            if (inserted) {
-              for (size_t i = 0; i < num_aggs; ++i) {
-                m.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
+  // --- Phase 2: fold each group into the first lane holding its key.
+  // The lanes' tables for one partition are touched by one thread, and a
+  // key's earliest holder is found first, so the owner is never folded. ---
+  size_t groups = 0;
+  if (lanes > 1) {
+    std::vector<size_t> owned(parts, 0);
+    MRA_RETURN_IF_ERROR(RunPartitionPhase(
+        lease, ctx, parts, &metrics_.cpu_ns, [&](size_t p) {
+          owned[p] = lane_tables_[0][p].index.size();
+          for (size_t l = 1; l < lanes; ++l) {
+            GroupTable& t = lane_tables_[l][p];
+            t.folded.assign(t.index.size(), false);
+            for (size_t id = 0; id < t.index.size(); ++id) {
+              for (size_t e = 0; e < l; ++e) {
+                GroupTable& owner = lane_tables_[e][p];
+                size_t oid = owner.index.FindKey(t.index.key(id), key_identity_,
+                                                 t.index.hash(id));
+                if (oid == HashKeyIndex::kNotFound) continue;
+                for (size_t i = 0; i < num_aggs; ++i) {
+                  owner.accs[oid * num_aggs + i].Merge(
+                      t.accs[id * num_aggs + i]);
+                }
+                t.folded[id] = true;
+                break;
               }
-            }
-            for (size_t i = 0; i < num_aggs; ++i) {
-              m.accs[mid * num_aggs + i].Merge(t.accs[id * num_aggs + i]);
+              if (!t.folded[id]) ++owned[p];
             }
           }
-          t = GroupTable();  // Free as consumed.
-        }
-      }
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(phase.First());
+        }));
+    for (size_t n : owned) groups += n;
+  } else {
+    for (const GroupTable& t : lane_tables_[0]) groups += t.index.size();
   }
-  lane_tables_.clear();
 
   // Def 3.3: Γ over an empty relation with no grouping attributes still
   // denotes the one global group (whose AVG/MIN/MAX are then undefined).
-  if (keys_.empty() && merged_[0].index.empty()) {
+  if (keys_.empty() && groups == 0) {
+    GroupTable& global = lane_tables_[0][0];
     bool inserted = false;
-    merged_[0].index.InsertKey(Tuple{}, keys_, &inserted);
+    global.index.InsertKey(Tuple{}, keys_, &inserted);
     for (size_t i = 0; i < num_aggs; ++i) {
-      merged_[0].accs.emplace_back(aggs_[i].kind, agg_types_[i]);
+      global.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
     }
+    groups = 1;
   }
 
-  size_t groups = 0;
-  uint64_t merged_bytes = 0;
-  for (const GroupTable& m : merged_) {
-    groups += m.index.size();
-    merged_bytes += m.ApproxBytes();
-  }
   metrics_.distinct_rows = groups;
   metrics_.peak_hash_entries = std::max(pre_merge_entries, groups);
-  // hash_bytes already high-watered at pass-1 peak; re-charge down to the
-  // merged arena, which is what emission holds.
-  MRA_RETURN_IF_ERROR(ChargeMemTo(merged_bytes));
   return Status::OK();
 }
 
@@ -679,15 +646,24 @@ Result<Row> HashGroupByOp::EmitGroup(const GroupTable& table,
 }
 
 Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
+  // Partition by partition, lane by lane, skipping folded groups.
   while (!out.full()) {
-    if (emit_part_ >= merged_.size()) return Status::OK();
-    if (emit_pos_ >= merged_[emit_part_].index.size()) {
+    if (emit_lane_ >= lane_tables_.size()) {
       ++emit_part_;
+      emit_lane_ = 0;
+    }
+    if (lane_tables_.empty() || emit_part_ >= lane_tables_[0].size()) {
+      return Status::OK();
+    }
+    const GroupTable& table = lane_tables_[emit_lane_][emit_part_];
+    if (emit_pos_ >= table.index.size()) {
+      ++emit_lane_;
       emit_pos_ = 0;
       continue;
     }
-    MRA_ASSIGN_OR_RETURN(Row row, EmitGroup(merged_[emit_part_], emit_pos_));
-    ++emit_pos_;
+    const size_t id = emit_pos_++;
+    if (!table.folded.empty() && table.folded[id]) continue;
+    MRA_ASSIGN_OR_RETURN(Row row, EmitGroup(table, id));
     Row& slot = out.AppendSlot();
     slot.tuple = std::move(row.tuple);
     slot.count = row.count;
@@ -698,8 +674,8 @@ Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
 void HashGroupByOp::CloseImpl() {
   CountHashRows(metrics_.build_rows, 0);
   lane_tables_.clear();
-  merged_.clear();
   emit_part_ = 0;
+  emit_lane_ = 0;
   emit_pos_ = 0;
   child_->Close();
 }
@@ -716,82 +692,50 @@ DedupOp::DedupOp(PhysOpPtr child, size_t workers, size_t morsel_size)
 
 Status DedupOp::OpenImpl() {
   lane_seen_.clear();
-  merged_.clear();
+  distinct_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
   seen_.Reset();
 
-  WorkerPool& pool = WorkerPool::Global();
-  WorkerPool::Lease lease = pool.Admit(workers_);
+  WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   const size_t lanes = lease.lanes();
   metrics_.workers = static_cast<uint32_t>(lanes);
   // One lane streams: NextBatch dedups each child batch in place.
   streaming_ = lanes == 1;
   if (streaming_) return child_->Open();
   const size_t parts = NextPow2(4 * lanes);
-  const size_t mask = parts - 1;
+  const int bits = std::countr_zero(parts);
   ExecContext* ctx = exec_context();
   const bool governed = ctx != nullptr;
   std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
 
   // --- Phase 1: per-lane pre-dedup, radix-routed on the whole tuple. ---
-  MRA_RETURN_IF_ERROR(child_->Open());
   lane_seen_.resize(lanes);
   for (auto& seen : lane_seen_) {
     seen = std::vector<HashKeyIndex>(parts);
   }
-  {
-    Phase phase(lanes);
-    MorselSource source(child_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<HashKeyIndex>& seen = lane_seen_[lane];
-      uint64_t rows = 0;
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
-        }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
+  MRA_RETURN_IF_ERROR(DrainChild(
+      lease, ctx, child_.get(), morsel_size_, &metrics_.cpu_ns,
+      &metrics_.build_rows,
+      [&](size_t lane, RowBatch& morsel) {
+        std::vector<HashKeyIndex>& seen = lane_seen_[lane];
         for (const Row& row : morsel) {
-          size_t p = row.tuple.HashKey(identity_) & mask;
+          size_t h = row.tuple.HashKey(identity_);
           bool inserted = false;
-          seen[p].InsertKey(row.tuple, identity_, &inserted);
+          seen[PartitionOf(h, bits)].InsertKey(row.tuple, identity_, h,
+                                               &inserted);
         }
         if (governed) {
           uint64_t bytes = 0;
           for (const HashKeyIndex& s : seen) bytes += s.ApproxBytes();
           lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            uint64_t total = 0;
-            for (const auto& b : lane_bytes) {
-              total += b.load(std::memory_order_relaxed);
-            }
-            Status charged = NoteHashFootprint(total);
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
         }
-      }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.build_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  child_->Close();
+        return Status::OK();
+      },
+      [&] {
+        return governed ? NoteHashFootprint(SumLaneBytes(lane_bytes))
+                        : Status::OK();
+      }));
   uint64_t pass1_bytes = 0;
   size_t pre_merge_entries = 0;
   for (const auto& seen : lane_seen_) {
@@ -802,51 +746,32 @@ Status DedupOp::OpenImpl() {
   }
   MRA_RETURN_IF_ERROR(NoteHashFootprint(pass1_bytes));
 
-  // --- Phase 2: partition-wise union of supports across lanes. ---
-  merged_ = std::vector<HashKeyIndex>(parts);
-  {
-    Phase phase(lanes);
-    std::atomic<size_t> claim{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      while (true) {
-        size_t p = claim.fetch_add(1, std::memory_order_relaxed);
-        if (p >= parts) break;
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            break;
-          }
-        }
-        HashKeyIndex& m = merged_[p];
-        m = std::move(lane_seen_[0][p]);
-        for (size_t l = 1; l < lanes; ++l) {
-          HashKeyIndex& s = lane_seen_[l][p];
+  // --- Phase 2: list each partition's support once.  A key stays with the
+  // first lane that holds it; later lanes look it up by stored hash in the
+  // earlier lanes' indexes, which stay read-only. ---
+  distinct_.assign(parts, {});
+  MRA_RETURN_IF_ERROR(RunPartitionPhase(
+      lease, ctx, parts, &metrics_.cpu_ns, [&](size_t p) {
+        std::vector<KeyRef>& keys = distinct_[p];
+        for (size_t l = 0; l < lanes; ++l) {
+          const HashKeyIndex& s = lane_seen_[l][p];
           for (size_t id = 0; id < s.size(); ++id) {
-            bool inserted = false;
-            m.InsertKey(s.key(id), identity_, &inserted);
+            bool earlier = false;
+            for (size_t e = 0; e < l && !earlier; ++e) {
+              earlier = lane_seen_[e][p].FindKey(s.key(id), identity_,
+                                                 s.hash(id)) !=
+                        HashKeyIndex::kNotFound;
+            }
+            if (!earlier) keys.push_back(KeyRef{l, id});
           }
-          s = HashKeyIndex();  // Free as consumed.
         }
-      }
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  lane_seen_.clear();
+      }));
 
   size_t distinct = 0;
-  uint64_t merged_bytes = 0;
-  for (const HashKeyIndex& m : merged_) {
-    distinct += m.size();
-    merged_bytes += m.ApproxBytes();
-  }
+  for (const auto& keys : distinct_) distinct += keys.size();
   metrics_.distinct_rows = distinct;
   metrics_.peak_hash_entries = std::max(pre_merge_entries, distinct);
-  MRA_RETURN_IF_ERROR(ChargeMemTo(merged_bytes));
-  return Status::OK();
+  return NoteHashFootprint(pass1_bytes + distinct * sizeof(KeyRef));
 }
 
 Status DedupOp::StreamBatch(RowBatch& out) {
@@ -877,14 +802,15 @@ Status DedupOp::StreamBatch(RowBatch& out) {
 Status DedupOp::NextBatchImpl(RowBatch& out) {
   if (streaming_) return StreamBatch(out);
   while (!out.full()) {
-    if (emit_part_ >= merged_.size()) return Status::OK();
-    if (emit_pos_ >= merged_[emit_part_].size()) {
+    if (emit_part_ >= distinct_.size()) return Status::OK();
+    if (emit_pos_ >= distinct_[emit_part_].size()) {
       ++emit_part_;
       emit_pos_ = 0;
       continue;
     }
+    const KeyRef& key = distinct_[emit_part_][emit_pos_++];
     Row& slot = out.AppendSlot();
-    slot.tuple = merged_[emit_part_].key(emit_pos_++);
+    lane_seen_[key.lane][emit_part_].SwapKey(key.id, slot.tuple);
     slot.count = 1;
   }
   return Status::OK();
@@ -899,7 +825,7 @@ void DedupOp::CloseImpl() {
   }
   CountHashRows(metrics_.build_rows, 0);
   lane_seen_.clear();
-  merged_.clear();
+  distinct_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
   child_->Close();

@@ -4,10 +4,15 @@
 //
 // With more than one lane the work happens in OpenImpl as a sequence of
 // phases fanned out over the lease, and NextBatch then streams an
-// already-materialised result.  A *morsel* is one RowBatch pulled from the
-// shared child cursor under a light mutex (relations are hash maps — there
-// is no index range to slice, so the cursor itself is the work queue).
-// Partitioning is by key-hash radix: P = next power of two >= 4 x lanes
+// already-materialised result.  A *morsel* is one RowBatch of the child's
+// output.  The kernel opens its child with OpenForLanes: a partitioned
+// source (a stored-relation scan, σ/π over one, a multi-lane ⋈) lets every
+// lane produce its own morsels — the scan claims disjoint ranges of the
+// relation, σ and π run on the claiming lane, the ⋈ probes on it — with
+// no lock; any other child is one SharedCursor pulled under a mutex
+// (operator.h).
+// Partitioning is by key-hash radix on the hash's top bits (the key
+// indexes place keys by the low bits): P = next power of two >= 4 x lanes
 // partitions, which makes the partitions *disjoint by key* — and under the
 // paper's multi-set semantics that is the whole correctness argument:
 //
@@ -20,13 +25,17 @@
 //    input merge additively (AggAccumulator::Merge) into exactly the
 //    definitional per-group values.
 //  * dedup (δ): the support of a disjoint union is the union of supports;
-//    per-lane pre-dedup only collapses duplicates early.
+//    per-lane pre-dedup only collapses duplicates early, and a key that an
+//    earlier lane also holds is emitted by that lane only.
+//
+// A row is hashed once: the routing hash is also its key-index hash.
 //
 // A one-lane lease (workers <= 1, or a saturated pool that shed the
-// admission) uses a single partition and skips the routing.  The join and
-// δ then stream: the join builds one arena and probes batch by batch, δ
-// compacts each child batch in place against its seen-set.  Only Γ, which
-// must see its whole input before it can emit, materialises.
+// admission) uses a single partition, skips the routing and opens the
+// child with a plain Open.  The join and δ then stream: the join builds
+// one arena and probes batch by batch, δ compacts each child batch in
+// place against its seen-set.  Only Γ, which must see its whole input
+// before it can emit, materialises.
 //
 // Governance: the shared ExecContext reaches every lane — each lane checks
 // it per morsel (and the child's own batch wrapper checks per pull), so a
@@ -37,23 +46,44 @@
 //
 // Metrics: per-lane row counters and busy-times merge after each phase
 // join into OperatorMetrics — `workers=N` and the summed lane time
-// (`cpu=`) appear in EXPLAIN ANALYZE next to the elapsed wall time.  Close
-// adds the build/probe row counts to the process-wide `hash.build_rows` /
+// (`cpu=`, which leaves out time blocked on a locked child cursor) appear
+// in EXPLAIN ANALYZE next to the elapsed wall time.  A lane-drained
+// child's counters fold into its own node at the same joins.  Close adds
+// the build/probe row counts to the process-wide `hash.build_rows` /
 // `hash.probe_rows` counters.
 
 #ifndef MRA_EXEC_HASH_OPS_H_
 #define MRA_EXEC_HASH_OPS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "mra/algebra/aggregate.h"
 #include "mra/exec/hash_table.h"
 #include "mra/exec/operator.h"
+#include "mra/parallel/worker_pool.h"
 
 namespace mra {
 namespace exec {
+
+/// The locked fallback for a child that is not a partitioned source: one
+/// shared NextBatch cursor that concurrent lanes pull a morsel at a time
+/// under a mutex, which also serializes the child subtree's own metrics
+/// and budget charges.
+class SharedCursor {
+ public:
+  /// Fills `out` with the next morsel; empty once the child has drained
+  /// or failed.  Time spent waiting for the lock is left out of the
+  /// calling lane's `cpu=`.
+  Status Pull(PhysicalOperator* child, RowBatch& out);
+
+ private:
+  std::mutex mu_;
+  bool done_ = false;
+};
 
 /// ⋈ on equi-key conjuncts %i = %j: builds a hash table over the right
 /// input keyed by its key attributes, probes with left rows, and applies
@@ -61,8 +91,11 @@ namespace exec {
 /// multiplicity is the product of the matched input multiplicities
 /// (Definition 3.1 via Theorem 3.1's σ_φ(E1 × E2) equivalence).  On more
 /// than one lane: radix-partition the build side, build one private arena
-/// per partition in parallel, then probe morsels route by the same radix
-/// into read-only partitions.
+/// per partition in parallel; the partitions are read-only from then on,
+/// so any number of lanes can probe them.  A join drained by lanes (a
+/// partitioned source) probes on its consumer's lanes, morsel by morsel,
+/// and materialises nothing; one drained through NextBatch probes on its
+/// own lanes into per-lane outputs first.
 class HashJoinOp final : public PhysicalOperator {
  public:
   /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
@@ -81,20 +114,19 @@ class HashJoinOp final : public PhysicalOperator {
   Status OpenImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
+  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
+  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
   static constexpr size_t kNone = static_cast<size_t>(-1);
 
-  /// One-lane lease: the build lands in partitions_[0] directly — no
-  /// staging pass — and NextBatch streams the probe, so a one-lane plan
-  /// pays neither radix routing nor output materialisation.
-  Status OpenSerial();
-  Status StreamBatch(RowBatch& out);
-
   /// One radix partition's build arena: a key index plus per-key chains
   /// (newest first) through flat row storage, private to the lane that
-  /// built it and read-only during the probe phase.
+  /// built it and read-only during the probe.
   struct Partition {
+    /// Adds a build row whose key hash is `hash`.
+    void Add(Row&& row, const std::vector<size_t>& keys, size_t hash);
+
     HashKeyIndex index;
     std::vector<size_t> heads;
     std::vector<Row> rows;
@@ -104,6 +136,40 @@ class HashJoinOp final : public PhysicalOperator {
              next.capacity() * sizeof(size_t) + rows.capacity() * sizeof(Row);
     }
   };
+
+  /// Build rows a lane routed to one partition, with their key hashes.
+  struct Staged {
+    std::vector<Row> rows;
+    std::vector<size_t> hashes;
+  };
+
+  /// Where a probe stands: the current probe morsel, the row in it and its
+  /// place in the match chain (kNone = take the next probe row).  The
+  /// one-lane stream keeps one; a lane-drained join keeps one a lane.
+  struct alignas(64) ProbeCursor {
+    RowBatch batch;
+    size_t pos = 0;
+    const Partition* part = nullptr;
+    size_t chain = kNone;
+    uint64_t probed = 0;  // Probe rows taken, summed at Close.
+  };
+
+  /// Resets the Open-time state.
+  void Reset();
+  /// Builds partitions_ from the right input over the lease's lanes: one
+  /// arena filled directly on a one-lane lease, else a radix-routed staging
+  /// pass and a partition-parallel build.  Closes the right input and
+  /// reports the arenas' footprint.
+  Status Build(const parallel::WorkerPool::Lease& lease,
+               uint64_t* arena_bytes);
+  /// Opens the left input for `lanes` probing lanes (LaneBatchImpl), by
+  /// lane when it is a partitioned source, else through probe_cursor_.
+  Status OpenProbe(size_t lanes);
+  /// The probe kernel: fills `out` with the matches of the cursor's probe
+  /// rows, pulling probe morsels with pull(batch) — one code path for the
+  /// one-lane stream, lane-drained joins and materialisation.
+  template <typename Pull>
+  Status Probe(ProbeCursor& c, RowBatch& out, Pull pull);
 
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
@@ -115,25 +181,25 @@ class HashJoinOp final : public PhysicalOperator {
   size_t morsel_size_;
 
   // Open-time state, cleared on Close.
-  std::vector<std::vector<std::vector<Row>>> staged_;  // [lane][p]
   std::vector<Partition> partitions_;
-  std::vector<std::vector<Row>> out_;  // [lane] probe output
+  int radix_bits_ = 0;  // log2 of partitions_.size().
+  bool streaming_ = false;  // One lane: NextBatch probes through probe_.
+  ProbeCursor probe_;
+  std::vector<ProbeCursor> lane_probes_;  // [lane], probing by lanes.
+  bool probe_by_lanes_ = false;
+  std::unique_ptr<SharedCursor> probe_cursor_;
+  std::vector<std::vector<Row>> out_;  // [lane] materialised probe output
   size_t emit_lane_ = 0;
   size_t emit_pos_ = 0;
-
-  // One-lane streaming-probe cursor: the current probe row and its
-  // position in the match chain (kNone = fetch the next probe row).
-  bool streaming_probe_ = false;
-  RowBatch probe_batch_;
-  size_t probe_pos_ = 0;
-  size_t chain_ = kNone;
 };
 
 /// Γ — hash aggregation (Definition 3.4 with the Definition 3.3
 /// multiplicity-weighted aggregates).  One morsel pass builds per-lane
-/// pre-aggregation tables routed by group-key radix; a merge phase folds
-/// each partition across lanes with AggAccumulator::Merge (the aggregates
-/// are additive over disjoint input partitions).  Key-free aggregation
+/// pre-aggregation tables routed by group-key radix; a partition-parallel
+/// merge phase folds each group into the first lane that holds its key —
+/// found by lookup with the stored hash — with AggAccumulator::Merge (the
+/// aggregates are additive over disjoint input partitions), so no key is
+/// re-inserted, and emission skips the folded entries.  Key-free aggregation
 /// degenerates to per-lane accumulators merged at the join — classic
 /// two-phase aggregation — and keeps the Definition 3.3 empty-input global
 /// group.  Accumulators finish lazily at emission, so AVG/MIN/MAX
@@ -162,6 +228,7 @@ class HashGroupByOp final : public PhysicalOperator {
   struct GroupTable {
     HashKeyIndex index;
     std::vector<AggAccumulator> accs;
+    std::vector<bool> folded;  // Lanes >= 1: groups an earlier lane owns.
     size_t ApproxBytes() const {
       return index.ApproxBytes() + accs.capacity() * sizeof(AggAccumulator);
     }
@@ -179,8 +246,8 @@ class HashGroupByOp final : public PhysicalOperator {
   size_t morsel_size_;
 
   std::vector<std::vector<GroupTable>> lane_tables_;  // [lane][p]
-  std::vector<GroupTable> merged_;                    // [p]
   size_t emit_part_ = 0;
+  size_t emit_lane_ = 0;
   size_t emit_pos_ = 0;
 };
 
@@ -189,7 +256,9 @@ class HashGroupByOp final : public PhysicalOperator {
 /// in place to its first occurrences (FilterOp-style) against a recycled
 /// seen-set, so a drain stays allocation-free once warm.  On more lanes:
 /// per-lane pre-dedup into radix-routed key indexes, then a parallel
-/// partition-wise union of supports.
+/// partition-wise pass lists each key once — from the first lane holding
+/// it, found by lookup with the stored hash, so no key is re-inserted —
+/// and emission swaps the listed keys out of the lane indexes.
 class DedupOp final : public PhysicalOperator {
  public:
   explicit DedupOp(PhysOpPtr child, size_t workers = 1,
@@ -221,7 +290,12 @@ class DedupOp final : public PhysicalOperator {
   HashKeyIndex seen_;
 
   std::vector<std::vector<HashKeyIndex>> lane_seen_;  // [lane][p]
-  std::vector<HashKeyIndex> merged_;                  // [p]
+  /// A key to emit: its lane and id there.
+  struct KeyRef {
+    size_t lane;
+    size_t id;
+  };
+  std::vector<std::vector<KeyRef>> distinct_;  // [p] keys to emit
   size_t emit_part_ = 0;
   size_t emit_pos_ = 0;
 };

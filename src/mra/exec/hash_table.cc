@@ -35,11 +35,10 @@ void HashKeyIndex::Grow() {
 }
 
 size_t HashKeyIndex::InsertKey(const Tuple& row,
-                               const std::vector<size_t>& attrs,
+                               const std::vector<size_t>& attrs, size_t h,
                                bool* inserted) {
   // Grow at 70% load so linear probing stays short.
   if (slots_.empty() || (num_keys_ + 1) * 10 >= slots_.size() * 7) Grow();
-  size_t h = row.HashKey(attrs);
   size_t mask = slots_.size() - 1;
   size_t pos = h & mask;
   while (true) {
@@ -68,9 +67,9 @@ size_t HashKeyIndex::InsertKey(const Tuple& row,
 }
 
 size_t HashKeyIndex::FindKey(const Tuple& row,
-                             const std::vector<size_t>& attrs) const {
+                             const std::vector<size_t>& attrs,
+                             size_t h) const {
   if (slots_.empty() || num_keys_ == 0) return kNotFound;
-  size_t h = row.HashKey(attrs);
   size_t mask = slots_.size() - 1;
   size_t pos = h & mask;
   while (true) {

@@ -48,15 +48,37 @@ class HashKeyIndex {
   /// *inserted reports which happened.  Ids are assigned 0, 1, 2, … in
   /// first-occurrence order.
   size_t InsertKey(const Tuple& row, const std::vector<size_t>& attrs,
-                   bool* inserted);
+                   bool* inserted) {
+    return InsertKey(row, attrs, row.HashKey(attrs), inserted);
+  }
+  /// As above with `hash` == row.HashKey(attrs) already computed (a radix
+  /// kernel hashes once to route the row, then reuses the hash here).
+  size_t InsertKey(const Tuple& row, const std::vector<size_t>& attrs,
+                   size_t hash, bool* inserted);
 
   /// Lookup without insertion: the id of π_attrs(row), or kNotFound.
-  size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs) const;
+  size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs) const {
+    return FindKey(row, attrs, row.HashKey(attrs));
+  }
+  size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs,
+                 size_t hash) const;
 
   /// The stored key tuple for a dense id in [0, size()).
   const Tuple& key(size_t id) const {
     MRA_CHECK_LT(id, num_keys_);
     return keys_[id];
+  }
+  /// Swaps the stored key for `id` with `t`: emits a key without copying
+  /// it, once the index is done being probed (the key is then stale).
+  void SwapKey(size_t id, Tuple& t) {
+    MRA_CHECK_LT(id, num_keys_);
+    keys_[id].Swap(t);
+  }
+  /// Its stored hash — equal to HashKey over the key's own attributes, so
+  /// re-keying a stored key into another index needs no rehash.
+  size_t hash(size_t id) const {
+    MRA_CHECK_LT(id, num_keys_);
+    return hashes_[id];
   }
 
   /// Approximate heap bytes held by the index (see header comment).

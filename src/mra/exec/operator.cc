@@ -177,8 +177,16 @@ void RenderAnalyzed(const PhysicalOperator& op, int depth, std::ostream& out) {
 
 }  // namespace
 
-Status PhysicalOperator::Open() {
+Status PhysicalOperator::Open() { return OpenChecked(0, nullptr); }
+
+Status PhysicalOperator::OpenForLanes(size_t lanes, bool* by_lanes) {
+  *by_lanes = false;
+  return OpenChecked(lanes, by_lanes);
+}
+
+Status PhysicalOperator::OpenChecked(size_t lanes, bool* by_lanes) {
   MRA_CHECK(state_ != State::kOpen) << "Open() while already open";
+  lane_counters_.clear();
   if (state_ == State::kClosed) metrics_.ResetRuntime();
   charged_bytes_ = 0;
   timing_ = obs::ExecTimingEnabled();
@@ -193,13 +201,26 @@ Status PhysicalOperator::Open() {
       return g;
     }
   }
+  auto open = [&] {
+    return by_lanes == nullptr ? OpenImpl() : OpenLanesImpl(lanes, by_lanes);
+  };
   Status s;
   if (timing_) {
     uint64_t t0 = NowNs();
-    s = OpenImpl();
+    s = open();
     metrics_.open_ns += NowNs() - t0;
   } else {
-    s = OpenImpl();
+    s = open();
+  }
+  if (by_lanes != nullptr && *by_lanes) {
+    if (s.ok()) {
+      lane_counters_.resize(lanes);
+      if (metrics_.workers == 0) {
+        metrics_.workers = static_cast<uint32_t>(lanes);
+      }
+    } else {
+      *by_lanes = false;
+    }
   }
   // A failed Open leaves the operator Closed: resources the impl did
   // acquire are released by Close-idempotent destruction paths, and the
@@ -243,6 +264,52 @@ Status PhysicalOperator::NextBatch(RowBatch& out) {
     metrics_.weighted_rows += weighted;
   }
   return s;
+}
+
+Status PhysicalOperator::NextLaneBatch(size_t lane, RowBatch& out) {
+  MRA_CHECK(state_ == State::kOpen && lane < lane_counters_.size())
+      << "NextLaneBatch() on an operator not open for lane " << lane;
+  out.Clear();
+  if (exec_ctx_ != nullptr) {
+    if (FpFired(CancelBatchFp())) exec_ctx_->RequestCancel();
+    Status g = exec_ctx_->Check();
+    if (!g.ok()) return g;
+  }
+  LaneCounters& counters = lane_counters_[lane];
+  Status s;
+  if (timing_) {
+    uint64_t t0 = NowNs();
+    s = LaneBatchImpl(lane, out);
+    counters.ns += NowNs() - t0;
+  } else {
+    s = LaneBatchImpl(lane, out);
+  }
+  if (s.ok() && !out.empty()) {
+    ++counters.batches;
+    counters.rows += out.size();
+    for (const Row& row : out) counters.weighted += row.count;
+  }
+  return s;
+}
+
+Status PhysicalOperator::LaneBatchImpl(size_t lane, RowBatch& out) {
+  (void)lane;
+  (void)out;
+  return Status::Internal(std::string(name()) + " is not a partitioned source");
+}
+
+void PhysicalOperator::FoldLaneMetrics() {
+  // A lane-drained node's `time=` is the sum of its lanes' time.
+  for (LaneCounters& c : lane_counters_) {
+    metrics_.batches_emitted += c.batches;
+    metrics_.rows_emitted += c.rows;
+    metrics_.weighted_rows += c.weighted;
+    metrics_.next_ns += c.ns;
+    c = LaneCounters();
+  }
+  for (const PhysicalOperator* child : children()) {
+    const_cast<PhysicalOperator*>(child)->FoldLaneMetrics();
+  }
 }
 
 Status PhysicalOperator::NoteHashFootprint(uint64_t bytes) {
@@ -294,7 +361,12 @@ Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t batch_size) {
   Relation out(op.schema());
   RowBatch batch(batch_size);
   while (true) {
-    MRA_RETURN_IF_ERROR(op.NextBatch(batch));
+    Status s = op.NextBatch(batch);
+    if (!s.ok()) {
+      // Unwind: a plan killed mid-drain hands its budget charges back now.
+      op.Close();
+      return s;
+    }
     if (batch.empty()) break;
     for (Row& row : batch) {
       out.InsertUnchecked(std::move(row.tuple), row.count);
@@ -340,7 +412,44 @@ Status ScanOp::NextBatchImpl(RowBatch& out) {
   return Status::OK();
 }
 
-void ScanOp::CloseImpl() {}
+Status ScanOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
+  // Ranges of up to a morsel, at least four a lane so the dynamic claim
+  // evens out.
+  const size_t stride = std::clamp<size_t>(
+      relation_->distinct_size() / (4 * lanes), 1, kDefaultBatchSize);
+  splits_ = relation_->RangeSplits(stride);
+  next_range_.store(0, std::memory_order_relaxed);
+  cursors_.assign(lanes, LaneCursor{relation_->end(), relation_->end()});
+  *by_lanes = true;
+  return Status::OK();
+}
+
+Status ScanOp::LaneBatchImpl(size_t lane, RowBatch& out) {
+  LaneCursor& c = cursors_[lane];
+  while (!out.full()) {
+    if (c.it == c.end) {
+      size_t k = next_range_.fetch_add(1, std::memory_order_relaxed);
+      if (k + 1 >= splits_->size()) break;
+      c.it = (*splits_)[k];
+      c.end = (*splits_)[k + 1];
+      continue;
+    }
+    Row& slot = out.AppendSlot();
+    if (columns_) {
+      slot.tuple.AssignProjection(c.it->first, *columns_);
+    } else {
+      slot.tuple = c.it->first;
+    }
+    slot.count = c.it->second;
+    ++c.it;
+  }
+  return Status::OK();
+}
+
+void ScanOp::CloseImpl() {
+  cursors_.clear();
+  splits_.reset();
+}
 
 const RelationSchema& ScanOp::schema() const {
   return columns_ ? projected_schema_ : relation_->schema();
@@ -376,35 +485,55 @@ Status FilterOp::OpenImpl() {
   return child_->Open();
 }
 
+Status FilterOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
+  compiled_ = CompiledPredicate::Compile(condition_, child_->schema());
+  return child_->OpenForLanes(lanes, by_lanes);
+}
+
+Status FilterOp::KeepMatches(RowBatch& batch) const {
+  // Surviving rows are compacted to the front by swap — O(1) per row, and
+  // every tuple buffer (kept or dropped) stays parked in the batch for the
+  // child's next refill.
+  size_t kept = 0;
+  if (compiled_.has_value()) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (compiled_->Matches(batch[i].tuple)) {
+        if (kept != i) std::swap(batch[kept], batch[i]);
+        ++kept;
+      }
+    }
+  } else {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      MRA_ASSIGN_OR_RETURN(bool keep,
+                           EvalPredicate(*condition_, batch[i].tuple));
+      if (keep) {
+        if (kept != i) std::swap(batch[kept], batch[i]);
+        ++kept;
+      }
+    }
+  }
+  batch.Truncate(kept);
+  return Status::OK();
+}
+
 Status FilterOp::NextBatchImpl(RowBatch& out) {
-  // In-place: the child fills `out`, then surviving rows are compacted to
-  // the front by swap — O(1) per row, and every tuple buffer (kept or
-  // dropped) stays parked in the batch for the child's next refill.
-  // Pull again until at least one row survives (an empty output means end
-  // of stream) or the child drains.
+  // In-place: the child fills `out`, then the kernel compacts it.  Pull
+  // again until at least one row survives (an empty output means end of
+  // stream) or the child drains.
   while (true) {
     MRA_RETURN_IF_ERROR(child_->NextBatch(out));
     if (out.empty()) return Status::OK();
-    size_t kept = 0;
-    if (compiled_.has_value()) {
-      for (size_t i = 0; i < out.size(); ++i) {
-        if (compiled_->Matches(out[i].tuple)) {
-          if (kept != i) std::swap(out[kept], out[i]);
-          ++kept;
-        }
-      }
-    } else {
-      for (size_t i = 0; i < out.size(); ++i) {
-        MRA_ASSIGN_OR_RETURN(bool keep,
-                             EvalPredicate(*condition_, out[i].tuple));
-        if (keep) {
-          if (kept != i) std::swap(out[kept], out[i]);
-          ++kept;
-        }
-      }
-    }
-    out.Truncate(kept);
-    if (kept > 0) return Status::OK();
+    MRA_RETURN_IF_ERROR(KeepMatches(out));
+    if (!out.empty()) return Status::OK();
+  }
+}
+
+Status FilterOp::LaneBatchImpl(size_t lane, RowBatch& out) {
+  while (true) {
+    MRA_RETURN_IF_ERROR(child_->NextLaneBatch(lane, out));
+    if (out.empty()) return Status::OK();
+    MRA_RETURN_IF_ERROR(KeepMatches(out));
+    if (!out.empty()) return Status::OK();
   }
 }
 
@@ -423,28 +552,47 @@ Status ComputeOp::OpenImpl() {
   return child_->Open();
 }
 
-Status ComputeOp::NextBatchImpl(RowBatch& out) {
-  // In-place: the child fills `out` and each row's tuple is rewritten
-  // where it sits (multiplicities pass through unchanged).
-  MRA_RETURN_IF_ERROR(child_->NextBatch(out));
+Status ComputeOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
+  attr_only_ = AttrOnlyProjection(exprs_, child_->schema().arity());
+  MRA_RETURN_IF_ERROR(child_->OpenForLanes(lanes, by_lanes));
+  if (*by_lanes) lane_scratch_.resize(lanes);
+  return Status::OK();
+}
+
+Status ComputeOp::Rewrite(RowBatch& batch, Tuple& scratch) const {
+  // Each row's tuple is rewritten where it sits (multiplicities pass
+  // through unchanged).
   if (attr_only_.has_value()) {
     // Project into the recycled scratch tuple, then swap it in: the row's
     // old buffer becomes the next scratch, so the loop is allocation-free
     // once warm.
-    for (Row& row : out) {
-      scratch_.AssignProjection(row.tuple, *attr_only_);
-      row.tuple.Swap(scratch_);
+    for (Row& row : batch) {
+      scratch.AssignProjection(row.tuple, *attr_only_);
+      row.tuple.Swap(scratch);
     }
     return Status::OK();
   }
-  for (Row& row : out) {
+  for (Row& row : batch) {
     MRA_ASSIGN_OR_RETURN(Tuple projected, ProjectTuple(exprs_, row.tuple));
     row.tuple = std::move(projected);
   }
   return Status::OK();
 }
 
-void ComputeOp::CloseImpl() { child_->Close(); }
+Status ComputeOp::NextBatchImpl(RowBatch& out) {
+  MRA_RETURN_IF_ERROR(child_->NextBatch(out));
+  return Rewrite(out, scratch_);
+}
+
+Status ComputeOp::LaneBatchImpl(size_t lane, RowBatch& out) {
+  MRA_RETURN_IF_ERROR(child_->NextLaneBatch(lane, out));
+  return Rewrite(out, lane_scratch_[lane].tuple);
+}
+
+void ComputeOp::CloseImpl() {
+  lane_scratch_.clear();
+  child_->Close();
+}
 
 // --- UnionAllOp. ---
 

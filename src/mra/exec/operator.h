@@ -22,12 +22,21 @@
 // successful call) is end of stream; a consumer that wants one row at a
 // time pulls with a capacity-1 batch.
 //
+// A multi-lane hash kernel (hash_ops.h) opens its input with OpenForLanes
+// instead.  A child that is a *partitioned source* — a stored-relation
+// scan, σ and π over one, a multi-lane ⋈ — then serves every lane through
+// NextLaneBatch with no lock: the scan hands out disjoint ranges of the
+// relation (Relation::RangeSplits), σ and π run their batch kernels on the
+// calling lane, the ⋈ probes on it.  Any other child is drained through
+// its ordinary NextBatch cursor under a mutex (docs/EXECUTION.md).
+//
 // The hash kernels (⋈, Γ, δ) are in hash_ops.h; sort and the sort-merge
 // ⋈ are in sort.h.
 
 #ifndef MRA_EXEC_OPERATOR_H_
 #define MRA_EXEC_OPERATOR_H_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -135,6 +144,22 @@ class PhysicalOperator {
   /// Close, or a Close without Open, is a safe no-op.
   void Close();
 
+  /// Opens the operator as the input of `lanes` concurrent lanes.  On
+  /// success *by_lanes says how to drain it: true for a partitioned
+  /// source, which every lane pulls through NextLaneBatch with no lock;
+  /// false when it opened as by Open() for the one NextBatch cursor.
+  Status OpenForLanes(size_t lanes, bool* by_lanes);
+
+  /// Lane `lane`'s next morsel from a partitioned source; callable
+  /// concurrently for distinct lanes.  Like NextBatch it clears `out`,
+  /// checks governance first, and leaves `out` empty once this lane has
+  /// drained.  Row and batch counts stay lane-local until FoldLaneMetrics.
+  Status NextLaneBatch(size_t lane, RowBatch& out);
+
+  /// Adds the lane-local counters of this subtree into metrics(): the
+  /// kernel calls it on the query thread when its lanes have joined.
+  void FoldLaneMetrics();
+
   virtual const RelationSchema& schema() const = 0;
 
   /// Operator name for EXPLAIN-style output, e.g. "HashJoin".
@@ -181,6 +206,14 @@ class PhysicalOperator {
   virtual Status NextBatchImpl(RowBatch& out) = 0;
   virtual void CloseImpl() = 0;
 
+  /// Partitioned-source hooks.  The default opens for the shared cursor.
+  virtual Status OpenLanesImpl(size_t lanes, bool* by_lanes) {
+    (void)lanes;
+    *by_lanes = false;
+    return OpenImpl();
+  }
+  virtual Status LaneBatchImpl(size_t lane, RowBatch& out);
+
   /// Memory accounting against the per-query budget.  ChargeMemTo makes
   /// this operator's cumulative charge equal `total_bytes` (charging or
   /// releasing the delta), so impls can re-report an ApproxBytes figure
@@ -213,7 +246,19 @@ class PhysicalOperator {
  private:
   enum class State : uint8_t { kCreated, kOpen, kClosed };
 
+  /// The Open and OpenForLanes wrapper; `by_lanes` null means Open().
+  Status OpenChecked(size_t lanes, bool* by_lanes);
+
+  /// One lane's counters, a cache line apart from the next lane's.
+  struct alignas(64) LaneCounters {
+    uint64_t batches = 0;
+    uint64_t rows = 0;
+    uint64_t weighted = 0;
+    uint64_t ns = 0;
+  };
+
   State state_ = State::kCreated;
+  std::vector<LaneCounters> lane_counters_;  // Open for lanes: one a lane.
   ExecContext* exec_ctx_ = nullptr;
   uint64_t charged_bytes_ = 0;
   bool timing_ = false;
@@ -258,12 +303,25 @@ class ScanOp final : public PhysicalOperator {
   Status OpenImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
+  /// Lanes claim disjoint ranges of the relation (Relation::RangeSplits),
+  /// up to a morsel each, off one atomic counter.
+  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
+  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
+  /// The rest of a lane's claimed range.
+  struct alignas(64) LaneCursor {
+    Relation::const_iterator it;
+    Relation::const_iterator end;
+  };
+
   const Relation* relation_;
   std::optional<std::vector<size_t>> columns_;  // Set on a projecting scan.
   RelationSchema projected_schema_;
   Relation::const_iterator it_;
+  std::shared_ptr<const Relation::Splits> splits_;
+  std::atomic<size_t> next_range_{0};
+  std::vector<LaneCursor> cursors_;
 };
 
 /// Scans an owned relation (inline literals, pre-materialised inputs).
@@ -301,8 +359,14 @@ class FilterOp final : public PhysicalOperator {
   Status OpenImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
+  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
+  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
+  /// The batch kernel: compacts the rows that satisfy the condition to
+  /// the front of `batch`.
+  Status KeepMatches(RowBatch& batch) const;
+
   ExprPtr condition_;
   PhysOpPtr child_;
   /// Compiled once per Open when the condition fits the fast path.
@@ -325,8 +389,19 @@ class ComputeOp final : public PhysicalOperator {
   Status OpenImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
+  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
+  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
+  /// The batch kernel: rewrites every row of `batch` in place, projecting
+  /// through the caller's recycled `scratch` tuple.
+  Status Rewrite(RowBatch& batch, Tuple& scratch) const;
+
+  /// One lane's scratch tuple, a cache line apart from the next lane's.
+  struct alignas(64) LaneScratch {
+    Tuple tuple;
+  };
+
   std::vector<ExprPtr> exprs_;
   RelationSchema schema_;
   PhysOpPtr child_;
@@ -335,6 +410,7 @@ class ComputeOp final : public PhysicalOperator {
   /// in-place rewrite through `scratch_`.
   std::optional<std::vector<size_t>> attr_only_;
   Tuple scratch_;
+  std::vector<LaneScratch> lane_scratch_;
 };
 
 // --- Binary operators. ---

@@ -1,5 +1,6 @@
 #include "mra/exec/physical_planner.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -42,6 +43,8 @@ struct LowerContext {
   const ExecConfig& config;
   std::unordered_map<std::string, int> reuse_counts;
   std::unordered_map<std::string, std::shared_ptr<SubplanState>> shared;
+  /// Lane count per multi-lane hash node (AssignLanes); absent means 1.
+  std::unordered_map<const Plan*, size_t> lanes;
 };
 
 /// Join-strategy choice for an equi-join: sort-merge when the knob forces
@@ -63,19 +66,73 @@ bool PickSortMergeJoin(const PlanPtr& plan, const LowerContext& ctx) {
   return build_rows * row_bytes > static_cast<double>(budget);
 }
 
-/// Lane count for a hash operator: the configured worker degree when the
-/// node's estimated input volume (build + probe sides for a join) reaches
-/// the threshold, else 1.  With no estimator the planner never guesses
-/// parallel.
-size_t ParallelLanes(const PlanPtr& plan, const LowerContext& ctx) {
+/// True when this equi-join lowers to a HashJoinOp.
+bool LowersToHashJoin(const PlanPtr& plan, const LowerContext& ctx) {
+  std::vector<size_t> left_keys, right_keys;
+  ExprPtr residual;
+  return ExtractEquiJoinKeys(plan->condition(), plan->schema(),
+                             plan->child(0)->schema().arity(), &left_keys,
+                             &right_keys, &residual) &&
+         !PickSortMergeJoin(plan, ctx);
+}
+
+/// Lane counts for the hash operators.  A multi-lane kernel drains a hash
+/// join that its input reaches through σ/π by lanes — the join probes on
+/// the kernel's lanes — so the two form one pipeline, and a pipeline runs
+/// on one lane count: the configured worker degree when any of its hash
+/// nodes has an estimated input volume (build + probe sides for a join)
+/// that reaches the threshold, else 1.  With no estimator the planner
+/// never guesses parallel.
+void AssignLanes(const PlanPtr& root, LowerContext& ctx) {
   const ExecConfig::Exec& e = ctx.config.exec;
-  if (e.workers <= 1 || ctx.estimator == nullptr) return 1;
-  double input = 0;
-  for (const PlanPtr& child : plan->children()) {
-    input += (*ctx.estimator)(*child);
+  if (e.workers <= 1 || ctx.estimator == nullptr) return;
+  // Union-find over the hash nodes, each root carrying whether its
+  // pipeline reaches the threshold.
+  std::unordered_map<const Plan*, const Plan*> parent;
+  std::unordered_map<const Plan*, bool> wants;
+  auto find = [&](const Plan* p) {
+    while (parent.at(p) != p) p = parent.at(p) = parent.at(parent.at(p));
+    return p;
+  };
+  std::vector<const Plan*> hash_nodes;
+  std::function<void(const PlanPtr&)> visit = [&](const PlanPtr& plan) {
+    for (const PlanPtr& child : plan->children()) visit(child);
+    const PlanKind kind = plan->kind();
+    const bool hash = kind == PlanKind::kGroupBy || kind == PlanKind::kUnique ||
+                      (kind == PlanKind::kJoin && LowersToHashJoin(plan, ctx));
+    if (!hash || parent.count(plan.get()) > 0) return;
+    double input = 0;
+    for (const PlanPtr& child : plan->children()) {
+      input += (*ctx.estimator)(*child);
+    }
+    parent[plan.get()] = plan.get();
+    wants[plan.get()] = input >= static_cast<double>(e.parallel_threshold);
+    hash_nodes.push_back(plan.get());
+    for (const PlanPtr& child : plan->children()) {
+      const Plan* source = child.get();
+      while (source->kind() == PlanKind::kSelect ||
+             source->kind() == PlanKind::kProject) {
+        source = source->child(0).get();
+      }
+      if (source->kind() != PlanKind::kJoin || parent.count(source) == 0) {
+        continue;  // Not a hash join.
+      }
+      const Plan* a = find(plan.get());
+      const Plan* b = find(source);
+      if (a == b) continue;
+      parent[b] = a;
+      wants[a] = wants[a] || wants[b];
+    }
+  };
+  visit(root);
+  for (const Plan* node : hash_nodes) {
+    if (wants[find(node)]) ctx.lanes[node] = e.workers;
   }
-  if (input < static_cast<double>(e.parallel_threshold)) return 1;
-  return e.workers;
+}
+
+size_t ParallelLanes(const PlanPtr& plan, const LowerContext& ctx) {
+  auto it = ctx.lanes.find(plan.get());
+  return it == ctx.lanes.end() ? 1 : it->second;
 }
 
 void CountReusableSubtrees(const PlanPtr& plan,
@@ -297,7 +354,7 @@ Result<PhysOpPtr> LowerPlan(const PlanPtr& plan,
                             const RelationProvider& provider,
                             const CardinalityEstimator* estimator,
                             const ExecConfig& config, ExecContext* exec_ctx) {
-  LowerContext ctx{provider, estimator, config, {}, {}};
+  LowerContext ctx{provider, estimator, config, {}, {}, {}};
   if (config.planner.subplan_reuse) {
     CountReusableSubtrees(plan, &ctx.reuse_counts);
     bool any_repeat = false;
@@ -311,6 +368,7 @@ Result<PhysOpPtr> LowerPlan(const PlanPtr& plan,
     // checks short-circuit.
     if (!any_repeat) ctx.reuse_counts.clear();
   }
+  AssignLanes(plan, ctx);
   MRA_ASSIGN_OR_RETURN(PhysOpPtr root, LowerPlanImpl(plan, ctx));
   // Thread the governance context through the whole lowered tree so every
   // wrapper's batch-boundary check sees the same cancellation flag,

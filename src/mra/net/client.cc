@@ -74,6 +74,11 @@ Status Client::Reconnect() {
                               std::string(FrameKindName(hello_response.kind)));
   }
   MRA_ASSIGN_OR_RETURN(Hello hello, DecodeHello(hello_response.payload));
+  if (hello.version != kProtocolVersion) {
+    return Status::Unavailable(
+        "server speaks protocol v" + std::to_string(hello.version) +
+        "; this client speaks v" + std::to_string(kProtocolVersion));
+  }
   server_version_ = hello.version;
   server_banner_ = std::move(hello.peer);
   return Status::OK();
@@ -125,7 +130,7 @@ Result<Frame> Client::AwaitResponse() {
 }
 
 void Client::SendOutOfBandCancel(uint64_t query_id) {
-  if (query_id == 0 || (server_version_ != 0 && server_version_ < 4)) return;
+  if (query_id == 0) return;
   Result<Socket> side = Socket::Connect(host_, port_);
   if (!side.ok()) return;
   // Bounded handshake + Cancel; every step is best-effort — if the query
@@ -217,27 +222,18 @@ Result<std::vector<Relation>> Client::DecodeResults(const Frame& response) {
     return Status::Corruption("query answered with " +
                               std::string(FrameKindName(response.kind)));
   }
-  if (server_version_ >= 3) {
-    return DecodeResultSetWithStats(response.payload, &last_query_stats_);
-  }
-  return DecodeResultSet(response.payload);
+  return DecodeResultSetWithStats(response.payload, &last_query_stats_);
 }
 
 Result<Relation> Client::Query(std::string_view rel_expr_source) {
-  std::string payload;
-  std::string_view wire = rel_expr_source;
-  if (server_version_ >= 3) {
-    // Mint the id client-side so the caller can correlate this query with
-    // server-side traces before the response even arrives.  A retry
-    // resends the same payload, so the id stays stable across attempts.
-    last_query_id_ = obs::NextQueryId();
-    payload = EncodeQueryRequest(last_query_id_, rel_expr_source);
-    wire = payload;
-  } else {
-    last_query_id_ = 0;
-  }
-  MRA_ASSIGN_OR_RETURN(Frame response,
-                       RetryingRoundTrip(FrameKind::kQuery, wire));
+  // Mint the id client-side so the caller can correlate this query with
+  // server-side traces before the response even arrives.  A retry resends
+  // the same payload, so the id stays stable across attempts.
+  last_query_id_ = obs::NextQueryId();
+  MRA_ASSIGN_OR_RETURN(
+      Frame response,
+      RetryingRoundTrip(FrameKind::kQuery,
+                        EncodeQueryRequest(last_query_id_, rel_expr_source)));
   MRA_ASSIGN_OR_RETURN(std::vector<Relation> relations,
                        DecodeResults(response));
   if (relations.size() != 1) {
@@ -248,16 +244,11 @@ Result<Relation> Client::Query(std::string_view rel_expr_source) {
 }
 
 Result<std::vector<Relation>> Client::ExecuteScript(std::string_view source) {
-  std::string payload;
-  std::string_view wire = source;
-  if (server_version_ >= 3) {
-    last_query_id_ = obs::NextQueryId();
-    payload = EncodeQueryRequest(last_query_id_, source);
-    wire = payload;
-  } else {
-    last_query_id_ = 0;
-  }
-  MRA_ASSIGN_OR_RETURN(Frame response, RoundTrip(FrameKind::kScript, wire));
+  last_query_id_ = obs::NextQueryId();
+  MRA_ASSIGN_OR_RETURN(
+      Frame response,
+      RoundTrip(FrameKind::kScript,
+                EncodeQueryRequest(last_query_id_, source)));
   return DecodeResults(response);
 }
 
@@ -272,11 +263,6 @@ Result<std::string> Client::ServerStats(std::string_view format) {
 }
 
 Result<ServerStatsReply> Client::FetchServerStats(uint64_t query_id) {
-  if (server_version_ != 0 && server_version_ < 3) {
-    return Status::InvalidArgument(
-        "server speaks protocol v" + std::to_string(server_version_) +
-        "; ServerStats needs v3");
-  }
   MRA_ASSIGN_OR_RETURN(
       Frame response,
       RetryingRoundTrip(FrameKind::kServerStats,
@@ -289,11 +275,6 @@ Result<ServerStatsReply> Client::FetchServerStats(uint64_t query_id) {
 }
 
 Result<bool> Client::Cancel(uint64_t query_id) {
-  if (server_version_ != 0 && server_version_ < 4) {
-    return Status::InvalidArgument(
-        "server speaks protocol v" + std::to_string(server_version_) +
-        "; Cancel needs v4");
-  }
   if (query_id == 0) {
     return Status::InvalidArgument("query id 0 is never in flight");
   }

@@ -84,17 +84,16 @@ class Client {
   /// "" or "json" (default), "prom" (Prometheus exposition), "text".
   Result<std::string> ServerStats(std::string_view format = {});
 
-  /// Live-introspection snapshot (v3 servers): sessions, latency
-  /// histogram, slow-query log, trace spans.  `query_id` filters the
-  /// trace to one query; 0 asks for the overview.  Read-only, so retried
-  /// like Query.  InvalidArgument against a v2 server.
+  /// Live-introspection snapshot: sessions, latency histogram, slow-query
+  /// log, trace spans.  `query_id` filters the trace to one query; 0 asks
+  /// for the overview.  Read-only, so retried like Query.
   Result<ServerStatsReply> FetchServerStats(uint64_t query_id = 0);
 
   /// Round-trip liveness probe (payload echoed server-side).
   Status Ping();
 
   /// Asks the server to kill the in-flight query with this client-minted
-  /// id (v4 servers; see last_query_id()).  Works from any session —
+  /// id (see last_query_id()).  Works from any session —
   /// this is how `\cancel <id>` reaches a query another connection runs.
   /// Returns whether the id matched a running query; false means it
   /// already finished (or never started), which is not an error.
@@ -105,17 +104,17 @@ class Client {
 
   /// Server banner from the handshake, e.g. "mra_serverd".
   const std::string& server_banner() const { return server_banner_; }
-  /// The negotiated protocol version (min of both dialects); payload
-  /// shapes downgrade to v2 automatically when the server is older.
+  /// The protocol version the server answered the handshake with (always
+  /// kProtocolVersion: the client refuses any other).
   uint32_t server_version() const { return server_version_; }
 
   /// The id this client minted for its most recent Query/ExecuteScript
-  /// (0 before the first one, or when the server predates v3).  Feed it
+  /// (0 before the first one).  Feed it
   /// to FetchServerStats() to pull that query's server-side trace.
   uint64_t last_query_id() const { return last_query_id_; }
 
   /// Server-side stats trailer from the most recent Query/ExecuteScript
-  /// response; empty against a v2 server or when the server sent none.
+  /// response; empty when the server sent none.
   const std::optional<WireQueryStats>& last_query_stats() const {
     return last_query_stats_;
   }
@@ -162,8 +161,8 @@ class Client {
   /// so the Cancel frame travels on an ephemeral side connection.
   void SendOutOfBandCancel(uint64_t query_id);
 
-  /// Decodes a ResultSet response at the negotiated version, stashing the
-  /// v3 stats trailer (when present) into last_query_stats_.
+  /// Decodes a ResultSet response, stashing its stats trailer (when
+  /// present) into last_query_stats_.
   Result<std::vector<Relation>> DecodeResults(const Frame& response);
 
   Socket sock_;

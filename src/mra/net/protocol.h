@@ -14,19 +14,17 @@
 // Frame kinds and payloads (client → server unless noted):
 //
 //   Hello      u32 protocol_version, string peer_name.  First frame in each
-//              direction; the server answers with its own Hello carrying
-//              the negotiated version — min(client, server) — as long as
-//              the client speaks ≥ kMinProtocolVersion, or an Error
-//              carrying Unavailable otherwise (the server names both
-//              versions so an old client's operator knows what to upgrade).
-//   Query      At the negotiated version 2: string, one XRA relation
-//              expression.  At version 3: u64 query_id, then the string —
+//              direction; the server answers with its own Hello when the
+//              client speaks kProtocolVersion, or an Error carrying
+//              Unavailable otherwise (the server names both versions so an
+//              old client's operator knows what to upgrade).
+//   Query      u64 query_id, then a string, one XRA relation expression —
 //              the id the client minted, bound server-side for the whole
 //              evaluation so traces, operator stats and slow-log entries
 //              attribute to it.  Answered with a ResultSet of exactly one
 //              relation, or Error.
-//   Script     Same payload shape as Query (raw text at v2, id + text at
-//              v3) carrying a whole XRA script.  Answered with a ResultSet
+//   Script     Same payload shape as Query (id + text) carrying a whole
+//              XRA script.  Answered with a ResultSet
 //              holding every `? E` result, or Error (the failing bracket
 //              rolled back server-side).
 //   ResultSet  (server) u32 n, then n relations, each encoded batch-wise:
@@ -98,8 +96,9 @@ constexpr uint32_t kMagic = 0x3141524du;  // "MRA1" when read little-endian.
 /// version 4 adds the Cancel frame and the Error retry-after hint on
 /// deadline kills (query governance).
 constexpr uint32_t kProtocolVersion = 4;
-/// Oldest client version the server still serves (with v2 payload shapes).
-constexpr uint32_t kMinProtocolVersion = 2;
+/// Oldest client version the server serves.  Every client lives in this
+/// tree and speaks the current version, so there is one dialect.
+constexpr uint32_t kMinProtocolVersion = kProtocolVersion;
 constexpr size_t kFrameHeaderBytes = 13;  // magic + kind + len + crc.
 
 enum class FrameKind : uint8_t {

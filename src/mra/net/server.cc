@@ -274,15 +274,11 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
         response = EncodeError(Status::Unavailable(
             "protocol version " + std::to_string(hello->version) +
             " unsupported (server speaks " +
-            std::to_string(kProtocolVersion) + ", accepts down to " +
-            std::to_string(kMinProtocolVersion) + ")"));
+            std::to_string(kProtocolVersion) + ")"));
         close = true;
       } else {
-        // Negotiate down to the client's dialect; the reply names the
-        // version this session will actually speak.
-        ctx.version = std::min(hello->version, kProtocolVersion);
         response_kind = FrameKind::kHello;
-        response = EncodeHello(ctx.version, "mra_serverd");
+        response = EncodeHello(kProtocolVersion, "mra_serverd");
         std::lock_guard<std::mutex> lock(info_mutex_);
         session_info_[ctx.id].peer = hello->peer;
       }
@@ -290,30 +286,16 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
     }
     case FrameKind::kQuery:
     case FrameKind::kScript: {
-      // v3 requests carry a client-minted query id ahead of the text;
-      // v2 requests are the raw text (id minted here so server-side
-      // attribution works for old clients too).
-      uint64_t query_id = 0;
-      std::string_view text;
-      std::string text_storage;
-      Status decode_status = Status::OK();
-      if (ctx.version >= 3) {
-        Result<QueryRequest> req = DecodeQueryRequest(request.payload);
-        if (!req.ok()) {
-          decode_status = req.status();
-        } else {
-          query_id = req->query_id;
-          text_storage = std::move(req->text);
-          text = text_storage;
-        }
-      } else {
-        text = request.payload;
-      }
-      if (!decode_status.ok()) {
-        response = EncodeError(decode_status);
+      // Requests carry a client-minted query id ahead of the text (0 asks
+      // the server to mint one).
+      Result<QueryRequest> req = DecodeQueryRequest(request.payload);
+      if (!req.ok()) {
+        response = EncodeError(req.status());
         close = true;
         break;
       }
+      uint64_t query_id = req->query_id;
+      const std::string text = std::move(req->text);
       if (query_id == 0) query_id = obs::NextQueryId();
       {
         std::lock_guard<std::mutex> lock(info_mutex_);
@@ -339,14 +321,12 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
         std::lock_guard<std::mutex> lock(running_mutex_);
         running_[query_id] = &interp;
       }
-      // Deadline kills are retriable (like Busy): v4 errors carry the
+      // Deadline kills are retriable (like Busy): their errors carry the
       // same retry-after hint so clients back off instead of hammering.
       auto encode_exec_error = [&](const Status& status) {
         if (status.code() == StatusCode::kDeadlineExceeded) {
           deadline_preempted = true;
-          if (ctx.version >= 4) {
-            return EncodeErrorWithHint(status, options_.busy_retry_after_ms);
-          }
+          return EncodeErrorWithHint(status, options_.busy_retry_after_ms);
         }
         return EncodeError(status);
       };
@@ -358,13 +338,11 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
           response_kind = FrameKind::kResultSet;
           std::vector<Relation> relations;
           relations.push_back(*std::move(result));
-          if (ctx.version >= 3 && interp.last_query_stats().valid) {
+          if (interp.last_query_stats().valid) {
             wire_stats = ToWireStats(interp.last_query_stats());
             stats_ptr = &wire_stats;
           }
-          response = ctx.version >= 3
-                         ? EncodeResultSetWithStats(relations, stats_ptr)
-                         : EncodeResultSet(relations);
+          response = EncodeResultSetWithStats(relations, stats_ptr);
         } else {
           response = encode_exec_error(result.status());
         }
@@ -375,14 +353,12 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
           response_kind = FrameKind::kResultSet;
           // A script's trailer carries the stats of its last evaluated
           // query (documented in docs/EXECUTION.md).
-          if (ctx.version >= 3 && interp.last_query_stats().valid &&
+          if (interp.last_query_stats().valid &&
               interp.last_query_stats().query_id == query_id) {
             wire_stats = ToWireStats(interp.last_query_stats());
             stats_ptr = &wire_stats;
           }
-          response = ctx.version >= 3
-                         ? EncodeResultSetWithStats(*results, stats_ptr)
-                         : EncodeResultSet(*results);
+          response = EncodeResultSetWithStats(*results, stats_ptr);
         } else {
           response = encode_exec_error(results.status());
         }
@@ -425,13 +401,6 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
       break;
     }
     case FrameKind::kCancel: {
-      if (ctx.version < 4) {
-        response = EncodeError(Status::InvalidArgument(
-            "Cancel frames require protocol v4 (session negotiated v" +
-            std::to_string(ctx.version) + ")"));
-        close = true;
-        break;
-      }
       Result<uint64_t> qid = DecodeCancelRequest(request.payload);
       if (!qid.ok()) {
         response = EncodeError(qid.status());

@@ -136,9 +136,6 @@ class Server {
   /// Per-session connection state threaded through HandleFrame.
   struct SessionContext {
     uint64_t id = 0;
-    /// Version negotiated in the Hello exchange; v2 peers get the old
-    /// payload shapes (raw-text Query/Script, trailer-free ResultSet).
-    uint32_t version = kProtocolVersion;
   };
 
   void AcceptLoop();

@@ -352,15 +352,28 @@ double Estimate(const Plan& plan, const RelationProvider& provider,
       double n = Estimate(*plan.child(0), provider, cache);
       if (n < 0) return kNoEstimate;
       if (plan.group_keys().empty()) return 1.0;
-      if (cache != nullptr && plan.group_keys().size() == 1) {
-        const stats::ColumnStatistics* column =
-            ResolveColumnStats(*plan.child(0), plan.group_keys()[0], cache);
-        if (column != nullptr) {
-          return std::min(
-              n, static_cast<double>(std::max<uint64_t>(1, column->distinct)));
+      const double guess = std::pow(n, 0.75) + 1.0;
+      if (cache != nullptr) {
+        // Groups never outnumber the product of the keys' distinct counts.
+        // One key's count is exact; several keys are often correlated, so
+        // their product only tightens the sub-linear guess.
+        double product = 1.0;
+        for (size_t key : plan.group_keys()) {
+          const stats::ColumnStatistics* column =
+              ResolveColumnStats(*plan.child(0), key, cache);
+          if (column == nullptr) {
+            product = -1.0;
+            break;
+          }
+          product *=
+              static_cast<double>(std::max<uint64_t>(1, column->distinct));
+        }
+        if (product >= 1.0) {
+          if (plan.group_keys().size() == 1) return std::min(n, product);
+          return std::min({n, product, guess});
         }
       }
-      return std::min(n, std::pow(n, 0.75) + 1.0);
+      return std::min(n, guess);
     }
     case PlanKind::kClosure: {
       // Reachability can approach n² on dense inputs; assume moderate

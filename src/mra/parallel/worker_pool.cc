@@ -78,16 +78,7 @@ WorkerPool::Lease WorkerPool::Admit(size_t want) {
     return Lease(this, 0);
   }
   ReservedLanes()->Add(static_cast<int64_t>(granted));
-  EnsureThreads(reserved_.load(std::memory_order_relaxed));
   return Lease(this, granted);
-}
-
-void WorkerPool::EnsureThreads(size_t n) {
-  n = std::min(n, capacity_);
-  std::lock_guard<std::mutex> lock(mu_);
-  while (threads_.size() < n) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
 }
 
 size_t WorkerPool::RunLanes(Task& task) {
@@ -98,12 +89,14 @@ size_t WorkerPool::RunLanes(Task& task) {
     (*task.fn)(lane);
     ++ran;
   }
-  if (ran > 0) {
-    std::lock_guard<std::mutex> lock(task.mu);
-    task.finished += ran;
-    if (task.finished == task.lanes - 1) task.done_cv.notify_all();
-  }
   return ran;
+}
+
+void WorkerPool::ReportLanes(Task& task, size_t ran) {
+  if (ran == 0) return;
+  std::lock_guard<std::mutex> lock(task.mu);
+  task.finished += ran;
+  if (task.finished == task.lanes - 1) task.done_cv.notify_all();
 }
 
 void WorkerPool::ParallelFor(const Lease& lease,
@@ -115,19 +108,30 @@ void WorkerPool::ParallelFor(const Lease& lease,
   }
   TasksTotal()->Inc();
   auto task = std::make_shared<Task>(lanes, &fn);
+  const size_t helpers = lanes - 1;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // One queue entry per helper lane; a worker that drains the claim
     // counter early just drops its entry.
-    for (size_t i = 1; i < lanes; ++i) queue_.push_back(task);
+    for (size_t i = 0; i < helpers; ++i) queue_.push_back(task);
+    // Threads start on demand: only when fewer workers are free than
+    // helper lanes.  Back-to-back phases then reuse the same threads, and
+    // their allocator arenas, instead of spreading a query's allocations
+    // over one thread per lane ever reserved.
+    const size_t free = threads_.size() - busy_;
+    size_t spawn = helpers > free ? helpers - free : 0;
+    spawn = std::min(spawn, capacity_ - threads_.size());
+    for (size_t i = 0; i < spawn; ++i) {
+      threads_.emplace_back([this] { WorkerLoop(); });
+    }
   }
-  work_cv_.notify_all();
+  for (size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
 
   fn(0);
   // Help with (or, when every worker is busy elsewhere, simply run) the
   // unclaimed lanes.  Every lane is claimable by this thread, which is
   // what makes fan-out deadlock-free under nesting and saturation.
-  RunLanes(*task);
+  ReportLanes(*task, RunLanes(*task));
 
   std::unique_lock<std::mutex> lock(task->mu);
   task->done_cv.wait(lock,
@@ -143,8 +147,16 @@ void WorkerPool::WorkerLoop() {
       if (stopping_) return;
       task = std::move(queue_.front());
       queue_.pop_front();
+      ++busy_;
     }
-    RunLanes(*task);
+    size_t ran = RunLanes(*task);
+    {
+      // Free again before the caller can see the lanes finish, so its
+      // next fan-out finds this thread instead of starting another.
+      std::lock_guard<std::mutex> lock(mu_);
+      --busy_;
+    }
+    ReportLanes(*task, ran);
   }
 }
 

@@ -43,8 +43,9 @@ namespace parallel {
 
 class WorkerPool {
  public:
-  /// The process-wide pool.  Threads are created lazily on first
-  /// admission and joined at process exit.
+  /// The process-wide pool.  Threads are created on demand — when a
+  /// fan-out finds fewer idle workers than helper lanes — and joined at
+  /// process exit.
   static WorkerPool& Global();
 
   /// Reserved pool lanes, returned on destruction.  Movable, not
@@ -110,8 +111,9 @@ class WorkerPool {
   /// Claims and runs lanes of `task` until none are left; returns the
   /// number of lanes this thread ran.
   static size_t RunLanes(Task& task);
+  /// Counts `ran` helper lanes as finished, waking the caller at the last.
+  static void ReportLanes(Task& task, size_t ran);
 
-  void EnsureThreads(size_t n);
   void WorkerLoop();
 
   const size_t capacity_;
@@ -121,6 +123,7 @@ class WorkerPool {
   std::condition_variable work_cv_;
   std::deque<std::shared_ptr<Task>> queue_;
   std::vector<std::thread> threads_;  // Guarded by mu_ (growth only).
+  size_t busy_ = 0;                   // Workers running lanes; mu_.
   bool stopping_ = false;
 };
 

@@ -87,6 +87,88 @@ TEST_P(HashOpsDifferentialTest, HashJoinMatchesDefinitionalJoin) {
   }
 }
 
+// σ/π chains under every kernel: with more than one lane the Scan, Filter
+// and Compute nodes run on the kernel's lanes (the scan claims disjoint
+// ranges of the relation), and a kernel over a multi-lane join probes on
+// its own lanes.  Every lane count and morsel size must give the oracle's
+// bag exactly.
+TEST_P(HashOpsDifferentialTest, ScanChainsUnderEachKernelMatchOracle) {
+  std::mt19937_64 rng(GetParam());
+  const Profile& p = kProfiles[GetParam() % 3];
+  Relation r = RandomIntRelation(rng, 2, p.max_distinct, p.value_range,
+                                 p.max_multiplicity);
+  Relation s = RandomIntRelation(rng, 2, p.max_distinct, p.value_range,
+                                 p.max_multiplicity);
+  const ExprPtr keep = Gt(Attr(1), Lit(p.value_range / 3));
+  // π with a computed column (the ProjectTuple path) and an attribute-only
+  // one (the in-place swap path).
+  const std::vector<ExprPtr> computed = {Attr(0),
+                                         Add(Attr(1), Lit(int64_t{1}))};
+  const std::vector<ExprPtr> swapped = {Attr(1), Attr(0)};
+  auto filtered = ops::Select(keep, r);
+  ASSERT_OK(filtered);
+  auto chain_r = ops::Project(computed, *filtered);
+  auto chain_s = ops::Project(swapped, s);
+  ASSERT_OK(chain_r);
+  ASSERT_OK(chain_s);
+  const RelationSchema chain_r_schema = chain_r->schema();
+  const RelationSchema chain_s_schema = chain_s->schema();
+  auto make_r = [&] {
+    return std::make_unique<ComputeOp>(
+        computed, chain_r_schema,
+        std::make_unique<FilterOp>(keep, std::make_unique<ScanOp>(&r)));
+  };
+  auto make_s = [&] {
+    return std::make_unique<ComputeOp>(swapped, chain_s_schema,
+                                       std::make_unique<ScanOp>(&s));
+  };
+  std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "sum"},
+                               {AggKind::kCnt, 0, "cnt"}};
+  auto joined = ops::Join(Eq(Attr(0), Attr(3)), *chain_r, *chain_s);
+  ASSERT_OK(joined);
+  auto group_oracle = ops::GroupBy({0}, aggs, *chain_r);
+  auto dedup_oracle = ops::Unique(*chain_r);
+  auto pipeline_oracle = ops::GroupBy({0}, aggs, *joined);
+  ASSERT_OK(group_oracle);
+  ASSERT_OK(dedup_oracle);
+  ASSERT_OK(pipeline_oracle);
+  const RelationSchema group_schema = group_oracle->schema();
+  const RelationSchema pipeline_schema = pipeline_oracle->schema();
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (size_t morsel : {size_t{1}, size_t{7}, kDefaultBatchSize}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " morsel=" + std::to_string(morsel));
+      auto join = [&] {
+        return std::make_unique<HashJoinOp>(
+            std::vector<size_t>{0}, std::vector<size_t>{1}, nullptr, make_r(),
+            make_s(), workers, morsel);
+      };
+      auto got = ExecuteToRelation(*join(), morsel);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, *joined);
+      got = ExecuteToRelation(
+          *std::make_unique<HashGroupByOp>(std::vector<size_t>{0}, aggs,
+                                           group_schema, make_r(), workers,
+                                           morsel),
+          morsel);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, *group_oracle);
+      got = ExecuteToRelation(
+          *std::make_unique<DedupOp>(make_r(), workers, morsel), morsel);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, *dedup_oracle);
+      // Γ over ⋈: the join is drained by lanes and probes on Γ's lanes.
+      got = ExecuteToRelation(
+          *std::make_unique<HashGroupByOp>(std::vector<size_t>{0}, aggs,
+                                           pipeline_schema, join(), workers,
+                                           morsel),
+          morsel);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, *pipeline_oracle);
+    }
+  }
+}
+
 TEST_P(HashOpsDifferentialTest, HashJoinMultiKeyAndResidual) {
   std::mt19937_64 rng(GetParam());
   Relation r = RandomIntRelation(rng, 3, 300, 10, 5);

@@ -228,30 +228,6 @@ TEST(NetCancel, InterruptTokenCancelsInFlightQueryOutOfBand) {
   server.Shutdown();
 }
 
-TEST(NetCancel, CancelFramesRequireProtocolV4) {
-  auto db = MakeDb();
-  Server server(db.get());
-  ASSERT_TRUE(server.Start().ok());
-
-  auto sock = Socket::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(sock.ok());
-  WireLimits limits{1u << 20};
-  ASSERT_TRUE(WriteFrame(*sock, FrameKind::kHello, EncodeHello(3, "v3")).ok());
-  auto hello = ReadFrame(*sock, limits, 2'000);
-  ASSERT_TRUE(hello.ok());
-  ASSERT_EQ(hello->kind, FrameKind::kHello);
-
-  ASSERT_TRUE(
-      WriteFrame(*sock, FrameKind::kCancel, EncodeCancelRequest(1)).ok());
-  auto response = ReadFrame(*sock, limits, 2'000);
-  ASSERT_TRUE(response.ok());
-  ASSERT_EQ(response->kind, FrameKind::kError);
-  Status error = DecodeError(response->payload);
-  EXPECT_EQ(error.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(error.message().find("protocol v4"), std::string::npos);
-  server.Shutdown();
-}
-
 }  // namespace
 }  // namespace net
 }  // namespace mra

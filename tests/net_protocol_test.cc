@@ -1,9 +1,8 @@
 // Wire-protocol unit tests: frame encode/decode round trips, CRC and
 // framing violations, size limits, and the payload codecs (Hello, Error,
 // chunked ResultSet, v3 QueryRequest / stats trailer / ServerStats) on
-// in-memory buffers — plus loopback handshake tests pinning the
-// version-negotiation contract: unsupported versions are refused naming
-// both dialects, v2 clients are negotiated down and served v2 payloads.
+// in-memory buffers — plus loopback handshake tests pinning the version
+// contract: any version but the current one is refused naming both.
 
 #include "mra/net/protocol.h"
 
@@ -393,8 +392,7 @@ TEST(Handshake, UnsupportedVersionIsUnavailableAndNamesBothVersions) {
 
   auto sock = Socket::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(sock.ok());
-  // Version 1 predates kMinProtocolVersion and must be refused (v2+ is
-  // negotiated down instead — see the fallback test below).
+  // Version 1 predates kMinProtocolVersion and must be refused.
   ASSERT_TRUE(WriteFrame(*sock, FrameKind::kHello,
                          EncodeHello(1, "v1-client"))
                   .ok());
@@ -409,47 +407,6 @@ TEST(Handshake, UnsupportedVersionIsUnavailableAndNamesBothVersions) {
                 "server speaks " + std::to_string(kProtocolVersion)),
             std::string::npos)
       << error.ToString();
-  server.Shutdown();
-}
-
-TEST(Handshake, OldV2ClientNegotiatesDownAndGetsTrailerFreeResults) {
-  // An old client speaking protocol v2 sends raw-text Query payloads and
-  // expects plain ResultSet responses; the new server must serve both.
-  auto db = std::move(Database::Open({}).value());
-  {
-    lang::Interpreter interp(db.get());
-    ASSERT_TRUE(interp
-                    .ExecuteScript(
-                        "create beer(name: string, alcperc: real);"
-                        "insert(beer, {('pils', 5.0) : 2});",
-                        [](const std::string&, const Relation&) {})
-                    .ok());
-  }
-  Server server(db.get());
-  ASSERT_TRUE(server.Start().ok());
-
-  auto sock = Socket::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(sock.ok());
-  ASSERT_TRUE(
-      WriteFrame(*sock, FrameKind::kHello, EncodeHello(2, "old-client")).ok());
-  auto hello_response = ReadFrame(*sock, WireLimits{}, 5000);
-  ASSERT_TRUE(hello_response.ok()) << hello_response.status().ToString();
-  ASSERT_EQ(hello_response->kind, FrameKind::kHello);
-  auto hello = DecodeHello(hello_response->payload);
-  ASSERT_TRUE(hello.ok());
-  EXPECT_EQ(hello->version, 2u);  // Negotiated down to the client's dialect.
-
-  // v2 payload: the raw relation expression, no id prefix.
-  ASSERT_TRUE(WriteFrame(*sock, FrameKind::kQuery, "beer").ok());
-  auto response = ReadFrame(*sock, WireLimits{}, 5000);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_EQ(response->kind, FrameKind::kResultSet);
-  // The strict v2 decoder must accept the payload byte-for-byte — any
-  // trailer would surface as trailing garbage here.
-  auto relations = DecodeResultSet(response->payload);
-  ASSERT_TRUE(relations.ok()) << relations.status().ToString();
-  ASSERT_EQ(relations->size(), 1u);
-  EXPECT_EQ((*relations)[0].size(), 2u);
   server.Shutdown();
 }
 
@@ -523,15 +480,30 @@ TEST(ErrorCodec, NoticeRefusesMalformedTrailers) {
   EXPECT_FALSE(DecodeErrorNotice(bad).ok());
 }
 
-TEST(Handshake, V3ClientAgainstV4ServerNegotiatesV3) {
-  // The Cancel frame and the Error hint are v4-only; a v3 hello must
-  // still negotiate cleanly down (kMinProtocolVersion stays 2).
-  static_assert(kProtocolVersion == 4, "update this test with the protocol");
-  static_assert(kMinProtocolVersion == 2,
-                "v2/v3 compatibility must not regress");
-  auto hello = DecodeHello(EncodeHello(3, "old-client"));
-  ASSERT_TRUE(hello.ok());
-  EXPECT_EQ(hello->version, 3u);
+TEST(Handshake, V3HelloIsUnavailable) {
+  // Every client speaks the current version, so an older dialect gets the
+  // same refusal as any unknown one.
+  static_assert(kMinProtocolVersion == kProtocolVersion);
+  auto db = std::move(Database::Open({}).value());
+  Server server(db.get());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto sock = Socket::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(sock.ok());
+  ASSERT_TRUE(
+      WriteFrame(*sock, FrameKind::kHello, EncodeHello(3, "v3-client")).ok());
+  auto response = ReadFrame(*sock, WireLimits{}, 5000);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->kind, FrameKind::kError);
+  Status error = DecodeError(response->payload);
+  EXPECT_EQ(error.code(), StatusCode::kUnavailable);
+  EXPECT_NE(error.message().find("protocol version 3"), std::string::npos)
+      << error.ToString();
+  EXPECT_NE(error.message().find(
+                "server speaks " + std::to_string(kProtocolVersion)),
+            std::string::npos)
+      << error.ToString();
+  server.Shutdown();
 }
 
 TEST(HostPort, ParsesAndRejects) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "mra/obs/op_metrics.h"
 #include "mra/obs/slow_log.h"
 #include "mra/obs/trace.h"
+#include "mra/storage/serializer.h"
 
 namespace mra {
 namespace net {
@@ -353,6 +355,88 @@ TEST(NetServer, GarbageBytesCloseTheConnection) {
   if (response.ok()) {
     EXPECT_EQ(response->kind, FrameKind::kError);
   }
+  server.Shutdown();
+  EXPECT_EQ(server.active_sessions(), 0);
+}
+
+// Well-framed (valid CRC) but hostile payloads: each closes its own
+// session — with an Error frame or a plain close — and never the process,
+// while a second session keeps answering queries throughout.
+TEST(NetServer, HostileFramesCloseOneSessionNeverTheProcess) {
+  auto db = MakeSeededDb();
+  Server server(db.get());
+  ASSERT_TRUE(server.Start().ok());
+  Client good = MustConnect(server);  // Only the steady thread uses it.
+  std::atomic<bool> stop{false};
+  std::atomic<int> answered{0};
+  std::atomic<int> failed{0};
+  std::thread steady([&] {
+    while (!stop.load()) {
+      auto r = good.Query("beer");
+      if (r.ok() && r->size() == 6u) {
+        ++answered;
+      } else {
+        ++failed;
+      }
+    }
+  });
+
+  storage::Encoder long_name;  // The name's length runs past the payload.
+  long_name.PutU32(kProtocolVersion);
+  long_name.PutU32(1000);
+  std::string hello_overrun = long_name.TakeBuffer() + "abc";
+  std::string truncated_query = EncodeQueryRequest(42, "beer").substr(0, 6);
+  struct Hostile {
+    const char* what;
+    bool after_hello;
+    std::string wire;
+  };
+  const Hostile cases[] = {
+      {"hello name overrun", false,
+       EncodeFrame(FrameKind::kHello, hello_overrun)},
+      {"query truncated mid-field", true,
+       EncodeFrame(FrameKind::kQuery, truncated_query)},
+      {"server-bound ResultSet", true,
+       EncodeFrame(FrameKind::kResultSet, EncodeResultSet({}))},
+      {"out-of-range frame kind", true,
+       EncodeFrame(static_cast<FrameKind>(200), "payload")},
+  };
+  for (const Hostile& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto sock = Socket::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(sock.ok());
+    if (c.after_hello) {
+      ASSERT_TRUE(WriteFrame(*sock, FrameKind::kHello,
+                             EncodeHello(kProtocolVersion, "hostile"))
+                      .ok());
+      auto hello = ReadFrame(*sock, WireLimits{}, 5000);
+      ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+      ASSERT_EQ(hello->kind, FrameKind::kHello);
+    }
+    ASSERT_TRUE(sock->SendAll(c.wire).ok());
+    // An Error frame, then the close; or the close alone.
+    auto response = ReadFrame(*sock, WireLimits{}, 5000);
+    if (response.ok()) {
+      EXPECT_EQ(response->kind, FrameKind::kError);
+      EXPECT_FALSE(ReadFrame(*sock, WireLimits{}, 5000).ok());
+    }
+    // The steady session answers again after each hostile one.
+    const int before = answered.load();
+    for (int i = 0; i < 500 && answered.load() <= before + 1; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(answered.load(), before + 1);
+  }
+
+  stop.store(true);
+  steady.join();
+  EXPECT_EQ(failed.load(), 0);
+  // Every hostile session is gone; the steady one remains.
+  for (int i = 0; i < 500 && server.active_sessions() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.active_sessions(), 1);
+  EXPECT_TRUE(good.Query("beer").ok());
   server.Shutdown();
   EXPECT_EQ(server.active_sessions(), 0);
 }

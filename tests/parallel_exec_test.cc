@@ -14,9 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <random>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -148,6 +151,147 @@ TEST(ParallelExecDifferential, KeyFreeAggregationKeepsEmptyInputGroup) {
   }
 }
 
+// --- Partitioned sources: lanes scan a stored relation by range.
+
+// Drains `op`, opened for `lanes` lanes, with one thread per lane and
+// returns every row each lane pulled.
+std::vector<exec::Row> DrainByLanes(exec::PhysicalOperator& op, size_t lanes,
+                                    size_t morsel) {
+  bool by_lanes = false;
+  EXPECT_OK(op.OpenForLanes(lanes, &by_lanes));
+  EXPECT_TRUE(by_lanes);
+  std::vector<std::vector<exec::Row>> pulled(lanes);
+  std::vector<std::thread> threads;
+  for (size_t lane = 0; lane < lanes; ++lane) {
+    threads.emplace_back([&, lane] {
+      exec::RowBatch batch(morsel);
+      while (true) {
+        EXPECT_OK(op.NextLaneBatch(lane, batch));
+        if (batch.empty()) break;
+        for (const exec::Row& row : batch) pulled[lane].push_back(row);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  op.FoldLaneMetrics();
+  op.Close();
+  std::vector<exec::Row> rows;
+  for (auto& lane_rows : pulled) {
+    rows.insert(rows.end(), lane_rows.begin(), lane_rows.end());
+  }
+  return rows;
+}
+
+TEST(ParallelScan, RangeClaimsCoverEverySupportEntryOnce) {
+  std::mt19937_64 rng(17);
+  Relation empty(RelationSchema("e", {{"c1", Type::Int()},
+                                      {"c2", Type::Int()}}));
+  // Three entries: fewer ranges than lanes.
+  Relation tiny = mra::testing::IntRel("tiny", {{1, 2}, {3, 4}, {5, 6}}, 2);
+  Relation big = RandomIntRelation(rng, 2, 3000, 1000, 1000000);
+  for (const Relation* rel : {&empty, &tiny, &big}) {
+    for (size_t lanes : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      for (size_t morsel : {size_t{1}, size_t{7}, size_t{1024}}) {
+        SCOPED_TRACE("distinct=" + std::to_string(rel->distinct_size()) +
+                     " lanes=" + std::to_string(lanes) +
+                     " morsel=" + std::to_string(morsel));
+        exec::ScanOp scan(rel);
+        std::vector<exec::Row> rows = DrainByLanes(scan, lanes, morsel);
+        // Each (tuple, multiplicity) pair of the support exactly once.
+        ASSERT_EQ(rows.size(), rel->distinct_size());
+        Relation got(rel->schema());
+        for (const exec::Row& row : rows) {
+          EXPECT_EQ(rel->Multiplicity(row.tuple), row.count);
+          got.InsertUnchecked(row.tuple, row.count);
+        }
+        EXPECT_REL_EQ(got, *rel);
+        EXPECT_EQ(scan.metrics().rows_emitted, rel->distinct_size());
+        EXPECT_EQ(scan.metrics().weighted_rows, rel->size());
+
+        // The projecting scan claims the same ranges.
+        exec::ScanOp projecting(rel, {1},
+                                RelationSchema("p", {{"c2", Type::Int()}}));
+        rows = DrainByLanes(projecting, lanes, morsel);
+        ASSERT_EQ(rows.size(), rel->distinct_size());
+        Relation projected(projecting.schema());
+        for (const exec::Row& row : rows) {
+          projected.InsertUnchecked(row.tuple, row.count);
+        }
+        auto oracle = ops::ProjectIndexes({1}, *rel);
+        ASSERT_OK(oracle);
+        EXPECT_REL_EQ(projected, *oracle);
+      }
+    }
+  }
+}
+
+TEST(ParallelScan, RangeSplitsFollowTheRelationsChanges) {
+  Relation rel = mra::testing::IntRel("r", {{1, 1}, {2, 2}}, 2);
+  auto before = rel.RangeSplits(1);
+  EXPECT_EQ(before->size(), 3u);  // Two entries, then end().
+  EXPECT_EQ(rel.RangeSplits(1), before);  // Cached while unchanged.
+  ASSERT_OK(rel.Insert(mra::testing::IntTuple({3, 3})));
+  auto after = rel.RangeSplits(1);
+  EXPECT_EQ(after->size(), 4u);
+  Relation copy = rel;  // A copy starts without the cache.
+  EXPECT_EQ(copy.RangeSplits(1)->size(), 4u);
+  EXPECT_NE(copy.RangeSplits(1), after);
+}
+
+// EXPLAIN ANALYZE row counts of the nodes a multi-lane kernel drains by
+// lanes: each node's lane counters fold into it, so they read as on one
+// lane.
+TEST(ParallelExecPlanner, LaneDrainedNodesReportOneLaneRowCounts) {
+  auto db = Database::Open();
+  ASSERT_OK(db);
+  {
+    lang::Interpreter setup(db->get());
+    ASSERT_OK(
+        setup.ExecuteScript("create t(g: int, v: int, w: int);", nullptr));
+    std::string insert = "insert(t, {";
+    for (int i = 0; i < 3000; ++i) {
+      insert += (i == 0 ? "(" : ", (") + std::to_string(i % 37) + ", " +
+                std::to_string(i) + ", " + std::to_string(i % 101) +
+                ") : " + std::to_string(1 + i % 4);
+    }
+    ASSERT_OK(setup.ExecuteScript(insert + "}); analyze t;", nullptr));
+  }
+  const char* query =
+      "groupby([%1], sum(%2), project([%1, %2 + %3], select(%3 > 10, t)))";
+  auto counts = [&](size_t workers) {
+    lang::Interpreter interp(
+        db->get(),
+        ConfigBuilder().Workers(workers).ParallelThreshold(0).Build());
+    auto text = interp.ExplainAnalyze(query);
+    EXPECT_OK(text);
+    // "Scan ... (actual rows=N weighted=W" per chain node, in plan order.
+    std::vector<std::string> found;
+    std::istringstream lines(*text);
+    for (std::string line; std::getline(lines, line);) {
+      size_t name = line.find_first_not_of(' ');
+      if (name == std::string::npos) continue;
+      for (const char* node : {"Scan", "Filter", "Compute"}) {
+        if (line.compare(name, std::strlen(node), node) != 0) continue;
+        size_t at = line.find("actual rows=");
+        size_t end = line.find(" batches=", at);
+        EXPECT_NE(at, std::string::npos) << line;
+        if (workers > 1) {
+          // Drained by the kernel's lanes, not through a locked cursor.
+          EXPECT_NE(line.find("workers=" + std::to_string(workers)),
+                    std::string::npos)
+              << line;
+        }
+        found.push_back(std::string(node) + " " +
+                        line.substr(at, end - at));
+      }
+    }
+    return found;
+  };
+  std::vector<std::string> one = counts(1);
+  ASSERT_EQ(one.size(), 3u) << ::testing::PrintToString(one);
+  EXPECT_EQ(counts(4), one);
+}
+
 // --- Governance: cancellation, deadline and budget kills reach every lane.
 
 Relation BigPairs(size_t n) {
@@ -254,6 +398,84 @@ TEST(ParallelExecGovernance, MemoryBudgetTripsDuringParallelBuild) {
   ASSERT_FALSE(killed.ok());
   EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(ctx.mem_used(), 0u);
+}
+
+TEST(ParallelExecGovernance, KillsWhileLanesRunTheScanChainReleaseEveryByte) {
+  // The lanes run Scan → Filter → Compute themselves; a cancel from
+  // another thread, an expired deadline and a tripped budget must each
+  // stop every lane and leave the query budget balanced.
+  Relation r = BigPairs(20000);
+  const ExprPtr keep = Gt(Attr(1), Lit(int64_t{10}));
+  const std::vector<ExprPtr> swapped = {Attr(1), Attr(0)};
+  auto chain = [&] {
+    return std::make_unique<exec::ComputeOp>(
+        swapped,
+        RelationSchema("c", {{"v", Type::Int()}, {"k", Type::Int()}}),
+        std::make_unique<exec::FilterOp>(keep, Scan(r)));
+  };
+  const std::function<exec::PhysOpPtr()> kernels[] = {
+      [&] {
+        return std::make_unique<exec::HashJoinOp>(
+            std::vector<size_t>{1}, std::vector<size_t>{1}, nullptr, chain(),
+            chain(), 4, 64);
+      },
+      [&] {
+        auto schema = ops::GroupBySchema({1}, AllAggs(), chain()->schema());
+        return std::make_unique<exec::HashGroupByOp>(
+            std::vector<size_t>{1}, AllAggs(), *schema, chain(), 4, 64);
+      },
+      [&] { return std::make_unique<exec::DedupOp>(chain(), 4, 64); },
+      [&] {
+        // Γ over ⋈: the join is drained by lanes and probes on Γ's lanes,
+        // so a kill lands while it holds its build arena.
+        exec::PhysOpPtr join = std::make_unique<exec::HashJoinOp>(
+            std::vector<size_t>{1}, std::vector<size_t>{1}, nullptr, chain(),
+            chain(), 4, 64);
+        auto schema = ops::GroupBySchema({1}, AllAggs(), join->schema());
+        return std::make_unique<exec::HashGroupByOp>(
+            std::vector<size_t>{1}, AllAggs(), *schema, std::move(join), 4,
+            64);
+      },
+  };
+  for (size_t k = 0; k < std::size(kernels); ++k) {
+    SCOPED_TRACE("kernel " + std::to_string(k));
+    for (int round = 0; round < 6; ++round) {
+      exec::ExecContext ctx;
+      auto op = kernels[k]();
+      op->SetExecContext(&ctx);
+      std::thread killer([&ctx, round] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100 * round));
+        ctx.RequestCancel();
+      });
+      auto result = exec::ExecuteToRelation(*op, 64);
+      killer.join();
+      if (!result.ok()) {
+        EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+      }
+      EXPECT_EQ(ctx.mem_used(), 0u) << "cancel round " << round;
+    }
+    {
+      exec::ExecContext ctx;
+      ctx.SetDeadlineAfterMs(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      auto op = kernels[k]();
+      op->SetExecContext(&ctx);
+      auto killed = exec::ExecuteToRelation(*op, 64);
+      ASSERT_FALSE(killed.ok());
+      EXPECT_EQ(killed.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(ctx.mem_used(), 0u);
+    }
+    {
+      exec::ExecContext ctx;
+      ctx.SetMemoryBudget(4 * 1024);
+      auto op = kernels[k]();
+      op->SetExecContext(&ctx);
+      auto killed = exec::ExecuteToRelation(*op, 64);
+      ASSERT_FALSE(killed.ok());
+      EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(ctx.mem_used(), 0u);
+    }
+  }
 }
 
 // --- The pool itself.

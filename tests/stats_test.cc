@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "mra/catalog/catalog.h"
 #include "test_util.h"
 
@@ -220,6 +223,37 @@ TEST_F(ColumnStatsTest, CardinalityUsesStatsThroughCache) {
   auto grouped = Plan::GroupBy({0}, {{AggKind::kCnt, 0, ""}}, scan_);
   ASSERT_OK(grouped);
   EXPECT_DOUBLE_EQ(EstimateCardinality(**grouped, catalog_, &cache), 20.0);
+}
+
+TEST_F(ColumnStatsTest, GroupByManyKeysUsesDistinctProduct) {
+  // Q1's shape: two low-cardinality flags (3 x 2 values) over 1,000 rows.
+  Relation q(RelationSchema("q", {{"flag", Type::Int()},
+                                  {"status", Type::Int()},
+                                  {"id", Type::Int()}}));
+  for (int64_t i = 0; i < 1000; ++i) {
+    q.InsertUnchecked(Tuple({Value::Int(i % 3), Value::Int(i % 2),
+                             Value::Int(i)}));
+  }
+  ASSERT_OK(catalog_.CreateRelation(q.schema()));
+  ASSERT_OK(catalog_.SetRelation("q", std::move(q)));
+  PlanPtr scan_q =
+      Plan::Scan("q", catalog_.GetRelation("q").value()->schema());
+  StatsCache cache(&catalog_);
+  const double guess = std::pow(1000.0, 0.75) + 1.0;
+  // Γ by (flag, status): at most 3 x 2 groups.
+  auto flags = Plan::GroupBy({0, 1}, {{AggKind::kCnt, 2, ""}}, scan_q);
+  ASSERT_OK(flags);
+  EXPECT_DOUBLE_EQ(EstimateCardinality(**flags, catalog_, &cache), 6.0);
+  // Without statistics it keeps the sub-linear guess.
+  EXPECT_DOUBLE_EQ(EstimateCardinality(**flags, catalog_), guess);
+  // Γ by (flag, id): the product 3,000 exceeds the guess, which wins.
+  auto wide = Plan::GroupBy({0, 2}, {{AggKind::kCnt, 1, ""}}, scan_q);
+  ASSERT_OK(wide);
+  EXPECT_DOUBLE_EQ(EstimateCardinality(**wide, catalog_, &cache), guess);
+  // One key keeps its exact distinct count, above the guess.
+  auto ids = Plan::GroupBy({2}, {{AggKind::kCnt, 0, ""}}, scan_q);
+  ASSERT_OK(ids);
+  EXPECT_DOUBLE_EQ(EstimateCardinality(**ids, catalog_, &cache), 1000.0);
 }
 
 TEST_F(ColumnStatsTest, EquiJoinEstimateUsesKeyDistincts) {
