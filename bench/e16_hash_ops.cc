@@ -1,6 +1,6 @@
 // E16 — hash kernels vs the hash-free algorithms they replace.
 //
-// Two head-to-head comparisons, both with asserted result identity:
+// Head-to-head comparisons, each with asserted result identity:
 //
 //  * equi-join: HashJoinOp (build right, probe left, counts multiply per
 //    Def 3.1) against the definitional σ_φ(E1 × E2) nested-loop plan the
@@ -8,13 +8,19 @@
 //    the join inputs are sized at rows/250 per side (4000 at the 1M
 //    default) — large enough that hashing's O(|E1|+|E2|) shows, small
 //    enough that the quadratic baseline terminates.
-//  * δ (unique): the streaming hash DedupOp against materialise +
+//  * δ (unique): the streaming bag-count kernel against materialise +
 //    std::sort + std::unique (a bench-local operator; the engine has no
 //    sort-based δ), at the full row count.
+//  * − and ∩ on 1 and 4 lanes: the bag-count kernel against draining both
+//    inputs to Relations and applying ops::Difference / ops::Intersect (a
+//    bench-local operator doing what the engine's materialising − and ∩
+//    did), lhs at the full row count and rhs at half of it.
 //
-// The acceptance bar for both is >= 2x at the 1M scale; "REGRESSION" is
-// printed when a hash kernel is *slower* than its baseline, so the CI
-// smoke run can grep for it.
+// Each row also prints the hash kernel's peak footprint (hashKB).
+//
+// The acceptance bar for the join and δ is >= 2x at the 1M scale;
+// "REGRESSION" is printed when a hash kernel is *slower* than its
+// baseline, so the CI smoke run can grep for it.
 //
 //   $ ./build/bench/e16_hash_ops                  # full 1M-row summary
 //   $ ./build/bench/e16_hash_ops --rows 50000     # CI smoke scale
@@ -23,6 +29,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -65,8 +73,62 @@ exec::PhysOpPtr BuildNestedLoopJoin(const Relation* left,
 }
 
 exec::PhysOpPtr BuildHashDedup(const Relation* input) {
-  return std::make_unique<exec::DedupOp>(
-      std::make_unique<exec::ScanOp>(input));
+  return std::make_unique<exec::BagCountOp>(
+      exec::BagFn::kUnique, std::make_unique<exec::ScanOp>(input), nullptr);
+}
+
+exec::PhysOpPtr BuildBagCount(exec::BagFn fn, const Relation* lhs,
+                              const Relation* rhs, size_t workers) {
+  return std::make_unique<exec::BagCountOp>(
+      fn, std::make_unique<exec::ScanOp>(lhs),
+      std::make_unique<exec::ScanOp>(rhs), workers);
+}
+
+/// − or ∩ by materialisation: drains both inputs to Relations, applies
+/// ops::Difference / ops::Intersect and streams the result.
+class MaterialisedBagOp final : public exec::PhysicalOperator {
+ public:
+  MaterialisedBagOp(exec::BagFn fn, exec::PhysOpPtr lhs, exec::PhysOpPtr rhs)
+      : fn_(fn), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
+
+  const RelationSchema& schema() const override { return lhs_->schema(); }
+  std::string_view name() const override { return "MaterialisedBag"; }
+
+ protected:
+  Status OpenImpl() override {
+    MRA_ASSIGN_OR_RETURN(Relation lhs, exec::ExecuteToRelation(*lhs_));
+    MRA_ASSIGN_OR_RETURN(Relation rhs, exec::ExecuteToRelation(*rhs_));
+    MRA_ASSIGN_OR_RETURN(result_, fn_ == exec::BagFn::kDifference
+                                      ? ops::Difference(lhs, rhs)
+                                      : ops::Intersect(lhs, rhs));
+    it_ = result_.begin();
+    return Status::OK();
+  }
+
+  Status NextBatchImpl(exec::RowBatch& out) override {
+    for (; it_ != result_.end() && !out.full(); ++it_) {
+      exec::Row& slot = out.AppendSlot();
+      slot.tuple = it_->first;
+      slot.count = it_->second;
+    }
+    return Status::OK();
+  }
+
+  void CloseImpl() override { result_.Clear(); }
+
+ private:
+  exec::BagFn fn_;
+  exec::PhysOpPtr lhs_;
+  exec::PhysOpPtr rhs_;
+  Relation result_;
+  Relation::const_iterator it_;
+};
+
+exec::PhysOpPtr BuildMaterialisedBag(exec::BagFn fn, const Relation* lhs,
+                                     const Relation* rhs) {
+  return std::make_unique<MaterialisedBagOp>(
+      fn, std::make_unique<exec::ScanOp>(lhs),
+      std::make_unique<exec::ScanOp>(rhs));
 }
 
 /// δ by materialise + std::sort + std::unique: the hash-free baseline.
@@ -152,10 +214,12 @@ double SecondsToDrain(const OpFactory& make, uint64_t* weighted_out) {
 }
 
 /// Times hash vs legacy, asserts identical result multisets, prints one
-/// summary row, and flags a regression when hash is slower.
+/// summary row with the hash kernel's peak footprint, and flags a
+/// regression when hash is slower.
 void Compare(const char* label, size_t scale, const OpFactory& hash,
              const OpFactory& legacy) {
-  Relation hash_result = Unwrap(exec::ExecuteToRelation(*hash()));
+  exec::PhysOpPtr once = hash();
+  Relation hash_result = Unwrap(exec::ExecuteToRelation(*once));
   Relation legacy_result = Unwrap(exec::ExecuteToRelation(*legacy()));
   MRA_CHECK(hash_result.Equals(legacy_result))
       << label << ": hash kernel changed the result multiset";
@@ -167,8 +231,13 @@ void Compare(const char* label, size_t scale, const OpFactory& hash,
       << label << ": kernels drained different bag cardinalities";
 
   double speedup = legacy_s / hash_s;
-  Row("%-10s %-10zu %-12.4f %-12.4f %-14llu %.2fx", label, scale, legacy_s,
-      hash_s, static_cast<unsigned long long>(hash_result.size()), speedup);
+  char ratio[32];
+  std::snprintf(ratio, sizeof(ratio), "%.2fx", speedup);
+  Row("%-10s %-10zu %-12.4f %-12.4f %-14llu %-10s %llu", label, scale,
+      legacy_s, hash_s, static_cast<unsigned long long>(hash_result.size()),
+      ratio,
+      static_cast<unsigned long long>(
+          (once->metrics().hash_bytes + 1023) / 1024));
   if (speedup < 1.0) {
     Row("REGRESSION: %s hash kernel slower than the legacy operator "
         "(%.2fx)", label, speedup);
@@ -179,8 +248,9 @@ void VerifySpeedup(size_t rows) {
   Header("E16: hash-based batch kernels",
          "Claim: the hash equi-join beats the definitional nested-loop "
          "sigma(E1 x E2) plan and the streaming hash dedup beats "
-         "sort + unique, both >= 2x at the 1M-row scale, with identical "
-         "result multisets.");
+         "sort + unique, both >= 2x at the 1M-row scale, and the bag-count "
+         "difference / intersect beat materialising both inputs, all with "
+         "identical result multisets.");
 
   // Join inputs: quadratic baseline, so rows/250 distinct tuples per side
   // (>= 2000 so the CI smoke scale still measures something).  A quarter
@@ -194,15 +264,37 @@ void VerifySpeedup(size_t rows) {
   // range rows/8 over 2 attributes keeps distinct keys well below rows).
   Relation d = MakeInput(rows, std::max<int64_t>(2, rows / 8), 18, "d");
 
-  Row("%-10s %-10s %-12s %-12s %-14s %-10s", "kernel", "scale", "legacy s",
-      "hash s", "result rows", "speedup");
+  Row("%-10s %-10s %-12s %-12s %-14s %-10s %s", "kernel", "scale",
+      "legacy s", "hash s", "result rows", "speedup", "hashKB");
   Compare("join", side, [&] { return BuildHashJoin(&jl, &jr); },
           [&] { return BuildNestedLoopJoin(&jl, &jr); });
   Compare("dedup", rows, [&] { return BuildHashDedup(&d); },
           [&] { return BuildSortDedup(&d); });
+
+  // − and ∩ inputs: a value range of sqrt(rows) per attribute makes the
+  // tuple domain about `rows`, so the two sides share most of their keys.
+  int64_t set_range =
+      std::max<int64_t>(2, static_cast<int64_t>(std::sqrt(double(rows))));
+  Relation sl = MakeInput(rows, set_range, 19, "sl");
+  Relation sr = MakeInput(rows / 2, set_range, 20, "sr");
+  const struct {
+    const char* label;
+    exec::BagFn fn;
+    size_t workers;
+  } set_ops[] = {{"diff/1", exec::BagFn::kDifference, 1},
+                 {"diff/4", exec::BagFn::kDifference, 4},
+                 {"isect/1", exec::BagFn::kIntersect, 1},
+                 {"isect/4", exec::BagFn::kIntersect, 4}};
+  for (const auto& op : set_ops) {
+    Compare(
+        op.label, rows,
+        [&] { return BuildBagCount(op.fn, &sl, &sr, op.workers); },
+        [&] { return BuildMaterialisedBag(op.fn, &sl, &sr); });
+  }
   Row("");
   Row("join side=%zu (nested loop is O(n^2); hash is O(n)), dedup "
-      "rows=%zu", side, rows);
+      "rows=%zu, diff/isect lhs=%zu rhs=%zu (/N = lanes)",
+      side, rows, rows, rows / 2);
 }
 
 // --- Microbenchmarks at fixed scales. ---

@@ -11,7 +11,7 @@
 // (statements run server-side; \metrics shows the *server's* registry).
 // Every ExecConfig knob is a flag (mra::ParseConfigFlags — the same
 // registry behind `set <knob> = <value>;` and `\set`): --batch-size,
-// --workers, --morsel-size, --statement-timeout-ms, … (--help lists them;
+// --workers, --statement-timeout-ms, … (--help lists them;
 // docs/PARALLELISM.md has the reference).  In --connect mode the server's
 // own settings apply.  --slow-query-ms N arms the embedded slow-query log
 // (\slowlog): queries at or over N ms land there as JSON lines (0 logs
@@ -87,7 +87,7 @@ Conditions/expressions use %1, %2, ... for attributes; literals include
 Meta: \h help, \d relations, \e <E> explain plans, \ea <E> explain analyze,
       \analyze <name> collect optimizer statistics (same as `analyze <name>;`),
       \set show all knobs, \set <knob> <value> override one (same registry
-      as `set <knob> = <value>;` — workers, batch_size, morsel_size, …),
+      as `set <knob> = <value>;` — workers, batch_size, parallel_threshold, …),
       \metrics [json|prom|reset] process metrics, \trace [on|off] spans,
       \slowlog slow-query log, \checkpoint, \q quit.
 

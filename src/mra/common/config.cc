@@ -76,16 +76,6 @@ const Knob kKnobs[] = {
        return Status::OK();
      },
      [](const ExecConfig& c) { return std::to_string(c.exec.workers); }},
-    {"morsel_size", false,
-     "rows per morsel pulled by one worker (>= 1)",
-     [](ExecConfig* c, uint64_t n, bool) {
-       if (n == 0) {
-         return Status::InvalidArgument("morsel_size must be >= 1");
-       }
-       c->exec.morsel_size = static_cast<size_t>(n);
-       return Status::OK();
-     },
-     [](const ExecConfig& c) { return std::to_string(c.exec.morsel_size); }},
     {"parallel_threshold", false,
      "min estimated input rows before an operator goes parallel",
      [](ExecConfig* c, uint64_t n, bool) {

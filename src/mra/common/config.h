@@ -43,9 +43,6 @@ struct ExecConfig {
     /// operator's estimated input reaches `parallel_threshold`
     /// (docs/PARALLELISM.md).
     size_t workers = 0;
-    /// Rows per morsel: the unit a worker pulls from a shared child
-    /// cursor, and the cancellation granularity inside parallel phases.
-    size_t morsel_size = 1024;
     /// Minimum estimated input cardinality (build+probe for joins) before
     /// the planner gives a hash operator more than one lane; below it the
     /// one-lane kernel wins on fan-out overhead alone.
@@ -122,10 +119,6 @@ class ConfigBuilder {
     return *this;
   }
   ConfigBuilder& Workers(size_t v) { cfg_.exec.workers = v; return *this; }
-  ConfigBuilder& MorselSize(size_t v) {
-    cfg_.exec.morsel_size = v;
-    return *this;
-  }
   ConfigBuilder& ParallelThreshold(uint64_t v) {
     cfg_.exec.parallel_threshold = v;
     return *this;

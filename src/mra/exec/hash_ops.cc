@@ -185,6 +185,18 @@ Status RunPartitionPhase(const WorkerPool::Lease& lease, ExecContext* ctx,
   return latch.status();
 }
 
+// Takes t = min(c, budget) from a key's budget.
+uint64_t TakeBudget(uint64_t c, uint64_t& budget) {
+  const uint64_t t = std::min(c, budget);
+  budget -= t;
+  return t;
+}
+
+// What an lhs row with count c that took t of its key's budget emits.
+uint64_t Emitted(BagFn fn, uint64_t c, uint64_t t) {
+  return fn == BagFn::kDifference ? c - t : t;
+}
+
 // Sums the footprints the lanes publish.
 uint64_t SumLaneBytes(const std::vector<std::atomic<uint64_t>>& lane_bytes) {
   uint64_t total = 0;
@@ -680,155 +692,222 @@ void HashGroupByOp::CloseImpl() {
   child_->Close();
 }
 
-// --- DedupOp. ---
+// --- BagCountOp. ---
 
-DedupOp::DedupOp(PhysOpPtr child, size_t workers, size_t morsel_size)
-    : child_(std::move(child)),
+BagCountOp::BagCountOp(BagFn fn, PhysOpPtr lhs, PhysOpPtr rhs_or_null,
+                       size_t workers, size_t morsel_size)
+    : fn_(fn),
+      lhs_(std::move(lhs)),
+      rhs_(std::move(rhs_or_null)),
       workers_(workers),
       morsel_size_(morsel_size == 0 ? kDefaultBatchSize : morsel_size) {
-  identity_.resize(child_->schema().arity());
+  MRA_CHECK_EQ(rhs_ == nullptr, fn_ == BagFn::kUnique)
+      << "δ takes one input, − and ∩ take two";
+  MRA_CHECK(rhs_ == nullptr || lhs_->schema().CompatibleWith(rhs_->schema()))
+      << name() << " over incompatible schemas";
+  identity_.resize(lhs_->schema().arity());
   for (size_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
 }
 
-Status DedupOp::OpenImpl() {
-  lane_seen_.clear();
-  distinct_.clear();
+std::string_view BagCountOp::name() const {
+  return fn_ == BagFn::kUnique       ? "Dedup"
+         : fn_ == BagFn::kDifference ? "Difference"
+                                     : "Intersect";
+}
+
+Status BagCountOp::Collapse(const WorkerPool::Lease& lease,
+                            PhysicalOperator* child, size_t parts, bool rhs,
+                            LaneSets* sets, uint64_t* rows, uint64_t* bytes) {
+  const int bits = std::countr_zero(parts);
+  const bool counted = rhs || fn_ != BagFn::kUnique;
+  const bool governed = exec_context() != nullptr;
+  std::vector<std::atomic<uint64_t>> lane_bytes(lease.lanes());
+  sets->assign(lease.lanes(), std::vector<CountTable>(parts));
+  MRA_RETURN_IF_ERROR(DrainChild(
+      lease, exec_context(), child, morsel_size_, &metrics_.cpu_ns, rows,
+      [&](size_t lane, RowBatch& morsel) {
+        std::vector<CountTable>& own = (*sets)[lane];
+        for (const Row& row : morsel) {
+          const size_t h = row.tuple.HashKey(identity_);
+          CountTable& t = own[PartitionOf(h, bits)];
+          bool inserted = false;
+          const size_t id =
+              t.index.InsertKey(row.tuple, identity_, h, &inserted);
+          if (!counted) continue;
+          if (inserted) t.counts.push_back(0);
+          uint64_t& sum = t.counts[id];
+          if (__builtin_add_overflow(sum, row.count, &sum)) {
+            // An rhs sum saturates; an lhs sum must not wrap.
+            if (!rhs) {
+              return Status::EvalError(
+                  std::string(name()) +
+                  ": a tuple's multiplicity exceeds 2^64 - 1");
+            }
+            sum = UINT64_MAX;
+          }
+        }
+        uint64_t held = 0;
+        for (const CountTable& t : own) held += t.ApproxBytes();
+        lane_bytes[lane].store(held, std::memory_order_relaxed);
+        return Status::OK();
+      },
+      [&] {
+        return governed ? NoteHashFootprint(*bytes + SumLaneBytes(lane_bytes))
+                        : Status::OK();
+      }));
+  for (const auto& own : *sets) {
+    for (const CountTable& t : own) {
+      metrics_.peak_hash_entries += t.index.size();
+    }
+  }
+  *bytes += SumLaneBytes(lane_bytes);
+  return NoteHashFootprint(*bytes);
+}
+
+Status BagCountOp::OpenImpl() {
+  lanes_.clear();
+  emit_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
-  seen_.Reset();
 
   WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   const size_t lanes = lease.lanes();
   metrics_.workers = static_cast<uint32_t>(lanes);
-  // One lane streams: NextBatch dedups each child batch in place.
+  const size_t parts = lanes == 1 ? 1 : NextPow2(4 * lanes);
+  uint64_t bytes = 0;
+  if (rhs_ != nullptr) {
+    // − and ∩ build the rhs first: its count sums are the budgets.
+    MRA_RETURN_IF_ERROR(Collapse(lease, rhs_.get(), parts, /*rhs=*/true,
+                                 &budgets_, &metrics_.build_rows, &bytes));
+  } else {
+    // δ sets a key's budget as the key is first seen: on one lane in the
+    // recycled seen-set, on more in the lanes' own key sets.
+    budgets_.resize(lanes == 1 ? 1 : 0, std::vector<CountTable>(1));
+    if (lanes == 1) budgets_[0][0].index.Reset();
+  }
+  // One lane streams: NextBatch compacts each lhs batch in place.
   streaming_ = lanes == 1;
-  if (streaming_) return child_->Open();
-  const size_t parts = NextPow2(4 * lanes);
-  const int bits = std::countr_zero(parts);
-  ExecContext* ctx = exec_context();
-  const bool governed = ctx != nullptr;
-  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
+  if (streaming_) return lhs_->Open();
 
-  // --- Phase 1: per-lane pre-dedup, radix-routed on the whole tuple. ---
-  lane_seen_.resize(lanes);
-  for (auto& seen : lane_seen_) {
-    seen = std::vector<HashKeyIndex>(parts);
-  }
-  MRA_RETURN_IF_ERROR(DrainChild(
-      lease, ctx, child_.get(), morsel_size_, &metrics_.cpu_ns,
-      &metrics_.build_rows,
-      [&](size_t lane, RowBatch& morsel) {
-        std::vector<HashKeyIndex>& seen = lane_seen_[lane];
-        for (const Row& row : morsel) {
-          size_t h = row.tuple.HashKey(identity_);
-          bool inserted = false;
-          seen[PartitionOf(h, bits)].InsertKey(row.tuple, identity_, h,
-                                               &inserted);
-        }
-        if (governed) {
-          uint64_t bytes = 0;
-          for (const HashKeyIndex& s : seen) bytes += s.ApproxBytes();
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-        }
-        return Status::OK();
-      },
-      [&] {
-        return governed ? NoteHashFootprint(SumLaneBytes(lane_bytes))
-                        : Status::OK();
-      }));
-  uint64_t pass1_bytes = 0;
-  size_t pre_merge_entries = 0;
-  for (const auto& seen : lane_seen_) {
-    for (const HashKeyIndex& s : seen) {
-      pass1_bytes += s.ApproxBytes();
-      pre_merge_entries += s.size();
-    }
-  }
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(pass1_bytes));
+  // --- Phase 1: per-lane pre-collapse of the lhs. ---
+  MRA_RETURN_IF_ERROR(Collapse(
+      lease, lhs_.get(), parts, /*rhs=*/false, &lanes_,
+      rhs_ != nullptr ? &metrics_.probe_rows : &metrics_.build_rows, &bytes));
 
-  // --- Phase 2: list each partition's support once.  A key stays with the
-  // first lane that holds it; later lanes look it up by stored hash in the
-  // earlier lanes' indexes, which stay read-only. ---
-  distinct_.assign(parts, {});
+  // --- Phase 2: one thread a partition spends each key's budget over the
+  // lhs lanes' sums, lane by lane, and a key's rhs budget from each rhs
+  // lane's set in turn; every key set stays read-only. ---
+  emit_.assign(parts, {});
   MRA_RETURN_IF_ERROR(RunPartitionPhase(
-      lease, ctx, parts, &metrics_.cpu_ns, [&](size_t p) {
-        std::vector<KeyRef>& keys = distinct_[p];
+      lease, exec_context(), parts, &metrics_.cpu_ns, [&](size_t p) {
         for (size_t l = 0; l < lanes; ++l) {
-          const HashKeyIndex& s = lane_seen_[l][p];
-          for (size_t id = 0; id < s.size(); ++id) {
-            bool earlier = false;
-            for (size_t e = 0; e < l && !earlier; ++e) {
-              earlier = lane_seen_[e][p].FindKey(s.key(id), identity_,
-                                                 s.hash(id)) !=
-                        HashKeyIndex::kNotFound;
+          const CountTable& t = lanes_[l][p];
+          for (size_t id = 0; id < t.index.size(); ++id) {
+            const Tuple& key = t.index.key(id);
+            const size_t h = t.index.hash(id);
+            uint64_t c = 1;
+            uint64_t taken = 0;
+            if (fn_ == BagFn::kUnique) {
+              // δ: the budget of 1 belongs to the first lane holding the
+              // key, found by lookup with the stored hash.
+              taken = 1;
+              for (size_t e = 0; e < l && taken == 1; ++e) {
+                if (lanes_[e][p].index.FindKey(key, identity_, h) !=
+                    HashKeyIndex::kNotFound) {
+                  taken = 0;
+                }
+              }
+            } else {
+              c = t.counts[id];
+              for (auto& rhs : budgets_) {
+                const size_t r = rhs[p].index.FindKey(key, identity_, h);
+                if (r == HashKeyIndex::kNotFound) continue;
+                taken += TakeBudget(c - taken, rhs[p].counts[r]);
+              }
             }
-            if (!earlier) keys.push_back(KeyRef{l, id});
+            const uint64_t n = Emitted(fn_, c, taken);
+            if (n > 0) emit_[p].push_back(KeyRef{l, id, n});
           }
         }
       }));
 
   size_t distinct = 0;
-  for (const auto& keys : distinct_) distinct += keys.size();
+  for (const auto& keys : emit_) distinct += keys.size();
   metrics_.distinct_rows = distinct;
-  metrics_.peak_hash_entries = std::max(pre_merge_entries, distinct);
-  return NoteHashFootprint(pass1_bytes + distinct * sizeof(KeyRef));
+  return NoteHashFootprint(bytes + distinct * sizeof(KeyRef));
 }
 
-Status DedupOp::StreamBatch(RowBatch& out) {
-  // In place like FilterOp: the child fills `out`, first occurrences are
-  // compacted to the front with multiplicity 1, duplicates stay parked for
-  // the child's next refill.  Pull again until something survives or the
-  // child drains.
+Status BagCountOp::StreamBatch(RowBatch& out) {
+  // In place like FilterOp: the lhs fills `out`, rows that emit are
+  // compacted to the front with what they emit, the rest stay parked for
+  // the lhs's next refill.  Pull again until something survives or the
+  // lhs drains.
+  CountTable& set = budgets_[0][0];
+  uint64_t& rows = rhs_ != nullptr ? metrics_.probe_rows : metrics_.build_rows;
   while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(out));
+    MRA_RETURN_IF_ERROR(lhs_->NextBatch(out));
     if (out.empty()) return Status::OK();
-    metrics_.build_rows += out.size();
+    rows += out.size();
     size_t kept = 0;
     for (size_t i = 0; i < out.size(); ++i) {
-      bool inserted = false;
-      seen_.InsertKey(out[i].tuple, identity_, &inserted);
-      if (inserted) {
+      const uint64_t c = out[i].count;
+      uint64_t t = 0;
+      if (fn_ == BagFn::kUnique) {
+        // δ's budget of 1, set as the key is first seen, goes at once.
+        bool inserted = false;
+        set.index.InsertKey(out[i].tuple, identity_, &inserted);
+        t = inserted ? 1 : 0;
+      } else {
+        const size_t id = set.index.FindKey(out[i].tuple, identity_);
+        if (id != HashKeyIndex::kNotFound) t = TakeBudget(c, set.counts[id]);
+      }
+      const uint64_t n = Emitted(fn_, c, t);
+      if (n > 0) {
         if (kept != i) std::swap(out[kept], out[i]);
-        out[kept].count = 1;
+        out[kept].count = n;
         ++kept;
       }
     }
     out.Truncate(kept);
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(seen_.ApproxBytes()));
+    if (fn_ == BagFn::kUnique) {
+      MRA_RETURN_IF_ERROR(NoteHashFootprint(set.ApproxBytes()));
+    }
     if (kept > 0) return Status::OK();
   }
 }
 
-Status DedupOp::NextBatchImpl(RowBatch& out) {
+Status BagCountOp::NextBatchImpl(RowBatch& out) {
   if (streaming_) return StreamBatch(out);
   while (!out.full()) {
-    if (emit_part_ >= distinct_.size()) return Status::OK();
-    if (emit_pos_ >= distinct_[emit_part_].size()) {
+    if (emit_part_ >= emit_.size()) return Status::OK();
+    if (emit_pos_ >= emit_[emit_part_].size()) {
       ++emit_part_;
       emit_pos_ = 0;
       continue;
     }
-    const KeyRef& key = distinct_[emit_part_][emit_pos_++];
+    const KeyRef& key = emit_[emit_part_][emit_pos_++];
     Row& slot = out.AppendSlot();
-    lane_seen_[key.lane][emit_part_].SwapKey(key.id, slot.tuple);
-    slot.count = 1;
+    lanes_[key.lane][emit_part_].index.SwapKey(key.id, slot.tuple);
+    slot.count = key.count;
   }
   return Status::OK();
 }
 
-void DedupOp::CloseImpl() {
+void BagCountOp::CloseImpl() {
   if (streaming_) {
-    metrics_.distinct_rows = seen_.size();
-    metrics_.peak_hash_entries = seen_.size();
-    seen_.Reset();
+    const size_t keys = budgets_[0][0].index.size();
+    if (fn_ == BagFn::kUnique) metrics_.distinct_rows = keys;
+    metrics_.peak_hash_entries = keys;
     streaming_ = false;
   }
-  CountHashRows(metrics_.build_rows, 0);
-  lane_seen_.clear();
-  distinct_.clear();
+  CountHashRows(metrics_.build_rows, metrics_.probe_rows);
+  if (rhs_ != nullptr) budgets_.clear();
+  lanes_.clear();
+  emit_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
-  child_->Close();
+  lhs_->Close();
+  if (rhs_ != nullptr) rhs_->Close();
 }
 
 }  // namespace exec

@@ -1,6 +1,7 @@
-// The hash kernels: ⋈ on equi-keys, Γ and δ, morsel-driven over a
-// WorkerPool lease (docs/PARALLELISM.md).  Each is the only implementation
-// of its operator; `workers` (default 1) is the lane count it asks for.
+// The hash kernels: ⋈ on equi-keys, Γ, and one bag-count kernel for δ, −
+// and ∩, morsel-driven over a WorkerPool lease (docs/PARALLELISM.md).
+// Each is the only implementation of its operator; `workers` (default 1)
+// is the lane count it asks for.
 //
 // With more than one lane the work happens in OpenImpl as a sequence of
 // phases fanned out over the lease, and NextBatch then streams an
@@ -24,18 +25,20 @@
 //    extrema, so per-lane partial accumulators over a partition of the
 //    input merge additively (AggAccumulator::Merge) into exactly the
 //    definitional per-group values.
-//  * dedup (δ): the support of a disjoint union is the union of supports;
-//    per-lane pre-dedup only collapses duplicates early, and a key that an
-//    earlier lane also holds is emitted by that lane only.
+//  * δ, − and ∩ (Defs 3.4, 3.1, 3.2): each is a function of one tuple's
+//    counts, so a partition holds all of a key's counts; per-lane
+//    pre-collapse only sums them early, and one thread per partition
+//    spends each key's budget over the lanes' sums.
 //
 // A row is hashed once: the routing hash is also its key-index hash.
 //
 // A one-lane lease (workers <= 1, or a saturated pool that shed the
 // admission) uses a single partition, skips the routing and opens the
-// child with a plain Open.  The join and δ then stream: the join builds
-// one arena and probes batch by batch, δ compacts each child batch in
-// place against its seen-set.  Only Γ, which must see its whole input
-// before it can emit, materialises.
+// child with a plain Open.  The join and the bag-count kernel then stream:
+// the join builds one arena and probes batch by batch, the bag-count
+// kernel builds its rhs key set and compacts each lhs batch in place
+// against it.  Only Γ, which must see its whole input before it can emit,
+// materialises.
 //
 // Governance: the shared ExecContext reaches every lane — each lane checks
 // it per morsel (and the child's own batch wrapper checks per pull), so a
@@ -251,23 +254,41 @@ class HashGroupByOp final : public PhysicalOperator {
   size_t emit_pos_ = 0;
 };
 
-/// δ — hash duplicate elimination; every surviving tuple streams with
-/// multiplicity 1.  On one lane it streams: each child batch is compacted
-/// in place to its first occurrences (FilterOp-style) against a recycled
-/// seen-set, so a drain stays allocation-free once warm.  On more lanes:
-/// per-lane pre-dedup into radix-routed key indexes, then a parallel
-/// partition-wise pass lists each key once — from the first lane holding
-/// it, found by lookup with the stored hash, so no key is re-inserted —
-/// and emission swaps the listed keys out of the lane indexes.
-class DedupOp final : public PhysicalOperator {
- public:
-  explicit DedupOp(PhysOpPtr child, size_t workers = 1,
-                   size_t morsel_size = kDefaultBatchSize);
+/// The function of one tuple's counts that a BagCountOp computes: δ is
+/// min(1, a) (Def 3.4), − is max(0, a − b) (Def 3.1), ∩ is min(a, b)
+/// (Def 3.2), for lhs count a and rhs count b.
+enum class BagFn { kUnique, kDifference, kIntersect };
 
-  const RelationSchema& schema() const override { return child_->schema(); }
-  std::string_view name() const override { return "Dedup"; }
+/// δ, − and ∩: one hash kernel over a key set of whole tuples in which
+/// each key holds a *budget* — its rhs count for − and ∩ (0 when the rhs
+/// lacks it), 1 for δ, set when the key is first seen.  An lhs row with
+/// count c takes t = min(c, budget) from its key's budget and emits t (δ,
+/// ∩) or c − t (−) when positive; over a key's rows in any order that sums
+/// to exactly min(1, a), min(a, b) and max(0, a − b).  The rhs sums
+/// saturate at UINT64_MAX, which is exact for min and max(0, ·) whenever
+/// the lhs total fits in 64 bits.
+///
+/// The rhs builds first, like the join's build side.  On one lane the lhs
+/// then streams: each batch is compacted in place (FilterOp-style) against
+/// the key set, so a drain stays allocation-free once warm.  On more lanes
+/// each lane pre-collapses its rows of either input into radix-routed key
+/// sets (an lhs sum that overflows fails the query, naming the operator),
+/// and a partition-wise pass has one thread spend each partition's budgets
+/// lane by lane — every key lives in one partition, and a key's rhs budget
+/// is spent from each rhs lane's set in turn.  A − or ∩ tuple may then be
+/// emitted once per lane; the bag-stream convention sums those rows.
+class BagCountOp final : public PhysicalOperator {
+ public:
+  /// `rhs_or_null` is null for δ and the second operand of − and ∩, with a
+  /// schema compatible with `lhs`'s.
+  BagCountOp(BagFn fn, PhysOpPtr lhs, PhysOpPtr rhs_or_null,
+             size_t workers = 1, size_t morsel_size = kDefaultBatchSize);
+
+  const RelationSchema& schema() const override { return lhs_->schema(); }
+  std::string_view name() const override;
   std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
+    if (rhs_ == nullptr) return {lhs_.get()};
+    return {lhs_.get(), rhs_.get()};
   }
 
  protected:
@@ -276,26 +297,45 @@ class DedupOp final : public PhysicalOperator {
   void CloseImpl() override;
 
  private:
-  /// The one-lane kernel: pulls child batches into `out` and keeps first
-  /// occurrences only.
-  Status StreamBatch(RowBatch& out);
-
-  PhysOpPtr child_;
-  std::vector<size_t> identity_;  // 0..arity-1: δ keys on all attributes.
-  size_t workers_;
-  size_t morsel_size_;
-
-  // One-lane state: the seen-set, recycled across Opens.
-  bool streaming_ = false;
-  HashKeyIndex seen_;
-
-  std::vector<std::vector<HashKeyIndex>> lane_seen_;  // [lane][p]
-  /// A key to emit: its lane and id there.
+  /// A key set with a count per key (none for δ's lhs).
+  struct CountTable {
+    HashKeyIndex index;
+    std::vector<uint64_t> counts;
+    size_t ApproxBytes() const {
+      return index.ApproxBytes() + counts.capacity() * sizeof(uint64_t);
+    }
+  };
+  using LaneSets = std::vector<std::vector<CountTable>>;  // [lane][p]
+  /// A key to emit: its lane and id there, and the count it emits.
   struct KeyRef {
     size_t lane;
     size_t id;
+    uint64_t count;
   };
-  std::vector<std::vector<KeyRef>> distinct_;  // [p] keys to emit
+
+  /// Drains `child` over the lease's lanes into per-lane key sets routed
+  /// over `parts` radix partitions.  The rhs sums saturate; the lhs sums
+  /// are checked.  *bytes is the footprint held before, and with `sets`
+  /// after.
+  Status Collapse(const parallel::WorkerPool::Lease& lease,
+                  PhysicalOperator* child, size_t parts, bool rhs,
+                  LaneSets* sets, uint64_t* rows, uint64_t* bytes);
+  /// The one-lane kernel: pulls lhs batches into `out` and keeps each row
+  /// with what it emits.
+  Status StreamBatch(RowBatch& out);
+
+  BagFn fn_;
+  PhysOpPtr lhs_;
+  PhysOpPtr rhs_;
+  std::vector<size_t> identity_;  // 0..arity-1: keyed on all attributes.
+  size_t workers_;
+  size_t morsel_size_;
+
+  // The rhs budgets; on one lane δ's seen-set, recycled across Opens.
+  LaneSets budgets_;
+  bool streaming_ = false;
+  LaneSets lanes_;                          // The collapsed lhs.
+  std::vector<std::vector<KeyRef>> emit_;  // [p] keys to emit
   size_t emit_part_ = 0;
   size_t emit_pos_ = 0;
 };

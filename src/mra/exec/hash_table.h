@@ -38,7 +38,6 @@ class HashKeyIndex {
 
   /// Number of distinct keys currently held.
   size_t size() const { return num_keys_; }
-  bool empty() const { return num_keys_ == 0; }
 
   /// Logical reset; parked keys keep their tuple storage, the slot array
   /// keeps its capacity.

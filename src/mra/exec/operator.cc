@@ -624,73 +624,6 @@ void UnionAllOp::CloseImpl() {
   right_->Close();
 }
 
-// --- DifferenceOp. ---
-
-DifferenceOp::DifferenceOp(PhysOpPtr left, PhysOpPtr right)
-    : left_(std::move(left)), right_(std::move(right)) {
-  MRA_CHECK(left_->schema().CompatibleWith(right_->schema()))
-      << "Difference over incompatible schemas";
-}
-
-Status DifferenceOp::OpenImpl() {
-  // Both sides materialise; charge each against the budget as it lands,
-  // then settle on the surviving result_ footprint (the temporaries free
-  // at scope exit).  The children's own operators charge their scratch
-  // memory themselves — this accounts for the copies held here.
-  MRA_ASSIGN_OR_RETURN(Relation lhs, ExecuteToRelation(*left_));
-  MRA_RETURN_IF_ERROR(ChargeMemTo(ApproxRelationBytes(lhs)));
-  MRA_ASSIGN_OR_RETURN(Relation rhs, ExecuteToRelation(*right_));
-  MRA_RETURN_IF_ERROR(
-      ChargeMemTo(ApproxRelationBytes(lhs) + ApproxRelationBytes(rhs)));
-  result_ = Relation(lhs.schema());
-  for (const auto& [tuple, count] : lhs) {
-    uint64_t other = rhs.Multiplicity(tuple);
-    if (count > other) result_.InsertUnchecked(tuple, count - other);
-  }
-  metrics_.distinct_rows = result_.distinct_size();
-  it_ = result_.begin();
-  return ChargeMemTo(ApproxRelationBytes(result_));
-}
-
-Status DifferenceOp::NextBatchImpl(RowBatch& out) {
-  FillFromRelation(it_, result_.end(), out);
-  return Status::OK();
-}
-
-void DifferenceOp::CloseImpl() { result_.Clear(); }
-
-// --- IntersectOp. ---
-
-IntersectOp::IntersectOp(PhysOpPtr left, PhysOpPtr right)
-    : left_(std::move(left)), right_(std::move(right)) {
-  MRA_CHECK(left_->schema().CompatibleWith(right_->schema()))
-      << "Intersect over incompatible schemas";
-}
-
-Status IntersectOp::OpenImpl() {
-  // Same accounting shape as DifferenceOp above.
-  MRA_ASSIGN_OR_RETURN(Relation lhs, ExecuteToRelation(*left_));
-  MRA_RETURN_IF_ERROR(ChargeMemTo(ApproxRelationBytes(lhs)));
-  MRA_ASSIGN_OR_RETURN(Relation rhs, ExecuteToRelation(*right_));
-  MRA_RETURN_IF_ERROR(
-      ChargeMemTo(ApproxRelationBytes(lhs) + ApproxRelationBytes(rhs)));
-  result_ = Relation(lhs.schema());
-  for (const auto& [tuple, count] : lhs) {
-    uint64_t m = std::min(count, rhs.Multiplicity(tuple));
-    if (m > 0) result_.InsertUnchecked(tuple, m);
-  }
-  metrics_.distinct_rows = result_.distinct_size();
-  it_ = result_.begin();
-  return ChargeMemTo(ApproxRelationBytes(result_));
-}
-
-Status IntersectOp::NextBatchImpl(RowBatch& out) {
-  FillFromRelation(it_, result_.end(), out);
-  return Status::OK();
-}
-
-void IntersectOp::CloseImpl() { result_.Clear(); }
-
 // --- NestedLoopJoinOp. ---
 
 NestedLoopJoinOp::NestedLoopJoinOp(ExprPtr condition_or_null, PhysOpPtr left,

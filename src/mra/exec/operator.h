@@ -438,52 +438,6 @@ class UnionAllOp final : public PhysicalOperator {
   bool on_right_ = false;
 };
 
-/// − with max(0, ·) multiplicities.  Materialises both inputs on Open.
-class DifferenceOp final : public PhysicalOperator {
- public:
-  DifferenceOp(PhysOpPtr left, PhysOpPtr right);
-
-  const RelationSchema& schema() const override { return left_->schema(); }
-  std::string_view name() const override { return "Difference"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  PhysOpPtr left_;
-  PhysOpPtr right_;
-  Relation result_;
-  Relation::const_iterator it_;
-};
-
-/// ∩ with min(·,·) multiplicities.  Materialises both inputs on Open.
-class IntersectOp final : public PhysicalOperator {
- public:
-  IntersectOp(PhysOpPtr left, PhysOpPtr right);
-
-  const RelationSchema& schema() const override { return left_->schema(); }
-  std::string_view name() const override { return "Intersect"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  PhysOpPtr left_;
-  PhysOpPtr right_;
-  Relation result_;
-  Relation::const_iterator it_;
-};
-
 /// × and ⋈_φ without equi-keys: materialises the right input, then streams
 /// the left, pairing each left row with every right row; output
 /// multiplicity is the product of the input multiplicities

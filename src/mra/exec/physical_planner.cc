@@ -80,8 +80,8 @@ bool LowersToHashJoin(const PlanPtr& plan, const LowerContext& ctx) {
 /// join that its input reaches through σ/π by lanes — the join probes on
 /// the kernel's lanes — so the two form one pipeline, and a pipeline runs
 /// on one lane count: the configured worker degree when any of its hash
-/// nodes has an estimated input volume (build + probe sides for a join)
-/// that reaches the threshold, else 1.  With no estimator the planner
+/// nodes has an estimated input volume (both inputs for ⋈, − and ∩) that
+/// reaches the threshold, else 1.  With no estimator the planner
 /// never guesses parallel.
 void AssignLanes(const PlanPtr& root, LowerContext& ctx) {
   const ExecConfig::Exec& e = ctx.config.exec;
@@ -99,6 +99,8 @@ void AssignLanes(const PlanPtr& root, LowerContext& ctx) {
     for (const PlanPtr& child : plan->children()) visit(child);
     const PlanKind kind = plan->kind();
     const bool hash = kind == PlanKind::kGroupBy || kind == PlanKind::kUnique ||
+                      kind == PlanKind::kDifference ||
+                      kind == PlanKind::kIntersect ||
                       (kind == PlanKind::kJoin && LowersToHashJoin(plan, ctx));
     if (!hash || parent.count(plan.get()) > 0) return;
     double input = 0;
@@ -196,11 +198,22 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       return PhysOpPtr(std::make_unique<ComputeOp>(
           plan->projections(), plan->schema(), std::move(child)));
     }
-    case PlanKind::kUnique: {
+    case PlanKind::kUnique:
+    case PlanKind::kDifference:
+    case PlanKind::kIntersect: {
+      // One bag-count kernel; δ has no rhs.
+      const BagFn fn = plan->kind() == PlanKind::kUnique ? BagFn::kUnique
+                       : plan->kind() == PlanKind::kDifference
+                           ? BagFn::kDifference
+                           : BagFn::kIntersect;
       size_t lanes = ParallelLanes(plan, ctx);
-      MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
-      PhysOpPtr op(std::make_unique<DedupOp>(std::move(child), lanes,
-                                             ctx.config.exec.morsel_size));
+      MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
+      PhysOpPtr r;
+      if (fn != BagFn::kUnique) {
+        MRA_ASSIGN_OR_RETURN(r, LowerPlanImpl(plan->child(1), ctx));
+      }
+      PhysOpPtr op(std::make_unique<BagCountOp>(
+          fn, std::move(l), std::move(r), lanes, ctx.config.exec.batch_size));
       if (lanes > 1) {
         op->set_annotation(
             AnnotationText("parallel", std::to_string(lanes) + " lanes"));
@@ -212,18 +225,6 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       MRA_ASSIGN_OR_RETURN(PhysOpPtr r, LowerPlanImpl(plan->child(1), ctx));
       return PhysOpPtr(
           std::make_unique<UnionAllOp>(std::move(l), std::move(r)));
-    }
-    case PlanKind::kDifference: {
-      MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
-      MRA_ASSIGN_OR_RETURN(PhysOpPtr r, LowerPlanImpl(plan->child(1), ctx));
-      return PhysOpPtr(
-          std::make_unique<DifferenceOp>(std::move(l), std::move(r)));
-    }
-    case PlanKind::kIntersect: {
-      MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
-      MRA_ASSIGN_OR_RETURN(PhysOpPtr r, LowerPlanImpl(plan->child(1), ctx));
-      return PhysOpPtr(
-          std::make_unique<IntersectOp>(std::move(l), std::move(r)));
     }
     case PlanKind::kProduct: {
       MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
@@ -256,7 +257,7 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
         }
         PhysOpPtr op(std::make_unique<HashJoinOp>(
             std::move(left_keys), std::move(right_keys), std::move(residual),
-            std::move(l), std::move(r), lanes, ctx.config.exec.morsel_size));
+            std::move(l), std::move(r), lanes, ctx.config.exec.batch_size));
         if (lanes > 1) {
           keys += "; parallel: " + std::to_string(lanes) + " lanes";
         }
@@ -273,7 +274,7 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
       PhysOpPtr op(std::make_unique<HashGroupByOp>(
           plan->group_keys(), plan->aggregates(), plan->schema(),
-          std::move(child), lanes, ctx.config.exec.morsel_size));
+          std::move(child), lanes, ctx.config.exec.batch_size));
       if (lanes > 1) {
         op->set_annotation(
             AnnotationText("parallel", std::to_string(lanes) + " lanes"));

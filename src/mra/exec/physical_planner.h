@@ -3,10 +3,10 @@
 // Lowering choices:
 //   σ        → Filter
 //   π        → Compute
-//   δ        → Dedup
+//   δ, −, ∩  → BagCount, shown as Dedup / Difference / Intersect (one
+//              hash kernel: the rhs key set holds each key's budget, the
+//              lhs streams against it)
 //   ⊎        → UnionAll (streaming)
-//   −        → Difference (materialising)
-//   ∩        → Intersect (materialising)
 //   ×        → NestedLoopJoin without condition
 //   ⋈_φ      → HashJoin when φ contains same-domain equi-conjuncts %i = %j
 //              across the inputs (residual applied after the probe);
@@ -18,7 +18,7 @@
 //   sort     → Sort (in-memory, or external merge past the spill
 //              threshold; weighted Top-K heap under a LIMIT)
 //
-// The hash kernels (HashJoin, HashGroupBy, Dedup — mra/exec/hash_ops.h)
+// The hash kernels (HashJoin, HashGroupBy, BagCount — mra/exec/hash_ops.h)
 // run on `config.exec.workers` lanes when the operator's estimated input
 // reaches `config.exec.parallel_threshold`, and on one lane otherwise:
 // below the threshold fan-out overhead outweighs the parallel speedup,
@@ -57,7 +57,7 @@ using CardinalityEstimator = std::function<double(const Plan&)>;
 /// which EXPLAIN ANALYZE renders against the actuals — and which also
 /// drives the parallel-variant decision (see the header comment).
 /// `config` supplies the kernel-selection and parallelism knobs
-/// (exec.workers, exec.morsel_size, exec.parallel_threshold,
+/// (exec.workers, exec.batch_size, exec.parallel_threshold,
 /// exec.sort_spill_bytes, exec.sort_merge_join, planner.subplan_reuse);
 /// the remaining layers are the callers' business.
 /// `exec_ctx`, when non-null, is attached to every operator of the lowered

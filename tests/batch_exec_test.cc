@@ -129,14 +129,16 @@ TEST_P(BatchDifferentialTest, DedupOp) {
   for (size_t workers : {size_t{1}, size_t{4}}) {
     ExpectBatchAgreement(
         [&] {
-          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&c.r),
-                                           workers);
+          return std::make_unique<BagCountOp>(
+              BagFn::kUnique, std::make_unique<ScanOp>(&c.r), nullptr,
+              workers);
         },
         ops::Unique(c.r));
     ExpectBatchAgreement(
         [&] {
-          return std::make_unique<DedupOp>(
-              std::make_unique<ScanOp>(&c.empty), workers);
+          return std::make_unique<BagCountOp>(
+              BagFn::kUnique, std::make_unique<ScanOp>(&c.empty), nullptr,
+              workers);
         },
         ops::Unique(c.empty));
   }
@@ -147,9 +149,12 @@ TEST_P(BatchDifferentialTest, SortDedupOp) {
   // swaps its buffered tuples into the batch slots that δ then compacts.
   ExpectBatchAgreement(
       [&] {
-        return std::make_unique<DedupOp>(std::make_unique<SortOp>(
-            std::vector<size_t>{0, 1}, std::vector<bool>{false, false}, 0, 0,
-            std::make_unique<ScanOp>(&c.r)));
+        return std::make_unique<BagCountOp>(
+            BagFn::kUnique,
+            std::make_unique<SortOp>(std::vector<size_t>{0, 1},
+                                     std::vector<bool>{false, false}, 0, 0,
+                                     std::make_unique<ScanOp>(&c.r)),
+            nullptr);
       },
       ops::Unique(c.r));
 }
@@ -173,8 +178,9 @@ TEST_P(BatchDifferentialTest, UnionAllOp) {
 TEST_P(BatchDifferentialTest, DifferenceOp) {
   ExpectBatchAgreement(
       [&] {
-        return std::make_unique<DifferenceOp>(std::make_unique<ScanOp>(&c.r),
-                                              std::make_unique<ScanOp>(&c.s));
+        return std::make_unique<BagCountOp>(BagFn::kDifference,
+                                            std::make_unique<ScanOp>(&c.r),
+                                            std::make_unique<ScanOp>(&c.s));
       },
       ops::Difference(c.r, c.s));
 }
@@ -182,8 +188,9 @@ TEST_P(BatchDifferentialTest, DifferenceOp) {
 TEST_P(BatchDifferentialTest, IntersectOp) {
   ExpectBatchAgreement(
       [&] {
-        return std::make_unique<IntersectOp>(std::make_unique<ScanOp>(&c.r),
-                                             std::make_unique<ScanOp>(&c.s));
+        return std::make_unique<BagCountOp>(BagFn::kIntersect,
+                                            std::make_unique<ScanOp>(&c.r),
+                                            std::make_unique<ScanOp>(&c.s));
       },
       ops::Intersect(c.r, c.s));
 }
@@ -349,7 +356,8 @@ TEST_P(BatchDifferentialTest, ComposedPipeline) {
         MRA_CHECK(schema.ok());
         auto project = std::make_unique<ComputeOp>(exprs, *schema,
                                                    std::move(filter));
-        return std::make_unique<DedupOp>(std::move(project));
+        return std::make_unique<BagCountOp>(BagFn::kUnique,
+                                            std::move(project), nullptr);
       },
       ops::Unique(*projected));
 }

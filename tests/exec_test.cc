@@ -61,7 +61,7 @@ TEST(ComputeOpTest, MatchesDefinitionalProject) {
 
 TEST(DedupOpTest, StreamsFirstOccurrenceOnly) {
   Relation r = IntRel("r", {{1}, {1}, {2}}, 1);
-  DedupOp op(std::make_unique<ScanOp>(&r));
+  BagCountOp op(BagFn::kUnique, std::make_unique<ScanOp>(&r), nullptr);
   auto result = ExecuteToRelation(op);
   ASSERT_OK(result);
   EXPECT_REL_EQ(*result, *ops::Unique(r));
@@ -79,7 +79,8 @@ TEST(UnionAllOpTest, CountsAddAcrossStreams) {
 TEST(DifferenceOpTest, MatchesDefinitionalDifference) {
   Relation a = IntRel("a", {{1}, {1}, {1}, {2}}, 1);
   Relation b = IntRel("b", {{1}, {2}, {3}}, 1);
-  DifferenceOp op(std::make_unique<ScanOp>(&a), std::make_unique<ScanOp>(&b));
+  BagCountOp op(BagFn::kDifference, std::make_unique<ScanOp>(&a),
+                std::make_unique<ScanOp>(&b));
   auto result = ExecuteToRelation(op);
   ASSERT_OK(result);
   EXPECT_REL_EQ(*result, *ops::Difference(a, b));
@@ -88,7 +89,8 @@ TEST(DifferenceOpTest, MatchesDefinitionalDifference) {
 TEST(IntersectOpTest, MatchesDefinitionalIntersect) {
   Relation a = IntRel("a", {{1}, {1}, {2}}, 1);
   Relation b = IntRel("b", {{1}, {3}}, 1);
-  IntersectOp op(std::make_unique<ScanOp>(&a), std::make_unique<ScanOp>(&b));
+  BagCountOp op(BagFn::kIntersect, std::make_unique<ScanOp>(&a),
+                std::make_unique<ScanOp>(&b));
   auto result = ExecuteToRelation(op);
   ASSERT_OK(result);
   EXPECT_REL_EQ(*result, *ops::Intersect(a, b));
@@ -302,8 +304,10 @@ TEST(OperatorContractTest, CloseWithoutOpenIsANoOp) {
 TEST(OperatorContractTest, DoubleCloseIsSafe) {
   Relation a = IntRel("a", {{1}, {2}}, 1);
   Relation b = IntRel("b", {{2}, {3}}, 1);
-  // A materialising operator: the second Close must not double-free.
-  IntersectOp op(std::make_unique<ScanOp>(&a), std::make_unique<ScanOp>(&b));
+  // An operator holding a built key set: the second Close must not
+  // double-free.
+  BagCountOp op(BagFn::kIntersect, std::make_unique<ScanOp>(&a),
+                std::make_unique<ScanOp>(&b));
   ASSERT_OK(op.Open());
   op.Close();
   op.Close();

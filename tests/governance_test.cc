@@ -20,7 +20,10 @@
 #include <memory>
 #include <string>
 
+#include "mra/algebra/ops.h"
+#include "mra/catalog/catalog.h"
 #include "mra/exec/operator.h"
+#include "mra/exec/physical_planner.h"
 #include "mra/exec/sort.h"
 #include "mra/fault/failpoint.h"
 #include "mra/lang/interpreter.h"
@@ -265,6 +268,40 @@ TEST_F(GovernanceTest, MemoryBudgetKillsWithResourceExhausted) {
   // Small queries fit the same budget; the interpreter is reusable.
   auto small = interp.Query("select(%1 > 58, r)");
   EXPECT_TRUE(small.ok()) << small.status().ToString();
+}
+
+TEST_F(GovernanceTest, DifferenceOfABigBagHoldsOnlyTheSmallRhsKeySet) {
+  // diff(big, small) under a budget that one copy of `big` alone exceeds
+  // (20,000 rows, over 100 bytes each): − keeps one key set of the
+  // 64-row rhs and streams `big` against it, so it completes and hands
+  // every charged byte back.
+  RelationSchema schema("big", {{"k", Type::Int()}, {"v", Type::Int()}});
+  Relation big(schema);
+  for (int64_t i = 0; i < 20000; ++i) {
+    big.InsertUnchecked(Tuple({Value::Int(i), Value::Int(i % 7)}),
+                        1 + static_cast<uint64_t>(i % 3));
+  }
+  Relation small(RelationSchema("small", schema.attributes()));
+  for (int64_t i = 0; i < 64; ++i) {
+    small.InsertUnchecked(Tuple({Value::Int(i * 5), Value::Int(i * 5 % 7)}),
+                          2);
+  }
+  Catalog catalog;
+  for (const Relation* rel : {&big, &small}) {
+    ASSERT_TRUE(catalog.CreateRelation(rel->schema()).ok());
+    ASSERT_TRUE(catalog.SetRelation(rel->schema().name(), *rel).ok());
+  }
+  auto plan = Plan::Difference(Plan::Scan("big", big.schema()),
+                               Plan::Scan("small", small.schema()));
+  ASSERT_TRUE(plan.ok());
+  ExecContext ctx;
+  ctx.SetMemoryBudget(64 * 1024);
+  auto op = LowerPlan(*plan, catalog, nullptr, ExecConfig{}, &ctx);
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  auto got = ExecuteToRelation(**op);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->Equals(*ops::Difference(big, small)));
+  EXPECT_EQ(ctx.mem_used(), 0u);
 }
 
 TEST_F(GovernanceTest, KilledBracketLeavesDatabaseAsIfNeverRun) {

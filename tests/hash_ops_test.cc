@@ -1,5 +1,5 @@
 // Differential multiset-correctness suite for the hash kernels (HashJoinOp,
-// HashGroupByOp, DedupOp), each on one lane and on four.
+// HashGroupByOp, BagCountOp), each on one lane and on four.
 //
 // Each operator is checked against its *definitional* implementation in
 // mra/algebra/ops.h — direct transcriptions of Definitions 3.1/3.2/3.4 —
@@ -16,9 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <random>
 
 #include "mra/algebra/ops.h"
+#include "mra/exec/exec_context.h"
 #include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/exec/physical_planner.h"
@@ -154,7 +158,9 @@ TEST_P(HashOpsDifferentialTest, ScanChainsUnderEachKernelMatchOracle) {
       ASSERT_OK(got);
       EXPECT_REL_EQ(*got, *group_oracle);
       got = ExecuteToRelation(
-          *std::make_unique<DedupOp>(make_r(), workers, morsel), morsel);
+          *std::make_unique<BagCountOp>(BagFn::kUnique, make_r(), nullptr,
+                                        workers, morsel),
+          morsel);
       ASSERT_OK(got);
       EXPECT_REL_EQ(*got, *dedup_oracle);
       // Γ over ⋈: the join is drained by lanes and probes on Γ's lanes.
@@ -270,8 +276,8 @@ TEST_P(HashOpsDifferentialTest, DedupMatchesDefinitionalUnique) {
     EXPECT_REL_EQ(*oracle, *as_set);
     ExpectOperatorResult(
         [&](size_t workers) {
-          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&r),
-                                           workers);
+          return std::make_unique<BagCountOp>(
+              BagFn::kUnique, std::make_unique<ScanOp>(&r), nullptr, workers);
         },
         *oracle, "hash dedup vs Def 3.4 unique");
   }
@@ -288,8 +294,9 @@ TEST_P(HashOpsDifferentialTest, DedupEdgeInputs) {
     ASSERT_OK(oracle);
     ExpectOperatorResult(
         [&, input = input](size_t workers) {
-          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(input),
-                                           workers);
+          return std::make_unique<BagCountOp>(
+              BagFn::kUnique, std::make_unique<ScanOp>(input), nullptr,
+              workers);
         },
         *oracle, "hash dedup edge input");
   }
@@ -359,9 +366,12 @@ TEST_P(HashOpsDifferentialTest, JoinDegeneratesToSetJoinOnSupports) {
   Relation s = RandomIntRelation(rng, 2, 150, 20, 5);
   auto set_join = setalg::Join(Eq(Attr(0), Attr(2)), r, s);
   ASSERT_OK(set_join);
-  auto op = std::make_unique<DedupOp>(std::make_unique<HashJoinOp>(
-      std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-      std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s)));
+  auto op = std::make_unique<BagCountOp>(
+      BagFn::kUnique,
+      std::make_unique<HashJoinOp>(
+          std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+          std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s)),
+      nullptr);
   auto got = ExecuteToRelation(*op);
   ASSERT_OK(got);
   EXPECT_REL_EQ(*got, *set_join);
@@ -380,7 +390,8 @@ TEST(HashOpsTest, OperatorReopenRecyclesArena) {
     HashJoinOp join(std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
                     std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s),
                     workers);
-    DedupOp dedup(std::make_unique<ScanOp>(&r), workers);
+    BagCountOp dedup(BagFn::kUnique, std::make_unique<ScanOp>(&r), nullptr,
+                     workers);
     HashGroupByOp gb(std::vector<size_t>{0}, aggs, *schema,
                      std::make_unique<ScanOp>(&r), workers);
     for (PhysicalOperator* op :
@@ -433,7 +444,8 @@ TEST(HashOpsTest, HashMetricsSurfaceInRegistryAndOperator) {
     HashGroupByOp gb(std::vector<size_t>{0}, aggs, *schema,
                      std::make_unique<ScanOp>(&r), workers);
     ASSERT_OK(ExecuteToRelation(gb).status());
-    DedupOp dedup(std::make_unique<ScanOp>(&r), workers);
+    BagCountOp dedup(BagFn::kUnique, std::make_unique<ScanOp>(&r), nullptr,
+                     workers);
     ASSERT_OK(ExecuteToRelation(dedup).status());
     EXPECT_EQ(gb.metrics().build_rows, r.distinct_size());
     EXPECT_EQ(dedup.metrics().build_rows, r.distinct_size());
@@ -442,6 +454,219 @@ TEST(HashOpsTest, HashMetricsSurfaceInRegistryAndOperator) {
     EXPECT_GE(static_cast<uint64_t>(peak->value()), gb.metrics().hash_bytes);
     EXPECT_GE(static_cast<uint64_t>(peak->value()),
               dedup.metrics().hash_bytes);
+  }
+}
+
+// --- The bag-count kernel: δ, − and ∩ (Defs 3.4, 3.1, 3.2). ---
+
+PhysOpPtr Scan(const Relation& rel) { return std::make_unique<ScanOp>(&rel); }
+
+PhysOpPtr BagCount(BagFn fn, PhysOpPtr lhs, PhysOpPtr rhs, size_t workers,
+                   size_t morsel) {
+  return std::make_unique<BagCountOp>(fn, std::move(lhs), std::move(rhs),
+                                      workers, morsel);
+}
+
+/// Executes `make(workers, morsel)` at workers {1, 2, 4} x morsel (and
+/// batch) {1, 7, 1024} and checks each run against `expected`.
+void ExpectAtEveryLaneCount(
+    const std::function<PhysOpPtr(size_t, size_t)>& make,
+    const Relation& expected, const char* what) {
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t morsel : {size_t{1}, size_t{7}, kDefaultBatchSize}) {
+      auto got = ExecuteToRelation(*make(workers, morsel), morsel);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, expected)
+          << what << " (workers=" << workers << ", morsel=" << morsel << ")";
+    }
+  }
+}
+
+TEST_P(HashOpsDifferentialTest, BagCountMatchesDefinitionalOps) {
+  std::mt19937_64 rng(GetParam());
+  for (const Profile& p : kProfiles) {
+    Relation r = RandomIntRelation(rng, 2, p.max_distinct, p.value_range,
+                                   p.max_multiplicity);
+    Relation s = RandomIntRelation(rng, 2, p.max_distinct, p.value_range,
+                                   p.max_multiplicity);
+    // A key only in the lhs and one only in the rhs, whatever the seed
+    // drew (the random values stay below value_range).
+    ASSERT_OK(r.Insert(IntTuple({p.value_range, 0}), p.max_multiplicity));
+    ASSERT_OK(s.Insert(IntTuple({p.value_range + 1, 0}), 1));
+    Relation empty(r.schema());
+    for (auto [lhs, rhs] :
+         {std::pair<const Relation*, const Relation*>{&r, &s},
+          {&s, &r},
+          {&r, &empty},
+          {&empty, &s}}) {
+      auto difference = ops::Difference(*lhs, *rhs);
+      auto intersect = ops::Intersect(*lhs, *rhs);
+      auto unique = ops::Unique(*lhs);
+      ASSERT_OK(difference);
+      ASSERT_OK(intersect);
+      ASSERT_OK(unique);
+      ExpectAtEveryLaneCount(
+          [&, lhs = lhs, rhs = rhs](size_t workers, size_t morsel) {
+            return BagCount(BagFn::kDifference, Scan(*lhs), Scan(*rhs),
+                            workers, morsel);
+          },
+          *difference, "bag-count − vs Def 3.1");
+      ExpectAtEveryLaneCount(
+          [&, lhs = lhs, rhs = rhs](size_t workers, size_t morsel) {
+            return BagCount(BagFn::kIntersect, Scan(*lhs), Scan(*rhs),
+                            workers, morsel);
+          },
+          *intersect, "bag-count ∩ vs Def 3.2");
+      ExpectAtEveryLaneCount(
+          [&, lhs = lhs](size_t workers, size_t morsel) {
+            return BagCount(BagFn::kUnique, Scan(*lhs), nullptr, workers,
+                            morsel);
+          },
+          *unique, "bag-count δ vs Def 3.4");
+    }
+  }
+}
+
+TEST_P(HashOpsDifferentialTest, BagCountIntersectIsDifferenceOfDifference) {
+  // Thm 3.1: E1 ∩ E2 = E1 − (E1 − E2).  The inner − is drained through
+  // NextBatch by the outer one's lanes.
+  std::mt19937_64 rng(GetParam());
+  const Profile& p = kProfiles[GetParam() % 3];
+  Relation r = RandomIntRelation(rng, 2, p.max_distinct, p.value_range,
+                                 p.max_multiplicity);
+  Relation s = RandomIntRelation(rng, 2, p.max_distinct, p.value_range,
+                                 p.max_multiplicity);
+  auto oracle = ops::Intersect(r, s);
+  ASSERT_OK(oracle);
+  ExpectAtEveryLaneCount(
+      [&](size_t workers, size_t morsel) {
+        return BagCount(BagFn::kIntersect, Scan(r), Scan(s), workers, morsel);
+      },
+      *oracle, "E1 ∩ E2");
+  ExpectAtEveryLaneCount(
+      [&](size_t workers, size_t morsel) {
+        return BagCount(BagFn::kDifference, Scan(r),
+                        BagCount(BagFn::kDifference, Scan(r), Scan(s),
+                                 workers, morsel),
+                        workers, morsel);
+      },
+      *oracle, "E1 − (E1 − E2)");
+}
+
+TEST(HashOpsTest, BagCountKeysRealsAsTheRelationDoes) {
+  // −0.0 = 0.0 and NaN = NaN whatever its sign or payload (Value::Equals),
+  // so the key set must meet the rhs's 0.0 with the lhs's −0.0 and any
+  // NaN with any other.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RelationSchema schema("x", {{"x", Type::Real()}, {"y", Type::Int()}});
+  auto row = [](double x, int64_t y) {
+    return Tuple({Value::Real(x), Value::Int(y)});
+  };
+  Relation r(schema), s(schema);
+  ASSERT_OK(r.Insert(row(nan, 1), 5));
+  ASSERT_OK(r.Insert(row(-0.0, 1), 1'000'000));
+  ASSERT_OK(r.Insert(row(2.5, 2), 1));
+  ASSERT_OK(s.Insert(row(-std::nan("7"), 1), 2));
+  ASSERT_OK(s.Insert(row(0.0, 1), 999'999));
+  ASSERT_OK(s.Insert(row(-0.0, 2), 4));
+  for (BagFn fn : {BagFn::kDifference, BagFn::kIntersect}) {
+    auto oracle = fn == BagFn::kDifference ? ops::Difference(r, s)
+                                           : ops::Intersect(r, s);
+    ASSERT_OK(oracle);
+    ExpectAtEveryLaneCount(
+        [&](size_t workers, size_t morsel) {
+          return BagCount(fn, Scan(r), Scan(s), workers, morsel);
+        },
+        *oracle, "bag-count over NaN and -0.0");
+  }
+  EXPECT_EQ(ops::Difference(r, s)->Multiplicity(row(nan, 1)), 3u);
+  auto unique = ops::Unique(s);
+  ASSERT_OK(unique);
+  ExpectAtEveryLaneCount(
+      [&](size_t workers, size_t morsel) {
+        return BagCount(BagFn::kUnique, Scan(s), nullptr, workers, morsel);
+      },
+      *unique, "bag-count δ over NaN and -0.0");
+}
+
+TEST(HashOpsTest, BagCountSaturatesRhsSums) {
+  // One rhs key arrives in two rows whose counts sum past 2^64 - 1.  The
+  // budget saturates, which keeps min(a, b) = a and max(0, a − b) = 0
+  // exact for every lhs count a that fits in 64 bits.
+  Relation lhs = IntRel("l", {}, 1);
+  ASSERT_OK(lhs.Insert(IntTuple({1}), 1'000'000));
+  ASSERT_OK(lhs.Insert(IntTuple({2}), 5));
+  Relation half(lhs.schema());
+  ASSERT_OK(half.Insert(IntTuple({1}), UINT64_MAX / 2 + 1));
+  Relation saturated(lhs.schema());
+  ASSERT_OK(saturated.Insert(IntTuple({1}), UINT64_MAX));
+  auto rhs = [&] {
+    return std::make_unique<UnionAllOp>(Scan(half), Scan(half));
+  };
+  auto difference = ops::Difference(lhs, saturated);
+  auto intersect = ops::Intersect(lhs, saturated);
+  ASSERT_OK(difference);
+  ASSERT_OK(intersect);
+  EXPECT_EQ(intersect->Multiplicity(IntTuple({1})), 1'000'000u);
+  ExpectAtEveryLaneCount(
+      [&](size_t workers, size_t morsel) {
+        return BagCount(BagFn::kDifference, Scan(lhs), rhs(), workers, morsel);
+      },
+      *difference, "− over a saturated rhs");
+  ExpectAtEveryLaneCount(
+      [&](size_t workers, size_t morsel) {
+        return BagCount(BagFn::kIntersect, Scan(lhs), rhs(), workers, morsel);
+      },
+      *intersect, "∩ over a saturated rhs");
+}
+
+TEST(HashOpsTest, BagCountFailsTypedWhenAnLhsSumOverflows) {
+  // On more than one lane the lhs is pre-collapsed per lane.  Five rows of
+  // 2^63 for one key put at least two in one of at most four lanes, whose
+  // sum overflows: the query fails naming the operator instead of
+  // wrapping, and hands back every byte it charged.
+  Relation big = IntRel("b", {}, 1);
+  ASSERT_OK(big.Insert(IntTuple({1}), uint64_t{1} << 63));
+  Relation rhs = IntRel("r", {{1}}, 1);
+  auto five = [&] {
+    PhysOpPtr op = Scan(big);
+    for (int i = 0; i < 4; ++i) {
+      op = std::make_unique<UnionAllOp>(std::move(op), Scan(big));
+    }
+    return op;
+  };
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    for (BagFn fn : {BagFn::kDifference, BagFn::kIntersect}) {
+      ExecContext ctx;
+      PhysOpPtr op = BagCount(fn, five(), Scan(rhs), workers, 1);
+      op->SetExecContext(&ctx);
+      auto got = ExecuteToRelation(*op, 1);
+      ASSERT_FALSE(got.ok()) << op->name() << " workers=" << workers;
+      EXPECT_EQ(got.status().code(), StatusCode::kEvalError);
+      EXPECT_NE(got.status().message().find(op->name()), std::string::npos)
+          << got.status().ToString();
+      EXPECT_EQ(ctx.mem_used(), 0u);
+    }
+  }
+}
+
+TEST(HashOpsTest, BagCountExplainShowsBuildAndProbe) {
+  // − and ∩ report their rhs rows as build rows and their lhs rows as
+  // probe rows, beside the key set's entries and footprint.
+  Relation a = IntRel("a", {{1}, {1}, {2}, {3}}, 1);
+  Relation b = IntRel("b", {{1}, {3}, {4}}, 1);
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    for (BagFn fn : {BagFn::kDifference, BagFn::kIntersect}) {
+      PhysOpPtr op = BagCount(fn, Scan(a), Scan(b), workers, 1024);
+      ASSERT_OK(ExecuteToRelation(*op).status());
+      EXPECT_EQ(op->metrics().build_rows, b.distinct_size());
+      EXPECT_EQ(op->metrics().probe_rows, a.distinct_size());
+      const std::string rendered = RenderPlanWithMetrics(*op);
+      for (const char* field : {"build=", "probe=", "hash=", "hashKB="}) {
+        EXPECT_NE(rendered.find(field), std::string::npos)
+            << field << " missing: " << rendered;
+      }
+    }
   }
 }
 

@@ -452,7 +452,8 @@ TEST(OperatorMetricsTest, WallTimeOnlyWhenTimingEnabled) {
 
 TEST(OperatorMetricsTest, HashOperatorsReportPeakAndDistinct) {
   Relation r = IntRel("r", {{1}, {1}, {2}, {3}}, 1);
-  exec::DedupOp dedup(std::make_unique<exec::ScanOp>(&r));
+  exec::BagCountOp dedup(exec::BagFn::kUnique,
+                         std::make_unique<exec::ScanOp>(&r), nullptr);
   auto result = exec::ExecuteToRelation(dedup);
   ASSERT_OK(result);
   EXPECT_EQ(dedup.metrics().distinct_rows, 3u);
