@@ -560,6 +560,13 @@ TEST(ParallelExecPlanner, ExplainAnalyzeRendersWorkersAndCpu) {
       << *text;
   EXPECT_NE(text->find("workers="), std::string::npos) << *text;
   EXPECT_NE(text->find("cpu="), std::string::npos) << *text;
+  // − and ∩ are hash nodes too, on the same lanes.
+  text = interp.ExplainAnalyze("intersect(t, diff(t, unique(t)))");
+  ASSERT_OK(text);
+  for (const char* node : {"Intersect  [parallel: 4 lanes]",
+                           "Difference  [parallel: 4 lanes]"}) {
+    EXPECT_NE(text->find(node), std::string::npos) << node << "\n" << *text;
+  }
 }
 
 TEST(ParallelExecPlanner, ThresholdKeepsSmallQueriesSerial) {
