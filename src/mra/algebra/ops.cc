@@ -1,6 +1,7 @@
 #include "mra/algebra/ops.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace mra {

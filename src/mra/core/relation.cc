@@ -4,7 +4,27 @@
 #include <cstdint>
 #include <sstream>
 
+#include "mra/common/check.h"
+
 namespace mra {
+
+namespace {
+
+// An index word is (tag | slot + 1): the hash's top 32 bits over the slot
+// (offset by one so that 0 marks a free bucket).  Buckets are picked by the
+// hash's low bits, so the tag filters almost every non-matching probe
+// before any tuple is compared.
+constexpr uint64_t kTagMask = 0xFFFFFFFF00000000ULL;
+constexpr uint64_t kSlotMask = 0x00000000FFFFFFFFULL;
+constexpr size_t kMinBuckets = 8;
+
+uint64_t Word(uint64_t hash, size_t slot) {
+  return (hash & kTagMask) | (slot + 1);
+}
+
+size_t SlotOf(uint64_t word) { return (word & kSlotMask) - 1; }
+
+}  // namespace
 
 Status Relation::Insert(const Tuple& tuple, uint64_t count) {
   MRA_RETURN_IF_ERROR(tuple.ConformsTo(schema_));
@@ -14,28 +34,25 @@ Status Relation::Insert(const Tuple& tuple, uint64_t count) {
 
 void Relation::InsertUnchecked(const Tuple& tuple, uint64_t count) {
   if (count == 0) return;
-  split_cache_.Drop();
-  map_[tuple] += count;
+  CountFor(tuple, tuple.Hash()) += count;
   total_ += count;
 }
 
 void Relation::InsertUnchecked(Tuple&& tuple, uint64_t count) {
   if (count == 0) return;
-  split_cache_.Drop();
-  map_[std::move(tuple)] += count;
+  const uint64_t hash = tuple.Hash();
+  CountFor(std::move(tuple), hash) += count;
   total_ += count;
 }
 
 uint64_t Relation::Remove(const Tuple& tuple, uint64_t count) {
-  auto it = map_.find(tuple);
-  if (it == map_.end()) return 0;
-  uint64_t removed = std::min(count, it->second);
-  it->second -= removed;
+  const size_t bucket = FindBucket(tuple, tuple.Hash());
+  if (bucket == kNotFound) return 0;
+  uint64_t& have = entries_[SlotOf(index_[bucket])].second;
+  const uint64_t removed = std::min(count, have);
+  have -= removed;
   total_ -= removed;
-  if (it->second == 0) {
-    split_cache_.Drop();
-    map_.erase(it);
-  }
+  if (have == 0) EraseAt(bucket);
   return removed;
 }
 
@@ -44,46 +61,112 @@ void Relation::SetMultiplicity(const Tuple& tuple, uint64_t count) {
     Remove(tuple, UINT64_MAX);
     return;
   }
-  split_cache_.Drop();
-  uint64_t& slot = map_[tuple];
-  total_ = total_ - slot + count;
-  slot = count;
+  uint64_t& have = CountFor(tuple, tuple.Hash());
+  total_ = total_ - have + count;
+  have = count;
 }
 
 uint64_t Relation::Multiplicity(const Tuple& tuple) const {
-  auto it = map_.find(tuple);
-  return it == map_.end() ? 0 : it->second;
+  return CountAt(tuple, tuple.Hash());
 }
 
 void Relation::Clear() {
-  split_cache_.Drop();
-  map_.clear();
+  entries_.clear();
+  hashes_.clear();
+  std::fill(index_.begin(), index_.end(), 0);
   total_ = 0;
 }
 
-std::shared_ptr<const Relation::Splits> Relation::RangeSplits(
-    size_t stride) const {
-  stride = std::max<size_t>(1, stride);
-  std::lock_guard<std::mutex> lock(split_cache_.mu_);
-  if (split_cache_.splits_ == nullptr || split_cache_.stride_ != stride) {
-    auto splits = std::make_shared<Splits>();
-    splits->reserve(map_.size() / stride + 2);
-    size_t n = 0;
-    for (auto it = map_.begin(); it != map_.end(); ++it, ++n) {
-      if (n % stride == 0) splits->push_back(it);
+size_t Relation::FindBucket(const Tuple& tuple, uint64_t hash) const {
+  if (entries_.empty()) return kNotFound;
+  const size_t mask = index_.size() - 1;
+  const uint64_t tag = hash & kTagMask;
+  for (size_t b = hash & mask;; b = (b + 1) & mask) {
+    const uint64_t word = index_[b];
+    if (word == 0) return kNotFound;
+    if ((word & kTagMask) == tag &&
+        TupleEq()(entries_[SlotOf(word)].first, tuple)) {
+      return b;
     }
-    splits->push_back(map_.end());
-    split_cache_.stride_ = stride;
-    split_cache_.splits_ = std::move(splits);
   }
-  return split_cache_.splits_;
+}
+
+uint64_t Relation::CountAt(const Tuple& tuple, uint64_t hash) const {
+  const size_t bucket = FindBucket(tuple, hash);
+  return bucket == kNotFound ? 0 : entries_[SlotOf(index_[bucket])].second;
+}
+
+template <typename T>
+uint64_t& Relation::CountFor(T&& tuple, uint64_t hash) {
+  if ((entries_.size() + 1) * 8 > index_.size() * 7) GrowIndex();
+  const size_t mask = index_.size() - 1;
+  const uint64_t tag = hash & kTagMask;
+  for (size_t b = hash & mask;; b = (b + 1) & mask) {
+    const uint64_t word = index_[b];
+    if (word == 0) {
+      MRA_CHECK_LT(entries_.size(), kSlotMask) << "relation support too large";
+      index_[b] = Word(hash, entries_.size());
+      hashes_.push_back(hash);
+      entries_.emplace_back(std::forward<T>(tuple), 0);
+      return entries_.back().second;
+    }
+    if ((word & kTagMask) == tag) {
+      Entry& entry = entries_[SlotOf(word)];
+      if (TupleEq()(entry.first, tuple)) return entry.second;
+    }
+  }
+}
+
+void Relation::EraseAt(size_t bucket) {
+  const size_t mask = index_.size() - 1;
+  const size_t slot = SlotOf(index_[bucket]);
+  // Backward shift: pull each later word of the probe run into the hole
+  // unless the hole lies before its home bucket, so every remaining word
+  // stays reachable from its home without tombstones.
+  size_t hole = bucket;
+  for (size_t b = (hole + 1) & mask; index_[b] != 0; b = (b + 1) & mask) {
+    const size_t home = hashes_[SlotOf(index_[b])] & mask;
+    if (((b - home) & mask) >= ((b - hole) & mask)) {
+      index_[hole] = index_[b];
+      hole = b;
+    }
+  }
+  index_[hole] = 0;
+  // Swap-move the last entry into the freed slot and re-point its word.
+  const size_t last = entries_.size() - 1;
+  if (slot != last) {
+    const uint64_t hash = hashes_[last];
+    size_t b = hash & mask;
+    while ((index_[b] & kSlotMask) != last + 1) b = (b + 1) & mask;
+    index_[b] = Word(hash, slot);
+    entries_[slot] = std::move(entries_[last]);
+    hashes_[slot] = hash;
+  }
+  entries_.pop_back();
+  hashes_.pop_back();
+}
+
+void Relation::GrowIndex() {
+  const size_t buckets = index_.empty() ? kMinBuckets : index_.size() * 2;
+  index_.assign(buckets, 0);
+  const size_t mask = buckets - 1;
+  for (size_t slot = 0; slot < hashes_.size(); ++slot) {
+    size_t b = hashes_[slot] & mask;
+    while (index_[b] != 0) b = (b + 1) & mask;
+    index_[b] = Word(hashes_[slot], slot);
+  }
 }
 
 bool Relation::Equals(const Relation& other) const {
   if (!schema_.CompatibleWith(other.schema_)) return false;
-  if (total_ != other.total_ || map_.size() != other.map_.size()) return false;
-  for (const auto& [tuple, count] : map_) {
-    if (other.Multiplicity(tuple) != count) return false;
+  if (total_ != other.total_ || distinct_size() != other.distinct_size()) {
+    return false;
+  }
+  for (size_t slot = 0; slot < entries_.size(); ++slot) {
+    if (other.CountAt(entries_[slot].first, hashes_[slot]) !=
+        entries_[slot].second) {
+      return false;
+    }
   }
   return true;
 }
@@ -91,16 +174,19 @@ bool Relation::Equals(const Relation& other) const {
 bool Relation::MultiSubsetOf(const Relation& other) const {
   if (!schema_.CompatibleWith(other.schema_)) return false;
   if (total_ > other.total_) return false;
-  for (const auto& [tuple, count] : map_) {
-    if (other.Multiplicity(tuple) < count) return false;
+  for (size_t slot = 0; slot < entries_.size(); ++slot) {
+    if (other.CountAt(entries_[slot].first, hashes_[slot]) <
+        entries_[slot].second) {
+      return false;
+    }
   }
   return true;
 }
 
 std::vector<const Relation::Entry*> Relation::SortedView() const {
   std::vector<const Entry*> view;
-  view.reserve(map_.size());
-  for (const Entry& entry : map_) view.push_back(&entry);
+  view.reserve(entries_.size());
+  for (const Entry& entry : entries_) view.push_back(&entry);
   std::sort(view.begin(), view.end(), [](const Entry* a, const Entry* b) {
     return a->first.Compare(b->first) < 0;
   });
@@ -109,7 +195,7 @@ std::vector<const Relation::Entry*> Relation::SortedView() const {
 
 std::vector<std::pair<Tuple, uint64_t>> Relation::SortedEntries() const {
   std::vector<std::pair<Tuple, uint64_t>> entries;
-  entries.reserve(map_.size());
+  entries.reserve(entries_.size());
   for (const Entry* entry : SortedView()) entries.emplace_back(*entry);
   return entries;
 }

@@ -1,17 +1,24 @@
 // Multi-set relations (Definition 2.2): a relation instance R of schema ℛ is
 // a function R : dom(ℛ) → ℕ.  We store the support of that function — the
-// tuples with non-zero multiplicity — in a hash map, which makes duplicate
-// tuples O(1) in space and time.  This representation is exactly the
-// (r, R(r)) pair notation the paper introduces after Definition 2.4.
+// tuples with non-zero multiplicity — as the (r, R(r)) pair notation the
+// paper introduces after Definition 2.4, which makes duplicate tuples O(1)
+// in space and time.
+//
+// Layout: the pairs sit in one dense vector (slots 0 … distinct_size() − 1,
+// each with its stored 64-bit hash), indexed by one open-addressing table
+// of (hash tag | slot + 1) words at power-of-two capacity, load ≤ 7/8,
+// probed linearly.  Growth rehashes from the stored hashes, never calling
+// Tuple::Hash again.  Removing a tuple swap-moves the last entry into its
+// slot and deletes its index word by backward shift, so no tombstones
+// build up under insert/delete churn.  Slot order is not part of the value:
+// every order-sensitive walk goes through SortedView.
 
 #ifndef MRA_CORE_RELATION_H_
 #define MRA_CORE_RELATION_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mra/common/result.h"
@@ -23,10 +30,11 @@ namespace mra {
 /// A multi-set of tuples over one schema.
 class Relation {
  public:
-  using Map = std::unordered_map<Tuple, uint64_t, TupleHash, TupleEq>;
-  using const_iterator = Map::const_iterator;
   /// One (tuple, multiplicity) pair of the support.
-  using Entry = Map::value_type;
+  using Entry = std::pair<Tuple, uint64_t>;
+  /// Walks the support in slot order; random access by slot, so lanes can
+  /// split [begin(), end()) into disjoint slot ranges.
+  using const_iterator = std::vector<Entry>::const_iterator;
 
   Relation() = default;
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
@@ -61,8 +69,10 @@ class Relation {
   /// Total cardinality counting duplicates: Σ_x R(x).
   uint64_t size() const { return total_; }
   /// Number of distinct tuples: |{x | R(x) > 0}|.
-  size_t distinct_size() const { return map_.size(); }
+  size_t distinct_size() const { return entries_.size(); }
   bool empty() const { return total_ == 0; }
+  /// Buckets of the index (a power of two, or 0 before the first insert).
+  size_t index_capacity() const { return index_.size(); }
 
   void Clear();
 
@@ -75,24 +85,17 @@ class Relation {
   /// R1 ⊑ R2 (Definition 2.3): R1(x) ≤ R2(x) for all x.
   bool MultiSubsetOf(const Relation& other) const;
 
-  // Iteration over (tuple, multiplicity) pairs, unspecified order.
-  const_iterator begin() const { return map_.begin(); }
-  const_iterator end() const { return map_.end(); }
-
-  /// Range access for lane-parallel scans: iterators to every `stride`-th
-  /// pair of the support in iteration order, then end(), so lanes that
-  /// claim disjoint ranges [splits[k], splits[k + 1]) see every (tuple,
-  /// multiplicity) pair exactly once (a bag is the ⊎ of any split of its
-  /// support).  One walk of the support builds it on first use; it stays
-  /// cached until the relation next changes.  Safe for concurrent readers.
-  using Splits = std::vector<const_iterator>;
-  std::shared_ptr<const Splits> RangeSplits(size_t stride) const;
+  /// Iteration over (tuple, multiplicity) pairs in slot order, which is
+  /// unspecified.  Iterators and entry references are valid until the
+  /// relation is next modified.
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
 
   /// The support in the canonical order of Tuple::Compare, as pointers
-  /// into this relation's map: valid until the relation is next modified.
-  /// Every deterministic walk (ToString, the storage and wire encoders,
-  /// the printer, CSV export) goes through this view, so equal bags yield
-  /// identical output whatever their insertion history.
+  /// into this relation's entries: valid until the relation is next
+  /// modified.  Every deterministic walk (ToString, the storage and wire
+  /// encoders, the printer, CSV export) goes through this view, so equal
+  /// bags yield identical output whatever their insertion history.
   std::vector<const Entry*> SortedView() const;
 
   /// All tuples with duplicates materialised (Σ R(x) entries), in
@@ -106,38 +109,28 @@ class Relation {
   std::string ToString() const;
 
  private:
-  /// RangeSplits' cache.  Not part of the value: a copied, moved or
-  /// assigned relation starts without one, and every mutator drops it
-  /// (writers have the relation to themselves, so that needs no lock).
-  class SplitCache {
-   public:
-    SplitCache() = default;
-    SplitCache(const SplitCache&) noexcept {}
-    SplitCache(SplitCache&& from) noexcept { from.Drop(); }
-    SplitCache& operator=(const SplitCache&) noexcept {
-      Drop();
-      return *this;
-    }
-    SplitCache& operator=(SplitCache&& from) noexcept {
-      Drop();
-      from.Drop();
-      return *this;
-    }
-    void Drop() {
-      if (splits_ != nullptr) splits_.reset();
-    }
+  static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
-   private:
-    friend class Relation;
-    std::mutex mu_;
-    size_t stride_ = 0;
-    std::shared_ptr<const Splits> splits_;
-  };
+  /// The bucket whose word names `tuple` (hashing to `hash`), or kNotFound.
+  size_t FindBucket(const Tuple& tuple, uint64_t hash) const;
+  /// R(tuple) given its hash: the other relation's stored hashes probe
+  /// this index directly (both use Tuple::Hash), so Equals and
+  /// MultiSubsetOf rehash nothing.
+  uint64_t CountAt(const Tuple& tuple, uint64_t hash) const;
+  /// The multiplicity slot of `tuple`, appending a zero-count entry when it
+  /// is absent.
+  template <typename T>
+  uint64_t& CountFor(T&& tuple, uint64_t hash);
+  /// Drops the entry named at `bucket`: backward-shift deletion in the
+  /// index, then the last entry moves into the freed slot.
+  void EraseAt(size_t bucket);
+  void GrowIndex();
 
   RelationSchema schema_;
-  Map map_;
+  std::vector<Entry> entries_;
+  std::vector<uint64_t> hashes_;  // hashes_[s] == entries_[s].first.Hash().
+  std::vector<uint64_t> index_;   // (tag | slot + 1) words; 0 = free.
   uint64_t total_ = 0;
-  mutable SplitCache split_cache_;
 };
 
 }  // namespace mra

@@ -73,11 +73,13 @@ uint64_t ApproxTupleBytes(const Tuple& tuple) {
   return bytes;
 }
 
+// The flat layout: per entry its tuple, count and stored hash, plus the
+// index words (one per bucket, at the index's own load factor).
 uint64_t ApproxRelationBytes(const Relation& rel) {
-  uint64_t bytes = sizeof(Relation);
+  uint64_t bytes = sizeof(Relation) + rel.index_capacity() * sizeof(uint64_t);
   for (const auto& [tuple, count] : rel) {
     (void)count;
-    bytes += ApproxTupleBytes(tuple) + sizeof(uint64_t) + 2 * sizeof(void*);
+    bytes += ApproxTupleBytes(tuple) + 2 * sizeof(uint64_t);
   }
   return bytes;
 }
@@ -415,41 +417,40 @@ Status ScanOp::NextBatchImpl(RowBatch& out) {
 Status ScanOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
   // Ranges of up to a morsel, at least four a lane so the dynamic claim
   // evens out.
-  const size_t stride = std::clamp<size_t>(
-      relation_->distinct_size() / (4 * lanes), 1, kDefaultBatchSize);
-  splits_ = relation_->RangeSplits(stride);
+  stride_ = std::clamp<size_t>(relation_->distinct_size() / (4 * lanes), 1,
+                               kDefaultBatchSize);
   next_range_.store(0, std::memory_order_relaxed);
-  cursors_.assign(lanes, LaneCursor{relation_->end(), relation_->end()});
+  cursors_.assign(lanes, LaneCursor{});
   *by_lanes = true;
   return Status::OK();
 }
 
 Status ScanOp::LaneBatchImpl(size_t lane, RowBatch& out) {
   LaneCursor& c = cursors_[lane];
+  const size_t distinct = relation_->distinct_size();
+  const Relation::const_iterator entries = relation_->begin();
   while (!out.full()) {
-    if (c.it == c.end) {
+    if (c.next == c.end) {
+      // Claim slots [k·stride, min((k + 1)·stride, distinct)).
       size_t k = next_range_.fetch_add(1, std::memory_order_relaxed);
-      if (k + 1 >= splits_->size()) break;
-      c.it = (*splits_)[k];
-      c.end = (*splits_)[k + 1];
+      if (k >= (distinct + stride_ - 1) / stride_) break;
+      c.next = k * stride_;
+      c.end = std::min(c.next + stride_, distinct);
       continue;
     }
+    const Relation::Entry& entry = entries[c.next++];
     Row& slot = out.AppendSlot();
     if (columns_) {
-      slot.tuple.AssignProjection(c.it->first, *columns_);
+      slot.tuple.AssignProjection(entry.first, *columns_);
     } else {
-      slot.tuple = c.it->first;
+      slot.tuple = entry.first;
     }
-    slot.count = c.it->second;
-    ++c.it;
+    slot.count = entry.second;
   }
   return Status::OK();
 }
 
-void ScanOp::CloseImpl() {
-  cursors_.clear();
-  splits_.reset();
-}
+void ScanOp::CloseImpl() { cursors_.clear(); }
 
 const RelationSchema& ScanOp::schema() const {
   return columns_ ? projected_schema_ : relation_->schema();

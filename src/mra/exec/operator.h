@@ -25,8 +25,8 @@
 // A multi-lane hash kernel (hash_ops.h) opens its input with OpenForLanes
 // instead.  A child that is a *partitioned source* — a stored-relation
 // scan, σ and π over one, a multi-lane ⋈ — then serves every lane through
-// NextLaneBatch with no lock: the scan hands out disjoint ranges of the
-// relation (Relation::RangeSplits), σ and π run their batch kernels on the
+// NextLaneBatch with no lock: the scan hands out disjoint slot ranges of
+// the relation's dense entries, σ and π run their batch kernels on the
 // calling lane, the ⋈ probes on it.  Any other child is drained through
 // its ordinary NextBatch cursor under a mutex (docs/EXECUTION.md).
 //
@@ -303,23 +303,23 @@ class ScanOp final : public PhysicalOperator {
   Status OpenImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
-  /// Lanes claim disjoint ranges of the relation (Relation::RangeSplits),
-  /// up to a morsel each, off one atomic counter.
+  /// Lanes claim disjoint slot ranges of the relation, up to a morsel
+  /// each, off one atomic counter.
   Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
   Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
-  /// The rest of a lane's claimed range.
+  /// The rest of a lane's claimed slot range, [next, end).
   struct alignas(64) LaneCursor {
-    Relation::const_iterator it;
-    Relation::const_iterator end;
+    size_t next = 0;
+    size_t end = 0;
   };
 
   const Relation* relation_;
   std::optional<std::vector<size_t>> columns_;  // Set on a projecting scan.
   RelationSchema projected_schema_;
   Relation::const_iterator it_;
-  std::shared_ptr<const Relation::Splits> splits_;
+  size_t stride_ = 1;  // Slots per lane claim.
   std::atomic<size_t> next_range_{0};
   std::vector<LaneCursor> cursors_;
 };

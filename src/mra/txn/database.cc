@@ -572,14 +572,6 @@ Status Database::ApplyCommit(uint64_t txn_id,
   // each change's `base` is still the catalog's relation.
   std::string record;
   if (durable()) record = EncodeCommitRecord(txn_id, changes);
-  // A replaced relation was rebuilt by insertions, which scatter its hash
-  // nodes across the heap.  A copy lays them out again in iteration
-  // order, which every later scan of the committed state walks.  O(R),
-  // like the whole image a replaced relation logs; an edited relation is
-  // changed in place below, in O(delta).
-  for (auto& [name, change] : changes) {
-    if (change.replaced) *change.image = Relation(*change.image);
-  }
   std::unique_lock<std::shared_mutex> lock(mutex_);
   // Log first (write-ahead), then install in memory.
   if (durable()) {

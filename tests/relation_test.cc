@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
+#include <map>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "test_util.h"
 
@@ -134,7 +139,7 @@ TEST(RelationTest, ClearResetsEverything) {
 }
 
 TEST(RelationTest, LargeMultiplicityIsCompact) {
-  // A million duplicates occupy one map entry — the representational
+  // A million duplicates occupy one entry — the representational
   // advantage the paper's introduction claims for bag semantics.
   Relation r(RelationSchema("r", {{"x", Type::Int()}}));
   ASSERT_OK(r.Insert(IntTuple({1}), 1000000));
@@ -154,7 +159,7 @@ TEST(RelationTest, SortedEntriesUseTheTypedCanonicalOrder) {
   EXPECT_TRUE(entries[3].first.Equals(IntTuple({10, 1})));
   EXPECT_EQ(r.ToString(), "{(-2, 7) : 1, (9, -3) : 1, (9, 5) : 1, (10, 1) : 1}");
 
-  // The view points into the relation's own map, in the same order.
+  // The view points into the relation's own entries, in the same order.
   std::set<const Relation::Entry*> in_map;
   for (const Relation::Entry& entry : r) in_map.insert(&entry);
   auto view = r.SortedView();
@@ -198,6 +203,210 @@ TEST(RelationTest, SetMultiplicityIsAbsolute) {
   // Applying the same absolute count again changes nothing.
   r.SetMultiplicity(IntTuple({1}), 5);
   EXPECT_EQ(r.size(), 6u);
+}
+
+
+// --- Differential tests against a std::map model of R : dom(ℛ) → ℕ. ---
+
+struct CanonicalLess {
+  bool operator()(const Tuple& a, const Tuple& b) const {
+    return a.Compare(b) < 0;
+  }
+};
+using Model = std::map<Tuple, uint64_t, CanonicalLess>;
+
+// Every observer of `r` agrees with the model: R(x) on the support and off
+// it, Σ R(x), |supp R|, the canonical walk, a range-for walk, and = / ⊑
+// against a relation rebuilt from the model in another insertion order.
+void ExpectMatchesModel(const Relation& r, const Model& model,
+                        const std::vector<Tuple>& absent) {
+  uint64_t total = 0;
+  for (const auto& [tuple, count] : model) total += count;
+  ASSERT_EQ(r.size(), total);
+  ASSERT_EQ(r.distinct_size(), model.size());
+  EXPECT_EQ(r.empty(), model.empty());
+  for (const auto& [tuple, count] : model) {
+    ASSERT_EQ(r.Multiplicity(tuple), count) << tuple.ToString();
+  }
+  for (const Tuple& tuple : absent) {
+    if (model.count(tuple) == 0) {
+      ASSERT_EQ(r.Multiplicity(tuple), 0u);
+    }
+  }
+  auto sorted = r.SortedEntries();
+  ASSERT_EQ(sorted.size(), model.size());
+  size_t i = 0;
+  for (const auto& [tuple, count] : model) {
+    ASSERT_TRUE(sorted[i].first.Equals(tuple));
+    ASSERT_EQ(sorted[i].second, count);
+    ++i;
+  }
+  size_t walked = 0;
+  for (const auto& [tuple, count] : r) {
+    auto it = model.find(tuple);
+    ASSERT_TRUE(it != model.end()) << tuple.ToString();
+    ASSERT_EQ(it->second, count);
+    ++walked;
+  }
+  ASSERT_EQ(walked, model.size());
+  Relation rebuilt(r.schema());
+  for (auto it = model.rbegin(); it != model.rend(); ++it) {
+    rebuilt.InsertUnchecked(it->first, it->second);
+  }
+  EXPECT_TRUE(r.Equals(rebuilt));
+  EXPECT_TRUE(rebuilt.Equals(r));
+  EXPECT_TRUE(r.MultiSubsetOf(rebuilt));
+  if (!model.empty()) {
+    rebuilt.InsertUnchecked(model.begin()->first, 1);
+    EXPECT_FALSE(r.Equals(rebuilt));
+    EXPECT_TRUE(r.MultiSubsetOf(rebuilt));
+    EXPECT_FALSE(rebuilt.MultiSubsetOf(r));
+  }
+}
+
+Tuple KeyTuple(int64_t i) {
+  return Tuple({Value::Int(i % 97), Value::Str(std::to_string(i) + "-key")});
+}
+
+TEST(RelationDifferential, RandomOperationsMatchAMapModel) {
+  const RelationSchema schema("d", {{"k", Type::Int()}, {"s", Type::String()}});
+  std::vector<Tuple> domain;
+  for (int64_t i = 0; i < 300; ++i) domain.push_back(KeyTuple(i));
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    // Seeds differ in how much of the domain is live, so the support
+    // swings between near-empty and several index growths.
+    std::uniform_int_distribution<size_t> pick(0, 40 + 60 * seed);
+    std::uniform_int_distribution<uint64_t> count(1, 3);
+    std::uniform_int_distribution<int> op(0, 99);
+    Relation r(schema);
+    Model model;
+    for (int round = 0; round < 4000; ++round) {
+      const Tuple& t = domain[pick(rng)];
+      const int o = op(rng);
+      if (o < 40) {
+        const uint64_t c = count(rng);
+        if (o < 20) {
+          ASSERT_OK(r.Insert(t, c));
+        } else {
+          r.InsertUnchecked(Tuple(t), c);  // The move overload.
+        }
+        model[t] += c;
+      } else if (o < 70) {
+        // Partial, or (UINT64_MAX) full removal; absent tuples remove 0.
+        const uint64_t c = o < 60 ? count(rng) : UINT64_MAX;
+        const uint64_t have = model.count(t) ? model[t] : 0;
+        const uint64_t removed = std::min(c, have);
+        ASSERT_EQ(r.Remove(t, c), removed);
+        if (have == removed) {
+          model.erase(t);
+        } else {
+          model[t] = have - removed;
+        }
+      } else if (o < 90) {
+        const uint64_t c = count(rng) - 1;  // Includes 0, a removal.
+        r.SetMultiplicity(t, c);
+        if (c == 0) {
+          model.erase(t);
+        } else {
+          model[t] = c;
+        }
+      } else if (o < 94) {
+        Relation copy = r;  // A copy carries its own index.
+        ExpectMatchesModel(copy, model, {t});
+        r = std::move(copy);
+      } else if (o < 98) {
+        Relation moved(std::move(r));
+        r = Relation(schema);
+        r = std::move(moved);
+      } else if (o == 98 && round % 5 == 0) {
+        r.Clear();
+        model.clear();
+      }
+      ASSERT_EQ(r.Multiplicity(t), model.count(t) ? model[t] : 0u);
+      if (round % 97 == 0) ExpectMatchesModel(r, model, domain);
+    }
+    ExpectMatchesModel(r, model, domain);
+  }
+}
+
+TEST(RelationDifferential, RemovalsWrapAroundTheIndexEnd) {
+  // Tuples whose home buckets are the index's last two: their probe run
+  // wraps to bucket 0 and on, so backward-shift deletion has to carry
+  // words across the wrap.
+  const RelationSchema schema("w", {{"x", Type::Int()}});
+  Relation probe(schema);
+  for (int64_t i = 0; i < 16; ++i) probe.InsertUnchecked(IntTuple({-1 - i}));
+  const size_t buckets = probe.index_capacity();
+  ASSERT_GE(buckets, 32u);
+  std::vector<Tuple> tail;  // Home bucket = buckets − 1 or buckets − 2.
+  std::vector<Tuple> head;  // Home bucket = 0 or 1.
+  for (int64_t i = 0; tail.size() < 6 || head.size() < 4; ++i) {
+    Tuple t = IntTuple({i});
+    const size_t home = t.Hash() & (buckets - 1);
+    if (home + 2 >= buckets && tail.size() < 6) tail.push_back(t);
+    if (home < 2 && head.size() < 4) head.push_back(t);
+  }
+  std::vector<Tuple> keys = tail;
+  keys.insert(keys.end(), head.begin(), head.end());
+  // Remove in several orders, each from a fresh relation whose index
+  // keeps the same capacity (16 + 10 entries stay under 7/8 load).
+  std::mt19937_64 rng(5);
+  for (int trial = 0; trial < 40; ++trial) {
+    Relation r = probe;
+    Model model;
+    for (const auto& [tuple, count] : probe) model[tuple] = count;
+    for (const Tuple& t : keys) {
+      r.InsertUnchecked(t, 2);
+      model[t] = 2;
+    }
+    ASSERT_EQ(r.index_capacity(), buckets);
+    std::vector<Tuple> order = keys;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const Tuple& t : order) {
+      ASSERT_EQ(r.Remove(t, trial % 2 == 0 ? 2 : UINT64_MAX), 2u);
+      model.erase(t);
+      ExpectMatchesModel(r, model, keys);
+    }
+    ASSERT_EQ(r.index_capacity(), buckets);
+  }
+}
+
+TEST(RelationDifferential, WindowChurnKeepsTheIndexBounded) {
+  // ingest's shape: a fixed window of 2,000 rows, each round inserting 20
+  // new rows and deleting the 20 oldest.  Backward-shift deletion leaves
+  // no tombstones, so the index never grows past the window's size.
+  const RelationSchema schema("win", {{"id", Type::Int()},
+                                      {"tag", Type::String()}});
+  auto row = [](int64_t id) {
+    return Tuple({Value::Int(id), Value::Str(std::to_string(id % 13) + "-row")});
+  };
+  Relation r(schema);
+  std::deque<int64_t> window;
+  int64_t next = 0;
+  for (; next < 2000; ++next) {
+    r.InsertUnchecked(row(next));
+    window.push_back(next);
+  }
+  const size_t buckets = r.index_capacity();
+  for (int round = 0; round < 10000; ++round) {
+    for (int i = 0; i < 20; ++i, ++next) {
+      r.InsertUnchecked(row(next));
+      window.push_back(next);
+    }
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_EQ(r.Remove(row(window.front())), 1u);
+      window.pop_front();
+    }
+    ASSERT_EQ(r.distinct_size(), 2000u);
+    if (round % 1000 == 999) {
+      Model model;
+      for (int64_t id : window) model[row(id)] = 1;
+      ExpectMatchesModel(r, model, {row(window.front() - 1), row(next)});
+    }
+  }
+  EXPECT_EQ(r.index_capacity(), buckets);
 }
 
 }  // namespace
