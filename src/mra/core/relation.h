@@ -16,6 +16,7 @@
 #ifndef MRA_CORE_RELATION_H_
 #define MRA_CORE_RELATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -73,6 +74,11 @@ class Relation {
   bool empty() const { return total_ == 0; }
   /// Buckets of the index (a power of two, or 0 before the first insert).
   size_t index_capacity() const { return index_.size(); }
+  /// Entries the dense storage holds room for (>= distinct_size(); growth
+  /// and removals leave spare room, which Clear() keeps too).
+  size_t entry_capacity() const {
+    return std::max(entries_.capacity(), hashes_.capacity());
+  }
 
   void Clear();
 

@@ -716,57 +716,74 @@ std::string_view BagCountOp::name() const {
 }
 
 Status BagCountOp::Collapse(const WorkerPool::Lease& lease,
-                            PhysicalOperator* child, size_t parts, bool rhs,
-                            LaneSets* sets, uint64_t* rows, uint64_t* bytes) {
+                            PhysicalOperator* child, size_t parts,
+                            bool counted, uint64_t* rows, uint64_t* bytes) {
+  const size_t lanes = lease.lanes();
   const int bits = std::countr_zero(parts);
-  const bool counted = rhs || fn_ != BagFn::kUnique;
   const bool governed = exec_context() != nullptr;
-  std::vector<std::atomic<uint64_t>> lane_bytes(lease.lanes());
-  sets->assign(lease.lanes(), std::vector<CountTable>(parts));
+  // A lane routes its morsel's rows to their partitions, then inserts each
+  // partition's share under that partition's lock, starting from its own
+  // offset so the lanes spread over the locks.  It publishes how much the
+  // sets grew under its locks.
+  struct Route {
+    std::vector<size_t> hashes;               // [row of the morsel]
+    std::vector<std::vector<uint32_t>> rows;  // [p] the rows routed there
+  };
+  std::vector<Route> routes(lanes);
+  for (Route& route : routes) route.rows.resize(parts);
+  std::vector<std::mutex> locks(parts);
+  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
+  sets_.assign(parts, {});
+  radix_bits_ = bits;
   MRA_RETURN_IF_ERROR(DrainChild(
       lease, exec_context(), child, morsel_size_, &metrics_.cpu_ns, rows,
       [&](size_t lane, RowBatch& morsel) {
-        std::vector<CountTable>& own = (*sets)[lane];
-        for (const Row& row : morsel) {
-          const size_t h = row.tuple.HashKey(identity_);
-          CountTable& t = own[PartitionOf(h, bits)];
-          bool inserted = false;
-          const size_t id =
-              t.index.InsertKey(row.tuple, identity_, h, &inserted);
-          if (!counted) continue;
-          if (inserted) t.counts.push_back(0);
-          uint64_t& sum = t.counts[id];
-          if (__builtin_add_overflow(sum, row.count, &sum)) {
-            // An rhs sum saturates; an lhs sum must not wrap.
-            if (!rhs) {
-              return Status::EvalError(
-                  std::string(name()) +
-                  ": a tuple's multiplicity exceeds 2^64 - 1");
-            }
-            sum = UINT64_MAX;
-          }
+        Route& route = routes[lane];
+        route.hashes.resize(morsel.size());
+        for (size_t i = 0; i < morsel.size(); ++i) {
+          const size_t h = morsel[i].tuple.HashKey(identity_);
+          route.hashes[i] = h;
+          route.rows[PartitionOf(h, bits)].push_back(static_cast<uint32_t>(i));
         }
-        uint64_t held = 0;
-        for (const CountTable& t : own) held += t.ApproxBytes();
-        lane_bytes[lane].store(held, std::memory_order_relaxed);
+        uint64_t grown = 0;
+        for (size_t k = 0; k < parts; ++k) {
+          const size_t p = (k + lane * (parts / lanes)) % parts;
+          std::vector<uint32_t>& share = route.rows[p];
+          if (share.empty()) continue;
+          CountTable& t = sets_[p];
+          std::lock_guard<std::mutex> hold(locks[p]);
+          const uint64_t before = t.ApproxBytes();
+          for (uint32_t i : share) {
+            const Row& row = morsel[i];
+            bool inserted = false;
+            const size_t id = t.index.InsertKey(row.tuple, identity_,
+                                                route.hashes[i], &inserted);
+            if (!counted) continue;
+            if (inserted) {
+              t.counts.push_back(0);
+              t.seen.push_back(0);
+            }
+            uint64_t& sum = t.counts[id];
+            if (__builtin_add_overflow(sum, row.count, &sum)) sum = UINT64_MAX;
+          }
+          grown += t.ApproxBytes() - before;
+          share.clear();
+        }
+        lane_bytes[lane].fetch_add(grown, std::memory_order_relaxed);
         return Status::OK();
       },
       [&] {
         return governed ? NoteHashFootprint(*bytes + SumLaneBytes(lane_bytes))
                         : Status::OK();
       }));
-  for (const auto& own : *sets) {
-    for (const CountTable& t : own) {
-      metrics_.peak_hash_entries += t.index.size();
-    }
+  for (const CountTable& t : sets_) {
+    metrics_.peak_hash_entries += t.index.size();
   }
   *bytes += SumLaneBytes(lane_bytes);
   return NoteHashFootprint(*bytes);
 }
 
 Status BagCountOp::OpenImpl() {
-  lanes_.clear();
-  emit_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
 
@@ -777,64 +794,25 @@ Status BagCountOp::OpenImpl() {
   uint64_t bytes = 0;
   if (rhs_ != nullptr) {
     // − and ∩ build the rhs first: its count sums are the budgets.
-    MRA_RETURN_IF_ERROR(Collapse(lease, rhs_.get(), parts, /*rhs=*/true,
-                                 &budgets_, &metrics_.build_rows, &bytes));
+    MRA_RETURN_IF_ERROR(Collapse(lease, rhs_.get(), parts, /*counted=*/true,
+                                 &metrics_.build_rows, &bytes));
+  } else if (lanes > 1) {
+    // δ on more lanes: the key sets are the result.
+    MRA_RETURN_IF_ERROR(Collapse(lease, lhs_.get(), parts, /*counted=*/false,
+                                 &metrics_.build_rows, &bytes));
+    metrics_.distinct_rows = metrics_.peak_hash_entries;
+    return Status::OK();
   } else {
-    // δ sets a key's budget as the key is first seen: on one lane in the
-    // recycled seen-set, on more in the lanes' own key sets.
-    budgets_.resize(lanes == 1 ? 1 : 0, std::vector<CountTable>(1));
-    if (lanes == 1) budgets_[0][0].index.Reset();
+    // δ on one lane sets a key's budget of 1 as the key is first seen, in
+    // the recycled seen-set.
+    sets_.resize(1);
+    sets_[0].index.Reset();
+    radix_bits_ = 0;
   }
-  // One lane streams: NextBatch compacts each lhs batch in place.
-  streaming_ = lanes == 1;
-  if (streaming_) return lhs_->Open();
-
-  // --- Phase 1: per-lane pre-collapse of the lhs. ---
-  MRA_RETURN_IF_ERROR(Collapse(
-      lease, lhs_.get(), parts, /*rhs=*/false, &lanes_,
-      rhs_ != nullptr ? &metrics_.probe_rows : &metrics_.build_rows, &bytes));
-
-  // --- Phase 2: one thread a partition spends each key's budget over the
-  // lhs lanes' sums, lane by lane, and a key's rhs budget from each rhs
-  // lane's set in turn; every key set stays read-only. ---
-  emit_.assign(parts, {});
-  MRA_RETURN_IF_ERROR(RunPartitionPhase(
-      lease, exec_context(), parts, &metrics_.cpu_ns, [&](size_t p) {
-        for (size_t l = 0; l < lanes; ++l) {
-          const CountTable& t = lanes_[l][p];
-          for (size_t id = 0; id < t.index.size(); ++id) {
-            const Tuple& key = t.index.key(id);
-            const size_t h = t.index.hash(id);
-            uint64_t c = 1;
-            uint64_t taken = 0;
-            if (fn_ == BagFn::kUnique) {
-              // δ: the budget of 1 belongs to the first lane holding the
-              // key, found by lookup with the stored hash.
-              taken = 1;
-              for (size_t e = 0; e < l && taken == 1; ++e) {
-                if (lanes_[e][p].index.FindKey(key, identity_, h) !=
-                    HashKeyIndex::kNotFound) {
-                  taken = 0;
-                }
-              }
-            } else {
-              c = t.counts[id];
-              for (auto& rhs : budgets_) {
-                const size_t r = rhs[p].index.FindKey(key, identity_, h);
-                if (r == HashKeyIndex::kNotFound) continue;
-                taken += TakeBudget(c - taken, rhs[p].counts[r]);
-              }
-            }
-            const uint64_t n = Emitted(fn_, c, taken);
-            if (n > 0) emit_[p].push_back(KeyRef{l, id, n});
-          }
-        }
-      }));
-
-  size_t distinct = 0;
-  for (const auto& keys : emit_) distinct += keys.size();
-  metrics_.distinct_rows = distinct;
-  return NoteHashFootprint(bytes + distinct * sizeof(KeyRef));
+  // − and ∩, and δ on one lane, stream: NextBatch compacts each lhs batch
+  // in place.
+  streaming_ = true;
+  return lhs_->Open();
 }
 
 Status BagCountOp::StreamBatch(RowBatch& out) {
@@ -842,7 +820,6 @@ Status BagCountOp::StreamBatch(RowBatch& out) {
   // compacted to the front with what they emit, the rest stay parked for
   // the lhs's next refill.  Pull again until something survives or the
   // lhs drains.
-  CountTable& set = budgets_[0][0];
   uint64_t& rows = rhs_ != nullptr ? metrics_.probe_rows : metrics_.build_rows;
   while (true) {
     MRA_RETURN_IF_ERROR(lhs_->NextBatch(out));
@@ -850,16 +827,26 @@ Status BagCountOp::StreamBatch(RowBatch& out) {
     rows += out.size();
     size_t kept = 0;
     for (size_t i = 0; i < out.size(); ++i) {
+      const Tuple& tuple = out[i].tuple;
       const uint64_t c = out[i].count;
       uint64_t t = 0;
       if (fn_ == BagFn::kUnique) {
         // δ's budget of 1, set as the key is first seen, goes at once.
         bool inserted = false;
-        set.index.InsertKey(out[i].tuple, identity_, &inserted);
+        sets_[0].index.InsertKey(tuple, identity_, &inserted);
         t = inserted ? 1 : 0;
       } else {
-        const size_t id = set.index.FindKey(out[i].tuple, identity_);
-        if (id != HashKeyIndex::kNotFound) t = TakeBudget(c, set.counts[id]);
+        const size_t h = tuple.HashKey(identity_);
+        CountTable& set = sets_[PartitionOf(h, radix_bits_)];
+        const size_t id = set.index.FindKey(tuple, identity_, h);
+        if (id != HashKeyIndex::kNotFound) {
+          if (__builtin_add_overflow(set.seen[id], c, &set.seen[id])) {
+            return Status::EvalError(
+                std::string(name()) +
+                ": a tuple's multiplicity exceeds 2^64 - 1");
+          }
+          t = TakeBudget(c, set.counts[id]);
+        }
       }
       const uint64_t n = Emitted(fn_, c, t);
       if (n > 0) {
@@ -870,7 +857,7 @@ Status BagCountOp::StreamBatch(RowBatch& out) {
     }
     out.Truncate(kept);
     if (fn_ == BagFn::kUnique) {
-      MRA_RETURN_IF_ERROR(NoteHashFootprint(set.ApproxBytes()));
+      MRA_RETURN_IF_ERROR(NoteHashFootprint(sets_[0].ApproxBytes()));
     }
     if (kept > 0) return Status::OK();
   }
@@ -878,32 +865,32 @@ Status BagCountOp::StreamBatch(RowBatch& out) {
 
 Status BagCountOp::NextBatchImpl(RowBatch& out) {
   if (streaming_) return StreamBatch(out);
+  // δ on more lanes: each partition's keys, given away as they go.
   while (!out.full()) {
-    if (emit_part_ >= emit_.size()) return Status::OK();
-    if (emit_pos_ >= emit_[emit_part_].size()) {
+    if (emit_part_ >= sets_.size()) return Status::OK();
+    HashKeyIndex& keys = sets_[emit_part_].index;
+    if (emit_pos_ >= keys.size()) {
       ++emit_part_;
       emit_pos_ = 0;
       continue;
     }
-    const KeyRef& key = emit_[emit_part_][emit_pos_++];
     Row& slot = out.AppendSlot();
-    lanes_[key.lane][emit_part_].index.SwapKey(key.id, slot.tuple);
-    slot.count = key.count;
+    keys.SwapKey(emit_pos_++, slot.tuple);
+    slot.count = 1;
   }
   return Status::OK();
 }
 
 void BagCountOp::CloseImpl() {
-  if (streaming_) {
-    const size_t keys = budgets_[0][0].index.size();
-    if (fn_ == BagFn::kUnique) metrics_.distinct_rows = keys;
+  if (streaming_ && rhs_ == nullptr) {
+    const size_t keys = sets_[0].index.size();
+    metrics_.distinct_rows = keys;
     metrics_.peak_hash_entries = keys;
-    streaming_ = false;
+  } else {
+    sets_.clear();
   }
+  streaming_ = false;
   CountHashRows(metrics_.build_rows, metrics_.probe_rows);
-  if (rhs_ != nullptr) budgets_.clear();
-  lanes_.clear();
-  emit_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
   lhs_->Close();

@@ -26,9 +26,9 @@
 //    input merge additively (AggAccumulator::Merge) into exactly the
 //    definitional per-group values.
 //  * δ, − and ∩ (Defs 3.4, 3.1, 3.2): each is a function of one tuple's
-//    counts, so a partition holds all of a key's counts; per-lane
-//    pre-collapse only sums them early, and one thread per partition
-//    spends each key's budget over the lanes' sums.
+//    counts, so a partition holds all of a key's counts; the lanes insert
+//    a partition's rows under its lock, so one key set holds each key
+//    once, and the lhs spends each key's budget as it streams.
 //
 // A row is hashed once: the routing hash is also its key-index hash.
 //
@@ -268,15 +268,16 @@ enum class BagFn { kUnique, kDifference, kIntersect };
 /// saturate at UINT64_MAX, which is exact for min and max(0, ·) whenever
 /// the lhs total fits in 64 bits.
 ///
-/// The rhs builds first, like the join's build side.  On one lane the lhs
-/// then streams: each batch is compacted in place (FilterOp-style) against
-/// the key set, so a drain stays allocation-free once warm.  On more lanes
-/// each lane pre-collapses its rows of either input into radix-routed key
-/// sets (an lhs sum that overflows fails the query, naming the operator),
-/// and a partition-wise pass has one thread spend each partition's budgets
-/// lane by lane — every key lives in one partition, and a key's rhs budget
-/// is spent from each rhs lane's set in turn.  A − or ∩ tuple may then be
-/// emitted once per lane; the bag-stream convention sums those rows.
+/// The rhs builds first, like the join's build side: the lease's lanes
+/// route each morsel's rows by key-hash radix and insert a partition's
+/// share under that partition's lock, so every key lives in one set.  The
+/// lhs then streams on the calling thread: each batch is compacted in
+/// place (FilterOp-style) against the sets, so a drain stays
+/// allocation-free once warm.  The lhs rows of a key that meets a budget
+/// are summed as they spend it; a sum past 2^64 − 1 fails the query,
+/// naming the operator.  δ on one lane streams the same way against a
+/// seen-set; on more lanes its lhs builds the sets, which then hold each
+/// key once, and NextBatch emits them.
 class BagCountOp final : public PhysicalOperator {
  public:
   /// `rhs_or_null` is null for δ and the second operand of − and ∩, with a
@@ -301,26 +302,21 @@ class BagCountOp final : public PhysicalOperator {
   struct CountTable {
     HashKeyIndex index;
     std::vector<uint64_t> counts;
+    std::vector<uint64_t> seen;  // − and ∩: the lhs count sum met.
     size_t ApproxBytes() const {
-      return index.ApproxBytes() + counts.capacity() * sizeof(uint64_t);
+      return index.ApproxBytes() +
+             (counts.capacity() + seen.capacity()) * sizeof(uint64_t);
     }
   };
-  using LaneSets = std::vector<std::vector<CountTable>>;  // [lane][p]
-  /// A key to emit: its lane and id there, and the count it emits.
-  struct KeyRef {
-    size_t lane;
-    size_t id;
-    uint64_t count;
-  };
 
-  /// Drains `child` over the lease's lanes into per-lane key sets routed
-  /// over `parts` radix partitions.  The rhs sums saturate; the lhs sums
-  /// are checked.  *bytes is the footprint held before, and with `sets`
-  /// after.
+  /// Drains `child` over the lease's lanes into sets_, one key set for
+  /// each of `parts` radix partitions, with each key's count sum when
+  /// `counted` (the rhs budgets; the sums saturate).  *bytes is the
+  /// footprint held before, and with sets_ after.
   Status Collapse(const parallel::WorkerPool::Lease& lease,
-                  PhysicalOperator* child, size_t parts, bool rhs,
-                  LaneSets* sets, uint64_t* rows, uint64_t* bytes);
-  /// The one-lane kernel: pulls lhs batches into `out` and keeps each row
+                  PhysicalOperator* child, size_t parts, bool counted,
+                  uint64_t* rows, uint64_t* bytes);
+  /// The streaming kernel: pulls lhs batches into `out` and keeps each row
   /// with what it emits.
   Status StreamBatch(RowBatch& out);
 
@@ -331,12 +327,12 @@ class BagCountOp final : public PhysicalOperator {
   size_t workers_;
   size_t morsel_size_;
 
-  // The rhs budgets; on one lane δ's seen-set, recycled across Opens.
-  LaneSets budgets_;
+  // [p]: the rhs budgets, or δ's keys; on one lane δ's seen-set, recycled
+  // across Opens.
+  std::vector<CountTable> sets_;
+  int radix_bits_ = 0;  // log2 of sets_.size().
   bool streaming_ = false;
-  LaneSets lanes_;                          // The collapsed lhs.
-  std::vector<std::vector<KeyRef>> emit_;  // [p] keys to emit
-  size_t emit_part_ = 0;
+  size_t emit_part_ = 0;  // δ on more lanes: the next key to emit.
   size_t emit_pos_ = 0;
 };
 

@@ -5,6 +5,17 @@ namespace exec {
 
 namespace {
 
+// A slot word is (tag | id + 1): the hash's top 32 bits over the key id
+// (offset by one so that 0 marks a free slot).  Slots are picked by the
+// hash's low bits, so the tag filters almost every non-matching probe
+// before the key arena is touched.
+constexpr uint64_t kTagMask = 0xFFFFFFFF00000000ULL;
+constexpr uint64_t kIdMask = 0x00000000FFFFFFFFULL;
+
+uint64_t Word(size_t hash, size_t id) { return (hash & kTagMask) | (id + 1); }
+
+size_t IdOf(uint64_t word) { return (word & kIdMask) - 1; }
+
 /// Out-of-line heap bytes of one key tuple: the value vector plus string
 /// payloads (the Tuple object itself is counted via the arena's capacity).
 size_t ApproxTupleBytes(const Tuple& t) {
@@ -20,17 +31,17 @@ size_t ApproxTupleBytes(const Tuple& t) {
 void HashKeyIndex::Reset() {
   num_keys_ = 0;
   key_bytes_ = 0;
-  std::fill(slots_.begin(), slots_.end(), kEmpty);
+  std::fill(slots_.begin(), slots_.end(), 0);
 }
 
 void HashKeyIndex::Grow() {
   size_t new_size = slots_.empty() ? kInitialSlots : slots_.size() * 2;
-  slots_.assign(new_size, kEmpty);
+  slots_.assign(new_size, 0);
   size_t mask = new_size - 1;
   for (size_t id = 0; id < num_keys_; ++id) {
     size_t pos = hashes_[id] & mask;
-    while (slots_[pos] != kEmpty) pos = (pos + 1) & mask;
-    slots_[pos] = id;
+    while (slots_[pos] != 0) pos = (pos + 1) & mask;
+    slots_[pos] = Word(hashes_[id], id);
   }
 }
 
@@ -39,11 +50,12 @@ size_t HashKeyIndex::InsertKey(const Tuple& row,
                                bool* inserted) {
   // Grow at 70% load so linear probing stays short.
   if (slots_.empty() || (num_keys_ + 1) * 10 >= slots_.size() * 7) Grow();
-  size_t mask = slots_.size() - 1;
-  size_t pos = h & mask;
-  while (true) {
-    size_t id = slots_[pos];
-    if (id == kEmpty) {
+  const size_t mask = slots_.size() - 1;
+  const uint64_t tag = h & kTagMask;
+  for (size_t pos = h & mask;; pos = (pos + 1) & mask) {
+    const uint64_t word = slots_[pos];
+    if (word == 0) {
+      MRA_CHECK_LT(num_keys_, kIdMask) << "hash key index too large";
       if (num_keys_ == keys_.size()) {
         keys_.emplace_back();
         hashes_.emplace_back();
@@ -54,15 +66,15 @@ size_t HashKeyIndex::InsertKey(const Tuple& row,
       keys_[num_keys_].AssignProjection(row, attrs);
       hashes_[num_keys_] = h;
       key_bytes_ += ApproxTupleBytes(keys_[num_keys_]);
-      slots_[pos] = num_keys_;
+      slots_[pos] = Word(h, num_keys_);
       *inserted = true;
       return num_keys_++;
     }
-    if (hashes_[id] == h && row.KeyEquals(keys_[id], attrs)) {
+    const size_t id = IdOf(word);
+    if ((word & kTagMask) == tag && row.KeyEquals(keys_[id], attrs)) {
       *inserted = false;
       return id;
     }
-    pos = (pos + 1) & mask;
   }
 }
 
@@ -70,13 +82,14 @@ size_t HashKeyIndex::FindKey(const Tuple& row,
                              const std::vector<size_t>& attrs,
                              size_t h) const {
   if (slots_.empty() || num_keys_ == 0) return kNotFound;
-  size_t mask = slots_.size() - 1;
-  size_t pos = h & mask;
-  while (true) {
-    size_t id = slots_[pos];
-    if (id == kEmpty) return kNotFound;
-    if (hashes_[id] == h && row.KeyEquals(keys_[id], attrs)) return id;
-    pos = (pos + 1) & mask;
+  const size_t mask = slots_.size() - 1;
+  const uint64_t tag = h & kTagMask;
+  for (size_t pos = h & mask;; pos = (pos + 1) & mask) {
+    const uint64_t word = slots_[pos];
+    if (word == 0) return kNotFound;
+    if ((word & kTagMask) == tag && row.KeyEquals(keys_[IdOf(word)], attrs)) {
+      return IdOf(word);
+    }
   }
 }
 

@@ -5,8 +5,9 @@
 //
 // Design points:
 //  * Keys live in a dense arena (`id` indexes it), the slot array holds
-//    only ids — growth rehashes by stored hash, never re-touching key
-//    tuples.
+//    (hash tag | id) words — a probe rejects almost every other key by
+//    its tag without touching the arena, and growth rehashes by stored
+//    hash, never re-touching key tuples.
 //  * Storage is recycled across Open()s the same way RowBatch recycles
 //    rows: Reset() zeroes the logical size but parks the key tuples and
 //    keeps the slot array, so a reopened operator (or the next query run
@@ -86,13 +87,12 @@ class HashKeyIndex {
  private:
   void Grow();
 
-  static constexpr size_t kEmpty = static_cast<size_t>(-1);
   static constexpr size_t kInitialSlots = 64;  // Power of two.
 
   size_t num_keys_ = 0;
   std::vector<Tuple> keys_;       // Dense arena; parked past num_keys_.
   std::vector<size_t> hashes_;    // Stored hash per key id.
-  std::vector<size_t> slots_;     // Linear-probed table of ids (kEmpty = free).
+  std::vector<uint64_t> slots_;   // Linear-probed (tag | id + 1); 0 = free.
   size_t key_bytes_ = 0;          // Approximate bytes of the live keys.
 };
 

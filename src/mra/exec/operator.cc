@@ -73,13 +73,16 @@ uint64_t ApproxTupleBytes(const Tuple& tuple) {
   return bytes;
 }
 
-// The flat layout: per entry its tuple, count and stored hash, plus the
-// index words (one per bucket, at the index's own load factor).
+// The flat layout: the dense storage at its capacity (spare room
+// included), an entry and its stored hash each, the index words (one per
+// bucket, at the index's own load factor), and each live tuple's values.
 uint64_t ApproxRelationBytes(const Relation& rel) {
-  uint64_t bytes = sizeof(Relation) + rel.index_capacity() * sizeof(uint64_t);
+  uint64_t bytes =
+      sizeof(Relation) + rel.index_capacity() * sizeof(uint64_t) +
+      rel.entry_capacity() * (sizeof(Relation::Entry) + sizeof(uint64_t));
   for (const auto& [tuple, count] : rel) {
     (void)count;
-    bytes += ApproxTupleBytes(tuple) + 2 * sizeof(uint64_t);
+    bytes += ApproxTupleBytes(tuple) - sizeof(Tuple);
   }
   return bytes;
 }

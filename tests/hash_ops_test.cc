@@ -621,10 +621,10 @@ TEST(HashOpsTest, BagCountSaturatesRhsSums) {
 }
 
 TEST(HashOpsTest, BagCountFailsTypedWhenAnLhsSumOverflows) {
-  // On more than one lane the lhs is pre-collapsed per lane.  Five rows of
-  // 2^63 for one key put at least two in one of at most four lanes, whose
-  // sum overflows: the query fails naming the operator instead of
-  // wrapping, and hands back every byte it charged.
+  // The lhs rows of a key that meets a budget are summed as they spend
+  // it.  Five rows of 2^63 for one key overflow that sum on every lane
+  // count: the query fails naming the operator instead of wrapping, and
+  // hands back every byte it charged.
   Relation big = IntRel("b", {}, 1);
   ASSERT_OK(big.Insert(IntTuple({1}), uint64_t{1} << 63));
   Relation rhs = IntRel("r", {{1}}, 1);
@@ -635,7 +635,7 @@ TEST(HashOpsTest, BagCountFailsTypedWhenAnLhsSumOverflows) {
     }
     return op;
   };
-  for (size_t workers : {size_t{2}, size_t{4}}) {
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
     for (BagFn fn : {BagFn::kDifference, BagFn::kIntersect}) {
       ExecContext ctx;
       PhysOpPtr op = BagCount(fn, five(), Scan(rhs), workers, 1);
@@ -647,6 +647,41 @@ TEST(HashOpsTest, BagCountFailsTypedWhenAnLhsSumOverflows) {
           << got.status().ToString();
       EXPECT_EQ(ctx.mem_used(), 0u);
     }
+  }
+}
+
+TEST(HashOpsTest, BagCountHoldsEachKeyOnceOnEveryLaneCount) {
+  // The lanes insert a partition's rows under its lock, so a key that
+  // every lane meets still sits in one key set: the held keys are the
+  // rhs's distinct keys for − and ∩ (here four copies of `a`), and the
+  // result's for δ, whatever the lane count.
+  Relation a = IntRel("a", {}, 1);
+  for (int64_t i = 0; i < 3000; ++i) {
+    ASSERT_OK(a.Insert(IntTuple({i % 500}), 1 + i % 3));
+  }
+  // Four copies of `a` in one stream: every key reaches several lanes.
+  auto four = [&] {
+    PhysOpPtr op = Scan(a);
+    for (int i = 0; i < 3; ++i) {
+      op = std::make_unique<UnionAllOp>(std::move(op), Scan(a));
+    }
+    return op;
+  };
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (BagFn fn : {BagFn::kDifference, BagFn::kIntersect}) {
+      PhysOpPtr op = BagCount(fn, four(), four(), workers, 64);
+      ASSERT_OK(ExecuteToRelation(*op).status());
+      EXPECT_EQ(op->metrics().peak_hash_entries, a.distinct_size())
+          << op->name() << " workers=" << workers;
+    }
+    PhysOpPtr dedup = BagCount(BagFn::kUnique, four(), nullptr, workers, 64);
+    auto got = ExecuteToRelation(*dedup);
+    ASSERT_OK(got);
+    EXPECT_EQ(got->distinct_size(), a.distinct_size());
+    EXPECT_EQ(dedup->metrics().peak_hash_entries, a.distinct_size())
+        << "workers=" << workers;
+    EXPECT_EQ(dedup->metrics().distinct_rows, a.distinct_size())
+        << "workers=" << workers;
   }
 }
 
