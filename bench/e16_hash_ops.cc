@@ -199,18 +199,13 @@ uint64_t Drain(exec::PhysicalOperator& root) {
 
 using OpFactory = std::function<exec::PhysOpPtr()>;
 
-/// Best-of-3 wall-clock seconds to drain a freshly built tree.
+/// Wall-clock seconds to drain a freshly built tree.
 double SecondsToDrain(const OpFactory& make, uint64_t* weighted_out) {
-  double best = 1e30;
-  for (int rep = 0; rep < 3; ++rep) {
-    exec::PhysOpPtr root = make();
-    auto start = std::chrono::steady_clock::now();
-    *weighted_out = Drain(*root);
-    auto end = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double>(end - start).count());
-  }
-  return best;
+  exec::PhysOpPtr root = make();
+  auto start = std::chrono::steady_clock::now();
+  *weighted_out = Drain(*root);
+  auto end = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(end - start).count();
 }
 
 /// Times hash vs legacy, asserts identical result multisets, prints one
@@ -224,9 +219,14 @@ void Compare(const char* label, size_t scale, const OpFactory& hash,
   MRA_CHECK(hash_result.Equals(legacy_result))
       << label << ": hash kernel changed the result multiset";
 
+  // Interleaved best-of-5 per side: wall-clock seconds, so a scheduler
+  // hiccup pollutes one run of one side, not the ratio.
   uint64_t hash_weighted = 0, legacy_weighted = 0;
-  double hash_s = SecondsToDrain(hash, &hash_weighted);
-  double legacy_s = SecondsToDrain(legacy, &legacy_weighted);
+  double hash_s = 1e30, legacy_s = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    hash_s = std::min(hash_s, SecondsToDrain(hash, &hash_weighted));
+    legacy_s = std::min(legacy_s, SecondsToDrain(legacy, &legacy_weighted));
+  }
   MRA_CHECK(hash_weighted == legacy_weighted)
       << label << ": kernels drained different bag cardinalities";
 

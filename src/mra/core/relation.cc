@@ -4,27 +4,7 @@
 #include <cstdint>
 #include <sstream>
 
-#include "mra/common/check.h"
-
 namespace mra {
-
-namespace {
-
-// An index word is (tag | slot + 1): the hash's top 32 bits over the slot
-// (offset by one so that 0 marks a free bucket).  Buckets are picked by the
-// hash's low bits, so the tag filters almost every non-matching probe
-// before any tuple is compared.
-constexpr uint64_t kTagMask = 0xFFFFFFFF00000000ULL;
-constexpr uint64_t kSlotMask = 0x00000000FFFFFFFFULL;
-constexpr size_t kMinBuckets = 8;
-
-uint64_t Word(uint64_t hash, size_t slot) {
-  return (hash & kTagMask) | (slot + 1);
-}
-
-size_t SlotOf(uint64_t word) { return (word & kSlotMask) - 1; }
-
-}  // namespace
 
 Status Relation::Insert(const Tuple& tuple, uint64_t count) {
   MRA_RETURN_IF_ERROR(tuple.ConformsTo(schema_));
@@ -46,13 +26,23 @@ void Relation::InsertUnchecked(Tuple&& tuple, uint64_t count) {
 }
 
 uint64_t Relation::Remove(const Tuple& tuple, uint64_t count) {
-  const size_t bucket = FindBucket(tuple, tuple.Hash());
-  if (bucket == kNotFound) return 0;
-  uint64_t& have = entries_[SlotOf(index_[bucket])].second;
+  const size_t slot = FindSlot(tuple, tuple.Hash());
+  if (slot == TagIndex::kNotFound) return 0;
+  uint64_t& have = entries_[slot].second;
   const uint64_t removed = std::min(count, have);
   have -= removed;
   total_ -= removed;
-  if (have == 0) EraseAt(bucket);
+  if (have == 0) {
+    // The last entry moves into the freed slot.
+    const size_t last = entries_.size() - 1;
+    index_.Erase(slot, last, [this](size_t s) { return hashes_[s]; });
+    if (slot != last) {
+      entries_[slot] = std::move(entries_[last]);
+      hashes_[slot] = hashes_[last];
+    }
+    entries_.pop_back();
+    hashes_.pop_back();
+  }
   return removed;
 }
 
@@ -73,88 +63,40 @@ uint64_t Relation::Multiplicity(const Tuple& tuple) const {
 void Relation::Clear() {
   entries_.clear();
   hashes_.clear();
-  std::fill(index_.begin(), index_.end(), 0);
+  index_.Clear();
   total_ = 0;
 }
 
-size_t Relation::FindBucket(const Tuple& tuple, uint64_t hash) const {
-  if (entries_.empty()) return kNotFound;
-  const size_t mask = index_.size() - 1;
-  const uint64_t tag = hash & kTagMask;
-  for (size_t b = hash & mask;; b = (b + 1) & mask) {
-    const uint64_t word = index_[b];
-    if (word == 0) return kNotFound;
-    if ((word & kTagMask) == tag &&
-        TupleEq()(entries_[SlotOf(word)].first, tuple)) {
-      return b;
-    }
-  }
+uint64_t Relation::ApproxBytes() const {
+  uint64_t bytes = sizeof(Relation) + index_.capacity() * sizeof(uint64_t) +
+                   entry_capacity() * (sizeof(Entry) + sizeof(uint64_t));
+  for (const Entry& entry : entries_) bytes += entry.first.HeapBytes();
+  return bytes;
+}
+
+size_t Relation::FindSlot(const Tuple& tuple, uint64_t hash) const {
+  return index_.Find(hash, [&](size_t slot) {
+    return TupleEq()(entries_[slot].first, tuple);
+  });
 }
 
 uint64_t Relation::CountAt(const Tuple& tuple, uint64_t hash) const {
-  const size_t bucket = FindBucket(tuple, hash);
-  return bucket == kNotFound ? 0 : entries_[SlotOf(index_[bucket])].second;
+  const size_t slot = FindSlot(tuple, hash);
+  return slot == TagIndex::kNotFound ? 0 : entries_[slot].second;
 }
 
 template <typename T>
 uint64_t& Relation::CountFor(T&& tuple, uint64_t hash) {
-  if ((entries_.size() + 1) * 8 > index_.size() * 7) GrowIndex();
-  const size_t mask = index_.size() - 1;
-  const uint64_t tag = hash & kTagMask;
-  for (size_t b = hash & mask;; b = (b + 1) & mask) {
-    const uint64_t word = index_[b];
-    if (word == 0) {
-      MRA_CHECK_LT(entries_.size(), kSlotMask) << "relation support too large";
-      index_[b] = Word(hash, entries_.size());
-      hashes_.push_back(hash);
-      entries_.emplace_back(std::forward<T>(tuple), 0);
-      return entries_.back().second;
-    }
-    if ((word & kTagMask) == tag) {
-      Entry& entry = entries_[SlotOf(word)];
-      if (TupleEq()(entry.first, tuple)) return entry.second;
-    }
+  bool inserted = false;
+  const size_t slot = index_.Insert(
+      hash, entries_.size(),
+      [&](size_t s) { return TupleEq()(entries_[s].first, tuple); },
+      [this](size_t s) { return hashes_[s]; }, &inserted);
+  if (inserted) {
+    hashes_.push_back(hash);
+    entries_.emplace_back(std::forward<T>(tuple), 0);
   }
-}
-
-void Relation::EraseAt(size_t bucket) {
-  const size_t mask = index_.size() - 1;
-  const size_t slot = SlotOf(index_[bucket]);
-  // Backward shift: pull each later word of the probe run into the hole
-  // unless the hole lies before its home bucket, so every remaining word
-  // stays reachable from its home without tombstones.
-  size_t hole = bucket;
-  for (size_t b = (hole + 1) & mask; index_[b] != 0; b = (b + 1) & mask) {
-    const size_t home = hashes_[SlotOf(index_[b])] & mask;
-    if (((b - home) & mask) >= ((b - hole) & mask)) {
-      index_[hole] = index_[b];
-      hole = b;
-    }
-  }
-  index_[hole] = 0;
-  // Swap-move the last entry into the freed slot and re-point its word.
-  const size_t last = entries_.size() - 1;
-  if (slot != last) {
-    const uint64_t hash = hashes_[last];
-    size_t b = hash & mask;
-    while ((index_[b] & kSlotMask) != last + 1) b = (b + 1) & mask;
-    index_[b] = Word(hash, slot);
-    entries_[slot] = std::move(entries_[last]);
-    hashes_[slot] = hash;
-  }
-  entries_.pop_back();
-  hashes_.pop_back();
-}
-
-void Relation::GrowIndex() {
-  const size_t buckets = index_.empty() ? kMinBuckets : index_.size() * 2;
-  index_.assign(buckets, 0);
-  const size_t mask = buckets - 1;
-  for (size_t slot = 0; slot < hashes_.size(); ++slot) {
-    size_t b = hashes_[slot] & mask;
-    while (index_[b] != 0) b = (b + 1) & mask;
-    index_[b] = Word(hashes_[slot], slot);
-  }
+  return entries_[slot].second;
 }
 
 bool Relation::Equals(const Relation& other) const {

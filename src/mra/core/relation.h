@@ -5,13 +5,12 @@
 // in space and time.
 //
 // Layout: the pairs sit in one dense vector (slots 0 … distinct_size() − 1,
-// each with its stored 64-bit hash), indexed by one open-addressing table
-// of (hash tag | slot + 1) words at power-of-two capacity, load ≤ 7/8,
-// probed linearly.  Growth rehashes from the stored hashes, never calling
-// Tuple::Hash again.  Removing a tuple swap-moves the last entry into its
-// slot and deletes its index word by backward shift, so no tombstones
-// build up under insert/delete churn.  Slot order is not part of the value:
-// every order-sensitive walk goes through SortedView.
+// each with its stored 64-bit hash), indexed by slot through a TagIndex
+// (core/tag_index.h), so growth re-places slots from the stored hashes and
+// never calls Tuple::Hash again.  Removing a tuple swap-moves the last
+// entry into its slot, and the index re-points that entry's word.  Slot
+// order is not part of the value: every order-sensitive walk goes through
+// SortedView.
 
 #ifndef MRA_CORE_RELATION_H_
 #define MRA_CORE_RELATION_H_
@@ -24,6 +23,7 @@
 
 #include "mra/common/result.h"
 #include "mra/core/schema.h"
+#include "mra/core/tag_index.h"
 #include "mra/core/tuple.h"
 
 namespace mra {
@@ -73,7 +73,7 @@ class Relation {
   size_t distinct_size() const { return entries_.size(); }
   bool empty() const { return total_ == 0; }
   /// Buckets of the index (a power of two, or 0 before the first insert).
-  size_t index_capacity() const { return index_.size(); }
+  size_t index_capacity() const { return index_.capacity(); }
   /// Entries the dense storage holds room for (>= distinct_size(); growth
   /// and removals leave spare room, which Clear() keeps too).
   size_t entry_capacity() const {
@@ -81,6 +81,11 @@ class Relation {
   }
 
   void Clear();
+
+  /// Approximate heap bytes held, for budget charges: the dense storage at
+  /// its capacity (spare room included), an entry and its stored hash
+  /// each, the index words, and each live tuple's values.
+  uint64_t ApproxBytes() const;
 
   /// R1 = R2 (Definition 2.3): pointwise-equal multiplicity functions.
   /// Relations over incompatible schemas are never equal.
@@ -115,10 +120,8 @@ class Relation {
   std::string ToString() const;
 
  private:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
-
-  /// The bucket whose word names `tuple` (hashing to `hash`), or kNotFound.
-  size_t FindBucket(const Tuple& tuple, uint64_t hash) const;
+  /// The slot of `tuple` (hashing to `hash`), or TagIndex::kNotFound.
+  size_t FindSlot(const Tuple& tuple, uint64_t hash) const;
   /// R(tuple) given its hash: the other relation's stored hashes probe
   /// this index directly (both use Tuple::Hash), so Equals and
   /// MultiSubsetOf rehash nothing.
@@ -127,15 +130,11 @@ class Relation {
   /// is absent.
   template <typename T>
   uint64_t& CountFor(T&& tuple, uint64_t hash);
-  /// Drops the entry named at `bucket`: backward-shift deletion in the
-  /// index, then the last entry moves into the freed slot.
-  void EraseAt(size_t bucket);
-  void GrowIndex();
 
   RelationSchema schema_;
   std::vector<Entry> entries_;
   std::vector<uint64_t> hashes_;  // hashes_[s] == entries_[s].first.Hash().
-  std::vector<uint64_t> index_;   // (tag | slot + 1) words; 0 = free.
+  TagIndex index_;                // Tuple → slot.
   uint64_t total_ = 0;
 };
 

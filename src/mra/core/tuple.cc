@@ -82,14 +82,23 @@ size_t Tuple::HashKey(const std::vector<size_t>& attrs) const {
   return h;
 }
 
-bool Tuple::KeyEquals(const Tuple& key, const std::vector<size_t>& attrs) const {
-  MRA_CHECK_EQ(key.arity(), attrs.size()) << "KeyEquals arity mismatch";
+bool Tuple::KeysEqual(const std::vector<size_t>& attrs, const Tuple& other,
+                      const std::vector<size_t>& other_attrs) const {
+  MRA_CHECK_EQ(attrs.size(), other_attrs.size()) << "KeysEqual arity mismatch";
   for (size_t k = 0; k < attrs.size(); ++k) {
     const Value& mine = values_[attrs[k]];
-    const Value& theirs = key.values_[k];
+    const Value& theirs = other.values_[other_attrs[k]];
     if (mine.kind() != theirs.kind() || !mine.Equals(theirs)) return false;
   }
   return true;
+}
+
+size_t Tuple::HeapBytes() const {
+  size_t bytes = values_.size() * sizeof(Value);
+  for (const Value& v : values_) {
+    if (v.kind() == TypeKind::kString) bytes += v.string_value().capacity();
+  }
+  return bytes;
 }
 
 Status Tuple::ConformsTo(const RelationSchema& schema) const {

@@ -78,9 +78,15 @@ class Tuple {
   /// hashed against stored key tuples allocation-free.
   size_t HashKey(const std::vector<size_t>& attrs) const;
 
-  /// key == π_attrs(*this), again without materialising the projection.
-  /// `key` must have arity attrs.size().
-  bool KeyEquals(const Tuple& key, const std::vector<size_t>& attrs) const;
+  /// π_attrs(*this) == π_other_attrs(other) without materialising either
+  /// projection (the lists pair up by position and must have one length;
+  /// values of different kinds are never equal).
+  bool KeysEqual(const std::vector<size_t>& attrs, const Tuple& other,
+                 const std::vector<size_t>& other_attrs) const;
+
+  /// Approximate heap bytes of the values: arity × sizeof(Value) plus
+  /// string capacities.  Budget charges add their own struct sizes.
+  size_t HeapBytes() const;
 
   /// Checks that this tuple inhabits dom(schema): arity and domains match.
   Status ConformsTo(const RelationSchema& schema) const;

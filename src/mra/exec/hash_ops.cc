@@ -34,21 +34,6 @@ void CountHashRows(uint64_t build_rows, uint64_t probe_rows) {
   if (probe_rows > 0) probe->Inc(probe_rows);
 }
 
-size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-// Same coarse budget estimate the materialising operators use.
-uint64_t ApproxRowBytes(const Row& row) {
-  uint64_t bytes = sizeof(Row) + row.tuple.arity() * sizeof(Value);
-  for (const Value& v : row.tuple.values()) {
-    if (v.kind() == TypeKind::kString) bytes += v.string_value().capacity();
-  }
-  return bytes;
-}
-
 // The partition of a key hash among 2^bits: its top bits.  The key
 // indexes place a key by the hash's low bits, so routing on those too
 // would crowd every partition's keys onto 1/P of its index slots.
@@ -240,13 +225,27 @@ HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
       << "HashJoin requires at least one key pair";
 }
 
+uint64_t HashJoinOp::ArenaBytes(uint64_t rows, uint64_t chains,
+                                uint64_t buckets) {
+  return rows * (sizeof(Row) + sizeof(size_t)) +
+         chains * 2 * sizeof(size_t) + buckets * sizeof(uint64_t);
+}
+
 void HashJoinOp::Partition::Add(Row&& row, const std::vector<size_t>& keys,
                                 size_t hash) {
   bool inserted = false;
-  size_t id = index.InsertKey(row.tuple, keys, hash, &inserted);
-  if (inserted) heads.push_back(kNone);
-  next.push_back(heads[id]);
-  heads[id] = rows.size();
+  const size_t chain = index.Insert(
+      hash, heads.size(),
+      [&](size_t c) {
+        return row.tuple.KeysEqual(keys, rows[heads[c]].tuple, keys);
+      },
+      [this](size_t c) { return hashes[c]; }, &inserted);
+  if (inserted) {
+    heads.push_back(kNone);
+    hashes.push_back(hash);
+  }
+  next.push_back(heads[chain]);
+  heads[chain] = rows.size();
   rows.push_back(std::move(row));
 }
 
@@ -294,7 +293,7 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
   } else {
     // A few partitions per lane so the dynamic claim evens out skewed key
     // distributions.
-    const size_t parts = NextPow2(4 * lanes);
+    const size_t parts = std::bit_ceil(4 * lanes);
     radix_bits_ = std::countr_zero(parts);
     ExecContext* ctx = exec_context();
     const bool governed = ctx != nullptr;
@@ -312,7 +311,7 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
           for (Row& row : morsel) {
             const size_t h = row.tuple.HashKey(right_keys_);
             Staged& part = stage[PartitionOf(h, radix_bits_)];
-            if (governed) bytes += ApproxRowBytes(row);
+            if (governed) bytes += sizeof(Row) + row.tuple.HeapBytes();
             part.rows.push_back(std::move(row));
             part.hashes.push_back(h);
           }
@@ -331,11 +330,11 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
     partitions_ = std::vector<Partition>(parts);
     MRA_RETURN_IF_ERROR(RunPartitionPhase(
         lease, ctx, parts, &metrics_.cpu_ns, [&](size_t p) {
+          Partition& part = partitions_[p];
           for (size_t l = 0; l < lanes; ++l) {
             Staged& from = staged[l][p];
             for (size_t i = 0; i < from.rows.size(); ++i) {
-              partitions_[p].Add(std::move(from.rows[i]), right_keys_,
-                                 from.hashes[i]);
+              part.Add(std::move(from.rows[i]), right_keys_, from.hashes[i]);
             }
             // Release staged storage as it is consumed, partition by
             // partition, so peak memory is staged + one arena, not 2x.
@@ -347,7 +346,7 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
   size_t entries = 0;
   for (const Partition& part : partitions_) {
     *arena_bytes += part.ApproxBytes();
-    entries += part.index.size();
+    entries += part.heads.size();
   }
   metrics_.peak_hash_entries = entries;
   return NoteHashFootprint(*arena_bytes);
@@ -435,13 +434,17 @@ Status HashJoinOp::Probe(ProbeCursor& c, RowBatch& out, Pull pull) {
       const Tuple& probe = c.batch[c.pos].tuple;
       ++c.probed;
       const size_t h = probe.HashKey(left_keys_);
-      c.part = &partitions_[PartitionOf(h, radix_bits_)];
-      size_t id = c.part->index.FindKey(probe, left_keys_, h);
-      if (id == HashKeyIndex::kNotFound) {
+      const Partition& part = partitions_[PartitionOf(h, radix_bits_)];
+      const size_t chain = part.index.Find(h, [&](size_t id) {
+        return probe.KeysEqual(left_keys_, part.rows[part.heads[id]].tuple,
+                               right_keys_);
+      });
+      if (chain == TagIndex::kNotFound) {
         ++c.pos;
         continue;
       }
-      c.chain = c.part->heads[id];
+      c.part = &part;
+      c.chain = part.heads[chain];
     }
     // Concat into a recycled slot; on residual rejection truncate it back
     // off.  Rows with the same key chain newest first — chain order only
@@ -521,8 +524,6 @@ HashGroupByOp::HashGroupByOp(std::vector<size_t> keys,
   for (const AggSpec& agg : aggs_) {
     agg_types_.push_back(child_->schema().TypeOf(agg.attr));
   }
-  key_identity_.resize(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) key_identity_[i] = i;
 }
 
 Status HashGroupByOp::OpenImpl() {
@@ -536,7 +537,7 @@ Status HashGroupByOp::OpenImpl() {
   // Key-free aggregation has a single global group: one partition, merged
   // serially — the classic two-phase shape.
   const size_t parts =
-      (lanes == 1 || keys_.empty()) ? 1 : NextPow2(4 * lanes);
+      (lanes == 1 || keys_.empty()) ? 1 : std::bit_ceil(4 * lanes);
   const int bits = std::countr_zero(parts);
   metrics_.workers = static_cast<uint32_t>(lanes);
   ExecContext* ctx = exec_context();
@@ -607,9 +608,9 @@ Status HashGroupByOp::OpenImpl() {
             for (size_t id = 0; id < t.index.size(); ++id) {
               for (size_t e = 0; e < l; ++e) {
                 GroupTable& owner = lane_tables_[e][p];
-                size_t oid = owner.index.FindKey(t.index.key(id), key_identity_,
-                                                 t.index.hash(id));
-                if (oid == HashKeyIndex::kNotFound) continue;
+                size_t oid = owner.index.FindKey(
+                    t.index.key(id), t.index.key_attrs(), t.index.hash(id));
+                if (oid == TagIndex::kNotFound) continue;
                 for (size_t i = 0; i < num_aggs; ++i) {
                   owner.accs[oid * num_aggs + i].Merge(
                       t.accs[id * num_aggs + i]);
@@ -631,7 +632,7 @@ Status HashGroupByOp::OpenImpl() {
   if (keys_.empty() && groups == 0) {
     GroupTable& global = lane_tables_[0][0];
     bool inserted = false;
-    global.index.InsertKey(Tuple{}, keys_, &inserted);
+    global.index.InsertKey(Tuple{}, keys_, Tuple{}.HashKey(keys_), &inserted);
     for (size_t i = 0; i < num_aggs; ++i) {
       global.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
     }
@@ -790,7 +791,7 @@ Status BagCountOp::OpenImpl() {
   WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   const size_t lanes = lease.lanes();
   metrics_.workers = static_cast<uint32_t>(lanes);
-  const size_t parts = lanes == 1 ? 1 : NextPow2(4 * lanes);
+  const size_t parts = lanes == 1 ? 1 : std::bit_ceil(4 * lanes);
   uint64_t bytes = 0;
   if (rhs_ != nullptr) {
     // − and ∩ build the rhs first: its count sums are the budgets.
@@ -833,13 +834,14 @@ Status BagCountOp::StreamBatch(RowBatch& out) {
       if (fn_ == BagFn::kUnique) {
         // δ's budget of 1, set as the key is first seen, goes at once.
         bool inserted = false;
-        sets_[0].index.InsertKey(tuple, identity_, &inserted);
+        sets_[0].index.InsertKey(tuple, identity_, tuple.HashKey(identity_),
+                                 &inserted);
         t = inserted ? 1 : 0;
       } else {
         const size_t h = tuple.HashKey(identity_);
         CountTable& set = sets_[PartitionOf(h, radix_bits_)];
         const size_t id = set.index.FindKey(tuple, identity_, h);
-        if (id != HashKeyIndex::kNotFound) {
+        if (id != TagIndex::kNotFound) {
           if (__builtin_add_overflow(set.seen[id], c, &set.seen[id])) {
             return Status::EvalError(
                 std::string(name()) +

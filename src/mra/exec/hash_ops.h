@@ -92,10 +92,12 @@ class SharedCursor {
 /// input keyed by its key attributes, probes with left rows, and applies
 /// the residual condition (non-equi conjuncts) to survivors.  Output
 /// multiplicity is the product of the matched input multiplicities
-/// (Definition 3.1 via Theorem 3.1's σ_φ(E1 × E2) equivalence).  On more
-/// than one lane: radix-partition the build side, build one private arena
-/// per partition in parallel; the partitions are read-only from then on,
-/// so any number of lanes can probe them.  A join drained by lanes (a
+/// (Definition 3.1 via Theorem 3.1's σ_φ(E1 × E2) equivalence).  No key is
+/// copied: a probe compares its left keys with a key chain's stored build
+/// row.  On more than one lane: radix-partition the build side, build one
+/// private arena per partition in parallel; the partitions are read-only
+/// from then on, so any number of lanes can probe them.  A join drained by
+/// lanes (a
 /// partitioned source) probes on its consumer's lanes, morsel by morsel,
 /// and materialises nothing; one drained through NextBatch probes on its
 /// own lanes into per-lane outputs first.
@@ -106,6 +108,11 @@ class HashJoinOp final : public PhysicalOperator {
   HashJoinOp(std::vector<size_t> left_keys, std::vector<size_t> right_keys,
              ExprPtr residual_or_null, PhysOpPtr left, PhysOpPtr right,
              size_t workers = 1, size_t morsel_size = kDefaultBatchSize);
+
+  /// Heap bytes of a build arena of `rows` rows in `chains` key chains under
+  /// `buckets` index words, values not counted: what the join charges and
+  /// the planner's join-strategy pick estimates.
+  static uint64_t ArenaBytes(uint64_t rows, uint64_t chains, uint64_t buckets);
 
   const RelationSchema& schema() const override { return schema_; }
   std::string_view name() const override { return "HashJoin"; }
@@ -123,20 +130,20 @@ class HashJoinOp final : public PhysicalOperator {
  private:
   static constexpr size_t kNone = static_cast<size_t>(-1);
 
-  /// One radix partition's build arena: a key index plus per-key chains
-  /// (newest first) through flat row storage, private to the lane that
-  /// built it and read-only during the probe.
+  /// One radix partition's build arena: an index from key to chain, and
+  /// per-key chains (newest first) through flat row storage, private to
+  /// the lane that built it and read-only during the probe.
   struct Partition {
     /// Adds a build row whose key hash is `hash`.
     void Add(Row&& row, const std::vector<size_t>& keys, size_t hash);
 
-    HashKeyIndex index;
-    std::vector<size_t> heads;
+    TagIndex index;              // Key → chain, compared at the head row.
+    std::vector<size_t> heads;   // [chain] its newest row.
+    std::vector<size_t> hashes;  // [chain] its key hash.
     std::vector<Row> rows;
-    std::vector<size_t> next;
-    size_t ApproxBytes() const {
-      return index.ApproxBytes() + heads.capacity() * sizeof(size_t) +
-             next.capacity() * sizeof(size_t) + rows.capacity() * sizeof(Row);
+    std::vector<size_t> next;    // [row] the next row of its chain.
+    uint64_t ApproxBytes() const {
+      return ArenaBytes(rows.capacity(), heads.capacity(), index.capacity());
     }
   };
 
@@ -242,7 +249,6 @@ class HashGroupByOp final : public PhysicalOperator {
   std::vector<size_t> keys_;
   std::vector<AggSpec> aggs_;
   std::vector<Type> agg_types_;  // Input type per aggregate, for ctors.
-  std::vector<size_t> key_identity_;  // 0..keys-1: re-keying stored keys.
   RelationSchema schema_;
   PhysOpPtr child_;
   size_t workers_;

@@ -1,26 +1,17 @@
-// A recycled open-addressing hash index over tuple keys — the shared core
-// of the hash-based physical operators: the hash join's build table, hash
-// group-by's group table and hash δ's seen-set all reduce to "map the key
-// projection of a tuple to a dense id".
+// A recycled hash index over owned tuple keys: the key store of the hash
+// kernels that must keep their keys, hash group-by's group table and the
+// δ/−/∩ key sets.  Keys live in a dense arena (`id` indexes it) with a
+// stored hash each, under a TagIndex (core/tag_index.h).  Probing hashes
+// and compares the probe row's key attributes in place (Tuple::HashKey /
+// KeysEqual), never materialising a key tuple.
 //
-// Design points:
-//  * Keys live in a dense arena (`id` indexes it), the slot array holds
-//    (hash tag | id) words — a probe rejects almost every other key by
-//    its tag without touching the arena, and growth rehashes by stored
-//    hash, never re-touching key tuples.
-//  * Storage is recycled across Open()s the same way RowBatch recycles
-//    rows: Reset() zeroes the logical size but parks the key tuples and
-//    keeps the slot array, so a reopened operator (or the next query run
-//    through a pooled operator tree) rebuilds without reallocating.
-//    Inserts AssignProjection into the parked tuples, reusing their value
-//    buffers.
-//  * Probing hashes the key attributes of the probe row in place
-//    (Tuple::HashKey / KeyEquals): the probe path never materialises a key
-//    tuple, which is where the hash join's per-row allocation used to go.
-//  * ApproxBytes() reports the arena's heap footprint (slot array + key
-//    tuples; string payloads counted, allocator slack not) for the
-//    operator memory accounting surfaced by EXPLAIN ANALYZE and the
-//    `hash.peak_bytes` gauge.
+// Storage is recycled across Open()s the same way RowBatch recycles rows:
+// Reset() zeroes the logical size but parks the key tuples and keeps the
+// index's capacity, and inserts AssignProjection into the parked tuples,
+// so a reopened operator rebuilds without reallocating.  ApproxBytes()
+// reports the heap footprint (index words, stored hashes and key tuples;
+// string payloads counted, allocator slack not) for the memory accounting
+// surfaced by EXPLAIN ANALYZE and the `hash.peak_bytes` gauge.
 
 #ifndef MRA_EXEC_HASH_TABLE_H_
 #define MRA_EXEC_HASH_TABLE_H_
@@ -28,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mra/core/tag_index.h"
 #include "mra/core/tuple.h"
 
 namespace mra {
@@ -35,33 +27,32 @@ namespace exec {
 
 class HashKeyIndex {
  public:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
-
   /// Number of distinct keys currently held.
   size_t size() const { return num_keys_; }
 
-  /// Logical reset; parked keys keep their tuple storage, the slot array
-  /// keeps its capacity.
-  void Reset();
-
-  /// Finds the dense id of π_attrs(row), inserting it if absent;
-  /// *inserted reports which happened.  Ids are assigned 0, 1, 2, … in
-  /// first-occurrence order.
-  size_t InsertKey(const Tuple& row, const std::vector<size_t>& attrs,
-                   bool* inserted) {
-    return InsertKey(row, attrs, row.HashKey(attrs), inserted);
+  /// Logical reset; parked keys keep their tuple storage, the index keeps
+  /// its capacity.
+  void Reset() {
+    num_keys_ = 0;
+    key_bytes_ = 0;
+    index_.Clear();
   }
-  /// As above with `hash` == row.HashKey(attrs) already computed (a radix
-  /// kernel hashes once to route the row, then reuses the hash here).
+
+  /// Finds the dense id of π_attrs(row), whose hash is `hash` ==
+  /// row.HashKey(attrs), inserting it if absent; *inserted reports which
+  /// happened.  Ids are assigned 0, 1, 2, … in first-occurrence order.
   size_t InsertKey(const Tuple& row, const std::vector<size_t>& attrs,
                    size_t hash, bool* inserted);
 
-  /// Lookup without insertion: the id of π_attrs(row), or kNotFound.
-  size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs) const {
-    return FindKey(row, attrs, row.HashKey(attrs));
-  }
+  /// Lookup without insertion: the id of π_attrs(row), or
+  /// TagIndex::kNotFound.
   size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs,
-                 size_t hash) const;
+                 size_t hash) const {
+    return index_.Find(
+        hash, [&](size_t k) { return row.KeysEqual(attrs, keys_[k], own_); });
+  }
+  /// 0..arity-1: the attributes of a stored key, to look one up elsewhere.
+  const std::vector<size_t>& key_attrs() const { return own_; }
 
   /// The stored key tuple for a dense id in [0, size()).
   const Tuple& key(size_t id) const {
@@ -82,18 +73,19 @@ class HashKeyIndex {
   }
 
   /// Approximate heap bytes held by the index (see header comment).
-  size_t ApproxBytes() const;
+  size_t ApproxBytes() const {
+    return index_.capacity() * sizeof(uint64_t) +
+           hashes_.capacity() * sizeof(size_t) +
+           keys_.capacity() * sizeof(Tuple) + key_bytes_;
+  }
 
  private:
-  void Grow();
-
-  static constexpr size_t kInitialSlots = 64;  // Power of two.
-
+  TagIndex index_;
   size_t num_keys_ = 0;
-  std::vector<Tuple> keys_;       // Dense arena; parked past num_keys_.
-  std::vector<size_t> hashes_;    // Stored hash per key id.
-  std::vector<uint64_t> slots_;   // Linear-probed (tag | id + 1); 0 = free.
-  size_t key_bytes_ = 0;          // Approximate bytes of the live keys.
+  std::vector<Tuple> keys_;     // Dense arena; parked past num_keys_.
+  std::vector<size_t> hashes_;  // Stored hash per key id.
+  std::vector<size_t> own_;     // 0..arity-1: a stored key's attributes.
+  size_t key_bytes_ = 0;        // Approximate bytes of the live keys.
 };
 
 }  // namespace exec

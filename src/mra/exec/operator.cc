@@ -62,31 +62,6 @@ bool FpFired(fault::Failpoint* fp) {
   return fp->Hit().kind != fault::ActionKind::kOff;
 }
 
-// Budget-accounting estimates for materialising operators.  Deliberately
-// coarse (struct footprint + string payloads): the budget guards against
-// runaway builds, not byte-exact accounting.
-uint64_t ApproxTupleBytes(const Tuple& tuple) {
-  uint64_t bytes = sizeof(Tuple) + tuple.arity() * sizeof(Value);
-  for (const Value& v : tuple.values()) {
-    if (v.kind() == TypeKind::kString) bytes += v.string_value().capacity();
-  }
-  return bytes;
-}
-
-// The flat layout: the dense storage at its capacity (spare room
-// included), an entry and its stored hash each, the index words (one per
-// bucket, at the index's own load factor), and each live tuple's values.
-uint64_t ApproxRelationBytes(const Relation& rel) {
-  uint64_t bytes =
-      sizeof(Relation) + rel.index_capacity() * sizeof(uint64_t) +
-      rel.entry_capacity() * (sizeof(Relation::Entry) + sizeof(uint64_t));
-  for (const auto& [tuple, count] : rel) {
-    (void)count;
-    bytes += ApproxTupleBytes(tuple) - sizeof(Tuple);
-  }
-  return bytes;
-}
-
 // Copies rows from `it` on into the recycled slots of `out` until it is
 // full or the relation ends: the batch kernel of every operator that
 // streams a stored or materialised relation.
@@ -649,7 +624,8 @@ Status NestedLoopJoinOp::OpenImpl() {
     MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
     if (batch.empty()) break;
     for (Row& row : batch) {
-      materialized_bytes += ApproxTupleBytes(row.tuple) + sizeof(Row);
+      materialized_bytes +=
+          sizeof(Row) + sizeof(Tuple) + row.tuple.HeapBytes();
       right_rows_.push_back(std::move(row));
     }
     MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));
@@ -699,13 +675,13 @@ ClosureOp::ClosureOp(PhysOpPtr child) : child_(std::move(child)) {}
 
 Status ClosureOp::OpenImpl() {
   MRA_ASSIGN_OR_RETURN(Relation input, ExecuteToRelation(*child_));
-  MRA_RETURN_IF_ERROR(ChargeMemTo(ApproxRelationBytes(input)));
+  MRA_RETURN_IF_ERROR(ChargeMemTo(input.ApproxBytes()));
   MRA_ASSIGN_OR_RETURN(result_, ops::TransitiveClosure(input));
   metrics_.distinct_rows = result_.distinct_size();
   it_ = result_.begin();
   // The closure can be much larger than its input (paths vs. edges);
   // settle the charge on what is actually held.
-  return ChargeMemTo(ApproxRelationBytes(result_));
+  return ChargeMemTo(result_.ApproxBytes());
 }
 
 Status ClosureOp::NextBatchImpl(RowBatch& out) {
@@ -728,7 +704,7 @@ Status SubplanCacheOp::OpenImpl() {
     state_->materialized = true;
     // The materialising consumer carries the cache's budget charge; reuse
     // sites read it for free (matching how EXPLAIN renders it once).
-    MRA_RETURN_IF_ERROR(ChargeMemTo(ApproxRelationBytes(state_->cached)));
+    MRA_RETURN_IF_ERROR(ChargeMemTo(state_->cached.ApproxBytes()));
   }
   metrics_.distinct_rows = state_->cached.distinct_size();
   it_ = state_->cached.begin();

@@ -58,12 +58,13 @@ bool PickSortMergeJoin(const PlanPtr& plan, const LowerContext& ctx) {
   if (budget == 0 || ctx.estimator == nullptr) return false;
   double build_rows = (*ctx.estimator)(*plan->child(1));
   if (build_rows < 0) return false;
-  // Same coarse footprint model the executor charges with: struct
-  // overhead plus one Value per attribute (string payloads unknown here).
-  double row_bytes = static_cast<double>(
-      sizeof(Row) + plan->child(1)->schema().arity() * sizeof(Value) +
-      3 * sizeof(size_t));  // key index + chain links per build row
-  return build_rows * row_bytes > static_cast<double>(budget);
+  // Every build row costs more than a byte, so past `budget` rows the
+  // arena cannot fit; below it the arithmetic cannot overflow.
+  if (build_rows >= static_cast<double>(budget)) return true;
+  // The arena the join charges, with every build key distinct.
+  const uint64_t rows = static_cast<uint64_t>(build_rows);
+  return HashJoinOp::ArenaBytes(rows, rows, TagIndex::CapacityFor(rows)) >
+         budget;
 }
 
 /// True when this equi-join lowers to a HashJoinOp.

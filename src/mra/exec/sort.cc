@@ -54,16 +54,6 @@ obs::Counter* SpillBytesCounter() {
   return c;
 }
 
-// Same coarse footprint model the materialising operators use for budget
-// charges (struct footprint + string payloads).
-uint64_t ApproxRowBytes(const Row& row) {
-  uint64_t bytes = sizeof(Row) + row.tuple.arity() * sizeof(Value);
-  for (const Value& v : row.tuple.values()) {
-    if (v.kind() == TypeKind::kString) bytes += v.string_value().capacity();
-  }
-  return bytes;
-}
-
 // Fresh run-file path under the system temp directory; the process-wide
 // sequence keeps concurrent sorts (and lanes) from colliding.
 std::string NextRunPath() {
@@ -315,7 +305,8 @@ Status SortOp::OpenInner() {
       }
       // The row's key-array entry is charged with it: the sort allocates
       // one per buffered row, so it counts toward the spill threshold.
-      buffer_bytes_ += ApproxRowBytes(row) + key_entry_bytes_;
+      buffer_bytes_ +=
+          sizeof(Row) + row.tuple.HeapBytes() + key_entry_bytes_;
       buffer_weight_ += row.count;
       buffer_.push_back(std::move(row));
       if (limit_ > 0) {
@@ -381,8 +372,9 @@ void SortOp::PruneTopK() {
          buffer_weight_ - buffer_.front().count >= limit_) {
     std::pop_heap(buffer_.begin(), buffer_.end(), by_sort_order);
     buffer_weight_ -= buffer_.back().count;
-    buffer_bytes_ -= std::min(
-        buffer_bytes_, ApproxRowBytes(buffer_.back()) + key_entry_bytes_);
+    const uint64_t freed =
+        sizeof(Row) + buffer_.back().tuple.HeapBytes() + key_entry_bytes_;
+    buffer_bytes_ -= std::min(buffer_bytes_, freed);
     buffer_.pop_back();
   }
 }
@@ -665,8 +657,9 @@ Status SortMergeJoinOp::NextBatchImpl(RowBatch& out) {
     // Both sides of one key group are resident for the cross product —
     // charge them like any other materialising state.
     uint64_t group_bytes = 0;
-    for (const Row& r : left_group_) group_bytes += ApproxRowBytes(r);
-    for (const Row& r : right_group_) group_bytes += ApproxRowBytes(r);
+    for (const Row& r : left_group_) group_bytes += r.tuple.HeapBytes();
+    for (const Row& r : right_group_) group_bytes += r.tuple.HeapBytes();
+    group_bytes += (left_group_.size() + right_group_.size()) * sizeof(Row);
     MRA_RETURN_IF_ERROR(ChargeMemTo(group_bytes));
   }
   return Status::OK();

@@ -39,7 +39,7 @@ struct OperatorMetrics {
   /// Probe-side rows hashed against a build table (hash join only).
   uint64_t probe_rows = 0;
   /// Peak approximate heap bytes held by the operator's hash arena
-  /// (HashKeyIndex::ApproxBytes plus payload vectors).
+  /// (HashKeyIndex::ApproxBytes or HashJoinOp::ArenaBytes, plus payloads).
   uint64_t hash_bytes = 0;
   /// Worker lanes a hash operator ran with (workers=N in EXPLAIN
   /// ANALYZE); 0 for operators that take no worker lease.

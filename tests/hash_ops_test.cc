@@ -589,6 +589,52 @@ TEST(HashOpsTest, BagCountKeysRealsAsTheRelationDoes) {
       *unique, "bag-count δ over NaN and -0.0");
 }
 
+TEST(HashOpsTest, HashJoinComparesKeysAgainstTheStoredBuildRows) {
+  // The join keeps no key copies: a probe row's left keys are compared
+  // with a chain's stored build row at the right keys, which here sit at
+  // other positions than on the left.  Build rows share their key but
+  // differ in a non-key attribute, and the real keys include NaN (any
+  // sign or payload) and −0.0, which Value::Equals and the oracle's =
+  // both identify with any other NaN and with 0.0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double reals[] = {nan, -std::nan("7"), -0.0, 0.0, 1.5, -2.25};
+  const char* strings[] = {"", "a", "brewery", "Guineken"};
+  Relation left(RelationSchema(
+      "l", {{"a", Type::Int()}, {"s", Type::String()}, {"x", Type::Real()}}));
+  Relation right(RelationSchema(
+      "r", {{"y", Type::Real()}, {"b", Type::Int()}, {"t", Type::String()}}));
+  std::mt19937_64 rng(3);
+  for (int64_t i = 0; i < 300; ++i) {
+    left.InsertUnchecked(Tuple({Value::Int(i % 17),
+                                Value::Str(strings[rng() % 4]),
+                                Value::Real(reals[rng() % 6])}),
+                         1 + rng() % 3);
+    right.InsertUnchecked(Tuple({Value::Real(reals[rng() % 6]),
+                                 Value::Int(i),
+                                 Value::Str(strings[rng() % 4])}),
+                          1 + rng() % 3);
+  }
+  // x = y ∧ s = t over l ⊕ r = (a, s, x, y, b, t).
+  auto oracle = ops::Join(And(Eq(Attr(2), Attr(3)), Eq(Attr(1), Attr(5))),
+                          left, right);
+  ASSERT_OK(oracle);
+  size_t nan_pairs = 0, signed_zero_pairs = 0;
+  for (const auto& [t, count] : *oracle) {
+    const double x = t.at(2).real_value(), y = t.at(3).real_value();
+    if (std::isnan(x)) ++nan_pairs;
+    if (x == 0.0 && std::signbit(x) != std::signbit(y)) ++signed_zero_pairs;
+  }
+  EXPECT_GT(nan_pairs, 0u);
+  EXPECT_GT(signed_zero_pairs, 0u);
+  ExpectAtEveryLaneCount(
+      [&](size_t workers, size_t morsel) {
+        return std::make_unique<HashJoinOp>(
+            std::vector<size_t>{2, 1}, std::vector<size_t>{0, 2}, nullptr,
+            Scan(left), Scan(right), workers, morsel);
+      },
+      *oracle, "hash join keyed at other positions on each side");
+}
+
 TEST(HashOpsTest, BagCountSaturatesRhsSums) {
   // One rhs key arrives in two rows whose counts sum past 2^64 - 1.  The
   // budget saturates, which keeps min(a, b) = a and max(0, a − b) = 0
