@@ -69,10 +69,6 @@ class Catalog final : public RelationProvider {
   void AdvanceTime() { ++logical_time_; }
   void set_logical_time(uint64_t t) { logical_time_ = t; }
 
-  /// Deep copy of the whole state (used for transaction snapshots and for
-  /// the pre/post states of a transition).
-  Catalog Clone() const { return *this; }
-
  private:
   // std::map keeps deterministic iteration for serialization and printing.
   std::map<std::string, Relation> relations_;

@@ -26,7 +26,8 @@ void Relation::InsertUnchecked(Tuple&& tuple, uint64_t count) {
 }
 
 uint64_t Relation::Remove(const Tuple& tuple, uint64_t count) {
-  const size_t slot = FindSlot(tuple, tuple.Hash());
+  const TagIndex::Hit hit = Find(tuple, tuple.Hash());
+  const size_t slot = hit.id;
   if (slot == TagIndex::kNotFound) return 0;
   uint64_t& have = entries_[slot].second;
   const uint64_t removed = std::min(count, have);
@@ -35,7 +36,7 @@ uint64_t Relation::Remove(const Tuple& tuple, uint64_t count) {
   if (have == 0) {
     // The last entry moves into the freed slot.
     const size_t last = entries_.size() - 1;
-    index_.Erase(slot, last, [this](size_t s) { return hashes_[s]; });
+    index_.Erase(hit, last, [this](size_t s) { return hashes_[s]; });
     if (slot != last) {
       entries_[slot] = std::move(entries_[last]);
       hashes_[slot] = hashes_[last];
@@ -74,14 +75,14 @@ uint64_t Relation::ApproxBytes() const {
   return bytes;
 }
 
-size_t Relation::FindSlot(const Tuple& tuple, uint64_t hash) const {
+TagIndex::Hit Relation::Find(const Tuple& tuple, uint64_t hash) const {
   return index_.Find(hash, [&](size_t slot) {
     return TupleEq()(entries_[slot].first, tuple);
   });
 }
 
 uint64_t Relation::CountAt(const Tuple& tuple, uint64_t hash) const {
-  const size_t slot = FindSlot(tuple, hash);
+  const size_t slot = Find(tuple, hash).id;
   return slot == TagIndex::kNotFound ? 0 : entries_[slot].second;
 }
 

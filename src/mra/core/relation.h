@@ -120,8 +120,9 @@ class Relation {
   std::string ToString() const;
 
  private:
-  /// The slot of `tuple` (hashing to `hash`), or TagIndex::kNotFound.
-  size_t FindSlot(const Tuple& tuple, uint64_t hash) const;
+  /// The slot of `tuple` (hashing to `hash`; TagIndex::kNotFound when
+  /// absent) and its index bucket.
+  TagIndex::Hit Find(const Tuple& tuple, uint64_t hash) const;
   /// R(tuple) given its hash: the other relation's stored hashes probe
   /// this index directly (both use Tuple::Hash), so Equals and
   /// MultiSubsetOf rehash nothing.

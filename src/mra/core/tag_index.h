@@ -29,8 +29,10 @@ class TagIndex {
   /// Buckets: a power of two, or 0 before the first insert.
   size_t capacity() const { return words_.size(); }
 
-  /// The capacity an index reaches while n ids are inserted into it.
+  /// The capacity an index reaches while n ids are inserted into it; n is
+  /// below 2^59, so that neither n * 8 nor the bucket count overflows.
   static size_t CapacityFor(size_t n) {
+    MRA_CHECK_LT(n, size_t{1} << 59) << "CapacityFor beyond 64-bit range";
     size_t buckets = 0;
     while (OverLoaded(n, buckets)) buckets = Grown(buckets);
     return buckets;
@@ -39,12 +41,16 @@ class TagIndex {
   /// Frees every bucket, keeping the capacity.
   void Clear() { std::fill(words_.begin(), words_.end(), 0); }
 
-  /// The id under `hash` for which same(id) holds, or kNotFound.
+  /// A lookup's result: the id found, or kNotFound, and the bucket of
+  /// its word, for Erase.
+  struct Hit { size_t id, bucket; };
+
+  /// The id under `hash` for which same(id) holds.
   template <typename Same>
-  size_t Find(uint64_t hash, Same&& same) const {
-    if (words_.empty()) return kNotFound;
-    const uint64_t word = words_[Probe(hash, same)];
-    return word == 0 ? kNotFound : IdOf(word);
+  Hit Find(uint64_t hash, Same&& same) const {
+    if (words_.empty()) return {kNotFound, 0};
+    const size_t b = Probe(hash, same);
+    return {words_[b] == 0 ? kNotFound : IdOf(words_[b]), b};
   }
 
   /// As Find; when no id matches, records `size` — the caller's next
@@ -64,16 +70,17 @@ class TagIndex {
     return IdOf(word);
   }
 
-  /// Deletes the word of `id`; then, when last != id, re-points the word
-  /// of `last` at id, because the caller moves its last id into the freed
-  /// one.  hash_of answers for the ids [0, last] during the call.
+  /// Deletes the word of the id Find found, `hit.id`; then, when
+  /// last != hit.id, re-points the word of `last` at hit.id, because the
+  /// caller moves its last id into the freed one.  hash_of answers for the
+  /// ids [0, last] during the call.
   template <typename HashOf>
-  void Erase(size_t id, size_t last, HashOf&& hash_of) {
+  void Erase(Hit hit, size_t last, HashOf&& hash_of) {
     const size_t mask = words_.size() - 1;
     // Backward shift: pull each later word of the probe run into the hole
     // unless the hole lies before its home bucket, so every remaining word
     // stays reachable from its home.
-    size_t hole = BucketOf(id, hash_of(id));
+    size_t hole = hit.bucket;
     for (size_t b = (hole + 1) & mask; words_[b] != 0; b = (b + 1) & mask) {
       const size_t home = hash_of(IdOf(words_[b])) & mask;
       if (((b - home) & mask) >= ((b - hole) & mask)) {
@@ -82,9 +89,9 @@ class TagIndex {
       }
     }
     words_[hole] = 0;
-    if (last != id) {
+    if (last != hit.id) {
       const uint64_t hash = hash_of(last);
-      words_[BucketOf(last, hash)] = Word(hash, id);
+      words_[BucketOf(last, hash)] = Word(hash, hit.id);
     }
   }
 

@@ -93,6 +93,18 @@ bool Tuple::KeysEqual(const std::vector<size_t>& attrs, const Tuple& other,
   return true;
 }
 
+bool Tuple::KeysEqual(const std::vector<size_t>& attrs,
+                      const Tuple& key) const {
+  MRA_CHECK_EQ(attrs.size(), key.arity()) << "KeysEqual arity mismatch";
+  for (size_t k = 0; k < attrs.size(); ++k) {
+    const Value& mine = values_[attrs[k]];
+    if (mine.kind() != key.values_[k].kind() || !mine.Equals(key.values_[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 size_t Tuple::HeapBytes() const {
   size_t bytes = values_.size() * sizeof(Value);
   for (const Value& v : values_) {

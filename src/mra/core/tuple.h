@@ -83,6 +83,8 @@ class Tuple {
   /// values of different kinds are never equal).
   bool KeysEqual(const std::vector<size_t>& attrs, const Tuple& other,
                  const std::vector<size_t>& other_attrs) const;
+  /// π_attrs(*this) == key, a whole stored key tuple.
+  bool KeysEqual(const std::vector<size_t>& attrs, const Tuple& key) const;
 
   /// Approximate heap bytes of the values: arity × sizeof(Value) plus
   /// string capacities.  Budget charges add their own struct sizes.

@@ -438,7 +438,7 @@ Status HashJoinOp::Probe(ProbeCursor& c, RowBatch& out, Pull pull) {
       const size_t chain = part.index.Find(h, [&](size_t id) {
         return probe.KeysEqual(left_keys_, part.rows[part.heads[id]].tuple,
                                right_keys_);
-      });
+      }).id;
       if (chain == TagIndex::kNotFound) {
         ++c.pos;
         continue;
@@ -608,8 +608,8 @@ Status HashGroupByOp::OpenImpl() {
             for (size_t id = 0; id < t.index.size(); ++id) {
               for (size_t e = 0; e < l; ++e) {
                 GroupTable& owner = lane_tables_[e][p];
-                size_t oid = owner.index.FindKey(
-                    t.index.key(id), t.index.key_attrs(), t.index.hash(id));
+                size_t oid =
+                    owner.index.FindKey(t.index.key(id), t.index.hash(id));
                 if (oid == TagIndex::kNotFound) continue;
                 for (size_t i = 0; i < num_aggs; ++i) {
                   owner.accs[oid * num_aggs + i].Merge(

@@ -110,8 +110,8 @@ class HashJoinOp final : public PhysicalOperator {
              size_t workers = 1, size_t morsel_size = kDefaultBatchSize);
 
   /// Heap bytes of a build arena of `rows` rows in `chains` key chains under
-  /// `buckets` index words, values not counted: what the join charges and
-  /// the planner's join-strategy pick estimates.
+  /// `buckets` index words, values not counted: what the join charges for
+  /// its arenas.  The planner's join-strategy pick adds the values.
   static uint64_t ArenaBytes(uint64_t rows, uint64_t chains, uint64_t buckets);
 
   const RelationSchema& schema() const override { return schema_; }

@@ -1,20 +1,13 @@
 #include "mra/exec/hash_table.h"
 
-#include <numeric>
-
 namespace mra {
 namespace exec {
 
 size_t HashKeyIndex::InsertKey(const Tuple& row,
                                const std::vector<size_t>& attrs, size_t h,
                                bool* inserted) {
-  if (own_.size() != attrs.size()) {
-    own_.resize(attrs.size());
-    std::iota(own_.begin(), own_.end(), 0);
-  }
   const size_t id = index_.Insert(
-      h, num_keys_,
-      [&](size_t k) { return row.KeysEqual(attrs, keys_[k], own_); },
+      h, num_keys_, [&](size_t k) { return row.KeysEqual(attrs, keys_[k]); },
       [this](size_t k) { return hashes_[k]; }, inserted);
   if (*inserted) {
     if (num_keys_ == keys_.size()) {

@@ -49,10 +49,12 @@ class HashKeyIndex {
   size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs,
                  size_t hash) const {
     return index_.Find(
-        hash, [&](size_t k) { return row.KeysEqual(attrs, keys_[k], own_); });
+        hash, [&](size_t k) { return row.KeysEqual(attrs, keys_[k]); }).id;
   }
-  /// 0..arity-1: the attributes of a stored key, to look one up elsewhere.
-  const std::vector<size_t>& key_attrs() const { return own_; }
+  /// As above for a whole key tuple, such as another index's key(id).
+  size_t FindKey(const Tuple& key, size_t hash) const {
+    return index_.Find(hash, [&](size_t k) { return keys_[k] == key; }).id;
+  }
 
   /// The stored key tuple for a dense id in [0, size()).
   const Tuple& key(size_t id) const {
@@ -84,7 +86,6 @@ class HashKeyIndex {
   size_t num_keys_ = 0;
   std::vector<Tuple> keys_;     // Dense arena; parked past num_keys_.
   std::vector<size_t> hashes_;  // Stored hash per key id.
-  std::vector<size_t> own_;     // 0..arity-1: a stored key's attributes.
   size_t key_bytes_ = 0;        // Approximate bytes of the live keys.
 };
 

@@ -1,5 +1,6 @@
 #include "mra/exec/physical_planner.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -58,12 +59,18 @@ bool PickSortMergeJoin(const PlanPtr& plan, const LowerContext& ctx) {
   if (budget == 0 || ctx.estimator == nullptr) return false;
   double build_rows = (*ctx.estimator)(*plan->child(1));
   if (build_rows < 0) return false;
-  // Every build row costs more than a byte, so past `budget` rows the
-  // arena cannot fit; below it the arithmetic cannot overflow.
-  if (build_rows >= static_cast<double>(budget)) return true;
-  // The arena the join charges, with every build key distinct.
+  // The build arena the join charges, every key distinct, plus the rows'
+  // values, which it holds and a multi-lane build charges as it stages
+  // them.  A row costs at least its Row and values, so past budget / that
+  // many rows it cannot fit; below, with the budget capped at 2^62 bytes
+  // (past any real memory), rows < 2^57 and the sum stays in 64 bits.
+  const uint64_t row_bytes =
+      sizeof(Row) + plan->child(1)->schema().arity() * sizeof(Value);
+  budget = std::min(budget, uint64_t{1} << 62);
+  if (build_rows * row_bytes >= static_cast<double>(budget)) return true;
   const uint64_t rows = static_cast<uint64_t>(build_rows);
-  return HashJoinOp::ArenaBytes(rows, rows, TagIndex::CapacityFor(rows)) >
+  return HashJoinOp::ArenaBytes(rows, rows, TagIndex::CapacityFor(rows)) +
+             rows * (row_bytes - sizeof(Row)) >
          budget;
 }
 

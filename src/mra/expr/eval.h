@@ -70,8 +70,6 @@ class CompiledPredicate {
     return true;
   }
 
-  size_t num_terms() const { return terms_.size(); }
-
  private:
   struct Term {
     size_t attr;

@@ -60,22 +60,6 @@ Status SplitCall(std::string_view text, std::string_view* name,
 
 }  // namespace
 
-std::string_view ActionKindName(ActionKind kind) {
-  switch (kind) {
-    case ActionKind::kOff:
-      return "off";
-    case ActionKind::kError:
-      return "error";
-    case ActionKind::kTorn:
-      return "torn";
-    case ActionKind::kDelay:
-      return "delay";
-    case ActionKind::kAbort:
-      return "abort";
-  }
-  return "?";
-}
-
 Failpoint::Failpoint(std::string name)
     : name_(std::move(name)),
       hit_counter_(obs::MetricsRegistry::Global().GetCounter(

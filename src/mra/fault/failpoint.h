@@ -57,9 +57,6 @@ enum class ActionKind : uint8_t {
   kAbort = 4,  // _Exit(kAbortExitCode) — no flushing, no destructors.
 };
 
-/// Stable name for diagnostics, e.g. "torn".
-std::string_view ActionKindName(ActionKind kind);
-
 /// One site's armed behavior.
 struct FaultConfig {
   ActionKind kind = ActionKind::kOff;

@@ -146,10 +146,6 @@ Result<bool> Socket::WaitReadable(int timeout_ms) {
   return PollIn(fd_, timeout_ms);
 }
 
-void Socket::ShutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Socket::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

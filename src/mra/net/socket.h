@@ -45,9 +45,6 @@ class Socket {
   /// false = the timeout elapsed with nothing to read.
   Result<bool> WaitReadable(int timeout_ms);
 
-  /// Half-closes both directions, unblocking any reader on the peer.
-  void ShutdownBoth();
-
   void Close();
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }

@@ -45,7 +45,6 @@ class WalWriter {
   Status Sync();
 
   void Close();
-  bool is_open() const { return file_ != nullptr; }
 
  private:
   std::FILE* file_ = nullptr;

@@ -22,6 +22,7 @@
 
 #include "mra/algebra/ops.h"
 #include "mra/catalog/catalog.h"
+#include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
 #include "mra/exec/physical_planner.h"
 #include "mra/exec/sort.h"
@@ -301,6 +302,66 @@ TEST_F(GovernanceTest, DifferenceOfABigBagHoldsOnlyTheSmallRhsKeySet) {
   auto got = ExecuteToRelation(**op);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got->Equals(*ops::Difference(big, small)));
+  EXPECT_EQ(ctx.mem_used(), 0u);
+}
+
+TEST_F(GovernanceTest, JoinBuildOverBudgetWithItsValuesLowersToSortMerge) {
+  // A 4,000-row, four-int build side under a budget that its hash arena
+  // alone (Row structs, chain links, index words) fits but its rows with
+  // their values do not.  A 4-lane hash join charges those values while it
+  // stages the build rows, so it would be killed; the planner must weigh
+  // them and lower to the sort-merge join, whose sorts spill instead.
+  const int64_t n = 4000;
+  RelationSchema build_schema("build", {{"k", Type::Int()},
+                                        {"a", Type::Int()},
+                                        {"b", Type::Int()},
+                                        {"c", Type::Int()}});
+  RelationSchema probe_schema("probe",
+                              {{"k", Type::Int()}, {"v", Type::Int()}});
+  Relation build(build_schema);
+  for (int64_t i = 0; i < n; ++i) {
+    build.InsertUnchecked(Tuple({Value::Int(i), Value::Int(i % 5),
+                                 Value::Int(i % 7), Value::Int(i % 11)}),
+                          1);
+  }
+  Relation probe(probe_schema);
+  for (int64_t i = 0; i < n / 2; ++i) {
+    probe.InsertUnchecked(Tuple({Value::Int(2 * i), Value::Int(i % 3)}), 1);
+  }
+  Catalog catalog;
+  for (const Relation* rel : {&build, &probe}) {
+    ASSERT_TRUE(catalog.CreateRelation(rel->schema()).ok());
+    ASSERT_TRUE(catalog.SetRelation(rel->schema().name(), *rel).ok());
+  }
+  const uint64_t rows = static_cast<uint64_t>(n);
+  const uint64_t arena =
+      HashJoinOp::ArenaBytes(rows, rows, TagIndex::CapacityFor(rows));
+  const uint64_t staged = rows * (sizeof(Row) + 4 * sizeof(Value));
+  const uint64_t budget = (arena + staged) / 2;
+  ASSERT_LT(arena, budget);
+  ASSERT_LT(budget, staged);
+
+  ExprPtr cond = Eq(Attr(0), Attr(2));
+  auto plan = Plan::Join(cond, Plan::Scan("probe", probe_schema),
+                         Plan::Scan("build", build_schema));
+  ASSERT_TRUE(plan.ok());
+  ExecConfig config;
+  config.exec.workers = 4;
+  config.exec.parallel_threshold = 1;
+  config.governance.query_mem_budget_bytes = budget;
+  const CardinalityEstimator estimate = [&](const Plan& p) {
+    const bool is_probe =
+        p.kind() == PlanKind::kScan && p.relation_name() == "probe";
+    return static_cast<double>((is_probe ? probe : build).size());
+  };
+  ExecContext ctx;
+  ctx.SetMemoryBudget(budget);
+  auto op = LowerPlan(*plan, catalog, &estimate, config, &ctx);
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  EXPECT_EQ((*op)->name(), "SortMergeJoin");
+  auto got = ExecuteToRelation(**op);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->Equals(*ops::Join(cond, probe, build)));
   EXPECT_EQ(ctx.mem_used(), 0u);
 }
 

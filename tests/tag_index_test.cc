@@ -28,10 +28,11 @@ class DenseStore {
  public:
   explicit DenseStore(HashFn hash) : hash_(std::move(hash)) {}
 
-  size_t Find(uint64_t key) const {
+  TagIndex::Hit Lookup(uint64_t key) const {
     return index_.Find(hash_(key),
                        [&](size_t id) { return keys_[id] == key; });
   }
+  size_t Find(uint64_t key) const { return Lookup(key).id; }
 
   /// Adds `value` to key's payload, inserting the key when absent.
   void Add(uint64_t key, uint64_t value) {
@@ -50,10 +51,11 @@ class DenseStore {
 
   /// Erases key; false when it was absent.
   bool Erase(uint64_t key) {
-    const size_t id = Find(key);
+    const TagIndex::Hit hit = Lookup(key);
+    const size_t id = hit.id;
     if (id == TagIndex::kNotFound) return false;
     const size_t last = keys_.size() - 1;
-    index_.Erase(id, last, [this](size_t i) { return hashes_[i]; });
+    index_.Erase(hit, last, [this](size_t i) { return hashes_[i]; });
     keys_[id] = keys_[last];
     hashes_[id] = hashes_[last];
     values_[id] = values_[last];
