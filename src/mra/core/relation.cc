@@ -61,6 +61,12 @@ uint64_t Relation::Multiplicity(const Tuple& tuple) const {
   return CountAt(tuple, tuple.Hash());
 }
 
+void Relation::Reserve(size_t n) {
+  ReserveAmortised(entries_, n);
+  ReserveAmortised(hashes_, n);
+  index_.Reserve(n, entries_.size(), [this](size_t s) { return hashes_[s]; });
+}
+
 void Relation::Clear() {
   entries_.clear();
   hashes_.clear();

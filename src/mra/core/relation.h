@@ -10,7 +10,9 @@
 // never calls Tuple::Hash again.  Removing a tuple swap-moves the last
 // entry into its slot, and the index re-points that entry's word.  Slot
 // order is not part of the value: every order-sensitive walk goes through
-// SortedView.
+// SortedView.  Reserve(n) sizes the entries and the index for n tuples in
+// one step — an executor filling a result of planned size, a bulk load
+// into a known image — and growth past it doubles as before.
 
 #ifndef MRA_CORE_RELATION_H_
 #define MRA_CORE_RELATION_H_
@@ -79,6 +81,13 @@ class Relation {
   size_t entry_capacity() const {
     return std::max(entries_.capacity(), hashes_.capacity());
   }
+
+  /// Makes room for n distinct tuples, so inserting up to n leaves
+  /// index_capacity() and entry_capacity() unchanged: the entries as
+  /// ReserveAmortised, the index as TagIndex::Reserve (core/tag_index.h),
+  /// so repeated reserves stay amortised.  Never shrinks, and n within the
+  /// current room is a no-op.
+  void Reserve(size_t n);
 
   void Clear();
 

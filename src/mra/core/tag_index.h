@@ -8,12 +8,15 @@
 // key before same() runs; buckets (a power of two) are picked by the low
 // bits and probed linearly at load ≤ 7/8.  Growth re-places ids from
 // hash_of, never rehashing a key; erase shifts later words back, so churn
-// leaves no tombstones.
+// leaves no tombstones.  Reserve(n) sizes the word array for n ids in one
+// step, so a caller that knows its planned size fills without doubling
+// from 8 buckets; inserts then grow by doubling past it, as without one.
 
 #ifndef MRA_CORE_TAG_INDEX_H_
 #define MRA_CORE_TAG_INDEX_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -22,9 +25,25 @@
 
 namespace mra {
 
+/// Makes room for n elements in a dense store over a TagIndex: the power
+/// of two that doubling reaches for n, or twice the capacity when that is
+/// more, so a store sized from an estimate holds no more than growth would
+/// for it, an under-estimate up to that power moves nothing, and repeated
+/// calls stay amortised.  Never shrinks.
+template <typename T>
+void ReserveAmortised(std::vector<T>& v, size_t n) {
+  if (n > v.capacity()) {
+    v.reserve(std::max(std::bit_ceil(n), 2 * v.capacity()));
+  }
+}
+
 class TagIndex {
  public:
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
+  /// Index bytes per id, rounded up: past its first 8 buckets,
+  /// CapacityFor(n) holds under 16/7 words an id.  What a planned
+  /// reservation charges for its index.
+  static constexpr size_t kMaxBytesPerId = 3 * sizeof(uint64_t);
 
   /// Buckets: a power of two, or 0 before the first insert.
   size_t capacity() const { return words_.size(); }
@@ -36,6 +55,17 @@ class TagIndex {
     size_t buckets = 0;
     while (OverLoaded(n, buckets)) buckets = Grown(buckets);
     return buckets;
+  }
+
+  /// Makes room for n ids without growing, re-placing the ids [0, size)
+  /// from hash_of: the index grows to the larger of CapacityFor(n) — the
+  /// buckets growth reaches for n — and twice its buckets, so repeated
+  /// reserves stay amortised.  Never shrinks; n within the current room
+  /// is a no-op.
+  template <typename HashOf>
+  void Reserve(size_t n, size_t size, HashOf&& hash_of) {
+    if (!OverLoaded(n, words_.size())) return;
+    Rebuild(std::max(CapacityFor(n), Grown(words_.size())), size, hash_of);
   }
 
   /// Frees every bucket, keeping the capacity.
@@ -60,7 +90,9 @@ class TagIndex {
   template <typename Same, typename HashOf>
   size_t Insert(uint64_t hash, size_t size, Same&& same, HashOf&& hash_of,
                 bool* inserted) {
-    if (OverLoaded(size + 1, words_.size())) Grow(size, hash_of);
+    if (OverLoaded(size + 1, words_.size())) {
+      Rebuild(Grown(words_.size()), size, hash_of);
+    }
     uint64_t& word = words_[Probe(hash, same)];
     *inserted = word == 0;
     if (*inserted) {
@@ -131,9 +163,10 @@ class TagIndex {
     return Probe(hash, [id](size_t other) { return other == id; });
   }
 
+  /// Re-places the ids [0, size) into `buckets` fresh buckets.
   template <typename HashOf>
-  void Grow(size_t size, HashOf& hash_of) {
-    words_.assign(Grown(words_.size()), 0);
+  void Rebuild(size_t buckets, size_t size, HashOf& hash_of) {
+    words_.assign(buckets, 0);
     for (size_t id = 0; id < size; ++id) {
       const uint64_t hash = hash_of(id);
       words_[Probe(hash, [](size_t) { return false; })] = Word(hash, id);

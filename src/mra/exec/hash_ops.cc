@@ -42,6 +42,14 @@ size_t PartitionOf(size_t hash, int bits) {
   return bits == 0 ? 0 : hash >> (64 - bits);
 }
 
+// Lanes of a RunLanes drain that pulled no morsel while another lane did:
+// a fan-out that ran serially, whatever its lease.
+obs::Counter* IdleLanes() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Global().GetCounter("parallel.idle_lanes");
+  return c;
+}
+
 // Time this thread spent waiting for a SharedCursor; lanes subtract it
 // from their busy time, however deeply the cursor sits below them.
 thread_local uint64_t tls_blocked_ns = 0;
@@ -72,8 +80,9 @@ class ErrorLatch {
 /// lane is done — and hands it to consume(lane, morsel).  Lane 0, always
 /// the query thread and the only lane that charges memory, then calls
 /// charge().  Adds the lanes' busy time, less time blocked on a
-/// SharedCursor, to *cpu_ns and the pulled rows to *rows; returns the
-/// first error.
+/// SharedCursor, to *cpu_ns and the pulled rows to *rows, counts the lanes
+/// that pulled nothing in a drain that pulled something into
+/// parallel.idle_lanes, and returns the first error.
 template <typename Pull, typename Consume, typename Charge>
 Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
                 size_t morsel_size, uint64_t* cpu_ns, uint64_t* rows,
@@ -81,6 +90,7 @@ Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
   ErrorLatch latch;
   std::atomic<uint64_t> busy_ns{0};
   std::atomic<uint64_t> pulled{0};
+  std::atomic<uint64_t> idle{0};
   WorkerPool::Global().ParallelFor(lease, [&](size_t lane) {
     const uint64_t t0 = NowNs();
     const uint64_t blocked0 = tls_blocked_ns;
@@ -101,11 +111,16 @@ Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
       }
     }
     pulled.fetch_add(n, std::memory_order_relaxed);
+    if (n == 0) idle.fetch_add(1, std::memory_order_relaxed);
     busy_ns.fetch_add(NowNs() - t0 - (tls_blocked_ns - blocked0),
                       std::memory_order_relaxed);
   });
   *cpu_ns += busy_ns.load(std::memory_order_relaxed);
-  *rows += pulled.load(std::memory_order_relaxed);
+  const uint64_t total = pulled.load(std::memory_order_relaxed);
+  *rows += total;
+  if (total > 0 && idle.load(std::memory_order_relaxed) > 0) {
+    IdleLanes()->Inc(idle.load(std::memory_order_relaxed));
+  }
   return latch.status();
 }
 
@@ -249,6 +264,14 @@ void HashJoinOp::Partition::Add(Row&& row, const std::vector<size_t>& keys,
   rows.push_back(std::move(row));
 }
 
+void HashJoinOp::Partition::Reserve(size_t n) {
+  ReserveAmortised(heads, n);
+  ReserveAmortised(hashes, n);
+  ReserveAmortised(rows, n);
+  ReserveAmortised(next, n);
+  index.Reserve(n, heads.size(), [this](size_t c) { return hashes[c]; });
+}
+
 void HashJoinOp::Reset() {
   partitions_.clear();
   radix_bits_ = 0;
@@ -267,14 +290,20 @@ void HashJoinOp::Reset() {
 }
 
 Status HashJoinOp::Build(const WorkerPool::Lease& lease,
-                         uint64_t* arena_bytes) {
+                         uint64_t* build_bytes) {
   const size_t lanes = lease.lanes();
+  ExecContext* ctx = exec_context();
+  const bool governed = ctx != nullptr;
+  // Every held build row is charged sizeof(Row) and its values once: in
+  // the arena's footprint and value_bytes, or while staged.
   if (lanes == 1) {
     // One arena filled straight from the right input: no staging pass and
     // no radix routing.  Governance lands per batch through the input's
     // own NextBatch checks and the footprint charged as the arena grows.
     partitions_ = std::vector<Partition>(1);
     Partition& part = partitions_[0];
+    part.Reserve(PlanRows(right_->estimated_rows(),
+                          ArenaBytes(1, 1, 0) + TagIndex::kMaxBytesPerId));
     const uint64_t t0 = NowNs();
     MRA_RETURN_IF_ERROR(right_->Open());
     RowBatch batch(morsel_size_);
@@ -283,9 +312,11 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
       if (batch.empty()) break;
       for (Row& row : batch) {
         const size_t h = row.tuple.HashKey(right_keys_);
+        if (governed) part.value_bytes += row.tuple.HeapBytes();
         part.Add(std::move(row), right_keys_, h);
       }
-      MRA_RETURN_IF_ERROR(NoteHashFootprint(part.ApproxBytes()));
+      MRA_RETURN_IF_ERROR(
+          NoteHashFootprint(part.ApproxBytes(), part.value_bytes));
     }
     right_->Close();
     metrics_.build_rows = part.rows.size();
@@ -295,13 +326,24 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
     // distributions.
     const size_t parts = std::bit_ceil(4 * lanes);
     radix_bits_ = std::countr_zero(parts);
-    ExecContext* ctx = exec_context();
-    const bool governed = ctx != nullptr;
     std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
 
     // Phase 1: radix-partition the build side, keeping each row's key
-    // hash for the build.
+    // hash for the build.  The staged vectors share the build side's
+    // planned size; its charge holds until the staged rows outweigh it.
+    const uint64_t staged_row_bytes = sizeof(Row) + sizeof(size_t);
+    const size_t planned = PlanRows(right_->estimated_rows(), staged_row_bytes);
+    const uint64_t planned_bytes = planned * staged_row_bytes;
     std::vector<std::vector<Staged>> staged(lanes, std::vector<Staged>(parts));
+    for (std::vector<Staged>& stage : staged) {
+      for (Staged& part : stage) {
+        part.rows.reserve(planned / (lanes * parts));
+        part.hashes.reserve(planned / (lanes * parts));
+      }
+    }
+    auto charge_staged = [&] {
+      return ChargeMemTo(std::max(planned_bytes, SumLaneBytes(lane_bytes)));
+    };
     MRA_RETURN_IF_ERROR(DrainChild(
         lease, ctx, right_.get(), morsel_size_, &metrics_.cpu_ns,
         &metrics_.build_rows,
@@ -311,45 +353,53 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
           for (Row& row : morsel) {
             const size_t h = row.tuple.HashKey(right_keys_);
             Staged& part = stage[PartitionOf(h, radix_bits_)];
-            if (governed) bytes += sizeof(Row) + row.tuple.HeapBytes();
+            if (governed) {
+              const uint64_t values = row.tuple.HeapBytes();
+              part.value_bytes += values;
+              bytes += sizeof(Row) + values;
+            }
             part.rows.push_back(std::move(row));
             part.hashes.push_back(h);
           }
           lane_bytes[lane].fetch_add(bytes, std::memory_order_relaxed);
           return Status::OK();
         },
-        [&] {
-          return governed ? ChargeMemTo(SumLaneBytes(lane_bytes))
-                          : Status::OK();
-        }));
-    if (governed) MRA_RETURN_IF_ERROR(ChargeMemTo(SumLaneBytes(lane_bytes)));
+        [&] { return governed ? charge_staged() : Status::OK(); }));
+    if (governed) MRA_RETURN_IF_ERROR(charge_staged());
 
-    // Phase 2: one private arena per partition.  A partition folds every
-    // lane's staged rows for it, so each arena is built by exactly one
-    // thread.
+    // Phase 2: one private arena per partition, sized to its staged rows.
+    // A partition folds every lane's staged rows for it, so each arena is
+    // built by exactly one thread.
     partitions_ = std::vector<Partition>(parts);
     MRA_RETURN_IF_ERROR(RunPartitionPhase(
         lease, ctx, parts, &metrics_.cpu_ns, [&](size_t p) {
           Partition& part = partitions_[p];
+          size_t rows = 0;
+          for (size_t l = 0; l < lanes; ++l) rows += staged[l][p].rows.size();
+          part.Reserve(rows);
           for (size_t l = 0; l < lanes; ++l) {
             Staged& from = staged[l][p];
             for (size_t i = 0; i < from.rows.size(); ++i) {
               part.Add(std::move(from.rows[i]), right_keys_, from.hashes[i]);
             }
+            part.value_bytes += from.value_bytes;
             // Release staged storage as it is consumed, partition by
             // partition, so peak memory is staged + one arena, not 2x.
             from = Staged();
           }
         }));
   }
-  *arena_bytes = 0;
+  uint64_t arena_bytes = 0;
+  uint64_t value_bytes = 0;
   size_t entries = 0;
   for (const Partition& part : partitions_) {
-    *arena_bytes += part.ApproxBytes();
+    arena_bytes += part.ApproxBytes();
+    value_bytes += part.value_bytes;
     entries += part.heads.size();
   }
   metrics_.peak_hash_entries = entries;
-  return NoteHashFootprint(*arena_bytes);
+  *build_bytes = arena_bytes + value_bytes;
+  return NoteHashFootprint(arena_bytes, value_bytes);
 }
 
 Status HashJoinOp::OpenProbe(size_t lanes) {
@@ -364,8 +414,8 @@ Status HashJoinOp::OpenImpl() {
   WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   const size_t lanes = lease.lanes();
   metrics_.workers = static_cast<uint32_t>(lanes);
-  uint64_t arena_bytes = 0;
-  MRA_RETURN_IF_ERROR(Build(lease, &arena_bytes));
+  uint64_t build_bytes = 0;
+  MRA_RETURN_IF_ERROR(Build(lease, &build_bytes));
   if (lanes == 1) {
     // One lane streams: NextBatch probes into the caller's recycled
     // slots, so a one-lane plan materialises nothing.
@@ -397,14 +447,14 @@ Status HashJoinOp::OpenImpl() {
         return Status::OK();
       },
       [&] {
-        return governed ? ChargeMemTo(arena_bytes + SumLaneBytes(lane_bytes))
+        return governed ? ChargeMemTo(build_bytes + SumLaneBytes(lane_bytes))
                         : Status::OK();
       });
   left_->FoldLaneMetrics();
   left_->Close();
   MRA_RETURN_IF_ERROR(s);
   if (governed) {
-    MRA_RETURN_IF_ERROR(ChargeMemTo(arena_bytes + SumLaneBytes(lane_bytes)));
+    MRA_RETURN_IF_ERROR(ChargeMemTo(build_bytes + SumLaneBytes(lane_bytes)));
   }
   return Status::OK();
 }
@@ -415,8 +465,8 @@ Status HashJoinOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
   Reset();
   WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   metrics_.workers = static_cast<uint32_t>(lease.lanes());
-  uint64_t arena_bytes = 0;
-  MRA_RETURN_IF_ERROR(Build(lease, &arena_bytes));
+  uint64_t build_bytes = 0;
+  MRA_RETURN_IF_ERROR(Build(lease, &build_bytes));
   MRA_RETURN_IF_ERROR(OpenProbe(lanes));
   *by_lanes = true;
   return Status::OK();
@@ -549,9 +599,19 @@ Status HashGroupByOp::OpenImpl() {
   // Folding rows into lane-local accumulators both shrinks the merge and
   // is the parallel speedup: Definition 3.3's aggregates commute with
   // partitioning, so partial per-lane states are exact. ---
+  // Each lane's table for a partition is sized for that partition's share
+  // of the estimated groups, since any lane may see every group.
+  const size_t planned =
+      PlanRows(estimated_rows() * static_cast<double>(lanes),
+               HashKeyIndex::kBytesPerKey + num_aggs * sizeof(AggAccumulator)) /
+      (lanes * parts);
   lane_tables_.resize(lanes);
   for (auto& tables : lane_tables_) {
     tables = std::vector<GroupTable>(parts);
+    for (GroupTable& table : tables) {
+      table.index.Reserve(planned);
+      table.accs.reserve(planned * num_aggs);
+    }
   }
   auto consume = [&](size_t lane, RowBatch& morsel) {
     std::vector<GroupTable>& tables = lane_tables_[lane];
@@ -717,8 +777,9 @@ std::string_view BagCountOp::name() const {
 }
 
 Status BagCountOp::Collapse(const WorkerPool::Lease& lease,
-                            PhysicalOperator* child, size_t parts,
-                            bool counted, uint64_t* rows, uint64_t* bytes) {
+                            PhysicalOperator* child, double estimated_keys,
+                            size_t parts, bool counted, uint64_t* rows,
+                            uint64_t* bytes) {
   const size_t lanes = lease.lanes();
   const int bits = std::countr_zero(parts);
   const bool governed = exec_context() != nullptr;
@@ -735,6 +796,11 @@ Status BagCountOp::Collapse(const WorkerPool::Lease& lease,
   std::vector<std::mutex> locks(parts);
   std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
   sets_.assign(parts, {});
+  const size_t planned =
+      PlanRows(estimated_keys, HashKeyIndex::kBytesPerKey +
+                                   (counted ? 2 * sizeof(uint64_t) : 0)) /
+      parts;
+  for (CountTable& t : sets_) t.Reserve(planned, counted);
   radix_bits_ = bits;
   MRA_RETURN_IF_ERROR(DrainChild(
       lease, exec_context(), child, morsel_size_, &metrics_.cpu_ns, rows,
@@ -795,12 +861,14 @@ Status BagCountOp::OpenImpl() {
   uint64_t bytes = 0;
   if (rhs_ != nullptr) {
     // − and ∩ build the rhs first: its count sums are the budgets.
-    MRA_RETURN_IF_ERROR(Collapse(lease, rhs_.get(), parts, /*counted=*/true,
-                                 &metrics_.build_rows, &bytes));
+    MRA_RETURN_IF_ERROR(Collapse(lease, rhs_.get(), rhs_->estimated_rows(),
+                                 parts, /*counted=*/true, &metrics_.build_rows,
+                                 &bytes));
   } else if (lanes > 1) {
     // δ on more lanes: the key sets are the result.
-    MRA_RETURN_IF_ERROR(Collapse(lease, lhs_.get(), parts, /*counted=*/false,
-                                 &metrics_.build_rows, &bytes));
+    MRA_RETURN_IF_ERROR(Collapse(lease, lhs_.get(), estimated_rows(), parts,
+                                 /*counted=*/false, &metrics_.build_rows,
+                                 &bytes));
     metrics_.distinct_rows = metrics_.peak_hash_entries;
     return Status::OK();
   } else {
@@ -808,6 +876,8 @@ Status BagCountOp::OpenImpl() {
     // the recycled seen-set.
     sets_.resize(1);
     sets_[0].index.Reset();
+    sets_[0].Reserve(PlanRows(estimated_rows(), HashKeyIndex::kBytesPerKey),
+                     /*counted=*/false);
     radix_bits_ = 0;
   }
   // − and ∩, and δ on one lane, stream: NextBatch compacts each lhs batch

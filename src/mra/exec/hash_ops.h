@@ -110,8 +110,9 @@ class HashJoinOp final : public PhysicalOperator {
              size_t workers = 1, size_t morsel_size = kDefaultBatchSize);
 
   /// Heap bytes of a build arena of `rows` rows in `chains` key chains under
-  /// `buckets` index words, values not counted: what the join charges for
-  /// its arenas.  The planner's join-strategy pick adds the values.
+  /// `buckets` index words, values not counted: the footprint hashKB
+  /// reports.  The join's budget charge adds the rows' values, as the
+  /// planner's join-strategy pick does.
   static uint64_t ArenaBytes(uint64_t rows, uint64_t chains, uint64_t buckets);
 
   const RelationSchema& schema() const override { return schema_; }
@@ -136,12 +137,17 @@ class HashJoinOp final : public PhysicalOperator {
   struct Partition {
     /// Adds a build row whose key hash is `hash`.
     void Add(Row&& row, const std::vector<size_t>& keys, size_t hash);
+    /// Makes room for n rows in n chains (see TagIndex::Reserve).
+    void Reserve(size_t n);
 
     TagIndex index;              // Key → chain, compared at the head row.
     std::vector<size_t> heads;   // [chain] its newest row.
     std::vector<size_t> hashes;  // [chain] its key hash.
     std::vector<Row> rows;
     std::vector<size_t> next;    // [row] the next row of its chain.
+    uint64_t value_bytes = 0;    // HeapBytes of the rows' values.
+    /// The arena's own footprint, which hashKB reports; the budget charge
+    /// adds value_bytes.
     uint64_t ApproxBytes() const {
       return ArenaBytes(rows.capacity(), heads.capacity(), index.capacity());
     }
@@ -151,6 +157,7 @@ class HashJoinOp final : public PhysicalOperator {
   struct Staged {
     std::vector<Row> rows;
     std::vector<size_t> hashes;
+    uint64_t value_bytes = 0;  // HeapBytes of the rows' values, governed.
   };
 
   /// Where a probe stands: the current probe morsel, the row in it and its
@@ -168,10 +175,11 @@ class HashJoinOp final : public PhysicalOperator {
   void Reset();
   /// Builds partitions_ from the right input over the lease's lanes: one
   /// arena filled directly on a one-lane lease, else a radix-routed staging
-  /// pass and a partition-parallel build.  Closes the right input and
-  /// reports the arenas' footprint.
+  /// pass and a partition-parallel build.  Closes the right input, reports
+  /// the arenas' footprint and sets *build_bytes to what it charged: the
+  /// arenas and their rows' values.
   Status Build(const parallel::WorkerPool::Lease& lease,
-               uint64_t* arena_bytes);
+               uint64_t* build_bytes);
   /// Opens the left input for `lanes` probing lanes (LaneBatchImpl), by
   /// lane when it is a partitioned source, else through probe_cursor_.
   Status OpenProbe(size_t lanes);
@@ -309,6 +317,13 @@ class BagCountOp final : public PhysicalOperator {
     HashKeyIndex index;
     std::vector<uint64_t> counts;
     std::vector<uint64_t> seen;  // − and ∩: the lhs count sum met.
+    /// Makes room for n keys, with their counts when `counted`.
+    void Reserve(size_t n, bool counted) {
+      index.Reserve(n);
+      if (!counted) return;
+      ReserveAmortised(counts, n);
+      ReserveAmortised(seen, n);
+    }
     size_t ApproxBytes() const {
       return index.ApproxBytes() +
              (counts.capacity() + seen.capacity()) * sizeof(uint64_t);
@@ -316,12 +331,14 @@ class BagCountOp final : public PhysicalOperator {
   };
 
   /// Drains `child` over the lease's lanes into sets_, one key set for
-  /// each of `parts` radix partitions, with each key's count sum when
-  /// `counted` (the rhs budgets; the sums saturate).  *bytes is the
-  /// footprint held before, and with sets_ after.
+  /// each of `parts` radix partitions, each sized for its share of
+  /// `estimated_keys`, with each key's count sum when `counted` (the rhs
+  /// budgets; the sums saturate).  *bytes is the footprint held before,
+  /// and with sets_ after.
   Status Collapse(const parallel::WorkerPool::Lease& lease,
-                  PhysicalOperator* child, size_t parts, bool counted,
-                  uint64_t* rows, uint64_t* bytes);
+                  PhysicalOperator* child, double estimated_keys,
+                  size_t parts, bool counted, uint64_t* rows,
+                  uint64_t* bytes);
   /// The streaming kernel: pulls lhs batches into `out` and keeps each row
   /// with what it emits.
   Status StreamBatch(RowBatch& out);

@@ -8,7 +8,10 @@
 // Storage is recycled across Open()s the same way RowBatch recycles rows:
 // Reset() zeroes the logical size but parks the key tuples and keeps the
 // index's capacity, and inserts AssignProjection into the parked tuples,
-// so a reopened operator rebuilds without reallocating.  ApproxBytes()
+// so a reopened operator rebuilds without reallocating.  Reserve(n) sizes
+// the arena and the index for n keys in one step, from the kernel's
+// planned size (exec::PlannedRows), so a build fills without doubling;
+// growth past it doubles as before.  ApproxBytes()
 // reports the heap footprint (index words, stored hashes and key tuples;
 // string payloads counted, allocator slack not) for the memory accounting
 // surfaced by EXPLAIN ANALYZE and the `hash.peak_bytes` gauge.
@@ -16,6 +19,7 @@
 #ifndef MRA_EXEC_HASH_TABLE_H_
 #define MRA_EXEC_HASH_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +40,26 @@ class HashKeyIndex {
     num_keys_ = 0;
     key_bytes_ = 0;
     index_.Clear();
+  }
+
+  /// Bytes a planned reservation charges per key: its arena slot, stored
+  /// hash and index words, values not counted.
+  static constexpr uint64_t kBytesPerKey =
+      sizeof(Tuple) + sizeof(size_t) + TagIndex::kMaxBytesPerId;
+
+  /// Makes room for n keys, so inserting up to n grows nothing: the arena
+  /// as ReserveAmortised, the index as TagIndex::Reserve.  Never shrinks,
+  /// and n within the current room is a no-op.
+  void Reserve(size_t n) {
+    ReserveAmortised(keys_, n);
+    ReserveAmortised(hashes_, n);
+    index_.Reserve(n, num_keys_, [this](size_t k) { return hashes_[k]; });
+  }
+
+  /// Index buckets and key slots the index has room for, for tests.
+  size_t index_capacity() const { return index_.capacity(); }
+  size_t key_capacity() const {
+    return std::min(keys_.capacity(), hashes_.capacity());
   }
 
   /// Finds the dense id of π_attrs(row), whose hash is `hash` ==

@@ -1,7 +1,9 @@
 #include "mra/exec/operator.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -157,6 +159,33 @@ void RenderAnalyzed(const PhysicalOperator& op, int depth, std::ostream& out) {
 
 }  // namespace
 
+size_t PlannedRows(double estimate, uint64_t row_bytes, ExecContext* ctx,
+                   uint64_t* charged, size_t cap) {
+  *charged = 0;
+  cap = std::min(cap, kMaxPlannedRows);
+  // No estimate is -1; NaN fails the comparison too.
+  if (!(estimate >= 1.0) || cap == 0) return 0;
+  size_t rows = estimate >= static_cast<double>(cap)
+                    ? cap
+                    : static_cast<size_t>(std::ceil(estimate));
+  if (ctx == nullptr) return rows;
+  // Reserve rounds the dense vectors up to a power of two: charge that
+  // room, and when the budget grants less, plan what fits in the grant.
+  const size_t room = std::bit_ceil(rows);
+  const size_t granted = ctx->ChargeRows(room, row_bytes);
+  *charged = granted * row_bytes;
+  return granted == room ? rows : std::bit_floor(granted);
+}
+
+size_t PhysicalOperator::PlanRows(double estimate, uint64_t row_bytes,
+                                  size_t cap) {
+  uint64_t charged = 0;
+  const size_t rows =
+      PlannedRows(estimate, row_bytes, exec_ctx_, &charged, cap);
+  charged_bytes_ += charged;
+  return rows;
+}
+
 Status PhysicalOperator::Open() { return OpenChecked(0, nullptr); }
 
 Status PhysicalOperator::OpenForLanes(size_t lanes, bool* by_lanes) {
@@ -292,12 +321,13 @@ void PhysicalOperator::FoldLaneMetrics() {
   }
 }
 
-Status PhysicalOperator::NoteHashFootprint(uint64_t bytes) {
+Status PhysicalOperator::NoteHashFootprint(uint64_t bytes,
+                                           uint64_t value_bytes) {
   if (bytes > metrics_.hash_bytes) {
     metrics_.hash_bytes = bytes;
     NoteHashPeakBytes(bytes);
   }
-  return ChargeMemTo(bytes);
+  return ChargeMemTo(bytes + value_bytes);
 }
 
 void PhysicalOperator::Close() {
@@ -338,21 +368,29 @@ std::string RenderPlanWithMetrics(const PhysicalOperator& root) {
 
 Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t batch_size) {
   MRA_RETURN_IF_ERROR(op.Open());
+  // The result is sized once from the root's estimate, after Open has
+  // charged the plan's builds; its reservation counts against the budget
+  // while the plan runs and goes back when the result leaves it.
+  ExecContext* ctx = op.exec_context();
+  uint64_t charged = 0;
   Relation out(op.schema());
+  out.Reserve(PlannedRows(op.estimated_rows(),
+                          sizeof(Relation::Entry) + sizeof(uint64_t) +
+                              TagIndex::kMaxBytesPerId,
+                          ctx, &charged));
   RowBatch batch(batch_size);
+  Status s;
   while (true) {
-    Status s = op.NextBatch(batch);
-    if (!s.ok()) {
-      // Unwind: a plan killed mid-drain hands its budget charges back now.
-      op.Close();
-      return s;
-    }
-    if (batch.empty()) break;
+    s = op.NextBatch(batch);
+    if (!s.ok() || batch.empty()) break;
     for (Row& row : batch) {
       out.InsertUnchecked(std::move(row.tuple), row.count);
     }
   }
+  // A plan killed mid-drain hands its budget charges back here too.
   op.Close();
+  if (charged > 0) ctx->Release(charged);
+  if (!s.ok()) return s;
   return out;
 }
 
@@ -624,8 +662,7 @@ Status NestedLoopJoinOp::OpenImpl() {
     MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
     if (batch.empty()) break;
     for (Row& row : batch) {
-      materialized_bytes +=
-          sizeof(Row) + sizeof(Tuple) + row.tuple.HeapBytes();
+      materialized_bytes += sizeof(Row) + row.tuple.HeapBytes();
       right_rows_.push_back(std::move(row));
     }
     MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));

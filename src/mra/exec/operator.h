@@ -125,6 +125,23 @@ class RowBatch {
   size_t capacity_;
 };
 
+/// The most rows one planned reservation makes room for.  Estimates can
+/// be off by orders of magnitude; at this ceiling the largest reservation,
+/// a result Relation's entries and index, is about 4 MiB, while a table
+/// that outgrows it has already skipped the 13 doublings from 8 slots that
+/// account for most of its moves.
+inline constexpr size_t kMaxPlannedRows = size_t{1} << 16;
+
+/// The planned size of a bag or table that `estimate` rows (a node's
+/// estimated_rows()) of about `row_bytes` bytes each will fill, for its
+/// Reserve before the first row: 0 — plain growth — with no estimate, and
+/// at most `cap` and kMaxPlannedRows.  On a governed plan the room is
+/// charged first (ExecContext::ChargeRows), clamped to the budget's
+/// headroom, and *charged gets the bytes; an over-estimate that does not
+/// fit falls back to growth, never to a kill.
+size_t PlannedRows(double estimate, uint64_t row_bytes, ExecContext* ctx,
+                   uint64_t* charged, size_t cap = kMaxPlannedRows);
+
 /// Abstract physical operator.
 class PhysicalOperator {
  public:
@@ -238,8 +255,16 @@ class PhysicalOperator {
   /// OperatorMetrics::hash_bytes and the process-wide hash.peak_bytes
   /// high-water immediately — on growth during execution, not only at
   /// Close — so a live `\top` / ServerStats view sees a running build.
-  /// Also charges the footprint against the query budget (ChargeMemTo).
-  Status NoteHashFootprint(uint64_t bytes);
+  /// Also charges the footprint against the query budget (ChargeMemTo),
+  /// with `value_bytes` more for values the table's rows hold outside it
+  /// (the join's build rows), which hashKB leaves out.
+  Status NoteHashFootprint(uint64_t bytes, uint64_t value_bytes = 0);
+
+  /// PlannedRows for a table this operator fills, with the reservation
+  /// charged to this operator: its later ChargeMemTo / NoteHashFootprint
+  /// calls settle the charge on what the table then holds.
+  size_t PlanRows(double estimate, uint64_t row_bytes,
+                  size_t cap = kMaxPlannedRows);
 
   obs::OperatorMetrics metrics_;
 

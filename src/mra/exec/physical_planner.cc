@@ -60,10 +60,10 @@ bool PickSortMergeJoin(const PlanPtr& plan, const LowerContext& ctx) {
   double build_rows = (*ctx.estimator)(*plan->child(1));
   if (build_rows < 0) return false;
   // The build arena the join charges, every key distinct, plus the rows'
-  // values, which it holds and a multi-lane build charges as it stages
-  // them.  A row costs at least its Row and values, so past budget / that
-  // many rows it cannot fit; below, with the budget capped at 2^62 bytes
-  // (past any real memory), rows < 2^57 and the sum stays in 64 bits.
+  // values, which it charges with them on every lane count.  A row costs
+  // at least its Row and values, so past budget / that many rows it
+  // cannot fit; below, with the budget capped at 2^62 bytes (past any real
+  // memory), rows < 2^57 and the sum stays in 64 bits.
   const uint64_t row_bytes =
       sizeof(Row) + plan->child(1)->schema().arity() * sizeof(Value);
   budget = std::min(budget, uint64_t{1} << 62);

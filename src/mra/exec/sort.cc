@@ -289,6 +289,18 @@ Status SortOp::OpenInner() {
     return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
   };
 
+  // The buffer is sized once from the child's estimate, at most what one
+  // run holds below the spill threshold (and a LIMIT's heap), so a
+  // reservation never outgrows the run it fills; the charge holds the
+  // reserved room until the buffered rows outweigh it.
+  const uint64_t row_bytes = sizeof(Row) + key_entry_bytes_;
+  size_t cap = static_cast<size_t>(
+      std::min<uint64_t>(threshold / row_bytes, kMaxPlannedRows));
+  if (limit_ > 0 && limit_ < cap) cap = static_cast<size_t>(limit_) + 1;
+  const size_t planned = PlanRows(child_->estimated_rows(), row_bytes, cap);
+  const uint64_t planned_bytes = planned * row_bytes;
+  buffer_.reserve(planned);
+
   MRA_RETURN_IF_ERROR(child_->Open());
   RowBatch batch;
   while (true) {
@@ -322,7 +334,7 @@ Status SortOp::OpenInner() {
     }
     // Budget check per input batch: a runaway non-spilling sort input is
     // caught while it grows.
-    MRA_RETURN_IF_ERROR(ChargeMemTo(buffer_bytes_));
+    MRA_RETURN_IF_ERROR(ChargeMemTo(std::max(buffer_bytes_, planned_bytes)));
   }
   child_->Close();
 
@@ -337,8 +349,10 @@ Status SortOp::OpenInner() {
   // resident.
   if (!buffer_.empty()) {
     MRA_RETURN_IF_ERROR(SpillRun());
-    MRA_RETURN_IF_ERROR(ChargeMemTo(buffer_bytes_));
   }
+  // The merge reads only the files: the buffer's room goes back.
+  buffer_ = std::vector<Row>();
+  MRA_RETURN_IF_ERROR(ChargeMemTo(buffer_bytes_));
   MRA_RETURN_IF_ERROR(StartMerge());
   std::string note =
       AnnotationText("spill", std::to_string(run_files_.size()) + " runs");

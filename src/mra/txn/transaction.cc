@@ -126,6 +126,8 @@ Status Transaction::Insert(const std::string& name, const Relation& delta) {
   }
   // R ← R ⊎ E.
   if (Relation* rel = ReplacedTarget(*change, delta)) {
+    // A bulk load sizes the image once: at most every delta tuple is new.
+    rel->Reserve(rel->distinct_size() + delta.distinct_size());
     for (const auto& [tuple, count] : delta) rel->InsertUnchecked(tuple, count);
     return Status::OK();
   }

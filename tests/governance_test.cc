@@ -99,6 +99,25 @@ TEST_F(GovernanceTest, ChargeOverBudgetTripsNamingOperatorAndHighWater) {
   EXPECT_EQ(ctx.mem_high_water(), 1200u);
 }
 
+TEST_F(GovernanceTest, ReservationChargeIsClampedToTheHeadroomAndNeverTrips) {
+  ExecContext ctx;
+  ctx.SetMemoryBudget(1000);
+  ASSERT_TRUE(ctx.Charge(200, "Sort").ok());
+  // A quarter of the 800 bytes left: 200 bytes, 20 rows of 10.
+  EXPECT_EQ(ctx.ChargeRows(1000, 10), 20u);
+  EXPECT_EQ(ctx.mem_used(), 400u);
+  EXPECT_EQ(ctx.ChargeRows(5, 10), 5u);
+  EXPECT_EQ(ctx.mem_used(), 450u);
+  // A row wider than the quarter gets nothing, and nothing is charged.
+  EXPECT_EQ(ctx.ChargeRows(3, 200), 0u);
+  EXPECT_EQ(ctx.mem_used(), 450u);
+  EXPECT_FALSE(ctx.killed());
+  // Unbudgeted, the rows are charged in full, for the high-water mark.
+  ExecContext open;
+  EXPECT_EQ(open.ChargeRows(1000, 10), 1000u);
+  EXPECT_EQ(open.mem_high_water(), 10000u);
+}
+
 TEST_F(GovernanceTest, DeadlineInThePastKillsAtFirstCheck) {
   ExecContext ctx;
   ctx.set_query_id(9);
@@ -363,6 +382,105 @@ TEST_F(GovernanceTest, JoinBuildOverBudgetWithItsValuesLowersToSortMerge) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got->Equals(*ops::Join(cond, probe, build)));
   EXPECT_EQ(ctx.mem_used(), 0u);
+}
+
+TEST_F(GovernanceTest, JoinChargesItsBuildRowsValuesOnEveryLaneCount) {
+  // A build side of long strings: every held build row is charged its Row
+  // and its values, on one lane (the arena) as on two (the staged rows,
+  // then the partition arenas).
+  RelationSchema schema("wide", {{"k", Type::Int()}, {"s", Type::String()}});
+  Relation build(schema);
+  Relation probe(schema);
+  uint64_t build_bytes = 0;
+  for (int64_t i = 0; i < 400; ++i) {
+    Tuple row({Value::Int(i), Value::Str(std::string(300, 'a' + i % 26))});
+    build_bytes += sizeof(Row) + row.HeapBytes();
+    build.InsertUnchecked(row, 1);
+    probe.InsertUnchecked(Tuple({Value::Int(i), Value::Str("p")}), 1);
+  }
+  auto expected = ops::Join(Eq(Attr(0), Attr(2)), probe, build);
+  ASSERT_TRUE(expected.ok());
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    HashJoinOp join({0}, {0}, nullptr, std::make_unique<ScanOp>(&probe),
+                    std::make_unique<ScanOp>(&build), workers);
+    ExecContext ctx;
+    join.SetExecContext(&ctx);
+    auto got = ExecuteToRelation(join);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->Equals(*expected));
+    EXPECT_EQ(join.metrics().workers, workers);
+    EXPECT_GE(ctx.mem_high_water(), build_bytes);
+    EXPECT_EQ(ctx.mem_used(), 0u);
+  }
+}
+
+// A plan whose every node is estimated at 100x its actual rows, under a
+// budget between its actual footprint and the footprint its estimates
+// would reserve: the reservations are clamped to the headroom, so the
+// plan completes with the oracle's bag and hands every byte back.  The
+// same plan under-estimated grows past its reservations correctly.
+TEST_F(GovernanceTest, MisestimatedPlanCompletesUnderABudget) {
+  RelationSchema build_schema("build",
+                              {{"k", Type::Int()}, {"a", Type::Int()}});
+  RelationSchema probe_schema("probe",
+                              {{"k", Type::Int()}, {"v", Type::Int()}});
+  Relation build(build_schema);
+  Relation probe(probe_schema);
+  for (int64_t i = 0; i < 200; ++i) {
+    build.InsertUnchecked(Tuple({Value::Int(i), Value::Int(i % 9)}), 1);
+    probe.InsertUnchecked(Tuple({Value::Int(i), Value::Int(i % 4)}), 2);
+  }
+  Catalog catalog;
+  for (const Relation* rel : {&build, &probe}) {
+    ASSERT_TRUE(catalog.CreateRelation(rel->schema()).ok());
+    ASSERT_TRUE(catalog.SetRelation(rel->schema().name(), *rel).ok());
+  }
+  ExprPtr cond = Eq(Attr(0), Attr(2));
+  auto join = Plan::Join(cond, Plan::Scan("probe", probe_schema),
+                         Plan::Scan("build", build_schema));
+  ASSERT_TRUE(join.ok());
+  auto unique = Plan::Unique(*join);
+  ASSERT_TRUE(unique.ok());
+  auto plan = Plan::Sort({3, 0}, {false, true}, 0, *unique);
+  ASSERT_TRUE(plan.ok());
+  auto oracle = ops::Join(cond, probe, build);
+  ASSERT_TRUE(oracle.ok());
+  auto expected = ops::Unique(*oracle);
+  ASSERT_TRUE(expected.ok());
+  // Every node holds at most 400 weighted rows.
+  auto estimate_at = [](double rows) {
+    return CardinalityEstimator([rows](const Plan&) { return rows; });
+  };
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExecConfig config;
+    config.exec.workers = workers;
+    config.exec.parallel_threshold = 1;
+    // Runs the plan under `estimate` and a budget (0 = none); returns the
+    // charged high-water mark.
+    auto run = [&](double rows, uint64_t budget) -> uint64_t {
+      const CardinalityEstimator estimate = estimate_at(rows);
+      ExecContext ctx;
+      ctx.SetMemoryBudget(budget);
+      auto op = LowerPlan(*plan, catalog, &estimate, config, &ctx);
+      EXPECT_TRUE(op.ok()) << op.status().ToString();
+      if (!op.ok()) return 0;
+      EXPECT_EQ((*op)->name(), "Sort");
+      auto got = ExecuteToRelation(**op);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (got.ok()) EXPECT_TRUE(got->Equals(*expected));
+      EXPECT_EQ(ctx.mem_used(), 0u);
+      return ctx.mem_high_water();
+    };
+    const uint64_t actual = run(400, 0);
+    const uint64_t reserved = run(40000, 0);
+    const uint64_t budget = 4 * actual;
+    ASSERT_LT(budget, reserved);
+    EXPECT_LE(run(40000, budget), budget);
+    EXPECT_LE(run(1, budget), budget);
+    run(1, 0);
+  }
 }
 
 TEST_F(GovernanceTest, KilledBracketLeavesDatabaseAsIfNeverRun) {

@@ -751,6 +751,112 @@ TEST(HashOpsTest, BagCountExplainShowsBuildAndProbe) {
   }
 }
 
+// --- Planned sizes: each kernel reserves from its nodes' estimates. ---
+
+/// Sets `rows` as the estimate of every node of `op`'s tree.
+void SetEstimates(PhysicalOperator& op, double rows) {
+  op.set_estimated_rows(rows);
+  for (const PhysicalOperator* child : op.children()) {
+    SetEstimates(const_cast<PhysicalOperator&>(*child), rows);
+  }
+}
+
+TEST(HashOpsTest, PlannedSizesFromAnyEstimateKeepResults) {
+  // No estimate, far under (every table grows past its reservation), and
+  // far over (the reservation is clamped at kMaxPlannedRows): each kernel
+  // still gives the definitional bag at every lane count.
+  std::mt19937_64 rng(21);
+  Relation r = RandomIntRelation(rng, 2, 400, 60, 5);
+  Relation s = RandomIntRelation(rng, 2, 400, 60, 5);
+  const std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "s"},
+                                     {AggKind::kCnt, 0, "n"}};
+  auto gb_schema = ops::GroupBySchema({0}, aggs, r.schema());
+  ASSERT_OK(gb_schema);
+  auto join = ops::Join(Eq(Attr(0), Attr(2)), r, s);
+  auto group = ops::GroupBy({0}, aggs, r);
+  auto unique = ops::Unique(r);
+  auto difference = ops::Difference(r, s);
+  ASSERT_OK(join);
+  ASSERT_OK(group);
+  ASSERT_OK(unique);
+  ASSERT_OK(difference);
+  const std::vector<std::pair<std::function<PhysOpPtr(size_t, size_t)>,
+                              const Relation*>>
+      kernels = {
+          {[&](size_t workers, size_t morsel) -> PhysOpPtr {
+             return std::make_unique<HashJoinOp>(
+                 std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+                 Scan(r), Scan(s), workers, morsel);
+           },
+           &*join},
+          {[&](size_t workers, size_t morsel) -> PhysOpPtr {
+             return std::make_unique<HashGroupByOp>(
+                 std::vector<size_t>{0}, aggs, *gb_schema, Scan(r), workers,
+                 morsel);
+           },
+           &*group},
+          {[&](size_t workers, size_t morsel) {
+             return BagCount(BagFn::kUnique, Scan(r), nullptr, workers,
+                             morsel);
+           },
+           &*unique},
+          {[&](size_t workers, size_t morsel) {
+             return BagCount(BagFn::kDifference, Scan(r), Scan(s), workers,
+                             morsel);
+           },
+           &*difference}};
+  for (double estimate : {-1.0, 1.0, 3.0, 1e9}) {
+    for (const auto& [make, expected] : kernels) {
+      ExpectAtEveryLaneCount(
+          [&, make = make](size_t workers, size_t morsel) {
+            PhysOpPtr op = make(workers, morsel);
+            SetEstimates(*op, estimate);
+            return op;
+          },
+          *expected, ("estimate " + std::to_string(estimate)).c_str());
+    }
+  }
+}
+
+TEST(HashKeyIndexTest, ReserveFillsWithoutGrowing) {
+  HashKeyIndex index;
+  index.Reserve(0);
+  EXPECT_EQ(index.index_capacity(), 0u);
+  index.Reserve(300);
+  const size_t buckets = index.index_capacity();
+  const size_t slots = index.key_capacity();
+  EXPECT_EQ(buckets, TagIndex::CapacityFor(300));
+  EXPECT_GE(slots, 300u);
+  const std::vector<size_t> attrs = {0};
+  auto fill = [&] {
+    for (int64_t i = 0; i < 300; ++i) {
+      const Tuple row = IntTuple({i, i % 7});
+      bool inserted = false;
+      ASSERT_EQ(index.InsertKey(row, attrs, row.HashKey(attrs), &inserted),
+                static_cast<size_t>(i));
+      ASSERT_TRUE(inserted);
+    }
+    EXPECT_EQ(index.index_capacity(), buckets);
+    EXPECT_EQ(index.key_capacity(), slots);
+  };
+  fill();
+  // Below the size, or within the room: no-ops.
+  index.Reserve(10);
+  index.Reserve(300);
+  EXPECT_EQ(index.index_capacity(), buckets);
+  // A recycled index refills in the same room.
+  index.Reset();
+  fill();
+  // Past the room (7/8 of the buckets): every key keeps its id.
+  index.Reserve(buckets * 7 / 8 + 1);
+  EXPECT_EQ(index.index_capacity(), 2 * buckets);
+  for (int64_t i = 0; i < 300; ++i) {
+    const Tuple row = IntTuple({i, 0});
+    EXPECT_EQ(index.FindKey(row, attrs, row.HashKey(attrs)),
+              static_cast<size_t>(i));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HashOpsDifferentialTest,
                          ::testing::Range(uint64_t{1}, uint64_t{9}));
 

@@ -540,6 +540,27 @@ TEST(WorkerPoolTest, SaturationShedsToSerialLease) {
   EXPECT_GE(refreshed.lanes(), 2u);  // ...so admission recovers.
 }
 
+TEST(ParallelExecMetrics, OneMorselSourceOnTwoLanesLeavesOneLaneIdle) {
+  // A source that is not partitioned yields one morsel through the shared
+  // cursor: whichever lane takes it, the other pulls nothing.
+  Relation input = mra::testing::IntRel("t", {{1, 10}, {2, 20}, {1, 5}}, 2);
+  const std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "s"}};
+  auto schema = ops::GroupBySchema({0}, aggs, input.schema());
+  ASSERT_TRUE(schema.ok());
+  obs::Counter* idle =
+      obs::MetricsRegistry::Global().GetCounter("parallel.idle_lanes");
+  const uint64_t before = idle->value();
+  exec::HashGroupByOp gb({0}, aggs, *schema,
+                         std::make_unique<exec::ConstScanOp>(input), 2);
+  auto got = exec::ExecuteToRelation(gb);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(gb.metrics().workers, 2u);
+  EXPECT_EQ(idle->value() - before, 1u);
+  auto expected = ops::GroupBy({0}, aggs, input);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(got->Equals(*expected));
+}
+
 // --- Planner integration: EXPLAIN ANALYZE carries the lane metrics.
 
 TEST(ParallelExecPlanner, ExplainAnalyzeRendersWorkersAndCpu) {

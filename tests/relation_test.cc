@@ -411,5 +411,100 @@ TEST(RelationDifferential, WindowChurnKeepsTheIndexBounded) {
   EXPECT_EQ(r.index_capacity(), buckets);
 }
 
+TEST(RelationDifferential, ReserveFillsWithoutGrowing) {
+  const RelationSchema schema("d", {{"k", Type::Int()}, {"s", Type::String()}});
+  Relation r(schema);
+  r.Reserve(0);
+  EXPECT_EQ(r.index_capacity(), 0u);
+  EXPECT_EQ(r.entry_capacity(), 0u);
+  r.Reserve(500);
+  const size_t buckets = r.index_capacity();
+  const size_t entries = r.entry_capacity();
+  EXPECT_EQ(buckets, TagIndex::CapacityFor(500));
+  EXPECT_GE(entries, 500u);
+  Model model;
+  for (int64_t i = 0; i < 500; ++i) {
+    r.InsertUnchecked(KeyTuple(i), 2);
+    model[KeyTuple(i)] = 2;
+  }
+  EXPECT_EQ(r.index_capacity(), buckets);
+  EXPECT_EQ(r.entry_capacity(), entries);
+  // Below distinct_size(), and Reserve(0): no-ops.
+  r.Reserve(100);
+  r.Reserve(0);
+  EXPECT_EQ(r.index_capacity(), buckets);
+  EXPECT_EQ(r.entry_capacity(), entries);
+  ExpectMatchesModel(r, model, {KeyTuple(500)});
+  // After inserts: the room grows, every tuple keeps its count.
+  r.Reserve(2000);
+  EXPECT_EQ(r.index_capacity(), TagIndex::CapacityFor(2000));
+  EXPECT_GE(r.entry_capacity(), 2000u);
+  ExpectMatchesModel(r, model, {KeyTuple(500)});
+}
+
+TEST(RelationDifferential, ReservedRandomOperationsMatchAMapModel) {
+  // The random operations of RandomOperationsMatchAMapModel, each seed on
+  // a relation reserved before its first insert, with reserves — below,
+  // at and past the support — among the operations.
+  const RelationSchema schema("d", {{"k", Type::Int()}, {"s", Type::String()}});
+  std::vector<Tuple> domain;
+  for (int64_t i = 0; i < 300; ++i) domain.push_back(KeyTuple(i));
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<size_t> pick(0, 40 + 60 * seed);
+    std::uniform_int_distribution<uint64_t> count(1, 3);
+    std::uniform_int_distribution<int> op(0, 99);
+    Relation r(schema);
+    r.Reserve(20 * seed);
+    Model model;
+    for (int round = 0; round < 4000; ++round) {
+      const Tuple& t = domain[pick(rng)];
+      const int o = op(rng);
+      if (o < 40) {
+        const uint64_t c = count(rng);
+        r.InsertUnchecked(Tuple(t), c);
+        model[t] += c;
+      } else if (o < 70) {
+        const uint64_t c = o < 60 ? count(rng) : UINT64_MAX;
+        const uint64_t have = model.count(t) ? model[t] : 0;
+        const uint64_t removed = std::min(c, have);
+        ASSERT_EQ(r.Remove(t, c), removed);
+        if (have == removed) {
+          model.erase(t);
+        } else {
+          model[t] = have - removed;
+        }
+      } else if (o < 85) {
+        const uint64_t c = count(rng) - 1;
+        r.SetMultiplicity(t, c);
+        if (c == 0) {
+          model.erase(t);
+        } else {
+          model[t] = c;
+        }
+      } else if (o < 97) {
+        const size_t buckets = r.index_capacity();
+        const size_t entries = r.entry_capacity();
+        const size_t n = std::uniform_int_distribution<size_t>(
+            0, 2 * r.distinct_size() + 1)(rng);
+        r.Reserve(n);
+        if (n <= r.distinct_size()) {
+          ASSERT_EQ(r.index_capacity(), buckets);
+          ASSERT_EQ(r.entry_capacity(), entries);
+        }
+        ASSERT_GE(r.index_capacity(), TagIndex::CapacityFor(n));
+        ASSERT_GE(r.entry_capacity(), n);
+      } else if (o == 98 && round % 5 == 0) {
+        r.Clear();
+        model.clear();
+      }
+      ASSERT_EQ(r.Multiplicity(t), model.count(t) ? model[t] : 0u);
+      if (round % 97 == 0) ExpectMatchesModel(r, model, domain);
+    }
+    ExpectMatchesModel(r, model, domain);
+  }
+}
+
 }  // namespace
 }  // namespace mra

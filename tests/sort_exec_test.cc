@@ -101,6 +101,36 @@ void ExpectSortAgreement(const Relation& input, std::vector<size_t> keys,
   }
 }
 
+// The sort buffer is reserved from the child's estimate, capped by the
+// spill threshold and a LIMIT's heap: under-, over- and unestimated
+// inputs all sort exactly, and a forced spill still spills.
+TEST(SortPlannedSize, AnyEstimateKeepsOrderAndTheSpillThreshold) {
+  std::mt19937_64 rng(31);
+  Relation input = RandomIntRelation(rng, 3, 600, 50, 4);
+  const std::vector<size_t> keys = {1, 0};
+  const std::vector<bool> desc = {false, true};
+  for (double estimate : {-1.0, 1.0, 1e9}) {
+    for (uint64_t limit : {uint64_t{0}, uint64_t{25}}) {
+      for (uint64_t spill_bytes : {uint64_t{0}, uint64_t{4096}}) {
+        SCOPED_TRACE("estimate " + std::to_string(estimate) + " limit " +
+                     std::to_string(limit) + " spill " +
+                     std::to_string(spill_bytes));
+        auto expected = ops::Sort(keys, desc, limit, input);
+        ASSERT_OK(expected);
+        auto child = std::make_unique<ScanOp>(&input);
+        child->set_estimated_rows(estimate);
+        SortOp op(keys, desc, limit, spill_bytes, std::move(child));
+        auto got = DrainOrdered(op, keys, desc);
+        ASSERT_OK(got);
+        EXPECT_REL_EQ(*got, *expected);
+        if (spill_bytes > 0 && limit == 0) {
+          EXPECT_GT(op.spilled_runs(), 0u);
+        }
+      }
+    }
+  }
+}
+
 class SortDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SortDifferentialTest, FullSortAllDomainsIsBagIdentityAndOrdered) {

@@ -65,6 +65,10 @@ class DenseStore {
     return true;
   }
 
+  void Reserve(size_t n) {
+    index_.Reserve(n, keys_.size(), [this](size_t i) { return hashes_[i]; });
+  }
+
   void Clear() {
     index_.Clear();
     keys_.clear();
@@ -251,6 +255,80 @@ TEST(TagIndexTest, LoadStaysAtOrUnderSevenEighths) {
   for (uint64_t key = 0; key < 5000; ++key) {
     store.Add(key, 1);
     ASSERT_EQ(store.capacity(), TagIndex::CapacityFor(key + 1));
+  }
+}
+
+TEST(TagIndexReserve, SizesOnceAndNeverShrinks) {
+  DenseStore store(Mixed);
+  store.Reserve(0);
+  EXPECT_EQ(store.capacity(), 0u);
+  store.Reserve(1000);
+  const size_t buckets = TagIndex::CapacityFor(1000);
+  EXPECT_EQ(store.capacity(), buckets);
+  Model model;
+  for (uint64_t key = 0; key < 1000; ++key) {
+    store.Add(key, 1);
+    model[key] = 1;
+    ASSERT_EQ(store.capacity(), buckets);
+  }
+  // Within the room, or below the size: no-ops.
+  store.Reserve(0);
+  store.Reserve(10);
+  store.Reserve(1000);
+  EXPECT_EQ(store.capacity(), buckets);
+  ExpectMatchesModel(store, model, 1000);
+  // Past the room (7/8 of the buckets): twice the buckets, with every id
+  // re-placed.
+  store.Reserve(buckets * 7 / 8 + 1);
+  EXPECT_EQ(store.capacity(), 2 * buckets);
+  ExpectMatchesModel(store, model, 1000);
+  // Far past it: the capacity n needs.
+  store.Reserve(100000);
+  EXPECT_EQ(store.capacity(), TagIndex::CapacityFor(100000));
+  ExpectMatchesModel(store, model, 1000);
+}
+
+TEST(TagIndexReserve, ReservesAmongRandomOperationsKeepEveryKey) {
+  for (const Family& family : kFamilies) {
+    SCOPED_TRACE(family.name);
+    const uint64_t domain = family.hash == AtTheEnd ? 120 : 600;
+    DenseStore store(family.hash);
+    Model model;
+    std::mt19937_64 rng(13);
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t key = rng() % domain;
+      switch (rng() % 5) {
+        case 0:
+        case 1: {
+          const uint64_t value = 1 + rng() % 5;
+          store.Add(key, value);
+          model[key] += value;
+          break;
+        }
+        case 2:
+          EXPECT_EQ(store.Erase(key), model.erase(key) == 1);
+          break;
+        case 3: {
+          // Below, at or past the live size.
+          const size_t before = store.capacity();
+          const size_t n = rng() % (2 * store.size() + 2);
+          store.Reserve(n);
+          ASSERT_GE(store.capacity(), before);
+          ASSERT_GE(store.capacity(), TagIndex::CapacityFor(n));
+          break;
+        }
+        default: {
+          const size_t id = store.Find(key);
+          auto it = model.find(key);
+          ASSERT_EQ(id == TagIndex::kNotFound, it == model.end());
+          if (it != model.end()) {
+            EXPECT_EQ(store.value(id), it->second);
+          }
+        }
+      }
+      if (op % 997 == 0) ExpectMatchesModel(store, model, domain);
+    }
+    ExpectMatchesModel(store, model, domain);
   }
 }
 
