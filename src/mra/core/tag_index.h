@@ -40,10 +40,6 @@ void ReserveAmortised(std::vector<T>& v, size_t n) {
 class TagIndex {
  public:
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
-  /// Index bytes per id, rounded up: past its first 8 buckets,
-  /// CapacityFor(n) holds under 16/7 words an id.  What a planned
-  /// reservation charges for its index.
-  static constexpr size_t kMaxBytesPerId = 3 * sizeof(uint64_t);
 
   /// Buckets: a power of two, or 0 before the first insert.
   size_t capacity() const { return words_.size(); }

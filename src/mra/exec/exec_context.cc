@@ -1,7 +1,5 @@
 #include "mra/exec/exec_context.h"
 
-#include <algorithm>
-
 #include "mra/obs/metrics.h"
 
 namespace mra {
@@ -125,18 +123,6 @@ Status ExecContext::Charge(uint64_t bytes, std::string_view op_name) {
     return KillStatus();
   }
   return Status::OK();
-}
-
-size_t ExecContext::ChargeRows(size_t rows, uint64_t row_bytes) {
-  std::lock_guard<std::mutex> lock(mem_mutex_);
-  if (mem_budget_ != 0 && row_bytes > 0) {
-    const uint64_t headroom =
-        mem_used_ < mem_budget_ ? mem_budget_ - mem_used_ : 0;
-    rows = std::min<uint64_t>(rows, headroom / 4 / row_bytes);
-  }
-  mem_used_ += rows * row_bytes;
-  if (mem_used_ > mem_high_water_) mem_high_water_ = mem_used_;
-  return rows;
 }
 
 void ExecContext::Release(uint64_t bytes) {

@@ -112,15 +112,6 @@ class ExecContext {
   Status Charge(uint64_t bytes, std::string_view op_name);
   void Release(uint64_t bytes);
 
-  /// Charges room for up to `rows` rows of `row_bytes` bytes each, which a
-  /// kernel then reserves before its first row (exec::PlannedRows).  With a
-  /// budget armed it takes only the rows that fit in a quarter of the
-  /// headroom left: a reservation never trips the budget, and however far
-  /// the estimates overshoot, the plan's reservations together leave room
-  /// for the rows that outgrow theirs.  Returns the rows charged
-  /// (rows × row_bytes bytes).
-  size_t ChargeRows(size_t rows, uint64_t row_bytes);
-
   uint64_t mem_used() const;
   uint64_t mem_high_water() const;
   uint64_t mem_budget() const { return mem_budget_; }

@@ -125,21 +125,24 @@ Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
 }
 
 /// One morsel-driven pass over `child`: opens it for the lease's lanes (a
-/// plain Open on a one-lane lease) and runs the lanes over it — each
-/// pulling its own morsels when the child is a partitioned source, else
-/// taking turns at a SharedCursor.  At the join the child's lane counters
-/// fold into its nodes and it closes, whether or not the pass failed.
-template <typename Consume, typename Charge>
+/// plain Open on a one-lane lease), calls opened() — where the kernel
+/// sizes its tables, after every build below it — and runs the lanes over
+/// it, each pulling its own morsels when the child is a partitioned
+/// source, else taking turns at a SharedCursor.  At the join the child's
+/// lane counters fold into its nodes and it closes, whether or not the
+/// pass failed.
+template <typename Opened, typename Consume, typename Charge>
 Status DrainChild(const WorkerPool::Lease& lease, ExecContext* ctx,
                   PhysicalOperator* child, size_t morsel_size,
-                  uint64_t* cpu_ns, uint64_t* rows, Consume consume,
-                  Charge charge) {
+                  uint64_t* cpu_ns, uint64_t* rows, Opened opened,
+                  Consume consume, Charge charge) {
   bool by_lanes = false;
   if (lease.lanes() > 1) {
     MRA_RETURN_IF_ERROR(child->OpenForLanes(lease.lanes(), &by_lanes));
   } else {
     MRA_RETURN_IF_ERROR(child->Open());
   }
+  opened();
   SharedCursor shared;
   Status s = RunLanes(
       lease, ctx, morsel_size, cpu_ns, rows,
@@ -302,10 +305,9 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
     // own NextBatch checks and the footprint charged as the arena grows.
     partitions_ = std::vector<Partition>(1);
     Partition& part = partitions_[0];
-    part.Reserve(PlanRows(right_->estimated_rows(),
-                          ArenaBytes(1, 1, 0) + TagIndex::kMaxBytesPerId));
     const uint64_t t0 = NowNs();
     MRA_RETURN_IF_ERROR(right_->Open());
+    part.Reserve(PlannedRows(right_->estimated_rows(), ctx));
     RowBatch batch(morsel_size_);
     while (true) {
       MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
@@ -329,24 +331,29 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
     std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
 
     // Phase 1: radix-partition the build side, keeping each row's key
-    // hash for the build.  The staged vectors share the build side's
-    // planned size; its charge holds until the staged rows outweigh it.
-    const uint64_t staged_row_bytes = sizeof(Row) + sizeof(size_t);
-    const size_t planned = PlanRows(right_->estimated_rows(), staged_row_bytes);
-    const uint64_t planned_bytes = planned * staged_row_bytes;
+    // hash for the build.  Once the build side is open the staged vectors
+    // share its planned size; their charge holds until the staged rows
+    // outweigh it.
+    uint64_t planned_bytes = 0;
     std::vector<std::vector<Staged>> staged(lanes, std::vector<Staged>(parts));
-    for (std::vector<Staged>& stage : staged) {
-      for (Staged& part : stage) {
-        part.rows.reserve(planned / (lanes * parts));
-        part.hashes.reserve(planned / (lanes * parts));
-      }
-    }
     auto charge_staged = [&] {
       return ChargeMemTo(std::max(planned_bytes, SumLaneBytes(lane_bytes)));
     };
     MRA_RETURN_IF_ERROR(DrainChild(
         lease, ctx, right_.get(), morsel_size_, &metrics_.cpu_ns,
         &metrics_.build_rows,
+        [&] {
+          const size_t share =
+              PlannedRows(right_->estimated_rows(), ctx) / (lanes * parts);
+          for (std::vector<Staged>& stage : staged) {
+            for (Staged& part : stage) {
+              part.rows.reserve(share);
+              part.hashes.reserve(share);
+            }
+          }
+          planned_bytes =
+              share * lanes * parts * (sizeof(Row) + sizeof(size_t));
+        },
         [&](size_t lane, RowBatch& morsel) {
           std::vector<Staged>& stage = staged[lane];
           uint64_t bytes = 0;
@@ -599,20 +606,21 @@ Status HashGroupByOp::OpenImpl() {
   // Folding rows into lane-local accumulators both shrinks the merge and
   // is the parallel speedup: Definition 3.3's aggregates commute with
   // partitioning, so partial per-lane states are exact. ---
-  // Each lane's table for a partition is sized for that partition's share
-  // of the estimated groups, since any lane may see every group.
-  const size_t planned =
-      PlanRows(estimated_rows() * static_cast<double>(lanes),
-               HashKeyIndex::kBytesPerKey + num_aggs * sizeof(AggAccumulator)) /
-      (lanes * parts);
   lane_tables_.resize(lanes);
-  for (auto& tables : lane_tables_) {
-    tables = std::vector<GroupTable>(parts);
-    for (GroupTable& table : tables) {
-      table.index.Reserve(planned);
-      table.accs.reserve(planned * num_aggs);
+  for (auto& tables : lane_tables_) tables = std::vector<GroupTable>(parts);
+  // Once the input is open, each lane's table for a partition is sized
+  // for its lane's share of the partition's estimated groups: together
+  // the lanes reserve the estimate once, and a lane that meets more of
+  // the groups grows past its share.
+  auto reserve = [&] {
+    const size_t share = PlannedRows(estimated_rows(), ctx) / (lanes * parts);
+    for (auto& tables : lane_tables_) {
+      for (GroupTable& table : tables) {
+        table.index.Reserve(share);
+        table.accs.reserve(share * num_aggs);
+      }
     }
-  }
+  };
   auto consume = [&](size_t lane, RowBatch& morsel) {
     std::vector<GroupTable>& tables = lane_tables_[lane];
     for (const Row& row : morsel) {
@@ -639,7 +647,7 @@ Status HashGroupByOp::OpenImpl() {
   };
   MRA_RETURN_IF_ERROR(DrainChild(
       lease, ctx, child_.get(), morsel_size_, &metrics_.cpu_ns,
-      &metrics_.build_rows, consume, [&] {
+      &metrics_.build_rows, reserve, consume, [&] {
         return governed ? NoteHashFootprint(SumLaneBytes(lane_bytes))
                         : Status::OK();
       }));
@@ -796,14 +804,14 @@ Status BagCountOp::Collapse(const WorkerPool::Lease& lease,
   std::vector<std::mutex> locks(parts);
   std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
   sets_.assign(parts, {});
-  const size_t planned =
-      PlanRows(estimated_keys, HashKeyIndex::kBytesPerKey +
-                                   (counted ? 2 * sizeof(uint64_t) : 0)) /
-      parts;
-  for (CountTable& t : sets_) t.Reserve(planned, counted);
   radix_bits_ = bits;
   MRA_RETURN_IF_ERROR(DrainChild(
       lease, exec_context(), child, morsel_size_, &metrics_.cpu_ns, rows,
+      [&] {
+        const size_t share =
+            PlannedRows(estimated_keys, exec_context()) / parts;
+        for (CountTable& t : sets_) t.Reserve(share, counted);
+      },
       [&](size_t lane, RowBatch& morsel) {
         Route& route = routes[lane];
         route.hashes.resize(morsel.size());
@@ -876,14 +884,17 @@ Status BagCountOp::OpenImpl() {
     // the recycled seen-set.
     sets_.resize(1);
     sets_[0].index.Reset();
-    sets_[0].Reserve(PlanRows(estimated_rows(), HashKeyIndex::kBytesPerKey),
-                     /*counted=*/false);
     radix_bits_ = 0;
   }
   // − and ∩, and δ on one lane, stream: NextBatch compacts each lhs batch
   // in place.
   streaming_ = true;
-  return lhs_->Open();
+  MRA_RETURN_IF_ERROR(lhs_->Open());
+  if (rhs_ == nullptr) {
+    sets_[0].Reserve(PlannedRows(estimated_rows(), exec_context()),
+                     /*counted=*/false);
+  }
+  return Status::OK();
 }
 
 Status BagCountOp::StreamBatch(RowBatch& out) {

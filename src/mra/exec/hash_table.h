@@ -42,11 +42,6 @@ class HashKeyIndex {
     index_.Clear();
   }
 
-  /// Bytes a planned reservation charges per key: its arena slot, stored
-  /// hash and index words, values not counted.
-  static constexpr uint64_t kBytesPerKey =
-      sizeof(Tuple) + sizeof(size_t) + TagIndex::kMaxBytesPerId;
-
   /// Makes room for n keys, so inserting up to n grows nothing: the arena
   /// as ReserveAmortised, the index as TagIndex::Reserve.  Never shrinks,
   /// and n within the current room is a no-op.

@@ -1,7 +1,6 @@
 #include "mra/exec/operator.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -159,31 +158,14 @@ void RenderAnalyzed(const PhysicalOperator& op, int depth, std::ostream& out) {
 
 }  // namespace
 
-size_t PlannedRows(double estimate, uint64_t row_bytes, ExecContext* ctx,
-                   uint64_t* charged, size_t cap) {
-  *charged = 0;
+size_t PlannedRows(double estimate, const ExecContext* ctx, size_t cap) {
   cap = std::min(cap, kMaxPlannedRows);
   // No estimate is -1; NaN fails the comparison too.
   if (!(estimate >= 1.0) || cap == 0) return 0;
-  size_t rows = estimate >= static_cast<double>(cap)
-                    ? cap
-                    : static_cast<size_t>(std::ceil(estimate));
-  if (ctx == nullptr) return rows;
-  // Reserve rounds the dense vectors up to a power of two: charge that
-  // room, and when the budget grants less, plan what fits in the grant.
-  const size_t room = std::bit_ceil(rows);
-  const size_t granted = ctx->ChargeRows(room, row_bytes);
-  *charged = granted * row_bytes;
-  return granted == room ? rows : std::bit_floor(granted);
-}
-
-size_t PhysicalOperator::PlanRows(double estimate, uint64_t row_bytes,
-                                  size_t cap) {
-  uint64_t charged = 0;
-  const size_t rows =
-      PlannedRows(estimate, row_bytes, exec_ctx_, &charged, cap);
-  charged_bytes_ += charged;
-  return rows;
+  if (ctx != nullptr && ctx->mem_budget() != 0) return 0;
+  return estimate >= static_cast<double>(cap)
+             ? cap
+             : static_cast<size_t>(std::ceil(estimate));
 }
 
 Status PhysicalOperator::Open() { return OpenChecked(0, nullptr); }
@@ -368,16 +350,10 @@ std::string RenderPlanWithMetrics(const PhysicalOperator& root) {
 
 Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t batch_size) {
   MRA_RETURN_IF_ERROR(op.Open());
-  // The result is sized once from the root's estimate, after Open has
-  // charged the plan's builds; its reservation counts against the budget
-  // while the plan runs and goes back when the result leaves it.
-  ExecContext* ctx = op.exec_context();
-  uint64_t charged = 0;
+  // The result is sized once from the root's estimate, after Open has run
+  // the plan's builds.
   Relation out(op.schema());
-  out.Reserve(PlannedRows(op.estimated_rows(),
-                          sizeof(Relation::Entry) + sizeof(uint64_t) +
-                              TagIndex::kMaxBytesPerId,
-                          ctx, &charged));
+  out.Reserve(PlannedRows(op.estimated_rows(), op.exec_context()));
   RowBatch batch(batch_size);
   Status s;
   while (true) {
@@ -389,7 +365,6 @@ Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t batch_size) {
   }
   // A plan killed mid-drain hands its budget charges back here too.
   op.Close();
-  if (charged > 0) ctx->Release(charged);
   if (!s.ok()) return s;
   return out;
 }

@@ -133,14 +133,16 @@ class RowBatch {
 inline constexpr size_t kMaxPlannedRows = size_t{1} << 16;
 
 /// The planned size of a bag or table that `estimate` rows (a node's
-/// estimated_rows()) of about `row_bytes` bytes each will fill, for its
-/// Reserve before the first row: 0 — plain growth — with no estimate, and
-/// at most `cap` and kMaxPlannedRows.  On a governed plan the room is
-/// charged first (ExecContext::ChargeRows), clamped to the budget's
-/// headroom, and *charged gets the bytes; an over-estimate that does not
-/// fit falls back to growth, never to a kill.
-size_t PlannedRows(double estimate, uint64_t row_bytes, ExecContext* ctx,
-                   uint64_t* charged, size_t cap = kMaxPlannedRows);
+/// estimated_rows()) will fill, for its Reserve once its input is open
+/// and before its first row: at most `cap` and kMaxPlannedRows, and 0 —
+/// plain growth — with no estimate or under `ctx`'s armed memory budget.
+/// A reservation holds real memory that an over-estimate leaves unused,
+/// and no share of the headroom it could be clamped to promises the rest
+/// of the plan the room growth would have left it (a build's values are
+/// not in its reservation), so a governed plan grows as if unestimated:
+/// an over-estimate can cost it no kill.
+size_t PlannedRows(double estimate, const ExecContext* ctx,
+                   size_t cap = kMaxPlannedRows);
 
 /// Abstract physical operator.
 class PhysicalOperator {
@@ -259,12 +261,6 @@ class PhysicalOperator {
   /// with `value_bytes` more for values the table's rows hold outside it
   /// (the join's build rows), which hashKB leaves out.
   Status NoteHashFootprint(uint64_t bytes, uint64_t value_bytes = 0);
-
-  /// PlannedRows for a table this operator fills, with the reservation
-  /// charged to this operator: its later ChargeMemTo / NoteHashFootprint
-  /// calls settle the charge on what the table then holds.
-  size_t PlanRows(double estimate, uint64_t row_bytes,
-                  size_t cap = kMaxPlannedRows);
 
   obs::OperatorMetrics metrics_;
 

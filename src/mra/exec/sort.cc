@@ -289,19 +289,19 @@ Status SortOp::OpenInner() {
     return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
   };
 
-  // The buffer is sized once from the child's estimate, at most what one
-  // run holds below the spill threshold (and a LIMIT's heap), so a
-  // reservation never outgrows the run it fills; the charge holds the
-  // reserved room until the buffered rows outweigh it.
+  MRA_RETURN_IF_ERROR(child_->Open());
+  // The buffer is sized once the child is open, from its estimate, at
+  // most what one run holds below the spill threshold (and a LIMIT's
+  // heap), so a reservation never outgrows the run it fills; the charge
+  // holds the reserved room until the buffered rows outweigh it.
   const uint64_t row_bytes = sizeof(Row) + key_entry_bytes_;
   size_t cap = static_cast<size_t>(
       std::min<uint64_t>(threshold / row_bytes, kMaxPlannedRows));
   if (limit_ > 0 && limit_ < cap) cap = static_cast<size_t>(limit_) + 1;
-  const size_t planned = PlanRows(child_->estimated_rows(), row_bytes, cap);
+  const size_t planned =
+      PlannedRows(child_->estimated_rows(), exec_context(), cap);
   const uint64_t planned_bytes = planned * row_bytes;
   buffer_.reserve(planned);
-
-  MRA_RETURN_IF_ERROR(child_->Open());
   RowBatch batch;
   while (true) {
     MRA_RETURN_IF_ERROR(child_->NextBatch(batch));

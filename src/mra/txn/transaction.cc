@@ -126,8 +126,10 @@ Status Transaction::Insert(const std::string& name, const Relation& delta) {
   }
   // R ← R ⊎ E.
   if (Relation* rel = ReplacedTarget(*change, delta)) {
-    // A bulk load sizes the image once: at most every delta tuple is new.
-    rel->Reserve(rel->distinct_size() + delta.distinct_size());
+    // A bulk load into an empty image sizes it once: every delta tuple is
+    // new.  Into a filled one the delta may repeat the image's tuples, so
+    // the image grows only as they turn out new.
+    if (rel->distinct_size() == 0) rel->Reserve(delta.distinct_size());
     for (const auto& [tuple, count] : delta) rel->InsertUnchecked(tuple, count);
     return Status::OK();
   }

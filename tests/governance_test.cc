@@ -99,23 +99,19 @@ TEST_F(GovernanceTest, ChargeOverBudgetTripsNamingOperatorAndHighWater) {
   EXPECT_EQ(ctx.mem_high_water(), 1200u);
 }
 
-TEST_F(GovernanceTest, ReservationChargeIsClampedToTheHeadroomAndNeverTrips) {
-  ExecContext ctx;
-  ctx.SetMemoryBudget(1000);
-  ASSERT_TRUE(ctx.Charge(200, "Sort").ok());
-  // A quarter of the 800 bytes left: 200 bytes, 20 rows of 10.
-  EXPECT_EQ(ctx.ChargeRows(1000, 10), 20u);
-  EXPECT_EQ(ctx.mem_used(), 400u);
-  EXPECT_EQ(ctx.ChargeRows(5, 10), 5u);
-  EXPECT_EQ(ctx.mem_used(), 450u);
-  // A row wider than the quarter gets nothing, and nothing is charged.
-  EXPECT_EQ(ctx.ChargeRows(3, 200), 0u);
-  EXPECT_EQ(ctx.mem_used(), 450u);
-  EXPECT_FALSE(ctx.killed());
-  // Unbudgeted, the rows are charged in full, for the high-water mark.
+TEST_F(GovernanceTest, PlannedRowsFollowTheEstimateOnlyWithoutABudget) {
+  EXPECT_EQ(PlannedRows(-1.0, nullptr), 0u);
+  EXPECT_EQ(PlannedRows(0.5, nullptr), 0u);
+  EXPECT_EQ(PlannedRows(99.2, nullptr), 100u);
+  EXPECT_EQ(PlannedRows(99.2, nullptr, 64), 64u);
+  EXPECT_EQ(PlannedRows(1e12, nullptr), kMaxPlannedRows);
   ExecContext open;
-  EXPECT_EQ(open.ChargeRows(1000, 10), 1000u);
-  EXPECT_EQ(open.mem_high_water(), 10000u);
+  EXPECT_EQ(PlannedRows(99.2, &open), 100u);
+  // Under an armed budget a plan grows as if unestimated.
+  ExecContext governed;
+  governed.SetMemoryBudget(uint64_t{1} << 30);
+  EXPECT_EQ(PlannedRows(99.2, &governed), 0u);
+  EXPECT_EQ(governed.mem_used(), 0u);
 }
 
 TEST_F(GovernanceTest, DeadlineInThePastKillsAtFirstCheck) {
@@ -417,9 +413,9 @@ TEST_F(GovernanceTest, JoinChargesItsBuildRowsValuesOnEveryLaneCount) {
 
 // A plan whose every node is estimated at 100x its actual rows, under a
 // budget between its actual footprint and the footprint its estimates
-// would reserve: the reservations are clamped to the headroom, so the
-// plan completes with the oracle's bag and hands every byte back.  The
-// same plan under-estimated grows past its reservations correctly.
+// would reserve: a governed plan reserves nothing, so it completes with
+// the oracle's bag and hands every byte back.  The same plan
+// under-estimated grows past its reservations correctly.
 TEST_F(GovernanceTest, MisestimatedPlanCompletesUnderABudget) {
   RelationSchema build_schema("build",
                               {{"k", Type::Int()}, {"a", Type::Int()}});
@@ -480,6 +476,62 @@ TEST_F(GovernanceTest, MisestimatedPlanCompletesUnderABudget) {
     EXPECT_LE(run(40000, budget), budget);
     EXPECT_LE(run(1, budget), budget);
     run(1, 0);
+  }
+}
+
+// A Sort over a hash join whose build takes nearly all of the budget,
+// every node estimated at 100x its rows: the Sort above the join and the
+// join itself reserve nothing under the budget, so a budget just above
+// the unestimated plan's high-water mark still completes it.
+TEST_F(GovernanceTest, SortOverOverEstimatedJoinFitsTheUnestimatedBudget) {
+  RelationSchema build_schema("build",
+                              {{"k", Type::Int()}, {"s", Type::String()}});
+  RelationSchema probe_schema("probe",
+                              {{"k", Type::Int()}, {"v", Type::Int()}});
+  Relation build(build_schema);
+  Relation probe(probe_schema);
+  for (int64_t i = 0; i < 2000; ++i) {
+    build.InsertUnchecked(
+        Tuple({Value::Int(i), Value::Str(std::string(200, 'a' + i % 26))}),
+        1);
+    probe.InsertUnchecked(Tuple({Value::Int(i * 20), Value::Int(i)}), 1);
+  }
+  auto expected = ops::Join(Eq(Attr(0), Attr(2)), probe, build);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->size(), 100u);
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    // Runs Sort(HashJoin) with every node estimated at `scale` times its
+    // rows (0 = no estimates) under `budget`; returns the high-water mark.
+    auto run = [&](double scale, uint64_t budget) -> uint64_t {
+      auto probe_scan = std::make_unique<ScanOp>(&probe);
+      auto build_scan = std::make_unique<ScanOp>(&build);
+      if (scale > 0) {
+        probe_scan->set_estimated_rows(scale * 2000);
+        build_scan->set_estimated_rows(scale * 2000);
+      }
+      auto join = std::make_unique<HashJoinOp>(
+          std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+          std::move(probe_scan), std::move(build_scan), workers);
+      if (scale > 0) join->set_estimated_rows(scale * 100);
+      SortOp sort({0}, {false}, 0, 0, std::move(join));
+      if (scale > 0) sort.set_estimated_rows(scale * 100);
+      ExecContext ctx;
+      ctx.SetMemoryBudget(budget);
+      sort.SetExecContext(&ctx);
+      auto got = ExecuteToRelation(sort);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (got.ok()) EXPECT_TRUE(got->Equals(*expected));
+      EXPECT_EQ(ctx.mem_used(), 0u);
+      return ctx.mem_high_water();
+    };
+    // Lanes publish their footprints as they go, so on two lanes the
+    // high-water mark can move between runs: take the largest of three.
+    uint64_t unestimated = 0;
+    for (int i = 0; i < 3; ++i) unestimated = std::max(unestimated, run(0, 0));
+    const uint64_t budget = unestimated + unestimated / 64;
+    EXPECT_LE(run(100, budget), budget);
+    EXPECT_LE(run(0, budget), budget);
   }
 }
 
