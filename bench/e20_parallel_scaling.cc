@@ -14,6 +14,9 @@
 // anything is timed, every lane count's result is asserted equal to the
 // definitional ops::GroupBy(ops::Join(...)) on a sample small enough for
 // its quadratic join, and to the 1-lane result at the measured scale.
+// An informational table, with no bar, times the join alone as the plan
+// root, drained through NextBatch at 1/2/4 lanes: its build runs on the
+// lanes and its probe streams on the calling thread.
 //
 //   $ ./build/bench/e20_parallel_scaling               # full 1M-row run
 //                                                      # + 10k/50k check
@@ -153,6 +156,47 @@ void VerifyScaling(size_t rows) {
   }
 }
 
+exec::PhysOpPtr BuildRootJoin(const Relation* left, const Relation* right,
+                              size_t workers) {
+  return std::make_unique<exec::HashJoinOp>(
+      std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+      std::make_unique<exec::ScanOp>(left),
+      std::make_unique<exec::ScanOp>(right), workers, kMorsel);
+}
+
+/// The join as the plan root, drained through NextBatch: informational,
+/// so it prints no REGRESSION line.
+void TimeRootJoin(size_t rows) {
+  Header("E20: the join as the plan root, drained through NextBatch",
+         "Informational: the build runs on the lanes, the probe streams on "
+         "the calling thread; no bar.");
+  size_t side = std::max<size_t>(10'000, rows / 2);
+  int64_t range = static_cast<int64_t>(side) / 2;
+  Relation jl = MakeInput(side, range, 20, "jl");
+  Relation jr = MakeInput(side, range, 21, "jr");
+  {
+    Relation reference =
+        Unwrap(exec::ExecuteToRelation(*BuildRootJoin(&jl, &jr, 1)));
+    for (size_t workers : {size_t{2}, size_t{4}}) {
+      MRA_CHECK(
+          Unwrap(exec::ExecuteToRelation(*BuildRootJoin(&jl, &jr, workers)))
+              .Equals(reference))
+          << "the root join changed the result multiset at workers="
+          << workers;
+    }
+  }
+  Row("%-10s %-12s %-12s", "workers", "seconds", "speedup");
+  uint64_t weighted = 0;
+  double one_worker_s = 0.0;
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    double s = SecondsToDrain(
+        [&] { return BuildRootJoin(&jl, &jr, workers); }, &weighted);
+    if (workers == 1) one_worker_s = s;
+    Row("%-10zu %-12.4f %.2fx", workers, s, one_worker_s / s);
+  }
+  Row("");
+}
+
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -233,6 +277,7 @@ int main(int argc, char** argv) {
   }
   argc = out;
   mra::bench::VerifyScaling(rows);
+  mra::bench::TimeRootJoin(rows);
   mra::bench::VerifySmallScaleBreakEven();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -47,9 +47,7 @@ Result<Type> AggResultType(AggKind kind, Type attr_type) {
                                                     : Type::Real();
     case AggKind::kMin:
     case AggKind::kMax:
-      if (!attr_type.IsOrdered()) {
-        return Status::TypeError("MIN/MAX require an ordered attribute");
-      }
+      // Every type is totally ordered, so MIN and MAX take any attribute.
       return attr_type;
   }
   return Status::Internal("bad aggregate kind");

@@ -125,13 +125,6 @@ const Knob kKnobs[] = {
        return Status::OK();
      },
      [](const ExecConfig& c) { return BoolName(c.planner.optimize); }},
-    {"subplan_reuse", true,
-     "evaluate repeated subplans once behind a shared cache",
-     [](ExecConfig* c, uint64_t, bool b) {
-       c->planner.subplan_reuse = b;
-       return Status::OK();
-     },
-     [](const ExecConfig& c) { return BoolName(c.planner.subplan_reuse); }},
 };
 
 const Knob* FindKnob(std::string_view name) {

@@ -2,9 +2,8 @@
 // Each field is defined exactly once, here; the language, session, server
 // and example layers all consume `ExecConfig` directly.
 //
-// Three entry points:
+// Two entry points:
 //  * field access         — `config.exec.batch_size = 64;`
-//  * ConfigBuilder        — fluent construction for tests and embedders;
 //  * string-keyed knobs   — `config.Set("workers", "4")` backs the
 //    `SET <knob> = <value>;` statement (XRA + SQL) and the REPL `\set`,
 //    and ParseConfigFlags maps `--workers 4` / `--no-optimize` style
@@ -80,9 +79,6 @@ struct ExecConfig {
   struct Planner {
     /// Run plans through the rule/cost optimizer before execution.
     bool optimize = true;
-    /// Detect repeated subplans during lowering and evaluate each distinct
-    /// one once behind a shared SubplanCacheOp.
-    bool subplan_reuse = true;
   } planner;
 
   /// Session behaviour.
@@ -107,56 +103,6 @@ struct ExecConfig {
 
   /// "knob = value" lines for every knob, for `\set` with no arguments.
   std::string Describe() const;
-};
-
-/// Fluent builder so embedders construct a config in one expression:
-///   auto cfg = ConfigBuilder().Workers(4).BatchSize(256).Build();
-class ConfigBuilder {
- public:
-  ConfigBuilder& BatchSize(size_t v) { cfg_.exec.batch_size = v; return *this; }
-  ConfigBuilder& UsePhysicalExec(bool v) {
-    cfg_.exec.use_physical_exec = v;
-    return *this;
-  }
-  ConfigBuilder& Workers(size_t v) { cfg_.exec.workers = v; return *this; }
-  ConfigBuilder& ParallelThreshold(uint64_t v) {
-    cfg_.exec.parallel_threshold = v;
-    return *this;
-  }
-  ConfigBuilder& SortSpillBytes(uint64_t v) {
-    cfg_.exec.sort_spill_bytes = v;
-    return *this;
-  }
-  ConfigBuilder& SortMergeJoin(bool v) {
-    cfg_.exec.sort_merge_join = v;
-    return *this;
-  }
-  ConfigBuilder& StatementTimeoutMs(int64_t v) {
-    cfg_.governance.statement_timeout_ms = v;
-    return *this;
-  }
-  ConfigBuilder& QueryMemBudgetBytes(uint64_t v) {
-    cfg_.governance.query_mem_budget_bytes = v;
-    return *this;
-  }
-  ConfigBuilder& CancelToken(std::shared_ptr<std::atomic<bool>> t) {
-    cfg_.governance.cancel_token = std::move(t);
-    return *this;
-  }
-  ConfigBuilder& Optimize(bool v) { cfg_.planner.optimize = v; return *this; }
-  ConfigBuilder& SubplanReuse(bool v) {
-    cfg_.planner.subplan_reuse = v;
-    return *this;
-  }
-  ConfigBuilder& BlockOnTxnSlot(bool v) {
-    cfg_.session.block_on_txn_slot = v;
-    return *this;
-  }
-
-  ExecConfig Build() const { return cfg_; }
-
- private:
-  ExecConfig cfg_;
 };
 
 /// Consumes the config-owned flags from an argv (`--batch-size 64`,

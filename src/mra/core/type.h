@@ -50,9 +50,6 @@ class Type {
            kind_ == TypeKind::kReal;
   }
 
-  /// True if values of this type admit a total order (all current types do).
-  constexpr bool IsOrdered() const { return true; }
-
   constexpr bool operator==(const Type& other) const {
     return kind_ == other.kind_;
   }

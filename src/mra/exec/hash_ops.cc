@@ -278,106 +278,102 @@ void HashJoinOp::Partition::Reserve(size_t n) {
 void HashJoinOp::Reset() {
   partitions_.clear();
   radix_bits_ = 0;
-  streaming_ = false;
-  probe_.batch.Clear();
-  probe_.pos = 0;
-  probe_.part = nullptr;
-  probe_.chain = kNone;
-  probe_.probed = 0;
-  lane_probes_.clear();
+  // The cursors keep their batches' rows, so a reopened probe refills
+  // recycled slots.
+  for (ProbeCursor& c : lane_probes_) {
+    c.batch.Clear();
+    c.pos = 0;
+    c.part = nullptr;
+    c.chain = kNone;
+    c.probed = 0;
+  }
   probe_by_lanes_ = false;
   probe_cursor_.reset();
-  out_.clear();
-  emit_lane_ = 0;
-  emit_pos_ = 0;
 }
 
-Status HashJoinOp::Build(const WorkerPool::Lease& lease,
-                         uint64_t* build_bytes) {
+Status HashJoinOp::Build() {
+  Reset();
+  WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   const size_t lanes = lease.lanes();
+  metrics_.workers = static_cast<uint32_t>(lanes);
   ExecContext* ctx = exec_context();
   const bool governed = ctx != nullptr;
-  // Every held build row is charged sizeof(Row) and its values once: in
-  // the arena's footprint and value_bytes, or while staged.
-  if (lanes == 1) {
-    // One arena filled straight from the right input: no staging pass and
-    // no radix routing.  Governance lands per batch through the input's
-    // own NextBatch checks and the footprint charged as the arena grows.
-    partitions_ = std::vector<Partition>(1);
-    Partition& part = partitions_[0];
-    const uint64_t t0 = NowNs();
-    MRA_RETURN_IF_ERROR(right_->Open());
-    part.Reserve(PlannedRows(right_->estimated_rows(), ctx));
-    RowBatch batch(morsel_size_);
-    while (true) {
-      MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
-      if (batch.empty()) break;
-      for (Row& row : batch) {
-        const size_t h = row.tuple.HashKey(right_keys_);
-        if (governed) part.value_bytes += row.tuple.HeapBytes();
-        part.Add(std::move(row), right_keys_, h);
-      }
-      MRA_RETURN_IF_ERROR(
-          NoteHashFootprint(part.ApproxBytes(), part.value_bytes));
-    }
-    right_->Close();
-    metrics_.build_rows = part.rows.size();
-    metrics_.cpu_ns += NowNs() - t0;
-  } else {
-    // A few partitions per lane so the dynamic claim evens out skewed key
-    // distributions.
-    const size_t parts = std::bit_ceil(4 * lanes);
-    radix_bits_ = std::countr_zero(parts);
-    std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
+  // A few partitions per lane so the dynamic claim evens out skewed key
+  // distributions; one lane fills a single arena with no radix routing.
+  const size_t parts = lanes == 1 ? 1 : std::bit_ceil(4 * lanes);
+  radix_bits_ = std::countr_zero(parts);
+  partitions_ = std::vector<Partition>(parts);
+  Partition& single = partitions_[0];
 
-    // Phase 1: radix-partition the build side, keeping each row's key
-    // hash for the build.  Once the build side is open the staged vectors
-    // share its planned size; their charge holds until the staged rows
-    // outweigh it.
-    uint64_t planned_bytes = 0;
-    std::vector<std::vector<Staged>> staged(lanes, std::vector<Staged>(parts));
-    auto charge_staged = [&] {
-      return ChargeMemTo(std::max(planned_bytes, SumLaneBytes(lane_bytes)));
-    };
-    MRA_RETURN_IF_ERROR(DrainChild(
-        lease, ctx, right_.get(), morsel_size_, &metrics_.cpu_ns,
-        &metrics_.build_rows,
-        [&] {
-          const size_t share =
-              PlannedRows(right_->estimated_rows(), ctx) / (lanes * parts);
-          for (std::vector<Staged>& stage : staged) {
-            for (Staged& part : stage) {
-              part.rows.reserve(share);
-              part.hashes.reserve(share);
-            }
+  // Phase 1.  One lane adds each build row straight into its arena; more
+  // lanes radix-partition the build side, keeping each row's key hash for
+  // phase 2.  Every held build row is charged sizeof(Row) and its values
+  // once: in the arena's footprint and value_bytes, or while staged.  Once
+  // the build side is open the arena, or the staged vectors, take its
+  // planned size; the staged charge holds until the staged rows outweigh
+  // it.
+  uint64_t planned_bytes = 0;
+  std::vector<std::vector<Staged>> staged;
+  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
+  auto charge = [&] {
+    if (lanes == 1) {
+      return NoteHashFootprint(single.ApproxBytes(), single.value_bytes);
+    }
+    return governed ? ChargeMemTo(std::max(planned_bytes,
+                                           SumLaneBytes(lane_bytes)))
+                    : Status::OK();
+  };
+  MRA_RETURN_IF_ERROR(DrainChild(
+      lease, ctx, right_.get(), morsel_size_, &metrics_.cpu_ns,
+      &metrics_.build_rows,
+      [&] {
+        const size_t planned = PlannedRows(right_->estimated_rows(), ctx);
+        if (lanes == 1) {
+          single.Reserve(planned);
+          return;
+        }
+        const size_t share = planned / (lanes * parts);
+        staged.assign(lanes, std::vector<Staged>(parts));
+        for (std::vector<Staged>& stage : staged) {
+          for (Staged& part : stage) {
+            part.rows.reserve(share);
+            part.hashes.reserve(share);
           }
-          planned_bytes =
-              share * lanes * parts * (sizeof(Row) + sizeof(size_t));
-        },
-        [&](size_t lane, RowBatch& morsel) {
-          std::vector<Staged>& stage = staged[lane];
-          uint64_t bytes = 0;
+        }
+        planned_bytes = share * lanes * parts * (sizeof(Row) + sizeof(size_t));
+      },
+      [&](size_t lane, RowBatch& morsel) {
+        if (lanes == 1) {
           for (Row& row : morsel) {
             const size_t h = row.tuple.HashKey(right_keys_);
-            Staged& part = stage[PartitionOf(h, radix_bits_)];
-            if (governed) {
-              const uint64_t values = row.tuple.HeapBytes();
-              part.value_bytes += values;
-              bytes += sizeof(Row) + values;
-            }
-            part.rows.push_back(std::move(row));
-            part.hashes.push_back(h);
+            if (governed) single.value_bytes += row.tuple.HeapBytes();
+            single.Add(std::move(row), right_keys_, h);
           }
-          lane_bytes[lane].fetch_add(bytes, std::memory_order_relaxed);
           return Status::OK();
-        },
-        [&] { return governed ? charge_staged() : Status::OK(); }));
-    if (governed) MRA_RETURN_IF_ERROR(charge_staged());
+        }
+        std::vector<Staged>& stage = staged[lane];
+        uint64_t bytes = 0;
+        for (Row& row : morsel) {
+          const size_t h = row.tuple.HashKey(right_keys_);
+          Staged& part = stage[PartitionOf(h, radix_bits_)];
+          if (governed) {
+            const uint64_t values = row.tuple.HeapBytes();
+            part.value_bytes += values;
+            bytes += sizeof(Row) + values;
+          }
+          part.rows.push_back(std::move(row));
+          part.hashes.push_back(h);
+        }
+        lane_bytes[lane].fetch_add(bytes, std::memory_order_relaxed);
+        return Status::OK();
+      },
+      charge));
 
+  if (lanes > 1) {
+    if (governed) MRA_RETURN_IF_ERROR(charge());
     // Phase 2: one private arena per partition, sized to its staged rows.
     // A partition folds every lane's staged rows for it, so each arena is
     // built by exactly one thread.
-    partitions_ = std::vector<Partition>(parts);
     MRA_RETURN_IF_ERROR(RunPartitionPhase(
         lease, ctx, parts, &metrics_.cpu_ns, [&](size_t p) {
           Partition& part = partitions_[p];
@@ -405,76 +401,30 @@ Status HashJoinOp::Build(const WorkerPool::Lease& lease,
     entries += part.heads.size();
   }
   metrics_.peak_hash_entries = entries;
-  *build_bytes = arena_bytes + value_bytes;
   return NoteHashFootprint(arena_bytes, value_bytes);
 }
 
-Status HashJoinOp::OpenProbe(size_t lanes) {
-  lane_probes_ = std::vector<ProbeCursor>(lanes);
+void HashJoinOp::SetProbeLanes(size_t lanes) {
+  lane_probes_.resize(lanes);
   for (ProbeCursor& c : lane_probes_) c.batch.SetCapacity(morsel_size_);
-  probe_cursor_ = std::make_unique<SharedCursor>();
-  return left_->OpenForLanes(lanes, &probe_by_lanes_);
 }
 
+// Drained through NextBatch, the join builds on its own lease and then
+// probes on the calling thread, batch by batch, into the caller's
+// recycled slots: it holds its build arenas and nothing else.
 Status HashJoinOp::OpenImpl() {
-  Reset();
-  WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
-  const size_t lanes = lease.lanes();
-  metrics_.workers = static_cast<uint32_t>(lanes);
-  uint64_t build_bytes = 0;
-  MRA_RETURN_IF_ERROR(Build(lease, &build_bytes));
-  if (lanes == 1) {
-    // One lane streams: NextBatch probes into the caller's recycled
-    // slots, so a one-lane plan materialises nothing.
-    streaming_ = true;
-    probe_.batch.SetCapacity(morsel_size_);
-    return left_->Open();
-  }
-
-  // Drained through NextBatch: the lanes probe into per-lane outputs,
-  // which NextBatch then streams.
-  MRA_RETURN_IF_ERROR(OpenProbe(lanes));
-  out_.assign(lanes, {});
-  ExecContext* ctx = exec_context();
-  const bool governed = ctx != nullptr;
-  const uint64_t row_bytes = sizeof(Row) + schema_.arity() * sizeof(Value);
-  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
-  uint64_t emitted = 0;
-  Status s = RunLanes(
-      lease, ctx, morsel_size_, &metrics_.cpu_ns, &emitted,
-      [&](size_t lane, RowBatch& morsel) {
-        morsel.Clear();
-        return LaneBatchImpl(lane, morsel);
-      },
-      [&](size_t lane, RowBatch& morsel) {
-        std::vector<Row>& sink = out_[lane];
-        for (Row& row : morsel) sink.push_back(std::move(row));
-        lane_bytes[lane].fetch_add(morsel.size() * row_bytes,
-                                   std::memory_order_relaxed);
-        return Status::OK();
-      },
-      [&] {
-        return governed ? ChargeMemTo(build_bytes + SumLaneBytes(lane_bytes))
-                        : Status::OK();
-      });
-  left_->FoldLaneMetrics();
-  left_->Close();
-  MRA_RETURN_IF_ERROR(s);
-  if (governed) {
-    MRA_RETURN_IF_ERROR(ChargeMemTo(build_bytes + SumLaneBytes(lane_bytes)));
-  }
-  return Status::OK();
+  MRA_RETURN_IF_ERROR(Build());
+  SetProbeLanes(1);
+  return left_->Open();
 }
 
 // Drained by lanes, the join builds on its own lease and then probes on
 // its consumer's lanes, pulling probe morsels lane by lane.
 Status HashJoinOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
-  Reset();
-  WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
-  metrics_.workers = static_cast<uint32_t>(lease.lanes());
-  uint64_t build_bytes = 0;
-  MRA_RETURN_IF_ERROR(Build(lease, &build_bytes));
-  MRA_RETURN_IF_ERROR(OpenProbe(lanes));
+  MRA_RETURN_IF_ERROR(Build());
+  SetProbeLanes(lanes);
+  probe_cursor_ = std::make_unique<SharedCursor>();
+  MRA_RETURN_IF_ERROR(left_->OpenForLanes(lanes, &probe_by_lanes_));
   *by_lanes = true;
   return Status::OK();
 }
@@ -534,28 +484,12 @@ Status HashJoinOp::LaneBatchImpl(size_t lane, RowBatch& out) {
 }
 
 Status HashJoinOp::NextBatchImpl(RowBatch& out) {
-  if (streaming_) {
-    return Probe(probe_, out,
-                 [&](RowBatch& b) { return left_->NextBatch(b); });
-  }
-  while (!out.full()) {
-    if (emit_lane_ >= out_.size()) return Status::OK();
-    std::vector<Row>& lane_out = out_[emit_lane_];
-    if (emit_pos_ >= lane_out.size()) {
-      ++emit_lane_;
-      emit_pos_ = 0;
-      continue;
-    }
-    Row& r = lane_out[emit_pos_++];
-    Row& slot = out.AppendSlot();
-    slot.tuple = std::move(r.tuple);
-    slot.count = r.count;
-  }
-  return Status::OK();
+  return Probe(lane_probes_[0], out,
+               [&](RowBatch& b) { return left_->NextBatch(b); });
 }
 
 void HashJoinOp::CloseImpl() {
-  metrics_.probe_rows = probe_.probed;
+  metrics_.probe_rows = 0;
   for (const ProbeCursor& c : lane_probes_) metrics_.probe_rows += c.probed;
   CountHashRows(metrics_.build_rows, metrics_.probe_rows);
   Reset();

@@ -3,15 +3,14 @@
 // Each is the only implementation of its operator; `workers` (default 1)
 // is the lane count it asks for.
 //
-// With more than one lane the work happens in OpenImpl as a sequence of
-// phases fanned out over the lease, and NextBatch then streams an
-// already-materialised result.  A *morsel* is one RowBatch of the child's
-// output.  The kernel opens its child with OpenForLanes: a partitioned
-// source (a stored-relation scan, σ/π over one, a multi-lane ⋈) lets every
-// lane produce its own morsels — the scan claims disjoint ranges of the
-// relation, σ and π run on the claiming lane, the ⋈ probes on it — with
-// no lock; any other child is one SharedCursor pulled under a mutex
-// (operator.h).
+// With more than one lane a kernel's build happens in OpenImpl as a
+// sequence of phases fanned out over the lease.  A *morsel* is one
+// RowBatch of the child's output.  The kernel opens its child with
+// OpenForLanes: a partitioned source (a stored-relation scan, σ/π over
+// one, a multi-lane ⋈) lets every lane produce its own morsels — the scan
+// claims disjoint ranges of the relation, σ and π run on the claiming
+// lane, the ⋈ probes on it — with no lock; any other child is one
+// SharedCursor pulled under a mutex (operator.h).
 // Partitioning is by key-hash radix on the hash's top bits (the key
 // indexes place keys by the low bits): P = next power of two >= 4 x lanes
 // partitions, which makes the partitions *disjoint by key* — and under the
@@ -34,11 +33,12 @@
 //
 // A one-lane lease (workers <= 1, or a saturated pool that shed the
 // admission) uses a single partition, skips the routing and opens the
-// child with a plain Open.  The join and the bag-count kernel then stream:
-// the join builds one arena and probes batch by batch, the bag-count
-// kernel builds its rhs key set and compacts each lhs batch in place
-// against it.  Only Γ, which must see its whole input before it can emit,
-// materialises.
+// child with a plain Open.  The join streams on every lease: once built,
+// it probes batch by batch on the calling thread, or morsel by morsel on
+// its consumer's lanes.  The bag-count kernel builds its rhs key sets and
+// compacts each lhs batch in place against them (δ on one lane against a
+// seen-set; δ on more lanes emits the key sets its lhs built).  Γ, which
+// must see its whole input before it can emit, materialises.
 //
 // Governance: the shared ExecContext reaches every lane — each lane checks
 // it per morsel (and the child's own batch wrapper checks per pull), so a
@@ -94,13 +94,14 @@ class SharedCursor {
 /// multiplicity is the product of the matched input multiplicities
 /// (Definition 3.1 via Theorem 3.1's σ_φ(E1 × E2) equivalence).  No key is
 /// copied: a probe compares its left keys with a key chain's stored build
-/// row.  On more than one lane: radix-partition the build side, build one
-/// private arena per partition in parallel; the partitions are read-only
-/// from then on, so any number of lanes can probe them.  A join drained by
-/// lanes (a
-/// partitioned source) probes on its consumer's lanes, morsel by morsel,
-/// and materialises nothing; one drained through NextBatch probes on its
-/// own lanes into per-lane outputs first.
+/// row.  The build runs on the join's own lease: on one lane it fills a
+/// single arena; on more it radix-partitions the build side and builds one
+/// private arena per partition in parallel.  The partitions are read-only
+/// from then on, so any number of lanes can probe them.  The probe
+/// streams and materialises nothing: a join drained through NextBatch
+/// probes on the calling thread, batch by batch, and one drained by lanes
+/// (a partitioned source) probes on its consumer's lanes, morsel by
+/// morsel.
 class HashJoinOp final : public PhysicalOperator {
  public:
   /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
@@ -162,7 +163,7 @@ class HashJoinOp final : public PhysicalOperator {
 
   /// Where a probe stands: the current probe morsel, the row in it and its
   /// place in the match chain (kNone = take the next probe row).  The
-  /// one-lane stream keeps one; a lane-drained join keeps one a lane.
+  /// NextBatch stream keeps one; a lane-drained join keeps one a lane.
   struct alignas(64) ProbeCursor {
     RowBatch batch;
     size_t pos = 0;
@@ -173,19 +174,19 @@ class HashJoinOp final : public PhysicalOperator {
 
   /// Resets the Open-time state.
   void Reset();
-  /// Builds partitions_ from the right input over the lease's lanes: one
-  /// arena filled directly on a one-lane lease, else a radix-routed staging
-  /// pass and a partition-parallel build.  Closes the right input, reports
-  /// the arenas' footprint and sets *build_bytes to what it charged: the
-  /// arenas and their rows' values.
-  Status Build(const parallel::WorkerPool::Lease& lease,
-               uint64_t* build_bytes);
-  /// Opens the left input for `lanes` probing lanes (LaneBatchImpl), by
-  /// lane when it is a partitioned source, else through probe_cursor_.
-  Status OpenProbe(size_t lanes);
+  /// Resets the Open-time state and builds partitions_ from the right
+  /// input on the join's own lease, through one morsel drain: on one lane
+  /// each row goes straight into a single arena; on more a radix-routed
+  /// staging pass feeds a partition-parallel build.  Closes the right
+  /// input, reports the arenas' footprint and charges the arenas and their
+  /// rows' values.
+  Status Build();
+  /// Sizes lane_probes_ for `lanes` probing cursors; each keeps its batch's
+  /// recycled rows across Opens.
+  void SetProbeLanes(size_t lanes);
   /// The probe kernel: fills `out` with the matches of the cursor's probe
   /// rows, pulling probe morsels with pull(batch) — one code path for the
-  /// one-lane stream, lane-drained joins and materialisation.
+  /// NextBatch stream (cursor 0) and lane-drained joins.
   template <typename Pull>
   Status Probe(ProbeCursor& c, RowBatch& out, Pull pull);
 
@@ -201,14 +202,11 @@ class HashJoinOp final : public PhysicalOperator {
   // Open-time state, cleared on Close.
   std::vector<Partition> partitions_;
   int radix_bits_ = 0;  // log2 of partitions_.size().
-  bool streaming_ = false;  // One lane: NextBatch probes through probe_.
-  ProbeCursor probe_;
-  std::vector<ProbeCursor> lane_probes_;  // [lane], probing by lanes.
+  // [lane] probing cursors; NextBatch probes through cursor 0.  Kept
+  // across Opens so their batches' rows are recycled.
+  std::vector<ProbeCursor> lane_probes_;
   bool probe_by_lanes_ = false;
   std::unique_ptr<SharedCursor> probe_cursor_;
-  std::vector<std::vector<Row>> out_;  // [lane] materialised probe output
-  size_t emit_lane_ = 0;
-  size_t emit_pos_ = 0;
 };
 
 /// Γ — hash aggregation (Definition 3.4 with the Definition 3.3

@@ -364,19 +364,17 @@ Result<PhysOpPtr> LowerPlan(const PlanPtr& plan,
                             const CardinalityEstimator* estimator,
                             const ExecConfig& config, ExecContext* exec_ctx) {
   LowerContext ctx{provider, estimator, config, {}, {}, {}};
-  if (config.planner.subplan_reuse) {
-    CountReusableSubtrees(plan, &ctx.reuse_counts);
-    bool any_repeat = false;
-    for (const auto& [fp, n] : ctx.reuse_counts) {
-      if (n >= 2) {
-        any_repeat = true;
-        break;
-      }
+  CountReusableSubtrees(plan, &ctx.reuse_counts);
+  bool any_repeat = false;
+  for (const auto& [fp, n] : ctx.reuse_counts) {
+    if (n >= 2) {
+      any_repeat = true;
+      break;
     }
-    // Drop the books when nothing repeats so the per-node fingerprint
-    // checks short-circuit.
-    if (!any_repeat) ctx.reuse_counts.clear();
   }
+  // Drop the books when nothing repeats so the per-node fingerprint checks
+  // short-circuit.
+  if (!any_repeat) ctx.reuse_counts.clear();
   AssignLanes(plan, ctx);
   MRA_ASSIGN_OR_RETURN(PhysOpPtr root, LowerPlanImpl(plan, ctx));
   // Thread the governance context through the whole lowered tree so every

@@ -58,8 +58,9 @@ using CardinalityEstimator = std::function<double(const Plan&)>;
 /// drives the parallel-variant decision (see the header comment).
 /// `config` supplies the kernel-selection and parallelism knobs
 /// (exec.workers, exec.batch_size, exec.parallel_threshold,
-/// exec.sort_spill_bytes, exec.sort_merge_join, planner.subplan_reuse);
-/// the remaining layers are the callers' business.
+/// exec.sort_spill_bytes, exec.sort_merge_join); the remaining layers are
+/// the callers' business.  Repeated non-trivial subplans always lower to
+/// one shared SubplanCacheOp.
 /// `exec_ctx`, when non-null, is attached to every operator of the lowered
 /// tree (cancellation / deadline / memory budget) and must outlive
 /// execution.

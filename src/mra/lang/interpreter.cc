@@ -91,7 +91,17 @@ void Interpreter::CancelQuery(uint64_t query_id) {
 
 Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
                                            const RelationProvider& provider) {
-  QueryCounter()->Inc();
+  return Evaluate(expr, provider, Mode::kQuery, nullptr);
+}
+
+Result<Relation> Interpreter::Evaluate(const RelExpr& expr,
+                                       const RelationProvider& provider,
+                                       Mode mode, std::string* text) {
+  // A plain EXPLAIN runs no query: it leaves the last query's stats alone.
+  if (mode != Mode::kExplain) {
+    QueryCounter()->Inc();
+    last_query_stats_ = QueryStats{};
+  }
   QueryStats stats;
   stats.query_id = obs::CurrentQueryId();
   // Governance brackets the whole evaluation: the statement timeout counts
@@ -108,16 +118,29 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
     obs::ScopedSpan span("bind");
     MRA_ASSIGN_OR_RETURN(plan, BindRelExpr(expr, provider));
   }
+  if (text != nullptr) *text += "logical plan:\n" + plan->ToString();
   uint64_t t1 = NowMicros();
   stats.bind_us = t1 - t0;
   if (options_.planner.optimize) {
     obs::ScopedSpan span("optimize");
     opt::Optimizer optimizer(&provider);
-    MRA_ASSIGN_OR_RETURN(plan, optimizer.Optimize(std::move(plan)));
+    opt::OptimizerReport report;
+    MRA_ASSIGN_OR_RETURN(
+        plan, optimizer.Optimize(std::move(plan),
+                                 text != nullptr ? &report : nullptr));
+    if (text != nullptr) {
+      *text += "\noptimized plan:\n" + plan->ToString();
+      // The optimizer's decision trail: which rules fired, which join
+      // regions were reordered (and into what order).
+      for (const std::string& entry : report.entries) {
+        *text += "\n" + BracketAnnotation(entry);
+      }
+    }
   }
   uint64_t t2 = NowMicros();
   stats.optimize_us = t2 - t1;
-  if (!options_.exec.use_physical_exec) {
+  // EXPLAIN shows the physical plan, so it always lowers one.
+  if (!options_.exec.use_physical_exec && mode == Mode::kQuery) {
     obs::ScopedSpan span("execute");
     Result<Relation> result = EvaluatePlan(*plan, provider);
     QueryLatency()->Observe(NowMicros() - t0);
@@ -127,8 +150,8 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
   {
     obs::ScopedSpan span("lower");
     // Estimates drive both EXPLAIN ANALYZE's est-vs-actual annotations and
-    // the parallel-variant decision (workers > 1), so the production path
-    // lowers with the statistics-backed estimator, like ExplainExpr.
+    // the parallel-variant decision (workers > 1), so every physical plan
+    // is lowered with the statistics-backed estimator.
     opt::StatsCache stats_cache(&provider);
     exec::CardinalityEstimator estimator =
         [&provider, &stats_cache](const Plan& node) {
@@ -137,9 +160,15 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
     MRA_ASSIGN_OR_RETURN(root, exec::LowerPlan(plan, provider, &estimator,
                                                options_, gctx.get()));
   }
+  if (mode == Mode::kExplain) {
+    *text += "\nphysical plan:\n" + root->ToString();
+    return Relation(root->schema());
+  }
   uint64_t t3 = NowMicros();
   stats.lower_us = t3 - t2;
   Result<Relation> result = [&]() -> Result<Relation> {
+    std::optional<obs::ScopedExecTiming> timing;
+    if (mode == Mode::kExplainAnalyze) timing.emplace(true);
     obs::ScopedSpan span("execute");
     return exec::ExecuteToRelation(*root, options_.exec.batch_size);
   }();
@@ -180,6 +209,16 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
                              std::string(exec::KillReasonName(kill_reason)));
     }
     slow_log.Record(std::move(entry));
+  }
+  if (mode == Mode::kExplainAnalyze && result.ok()) {
+    *text += "\nphysical plan (analyzed):\n" +
+             exec::RenderPlanWithMetrics(*root);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.3f",
+                  static_cast<double>(last_query_stats_.exec_us) / 1e3);
+    *text += "result: " + std::to_string(result->size()) + " rows (" +
+             std::to_string(result->distinct_size()) + " distinct), " + buf +
+             "ms\n";
   }
   return result;
 }
@@ -365,68 +404,11 @@ Result<std::string> Interpreter::ExplainAnalyze(
 Result<std::string> Interpreter::ExplainExpr(const RelExpr& expr,
                                              const RelationProvider& provider,
                                              bool analyze) {
-  MRA_ASSIGN_OR_RETURN(PlanPtr plan, BindRelExpr(expr, provider));
-  std::string out = "logical plan:\n" + plan->ToString();
-  opt::Optimizer optimizer(&provider);
-  opt::OptimizerReport report;
-  MRA_ASSIGN_OR_RETURN(PlanPtr optimized, optimizer.Optimize(plan, &report));
-  out += "\noptimized plan:\n" + optimized->ToString();
-  // The optimizer's decision trail: which rules fired, which join regions
-  // were reordered (and into what order).
-  for (const std::string& entry : report.entries) {
-    out += "\n" + BracketAnnotation(entry);
-  }
-
-  // Annotate every operator with the planner's cardinality prediction so
-  // the analyzed rendering can expose the estimation error per node.
-  opt::StatsCache stats_cache(&provider);
-  exec::CardinalityEstimator estimator =
-      [&provider, &stats_cache](const Plan& node) {
-        return opt::EstimateCardinality(node, provider, &stats_cache);
-      };
-  // EXPLAIN ANALYZE executes the plan for real, so it is governed like
-  // any query (an analyzed runaway join is still a runaway join).
-  std::shared_ptr<exec::ExecContext> gctx = analyze ? BeginGoverned() : nullptr;
-  struct GovernGuard {
-    Interpreter* interp;
-    ~GovernGuard() {
-      if (interp != nullptr) interp->EndGoverned();
-    }
-  } govern_guard{analyze ? this : nullptr};
-  MRA_ASSIGN_OR_RETURN(
-      exec::PhysOpPtr physical,
-      exec::LowerPlan(optimized, provider, &estimator, options_, gctx.get()));
-  if (!analyze) {
-    out += "\nphysical plan:\n" + physical->ToString();
-    return out;
-  }
-
-  QueryCounter()->Inc();
-  obs::ScopedExecTiming timing(true);
-  uint64_t t0 = NowMicros();
-  Result<Relation> result = [&]() -> Result<Relation> {
-    obs::ScopedSpan span("execute");
-    return exec::ExecuteToRelation(*physical, options_.exec.batch_size);
-  }();
-  uint64_t exec_us = NowMicros() - t0;
-  QueryLatency()->Observe(exec_us);
+  std::string text;
+  Result<Relation> result = Evaluate(
+      expr, provider, analyze ? Mode::kExplainAnalyze : Mode::kExplain, &text);
   MRA_RETURN_IF_ERROR(result.status());
-
-  last_query_stats_ = QueryStats{};
-  last_query_stats_.query_id = obs::CurrentQueryId();
-  last_query_stats_.exec_us = exec_us;
-  last_query_stats_.total_us = exec_us;
-  HarvestOpStats(*physical, 0, &last_query_stats_);
-  last_query_stats_.result_rows = result->size();
-  last_query_stats_.valid = true;
-
-  out += "\nphysical plan (analyzed):\n" + exec::RenderPlanWithMetrics(*physical);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(exec_us) / 1e3);
-  out += "result: " + std::to_string(result->size()) + " rows (" +
-         std::to_string(result->distinct_size()) + " distinct), " + buf +
-         "ms\n";
-  return out;
+  return text;
 }
 
 }  // namespace lang

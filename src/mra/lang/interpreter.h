@@ -86,14 +86,16 @@ class Interpreter {
   /// outside any transaction (a read-only query).
   Result<Relation> Query(std::string_view rel_expr_source);
 
-  /// Renders the bound logical plan, the optimized plan and the lowered
-  /// physical plan of a relation expression (EXPLAIN).
+  /// Renders the bound logical plan, the optimized plan (when `optimize`
+  /// is on) and the lowered physical plan of a relation expression: the
+  /// plan Query would run (EXPLAIN).
   Result<std::string> Explain(std::string_view rel_expr_source);
 
-  /// EXPLAIN ANALYZE: executes the expression with per-call timing enabled
-  /// and renders the plans with the physical tree annotated per operator —
-  /// estimated vs. actual cardinality, estimation error, wall time and
-  /// hash-table peaks.  Also fills last_query_stats().
+  /// EXPLAIN ANALYZE: runs the expression as Query would, with per-call
+  /// timing enabled, and renders the plans with the physical tree
+  /// annotated per operator — estimated vs. actual cardinality, estimation
+  /// error, wall time and hash-table peaks.  Fills last_query_stats() and
+  /// the slow log as a query does.
   Result<std::string> ExplainAnalyze(std::string_view rel_expr_source);
 
   /// Shared EXPLAIN body over an already-parsed expression and an
@@ -137,6 +139,18 @@ class Interpreter {
 
  private:
   Status ExecuteItem(const Script::Item& item, const QueryCallback& on_query);
+
+  /// How far an evaluation goes: a query, EXPLAIN (stops once lowered) or
+  /// EXPLAIN ANALYZE (a query with per-call timing).
+  enum class Mode { kQuery, kExplain, kExplainAnalyze };
+  /// The one query pipeline behind EvaluateExpr and ExplainExpr: bind,
+  /// optimize, lower, execute, harvest the stats and feed the slow log,
+  /// governed from the start.  EXPLAIN appends its rendering of each step
+  /// to *text (null for a query) and physically lowers even when
+  /// use_physical_exec is off.
+  Result<Relation> Evaluate(const RelExpr& expr,
+                            const RelationProvider& provider, Mode mode,
+                            std::string* text);
 
   /// Builds, registers (for CancelQuery) and returns the governance
   /// context for one evaluation; EndGoverned() deregisters it.

@@ -411,6 +411,57 @@ TEST_F(GovernanceTest, JoinChargesItsBuildRowsValuesOnEveryLaneCount) {
   }
 }
 
+// A join drained through NextBatch on 2 and 4 lanes streams its probe as
+// it does on one: under a budget that fits its build but not its output,
+// an output 100x its build rows completes and hands every byte back.
+TEST_F(GovernanceTest, MultiLaneJoinDrainedByNextBatchHoldsOnlyItsBuild) {
+  RelationSchema build_schema("build",
+                              {{"k", Type::Int()}, {"a", Type::Int()}});
+  RelationSchema probe_schema("probe",
+                              {{"k", Type::Int()}, {"v", Type::Int()}});
+  Relation build(build_schema);
+  Relation probe(probe_schema);
+  for (int64_t i = 0; i < 200; ++i) {
+    build.InsertUnchecked(Tuple({Value::Int(i % 20), Value::Int(i)}), 1);
+  }
+  for (int64_t i = 0; i < 2000; ++i) {
+    probe.InsertUnchecked(Tuple({Value::Int(i % 20), Value::Int(i)}), 1);
+  }
+  auto expected = ops::Join(Eq(Attr(0), Attr(2)), probe, build);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GE(expected->size(), 10 * build.size());
+  auto make_join = [&](size_t workers) {
+    return HashJoinOp({0}, {0}, nullptr, std::make_unique<ScanOp>(&probe),
+                      std::make_unique<ScanOp>(&build), workers,
+                      /*morsel_size=*/64);
+  };
+  // One lane holds the build alone; its multi-lane staging holds at most
+  // the same rows again beside the arenas.
+  HashJoinOp one = make_join(1);
+  ExecContext measure;
+  one.SetExecContext(&measure);
+  ASSERT_TRUE(ExecuteToRelation(one).ok());
+  const uint64_t budget = 4 * measure.mem_high_water();
+  const uint64_t output_bytes =
+      expected->size() * (sizeof(Row) + 4 * sizeof(Value));
+  ASSERT_LT(budget, output_bytes);
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    HashJoinOp join = make_join(workers);
+    ExecContext ctx;
+    ctx.SetMemoryBudget(budget);
+    join.SetExecContext(&ctx);
+    auto got = ExecuteToRelation(join);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (got.ok()) {
+      EXPECT_TRUE(got->Equals(*expected));
+    }
+    EXPECT_EQ(join.metrics().workers, workers);
+    EXPECT_LE(ctx.mem_high_water(), budget);
+    EXPECT_EQ(ctx.mem_used(), 0u);
+  }
+}
+
 // A plan whose every node is estimated at 100x its actual rows, under a
 // budget between its actual footprint and the footprint its estimates
 // would reserve: a governed plan reserves nothing, so it completes with
@@ -623,6 +674,23 @@ TEST_F(GovernanceTest, SlowLogTagsKillsWithTheReason) {
   fault::FaultRegistry::Global().DisarmAll();
   lines = obs::SlowQueryLog::Global().RenderJsonLines();
   EXPECT_NE(lines.find("killed:cancelled"), std::string::npos) << lines;
+}
+
+// EXPLAIN ANALYZE runs the query pipeline, so a governed kill under it is
+// logged like a query's.
+TEST_F(GovernanceTest, KilledExplainAnalyzeIsLoggedWithTheReason) {
+  auto db = MakeDb();
+  obs::SlowQueryLog::Global().Clear();
+  obs::SlowQueryLog::Global().SetThresholdMs(3'600'000);
+  ExecConfig options;
+  options.governance.statement_timeout_ms = 1;
+  lang::Interpreter interp(db.get(), options);
+  // 60^3 = 216k product rows plus a dedup build: far past 1ms.
+  auto killed = interp.ExplainAnalyze("unique(product(r, product(r, r)))");
+  ASSERT_FALSE(killed.ok());
+  EXPECT_EQ(killed.status().code(), StatusCode::kDeadlineExceeded);
+  const std::string lines = obs::SlowQueryLog::Global().RenderJsonLines();
+  EXPECT_NE(lines.find("killed:deadline"), std::string::npos) << lines;
 }
 
 TEST_F(GovernanceTest, SlowLogNamesTheStatementItRecords) {

@@ -159,9 +159,10 @@ TEST(IntegrationTest, ParallelExecutionAgreesWithSerialResults) {
 
   auto parallel_db = Database::Open();
   ASSERT_OK(parallel_db);
-  lang::Interpreter parallel(
-      parallel_db->get(),
-      ConfigBuilder().Workers(3).ParallelThreshold(1).Build());
+  ExecConfig parallel_config;
+  parallel_config.exec.workers = 3;
+  parallel_config.exec.parallel_threshold = 1;
+  lang::Interpreter parallel(parallel_db->get(), parallel_config);
   ASSERT_OK(parallel.ExecuteScript(script, nullptr));
 
   for (const char* query : queries) {

@@ -278,6 +278,35 @@ TEST_F(InterpreterTest, QueryStatsCaptureLastPhysicalExecution) {
   EXPECT_TRUE(saw_join);
 }
 
+// EXPLAIN ANALYZE runs the plan the query runs: with the optimizer off,
+// the σ stays above the ⋈ in both.
+TEST_F(InterpreterTest, ExplainAnalyzeRunsTheQuerysPlanWithoutTheOptimizer) {
+  ASSERT_OK(interp_->SetOption("optimize", "false"));
+  const std::string q = "select(%6 = 'NL', join(%2 = %4, beer, brewery))";
+  ASSERT_OK(interp_->ExplainAnalyze(q));
+  const QueryStats explained = interp_->last_query_stats();
+  ASSERT_TRUE(explained.valid);
+  ASSERT_OK(Query(q));
+  const QueryStats& queried = interp_->last_query_stats();
+  ASSERT_EQ(explained.operators.size(), queried.operators.size());
+  for (size_t i = 0; i < queried.operators.size(); ++i) {
+    EXPECT_EQ(explained.operators[i].name, queried.operators[i].name) << i;
+    EXPECT_EQ(explained.operators[i].depth, queried.operators[i].depth) << i;
+  }
+  EXPECT_EQ(explained.result_rows, queried.result_rows);
+}
+
+// A definitional evaluation runs no physical plan, so it leaves no stats:
+// the last physical query's do not survive it.
+TEST_F(InterpreterTest, DefinitionalQueryResetsQueryStats) {
+  ASSERT_OK(Query("join(%2 = %4, beer, brewery)"));
+  ASSERT_TRUE(interp_->last_query_stats().valid);
+  ASSERT_OK(interp_->SetOption("use_physical_exec", "false"));
+  ASSERT_OK(Query("select(%3 > 4.5, beer)"));
+  EXPECT_FALSE(interp_->last_query_stats().valid);
+  EXPECT_TRUE(interp_->last_query_stats().operators.empty());
+}
+
 TEST_F(InterpreterTest, ExplainAnalyzeStatementReturnsPlanRelation) {
   auto results = interp_->ExecuteScriptCollect(
       "explain analyze select(%3 > 4.5, beer);");

@@ -483,15 +483,6 @@ TEST_F(RuleTest, SubplanReuseLowersDuplicateJoinOnce) {
   auto reference = EvaluatePlan(**twice, catalog_);
   ASSERT_OK(reference);
   EXPECT_REL_EQ(*executed, *reference);
-
-  // With the pass disabled, both join sites lower independently.
-  auto plain = exec::LowerPlan(*twice, catalog_, nullptr,
-                               ConfigBuilder().SubplanReuse(false).Build());
-  ASSERT_OK(plain);
-  EXPECT_EQ((*plain)->ToString().find("SubplanCache"), std::string::npos);
-  auto plain_result = exec::ExecuteToRelation(**plain);
-  ASSERT_OK(plain_result);
-  EXPECT_REL_EQ(*plain_result, *reference);
 }
 
 TEST_F(RuleTest, SubplanReuseSkipsCheapDuplicates) {

@@ -260,9 +260,10 @@ TEST(ParallelExecPlanner, LaneDrainedNodesReportOneLaneRowCounts) {
   const char* query =
       "groupby([%1], sum(%2), project([%1, %2 + %3], select(%3 > 10, t)))";
   auto counts = [&](size_t workers) {
-    lang::Interpreter interp(
-        db->get(),
-        ConfigBuilder().Workers(workers).ParallelThreshold(0).Build());
+    ExecConfig config;
+    config.exec.workers = workers;
+    config.exec.parallel_threshold = 0;
+    lang::Interpreter interp(db->get(), config);
     auto text = interp.ExplainAnalyze(query);
     EXPECT_OK(text);
     // "Scan ... (actual rows=N weighted=W" per chain node, in plan order.
@@ -566,8 +567,10 @@ TEST(ParallelExecMetrics, OneMorselSourceOnTwoLanesLeavesOneLaneIdle) {
 TEST(ParallelExecPlanner, ExplainAnalyzeRendersWorkersAndCpu) {
   auto db = Database::Open();
   ASSERT_OK(db);
-  lang::Interpreter interp(
-      db->get(), ConfigBuilder().Workers(4).ParallelThreshold(1).Build());
+  ExecConfig config;
+  config.exec.workers = 4;
+  config.exec.parallel_threshold = 1;
+  lang::Interpreter interp(db->get(), config);
   ASSERT_OK(interp.ExecuteScript(
       "create t(g: int, v: int);"
       "insert(t, {(1, 10) : 3, (1, 20), (2, 5) : 2, (3, 7), (4, 1)});",
@@ -595,7 +598,9 @@ TEST(ParallelExecPlanner, ThresholdKeepsSmallQueriesSerial) {
   // must keep the hash kernels on one lane even with workers available.
   auto db = Database::Open();
   ASSERT_OK(db);
-  lang::Interpreter interp(db->get(), ConfigBuilder().Workers(4).Build());
+  ExecConfig config;
+  config.exec.workers = 4;
+  lang::Interpreter interp(db->get(), config);
   ASSERT_OK(interp.ExecuteScript(
       "create t(g: int, v: int);"
       "insert(t, {(1, 10) : 3, (1, 20), (2, 5) : 2, (3, 7), (4, 1)});",

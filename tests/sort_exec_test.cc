@@ -501,7 +501,7 @@ TEST(SortLanguageTest, ForcedSortMergeJoinMatchesHashJoin) {
   EXPECT_REL_EQ(*via_merge, *via_hash);
 }
 
-// --- Knob round-trip: registry, session SET, and config builder. ---------
+// --- Knob round-trip: registry and session SET. -------------------------
 
 TEST(SortKnobTest, SpillAndStrategyKnobsRoundTrip) {
   ExecConfig cfg;
@@ -523,13 +523,6 @@ TEST(SortKnobTest, SpillAndStrategyKnobsRoundTrip) {
   EXPECT_FALSE(cfg.exec.sort_merge_join);
 
   EXPECT_FALSE(cfg.Set("sort_spill_bytes", "not-a-number").ok());
-
-  ExecConfig built = ConfigBuilder()
-                         .SortSpillBytes(128)
-                         .SortMergeJoin(true)
-                         .Build();
-  EXPECT_EQ(built.exec.sort_spill_bytes, 128u);
-  EXPECT_TRUE(built.exec.sort_merge_join);
 }
 
 TEST(SortKnobTest, SessionSetStatementReachesTheExecutor) {

@@ -106,9 +106,10 @@ TEST_P(TpchMiniTest, AllPlanShapesAgreeWithDefinitionalEvaluation) {
   ExecConfig definitional;
   definitional.exec.use_physical_exec = false;
   ExecConfig hash_plan;
-  ExecConfig merge_plan = ConfigBuilder().SortMergeJoin(true).Build();
-  ExecConfig spill_plan =
-      ConfigBuilder().SortMergeJoin(true).SortSpillBytes(64).Build();
+  ExecConfig merge_plan;
+  merge_plan.exec.sort_merge_join = true;
+  ExecConfig spill_plan = merge_plan;
+  spill_plan.exec.sort_spill_bytes = 64;
 
   for (const char* query : kQueries) {
     auto oracle = RunOne(query, definitional);
