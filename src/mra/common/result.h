@@ -25,7 +25,10 @@ class Result {
   }
 
   bool ok() const { return value_.has_value(); }
-  const Status& status() const { return status_; }
+  const Status& status() const& { return status_; }
+  /// By value on an rvalue, so `MRA_RETURN_IF_ERROR(F().status())` holds
+  /// the Status itself, not a reference into the destroyed temporary.
+  Status status() && { return std::move(status_); }
 
   const T& value() const& {
     MRA_CHECK(ok()) << "Result::value() on error: " << status_.ToString();

@@ -3,12 +3,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -74,6 +77,15 @@ std::string NextRunPath() {
 // differ; where every word ties, the full ops::CompareForSort decides,
 // then the row index.  So the order is exactly CompareForSort's, made
 // stable, and the rows themselves move once, by a final permutation.
+//
+// The words are ordered by an LSD radix sort, one stable counting pass
+// per byte, that visits only the bytes which vary across the run (an
+// OR/AND over each word finds them).  Entries start in row order, so
+// after the passes each run of entries whose words all tie is still in
+// row order, and the comparator finishes only those runs.  Where radix
+// cannot pay the comparator sorts the whole array: a tiny run, no
+// varying byte (no key words, or every key equal), or more varying bytes
+// than n has bits (about the comparison sort's log2 n levels).
 
 constexpr uint64_t kSignBit = uint64_t{1} << 63;
 
@@ -140,10 +152,50 @@ size_t NormalizedKeyWords(const RelationSchema& schema,
   return n;
 }
 
-// Bytes of one entry of the key array (the words plus the row index,
-// padded to a word), charged per buffered row.
+// Bytes charged per buffered row for the key array: its entry (the words
+// plus the row index, padded to a word) and the entry's slot in the radix
+// sort's scratch array.
 uint64_t KeyEntryBytes(size_t words) {
-  return (std::max<size_t>(words, 1) + 1) * sizeof(uint64_t);
+  return 2 * (std::max<size_t>(words, 1) + 1) * sizeof(uint64_t);
+}
+
+// Below this many rows the counting passes' fixed cost (a 256-slot
+// histogram per byte) outweighs the few comparisons std::sort makes.
+constexpr size_t kMinRadixRows = 64;
+
+// One radix digit: a byte of one key word.
+struct RadixDigit {
+  uint32_t word;
+  uint32_t shift;
+};
+
+// Stable LSD radix sort of `n` entries over `digits` (least significant
+// first), ping-ponging between `entries` and `scratch`; returns the array
+// that holds the sorted entries.
+template <size_t N>
+KeyedEntry<N>* RadixSort(KeyedEntry<N>* entries, KeyedEntry<N>* scratch,
+                         size_t n, const std::vector<RadixDigit>& digits) {
+  // Every digit's histogram in one pass, then each pass scatters stably.
+  std::vector<std::array<uint32_t, 256>> offsets(digits.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < digits.size(); ++d) {
+      ++offsets[d][(entries[i].words[digits[d].word] >> digits[d].shift) &
+                   0xff];
+    }
+  }
+  KeyedEntry<N>* from = entries;
+  KeyedEntry<N>* to = scratch;
+  for (size_t d = 0; d < digits.size(); ++d) {
+    uint32_t next = 0;
+    for (uint32_t& slot : offsets[d]) next += std::exchange(slot, next);
+    const RadixDigit digit = digits[d];
+    for (size_t i = 0; i < n; ++i) {
+      to[offsets[d][(from[i].words[digit.word] >> digit.shift) & 0xff]++] =
+          from[i];
+    }
+    std::swap(from, to);
+  }
+  return from;
 }
 
 // Sorts `rows` under CompareForSort (stable) through an N-word key array,
@@ -151,35 +203,71 @@ uint64_t KeyEntryBytes(size_t words) {
 template <size_t N>
 void SortKeyed(std::vector<Row>& rows, const std::vector<size_t>& keys,
                const std::vector<bool>& desc) {
-  MRA_CHECK_LE(rows.size(), size_t{UINT32_MAX});
-  std::vector<KeyedEntry<N>> entries(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
+  const size_t n = rows.size();
+  MRA_CHECK_LE(n, size_t{UINT32_MAX});
+  // Not value-initialised: every entry is written before it is read.
+  auto entries = std::make_unique_for_overwrite<KeyedEntry<N>[]>(n);
+  uint64_t any_set[N > 0 ? N : 1] = {};
+  uint64_t all_set[N > 0 ? N : 1];
+  std::fill(std::begin(all_set), std::end(all_set), UINT64_MAX);
+  for (size_t i = 0; i < n; ++i) {
     const Tuple& tuple = rows[i].tuple;
     for (size_t w = 0; w < N; ++w) {
       uint64_t word = KeyWord(tuple.at(keys[w]));
-      entries[i].words[w] = desc[w] ? ~word : word;
+      if (desc[w]) word = ~word;
+      entries[i].words[w] = word;
+      any_set[w] |= word;
+      all_set[w] &= word;
     }
     entries[i].row = static_cast<uint32_t>(i);
   }
-  std::sort(entries.begin(), entries.end(),
-            [&](const KeyedEntry<N>& a, const KeyedEntry<N>& b) {
-              for (size_t w = 0; w < N; ++w) {
-                if (a.words[w] != b.words[w]) return a.words[w] < b.words[w];
-              }
-              int c = ops::CompareForSort(rows[a.row].tuple,
-                                          rows[b.row].tuple, keys, desc);
-              if (c != 0) return c < 0;
-              return a.row < b.row;
-            });
-  // entries[i].row is the row that belongs at i; a visited slot is marked
+  auto before = [&](const KeyedEntry<N>& a, const KeyedEntry<N>& b) {
+    for (size_t w = 0; w < N; ++w) {
+      if (a.words[w] != b.words[w]) return a.words[w] < b.words[w];
+    }
+    int c = ops::CompareForSort(rows[a.row].tuple, rows[b.row].tuple, keys,
+                                desc);
+    if (c != 0) return c < 0;
+    return a.row < b.row;
+  };
+  // The varying bytes, least significant (last word, low byte) first.
+  std::vector<RadixDigit> digits;
+  for (size_t w = N; w-- > 0;) {
+    const uint64_t varying = any_set[w] ^ all_set[w];
+    for (uint32_t shift = 0; shift < 64; shift += 8) {
+      if ((varying >> shift) & 0xff) {
+        digits.push_back({static_cast<uint32_t>(w), shift});
+      }
+    }
+  }
+  KeyedEntry<N>* sorted = entries.get();
+  std::unique_ptr<KeyedEntry<N>[]> scratch;
+  if (n < kMinRadixRows || digits.empty() ||
+      digits.size() > static_cast<size_t>(std::bit_width(n))) {
+    std::sort(sorted, sorted + n, before);
+  } else {
+    scratch = std::make_unique_for_overwrite<KeyedEntry<N>[]>(n);
+    sorted = RadixSort(entries.get(), scratch.get(), n, digits);
+    auto same_words = [](const KeyedEntry<N>& a, const KeyedEntry<N>& b) {
+      return std::equal(std::begin(a.words), std::begin(a.words) + N,
+                        std::begin(b.words));
+    };
+    for (size_t i = 0; i < n;) {
+      size_t end = i + 1;
+      while (end < n && same_words(sorted[i], sorted[end])) ++end;
+      if (end - i > 1) std::sort(sorted + i, sorted + end, before);
+      i = end;
+    }
+  }
+  // sorted[i].row is the row that belongs at i; a visited slot is marked
   // by pointing it at itself.
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].row == i) continue;
+  for (size_t i = 0; i < n; ++i) {
+    if (sorted[i].row == i) continue;
     Row held = std::move(rows[i]);
     size_t at = i;
     while (true) {
-      size_t from = entries[at].row;
-      entries[at].row = static_cast<uint32_t>(at);
+      size_t from = sorted[at].row;
+      sorted[at].row = static_cast<uint32_t>(at);
       if (from == i) {
         rows[at] = std::move(held);
         break;
@@ -315,8 +403,9 @@ Status SortOp::OpenInner() {
                               desc_) >= 0) {
         continue;
       }
-      // The row's key-array entry is charged with it: the sort allocates
-      // one per buffered row, so it counts toward the spill threshold.
+      // The row's key-array entry and its radix scratch are charged with
+      // it: the sort allocates both per buffered row, so they count toward
+      // the spill threshold.
       buffer_bytes_ +=
           sizeof(Row) + row.tuple.HeapBytes() + key_entry_bytes_;
       buffer_weight_ += row.count;

@@ -4,13 +4,14 @@
 // tiebreak), and re-emits them as an ordered bag stream, batch by batch.
 // Multiplicities stay folded: a row carrying count 1e6 is one run entry,
 // never a million.  The order is computed over a flat array of
-// order-preserving key words per row (docs/EXECUTION.md "Keyed sort"):
-// CompareForSort only runs where every word ties, and the buffered rows
-// move once, by the final permutation.
+// order-preserving key words per row (docs/EXECUTION.md "Keyed sort"),
+// radix-sorted on the bytes that vary: CompareForSort only runs where
+// every word ties, and the buffered rows move once, by the final
+// permutation.
 //
 // Memory discipline (docs/EXECUTION.md "Ordering and spill"): buffered
-// rows, each with its key-array entry, are charged against the query
-// budget per input batch; when the
+// rows, each with its key-array entry and that entry's radix scratch,
+// are charged against the query budget per input batch; when the
 // buffer crosses the spill threshold — the `sort_spill_bytes` knob, or
 // half the armed query memory budget, whichever is smaller — the buffer
 // is sorted and written out as a merge run through the storage encoder,
@@ -118,7 +119,8 @@ class SortOp final : public PhysicalOperator {
   uint64_t spill_bytes_;
   PhysOpPtr child_;
   size_t key_words_;           // Leading keys normalized into key words.
-  uint64_t key_entry_bytes_;   // One key-array entry, charged per row.
+  uint64_t key_entry_bytes_;   // A key-array entry and its radix scratch,
+                               // charged per row.
 
   // In-memory buffer: plain rows for a full sort, a max-heap (worst entry
   // at the front) while a LIMIT is pruning.

@@ -588,15 +588,30 @@ std::vector<Row> Emitted(PhysicalOperator& op, size_t batch_size) {
   return rows;
 }
 
-// The reference emission: the child's rows in scan order, std::sort'ed
-// under CompareForSort, then clamped to the weighted LIMIT.
+// The sort's child: a scan of `input`, or a projecting scan onto
+// `columns`, which emits tuples that the projection collapses as separate
+// rows.
+PhysOpPtr Source(const Relation& input, const std::vector<size_t>& columns) {
+  if (columns.empty()) return std::make_unique<ScanOp>(&input);
+  auto schema = input.schema().Project(columns);
+  EXPECT_OK(schema);
+  return std::make_unique<ScanOp>(&input, columns, *schema);
+}
+
+// The forced-spill arm's run cap: a run per row while that stays a few
+// hundred run files, else about 16 runs that each sort many rows.
+uint64_t SpillArmBytes(size_t rows) { return rows <= 512 ? 64 : rows * 16; }
+
+// The reference emission: the child's rows in scan order,
+// std::stable_sort'ed under CompareForSort, then clamped to the weighted
+// LIMIT.
 std::vector<Row> ReferenceEmission(const Relation& input,
                                    const std::vector<size_t>& keys,
                                    const std::vector<bool>& desc,
-                                   uint64_t limit) {
-  ScanOp scan(&input);
-  std::vector<Row> rows = Emitted(scan, 1024);
-  std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+                                   uint64_t limit,
+                                   const std::vector<size_t>& columns = {}) {
+  std::vector<Row> rows = Emitted(*Source(input, columns), 1024);
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
     return ops::CompareForSort(a.tuple, b.tuple, keys, desc) < 0;
   });
   if (limit == 0) return rows;
@@ -612,15 +627,20 @@ std::vector<Row> ReferenceEmission(const Relation& input,
 }
 
 // Keyed SortOp (in memory and forced spill, every batch size) emits exactly
-// the reference sequence, and its folded bag is ops::Sort's.
+// the reference sequence, and its folded bag is ops::Sort's.  A non-empty
+// `columns` sorts a projecting scan of `input` onto those columns.
 void ExpectOrderParity(const Relation& input, const std::vector<size_t>& keys,
-                       const std::vector<bool>& desc, uint64_t limit) {
-  std::vector<Row> want = ReferenceEmission(input, keys, desc, limit);
-  auto bag = ops::Sort(keys, desc, limit, input);
+                       const std::vector<bool>& desc, uint64_t limit,
+                       const std::vector<size_t>& columns = {}) {
+  std::vector<Row> want = ReferenceEmission(input, keys, desc, limit, columns);
+  auto projected = columns.empty() ? Result<Relation>(input)
+                                   : ops::ProjectIndexes(columns, input);
+  ASSERT_OK(projected);
+  auto bag = ops::Sort(keys, desc, limit, *projected);
   ASSERT_OK(bag);
-  for (uint64_t spill : {uint64_t{0}, uint64_t{64}}) {
+  for (uint64_t spill : {uint64_t{0}, SpillArmBytes(input.distinct_size())}) {
     for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
-      SortOp op(keys, desc, limit, spill, std::make_unique<ScanOp>(&input));
+      SortOp op(keys, desc, limit, spill, Source(input, columns));
       std::vector<Row> got = Emitted(op, batch_size);
       if (spill > 0 && input.distinct_size() > 1) {
         EXPECT_GT(op.spilled_runs(), 0u);
@@ -629,7 +649,7 @@ void ExpectOrderParity(const Relation& input, const std::vector<size_t>& keys,
                                 " batch=" + std::to_string(batch_size) +
                                 " limit=" + std::to_string(limit);
       ASSERT_EQ(got.size(), want.size()) << where;
-      Relation folded(input.schema());
+      Relation folded(projected->schema());
       for (size_t i = 0; i < got.size(); ++i) {
         bool same = got[i].count == want[i].count &&
                     got[i].tuple.arity() == want[i].tuple.arity();
@@ -855,6 +875,243 @@ TEST(SortKeyedOrderTest, KeyArrayIsChargedAgainstTheBudget) {
   EXPECT_REL_EQ(*got, r);
   EXPECT_GT(op.spilled_runs(), 0u)
       << "the key array did not count toward the spill threshold";
+  EXPECT_EQ(ctx.mem_used(), 0u);
+}
+
+
+// --- Radix kernel: emission-order parity at its edges. -------------------
+//
+// A run of 64 rows or more is ordered by LSD radix passes over the bytes
+// of its key words that vary, and the comparator finishes each run of
+// entries whose words all tie.  Smaller runs, runs where no byte varies,
+// and runs with more varying bytes than log2 n fall back to std::sort.
+// These cases cross each boundary, in memory, spilled and under a LIMIT
+// (the Top-K heap sorts through the same kernel).
+
+// A relation of `n` tuples drawn by `make`, each with a count of 1 to 3.
+Relation Generated(const RelationSchema& schema, size_t n,
+                   const std::function<Tuple(std::mt19937_64&)>& make) {
+  std::mt19937_64 rng(n + schema.arity());
+  Relation r(schema);
+  while (r.distinct_size() < n) r.InsertUnchecked(make(rng), 1 + rng() % 3);
+  return r;
+}
+
+// A LIMIT that keeps about half of `input`'s weight.
+uint64_t HalfWeight(const Relation& input) {
+  return std::max<uint64_t>(1, input.size() / 2);
+}
+
+// Every key in both directions, in full and under a LIMIT of half the
+// weight (the heap then sorts about half the rows, and still spills in
+// the forced-spill arm).
+void ExpectOrderParityEveryDirection(const Relation& input,
+                                     const std::vector<size_t>& keys) {
+  const size_t n = keys.size();
+  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+    std::vector<bool> desc(n);
+    for (size_t i = 0; i < n; ++i) desc[i] = (mask >> i) & 1;
+    ExpectOrderParity(input, keys, desc, 0);
+    ExpectOrderParity(input, keys, desc, HalfWeight(input));
+  }
+}
+
+RelationSchema IntSchema(size_t arity) {
+  std::vector<Attribute> attrs;
+  for (size_t i = 0; i < arity; ++i) {
+    attrs.push_back({"a" + std::to_string(i), Type::Int()});
+  }
+  return RelationSchema("r", attrs);
+}
+
+TEST(SortRadixKernelTest, RunSizesAroundTheRadixCutoff) {
+  // %1 has two varying bytes (radix from 64 rows on); %2 spans the sign,
+  // so all eight of its bytes vary and (%1, %2) needs ten passes: the
+  // comparison sort below 1,024 rows, radix at 10k.
+  for (size_t n : {size_t{63}, size_t{64}, size_t{65}, size_t{10000}}) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    Relation r = Generated(IntSchema(3), n, [](std::mt19937_64& rng) {
+      return Tuple({Value::Int(static_cast<int64_t>(rng() % 500)),
+                    Value::Int(static_cast<int64_t>(rng() % 2'000'001) -
+                               1'000'000),
+                    Value::Int(static_cast<int64_t>(rng() % 7))});
+    });
+    ExpectOrderParity(r, {0}, {false}, 0);
+    ExpectOrderParity(r, {0}, {true}, HalfWeight(r));
+    ExpectOrderParity(r, {0, 1}, {false, true}, 0);
+    ExpectOrderParity(r, {1, 0}, {true, false}, HalfWeight(r));
+  }
+}
+
+TEST(SortRadixKernelTest, HundredThousandRows) {
+  Relation r = Generated(IntSchema(3), 100'000, [](std::mt19937_64& rng) {
+    return Tuple({Value::Int(static_cast<int64_t>(rng() % 3000)),
+                  Value::Int(static_cast<int64_t>(rng() % 100'001) - 50'000),
+                  Value::Int(static_cast<int64_t>(rng() % 50))});
+  });
+  ExpectOrderParity(r, {0, 1}, {false, true}, 0);
+}
+
+TEST(SortRadixKernelTest, NegativeIntsVaryTheTopByte) {
+  // Small negative and positive ints differ in every byte of their word,
+  // the top one included; the extremes sit at both ends of it.
+  Relation r = Generated(IntSchema(2), 1000, [](std::mt19937_64& rng) {
+    int64_t v = static_cast<int64_t>(rng() % 201) - 100;
+    if (rng() % 50 == 0) {
+      v = rng() % 2 == 0 ? std::numeric_limits<int64_t>::min()
+                         : std::numeric_limits<int64_t>::max();
+    }
+    return Tuple({Value::Int(v), Value::Int(static_cast<int64_t>(rng() % 9))});
+  });
+  ExpectOrderParityEveryDirection(r, {0});
+  ExpectOrderParityEveryDirection(r, {0, 1});
+}
+
+TEST(SortRadixKernelTest, EveryKeyEqualLeavesOneTiedRun) {
+  // No byte of any key word varies: the whole-tuple tiebreak decides.
+  Relation r = Generated(IntSchema(3), 1000, [](std::mt19937_64& rng) {
+    return Tuple({Value::Int(7), Value::Int(-3),
+                  Value::Int(static_cast<int64_t>(rng() % 100'000))});
+  });
+  ExpectOrderParityEveryDirection(r, {0});
+  ExpectOrderParityEveryDirection(r, {1, 0});
+}
+
+TEST(SortRadixKernelTest, RealsWithNaNsSignedZerosAndInfinities) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double payload_nan;
+  const uint64_t payload_bits = 0x7ff8000000000001ULL;
+  std::memcpy(&payload_nan, &payload_bits, sizeof(payload_nan));
+  const std::vector<double> specials = {nan,  -nan, payload_nan, -0.0,
+                                        0.0,  inf,  -inf,
+                                        std::numeric_limits<double>::min()};
+  Relation r = Generated(
+      RelationSchema("x", {{"x", Type::Real()}, {"k", Type::Int()}}), 1000,
+      [&](std::mt19937_64& rng) {
+        double x = rng() % 3 == 0
+                       ? specials[rng() % specials.size()]
+                       : static_cast<double>(static_cast<int64_t>(
+                             rng() % 2'000'001) - 1'000'000) / 1024.0;
+        return Tuple(
+            {Value::Real(x), Value::Int(static_cast<int64_t>(rng() % 200))});
+      });
+  ExpectOrderParityEveryDirection(r, {0});
+  ExpectOrderParityEveryDirection(r, {0, 1});
+  ExpectOrderParityEveryDirection(r, {1, 0});
+}
+
+TEST(SortRadixKernelTest, StringsSharingAnEightBytePrefix) {
+  // Four prefixes that differ only in their eighth byte, so one byte of
+  // the string's word varies and the rest of each string is decided by
+  // the comparator; a few strings end at or inside the prefix.
+  Relation r = Generated(
+      RelationSchema("s", {{"s", Type::String()}, {"k", Type::Int()}}), 1000,
+      [](std::mt19937_64& rng) {
+        std::string s = "shipdat" + std::string(1, "AB\x7f\x80"[rng() % 4]);
+        const size_t extra = rng() % 6;
+        for (size_t i = 0; i < extra; ++i) {
+          s.push_back(static_cast<char>(rng() % 4 == 0 ? 0 : 'a' + rng() % 3));
+        }
+        if (rng() % 40 == 0) s.resize(rng() % 9);
+        return Tuple(
+            {Value::Str(s), Value::Int(static_cast<int64_t>(rng() % 5))});
+      });
+  ExpectOrderParityEveryDirection(r, {0});
+  ExpectOrderParityEveryDirection(r, {0, 1});
+  ExpectOrderParityEveryDirection(r, {1, 0});
+}
+
+TEST(SortRadixKernelTest, DescMixesOverMoreThanFourKeys) {
+  // Six keys: the first four are normalized (one varying byte each), the
+  // last two and the whole-tuple tiebreak are the comparator's.
+  Relation r = Generated(IntSchema(6), 3000, [](std::mt19937_64& rng) {
+    std::vector<Value> values;
+    for (int i = 0; i < 6; ++i) {
+      values.push_back(Value::Int(static_cast<int64_t>(rng() % 5)));
+    }
+    return Tuple(std::move(values));
+  });
+  ExpectOrderParity(r, {0, 1, 2, 3, 4, 5},
+                    {true, false, true, false, true, false}, 0);
+  ExpectOrderParity(r, {5, 4, 3, 2, 1, 0},
+                    {false, false, true, true, false, true}, HalfWeight(r));
+  ExpectOrderParity(r, {3, 1, 4, 0, 5}, {true, true, true, true, true}, 0);
+}
+
+TEST(SortRadixKernelTest, RepeatedTuplesAcrossRowsKeepArrivalOrder) {
+  // A projecting scan onto (%2, %3) emits one row per stored tuple, so
+  // each projected tuple arrives as many rows with counts 1 to 3: equal
+  // tuples tie on every word and must keep their arrival order.
+  Relation r = Generated(IntSchema(3), 5000, [](std::mt19937_64& rng) {
+    return Tuple({Value::Int(static_cast<int64_t>(rng())),
+                  Value::Int(static_cast<int64_t>(rng() % 40) - 20),
+                  Value::Int(static_cast<int64_t>(rng() % 6))});
+  });
+  const std::vector<size_t> columns = {1, 2};
+  ExpectOrderParity(r, {0}, {false}, 0, columns);
+  ExpectOrderParity(r, {1, 0}, {true, false}, 0, columns);
+  // Under a LIMIT the Top-K heap keeps its own choice among the rows of
+  // one tuple, so the rows of a tuple may split its weight differently:
+  // the stream folded over adjacent equal tuples is what must match.
+  auto fold_adjacent = [](const std::vector<Row>& rows) {
+    std::vector<Row> folded;
+    for (const Row& row : rows) {
+      if (!folded.empty() && folded.back().tuple == row.tuple) {
+        folded.back().count += row.count;
+      } else {
+        folded.push_back(row);
+      }
+    }
+    return folded;
+  };
+  const std::vector<size_t> keys = {0, 1};
+  const std::vector<bool> desc = {true, true};
+  const uint64_t limit = HalfWeight(r);
+  std::vector<Row> want =
+      fold_adjacent(ReferenceEmission(r, keys, desc, limit, columns));
+  for (uint64_t spill : {uint64_t{0}, SpillArmBytes(r.distinct_size())}) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SortOp op(keys, desc, limit, spill, Source(r, columns));
+      std::vector<Row> got = fold_adjacent(Emitted(op, batch_size));
+      EXPECT_EQ(op.spilled_runs() > 0, spill > 0);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(got[i].tuple == want[i].tuple &&
+                    got[i].count == want[i].count)
+            << "spill=" << spill << " batch=" << batch_size << ": row " << i
+            << " is " << RowText(got[i]) << ", want " << RowText(want[i]);
+      }
+    }
+  }
+}
+
+TEST(SortRadixKernelTest, RadixScratchIsChargedAgainstTheBudget) {
+  // Two int keys: a buffered row holds a 24-byte key-array entry and
+  // another 24 bytes of radix scratch.  A spill threshold that fits the
+  // rows with one entry each but not with both must force a spill.
+  Relation r = Generated(IntSchema(2), 2000, [](std::mt19937_64& rng) {
+    return Tuple({Value::Int(static_cast<int64_t>(rng() % 1000)),
+                  Value::Int(static_cast<int64_t>(rng() % 1000))});
+  });
+  uint64_t row_bytes = 0;
+  {
+    ScanOp scan(&r);
+    for (const Row& row : Emitted(scan, 1024)) {
+      row_bytes += sizeof(Row) + row.tuple.HeapBytes();
+    }
+  }
+  const uint64_t entry_bytes = 3 * sizeof(uint64_t);
+  ExecContext ctx;
+  // Threshold (budget / 2): rows plus one and a half entries a row.
+  ctx.SetMemoryBudget(2 * (row_bytes + r.distinct_size() * entry_bytes * 3 / 2));
+  SortOp op({0, 1}, {false, false}, 0, 0, std::make_unique<ScanOp>(&r));
+  op.SetExecContext(&ctx);
+  auto got = ExecuteToRelation(op, 1024);
+  ASSERT_OK(got);
+  EXPECT_REL_EQ(*got, r);
+  EXPECT_GT(op.spilled_runs(), 0u)
+      << "the radix scratch did not count toward the spill threshold";
   EXPECT_EQ(ctx.mem_used(), 0u);
 }
 

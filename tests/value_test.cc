@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
@@ -200,6 +202,28 @@ TEST(ResultTest, ValueAndErrorPaths) {
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(bad.value_or(-1), -1);
   EXPECT_EQ(good.value_or(-1), 42);
+}
+
+// The message outgrows the small-string buffer, so reading it through a
+// Result temporary that has already been destroyed is a heap
+// use-after-free that the sanitize build reports.
+Result<int> FailsWithLongMessage() {
+  return Status::NotFound("no relation named lineitem_archive in the catalog");
+}
+
+Status ForwardsTheStatusOfATemporary() {
+  MRA_RETURN_IF_ERROR(FailsWithLongMessage().status());
+  return Status::OK();
+}
+
+TEST(ResultTest, StatusOfATemporaryOutlivesIt) {
+  static_assert(
+      std::is_same_v<decltype(std::declval<Result<int>>().status()), Status>);
+  static_assert(std::is_same_v<decltype(std::declval<Result<int>&>().status()),
+                               const Status&>);
+  Status s = ForwardsTheStatusOfATemporary();
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.message(), "no relation named lineitem_archive in the catalog");
 }
 
 TEST(ValueTest, RealCompareIsAStrictWeakOrder) {
