@@ -927,7 +927,7 @@ RelationSchema IntSchema(size_t arity) {
 TEST(SortRadixKernelTest, RunSizesAroundTheRadixCutoff) {
   // %1 has two varying bytes (radix from 64 rows on); %2 spans the sign,
   // so all eight of its bytes vary and (%1, %2) needs ten passes: the
-  // comparison sort below 1,024 rows, radix at 10k.
+  // comparison sort below 512 rows, radix at 10k.
   for (size_t n : {size_t{63}, size_t{64}, size_t{65}, size_t{10000}}) {
     SCOPED_TRACE("rows=" + std::to_string(n));
     Relation r = Generated(IntSchema(3), n, [](std::mt19937_64& rng) {
