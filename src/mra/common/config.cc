@@ -86,7 +86,7 @@ const Knob kKnobs[] = {
        return std::to_string(c.exec.parallel_threshold);
      }},
     {"sort_spill_bytes", false,
-     "sort run cap in bytes before spilling to disk; 0 = budget-driven",
+     "sort run / join build cap in bytes before spilling; 0 = budget-driven",
      [](ExecConfig* c, uint64_t n, bool) {
        c->exec.sort_spill_bytes = n;
        return Status::OK();
@@ -94,13 +94,6 @@ const Knob kKnobs[] = {
      [](const ExecConfig& c) {
        return std::to_string(c.exec.sort_spill_bytes);
      }},
-    {"sort_merge_join", true,
-     "force sort-merge for every equi-join (off = cost-based choice)",
-     [](ExecConfig* c, uint64_t, bool b) {
-       c->exec.sort_merge_join = b;
-       return Status::OK();
-     },
-     [](const ExecConfig& c) { return BoolName(c.exec.sort_merge_join); }},
     {"statement_timeout_ms", false,
      "kill queries running past N ms (kDeadlineExceeded); 0 = off",
      [](ExecConfig* c, uint64_t n, bool) {

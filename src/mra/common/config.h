@@ -46,15 +46,14 @@ struct ExecConfig {
     /// the planner gives a hash operator more than one lane; below it the
     /// one-lane kernel wins on fan-out overhead alone.
     uint64_t parallel_threshold = 8192;
-    /// In-memory working-set cap for one sort run, in bytes: a SortOp whose
-    /// buffered rows exceed it sorts the buffer and spills it as a merge
-    /// run through the storage encoder (docs/EXECUTION.md).  0 means no
-    /// fixed cap — the sort still spills at half the query memory budget
-    /// when one is armed, and stays fully in memory otherwise.
+    /// In-memory working-set cap, in bytes, for one sort run and one hash
+    /// join build chunk: a SortOp whose buffered rows exceed it sorts the
+    /// buffer and spills it as a merge run, and a HashJoinOp writes the
+    /// build rows past it to run files and joins them chunk by chunk
+    /// (docs/EXECUTION.md).  0 means no fixed cap — both still spill at
+    /// half the query memory budget when one is armed, and stay fully in
+    /// memory otherwise.
     uint64_t sort_spill_bytes = 0;
-    /// Force the sort-merge join strategy for every equi-join, overriding
-    /// the cost-based hash-vs-sort-merge choice (docs/OPTIMIZER.md).
-    bool sort_merge_join = false;
   } exec;
 
   /// Per-query governance (docs/GOVERNANCE.md).

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <mutex>
 
+#include "mra/common/annotation.h"
 #include "mra/expr/eval.h"
 #include "mra/obs/metrics.h"
 #include "mra/parallel/worker_pool.h"
@@ -229,7 +230,7 @@ Status SharedCursor::Pull(PhysicalOperator* child, RowBatch& out) {
 HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
                        std::vector<size_t> right_keys, ExprPtr residual_or_null,
                        PhysOpPtr left, PhysOpPtr right, size_t workers,
-                       size_t morsel_size)
+                       size_t morsel_size, uint64_t spill_bytes)
     : left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual_or_null)),
@@ -237,17 +238,31 @@ HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
       left_(std::move(left)),
       right_(std::move(right)),
       workers_(workers),
-      morsel_size_(morsel_size == 0 ? kDefaultBatchSize : morsel_size) {
+      morsel_size_(morsel_size == 0 ? kDefaultBatchSize : morsel_size),
+      spill_bytes_(spill_bytes) {
   MRA_CHECK_EQ(left_keys_.size(), right_keys_.size());
   MRA_CHECK(!left_keys_.empty())
       << "HashJoin requires at least one key pair";
 }
+
+HashJoinOp::~HashJoinOp() { RemoveRunFiles(&spill_.files); }
 
 uint64_t HashJoinOp::ArenaBytes(uint64_t rows, uint64_t chains,
                                 uint64_t buckets) {
   return rows * (sizeof(Row) + sizeof(size_t)) +
          chains * 2 * sizeof(size_t) + buckets * sizeof(uint64_t);
 }
+
+namespace {
+
+// What a resident build row can cost its arena, values aside, counted
+// against the spill threshold: its Row and chain link, a chain of its own
+// and three index words (at load 7/8, rounded up to a power of two), with
+// the vectors' doubling slack.  So the arena a chunk's rows fill stays
+// within the threshold whichever growth step it lands on.
+const uint64_t kResidentRowBytes = HashJoinOp::ArenaBytes(2, 2, 3);
+
+}  // namespace
 
 void HashJoinOp::Partition::Add(Row&& row, const std::vector<size_t>& keys,
                                 size_t hash) {
@@ -289,10 +304,16 @@ void HashJoinOp::Reset() {
   }
   probe_by_lanes_ = false;
   probe_cursor_.reset();
+  // Nothing spilled opens no run, so it has nothing to reset.
+  if (!spill_.files.empty()) {
+    RemoveRunFiles(&spill_.files);
+    spill_ = Spill();
+  }
 }
 
 Status HashJoinOp::Build() {
   Reset();
+  chunks_ = 0;
   WorkerPool::Lease lease = WorkerPool::Global().Admit(workers_);
   const size_t lanes = lease.lanes();
   metrics_.workers = static_cast<uint32_t>(lanes);
@@ -304,6 +325,14 @@ Status HashJoinOp::Build() {
   radix_bits_ = std::countr_zero(parts);
   partitions_ = std::vector<Partition>(parts);
   Partition& single = partitions_[0];
+  // The lanes keep build rows, each counted at kResidentRowBytes plus its
+  // values, while their sum stays within the spill threshold; a lane that
+  // meets a row past it writes that row and all its later ones to its own
+  // build run.
+  const uint64_t threshold = SpillThreshold(spill_bytes_, ctx);
+  const bool capped = threshold != UINT64_MAX;
+  std::atomic<uint64_t> resident{0};
+  std::vector<RunWriter> runs(lanes);
 
   // Phase 1.  One lane adds each build row straight into its arena; more
   // lanes radix-partition the build side, keeping each row's key hash for
@@ -323,7 +352,7 @@ Status HashJoinOp::Build() {
                                            SumLaneBytes(lane_bytes)))
                     : Status::OK();
   };
-  MRA_RETURN_IF_ERROR(DrainChild(
+  Status drained = DrainChild(
       lease, ctx, right_.get(), morsel_size_, &metrics_.cpu_ns,
       &metrics_.build_rows,
       [&] {
@@ -343,31 +372,47 @@ Status HashJoinOp::Build() {
         planned_bytes = share * lanes * parts * (sizeof(Row) + sizeof(size_t));
       },
       [&](size_t lane, RowBatch& morsel) {
-        if (lanes == 1) {
-          for (Row& row : morsel) {
+        RunWriter& run = runs[lane];
+        size_t i = 0;
+        if (run.path().empty()) {
+          uint64_t bytes = 0;
+          for (; i < morsel.size(); ++i) {
+            Row& row = morsel[i];
+            const uint64_t values =
+                governed || capped ? row.tuple.HeapBytes() : 0;
+            const uint64_t cost = kResidentRowBytes + values;
+            if (capped && resident.fetch_add(cost) + cost > threshold) break;
             const size_t h = row.tuple.HashKey(right_keys_);
-            if (governed) single.value_bytes += row.tuple.HeapBytes();
-            single.Add(std::move(row), right_keys_, h);
+            if (lanes == 1) {
+              single.value_bytes += values;
+              single.Add(std::move(row), right_keys_, h);
+            } else {
+              Staged& part = staged[lane][PartitionOf(h, radix_bits_)];
+              part.value_bytes += values;
+              bytes += sizeof(Row) + values;
+              part.rows.push_back(std::move(row));
+              part.hashes.push_back(h);
+            }
           }
-          return Status::OK();
-        }
-        std::vector<Staged>& stage = staged[lane];
-        uint64_t bytes = 0;
-        for (Row& row : morsel) {
-          const size_t h = row.tuple.HashKey(right_keys_);
-          Staged& part = stage[PartitionOf(h, radix_bits_)];
-          if (governed) {
-            const uint64_t values = row.tuple.HeapBytes();
-            part.value_bytes += values;
-            bytes += sizeof(Row) + values;
+          if (lanes > 1) {
+            lane_bytes[lane].fetch_add(bytes, std::memory_order_relaxed);
           }
-          part.rows.push_back(std::move(row));
-          part.hashes.push_back(h);
+          if (i == morsel.size()) return Status::OK();
+          MRA_RETURN_IF_ERROR(run.Open());
         }
-        lane_bytes[lane].fetch_add(bytes, std::memory_order_relaxed);
+        for (; i < morsel.size(); ++i) run.Append(morsel[i]);
         return Status::OK();
       },
-      charge));
+      charge);
+  // Recorded before any return, so every abort path removes them.
+  for (const RunWriter& run : runs) {
+    if (!run.path().empty()) spill_.files.push_back(run.path());
+  }
+  MRA_RETURN_IF_ERROR(drained);
+  for (RunWriter& run : runs) {
+    if (run.is_open()) MRA_RETURN_IF_ERROR(run.Finish());
+  }
+  spill_.build_runs = spill_.files.size();
 
   if (lanes > 1) {
     if (governed) MRA_RETURN_IF_ERROR(charge());
@@ -401,6 +446,7 @@ Status HashJoinOp::Build() {
     entries += part.heads.size();
   }
   metrics_.peak_hash_entries = entries;
+  if (spill_.build_runs > 0) chunks_ = 1;
   return NoteHashFootprint(arena_bytes, value_bytes);
 }
 
@@ -412,21 +458,34 @@ void HashJoinOp::SetProbeLanes(size_t lanes) {
 // Drained through NextBatch, the join builds on its own lease and then
 // probes on the calling thread, batch by batch, into the caller's
 // recycled slots: it holds its build arenas and nothing else.
-Status HashJoinOp::OpenImpl() {
-  MRA_RETURN_IF_ERROR(Build());
-  SetProbeLanes(1);
-  return left_->Open();
-}
+Status HashJoinOp::OpenImpl() { return OpenLanesImpl(1, nullptr); }
 
 // Drained by lanes, the join builds on its own lease and then probes on
-// its consumer's lanes, pulling probe morsels lane by lane.
+// its consumer's lanes, pulling probe morsels lane by lane — unless it
+// spilled, when its passes run through NextBatch.
 Status HashJoinOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
-  MRA_RETURN_IF_ERROR(Build());
-  SetProbeLanes(lanes);
-  probe_cursor_ = std::make_unique<SharedCursor>();
-  MRA_RETURN_IF_ERROR(left_->OpenForLanes(lanes, &probe_by_lanes_));
-  *by_lanes = true;
-  return Status::OK();
+  if (!base_annotation_captured_) {
+    base_annotation_ = annotation();
+    base_annotation_captured_ = true;
+  }
+  set_annotation(base_annotation_);
+  Status s = Build();
+  if (s.ok() && by_lanes != nullptr && chunks_ == 0) {
+    SetProbeLanes(lanes);
+    probe_cursor_ = std::make_unique<SharedCursor>();
+    s = left_->OpenForLanes(lanes, &probe_by_lanes_);
+    *by_lanes = s.ok();
+  } else if (s.ok()) {
+    SetProbeLanes(1);
+    s = left_->Open();
+    if (s.ok() && chunks_ > 0) {
+      s = spill_.probe_writer.Open();
+      spill_.files.push_back(spill_.probe_writer.path());
+    }
+  }
+  // A failed Open gets no Close: the runs go now.
+  if (!s.ok()) Reset();
+  return s;
 }
 
 template <typename Pull>
@@ -484,8 +543,83 @@ Status HashJoinOp::LaneBatchImpl(size_t lane, RowBatch& out) {
 }
 
 Status HashJoinOp::NextBatchImpl(RowBatch& out) {
-  return Probe(lane_probes_[0], out,
-               [&](RowBatch& b) { return left_->NextBatch(b); });
+  ProbeCursor& c = lane_probes_[0];
+  if (chunks_ == 0) {
+    return Probe(c, out, [&](RowBatch& b) { return left_->NextBatch(b); });
+  }
+  // Spilled: pass by pass until `out` fills or the chunks run out.  The
+  // first pass tees the probe stream into the probe run; later passes
+  // read it back.
+  while (true) {
+    MRA_RETURN_IF_ERROR(Probe(c, out, [&](RowBatch& b) {
+      if (spill_.probe_writer.is_open()) {
+        MRA_RETURN_IF_ERROR(left_->NextBatch(b));
+        for (const Row& row : b) spill_.probe_writer.Append(row);
+        return Status::OK();
+      }
+      b.Clear();
+      if (exec_context() != nullptr) {
+        MRA_RETURN_IF_ERROR(exec_context()->Check());
+      }
+      RunReader& in = spill_.probe_reader;
+      while (!b.full() && !in.done()) {
+        b.AppendSlot() = std::move(in.current());
+        MRA_RETURN_IF_ERROR(in.Advance());
+      }
+      return Status::OK();
+    }));
+    if (out.full()) return Status::OK();
+    MRA_ASSIGN_OR_RETURN(bool more, NextChunk());
+    if (!more) return Status::OK();
+  }
+}
+
+Result<bool> HashJoinOp::NextChunk() {
+  // The last chunk goes before the next one loads.
+  partitions_.assign(1, Partition());
+  radix_bits_ = 0;
+  Partition& part = partitions_[0];
+  if (spill_.probe_writer.is_open()) {
+    MRA_RETURN_IF_ERROR(spill_.probe_writer.Finish());
+    left_->Close();
+    // No probe row can match a later chunk.
+    if (lane_probes_[0].probed == 0) spill_.next_build_run = spill_.build_runs;
+  }
+  if (exec_context() != nullptr) MRA_RETURN_IF_ERROR(exec_context()->Check());
+  // A chunk holds at least one row, however small the threshold.
+  const uint64_t threshold = SpillThreshold(spill_bytes_, exec_context());
+  RunReader& in = spill_.build_reader;
+  for (uint64_t held = 0; held < threshold || part.rows.empty();) {
+    if (in.done()) {
+      if (spill_.next_build_run == spill_.build_runs) break;
+      MRA_RETURN_IF_ERROR(in.Open(spill_.files[spill_.next_build_run++]));
+      continue;
+    }
+    Row& row = in.current();
+    const uint64_t values = row.tuple.HeapBytes();
+    held += kResidentRowBytes + values;
+    part.value_bytes += values;
+    const size_t h = row.tuple.HashKey(right_keys_);
+    part.Add(std::move(row), right_keys_, h);
+    MRA_RETURN_IF_ERROR(in.Advance());
+  }
+  MRA_RETURN_IF_ERROR(NoteHashFootprint(part.ApproxBytes(), part.value_bytes));
+  if (part.rows.empty()) {
+    std::string note =
+        AnnotationText("spill", std::to_string(chunks_) + " chunks");
+    set_annotation(base_annotation_.empty() ? note
+                                            : base_annotation_ + ", " + note);
+    return false;
+  }
+  ++chunks_;
+  metrics_.peak_hash_entries =
+      std::max<uint64_t>(metrics_.peak_hash_entries, part.heads.size());
+  MRA_RETURN_IF_ERROR(spill_.probe_reader.Open(spill_.files.back()));
+  ProbeCursor& c = lane_probes_[0];
+  c.batch.Clear();
+  c.pos = 0;
+  c.chain = kNone;
+  return true;
 }
 
 void HashJoinOp::CloseImpl() {

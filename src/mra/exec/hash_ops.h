@@ -62,11 +62,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "mra/algebra/aggregate.h"
 #include "mra/exec/hash_table.h"
 #include "mra/exec/operator.h"
+#include "mra/exec/spill.h"
 #include "mra/parallel/worker_pool.h"
 
 namespace mra {
@@ -102,18 +104,30 @@ class SharedCursor {
 /// probes on the calling thread, batch by batch, and one drained by lanes
 /// (a partitioned source) probes on its consumer's lanes, morsel by
 /// morsel.
+///
+/// Spill (docs/EXECUTION.md "Spilling hash join"): past SortOp's spill
+/// threshold each build lane appends its further rows to a run file of
+/// its own.  The first probe pass joins the resident chunk while it writes the
+/// probe stream to a run file; every later pass loads the next
+/// threshold-sized chunk of the build runs into one partition and joins it
+/// with the probe run.  ⋈ distributes over any ⊎-split of its build side,
+/// so the passes' ⊎ is the join, however many rows one key has.  A join
+/// that spilled probes through NextBatch only.
 class HashJoinOp final : public PhysicalOperator {
  public:
   /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
   /// side).  `residual_or_null` is evaluated over the concatenated tuple.
+  /// `spill_bytes` is ExecConfig::exec.sort_spill_bytes (spill.h's
+  /// SpillThreshold).
   HashJoinOp(std::vector<size_t> left_keys, std::vector<size_t> right_keys,
              ExprPtr residual_or_null, PhysOpPtr left, PhysOpPtr right,
-             size_t workers = 1, size_t morsel_size = kDefaultBatchSize);
+             size_t workers = 1, size_t morsel_size = kDefaultBatchSize,
+             uint64_t spill_bytes = 0);
+  ~HashJoinOp() override;
 
   /// Heap bytes of a build arena of `rows` rows in `chains` key chains under
   /// `buckets` index words, values not counted: the footprint hashKB
-  /// reports.  The join's budget charge adds the rows' values, as the
-  /// planner's join-strategy pick does.
+  /// reports.  The join's budget charge adds the rows' values.
   static uint64_t ArenaBytes(uint64_t rows, uint64_t chains, uint64_t buckets);
 
   const RelationSchema& schema() const override { return schema_; }
@@ -121,6 +135,9 @@ class HashJoinOp final : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override {
     return {left_.get(), right_.get()};
   }
+
+  /// Chunks the last Open joined in passes: 0 when the build fit.
+  size_t spilled_chunks() const { return chunks_; }
 
  protected:
   Status OpenImpl() override;
@@ -172,15 +189,20 @@ class HashJoinOp final : public PhysicalOperator {
     uint64_t probed = 0;  // Probe rows taken, summed at Close.
   };
 
-  /// Resets the Open-time state.
+  /// Resets the Open-time state and removes the spill runs.
   void Reset();
   /// Resets the Open-time state and builds partitions_ from the right
   /// input on the join's own lease, through one morsel drain: on one lane
   /// each row goes straight into a single arena; on more a radix-routed
-  /// staging pass feeds a partition-parallel build.  Closes the right
-  /// input, reports the arenas' footprint and charges the arenas and their
-  /// rows' values.
+  /// staging pass feeds a partition-parallel build.  Past the spill
+  /// threshold each lane writes its further rows to its own build run.
+  /// Closes the right input, reports the arenas' footprint and charges the
+  /// arenas and their rows' values.
   Status Build();
+  /// Ends a probe pass of a spilled join: loads the next chunk of the
+  /// build runs into one partition and rewinds the probe run; false once
+  /// the build runs (or the probe rows) are used up.
+  Result<bool> NextChunk();
   /// Sizes lane_probes_ for `lanes` probing cursors; each keeps its batch's
   /// recycled rows across Opens.
   void SetProbeLanes(size_t lanes);
@@ -207,6 +229,20 @@ class HashJoinOp final : public PhysicalOperator {
   std::vector<ProbeCursor> lane_probes_;
   bool probe_by_lanes_ = false;
   std::unique_ptr<SharedCursor> probe_cursor_;
+
+  uint64_t spill_bytes_;
+  // Spill state, reset with the Open-time state.
+  struct Spill {
+    std::vector<std::string> files;  // The build runs, then the probe run.
+    size_t build_runs = 0;
+    size_t next_build_run = 0;
+    RunReader build_reader;
+    RunWriter probe_writer;  // Open during the first pass.
+    RunReader probe_reader;
+  } spill_;
+  size_t chunks_ = 0;  // Survives Close.
+  std::string base_annotation_;
+  bool base_annotation_captured_ = false;
 };
 
 /// Γ — hash aggregation (Definition 3.4 with the Definition 3.3

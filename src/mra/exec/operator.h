@@ -30,8 +30,8 @@
 // calling lane, the ⋈ probes on it.  Any other child is drained through
 // its ordinary NextBatch cursor under a mutex (docs/EXECUTION.md).
 //
-// The hash kernels (⋈, Γ, δ) are in hash_ops.h; sort and the sort-merge
-// ⋈ are in sort.h.
+// The hash kernels (⋈, Γ, δ) are in hash_ops.h, sort in sort.h, and the
+// run files both spill to in spill.h.
 
 #ifndef MRA_EXEC_OPERATOR_H_
 #define MRA_EXEC_OPERATOR_H_

@@ -48,42 +48,6 @@ struct LowerContext {
   std::unordered_map<const Plan*, size_t> lanes;
 };
 
-/// Join-strategy choice for an equi-join: sort-merge when the knob forces
-/// it, or when the estimated hash build footprint would trip an armed
-/// memory budget — the sort-merge inputs spill to disk instead of being
-/// killed (docs/OPTIMIZER.md "Join strategy").  With no estimator or no
-/// budget the hash join stays the default.
-bool PickSortMergeJoin(const PlanPtr& plan, const LowerContext& ctx) {
-  if (ctx.config.exec.sort_merge_join) return true;
-  uint64_t budget = ctx.config.governance.query_mem_budget_bytes;
-  if (budget == 0 || ctx.estimator == nullptr) return false;
-  double build_rows = (*ctx.estimator)(*plan->child(1));
-  if (build_rows < 0) return false;
-  // The build arena the join charges, every key distinct, plus the rows'
-  // values, which it charges with them on every lane count.  A row costs
-  // at least its Row and values, so past budget / that many rows it
-  // cannot fit; below, with the budget capped at 2^62 bytes (past any real
-  // memory), rows < 2^57 and the sum stays in 64 bits.
-  const uint64_t row_bytes =
-      sizeof(Row) + plan->child(1)->schema().arity() * sizeof(Value);
-  budget = std::min(budget, uint64_t{1} << 62);
-  if (build_rows * row_bytes >= static_cast<double>(budget)) return true;
-  const uint64_t rows = static_cast<uint64_t>(build_rows);
-  return HashJoinOp::ArenaBytes(rows, rows, TagIndex::CapacityFor(rows)) +
-             rows * (row_bytes - sizeof(Row)) >
-         budget;
-}
-
-/// True when this equi-join lowers to a HashJoinOp.
-bool LowersToHashJoin(const PlanPtr& plan, const LowerContext& ctx) {
-  std::vector<size_t> left_keys, right_keys;
-  ExprPtr residual;
-  return ExtractEquiJoinKeys(plan->condition(), plan->schema(),
-                             plan->child(0)->schema().arity(), &left_keys,
-                             &right_keys, &residual) &&
-         !PickSortMergeJoin(plan, ctx);
-}
-
 /// Lane counts for the hash operators.  A multi-lane kernel drains a hash
 /// join that its input reaches through σ/π by lanes — the join probes on
 /// the kernel's lanes — so the two form one pipeline, and a pipeline runs
@@ -106,10 +70,15 @@ void AssignLanes(const PlanPtr& root, LowerContext& ctx) {
   std::function<void(const PlanPtr&)> visit = [&](const PlanPtr& plan) {
     for (const PlanPtr& child : plan->children()) visit(child);
     const PlanKind kind = plan->kind();
-    const bool hash = kind == PlanKind::kGroupBy || kind == PlanKind::kUnique ||
-                      kind == PlanKind::kDifference ||
-                      kind == PlanKind::kIntersect ||
-                      (kind == PlanKind::kJoin && LowersToHashJoin(plan, ctx));
+    std::vector<size_t> left_keys, right_keys;
+    ExprPtr residual;
+    const bool hash =
+        kind == PlanKind::kGroupBy || kind == PlanKind::kUnique ||
+        kind == PlanKind::kDifference || kind == PlanKind::kIntersect ||
+        (kind == PlanKind::kJoin &&
+         ExtractEquiJoinKeys(plan->condition(), plan->schema(),
+                             plan->child(0)->schema().arity(), &left_keys,
+                             &right_keys, &residual));
     if (!hash || parent.count(plan.get()) > 0) return;
     double input = 0;
     for (const PlanPtr& child : plan->children()) {
@@ -254,18 +223,10 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
           keys += (i == 0 ? "%" : ", %") + std::to_string(left_keys[i] + 1) +
                   "=%" + std::to_string(left_arity + right_keys[i] + 1);
         }
-        if (PickSortMergeJoin(plan, ctx)) {
-          PhysOpPtr op(std::make_unique<SortMergeJoinOp>(
-              std::move(left_keys), std::move(right_keys),
-              std::move(residual), std::move(l), std::move(r),
-              ctx.config.exec.sort_spill_bytes));
-          op->set_annotation(
-              AnnotationText("strategy", "sort-merge, keys " + keys));
-          return op;
-        }
         PhysOpPtr op(std::make_unique<HashJoinOp>(
             std::move(left_keys), std::move(right_keys), std::move(residual),
-            std::move(l), std::move(r), lanes, ctx.config.exec.batch_size));
+            std::move(l), std::move(r), lanes, ctx.config.exec.batch_size,
+            ctx.config.exec.sort_spill_bytes));
         if (lanes > 1) {
           keys += "; parallel: " + std::to_string(lanes) + " lanes";
         }

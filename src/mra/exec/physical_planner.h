@@ -9,11 +9,9 @@
 //   ⊎        → UnionAll (streaming)
 //   ×        → NestedLoopJoin without condition
 //   ⋈_φ      → HashJoin when φ contains same-domain equi-conjuncts %i = %j
-//              across the inputs (residual applied after the probe);
-//              SortMergeJoin instead when the `sort_merge_join` knob forces
-//              it or the estimated hash build would trip an armed memory
-//              budget (the sorted inputs spill — docs/OPTIMIZER.md);
-//              NestedLoopJoin otherwise
+//              across the inputs (residual applied after the probe; its
+//              build spills at run time past the spill threshold —
+//              docs/OPTIMIZER.md "Join strategy"); NestedLoopJoin otherwise
 //   Γ        → HashGroupBy
 //   sort     → Sort (in-memory, or external merge past the spill
 //              threshold; weighted Top-K heap under a LIMIT)
@@ -58,9 +56,8 @@ using CardinalityEstimator = std::function<double(const Plan&)>;
 /// drives the parallel-variant decision (see the header comment).
 /// `config` supplies the kernel-selection and parallelism knobs
 /// (exec.workers, exec.batch_size, exec.parallel_threshold,
-/// exec.sort_spill_bytes, exec.sort_merge_join); the remaining layers are
-/// the callers' business.  Repeated non-trivial subplans always lower to
-/// one shared SubplanCacheOp.
+/// exec.sort_spill_bytes); the remaining layers are the callers' business.
+/// Repeated non-trivial subplans always lower to one shared SubplanCacheOp.
 /// `exec_ctx`, when non-null, is attached to every operator of the lowered
 /// tree (cancellation / deadline / memory budget) and must outlive
 /// execution.

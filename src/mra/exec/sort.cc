@@ -1,72 +1,19 @@
 #include "mra/exec/sort.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <string_view>
 #include <utility>
 
 #include "mra/algebra/ops.h"
 #include "mra/common/annotation.h"
-#include "mra/expr/eval.h"
-#include "mra/fault/failpoint.h"
-#include "mra/obs/metrics.h"
-#include "mra/storage/serializer.h"
 
 namespace mra {
 namespace exec {
 namespace {
-
-namespace fs = std::filesystem;
-
-// Injection sites for the spill torture cases (docs/RECOVERY.md catalog):
-// one hit per run write, per rename, and per merge-side entry read.
-fault::Failpoint* SpillWriteFp() {
-  static fault::Failpoint* fp =
-      fault::FaultRegistry::Global().Get("sort.spill.write");
-  return fp;
-}
-fault::Failpoint* SpillRenameFp() {
-  static fault::Failpoint* fp =
-      fault::FaultRegistry::Global().Get("sort.spill.rename");
-  return fp;
-}
-fault::Failpoint* SpillReadFp() {
-  static fault::Failpoint* fp =
-      fault::FaultRegistry::Global().Get("sort.spill.read");
-  return fp;
-}
-
-obs::Counter* SpillRunsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("sort.spill_runs");
-  return c;
-}
-obs::Counter* SpillBytesCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("sort.spill_bytes");
-  return c;
-}
-
-// Fresh run-file path under the system temp directory; the process-wide
-// sequence keeps concurrent sorts (and lanes) from colliding.
-std::string NextRunPath() {
-  static std::atomic<uint64_t> seq{0};
-  uint64_t n = seq.fetch_add(1, std::memory_order_relaxed);
-  fs::path dir = fs::temp_directory_path();
-  return (dir / ("mra_sort_" + std::to_string(::getpid()) + "_run" +
-                 std::to_string(n)))
-      .string();
-}
 
 // --- Keyed sort. ---
 //
@@ -280,56 +227,6 @@ void SortKeyed(std::vector<Row>& rows, const std::vector<size_t>& keys,
 
 }  // namespace
 
-Result<std::optional<Row>> ReadRunEntry(std::istream& in,
-                                        uint64_t* bytes_left,
-                                        const std::string& path) {
-  char len_buf[4];
-  in.read(len_buf, sizeof(len_buf));
-  if (in.gcount() == 0 && in.eof()) return std::optional<Row>();
-  if (in.gcount() != sizeof(len_buf)) {
-    return Status::Corruption("torn entry header in sort run " + path);
-  }
-  *bytes_left -= std::min<uint64_t>(*bytes_left, sizeof(len_buf));
-  storage::Decoder len_dec(std::string_view(len_buf, sizeof(len_buf)));
-  MRA_ASSIGN_OR_RETURN(uint32_t len, len_dec.GetU32());
-  if (len > *bytes_left) {
-    return Status::Corruption("entry length " + std::to_string(len) +
-                              " exceeds the " + std::to_string(*bytes_left) +
-                              " bytes left in sort run " + path);
-  }
-  *bytes_left -= len;
-  std::string payload(len, '\0');
-  in.read(payload.data(), len);
-  if (static_cast<uint32_t>(in.gcount()) != len) {
-    return Status::Corruption("torn entry payload in sort run " + path);
-  }
-  storage::Decoder dec(payload);
-  Row row;
-  MRA_ASSIGN_OR_RETURN(row.tuple, dec.GetTuple());
-  MRA_ASSIGN_OR_RETURN(row.count, dec.GetU64());
-  return std::optional<Row>(std::move(row));
-}
-
-// Streams one run file entry by entry (see ReadRunEntry): the length
-// prefix makes each entry independently decodable, so the merge never
-// buffers a whole run.
-struct SortOp::RunReader {
-  std::ifstream in;
-  std::string path;
-  uint64_t bytes_left = 0;
-  Row current;
-  bool done = false;
-
-  Status Advance() {
-    MRA_RETURN_IF_ERROR(fault::InjectIfArmed(SpillReadFp()));
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> next,
-                         ReadRunEntry(in, &bytes_left, path));
-    done = !next.has_value();
-    if (next) current = std::move(*next);
-    return Status::OK();
-  }
-};
-
 SortOp::SortOp(std::vector<size_t> keys, std::vector<bool> desc,
                uint64_t limit, uint64_t spill_bytes, PhysOpPtr child)
     : keys_(std::move(keys)),
@@ -340,7 +237,7 @@ SortOp::SortOp(std::vector<size_t> keys, std::vector<bool> desc,
       key_words_(NormalizedKeyWords(child_->schema(), keys_)),
       key_entry_bytes_(KeyEntryBytes(key_words_)) {}
 
-SortOp::~SortOp() { RemoveRunFiles(); }
+SortOp::~SortOp() { RemoveRunFiles(&run_files_); }
 
 Status SortOp::OpenImpl() {
   if (!base_annotation_captured_) {
@@ -361,17 +258,11 @@ Status SortOp::OpenInner() {
   merging_ = false;
   readers_.clear();
   merge_heap_.clear();
-  RemoveRunFiles();
+  RemoveRunFiles(&run_files_);
   spilled_runs_ = 0;
   set_annotation(base_annotation_);
 
-  // Spill threshold: the knob's fixed run cap when set, further bounded by
-  // half the query budget when one is armed — the sort leaves headroom for
-  // the rest of the plan instead of racing the budget to the kill.
-  uint64_t threshold = spill_bytes_ > 0 ? spill_bytes_ : UINT64_MAX;
-  if (exec_context() != nullptr && exec_context()->mem_budget() > 0) {
-    threshold = std::min(threshold, exec_context()->mem_budget() / 2);
-  }
+  const uint64_t threshold = SpillThreshold(spill_bytes_, exec_context());
 
   auto by_sort_order = [this](const Row& a, const Row& b) {
     return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
@@ -460,7 +351,7 @@ void SortOp::AbortOpen() {
   readers_.clear();
   merge_heap_.clear();
   merging_ = false;
-  RemoveRunFiles();
+  RemoveRunFiles(&run_files_);
 }
 
 void SortOp::PruneTopK() {
@@ -499,45 +390,13 @@ void SortOp::SortBuffer() {
 
 Status SortOp::SpillRun() {
   SortBuffer();
-
-  std::string final_path = NextRunPath();
-  std::string tmp_path = final_path + ".tmp";
-  // Record before writing so every abort path sees the file.
-  run_files_.push_back(final_path);
-
-  MRA_RETURN_IF_ERROR(fault::InjectIfArmed(SpillWriteFp()));
-  uint64_t written = 0;
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IoError("cannot create sort run " + tmp_path);
-    }
-    for (const Row& row : buffer_) {
-      storage::Encoder payload;
-      payload.PutTuple(row.tuple);
-      payload.PutU64(row.count);
-      storage::Encoder header;
-      header.PutU32(static_cast<uint32_t>(payload.buffer().size()));
-      out.write(header.buffer().data(),
-                static_cast<std::streamsize>(header.buffer().size()));
-      out.write(payload.buffer().data(),
-                static_cast<std::streamsize>(payload.buffer().size()));
-      written += header.buffer().size() + payload.buffer().size();
-    }
-    out.flush();
-    if (!out) {
-      return Status::IoError("short write to sort run " + tmp_path);
-    }
-  }
-  MRA_RETURN_IF_ERROR(fault::InjectIfArmed(SpillRenameFp()));
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    return Status::IoError("cannot publish sort run " + final_path + ": " +
-                           ec.message());
-  }
-  SpillRunsCounter()->Inc();
-  SpillBytesCounter()->Inc(written);
+  RunWriter run;
+  Status opened = run.Open();
+  // Recorded before writing so every abort path sees the file.
+  run_files_.push_back(run.path());
+  MRA_RETURN_IF_ERROR(opened);
+  for (const Row& row : buffer_) run.Append(row);
+  MRA_RETURN_IF_ERROR(run.Finish());
   ++spilled_runs_;
 
   buffer_.clear();
@@ -547,22 +406,11 @@ Status SortOp::SpillRun() {
 }
 
 Status SortOp::StartMerge() {
-  readers_.clear();
+  readers_ = std::vector<RunReader>(run_files_.size());
   merge_heap_.clear();
-  for (const std::string& path : run_files_) {
-    auto reader = std::make_unique<RunReader>();
-    reader->path = path;
-    reader->in.open(path, std::ios::binary);
-    std::error_code ec;
-    reader->bytes_left = fs::file_size(path, ec);
-    if (!reader->in || ec) {
-      return Status::IoError("cannot reopen sort run " + path);
-    }
-    MRA_RETURN_IF_ERROR(reader->Advance());
-    if (!reader->done) {
-      merge_heap_.push_back(readers_.size());
-    }
-    readers_.push_back(std::move(reader));
+  for (size_t i = 0; i < readers_.size(); ++i) {
+    MRA_RETURN_IF_ERROR(readers_[i].Open(run_files_[i]));
+    if (!readers_[i].done()) merge_heap_.push_back(i);
   }
   std::make_heap(merge_heap_.begin(), merge_heap_.end(),
                  [this](size_t a, size_t b) { return MergeAfter(a, b); });
@@ -574,8 +422,8 @@ bool SortOp::MergeAfter(size_t a, size_t b) const {
   // std::*_heap build a max-heap; invert for a min-heap, with the reader
   // index as a deterministic tie-break (ties are identical tuples, and
   // runs are written in input order, so the merge stays stable).
-  int c = ops::CompareForSort(readers_[a]->current.tuple,
-                              readers_[b]->current.tuple, keys_, desc_);
+  int c = ops::CompareForSort(readers_[a].current().tuple,
+                              readers_[b].current().tuple, keys_, desc_);
   if (c != 0) return c > 0;
   return a > b;
 }
@@ -597,9 +445,9 @@ Result<bool> SortOp::NextSorted(Row& slot) {
     std::pop_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
     size_t idx = merge_heap_.back();
     merge_heap_.pop_back();
-    slot = std::move(readers_[idx]->current);
-    MRA_RETURN_IF_ERROR(readers_[idx]->Advance());
-    if (!readers_[idx]->done) {
+    slot = std::move(readers_[idx].current());
+    MRA_RETURN_IF_ERROR(readers_[idx].Advance());
+    if (!readers_[idx].done()) {
       merge_heap_.push_back(idx);
       std::push_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
     }
@@ -631,153 +479,7 @@ void SortOp::CloseImpl() {
   readers_.clear();
   merge_heap_.clear();
   merging_ = false;
-  RemoveRunFiles();
-}
-
-void SortOp::RemoveRunFiles() {
-  for (const std::string& path : run_files_) {
-    std::error_code ec;
-    fs::remove(path, ec);
-    fs::remove(path + ".tmp", ec);
-  }
-  run_files_.clear();
-}
-
-// --- SortMergeJoinOp. ---
-
-SortMergeJoinOp::SortMergeJoinOp(std::vector<size_t> left_keys,
-                                 std::vector<size_t> right_keys,
-                                 ExprPtr residual_or_null, PhysOpPtr left,
-                                 PhysOpPtr right, uint64_t spill_bytes)
-    : left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      residual_(std::move(residual_or_null)) {
-  left_sort_ = std::make_unique<SortOp>(
-      left_keys_, std::vector<bool>(left_keys_.size(), false), 0, spill_bytes,
-      std::move(left));
-  right_sort_ = std::make_unique<SortOp>(
-      right_keys_, std::vector<bool>(right_keys_.size(), false), 0,
-      spill_bytes, std::move(right));
-  schema_ = left_sort_->schema().Concat(right_sort_->schema());
-  left_cursor_.side = left_sort_.get();
-  right_cursor_.side = right_sort_.get();
-}
-
-int SortMergeJoinOp::CompareKeys(const Tuple& left,
-                                 const Tuple& right) const {
-  for (size_t i = 0; i < left_keys_.size(); ++i) {
-    int c = left.at(left_keys_[i]).Compare(right.at(right_keys_[i]));
-    if (c != 0) return c;
-  }
-  return 0;
-}
-
-Status SortMergeJoinOp::OpenImpl() {
-  left_group_.clear();
-  right_group_.clear();
-  li_ = rj_ = 0;
-  MRA_RETURN_IF_ERROR(left_sort_->Open());
-  Status right_open = right_sort_->Open();
-  if (!right_open.ok()) {
-    left_sort_->Close();
-    return right_open;
-  }
-  left_cursor_.Reset();
-  right_cursor_.Reset();
-  MRA_ASSIGN_OR_RETURN(left_ahead_, left_cursor_.Next());
-  MRA_ASSIGN_OR_RETURN(right_ahead_, right_cursor_.Next());
-  return Status::OK();
-}
-
-Result<std::optional<Row>> SortMergeJoinOp::Cursor::Next() {
-  if (pos == batch.size()) {
-    MRA_RETURN_IF_ERROR(side->NextBatch(batch));
-    pos = 0;
-    if (batch.empty()) return std::optional<Row>();
-  }
-  return std::optional<Row>(std::move(batch[pos++]));
-}
-
-Status SortMergeJoinOp::FillGroup(Cursor& cursor,
-                                  const std::vector<size_t>& keys,
-                                  std::optional<Row>& ahead,
-                                  std::vector<Row>& group) {
-  group.clear();
-  group.push_back(std::move(*ahead));
-  while (true) {
-    MRA_ASSIGN_OR_RETURN(ahead, cursor.Next());
-    if (!ahead.has_value()) return Status::OK();
-    for (size_t k : keys) {
-      if (group.front().tuple.at(k).Compare(ahead->tuple.at(k)) != 0) {
-        return Status::OK();
-      }
-    }
-    group.push_back(std::move(*ahead));
-  }
-}
-
-Status SortMergeJoinOp::NextBatchImpl(RowBatch& out) {
-  while (!out.full()) {
-    // Emit the cross product of the current equal-key group pair into
-    // recycled slots; a pair the residual rejects is truncated back off.
-    if (li_ < left_group_.size()) {
-      if (rj_ >= right_group_.size()) {
-        rj_ = 0;
-        ++li_;
-        continue;
-      }
-      const Row& lhs = left_group_[li_];
-      const Row& rhs = right_group_[rj_++];
-      Row& slot = out.AppendSlot();
-      slot.tuple.AssignConcat(lhs.tuple, rhs.tuple);
-      slot.count = lhs.count * rhs.count;
-      if (residual_ != nullptr) {
-        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
-        if (!keep) out.Truncate(out.size() - 1);
-      }
-      continue;
-    }
-    left_group_.clear();
-    right_group_.clear();
-    li_ = rj_ = 0;
-
-    // Align the two sorted streams on the next shared key.
-    while (left_ahead_.has_value() && right_ahead_.has_value()) {
-      int c = CompareKeys(left_ahead_->tuple, right_ahead_->tuple);
-      if (c == 0) break;
-      if (c < 0) {
-        MRA_ASSIGN_OR_RETURN(left_ahead_, left_cursor_.Next());
-      } else {
-        MRA_ASSIGN_OR_RETURN(right_ahead_, right_cursor_.Next());
-      }
-    }
-    if (!left_ahead_.has_value() || !right_ahead_.has_value()) break;
-    MRA_RETURN_IF_ERROR(
-        FillGroup(left_cursor_, left_keys_, left_ahead_, left_group_));
-    MRA_RETURN_IF_ERROR(
-        FillGroup(right_cursor_, right_keys_, right_ahead_, right_group_));
-
-    // Both sides of one key group are resident for the cross product —
-    // charge them like any other materialising state.
-    uint64_t group_bytes = 0;
-    for (const Row& r : left_group_) group_bytes += r.tuple.HeapBytes();
-    for (const Row& r : right_group_) group_bytes += r.tuple.HeapBytes();
-    group_bytes += (left_group_.size() + right_group_.size()) * sizeof(Row);
-    MRA_RETURN_IF_ERROR(ChargeMemTo(group_bytes));
-  }
-  return Status::OK();
-}
-
-void SortMergeJoinOp::CloseImpl() {
-  left_sort_->Close();
-  right_sort_->Close();
-  left_group_.clear();
-  right_group_.clear();
-  left_ahead_.reset();
-  right_ahead_.reset();
-  left_cursor_.Reset();
-  right_cursor_.Reset();
-  li_ = rj_ = 0;
+  RemoveRunFiles(&run_files_);
 }
 
 }  // namespace exec

@@ -16,10 +16,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "mra/algebra/ops.h"
@@ -352,12 +354,12 @@ Result<Relation> EquiJoinOracle(const ExprPtr& cond, const Relation& left,
   return out;
 }
 
-TEST_F(GovernanceTest, JoinBuildOverBudgetWithItsValuesLowersToSortMerge) {
+TEST_F(GovernanceTest, JoinBuildOverBudgetWithItsValuesSpillsItsBuild) {
   // A 4,000-row, four-int build side under a budget that its hash arena
   // alone (Row structs, chain links, index words) fits but its rows with
   // their values do not.  A 4-lane hash join charges those values while it
-  // stages the build rows, so it would be killed; the planner must weigh
-  // them and lower to the sort-merge join, whose sorts spill instead.
+  // stages the build rows; its build spills past half the budget, so it
+  // completes within the budget instead of being killed.
   const int64_t n = 4000;
   RelationSchema build_schema("build", {{"k", Type::Int()},
                                         {"a", Type::Int()},
@@ -405,12 +407,14 @@ TEST_F(GovernanceTest, JoinBuildOverBudgetWithItsValuesLowersToSortMerge) {
   ctx.SetMemoryBudget(budget);
   auto op = LowerPlan(*plan, catalog, &estimate, config, &ctx);
   ASSERT_TRUE(op.ok()) << op.status().ToString();
-  EXPECT_EQ((*op)->name(), "SortMergeJoin");
+  ASSERT_EQ((*op)->name(), "HashJoin");
   auto got = ExecuteToRelation(**op);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   auto expected = EquiJoinOracle(cond, probe, 0, build, 0);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   EXPECT_TRUE(got->Equals(*expected));
+  EXPECT_GT(static_cast<HashJoinOp&>(**op).spilled_chunks(), 1u);
+  EXPECT_LE(ctx.mem_high_water(), budget);
   EXPECT_EQ(ctx.mem_used(), 0u);
 }
 
@@ -854,6 +858,212 @@ TEST_F(GovernanceTest, CancelLandsInsideASpillingSort) {
   fault::FaultRegistry::Global().DisarmAll();
   ASSERT_FALSE(killed.ok());
   EXPECT_EQ(killed.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(LeakedRunFiles(), files_before);
+}
+
+// --- Join spill governance: the build spills instead of dying. ----------
+
+// Catalog over `rels`, for lowering plans that scan them.
+std::unique_ptr<Catalog> CatalogOf(
+    std::initializer_list<const Relation*> rels) {
+  auto catalog = std::make_unique<Catalog>();
+  for (const Relation* rel : rels) {
+    EXPECT_TRUE(catalog->CreateRelation(rel->schema()).ok());
+    EXPECT_TRUE(catalog->SetRelation(rel->schema().name(), *rel).ok());
+  }
+  return catalog;
+}
+
+// Charged bytes of `build` held as a one-lane hash join's build: the
+// join's high-water mark with no budget armed.
+uint64_t BuildFootprint(const Relation& probe, const Relation& build) {
+  HashJoinOp join({0}, {0}, nullptr, std::make_unique<ScanOp>(&probe),
+                  std::make_unique<ScanOp>(&build));
+  ExecContext measure;
+  join.SetExecContext(&measure);
+  EXPECT_TRUE(ExecuteToRelation(join).ok());
+  return measure.mem_high_water();
+}
+
+// Lowers probe ⋈_{%1 = %3} build at 1 and 4 lanes, every node estimated
+// at `scale` times its rows, under `budget`: it lowers to HashJoin, which
+// spills its build and completes with the oracle's bag within the budget,
+// hands every byte back and leaves no run file.
+void ExpectSpillingJoinFitsTheBudget(const Relation& probe,
+                                     const Relation& build, double scale,
+                                     uint64_t budget) {
+  auto catalog = CatalogOf({&probe, &build});
+  ExprPtr cond = Eq(Attr(0), Attr(2));
+  auto plan = Plan::Join(cond, Plan::Scan(probe.schema().name(),
+                                          probe.schema()),
+                         Plan::Scan(build.schema().name(), build.schema()));
+  ASSERT_TRUE(plan.ok());
+  auto expected = EquiJoinOracle(cond, probe, 0, build, 0);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const CardinalityEstimator estimate = [&](const Plan& p) {
+    const bool is_probe = p.kind() == PlanKind::kScan &&
+                          p.relation_name() == probe.schema().name();
+    return scale * static_cast<double>((is_probe ? probe : build).size());
+  };
+  const size_t files_before = LeakedRunFiles();
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExecConfig config;
+    config.exec.workers = workers;
+    config.exec.parallel_threshold = 1;
+    config.governance.query_mem_budget_bytes = budget;
+    ExecContext ctx;
+    ctx.SetMemoryBudget(budget);
+    auto op = LowerPlan(*plan, *catalog, &estimate, config, &ctx);
+    ASSERT_TRUE(op.ok()) << op.status().ToString();
+    ASSERT_EQ((*op)->name(), "HashJoin");
+    auto got = ExecuteToRelation(**op);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->Equals(*expected));
+    EXPECT_GT(static_cast<HashJoinOp&>(**op).spilled_chunks(), 1u);
+    EXPECT_LE(ctx.mem_high_water(), budget);
+    EXPECT_EQ(ctx.mem_used(), 0u);
+    EXPECT_EQ(LeakedRunFiles(), files_before);
+  }
+}
+
+TEST_F(GovernanceTest, UnderEstimatedJoinBuildSpillsUnderAnEighthOfItsSize) {
+  // Every node estimated at 1/100 of its rows, under a budget of 1/8 of
+  // the build's footprint: the estimate promises a build that fits, the
+  // build does not, and it spills at run time instead of being killed.
+  RelationSchema build_schema("build",
+                              {{"k", Type::Int()}, {"a", Type::Int()}});
+  RelationSchema probe_schema("probe",
+                              {{"k", Type::Int()}, {"v", Type::Int()}});
+  Relation build(build_schema);
+  Relation probe(probe_schema);
+  for (int64_t i = 0; i < 4000; ++i) {
+    build.InsertUnchecked(Tuple({Value::Int(i), Value::Int(i % 5)}), 1);
+  }
+  for (int64_t i = 0; i < 2000; ++i) {
+    probe.InsertUnchecked(Tuple({Value::Int(2 * i), Value::Int(i % 3)}), 2);
+  }
+  const uint64_t budget = BuildFootprint(probe, build) / 8;
+  ExpectSpillingJoinFitsTheBudget(probe, build, 0.01, budget);
+}
+
+TEST_F(GovernanceTest, OneKeyHeavierThanTheBudgetSpillsItsBuild) {
+  // 3,000 build rows share key 7, four times the budget: the chunks split
+  // the key's rows, and each probe row of key 7 meets every chunk.
+  RelationSchema build_schema("build",
+                              {{"k", Type::Int()}, {"a", Type::Int()}});
+  RelationSchema probe_schema("probe",
+                              {{"k", Type::Int()}, {"v", Type::Int()}});
+  Relation build(build_schema);
+  Relation probe(probe_schema);
+  for (int64_t i = 0; i < 3000; ++i) {
+    build.InsertUnchecked(Tuple({Value::Int(7), Value::Int(i)}), 1 + i % 2);
+  }
+  for (int64_t i = 0; i < 100; ++i) {
+    probe.InsertUnchecked(
+        Tuple({Value::Int(i % 20 == 0 ? 7 : i), Value::Int(i)}), 1);
+  }
+  const uint64_t budget = BuildFootprint(probe, build) / 4;
+  ExpectSpillingJoinFitsTheBudget(probe, build, 1.0, budget);
+}
+
+TEST_F(GovernanceTest, KillMidJoinSpillCleansUpRunFilesAndBudget) {
+  // Each failpoint interrupts the join's spill at a different stage:
+  // starting a build run (write), publishing it (rename), and reading a
+  // chunk or the probe run back (read).  Every stage must unwind to zero
+  // run files and zero charged bytes, and the same operator must succeed
+  // once disarmed.
+  auto db = MakeDb();
+  const Relation& r = **db->catalog().GetRelation("r");
+  const Relation& s = **db->catalog().GetRelation("s");
+  auto expected = ops::Join(Eq(Attr(1), Attr(2)), r, s);
+  ASSERT_TRUE(expected.ok());
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    for (const char* spec : {"sort.spill.write=error",
+                             "sort.spill.rename=error",
+                             "sort.spill.read=error"}) {
+      SCOPED_TRACE(std::string(spec) + " workers=" + std::to_string(workers));
+      const size_t files_before = LeakedRunFiles();
+      ExecContext ctx;
+      ctx.SetMemoryBudget(2048);  // Arms the budget-derived threshold.
+      HashJoinOp op({1}, {0}, nullptr, std::make_unique<ScanOp>(&r),
+                    std::make_unique<ScanOp>(&s), workers);
+      op.SetExecContext(&ctx);
+      ASSERT_TRUE(fault::FaultRegistry::Global().ConfigureFromSpec(spec).ok());
+      auto killed = ExecuteToRelation(op);
+      fault::FaultRegistry::Global().DisarmAll();
+      ASSERT_FALSE(killed.ok()) << spec << " did not fire";
+      EXPECT_EQ(LeakedRunFiles(), files_before);
+      EXPECT_EQ(ctx.mem_used(), 0u);
+      auto clean = ExecuteToRelation(op);
+      ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+      EXPECT_TRUE(clean->Equals(*expected));
+      EXPECT_GT(op.spilled_chunks(), 1u);
+      EXPECT_LE(ctx.mem_high_water(), 2048u);
+      EXPECT_EQ(ctx.mem_used(), 0u);
+      EXPECT_EQ(LeakedRunFiles(), files_before);
+    }
+  }
+}
+
+TEST_F(GovernanceTest, KillMidJoinSpillThroughTheInterpreterIsReusable) {
+  auto db = MakeDb();
+  ExecConfig options;
+  options.exec.sort_spill_bytes = 64;
+  lang::Interpreter interp(db.get(), options);
+  lang::Interpreter plain(db.get());
+  auto expected = plain.Query("join(%2 = %3, r, s)");
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const size_t files_before = LeakedRunFiles();
+  for (const char* spec : {"sort.spill.write=error", "sort.spill.rename=error",
+                           "sort.spill.read=error"}) {
+    SCOPED_TRACE(spec);
+    ASSERT_TRUE(fault::FaultRegistry::Global().ConfigureFromSpec(spec).ok());
+    auto killed = interp.Query("join(%2 = %3, r, s)");
+    fault::FaultRegistry::Global().DisarmAll();
+    ASSERT_FALSE(killed.ok());
+    EXPECT_EQ(LeakedRunFiles(), files_before);
+    auto clean = interp.Query("join(%2 = %3, r, s)");
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_TRUE(clean->Equals(*expected));
+    EXPECT_EQ(LeakedRunFiles(), files_before);
+  }
+}
+
+TEST_F(GovernanceTest, CancelFromAnotherThreadLandsInsideASpillingJoin) {
+  // A join of 2,000 rows a side in one-row chunks takes thousands of
+  // passes; a cancel raised from another thread once its build runs are
+  // published must stop it within a pass, with nothing left behind.
+  auto db = MakeDb();
+  ExecConfig options;
+  options.exec.sort_spill_bytes = 64;
+  options.governance.cancel_token = std::make_shared<std::atomic<bool>>(false);
+  lang::Interpreter interp(db.get(), options);
+  std::string script = "create big(a: int, b: int); insert(big, {";
+  for (int i = 0; i < 2000; ++i) {
+    script += (i ? ",(" : "(") + std::to_string(i) + "," +
+              std::to_string(i % 50) + ")";
+  }
+  ASSERT_TRUE(interp.ExecuteScript(script + "});", nullptr).ok());
+  const size_t files_before = LeakedRunFiles();
+  const uint64_t runs_before = CounterValue("sort.spill_runs");
+  std::thread canceller([&] {
+    for (int i = 0; i < 10000 && CounterValue("sort.spill_runs") == runs_before;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    options.governance.cancel_token->store(true);
+  });
+  auto killed = interp.Query("join(%2 = %4, big, big)");
+  canceller.join();
+  ASSERT_FALSE(killed.ok());
+  EXPECT_EQ(killed.status().code(), StatusCode::kCancelled);
+  EXPECT_GT(CounterValue("sort.spill_runs"), runs_before);
+  EXPECT_EQ(LeakedRunFiles(), files_before);
+  // Reusable once the token is down again.
+  options.governance.cancel_token->store(false);
+  auto clean = interp.Query("join(%2 = %3, r, s)");
+  EXPECT_TRUE(clean.ok()) << clean.status().ToString();
   EXPECT_EQ(LeakedRunFiles(), files_before);
 }
 

@@ -1,5 +1,5 @@
-// Differential suite for ordered emission (SortOp) and the sort-merge
-// join strategy, gated against the definitional semantics:
+// Differential suite for ordered emission (SortOp) and the spilling hash
+// join, gated against the definitional semantics:
 //
 //   * ops::Sort with limit = 0 is the identity on bags — so the physical
 //     SortOp must return the input bag exactly, *and* emit it in
@@ -8,8 +8,9 @@
 //   * ops::Sort with limit = k is the deterministic weighted Top-K — the
 //     physical Top-K heap must agree with it, which also pins "Top-K ==
 //     full sort + weighted prefix".
-//   * SortMergeJoinOp must agree with HashJoinOp and NestedLoopJoinOp on
-//     the same equi-join (multiplicities multiply, Definition 3.1).
+//   * HashJoinOp forced to spill its build must agree with the in-memory
+//     HashJoinOp and NestedLoopJoinOp on the same equi-join
+//     (multiplicities multiply, Definition 3.1).
 //
 // Each property runs over 8 random seeds, all six value domains (bool,
 // int, real, string, decimal, date), multi-key and descending orders,
@@ -38,6 +39,7 @@
 #include "mra/exec/exec_context.h"
 #include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
+#include "mra/exec/spill.h"
 #include "mra/lang/interpreter.h"
 #include "mra/storage/serializer.h"
 #include "test_util.h"
@@ -202,7 +204,7 @@ TEST_P(SortDifferentialTest, EmptyAndSingletonInputs) {
   ExpectSortAgreement(one, {0}, {false}, 1, 0, false);
 }
 
-// --- Sort-merge join vs. the other join strategies. ----------------------
+// --- Spilled hash join vs. the in-memory join and the nested loop. -------
 
 using OpFactory = std::function<PhysOpPtr()>;
 
@@ -213,17 +215,36 @@ Relation MustExecute(const OpFactory& make, size_t batch_size) {
   return rel.ok() ? std::move(*rel) : Relation(op->schema());
 }
 
-TEST_P(SortDifferentialTest, SortMergeJoinAgreesWithHashAndNestedLoop) {
+// The join forced to spill (a 64-byte cap: about one build row a chunk)
+// at workers {1, 2, 4} and batch {1, 7, 1024} must equal `expected`, and
+// spill whenever its build has more rows than lanes.
+void ExpectSpilledJoinEquals(const std::vector<size_t>& left_keys,
+                             const std::vector<size_t>& right_keys,
+                             const ExprPtr& residual, const Relation& left,
+                             const Relation& right, const Relation& expected) {
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + " batch " +
+                   std::to_string(batch_size));
+      HashJoinOp op(left_keys, right_keys, residual,
+                    std::make_unique<ScanOp>(&left),
+                    std::make_unique<ScanOp>(&right), workers, batch_size,
+                    /*spill_bytes=*/64);
+      auto got = ExecuteToRelation(op, batch_size);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, expected);
+      if (right.distinct_size() > workers) {
+        EXPECT_GT(op.spilled_chunks(), 0u);
+      }
+    }
+  }
+}
+
+TEST_P(SortDifferentialTest, SpilledHashJoinAgreesWithInMemoryAndNestedLoop) {
   std::mt19937_64 rng(GetParam());
   Relation r = RandomIntRelation(rng, 2, 150, 20, 5);
   Relation s = RandomIntRelation(rng, 2, 150, 20, 5);
 
-  auto merge = [&] {
-    return std::make_unique<SortMergeJoinOp>(
-        std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-        std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s),
-        /*spill_bytes=*/0);
-  };
   auto hash = [&] {
     return std::make_unique<HashJoinOp>(
         std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
@@ -236,46 +257,43 @@ TEST_P(SortDifferentialTest, SortMergeJoinAgreesWithHashAndNestedLoop) {
   };
   Relation via_hash = MustExecute(hash, kDefaultBatchSize);
   EXPECT_REL_EQ(MustExecute(nested, kDefaultBatchSize), via_hash);
-  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
-    EXPECT_REL_EQ(MustExecute(merge, batch_size), via_hash)
-        << "batch size " << batch_size;
-  }
+  ExpectSpilledJoinEquals({0}, {0}, nullptr, r, s, via_hash);
 }
 
-TEST_P(SortDifferentialTest, SortMergeJoinMultiKeyResidualAndSpill) {
+TEST_P(SortDifferentialTest, SpilledHashJoinMultiKeyResidual) {
   std::mt19937_64 rng(GetParam());
   Relation r = RandomIntRelation(rng, 3, 150, 8, 5);
   Relation s = RandomIntRelation(rng, 3, 150, 8, 5);
 
-  // Multi-key with a non-equi residual, forced through the spill path.
-  auto merge = [&] {
-    return std::make_unique<SortMergeJoinOp>(
-        std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0},
-        Lt(Attr(2), Attr(5)), std::make_unique<ScanOp>(&r),
-        std::make_unique<ScanOp>(&s), /*spill_bytes=*/64);
-  };
+  // Multi-key with a non-equi residual.
   auto hash = [&] {
     return std::make_unique<HashJoinOp>(
         std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0},
         Lt(Attr(2), Attr(5)), std::make_unique<ScanOp>(&r),
         std::make_unique<ScanOp>(&s));
   };
-  EXPECT_REL_EQ(MustExecute(merge, 1024), MustExecute(hash, 1024));
+  auto nested = [&] {
+    return std::make_unique<NestedLoopJoinOp>(
+        And(And(Eq(Attr(0), Attr(4)), Eq(Attr(1), Attr(3))),
+            Lt(Attr(2), Attr(5))),
+        std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s));
+  };
+  Relation via_hash = MustExecute(hash, 1024);
+  EXPECT_REL_EQ(MustExecute(nested, 1024), via_hash);
+  ExpectSpilledJoinEquals({0, 1}, {1, 0}, Lt(Attr(2), Attr(5)), r, s,
+                          via_hash);
 }
 
-TEST_P(SortDifferentialTest, SortMergeJoinEmptySides) {
+TEST_P(SortDifferentialTest, SpilledHashJoinEmptySides) {
   std::mt19937_64 rng(GetParam());
   Relation r = RandomIntRelation(rng, 2, 100, 20, 5);
   Relation empty(r.schema());
+  Relation none(r.schema().Concat(r.schema()));
   for (auto [left, right] : {std::pair<const Relation*, const Relation*>{
                                  &r, &empty},
                              {&empty, &r},
                              {&empty, &empty}}) {
-    SortMergeJoinOp op({0}, {0}, nullptr, std::make_unique<ScanOp>(left),
-                       std::make_unique<ScanOp>(right), 0);
-    auto got = ExecuteToRelation(op, 1024);
-    ASSERT_OK(got);
-    EXPECT_EQ(got->size(), 0u);
+    ExpectSpilledJoinEquals({0}, {0}, nullptr, *left, *right, none);
   }
 }
 
@@ -484,29 +502,52 @@ TEST(SortLanguageTest, ExplainAnalyzeAnnotatesSpillRuns) {
   EXPECT_EQ(quiet->find("spill:"), std::string::npos) << *quiet;
 }
 
-TEST(SortLanguageTest, ForcedSortMergeJoinMatchesHashJoin) {
+TEST(SortLanguageTest, SpilledHashJoinMatchesInMemory) {
   auto db = SeedDb(23);
   lang::Interpreter hash_interp(db.get());
   auto via_hash = hash_interp.Query("join(%2 = %5, r, r)");
   ASSERT_OK(via_hash);
 
   ExecConfig options;
-  options.exec.sort_merge_join = true;
-  lang::Interpreter merge_interp(db.get(), options);
-  auto explained = merge_interp.Explain("join(%2 = %5, r, r)");
+  options.exec.sort_spill_bytes = 64;
+  lang::Interpreter spill_interp(db.get(), options);
+  auto explained = spill_interp.ExplainAnalyze("join(%2 = %5, r, r)");
   ASSERT_OK(explained);
-  EXPECT_NE(explained->find("sort-merge"), std::string::npos) << *explained;
-  auto via_merge = merge_interp.Query("join(%2 = %5, r, r)");
-  ASSERT_OK(via_merge);
-  EXPECT_REL_EQ(*via_merge, *via_hash);
+  EXPECT_NE(explained->find("HashJoin"), std::string::npos) << *explained;
+  EXPECT_NE(explained->find("chunks]"), std::string::npos) << *explained;
+  auto via_spill = spill_interp.Query("join(%2 = %5, r, r)");
+  ASSERT_OK(via_spill);
+  EXPECT_REL_EQ(*via_spill, *via_hash);
+}
+
+// A reopened join re-derives its spill note from the planner annotation
+// instead of appending a second one.
+TEST(SortLanguageTest, ReopenedSpilledJoinShowsOneSpillNote) {
+  std::mt19937_64 rng(25);
+  Relation r = RandomIntRelation(rng, 2, 60, 10, 3);
+  ASSERT_GT(r.distinct_size(), 1u);
+  HashJoinOp op({0}, {0}, nullptr, std::make_unique<ScanOp>(&r),
+                std::make_unique<ScanOp>(&r), 1, kDefaultBatchSize, 64);
+  op.set_annotation("keys: %1=%3");
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_OK(ExecuteToRelation(op));
+    EXPECT_EQ(op.annotation(), "keys: %1=%3, spill: " +
+                                   std::to_string(op.spilled_chunks()) +
+                                   " chunks");
+  }
 }
 
 // --- Knob round-trip: registry and session SET. -------------------------
 
+// The join-strategy knob is gone: every equi-join is a hash join that
+// spills at run time, so its old name is an unknown knob.
+const std::string kRemovedStrategyKnob = std::string("sort_merge") + "_join";
+
 TEST(SortKnobTest, SpillAndStrategyKnobsRoundTrip) {
   ExecConfig cfg;
   EXPECT_NE(cfg.Describe().find("sort_spill_bytes"), std::string::npos);
-  EXPECT_NE(cfg.Describe().find("sort_merge_join"), std::string::npos);
+  EXPECT_EQ(cfg.Describe().find(kRemovedStrategyKnob), std::string::npos);
+  EXPECT_EQ(ExecConfig::KnobNames().size(), 8u);
 
   ASSERT_OK(cfg.Set("sort_spill_bytes", "4096"));
   EXPECT_EQ(cfg.exec.sort_spill_bytes, 4096u);
@@ -514,13 +555,10 @@ TEST(SortKnobTest, SpillAndStrategyKnobsRoundTrip) {
   ASSERT_OK(got);
   EXPECT_EQ(*got, "4096");
 
-  ASSERT_OK(cfg.Set("sort_merge_join", "true"));
-  EXPECT_TRUE(cfg.exec.sort_merge_join);
-  got = cfg.Get("sort_merge_join");
-  ASSERT_OK(got);
-  EXPECT_EQ(*got, "true");
-  ASSERT_OK(cfg.Set("sort_merge_join", "false"));
-  EXPECT_FALSE(cfg.exec.sort_merge_join);
+  EXPECT_EQ(cfg.Set(kRemovedStrategyKnob, "true").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cfg.Get(kRemovedStrategyKnob).status().code(),
+            StatusCode::kInvalidArgument);
 
   EXPECT_FALSE(cfg.Set("sort_spill_bytes", "not-a-number").ok());
 }
@@ -529,20 +567,24 @@ TEST(SortKnobTest, SessionSetStatementReachesTheExecutor) {
   auto db = SeedDb(24);
   lang::Interpreter interp(db.get());
   // The XRA `set` statement (the same path as the REPL's \set) arms the
-  // spill knob mid-session; the very next query must spill.
+  // spill knob mid-session; the very next sort and join must spill.
   ASSERT_OK(interp.ExecuteScript("set sort_spill_bytes = 64;", nullptr));
   auto text = interp.ExplainAnalyze("sort([%1], r)");
   ASSERT_OK(text);
   EXPECT_NE(text->find("spill:"), std::string::npos) << *text;
+  text = interp.ExplainAnalyze("join(%1 = %4, r, r)");
+  ASSERT_OK(text);
+  EXPECT_NE(text->find("chunks]"), std::string::npos) << *text;
   ASSERT_OK(interp.SetOption("sort_spill_bytes", "0"));
   text = interp.ExplainAnalyze("sort([%1], r)");
   ASSERT_OK(text);
   EXPECT_EQ(text->find("spill:"), std::string::npos) << *text;
+  text = interp.ExplainAnalyze("join(%1 = %4, r, r)");
+  ASSERT_OK(text);
+  EXPECT_EQ(text->find("spill:"), std::string::npos) << *text;
 
-  ASSERT_OK(interp.SetOption("sort_merge_join", "true"));
-  auto explained = interp.Explain("join(%1 = %4, r, r)");
-  ASSERT_OK(explained);
-  EXPECT_NE(explained->find("sort-merge"), std::string::npos) << *explained;
+  EXPECT_EQ(interp.SetOption(kRemovedStrategyKnob, "true").code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- Keyed sort: emission-order parity. ----------------------------------
