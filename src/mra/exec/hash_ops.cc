@@ -332,7 +332,7 @@ Status HashJoinOp::Build() {
   const uint64_t threshold = SpillThreshold(spill_bytes_, ctx);
   const bool capped = threshold != UINT64_MAX;
   std::atomic<uint64_t> resident{0};
-  std::vector<RunWriter> runs(lanes);
+  std::vector<RunWriter> runs(capped ? lanes : 0);
 
   // Phase 1.  One lane adds each build row straight into its arena; more
   // lanes radix-partition the build side, keeping each row's key hash for
@@ -372,9 +372,8 @@ Status HashJoinOp::Build() {
         planned_bytes = share * lanes * parts * (sizeof(Row) + sizeof(size_t));
       },
       [&](size_t lane, RowBatch& morsel) {
-        RunWriter& run = runs[lane];
         size_t i = 0;
-        if (run.path().empty()) {
+        if (!capped || runs[lane].path().empty()) {
           uint64_t bytes = 0;
           for (; i < morsel.size(); ++i) {
             Row& row = morsel[i];
@@ -398,9 +397,9 @@ Status HashJoinOp::Build() {
             lane_bytes[lane].fetch_add(bytes, std::memory_order_relaxed);
           }
           if (i == morsel.size()) return Status::OK();
-          MRA_RETURN_IF_ERROR(run.Open());
+          MRA_RETURN_IF_ERROR(runs[lane].Open());
         }
-        for (; i < morsel.size(); ++i) run.Append(morsel[i]);
+        for (; i < morsel.size(); ++i) runs[lane].Append(morsel[i]);
         return Status::OK();
       },
       charge);
