@@ -56,6 +56,9 @@ class Tuple {
 
   /// Exchanges value storage with `other` in O(1), allocation-free.
   void Swap(Tuple& other) { values_.swap(other.values_); }
+  /// The same exchange with a bare value vector, for decoders that build
+  /// a tuple in recycled storage.
+  void Swap(std::vector<Value>& values) { values_.swap(values); }
 
   /// Attribute-wise equality (Definition 2.4).  Only meaningful between
   /// tuples of one schema; arity mismatch is a checked error.

@@ -562,7 +562,11 @@ Status HashJoinOp::NextBatchImpl(RowBatch& out) {
       }
       RunReader& in = spill_.probe_reader;
       while (!b.full() && !in.done()) {
-        b.AppendSlot() = std::move(in.current());
+        // Swap, so the reader decodes its next entry into the slot's
+        // parked storage.
+        Row& slot = b.AppendSlot();
+        slot.tuple.Swap(in.current().tuple);
+        slot.count = in.current().count;
         MRA_RETURN_IF_ERROR(in.Advance());
       }
       return Status::OK();

@@ -445,7 +445,10 @@ Result<bool> SortOp::NextSorted(Row& slot) {
     std::pop_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
     size_t idx = merge_heap_.back();
     merge_heap_.pop_back();
-    slot = std::move(readers_[idx].current());
+    // Swap, so the reader decodes its next entry into the slot's parked
+    // storage.
+    slot.tuple.Swap(readers_[idx].current().tuple);
+    slot.count = readers_[idx].current().count;
     MRA_RETURN_IF_ERROR(readers_[idx].Advance());
     if (!readers_[idx].done()) {
       merge_heap_.push_back(idx);

@@ -56,12 +56,12 @@ uint64_t SpillThreshold(uint64_t spill_bytes, const ExecContext* ctx) {
   return threshold;
 }
 
-Result<std::optional<Row>> ReadRunEntry(std::istream& in,
-                                        uint64_t* bytes_left,
-                                        const std::string& path) {
+Result<bool> ReadRunEntry(std::istream& in, uint64_t* bytes_left,
+                          const std::string& path, std::string* payload,
+                          Row* row) {
   char len_buf[4];
   in.read(len_buf, sizeof(len_buf));
-  if (in.gcount() == 0 && in.eof()) return std::optional<Row>();
+  if (in.gcount() == 0 && in.eof()) return false;
   if (in.gcount() != sizeof(len_buf)) {
     return Status::Corruption("torn entry header in sort run " + path);
   }
@@ -74,16 +74,15 @@ Result<std::optional<Row>> ReadRunEntry(std::istream& in,
                               " bytes left in sort run " + path);
   }
   *bytes_left -= len;
-  std::string payload(len, '\0');
-  in.read(payload.data(), len);
+  payload->resize(len);
+  in.read(payload->data(), len);
   if (static_cast<uint32_t>(in.gcount()) != len) {
     return Status::Corruption("torn entry payload in sort run " + path);
   }
-  storage::Decoder dec(payload);
-  Row row;
-  MRA_ASSIGN_OR_RETURN(row.tuple, dec.GetTuple());
-  MRA_ASSIGN_OR_RETURN(row.count, dec.GetU64());
-  return std::optional<Row>(std::move(row));
+  storage::Decoder dec(*payload);
+  MRA_RETURN_IF_ERROR(dec.GetTuple(&row->tuple));
+  MRA_ASSIGN_OR_RETURN(row->count, dec.GetU64());
+  return true;
 }
 
 Status RunWriter::Open() {
@@ -97,16 +96,14 @@ Status RunWriter::Open() {
 }
 
 void RunWriter::Append(const Row& row) {
-  storage::Encoder payload;
-  payload.PutTuple(row.tuple);
-  payload.PutU64(row.count);
-  storage::Encoder header;
-  header.PutU32(static_cast<uint32_t>(payload.buffer().size()));
-  out_.write(header.buffer().data(),
-             static_cast<std::streamsize>(header.buffer().size()));
-  out_.write(payload.buffer().data(),
-             static_cast<std::streamsize>(payload.buffer().size()));
-  written_ += header.buffer().size() + payload.buffer().size();
+  entry_.Clear();
+  entry_.PutU32(0);  // The length prefix, patched once the payload is in.
+  entry_.PutTuple(row.tuple);
+  entry_.PutU64(row.count);
+  const std::string& bytes = entry_.buffer();
+  entry_.PatchU32(0, static_cast<uint32_t>(bytes.size() - sizeof(uint32_t)));
+  out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  written_ += bytes.size();
 }
 
 Status RunWriter::Finish() {
@@ -140,10 +137,9 @@ Status RunReader::Open(const std::string& path) {
 Status RunReader::Advance() {
   done_ = true;
   MRA_RETURN_IF_ERROR(fault::InjectIfArmed(SpillReadFp()));
-  MRA_ASSIGN_OR_RETURN(std::optional<Row> next,
-                       ReadRunEntry(in_, &bytes_left_, path_));
-  done_ = !next.has_value();
-  if (next) current_ = std::move(*next);
+  MRA_ASSIGN_OR_RETURN(bool read, ReadRunEntry(in_, &bytes_left_, path_,
+                                               &payload_, &current_));
+  done_ = !read;
   return Status::OK();
 }
 

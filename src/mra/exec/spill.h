@@ -14,11 +14,11 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "mra/exec/operator.h"
+#include "mra/storage/serializer.h"
 
 namespace mra {
 namespace exec {
@@ -31,12 +31,13 @@ namespace exec {
 uint64_t SpillThreshold(uint64_t spill_bytes, const ExecContext* ctx);
 
 /// Reads the next entry of a run file from `in`, of which `*bytes_left`
-/// bytes remain; nullopt at the file's clean end.  A length past the bytes
-/// left is Corruption before anything is allocated.  `path` names the run
-/// in errors.  Exposed for tests.
-Result<std::optional<Row>> ReadRunEntry(std::istream& in,
-                                        uint64_t* bytes_left,
-                                        const std::string& path);
+/// bytes remain, into `*row`, through `*payload`, a buffer reused across
+/// entries; false at the file's clean end.  A length past the bytes left
+/// is Corruption before anything is allocated.  `path` names the run in
+/// errors.  Exposed for tests.
+Result<bool> ReadRunEntry(std::istream& in, uint64_t* bytes_left,
+                          const std::string& path, std::string* payload,
+                          Row* row);
 
 /// Writes one run under a fresh path in the system temp directory.
 class RunWriter {
@@ -58,6 +59,7 @@ class RunWriter {
   std::ofstream out_;
   std::string path_;
   uint64_t written_ = 0;
+  storage::Encoder entry_;  // One entry's prefix and payload, reused.
 };
 
 /// Streams one run entry by entry: the length prefix makes each entry
@@ -70,8 +72,9 @@ class RunReader {
   Status Advance();
 
   bool done() const { return done_; }
-  /// The entry last read; valid while !done(), and the caller may move it
-  /// out before the next Advance.
+  /// The entry last read; valid while !done().  The caller may move it
+  /// out before the next Advance, or swap in a spent tuple whose storage
+  /// the next entry then reuses.
   Row& current() { return current_; }
   const Row& current() const { return current_; }
 
@@ -79,6 +82,7 @@ class RunReader {
   std::ifstream in_;
   std::string path_;
   uint64_t bytes_left_ = 0;
+  std::string payload_;  // The entry being decoded, reused.
   Row current_;
   bool done_ = true;
 };

@@ -31,6 +31,13 @@ void Encoder::PutU32(uint32_t v) {
   }
 }
 
+void Encoder::PatchU32(size_t offset, uint32_t v) {
+  MRA_CHECK_LE(offset + 4, buffer_.size());
+  for (int i = 0; i < 4; ++i) {
+    buffer_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
 void Encoder::PutU64(uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -224,14 +231,23 @@ Result<Value> Decoder::GetValue() {
 }
 
 Result<Tuple> Decoder::GetTuple() {
+  Tuple t;
+  MRA_RETURN_IF_ERROR(GetTuple(&t));
+  return t;
+}
+
+Status Decoder::GetTuple(Tuple* out) {
   MRA_ASSIGN_OR_RETURN(uint32_t arity, GetCount(kMinValueBytes));
   std::vector<Value> values;
+  out->Swap(values);
+  values.clear();
   values.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
     MRA_ASSIGN_OR_RETURN(Value v, GetValue());
     values.push_back(std::move(v));
   }
-  return Tuple(std::move(values));
+  out->Swap(values);
+  return Status::OK();
 }
 
 Result<RelationSchema> Decoder::GetSchema() {

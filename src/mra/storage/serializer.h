@@ -38,8 +38,14 @@ class Encoder {
   /// An ANALYZE snapshot (cardinalities, per-column sketches, histograms).
   void PutStatistics(const stats::TableStatistics& s);
 
+  /// Overwrites the four bytes a PutU32 wrote at `offset`, for a length
+  /// prefix known only once its payload is encoded.
+  void PatchU32(size_t offset, uint32_t v);
+
   const std::string& buffer() const { return buffer_; }
   std::string TakeBuffer() { return std::move(buffer_); }
+  /// Empties the buffer but keeps its capacity for the next encoding.
+  void Clear() { buffer_.clear(); }
 
  private:
   std::string buffer_;
@@ -60,6 +66,8 @@ class Decoder {
 
   Result<Value> GetValue();
   Result<Tuple> GetTuple();
+  /// GetTuple into `*out`, reusing its value storage.
+  Status GetTuple(Tuple* out);
   Result<RelationSchema> GetSchema();
   Result<Relation> GetRelation();
   Result<stats::TableStatistics> GetStatistics();

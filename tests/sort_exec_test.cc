@@ -327,17 +327,19 @@ TEST(SortRunReaderTest, ReadsEntriesThenEndsCleanly) {
   }
   std::istringstream in(run);
   uint64_t left = run.size();
+  std::string payload;
+  Row row;
   for (int64_t v : {1, 2}) {
-    auto entry = ReadRunEntry(in, &left, "run");
+    auto entry = ReadRunEntry(in, &left, "run", &payload, &row);
     ASSERT_OK(entry);
-    ASSERT_TRUE(entry->has_value());
-    EXPECT_TRUE((*entry)->tuple.Equals(IntTuple({v})));
-    EXPECT_EQ((*entry)->count, static_cast<uint64_t>(v) * 10);
+    ASSERT_TRUE(*entry);
+    EXPECT_TRUE(row.tuple.Equals(IntTuple({v})));
+    EXPECT_EQ(row.count, static_cast<uint64_t>(v) * 10);
   }
   EXPECT_EQ(left, 0u);
-  auto end = ReadRunEntry(in, &left, "run");
+  auto end = ReadRunEntry(in, &left, "run", &payload, &row);
   ASSERT_OK(end);
-  EXPECT_FALSE(end->has_value());
+  EXPECT_FALSE(*end);
 }
 
 TEST(SortRunReaderTest, LengthPastTheFileIsCorruption) {
@@ -348,7 +350,9 @@ TEST(SortRunReaderTest, LengthPastTheFileIsCorruption) {
     const std::string run = header.buffer() + "12345678";  // 8 bytes left.
     std::istringstream in(run);
     uint64_t left = run.size();
-    auto entry = ReadRunEntry(in, &left, "run");
+    std::string payload;
+    Row row;
+    auto entry = ReadRunEntry(in, &left, "run", &payload, &row);
     EXPECT_EQ(entry.status().code(), StatusCode::kCorruption);
     EXPECT_EQ(in.tellg(), 4) << "read past the header before rejecting it";
   }
