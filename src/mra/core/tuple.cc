@@ -107,9 +107,7 @@ bool Tuple::KeysEqual(const std::vector<size_t>& attrs,
 
 size_t Tuple::HeapBytes() const {
   size_t bytes = values_.size() * sizeof(Value);
-  for (const Value& v : values_) {
-    if (v.kind() == TypeKind::kString) bytes += v.string_value().capacity();
-  }
+  for (const Value& v : values_) bytes += v.heap_bytes();
   return bytes;
 }
 

@@ -89,8 +89,9 @@ class Tuple {
   /// π_attrs(*this) == key, a whole stored key tuple.
   bool KeysEqual(const std::vector<size_t>& attrs, const Tuple& key) const;
 
-  /// Approximate heap bytes of the values: arity × sizeof(Value) plus
-  /// string capacities.  Budget charges add their own struct sizes.
+  /// Heap bytes of the values: arity × sizeof(Value) (16) plus the block
+  /// of each string longer than Value::kInlineStringMax; shorter strings
+  /// live inside their Value.  Budget charges add their own struct sizes.
   size_t HeapBytes() const;
 
   /// Checks that this tuple inhabits dom(schema): arity and domains match.

@@ -128,8 +128,24 @@ Result<Value> Value::DateFromCivil(int year, int month, int day) {
   return Value::Date(static_cast<int32_t>(days));
 }
 
+void Value::AllocateHeap(std::string_view v) {
+  const uint64_t size = v.size();
+  auto* block =
+      static_cast<unsigned char*>(::operator new(sizeof(size) + v.size()));
+  std::memcpy(block, &size, sizeof(size));
+  std::memcpy(block + sizeof(size), v.data(), v.size());
+  std::memcpy(bytes_, &block, sizeof(block));
+  bytes_[kTagByte] = kHeapTag;
+}
+
+void Value::CopyHeapFrom(const Value& other) {
+  std::memset(bytes_, 0, kKindByte);
+  bytes_[kKindByte] = static_cast<unsigned char>(TypeKind::kString);
+  AllocateHeap(other.StringBytes());
+}
+
 double Value::AsReal() const {
-  switch (kind_) {
+  switch (kind()) {
     case TypeKind::kInt:
       return static_cast<double>(int_value());
     case TypeKind::kDecimal:
@@ -143,25 +159,30 @@ double Value::AsReal() const {
 }
 
 bool Value::Equals(const Value& other) const {
-  MRA_CHECK(kind_ == other.kind_)
+  MRA_CHECK(kind() == other.kind())
       << "Value::Equals across domains:" << ToString() << "vs"
       << other.ToString();
-  if (kind_ == TypeKind::kReal) {
+  if (kind() == TypeKind::kReal) {
     // Agrees with Compare and Hash: -0.0 = 0.0 (IEEE says so) and
     // NaN = NaN (IEEE says not).
-    double a = std::get<double>(rep_), b = std::get<double>(other.rep_);
+    double a = real_value(), b = other.real_value();
     return a == b || (std::isnan(a) && std::isnan(b));
   }
-  return rep_ == other.rep_;
+  // Two long strings compare their blocks; otherwise each value has one
+  // image, and a long string never equals a short one.
+  if (is_heap() && other.is_heap()) {
+    return StringBytes() == other.StringBytes();
+  }
+  return std::memcmp(bytes_, other.bytes_, kSize) == 0;
 }
 
 int Value::Compare(const Value& other) const {
-  MRA_CHECK(kind_ == other.kind_)
+  MRA_CHECK(kind() == other.kind())
       << "Value::Compare across domains:" << ToString() << "vs"
       << other.ToString();
-  switch (kind_) {
+  switch (kind()) {
     case TypeKind::kReal: {
-      double a = std::get<double>(rep_), b = std::get<double>(other.rep_);
+      double a = real_value(), b = other.real_value();
       if (a < b) return -1;
       if (a > b) return 1;
       if (a == b) return 0;  // -0.0 ties with 0.0.
@@ -170,42 +191,36 @@ int Value::Compare(const Value& other) const {
       return std::isnan(a) == std::isnan(b) ? 0 : (std::isnan(a) ? 1 : -1);
     }
     case TypeKind::kString: {
-      const std::string& a = std::get<std::string>(rep_);
-      const std::string& b = std::get<std::string>(other.rep_);
-      int c = a.compare(b);
+      int c = StringBytes().compare(other.StringBytes());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     default: {
-      int64_t a = std::get<int64_t>(rep_), b = std::get<int64_t>(other.rep_);
+      int64_t a = static_cast<int64_t>(word());
+      int64_t b = static_cast<int64_t>(other.word());
       return a < b ? -1 : (a > b ? 1 : 0);
     }
   }
 }
 
 size_t Value::Hash() const {
-  size_t h = Mix64(static_cast<uint64_t>(kind_));
-  switch (kind_) {
+  size_t h = Mix64(static_cast<uint64_t>(kind()));
+  switch (kind()) {
     case TypeKind::kReal: {
-      double v = std::get<double>(rep_);
+      double v = real_value();
       // Normalise -0.0 and every NaN payload so equal reals hash equally.
       if (v == 0.0) v = 0.0;
       if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(v));
-      __builtin_memcpy(&bits, &v, sizeof(bits));
-      return HashCombine(h, Mix64(bits));
+      return HashCombine(h, Mix64(std::bit_cast<uint64_t>(v)));
     }
     case TypeKind::kString:
-      return HashCombine(h, std::hash<std::string>{}(
-                                std::get<std::string>(rep_)));
+      return HashCombine(h, std::hash<std::string_view>{}(StringBytes()));
     default:
-      return HashCombine(
-          h, Mix64(static_cast<uint64_t>(std::get<int64_t>(rep_))));
+      return HashCombine(h, Mix64(word()));
   }
 }
 
 std::string Value::ToString() const {
-  switch (kind_) {
+  switch (kind()) {
     case TypeKind::kBool:
       return bool_value() ? "true" : "false";
     case TypeKind::kInt:

@@ -5,9 +5,12 @@
 #ifndef MRA_CORE_VALUE_H_
 #define MRA_CORE_VALUE_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <string>
-#include <variant>
+#include <string_view>
 
 #include "mra/common/result.h"
 #include "mra/core/type.h"
@@ -18,67 +21,129 @@ namespace mra {
 /// numeric value multiplied by kDecimalScale.
 inline constexpr int64_t kDecimalScale = 10000;
 
-/// One atomic value.  Immutable after construction except via assignment.
+/// One atomic value, 16 bytes.  Immutable after construction except via
+/// assignment.
+///
+/// Layout: bytes 0-7 are the payload word (an int, bool, date or scaled
+/// decimal as int64, a real's IEEE bits), bytes 8-13 are zero, byte 14 is
+/// zero and byte 15 is the kind.  A string of at most kInlineStringMax
+/// bytes sits inline in bytes 0-13, zero padded, with its length in byte
+/// 14; a longer one is an owned heap block (a uint64 length, then the
+/// bytes) whose pointer is the payload word, with byte 14 set to
+/// kHeapTag.  Every value has exactly one image, so two non-heap values
+/// of one kind are equal exactly when their 16 bytes are (reals aside).
+/// Copies are deep, moves take the block and leave the source "".
 class Value {
  public:
-  /// Default-constructed value: int 0.  Needed for container resizing only.
-  Value() : kind_(TypeKind::kInt), rep_(int64_t{0}) {}
+  /// The longest string held without a heap block.
+  static constexpr size_t kInlineStringMax = 14;
 
-  static Value Bool(bool v) { return Value(TypeKind::kBool, int64_t{v}); }
-  static Value Int(int64_t v) { return Value(TypeKind::kInt, v); }
-  static Value Real(double v) { return Value(TypeKind::kReal, v); }
-  static Value Str(std::string v) {
-    return Value(TypeKind::kString, std::move(v));
+  /// Default-constructed value: int 0.  Needed for container resizing only.
+  Value() : Value(TypeKind::kInt, 0) {}
+
+  Value(const Value& other) {
+    if (other.is_heap()) {
+      CopyHeapFrom(other);
+    } else {
+      std::memcpy(bytes_, other.bytes_, kSize);
+    }
+  }
+  Value(Value&& other) noexcept {
+    std::memcpy(bytes_, other.bytes_, kSize);
+    other.LeaveMovedFrom();
+  }
+  Value& operator=(const Value& other) {
+    if (is_heap() || other.is_heap()) {
+      if (this != &other) Value(other).SwapBytes(*this);
+    } else {
+      std::memcpy(bytes_, other.bytes_, kSize);
+    }
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      FreeHeap();
+      std::memcpy(bytes_, other.bytes_, kSize);
+      other.LeaveMovedFrom();
+    }
+    return *this;
+  }
+  ~Value() { FreeHeap(); }
+
+  static Value Bool(bool v) { return Value(TypeKind::kBool, v ? 1 : 0); }
+  static Value Int(int64_t v) {
+    return Value(TypeKind::kInt, static_cast<uint64_t>(v));
+  }
+  static Value Real(double v) {
+    return Value(TypeKind::kReal, std::bit_cast<uint64_t>(v));
+  }
+  static Value Str(std::string_view v) {
+    Value out(TypeKind::kString, 0);
+    if (v.size() > kInlineStringMax) {
+      out.AllocateHeap(v);
+    } else if (!v.empty()) {
+      std::memcpy(out.bytes_, v.data(), v.size());
+      out.bytes_[kTagByte] = static_cast<unsigned char>(v.size());
+    }
+    return out;
   }
 
   /// Decimal from a raw scaled integer: `DecimalScaled(123400)` is 12.34.
   static Value DecimalScaled(int64_t scaled) {
-    return Value(TypeKind::kDecimal, scaled);
+    return Value(TypeKind::kDecimal, static_cast<uint64_t>(scaled));
   }
   /// Decimal from a whole number of units: `Decimal(12)` is 12.0000.
   static Value Decimal(int64_t units) {
-    return Value(TypeKind::kDecimal, units * kDecimalScale);
+    return DecimalScaled(units * kDecimalScale);
   }
   /// Parses "[-]digits[.digits]" with at most 4 fractional digits.
   static Result<Value> DecimalFromString(std::string_view text);
 
   /// Date from a count of days since 1970-01-01 (may be negative).
   static Value Date(int32_t days) {
-    return Value(TypeKind::kDate, int64_t{days});
+    return Value(TypeKind::kDate, static_cast<uint64_t>(int64_t{days}));
   }
   /// Parses "YYYY-MM-DD" (proleptic Gregorian).
   static Result<Value> DateFromString(std::string_view text);
   /// Builds a date from civil year/month/day; validates the calendar day.
   static Result<Value> DateFromCivil(int year, int month, int day);
 
-  TypeKind kind() const { return kind_; }
-  Type type() const { return Type(kind_); }
+  TypeKind kind() const { return static_cast<TypeKind>(bytes_[kKindByte]); }
+  Type type() const { return Type(kind()); }
 
   // Accessors.  Calling the accessor of the wrong kind is a checked error.
   bool bool_value() const {
-    MRA_CHECK(kind_ == TypeKind::kBool);
-    return std::get<int64_t>(rep_) != 0;
+    MRA_CHECK(kind() == TypeKind::kBool);
+    return word() != 0;
   }
   int64_t int_value() const {
-    MRA_CHECK(kind_ == TypeKind::kInt);
-    return std::get<int64_t>(rep_);
+    MRA_CHECK(kind() == TypeKind::kInt);
+    return static_cast<int64_t>(word());
   }
   /// The raw scaled integer of a decimal (value * 10^4).
   int64_t decimal_scaled() const {
-    MRA_CHECK(kind_ == TypeKind::kDecimal);
-    return std::get<int64_t>(rep_);
+    MRA_CHECK(kind() == TypeKind::kDecimal);
+    return static_cast<int64_t>(word());
   }
   double real_value() const {
-    MRA_CHECK(kind_ == TypeKind::kReal);
-    return std::get<double>(rep_);
+    MRA_CHECK(kind() == TypeKind::kReal);
+    return std::bit_cast<double>(word());
   }
-  const std::string& string_value() const {
-    MRA_CHECK(kind_ == TypeKind::kString);
-    return std::get<std::string>(rep_);
+  /// A copy of the string; string_view() reads it in place.
+  std::string string_value() const { return std::string(string_view()); }
+  /// The string's bytes, valid while this value lives unassigned.
+  std::string_view string_view() const {
+    MRA_CHECK(kind() == TypeKind::kString);
+    return StringBytes();
   }
   int32_t date_days() const {
-    MRA_CHECK(kind_ == TypeKind::kDate);
-    return static_cast<int32_t>(std::get<int64_t>(rep_));
+    MRA_CHECK(kind() == TypeKind::kDate);
+    return static_cast<int32_t>(word());
+  }
+
+  /// Bytes this value holds off its 16: a long string's block, else 0.
+  size_t heap_bytes() const {
+    return is_heap() ? sizeof(uint64_t) + StringBytes().size() : 0;
   }
 
   /// Numeric value widened to double (int, decimal or real only).
@@ -112,13 +177,61 @@ class Value {
   static void CivilFromDays(int64_t days, int* year, int* month, int* day);
 
  private:
-  Value(TypeKind kind, int64_t v) : kind_(kind), rep_(v) {}
-  Value(TypeKind kind, double v) : kind_(kind), rep_(v) {}
-  Value(TypeKind kind, std::string v) : kind_(kind), rep_(std::move(v)) {}
+  static constexpr size_t kSize = 16;
+  static constexpr size_t kTagByte = 14;
+  static constexpr size_t kKindByte = 15;
+  static constexpr unsigned char kHeapTag = 0xFF;
 
-  TypeKind kind_;
-  std::variant<int64_t, double, std::string> rep_;
+  Value(TypeKind kind, uint64_t word) {
+    std::memcpy(bytes_, &word, sizeof(word));
+    std::memset(bytes_ + sizeof(word), 0, kKindByte - sizeof(word));
+    bytes_[kKindByte] = static_cast<unsigned char>(kind);
+  }
+
+  uint64_t word() const {
+    uint64_t w;
+    std::memcpy(&w, bytes_, sizeof(w));
+    return w;
+  }
+  bool is_heap() const { return bytes_[kTagByte] == kHeapTag; }
+  unsigned char* heap_block() const {
+    unsigned char* block;
+    std::memcpy(&block, bytes_, sizeof(block));
+    return block;
+  }
+  /// The string bytes, inline or in the block; the kind is not checked.
+  std::string_view StringBytes() const {
+    if (!is_heap()) {
+      return std::string_view(reinterpret_cast<const char*>(bytes_),
+                              bytes_[kTagByte]);
+    }
+    const unsigned char* block = heap_block();
+    uint64_t size;
+    std::memcpy(&size, block, sizeof(size));
+    return std::string_view(
+        reinterpret_cast<const char*>(block + sizeof(size)), size);
+  }
+
+  void FreeHeap() {
+    if (is_heap()) ::operator delete(heap_block());
+  }
+  /// A moved-from long string keeps its kind as the empty string.
+  void LeaveMovedFrom() {
+    if (is_heap()) std::memset(bytes_, 0, kKindByte);
+  }
+  void SwapBytes(Value& other) {
+    unsigned char tmp[kSize];
+    std::memcpy(tmp, bytes_, kSize);
+    std::memcpy(bytes_, other.bytes_, kSize);
+    std::memcpy(other.bytes_, tmp, kSize);
+  }
+  void AllocateHeap(std::string_view v);  // On a fresh kString value.
+  void CopyHeapFrom(const Value& other);  // Constructs; other is_heap().
+
+  alignas(uint64_t) unsigned char bytes_[kSize];
 };
+
+static_assert(sizeof(Value) == 16);
 
 }  // namespace mra
 

@@ -66,7 +66,7 @@ uint64_t KeyWord(const Value& v) {
       return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
     }
     case TypeKind::kString: {
-      const std::string& str = v.string_value();
+      const std::string_view str = v.string_view();
       uint64_t word = 0;
       for (size_t i = 0; i < std::min<size_t>(str.size(), 8); ++i) {
         word |= uint64_t{static_cast<unsigned char>(str[i])} << (56 - 8 * i);

@@ -73,7 +73,7 @@ void Encoder::PutValue(const Value& v) {
       PutDouble(v.real_value());
       return;
     case TypeKind::kString:
-      PutString(v.string_value());
+      PutString(v.string_view());
       return;
     case TypeKind::kDate:
       PutI64(v.date_days());

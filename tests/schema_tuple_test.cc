@@ -147,5 +147,48 @@ TEST(TupleTest, EmptyTupleEquality) {
   EXPECT_EQ(Tuple{}.Hash(), Tuple{}.Hash());
 }
 
+TEST(TupleTest, ProjectionCopiesStringsOnBothSidesOfTheInlineLimit) {
+  const std::string s14(Value::kInlineStringMax, 'a');
+  const std::string s15 = std::string(7, 'b') + '\0' + std::string(7, 'c');
+  ASSERT_EQ(s15.size(), Value::kInlineStringMax + 1);
+  const Tuple t({Value::Str(s14), Value::Int(3), Value::Str(s15)});
+
+  const Tuple p = t.Project({2, 0, 2});
+  ASSERT_EQ(p.arity(), 3u);
+  EXPECT_EQ(p.at(0).string_view(), s15);
+  EXPECT_EQ(p.at(1).string_view(), s14);
+  EXPECT_EQ(p.at(2).string_view(), s15);
+  EXPECT_NE(p.at(0).string_view().data(), t.at(2).string_view().data());
+
+  // Into recycled storage that held a long string of its own.
+  Tuple scratch({Value::Str(std::string(40, 'z')), Value::Int(1)});
+  scratch.AssignProjection(t, {2, 0});
+  EXPECT_TRUE(scratch.Equals(Tuple({Value::Str(s15), Value::Str(s14)})));
+  scratch.AssignConcat(t, p);
+  EXPECT_EQ(scratch.arity(), 6u);
+  EXPECT_EQ(scratch.at(5).string_view(), s15);
+
+  Tuple copy = t;
+  Tuple moved = std::move(copy);
+  EXPECT_TRUE(moved.Equals(t));
+  EXPECT_EQ(moved.Hash(), t.Hash());
+  EXPECT_EQ(t.at(2).string_view(), s15);
+}
+
+TEST(TupleTest, HeapBytesCountsOnlyLongStringBlocks) {
+  const Tuple short_only({Value::Int(1),
+                          Value::Str(std::string(Value::kInlineStringMax, 's')),
+                          Value::Real(2.5), Value::Str("")});
+  EXPECT_EQ(short_only.HeapBytes(), 4 * sizeof(Value));
+
+  const Value s15 = Value::Str(std::string(Value::kInlineStringMax + 1, 'l'));
+  const Value s100 = Value::Str(std::string(100, 'm'));
+  EXPECT_GE(s15.heap_bytes(), Value::kInlineStringMax + 1);
+  EXPECT_GE(s100.heap_bytes(), 100u);
+  const Tuple with_long({Value::Int(1), s15, s100});
+  EXPECT_EQ(with_long.HeapBytes(),
+            3 * sizeof(Value) + s15.heap_bytes() + s100.heap_bytes());
+}
+
 }  // namespace
 }  // namespace mra

@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "mra/common/hash.h"
 #include "test_util.h"
 
 namespace mra {
@@ -260,6 +263,143 @@ TEST(ValueTest, RealCompareIsAStrictWeakOrder) {
   EXPECT_EQ(values[4].real_value(), inf);
   EXPECT_TRUE(std::isnan(values[5].real_value()));
   EXPECT_TRUE(std::isnan(values[6].real_value()));
+}
+
+// --- The 16-byte layout: short strings inline, long ones in a block. ----
+
+// A string of `n` bytes with an embedded NUL (from 3 bytes on), so no
+// path can stop at a terminator.
+std::string StringOf(size_t n, char fill = 's') {
+  std::string s(n, fill);
+  if (n >= 3) s[n / 2] = '\0';
+  return s;
+}
+
+TEST(ValueLayoutTest, SixteenBytesWithNoThrowMoves) {
+  static_assert(sizeof(Value) == 16);
+  static_assert(std::is_nothrow_move_constructible_v<Value>);
+  static_assert(std::is_nothrow_move_assignable_v<Value>);
+  EXPECT_EQ(Value::kInlineStringMax, 14u);
+  EXPECT_EQ(Value().int_value(), 0);
+}
+
+TEST(ValueLayoutTest, StringsOnBothSidesOfTheInlineLimitSurviveCopies) {
+  for (size_t n : {0, 1, 13, 14, 15, 16, 100}) {
+    SCOPED_TRACE(n);
+    const std::string s = StringOf(n);
+    Value v = Value::Str(s);
+    EXPECT_EQ(v.kind(), TypeKind::kString);
+    EXPECT_EQ(v.string_view(), s);
+    EXPECT_EQ(v.string_value(), s);
+    EXPECT_EQ(v.heap_bytes() > 0, n > Value::kInlineStringMax);
+
+    Value copy(v);
+    EXPECT_EQ(copy.string_view(), s);
+    EXPECT_TRUE(copy.Equals(v));
+    EXPECT_EQ(copy.Hash(), v.Hash());
+    if (n > Value::kInlineStringMax) {
+      EXPECT_NE(copy.string_view().data(), v.string_view().data())
+          << "a copy shares the original's block";
+    }
+
+    // Copy-assignment over every shape of target, including itself.
+    for (Value target : {Value::Int(7), Value::Str("short"),
+                         Value::Str(StringOf(40, 't'))}) {
+      target = v;
+      EXPECT_EQ(target.string_view(), s);
+      const Value& alias = target;
+      target = alias;
+      EXPECT_EQ(target.string_view(), s);
+    }
+
+    // Moves, and a self-move through an alias, keep the bytes.
+    Value moved(std::move(copy));
+    EXPECT_EQ(moved.string_view(), s);
+    Value& alias = moved;
+    moved = std::move(alias);
+    EXPECT_EQ(moved.string_view(), s);
+    Value over_long = Value::Str(StringOf(40, 'u'));
+    over_long = std::move(moved);
+    EXPECT_EQ(over_long.string_view(), s);
+
+    // A moved-from value is a valid string: it reads, compares, copies and
+    // takes a new value.
+    for (Value* from : {&copy, &moved}) {
+      EXPECT_EQ(from->kind(), TypeKind::kString);
+      const std::string_view left = from->string_view();
+      EXPECT_TRUE(left.empty() || left == s);
+      Value again(*from);
+      EXPECT_TRUE(again.Equals(*from));
+      *from = Value::Str(StringOf(20, 'w'));
+      EXPECT_EQ(from->string_view(), StringOf(20, 'w'));
+    }
+  }
+}
+
+TEST(ValueLayoutTest, StringCompareIsBytewiseAcrossInlineAndHeap) {
+  const std::string p14 = "abcdefghijklmn";  // Inline: 14 bytes.
+  ASSERT_EQ(p14.size(), Value::kInlineStringMax);
+  const Value inline14 = Value::Str(p14);
+  const Value heap15 = Value::Str(p14 + "a");
+  const Value heap_nul = Value::Str(p14 + std::string(1, '\0'));
+  // A proper prefix sorts first, an embedded NUL included.
+  EXPECT_EQ(inline14.Compare(heap15), -1);
+  EXPECT_EQ(heap15.Compare(inline14), 1);
+  EXPECT_EQ(inline14.Compare(heap_nul), -1);
+  EXPECT_FALSE(inline14.Equals(heap_nul));
+  // A differing byte inside the shared length decides, as unsigned bytes.
+  const Value inline_high = Value::Str("abcdefghijklm\xff");
+  EXPECT_EQ(inline_high.Compare(heap15), 1);
+  EXPECT_EQ(Value::Str("abc\x7f").Compare(Value::Str("abc\x80")), -1);
+  EXPECT_EQ(Value::Str(std::string(20, '\x80'))
+                .Compare(Value::Str(std::string(20, '\x7f'))),
+            1);
+  // Inline strings of different lengths never tie, even when one is the
+  // other plus a NUL.
+  EXPECT_FALSE(Value::Str("ab").Equals(Value::Str(std::string("ab\0", 3))));
+  EXPECT_EQ(Value::Str("ab").Compare(Value::Str(std::string("ab\0", 3))), -1);
+  // Two long strings compare their bytes, not their blocks.
+  EXPECT_TRUE(heap15.Equals(Value::Str(p14 + "a")));
+  EXPECT_EQ(heap15.Compare(Value::Str(p14 + "b")), -1);
+}
+
+TEST(ValueLayoutTest, HashKeepsTheFormulaOfEveryDomain) {
+  const auto seed = [](TypeKind k) { return Mix64(static_cast<uint64_t>(k)); };
+  for (size_t n : {0, 1, 14, 15, 100}) {
+    const std::string s = StringOf(n);
+    EXPECT_EQ(Value::Str(s).Hash(),
+              HashCombine(seed(TypeKind::kString), std::hash<std::string>{}(s)))
+        << n;
+  }
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Value::Int(min).Hash(),
+            HashCombine(seed(TypeKind::kInt), Mix64(static_cast<uint64_t>(min))));
+  EXPECT_EQ(Value::Date(-1).Hash(),
+            HashCombine(seed(TypeKind::kDate), Mix64(~uint64_t{0})));
+  EXPECT_EQ(Value::Bool(true).Hash(),
+            HashCombine(seed(TypeKind::kBool), Mix64(1)));
+  EXPECT_EQ(Value::DecimalScaled(-5).Hash(),
+            HashCombine(seed(TypeKind::kDecimal),
+                        Mix64(static_cast<uint64_t>(int64_t{-5}))));
+  EXPECT_EQ(Value::Real(-0.0).Hash(), Value::Real(0.0).Hash());
+}
+
+TEST(ValueLayoutTest, PayloadsRoundTripAtTheirEdges) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(Value::Int(min).int_value(), min);
+  EXPECT_EQ(Value::Int(max).int_value(), max);
+  EXPECT_EQ(Value::DecimalScaled(min).decimal_scaled(), min);
+  EXPECT_EQ(Value::Date(std::numeric_limits<int32_t>::min()).date_days(),
+            std::numeric_limits<int32_t>::min());
+  EXPECT_EQ(Value::Date(-719162).ToString(), "0001-01-01");
+  EXPECT_TRUE(std::signbit(Value::Real(-0.0).real_value()));
+  EXPECT_TRUE(std::isnan(
+      Value::Real(std::numeric_limits<double>::quiet_NaN()).real_value()));
+  EXPECT_FALSE(Value::Bool(false).bool_value());
+  EXPECT_EQ(Value::Int(min).Compare(Value::Int(max)), -1);
+  EXPECT_EQ(Value::Date(-1).Compare(Value::Date(0)), -1);
+  EXPECT_EQ(Value::Str(StringOf(15)).ToString(), "'" + StringOf(15) + "'");
 }
 
 }  // namespace
