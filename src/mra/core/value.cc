@@ -138,12 +138,6 @@ void Value::AllocateHeap(std::string_view v) {
   bytes_[kTagByte] = kHeapTag;
 }
 
-void Value::CopyHeapFrom(const Value& other) {
-  std::memset(bytes_, 0, kKindByte);
-  bytes_[kKindByte] = static_cast<unsigned char>(TypeKind::kString);
-  AllocateHeap(other.StringBytes());
-}
-
 double Value::AsReal() const {
   switch (kind()) {
     case TypeKind::kInt:

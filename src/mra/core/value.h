@@ -42,22 +42,16 @@ class Value {
   Value() : Value(TypeKind::kInt, 0) {}
 
   Value(const Value& other) {
-    if (other.is_heap()) {
-      CopyHeapFrom(other);
-    } else {
-      std::memcpy(bytes_, other.bytes_, kSize);
-    }
+    std::memcpy(bytes_, other.bytes_, kSize);
+    if (is_heap()) AllocateHeap(other.StringBytes());
   }
   Value(Value&& other) noexcept {
     std::memcpy(bytes_, other.bytes_, kSize);
     other.LeaveMovedFrom();
   }
   Value& operator=(const Value& other) {
-    if (is_heap() || other.is_heap()) {
-      if (this != &other) Value(other).SwapBytes(*this);
-    } else {
-      std::memcpy(bytes_, other.bytes_, kSize);
-    }
+    if (is_heap() || other.is_heap()) return *this = Value(other);
+    std::memcpy(bytes_, other.bytes_, kSize);
     return *this;
   }
   Value& operator=(Value&& other) noexcept {
@@ -189,13 +183,13 @@ class Value {
   }
 
   uint64_t word() const {
-    uint64_t w;
+    uint64_t w = 0;
     std::memcpy(&w, bytes_, sizeof(w));
     return w;
   }
   bool is_heap() const { return bytes_[kTagByte] == kHeapTag; }
   unsigned char* heap_block() const {
-    unsigned char* block;
+    unsigned char* block = nullptr;
     std::memcpy(&block, bytes_, sizeof(block));
     return block;
   }
@@ -206,7 +200,7 @@ class Value {
                               bytes_[kTagByte]);
     }
     const unsigned char* block = heap_block();
-    uint64_t size;
+    uint64_t size = 0;
     std::memcpy(&size, block, sizeof(size));
     return std::string_view(
         reinterpret_cast<const char*>(block + sizeof(size)), size);
@@ -219,14 +213,9 @@ class Value {
   void LeaveMovedFrom() {
     if (is_heap()) std::memset(bytes_, 0, kKindByte);
   }
-  void SwapBytes(Value& other) {
-    unsigned char tmp[kSize];
-    std::memcpy(tmp, bytes_, kSize);
-    std::memcpy(bytes_, other.bytes_, kSize);
-    std::memcpy(other.bytes_, tmp, kSize);
-  }
-  void AllocateHeap(std::string_view v);  // On a fresh kString value.
-  void CopyHeapFrom(const Value& other);  // Constructs; other is_heap().
+  /// Points this string at a new block holding `v`, overwriting (not
+  /// freeing) the payload word.
+  void AllocateHeap(std::string_view v);
 
   alignas(uint64_t) unsigned char bytes_[kSize];
 };
