@@ -276,7 +276,7 @@ Status Interpreter::ExecuteStmt(const Stmt& stmt, Transaction& txn,
         // order: relations are unordered bags).
         Relation rel(
             RelationSchema("explain", {Attribute{"plan", Type::String()}}));
-        rel.InsertUnchecked(Tuple({Value::Str(std::move(text))}), 1);
+        rel.InsertUnchecked(Tuple({Value::Str(text)}), 1);
         on_query(stmt.ToString(), rel);
       }
       return Status::OK();

@@ -220,7 +220,7 @@ Result<Value> Decoder::GetValue() {
     }
     case TypeKind::kString: {
       MRA_ASSIGN_OR_RETURN(std::string v, GetString());
-      return Value::Str(std::move(v));
+      return Value::Str(v);
     }
     case TypeKind::kDate: {
       MRA_ASSIGN_OR_RETURN(int64_t v, GetI64());
