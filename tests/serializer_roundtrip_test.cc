@@ -470,6 +470,17 @@ constexpr char kGoldenResultSet[] =
     "797a6162636465666768696a6b6c6d6e6f707172737475767778797a61626364"
     "65666768696a6b6c6d6e6f707172737475767778797a6162636465666768696a"
     "6b6c6d6e6f707172737475760000060000000000000000000000";
+// The stats trailer GoldenStats() encodes to, after GoldenBag()'s
+// kGoldenResultSet and the has_stats byte 01.
+constexpr char kGoldenStatsTrailer[] =
+    "08070605040302017100000000000000d2040000000000000b00000000000000"
+    "1600000000000000210000000000000090040000000000000200000008000000"
+    "486173684a6f696e010000000000000000000640050000000000000002000000"
+    "0000000071000000000000000400000000000000060000000000000007000000"
+    "000000000800000000000000001000000000000006120f00000000000c000000"
+    "5363616e28676f6c64656e2902000000000000000000e03f0900000000000000"
+    "0200000000000000710000000000000004000000000000000600000000000000"
+    "0700000000000000080000000000000000100000000000000100000000000000";
 constexpr char kGoldenSortRun[] =
     "370000000600000001000000000000008003000000000000f87f05219cffffff"
     "ffffff02c01dfeffffffffff0400000000000101000000000000003800000006"
@@ -604,6 +615,46 @@ TEST(GoldenEncodingTest, PlanImage) {
 
 TEST(GoldenEncodingTest, ResultSet) {
   EXPECT_EQ(Hex(net::EncodeResultSet({GoldenBag()})), kGoldenResultSet);
+}
+
+// Two operators with every field non-zero, a fractional estimate and a
+// non-zero time.
+net::WireQueryStats GoldenStats() {
+  net::WireQueryStats stats;
+  stats.query_id = 0x0102030405060708ull;
+  stats.result_rows = 113;
+  stats.total_us = 1234;
+  stats.bind_us = 11;
+  stats.optimize_us = 22;
+  stats.lower_us = 33;
+  stats.exec_us = 1168;
+  net::WireOpStats join;
+  join.name = "HashJoin";
+  join.depth = 1;
+  join.estimated_rows = 2.75;
+  join.rows_emitted = 5;
+  join.batches_emitted = 2;
+  join.weighted_rows = 113;
+  join.distinct_rows = 4;
+  join.peak_hash_entries = 6;
+  join.build_rows = 7;
+  join.probe_rows = 8;
+  join.hash_bytes = 4096;
+  join.time_ns = 987'654;
+  net::WireOpStats scan = join;
+  scan.name = "Scan(golden)";
+  scan.depth = 2;
+  scan.estimated_rows = 0.5;
+  scan.rows_emitted = 9;
+  scan.time_ns = 1;
+  stats.operators = {join, scan};
+  return stats;
+}
+
+TEST(GoldenEncodingTest, ResultSetStatsTrailer) {
+  const net::WireQueryStats stats = GoldenStats();
+  EXPECT_EQ(Hex(net::EncodeResultSetWithStats({GoldenBag()}, &stats)),
+            std::string(kGoldenResultSet) + "01" + kGoldenStatsTrailer);
 }
 
 TEST(GoldenEncodingTest, SortRunEntries) {
