@@ -95,10 +95,10 @@ double SecondsToDrain(const Relation* input, bool observed,
         ->Observe(latency_us);
     if (obs::SlowQueryLog::Global().ShouldLog(latency_us)) {
       obs::SlowQueryEntry entry;
-      entry.query_id = obs::CurrentQueryId();
-      entry.latency_us = latency_us;
-      entry.exec_us = latency_us;
-      entry.result_rows = *weighted_out;
+      entry.stats.query_id = obs::CurrentQueryId();
+      entry.stats.total_us = latency_us;
+      entry.stats.exec_us = latency_us;
+      entry.stats.result_rows = *weighted_out;
       entry.source = "bench: scan->filter->project drain";
       obs::SlowQueryLog::Global().Record(std::move(entry));
     }

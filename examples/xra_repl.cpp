@@ -166,10 +166,9 @@ void PrintServerTop(const net::ServerStatsReply& top) {
 }
 
 void PrintLastQueryStats(const session::Session& sess) {
-  const lang::QueryStats* stats = sess.last_query_stats();
+  const obs::QueryStats* stats = sess.last_query_stats();
   if (stats == nullptr) {
-    std::cout << "no per-query stats yet (run a query first; remote "
-                 "servers need protocol v3).\n";
+    std::cout << "no per-query stats yet (run a query first).\n";
     return;
   }
   std::cout << "query " << stats->query_id << ": rows=" << stats->result_rows
@@ -177,7 +176,7 @@ void PrintLastQueryStats(const session::Session& sess) {
             << " optimize=" << stats->optimize_us
             << " lower=" << stats->lower_us << " exec=" << stats->exec_us
             << ")\n";
-  for (const lang::QueryStats::OpStats& op : stats->operators) {
+  for (const obs::QueryStats::OpStats& op : stats->operators) {
     std::cout << "  " << std::string(2 * op.depth, ' ') << op.name
               << " rows=" << op.metrics.rows_emitted
               << " weighted=" << op.metrics.weighted_rows;

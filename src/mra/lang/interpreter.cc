@@ -34,8 +34,8 @@ uint64_t NowMicros() {
 }
 
 void HarvestOpStats(const exec::PhysicalOperator& op, uint32_t depth,
-                    QueryStats* stats) {
-  stats->operators.push_back(QueryStats::OpStats{
+                    obs::QueryStats* stats) {
+  stats->operators.push_back(obs::QueryStats::OpStats{
       std::string(op.name()), depth, op.estimated_rows(), op.metrics()});
   for (const exec::PhysicalOperator* child : op.children()) {
     HarvestOpStats(*child, depth + 1, stats);
@@ -100,9 +100,9 @@ Result<Relation> Interpreter::Evaluate(const RelExpr& expr,
   // A plain EXPLAIN runs no query: it leaves the last query's stats alone.
   if (mode != Mode::kExplain) {
     QueryCounter()->Inc();
-    last_query_stats_ = QueryStats{};
+    last_query_stats_ = obs::QueryStats{};
   }
-  QueryStats stats;
+  obs::QueryStats stats;
   stats.query_id = obs::CurrentQueryId();
   // Governance brackets the whole evaluation: the statement timeout counts
   // from here, and CancelQuery() can reach the context from another thread
@@ -175,13 +175,11 @@ Result<Relation> Interpreter::Evaluate(const RelExpr& expr,
   uint64_t t4 = NowMicros();
   stats.exec_us = t4 - t3;
   stats.total_us = t4 - t0;
-  HarvestOpStats(*root, 0, &stats);
   if (result.ok()) {
     stats.result_rows = result->size();
     stats.valid = true;
   }
-  last_query_stats_ = std::move(stats);
-  QueryLatency()->Observe(last_query_stats_.total_us);
+  QueryLatency()->Observe(stats.total_us);
 
   obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Global();
   // A governed kill is always log-worthy while the log is enabled — the
@@ -190,16 +188,12 @@ Result<Relation> Interpreter::Evaluate(const RelExpr& expr,
   const exec::KillReason kill_reason = gctx->kill_reason();
   const bool governed_kill =
       !result.ok() && kill_reason != exec::KillReason::kNone;
-  if ((result.ok() && slow_log.ShouldLog(last_query_stats_.total_us)) ||
+  if ((result.ok() && slow_log.ShouldLog(stats.total_us)) ||
       (governed_kill && slow_log.enabled())) {
     obs::SlowQueryEntry entry;
-    entry.query_id = last_query_stats_.query_id;
-    entry.latency_us = last_query_stats_.total_us;
-    entry.bind_us = last_query_stats_.bind_us;
-    entry.optimize_us = last_query_stats_.optimize_us;
-    entry.lower_us = last_query_stats_.lower_us;
-    entry.exec_us = last_query_stats_.exec_us;
-    entry.result_rows = last_query_stats_.result_rows;
+    // Copied before the harvest: the entry renders its plan instead of
+    // keeping the operator list.
+    entry.stats = stats;
     // Rendered only now, for the one statement the log keeps.
     entry.source = current_stmt_ != nullptr ? current_stmt_->ToString()
                                             : std::string(current_source_);
@@ -210,6 +204,8 @@ Result<Relation> Interpreter::Evaluate(const RelExpr& expr,
     }
     slow_log.Record(std::move(entry));
   }
+  HarvestOpStats(*root, 0, &stats);
+  last_query_stats_ = std::move(stats);
   if (mode == Mode::kExplainAnalyze && result.ok()) {
     *text += "\nphysical plan (analyzed):\n" +
              exec::RenderPlanWithMetrics(*root);

@@ -29,35 +29,6 @@
 namespace mra {
 namespace lang {
 
-/// Execution statistics of the most recent physically-executed query,
-/// harvested from the operator tree after it drains.  Programmatic
-/// counterpart of EXPLAIN ANALYZE's rendering.
-struct QueryStats {
-  struct OpStats {
-    std::string name;            // operator name, e.g. "HashJoin"
-    uint32_t depth = 0;          // depth in the plan tree (root = 0)
-    double estimated_rows = -1;  // planner estimate; < 0 when not annotated
-    obs::OperatorMetrics metrics;
-  };
-
-  /// Operators in preorder (parent before children, matching the
-  /// EXPLAIN rendering top to bottom).
-  std::vector<OpStats> operators;
-  /// Query id the stats belong to (obs::CurrentQueryId() at evaluation;
-  /// 0 when the caller established none).
-  uint64_t query_id = 0;
-  /// Multiplicity-weighted cardinality of the result.
-  uint64_t result_rows = 0;
-  /// Wall time per phase (total = bind + optimize + lower + execute).
-  uint64_t total_us = 0;
-  uint64_t bind_us = 0;
-  uint64_t optimize_us = 0;
-  uint64_t lower_us = 0;
-  uint64_t exec_us = 0;
-  /// False until a physically-executed query completes.
-  bool valid = false;
-};
-
 /// Not itself thread-safe: use one Interpreter per thread/session.  Many
 /// interpreters may share one Database — Query/Explain evaluate under the
 /// database's shared read lock, transaction brackets serialize on its
@@ -106,7 +77,9 @@ class Interpreter {
 
   /// Stats of the most recent query run through the physical executor
   /// (`valid` is false before the first one).
-  const QueryStats& last_query_stats() const { return last_query_stats_; }
+  const obs::QueryStats& last_query_stats() const {
+    return last_query_stats_;
+  }
 
   /// The session's live configuration.  SetOption backs the `SET
   /// <knob> = <value>;` statement (XRA and SQL) and the REPL's `\set`:
@@ -159,7 +132,7 @@ class Interpreter {
 
   Database* db_;
   Options options_;
-  QueryStats last_query_stats_;
+  obs::QueryStats last_query_stats_;
   /// What the slow-query log names as the source of the evaluation in
   /// progress: the statement ExecuteStmt runs (rendered only when an entry
   /// is recorded), else the text Query was given.  Each is set for the

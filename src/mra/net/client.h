@@ -115,7 +115,7 @@ class Client {
 
   /// Server-side stats trailer from the most recent Query/ExecuteScript
   /// response; empty when the server sent none.
-  const std::optional<WireQueryStats>& last_query_stats() const {
+  const std::optional<obs::QueryStats>& last_query_stats() const {
     return last_query_stats_;
   }
 
@@ -173,7 +173,7 @@ class Client {
   uint32_t server_version_ = 0;
   uint32_t busy_hint_ms_ = 0;
   uint64_t last_query_id_ = 0;
-  std::optional<WireQueryStats> last_query_stats_;
+  std::optional<obs::QueryStats> last_query_stats_;
   std::mt19937 rng_;
 };
 

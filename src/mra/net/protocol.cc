@@ -195,7 +195,7 @@ Result<ErrorNotice> DecodeErrorNotice(std::string_view payload) {
   if (!message.ok()) return message.status();
   ErrorNotice notice;
   if (!dec.AtEnd()) {
-    // The optional v4 retry-after hint is exactly one trailing u32;
+    // The optional retry-after hint is exactly one trailing u32;
     // anything else trailing is still malformed.
     Result<uint32_t> hint = dec.GetU32();
     if (!hint.ok() || !dec.AtEnd()) {
@@ -254,7 +254,7 @@ void EncodeRelations(storage::Encoder& enc,
   enc.PutU32(static_cast<uint32_t>(relations.size()));
   for (const Relation& r : relations) {
     enc.PutSchema(r.schema());
-    // Chunked row encoding (protocol v2): the sorted entries stream out in
+    // Chunked row encoding: the sorted entries stream out in
     // batches of kResultSetChunkRows, each prefixed with its row count, so
     // a streaming server can flush per executor RowBatch without knowing
     // the total cardinality up front.  The canonical order keeps the bytes
@@ -304,7 +304,7 @@ Result<std::vector<Relation>> DecodeRelations(storage::Decoder& dec) {
   return out;
 }
 
-void EncodeWireQueryStats(storage::Encoder& enc, const WireQueryStats& s) {
+void EncodeQueryStats(storage::Encoder& enc, const obs::QueryStats& s) {
   enc.PutU64(s.query_id);
   enc.PutU64(s.result_rows);
   enc.PutU64(s.total_us);
@@ -313,27 +313,28 @@ void EncodeWireQueryStats(storage::Encoder& enc, const WireQueryStats& s) {
   enc.PutU64(s.lower_us);
   enc.PutU64(s.exec_us);
   enc.PutU32(static_cast<uint32_t>(s.operators.size()));
-  for (const WireOpStats& op : s.operators) {
+  for (const obs::QueryStats::OpStats& op : s.operators) {
     enc.PutString(op.name);
     enc.PutU32(op.depth);
     enc.PutDouble(op.estimated_rows);
-    enc.PutU64(op.rows_emitted);
-    enc.PutU64(op.batches_emitted);
-    enc.PutU64(op.weighted_rows);
-    enc.PutU64(op.distinct_rows);
-    enc.PutU64(op.peak_hash_entries);
-    enc.PutU64(op.build_rows);
-    enc.PutU64(op.probe_rows);
-    enc.PutU64(op.hash_bytes);
-    enc.PutU64(op.time_ns);
+    const obs::OperatorMetrics& m = op.metrics;
+    enc.PutU64(m.rows_emitted);
+    enc.PutU64(m.batches_emitted);
+    enc.PutU64(m.weighted_rows);
+    enc.PutU64(m.distinct_rows);
+    enc.PutU64(m.peak_hash_entries);
+    enc.PutU64(m.build_rows);
+    enc.PutU64(m.probe_rows);
+    enc.PutU64(m.hash_bytes);
+    enc.PutU64(m.total_ns());
   }
 }
 
 // A plan deeper than this is not a plan, it is an attack.
 constexpr uint32_t kMaxWireOperators = 1u << 16;
 
-Result<WireQueryStats> DecodeWireQueryStats(storage::Decoder& dec) {
-  WireQueryStats s;
+Result<obs::QueryStats> DecodeQueryStats(storage::Decoder& dec) {
+  obs::QueryStats s;
   MRA_ASSIGN_OR_RETURN(s.query_id, dec.GetU64());
   MRA_ASSIGN_OR_RETURN(s.result_rows, dec.GetU64());
   MRA_ASSIGN_OR_RETURN(s.total_us, dec.GetU64());
@@ -348,40 +349,28 @@ Result<WireQueryStats> DecodeWireQueryStats(storage::Decoder& dec) {
   }
   s.operators.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    WireOpStats op;
+    obs::QueryStats::OpStats op;
     MRA_ASSIGN_OR_RETURN(op.name, dec.GetString());
     MRA_ASSIGN_OR_RETURN(op.depth, dec.GetU32());
     MRA_ASSIGN_OR_RETURN(op.estimated_rows, dec.GetDouble());
-    MRA_ASSIGN_OR_RETURN(op.rows_emitted, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.batches_emitted, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.weighted_rows, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.distinct_rows, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.peak_hash_entries, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.build_rows, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.probe_rows, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.hash_bytes, dec.GetU64());
-    MRA_ASSIGN_OR_RETURN(op.time_ns, dec.GetU64());
+    obs::OperatorMetrics& m = op.metrics;
+    MRA_ASSIGN_OR_RETURN(m.rows_emitted, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.batches_emitted, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.weighted_rows, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.distinct_rows, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.peak_hash_entries, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.build_rows, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.probe_rows, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.hash_bytes, dec.GetU64());
+    MRA_ASSIGN_OR_RETURN(m.next_ns, dec.GetU64());
+    m.timed = m.next_ns > 0;
     s.operators.push_back(std::move(op));
   }
+  s.valid = true;
   return s;
 }
 
 }  // namespace
-
-std::string EncodeResultSet(const std::vector<Relation>& relations) {
-  storage::Encoder enc;
-  EncodeRelations(enc, relations);
-  return enc.TakeBuffer();
-}
-
-Result<std::vector<Relation>> DecodeResultSet(std::string_view payload) {
-  storage::Decoder dec(payload);
-  MRA_ASSIGN_OR_RETURN(std::vector<Relation> out, DecodeRelations(dec));
-  if (!dec.AtEnd()) {
-    return Status::Corruption("trailing bytes in ResultSet payload");
-  }
-  return out;
-}
 
 std::string EncodeQueryRequest(uint64_t query_id, std::string_view text) {
   storage::Encoder enc;
@@ -402,16 +391,16 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view payload) {
 }
 
 std::string EncodeResultSetWithStats(const std::vector<Relation>& relations,
-                                     const WireQueryStats* stats) {
+                                     const obs::QueryStats* stats) {
   storage::Encoder enc;
   EncodeRelations(enc, relations);
   enc.PutU8(stats != nullptr ? 1 : 0);
-  if (stats != nullptr) EncodeWireQueryStats(enc, *stats);
+  if (stats != nullptr) EncodeQueryStats(enc, *stats);
   return enc.TakeBuffer();
 }
 
 Result<std::vector<Relation>> DecodeResultSetWithStats(
-    std::string_view payload, std::optional<WireQueryStats>* stats_out) {
+    std::string_view payload, std::optional<obs::QueryStats>* stats_out) {
   storage::Decoder dec(payload);
   MRA_ASSIGN_OR_RETURN(std::vector<Relation> out, DecodeRelations(dec));
   if (stats_out != nullptr) stats_out->reset();
@@ -420,7 +409,7 @@ Result<std::vector<Relation>> DecodeResultSetWithStats(
     return Status::Corruption("malformed ResultSet stats flag");
   }
   if (has_stats == 1) {
-    MRA_ASSIGN_OR_RETURN(WireQueryStats stats, DecodeWireQueryStats(dec));
+    MRA_ASSIGN_OR_RETURN(obs::QueryStats stats, DecodeQueryStats(dec));
     if (stats_out != nullptr) *stats_out = std::move(stats);
   }
   if (!dec.AtEnd()) {

@@ -32,20 +32,17 @@
 //              [u32 k > 0, then k × (tuple, u64 count)] and a final u32 0
 //              terminator.  The server fills each chunk straight from one
 //              executor RowBatch, so the wire format mirrors the engine's
-//              batch-at-a-time execution (see docs/EXECUTION.md).  Protocol
-//              version 1 encoded a relation as a distinct-count header plus
-//              that many rows; version 2 is not decodable by v1 peers, hence
-//              the version bump.  At version 3 the relations are followed
-//              by u8 has_stats and, when 1, a WireQueryStats trailer — the
-//              server-side per-query stats summary (per-phase latencies and
-//              the per-operator metrics tree) that RemoteSession::Stats()
-//              and EXPLAIN-style tooling surface client-side.
-//   Error      (server) u8 StatusCode, string message.  At version 4 a
-//              governed deadline kill (kDeadlineExceeded) appends a u32
-//              retry-after hint — the same backoff floor a Busy frame
-//              carries — so clients treat "killed for running too long
-//              under load" and "shed at admission" uniformly.  Decoders
-//              accept the hint from any peer and ignore it when absent.
+//              batch-at-a-time execution (see docs/EXECUTION.md).  The
+//              relations are followed by u8 has_stats and, when 1, the
+//              obs::QueryStats trailer — the server-side per-query record
+//              (per-phase latencies and the per-operator metrics tree) that
+//              RemoteSession::last_query_stats() surfaces client-side.
+//   Error      (server) u8 StatusCode, string message.  A governed
+//              deadline kill (kDeadlineExceeded) appends a u32 retry-after
+//              hint — the same backoff floor a Busy frame carries — so
+//              clients treat "killed for running too long under load" and
+//              "shed at admission" uniformly.  Decoders accept the hint
+//              from any peer and ignore it when absent.
 //   Stats      empty request; the server answers with a Stats frame whose
 //              payload is the metrics registry's JSON export.  An optional
 //              string payload selects the export: "" or "json" (default),
@@ -57,15 +54,15 @@
 //              of the server Hello when the server sheds load; the
 //              connection is closed right after.  Clients surface it as
 //              Unavailable and may reconnect after the hinted delay.
-//   ServerStats (v3) u64 query_id request (0 = overview).  The server
-//              answers with a ServerStats frame carrying a ServerStatsReply:
+//   ServerStats u64 query_id request (0 = overview).  The server answers
+//              with a ServerStats frame carrying a ServerStatsReply:
 //              uptime, session registry (live sessions with their current
 //              query), the query-latency histogram, shed/slow-query
 //              counters, the slow-query log's JSON lines, and the trace
 //              spans (filtered to query_id when nonzero).  Powers `\top`,
 //              `\slowlog` and `\trace <id>` in xra_repl --connect.
-//   Cancel     (v4) u64 query_id.  Requests cooperative cancellation of
-//              the named in-flight query — on any session of this server,
+//   Cancel     u64 query_id.  Requests cooperative cancellation of the
+//              named in-flight query — on any session of this server,
 //              so a second connection can kill the first's runaway plan
 //              (`\cancel <id>`, REPL Ctrl-C).  The server answers with a
 //              Cancel frame carrying u8 delivered (1 when a running or
@@ -84,6 +81,7 @@
 #include "mra/common/result.h"
 #include "mra/core/relation.h"
 #include "mra/obs/metrics.h"
+#include "mra/obs/op_metrics.h"
 
 namespace mra {
 namespace net {
@@ -91,10 +89,7 @@ namespace net {
 class Socket;
 
 constexpr uint32_t kMagic = 0x3141524du;  // "MRA1" when read little-endian.
-/// Version 2 introduced the chunked (batch-serialized) ResultSet encoding;
-/// version 3 adds query ids, the ResultSet stats trailer and ServerStats;
-/// version 4 adds the Cancel frame and the Error retry-after hint on
-/// deadline kills (query governance).
+/// The version this tree speaks; a Hello naming any other is refused.
 constexpr uint32_t kProtocolVersion = 4;
 /// Oldest client version the server serves.  Every client lives in this
 /// tree and speaks the current version, so there is one dialect.
@@ -176,11 +171,11 @@ Result<Hello> DecodeHello(std::string_view payload);
 
 /// Error payload ⇄ Status (the status travels code + message).
 std::string EncodeError(const Status& status);
-/// Error payload with the v4 retry-after hint appended (deadline kills);
+/// Error payload with the retry-after hint appended (deadline kills);
 /// `retry_after_ms` 0 encodes the plain hintless form.
 std::string EncodeErrorWithHint(const Status& status, uint32_t retry_after_ms);
 /// Returns the transported (non-OK) status; Corruption on a bad payload.
-/// Accepts (and discards) the optional v4 retry-after hint.
+/// Accepts (and discards) the optional retry-after hint.
 Status DecodeError(std::string_view payload);
 
 /// A decoded Error plus its optional retry-after hint (0 when absent) —
@@ -203,11 +198,8 @@ Result<bool> DecodeCancelReply(std::string_view payload);
 /// per chunk, matching the executor's default batch size.
 constexpr uint32_t kResultSetChunkRows = 1024;
 
-std::string EncodeResultSet(const std::vector<Relation>& relations);
-Result<std::vector<Relation>> DecodeResultSet(std::string_view payload);
-
-/// Query/Script request payload at protocol version 3: the client-minted
-/// query id plus the XRA text.  (Version 2 sends the raw text alone.)
+/// Query/Script request payload: the client-minted query id plus the XRA
+/// text.
 struct QueryRequest {
   uint64_t query_id = 0;
   std::string text;
@@ -216,45 +208,19 @@ struct QueryRequest {
 std::string EncodeQueryRequest(uint64_t query_id, std::string_view text);
 Result<QueryRequest> DecodeQueryRequest(std::string_view payload);
 
-/// Per-operator stats as they travel on the wire — a mirror of
-/// lang::QueryStats::OpStats flattened to plain integers (net stays
-/// independent of the lang layer; session/session.cc converts).
-struct WireOpStats {
-  std::string name;
-  uint32_t depth = 0;
-  double estimated_rows = -1;
-  uint64_t rows_emitted = 0;
-  uint64_t batches_emitted = 0;
-  uint64_t weighted_rows = 0;
-  uint64_t distinct_rows = 0;
-  uint64_t peak_hash_entries = 0;
-  uint64_t build_rows = 0;
-  uint64_t probe_rows = 0;
-  uint64_t hash_bytes = 0;
-  uint64_t time_ns = 0;
-};
+/// perfbench/src/serve_common.cc names the stats trailer by this name.
+using WireQueryStats = obs::QueryStats;
 
-/// The ResultSet stats trailer: the server-side summary of the query that
-/// produced the response (wire mirror of lang::QueryStats).
-struct WireQueryStats {
-  uint64_t query_id = 0;
-  uint64_t result_rows = 0;
-  uint64_t total_us = 0;
-  uint64_t bind_us = 0;
-  uint64_t optimize_us = 0;
-  uint64_t lower_us = 0;
-  uint64_t exec_us = 0;
-  std::vector<WireOpStats> operators;  // Preorder, as in QueryStats.
-};
-
-/// v3 ResultSet: the v2 relation encoding followed by u8 has_stats and,
-/// when set, the WireQueryStats trailer.  `stats == nullptr` encodes
-/// has_stats = 0; DecodeResultSetWithStats then returns an empty optional
-/// in `stats_out` (pass nullptr to skip the trailer entirely).
+/// ResultSet payload: the relations followed by u8 has_stats and, when
+/// set, the stats trailer.  `stats == nullptr` encodes has_stats = 0;
+/// DecodeResultSetWithStats then returns an empty optional in `stats_out`
+/// (pass nullptr to skip the trailer entirely).  Each operator travels
+/// with one time field, metrics.total_ns(); the decoder puts it in
+/// next_ns, sets `timed` when it is non-zero, and marks the record valid.
 std::string EncodeResultSetWithStats(const std::vector<Relation>& relations,
-                                     const WireQueryStats* stats);
+                                     const obs::QueryStats* stats);
 Result<std::vector<Relation>> DecodeResultSetWithStats(
-    std::string_view payload, std::optional<WireQueryStats>* stats_out);
+    std::string_view payload, std::optional<obs::QueryStats>* stats_out);
 
 /// One live session in a ServerStats reply.
 struct ServerSessionInfo {

@@ -68,37 +68,6 @@ std::string ClipQueryText(std::string_view text) {
   return std::string(text.substr(0, kCurrentQueryClip)) + "…";
 }
 
-// Converts the interpreter's harvested stats into the wire mirror that
-// rides back in the ResultSet trailer.
-WireQueryStats ToWireStats(const lang::QueryStats& stats) {
-  WireQueryStats out;
-  out.query_id = stats.query_id;
-  out.result_rows = stats.result_rows;
-  out.total_us = stats.total_us;
-  out.bind_us = stats.bind_us;
-  out.optimize_us = stats.optimize_us;
-  out.lower_us = stats.lower_us;
-  out.exec_us = stats.exec_us;
-  out.operators.reserve(stats.operators.size());
-  for (const lang::QueryStats::OpStats& op : stats.operators) {
-    WireOpStats w;
-    w.name = op.name;
-    w.depth = op.depth;
-    w.estimated_rows = op.estimated_rows;
-    w.rows_emitted = op.metrics.rows_emitted;
-    w.batches_emitted = op.metrics.batches_emitted;
-    w.weighted_rows = op.metrics.weighted_rows;
-    w.distinct_rows = op.metrics.distinct_rows;
-    w.peak_hash_entries = op.metrics.peak_hash_entries;
-    w.build_rows = op.metrics.build_rows;
-    w.probe_rows = op.metrics.probe_rows;
-    w.hash_bytes = op.metrics.hash_bytes;
-    w.time_ns = op.metrics.total_ns();
-    out.operators.push_back(std::move(w));
-  }
-  return out;
-}
-
 }  // namespace
 
 Server::Server(Database* db, ServerOptions options)
@@ -321,48 +290,34 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
         std::lock_guard<std::mutex> lock(running_mutex_);
         running_[query_id] = &interp;
       }
-      // Deadline kills are retriable (like Busy): their errors carry the
-      // same retry-after hint so clients back off instead of hammering.
-      auto encode_exec_error = [&](const Status& status) {
-        if (status.code() == StatusCode::kDeadlineExceeded) {
-          deadline_preempted = true;
-          return EncodeErrorWithHint(status, options_.busy_retry_after_ms);
+      Result<std::vector<Relation>> results =
+          [&]() -> Result<std::vector<Relation>> {
+        if (request.kind == FrameKind::kScript) {
+          return interp.ExecuteScriptCollect(text);
         }
-        return EncodeError(status);
-      };
-      const WireQueryStats* stats_ptr = nullptr;
-      WireQueryStats wire_stats;
-      if (request.kind == FrameKind::kQuery) {
-        Result<Relation> result = interp.Query(text);
-        if (result.ok()) {
-          response_kind = FrameKind::kResultSet;
-          std::vector<Relation> relations;
-          relations.push_back(*std::move(result));
-          if (interp.last_query_stats().valid) {
-            wire_stats = ToWireStats(interp.last_query_stats());
-            stats_ptr = &wire_stats;
-          }
-          response = EncodeResultSetWithStats(relations, stats_ptr);
-        } else {
-          response = encode_exec_error(result.status());
-        }
-      } else {
-        Result<std::vector<Relation>> results =
-            interp.ExecuteScriptCollect(text);
-        if (results.ok()) {
-          response_kind = FrameKind::kResultSet;
-          // A script's trailer carries the stats of its last evaluated
-          // query (documented in docs/EXECUTION.md).
-          if (interp.last_query_stats().valid &&
-              interp.last_query_stats().query_id == query_id) {
-            wire_stats = ToWireStats(interp.last_query_stats());
-            stats_ptr = &wire_stats;
-          }
-          response = EncodeResultSetWithStats(*results, stats_ptr);
-        } else {
-          response = encode_exec_error(results.status());
-        }
+        MRA_ASSIGN_OR_RETURN(Relation result, interp.Query(text));
+        std::vector<Relation> relations;
+        relations.push_back(std::move(result));
+        return relations;
+      }();
+      if (!results.ok()) {
+        // Deadline kills are retriable (like Busy): their errors carry the
+        // same retry-after hint so clients back off instead of hammering.
+        deadline_preempted =
+            results.status().code() == StatusCode::kDeadlineExceeded;
+        response = deadline_preempted
+                       ? EncodeErrorWithHint(results.status(),
+                                             options_.busy_retry_after_ms)
+                       : EncodeError(results.status());
+        break;
       }
+      response_kind = FrameKind::kResultSet;
+      // The trailer carries the stats of the request's last evaluated
+      // query (docs/EXECUTION.md).  A script that evaluated none leaves
+      // an earlier request's stats behind, which the id check skips.
+      const obs::QueryStats& stats = interp.last_query_stats();
+      const bool attach = stats.valid && stats.query_id == query_id;
+      response = EncodeResultSetWithStats(*results, attach ? &stats : nullptr);
       break;
     }
     case FrameKind::kStats: {
@@ -458,8 +413,8 @@ bool Server::HandleFrame(SessionContext& ctx, lang::Interpreter& interp,
     obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Global();
     if (slow_log.enabled()) {
       obs::SlowQueryEntry entry;
-      entry.query_id = obs::CurrentQueryId();
-      entry.latency_us = elapsed_us;
+      entry.stats.query_id = obs::CurrentQueryId();
+      entry.stats.total_us = elapsed_us;
       entry.source = "(request over deadline)";
       entry.events.push_back("timeout");
       slow_log.Record(std::move(entry));

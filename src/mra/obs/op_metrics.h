@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace mra {
 namespace obs {
@@ -60,6 +62,36 @@ struct OperatorMetrics {
   uint64_t total_ns() const { return open_ns + next_ns + close_ns; }
 
   void ResetRuntime() { *this = OperatorMetrics{}; }
+};
+
+/// The one per-query record: execution statistics of a physically
+/// executed query, harvested from the operator tree after it drains.  The
+/// interpreter fills it, the ResultSet stats trailer carries it unchanged
+/// to remote sessions, and the slow-query log keeps its phase fields.
+struct QueryStats {
+  struct OpStats {
+    std::string name;            // operator name, e.g. "HashJoin"
+    uint32_t depth = 0;          // depth in the plan tree (root = 0)
+    double estimated_rows = -1;  // planner estimate; < 0 when not annotated
+    OperatorMetrics metrics;
+  };
+
+  /// Operators in preorder (parent before children, matching the
+  /// EXPLAIN rendering top to bottom).
+  std::vector<OpStats> operators;
+  /// Query id the stats belong to (CurrentQueryId() at evaluation; 0 when
+  /// the caller established none).
+  uint64_t query_id = 0;
+  /// Multiplicity-weighted cardinality of the result.
+  uint64_t result_rows = 0;
+  /// Wall time per phase (total = bind + optimize + lower + execute).
+  uint64_t total_us = 0;
+  uint64_t bind_us = 0;
+  uint64_t optimize_us = 0;
+  uint64_t lower_us = 0;
+  uint64_t exec_us = 0;
+  /// False until a physically-executed query completes.
+  bool valid = false;
 };
 
 namespace internal {

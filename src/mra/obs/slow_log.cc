@@ -25,21 +25,21 @@ std::string SlowQueryEntry::ToJsonLine() const {
   std::string out;
   out.reserve(256 + source.size() + plan.size());
   out += "{\"query_id\":";
-  out += std::to_string(query_id);
+  out += std::to_string(stats.query_id);
   out += ",\"wall_ms\":";
   out += std::to_string(wall_ms);
   out += ",\"latency_us\":";
-  out += std::to_string(latency_us);
+  out += std::to_string(stats.total_us);
   out += ",\"bind_us\":";
-  out += std::to_string(bind_us);
+  out += std::to_string(stats.bind_us);
   out += ",\"optimize_us\":";
-  out += std::to_string(optimize_us);
+  out += std::to_string(stats.optimize_us);
   out += ",\"lower_us\":";
-  out += std::to_string(lower_us);
+  out += std::to_string(stats.lower_us);
   out += ",\"exec_us\":";
-  out += std::to_string(exec_us);
+  out += std::to_string(stats.exec_us);
   out += ",\"result_rows\":";
-  out += std::to_string(result_rows);
+  out += std::to_string(stats.result_rows);
   out += ",\"source\":";
   AppendClipped(out, source);
   out += ",\"plan\":";

@@ -17,19 +17,17 @@
 #include <string>
 #include <vector>
 
+#include "mra/obs/op_metrics.h"
+
 namespace mra {
 namespace obs {
 
-/// One logged slow query.  All latencies are microseconds.
+/// One logged slow query.
 struct SlowQueryEntry {
-  uint64_t query_id = 0;
+  /// The query's record; stats.total_us is the end-to-end latency the
+  /// threshold gates.  Its operators stay empty: `plan` renders them.
+  QueryStats stats;
   uint64_t wall_ms = 0;       // Unix epoch milliseconds at completion.
-  uint64_t latency_us = 0;    // End-to-end (what the threshold gates).
-  uint64_t bind_us = 0;
-  uint64_t optimize_us = 0;
-  uint64_t lower_us = 0;
-  uint64_t exec_us = 0;
-  uint64_t result_rows = 0;
   std::string source;         // Query text (truncated to kMaxFieldBytes).
   std::string plan;           // EXPLAIN ANALYZE snapshot, same truncation.
   std::vector<std::string> events;  // e.g. "shed", "retry", "rollback".

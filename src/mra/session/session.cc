@@ -52,50 +52,11 @@ Result<std::unique_ptr<RemoteSession>> RemoteSession::Connect(
       new RemoteSession(std::move(client), std::move(backend)));
 }
 
-namespace {
-
-/// Rehydrates the wire stats trailer into the lang shape so embedded and
-/// remote sessions expose identical per-query numbers.  The wire carries
-/// one total wall time per operator; it lands in next_ns (total_ns() then
-/// reports it) and `timed` marks whether the server measured at all.
-lang::QueryStats FromWireStats(const net::WireQueryStats& wire) {
-  lang::QueryStats out;
-  out.query_id = wire.query_id;
-  out.result_rows = wire.result_rows;
-  out.total_us = wire.total_us;
-  out.bind_us = wire.bind_us;
-  out.optimize_us = wire.optimize_us;
-  out.lower_us = wire.lower_us;
-  out.exec_us = wire.exec_us;
-  out.operators.reserve(wire.operators.size());
-  for (const net::WireOpStats& op : wire.operators) {
-    lang::QueryStats::OpStats s;
-    s.name = op.name;
-    s.depth = op.depth;
-    s.estimated_rows = op.estimated_rows;
-    s.metrics.rows_emitted = op.rows_emitted;
-    s.metrics.batches_emitted = op.batches_emitted;
-    s.metrics.weighted_rows = op.weighted_rows;
-    s.metrics.distinct_rows = op.distinct_rows;
-    s.metrics.peak_hash_entries = op.peak_hash_entries;
-    s.metrics.build_rows = op.build_rows;
-    s.metrics.probe_rows = op.probe_rows;
-    s.metrics.hash_bytes = op.hash_bytes;
-    s.metrics.next_ns = op.time_ns;
-    s.metrics.timed = op.time_ns > 0;
-    out.operators.push_back(std::move(s));
-  }
-  out.valid = true;
-  return out;
-}
-
-}  // namespace
-
 Result<QueryResult> RemoteSession::Execute(std::string_view script) {
   MRA_ASSIGN_OR_RETURN(std::vector<Relation> relations,
                        client_.ExecuteScript(script));
   if (client_.last_query_stats().has_value()) {
-    last_stats_ = FromWireStats(*client_.last_query_stats());
+    last_stats_ = *client_.last_query_stats();
   }
   QueryResult out;
   out.items.reserve(relations.size());

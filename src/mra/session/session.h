@@ -68,9 +68,8 @@ class Session {
   /// physical executor — embedded: the interpreter's harvest; remote: the
   /// server-side stats trailer decoded from the result frame, so both
   /// deployment shapes report the *server's* numbers (parity contract in
-  /// docs/EXECUTION.md).  nullptr before the first such query, or when
-  /// the remote server predates protocol v3.
-  virtual const lang::QueryStats* last_query_stats() const { return nullptr; }
+  /// docs/EXECUTION.md).  nullptr before the first such query.
+  virtual const obs::QueryStats* last_query_stats() const { return nullptr; }
 
   /// Query id attributed to the most recent Execute() — feed it to the
   /// server's ServerStats request (`\trace <id>` in the REPL) to pull the
@@ -99,12 +98,12 @@ class EmbeddedSession : public Session {
   Result<std::string> Stats() override;
   Status Ping() override { return Status::OK(); }
   std::string_view backend() const override { return "embedded"; }
-  const lang::QueryStats* last_query_stats() const override {
-    const lang::QueryStats& stats = interp_->last_query_stats();
+  const obs::QueryStats* last_query_stats() const override {
+    const obs::QueryStats& stats = interp_->last_query_stats();
     return stats.valid ? &stats : nullptr;
   }
   uint64_t last_query_id() const override {
-    const lang::QueryStats& stats = interp_->last_query_stats();
+    const obs::QueryStats& stats = interp_->last_query_stats();
     return stats.valid ? stats.query_id : 0;
   }
 
@@ -133,7 +132,7 @@ class RemoteSession : public Session {
   Result<std::string> Stats() override;
   Status Ping() override { return client_.Ping(); }
   std::string_view backend() const override { return backend_; }
-  const lang::QueryStats* last_query_stats() const override {
+  const obs::QueryStats* last_query_stats() const override {
     return last_stats_.valid ? &last_stats_ : nullptr;
   }
   uint64_t last_query_id() const override { return client_.last_query_id(); }
@@ -147,9 +146,9 @@ class RemoteSession : public Session {
 
   net::Client client_;
   std::string backend_;  // "remote(host:port)"
-  /// Most recent server-side stats trailer, converted back to the lang
-  /// shape (valid = false until a v3 server sends one).
-  lang::QueryStats last_stats_;
+  /// Most recent server-side stats trailer (valid = false until the
+  /// server sends one).
+  obs::QueryStats last_stats_;
 };
 
 }  // namespace session

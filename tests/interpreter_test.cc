@@ -240,7 +240,7 @@ TEST_F(InterpreterTest, ExplainAnalyzeReportsActualsAgainstEstimates) {
 
   // The analyzed run fills the programmatic stats, preorder, with a
   // cardinality estimate annotated on every node.
-  QueryStats stats = interp_->last_query_stats();
+  obs::QueryStats stats = interp_->last_query_stats();
   ASSERT_TRUE(stats.valid);
   ASSERT_FALSE(stats.operators.empty());
   EXPECT_EQ(stats.operators[0].depth, 0u);
@@ -258,7 +258,7 @@ TEST_F(InterpreterTest, ExplainAnalyzeReportsActualsAgainstEstimates) {
 TEST_F(InterpreterTest, QueryStatsCaptureLastPhysicalExecution) {
   auto result = Query("join(%2 = %4, beer, brewery)");
   ASSERT_OK(result);
-  const QueryStats& stats = interp_->last_query_stats();
+  const obs::QueryStats& stats = interp_->last_query_stats();
   ASSERT_TRUE(stats.valid);
   EXPECT_EQ(stats.result_rows, result->size());
   ASSERT_FALSE(stats.operators.empty());
@@ -284,10 +284,10 @@ TEST_F(InterpreterTest, ExplainAnalyzeRunsTheQuerysPlanWithoutTheOptimizer) {
   ASSERT_OK(interp_->SetOption("optimize", "false"));
   const std::string q = "select(%6 = 'NL', join(%2 = %4, beer, brewery))";
   ASSERT_OK(interp_->ExplainAnalyze(q));
-  const QueryStats explained = interp_->last_query_stats();
+  const obs::QueryStats explained = interp_->last_query_stats();
   ASSERT_TRUE(explained.valid);
   ASSERT_OK(Query(q));
-  const QueryStats& queried = interp_->last_query_stats();
+  const obs::QueryStats& queried = interp_->last_query_stats();
   ASSERT_EQ(explained.operators.size(), queried.operators.size());
   for (size_t i = 0; i < queried.operators.size(); ++i) {
     EXPECT_EQ(explained.operators[i].name, queried.operators[i].name) << i;

@@ -152,8 +152,8 @@ TEST(ErrorCodec, RefusesMalformedPayloads) {
 TEST(ResultSetCodec, RoundTripsRelations) {
   Relation beer = SmallRelation();
   Relation empty(RelationSchema("empty_rel", {Attribute{"a", Type::Int()}}));
-  std::string payload = EncodeResultSet({beer, empty});
-  auto decoded = DecodeResultSet(payload);
+  std::string payload = EncodeResultSetWithStats({beer, empty}, nullptr);
+  auto decoded = DecodeResultSetWithStats(payload, nullptr);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->size(), 2u);
   EXPECT_EQ((*decoded)[0], beer);
@@ -161,16 +161,20 @@ TEST(ResultSetCodec, RoundTripsRelations) {
 }
 
 TEST(ResultSetCodec, RoundTripsZeroRelations) {
-  auto decoded = DecodeResultSet(EncodeResultSet({}));
+  auto decoded =
+      DecodeResultSetWithStats(EncodeResultSetWithStats({}, nullptr), nullptr);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->empty());
 }
 
 TEST(ResultSetCodec, RefusesGarbage) {
-  EXPECT_FALSE(DecodeResultSet("garbage").ok());
-  std::string payload = EncodeResultSet({SmallRelation()});
-  EXPECT_FALSE(DecodeResultSet(payload.substr(0, payload.size() - 1)).ok());
-  EXPECT_FALSE(DecodeResultSet(payload + "x").ok());
+  EXPECT_FALSE(DecodeResultSetWithStats("garbage", nullptr).ok());
+  std::string payload = EncodeResultSetWithStats({SmallRelation()}, nullptr);
+  // Past the has_stats byte, the cut lands in the terminator.
+  EXPECT_FALSE(
+      DecodeResultSetWithStats(payload.substr(0, payload.size() - 2), nullptr)
+          .ok());
+  EXPECT_FALSE(DecodeResultSetWithStats(payload + "x", nullptr).ok());
 }
 
 TEST(ResultSetCodec, RoundTripsAcrossChunkBoundaries) {
@@ -183,7 +187,8 @@ TEST(ResultSetCodec, RoundTripsAcrossChunkBoundaries) {
         big.Insert(Tuple({Value::Int(static_cast<int64_t>(i))}), i % 3 + 1)
             .ok());
   }
-  auto decoded = DecodeResultSet(EncodeResultSet({big}));
+  auto decoded = DecodeResultSetWithStats(
+      EncodeResultSetWithStats({big}, nullptr), nullptr);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->size(), 1u);
   EXPECT_EQ((*decoded)[0], big);
@@ -197,7 +202,8 @@ TEST(ResultSetCodec, ExactChunkMultipleRoundTrips) {
     ASSERT_TRUE(
         big.Insert(Tuple({Value::Int(static_cast<int64_t>(i))}), 1).ok());
   }
-  auto decoded = DecodeResultSet(EncodeResultSet({big}));
+  auto decoded = DecodeResultSetWithStats(
+      EncodeResultSetWithStats({big}, nullptr), nullptr);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ((*decoded)[0], big);
 }
@@ -211,7 +217,8 @@ TEST(ResultSetCodec, RefusesZeroMultiplicityInChunk) {
   enc.PutTuple(Tuple({Value::Str("pils"), Value::Real(5.0)}));
   enc.PutU64(0);  // ...carrying a nonsense multiplicity.
   enc.PutU32(0);
-  auto decoded = DecodeResultSet(enc.buffer());
+  enc.PutU8(0);  // No stats trailer.
+  auto decoded = DecodeResultSetWithStats(enc.buffer(), nullptr);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
@@ -224,16 +231,19 @@ TEST(ResultSetCodec, ImplausibleChunkCountFailsFast) {
   enc.PutU32(1);
   enc.PutSchema(beer.schema());
   enc.PutU32(0xfffffff0u);
-  auto decoded = DecodeResultSet(enc.buffer());
+  auto decoded = DecodeResultSetWithStats(enc.buffer(), nullptr);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ResultSetCodec, MissingTerminatorIsRefused) {
-  // Strip the trailing end-of-relation terminator (the final u32 0): the
-  // decoder must report truncation instead of returning a relation.
-  std::string payload = EncodeResultSet({SmallRelation()});
-  EXPECT_FALSE(DecodeResultSet(payload.substr(0, payload.size() - 4)).ok());
+  // Strip the end-of-relation terminator (the u32 0 before the has_stats
+  // byte): the decoder must report truncation instead of returning a
+  // relation.
+  std::string payload = EncodeResultSetWithStats({SmallRelation()}, nullptr);
+  EXPECT_FALSE(
+      DecodeResultSetWithStats(payload.substr(0, payload.size() - 5), nullptr)
+          .ok());
 }
 
 TEST(QueryRequestCodec, RoundTripsIdAndText) {
@@ -247,8 +257,8 @@ TEST(QueryRequestCodec, RoundTripsIdAndText) {
   EXPECT_FALSE(DecodeQueryRequest("").ok());
 }
 
-WireQueryStats SampleStats() {
-  WireQueryStats stats;
+obs::QueryStats SampleStats() {
+  obs::QueryStats stats;
   stats.query_id = 42;
   stats.result_rows = 3;
   stats.total_us = 1200;
@@ -256,30 +266,31 @@ WireQueryStats SampleStats() {
   stats.optimize_us = 200;
   stats.lower_us = 300;
   stats.exec_us = 600;
-  WireOpStats select;
+  obs::QueryStats::OpStats select;
   select.name = "Select";
   select.depth = 0;
   select.estimated_rows = 2.5;
-  select.rows_emitted = 3;
-  select.batches_emitted = 1;
-  select.weighted_rows = 4;
-  select.time_ns = 123'456;
-  WireOpStats scan;
+  select.metrics.rows_emitted = 3;
+  select.metrics.batches_emitted = 1;
+  select.metrics.weighted_rows = 4;
+  select.metrics.open_ns = 456;  // The wire carries total_ns().
+  select.metrics.next_ns = 123'000;
+  obs::QueryStats::OpStats scan;
   scan.name = "Scan(beer)";
   scan.depth = 1;
-  scan.rows_emitted = 2;
-  scan.batches_emitted = 1;
-  scan.weighted_rows = 3;
-  scan.peak_hash_entries = 7;
-  scan.hash_bytes = 512;
+  scan.metrics.rows_emitted = 2;
+  scan.metrics.batches_emitted = 1;
+  scan.metrics.weighted_rows = 3;
+  scan.metrics.peak_hash_entries = 7;
+  scan.metrics.hash_bytes = 512;
   stats.operators = {select, scan};
   return stats;
 }
 
 TEST(ResultSetCodec, StatsTrailerRoundTrips) {
-  WireQueryStats stats = SampleStats();
+  obs::QueryStats stats = SampleStats();
   std::string payload = EncodeResultSetWithStats({SmallRelation()}, &stats);
-  std::optional<WireQueryStats> decoded_stats;
+  std::optional<obs::QueryStats> decoded_stats;
   auto decoded = DecodeResultSetWithStats(payload, &decoded_stats);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ((*decoded)[0], SmallRelation());
@@ -291,15 +302,20 @@ TEST(ResultSetCodec, StatsTrailerRoundTrips) {
   ASSERT_EQ(decoded_stats->operators.size(), 2u);
   EXPECT_EQ(decoded_stats->operators[0].name, "Select");
   EXPECT_EQ(decoded_stats->operators[0].estimated_rows, 2.5);
-  EXPECT_EQ(decoded_stats->operators[0].time_ns, 123'456u);
+  EXPECT_TRUE(decoded_stats->valid);
+  // The one time field lands in next_ns; `timed` marks a measured one.
+  EXPECT_EQ(decoded_stats->operators[0].metrics.next_ns, 123'456u);
+  EXPECT_EQ(decoded_stats->operators[0].metrics.total_ns(), 123'456u);
+  EXPECT_TRUE(decoded_stats->operators[0].metrics.timed);
+  EXPECT_FALSE(decoded_stats->operators[1].metrics.timed);
   EXPECT_EQ(decoded_stats->operators[1].depth, 1u);
-  EXPECT_EQ(decoded_stats->operators[1].peak_hash_entries, 7u);
+  EXPECT_EQ(decoded_stats->operators[1].metrics.peak_hash_entries, 7u);
 }
 
 TEST(ResultSetCodec, MissingTrailerDecodesToEmptyOptional) {
   std::string payload =
       EncodeResultSetWithStats({SmallRelation()}, /*stats=*/nullptr);
-  std::optional<WireQueryStats> decoded_stats;
+  std::optional<obs::QueryStats> decoded_stats;
   auto decoded = DecodeResultSetWithStats(payload, &decoded_stats);
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded_stats.has_value());
@@ -308,7 +324,7 @@ TEST(ResultSetCodec, MissingTrailerDecodesToEmptyOptional) {
 }
 
 TEST(ResultSetCodec, StatsTrailerRefusesGarbage) {
-  WireQueryStats stats = SampleStats();
+  obs::QueryStats stats = SampleStats();
   std::string payload = EncodeResultSetWithStats({SmallRelation()}, &stats);
   EXPECT_FALSE(
       DecodeResultSetWithStats(payload.substr(0, payload.size() - 1), nullptr)

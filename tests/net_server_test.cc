@@ -82,15 +82,15 @@ TEST(NetServer, QueryCarriesStatsTrailerAttributedToTheClientId) {
   // The client minted the id; the server's stats trailer must echo it.
   EXPECT_NE(client.last_query_id(), 0u);
   ASSERT_TRUE(client.last_query_stats().has_value());
-  const WireQueryStats& stats = *client.last_query_stats();
+  const obs::QueryStats& stats = *client.last_query_stats();
   EXPECT_EQ(stats.query_id, client.last_query_id());
   EXPECT_EQ(stats.result_rows, 5u);  // pils ×2 + tripel ×3, weighted.
   EXPECT_GE(stats.total_us,
             stats.bind_us + stats.optimize_us + stats.lower_us);
   ASSERT_FALSE(stats.operators.empty());
   uint64_t total_emitted = 0;
-  for (const WireOpStats& op : stats.operators) {
-    total_emitted += op.rows_emitted;
+  for (const obs::QueryStats::OpStats& op : stats.operators) {
+    total_emitted += op.metrics.rows_emitted;
   }
   EXPECT_GT(total_emitted, 0u);
 
@@ -397,7 +397,8 @@ TEST(NetServer, HostileFramesCloseOneSessionNeverTheProcess) {
       {"query truncated mid-field", true,
        EncodeFrame(FrameKind::kQuery, truncated_query)},
       {"server-bound ResultSet", true,
-       EncodeFrame(FrameKind::kResultSet, EncodeResultSet({}))},
+       EncodeFrame(FrameKind::kResultSet,
+                   EncodeResultSetWithStats({}, nullptr))},
       {"out-of-range frame kind", true,
        EncodeFrame(static_cast<FrameKind>(200), "payload")},
   };

@@ -354,11 +354,11 @@ TEST(SlowQueryLogTest, EntriesRenderAsJsonLines) {
   SlowQueryLog log;
   log.SetThresholdMs(0);
   SlowQueryEntry entry;
-  entry.query_id = 7;
-  entry.latency_us = 1500;
-  entry.bind_us = 100;
-  entry.exec_us = 1300;
-  entry.result_rows = 2;
+  entry.stats.query_id = 7;
+  entry.stats.total_us = 1500;
+  entry.stats.bind_us = 100;
+  entry.stats.exec_us = 1300;
+  entry.stats.result_rows = 2;
   entry.source = "? select(%3 > 4.5, beer)";
   entry.plan = "Select\n  Scan(beer)";
   entry.events = {"shed"};
@@ -385,7 +385,7 @@ TEST(SlowQueryLogTest, RingOverwritesOldestBeyondCapacity) {
   log.SetThresholdMs(0);
   for (uint64_t i = 0; i < SlowQueryLog::kCapacity + 10; ++i) {
     SlowQueryEntry entry;
-    entry.query_id = i;
+    entry.stats.query_id = i;
     log.Record(entry);
   }
   std::vector<std::string> lines = log.Lines();

@@ -614,13 +614,14 @@ TEST(GoldenEncodingTest, PlanImage) {
 }
 
 TEST(GoldenEncodingTest, ResultSet) {
-  EXPECT_EQ(Hex(net::EncodeResultSet({GoldenBag()})), kGoldenResultSet);
+  EXPECT_EQ(Hex(net::EncodeResultSetWithStats({GoldenBag()}, nullptr)),
+            std::string(kGoldenResultSet) + "00");
 }
 
 // Two operators with every field non-zero, a fractional estimate and a
 // non-zero time.
-net::WireQueryStats GoldenStats() {
-  net::WireQueryStats stats;
+obs::QueryStats GoldenStats() {
+  obs::QueryStats stats;
   stats.query_id = 0x0102030405060708ull;
   stats.result_rows = 113;
   stats.total_us = 1234;
@@ -628,33 +629,64 @@ net::WireQueryStats GoldenStats() {
   stats.optimize_us = 22;
   stats.lower_us = 33;
   stats.exec_us = 1168;
-  net::WireOpStats join;
+  obs::QueryStats::OpStats join;
   join.name = "HashJoin";
   join.depth = 1;
   join.estimated_rows = 2.75;
-  join.rows_emitted = 5;
-  join.batches_emitted = 2;
-  join.weighted_rows = 113;
-  join.distinct_rows = 4;
-  join.peak_hash_entries = 6;
-  join.build_rows = 7;
-  join.probe_rows = 8;
-  join.hash_bytes = 4096;
-  join.time_ns = 987'654;
-  net::WireOpStats scan = join;
+  join.metrics.rows_emitted = 5;
+  join.metrics.batches_emitted = 2;
+  join.metrics.weighted_rows = 113;
+  join.metrics.distinct_rows = 4;
+  join.metrics.peak_hash_entries = 6;
+  join.metrics.build_rows = 7;
+  join.metrics.probe_rows = 8;
+  join.metrics.hash_bytes = 4096;
+  // The wire carries one time field, total_ns() = 987'654.
+  join.metrics.open_ns = 600'000;
+  join.metrics.next_ns = 387'000;
+  join.metrics.close_ns = 654;
+  obs::QueryStats::OpStats scan = join;
   scan.name = "Scan(golden)";
   scan.depth = 2;
   scan.estimated_rows = 0.5;
-  scan.rows_emitted = 9;
-  scan.time_ns = 1;
+  scan.metrics.rows_emitted = 9;
+  scan.metrics.open_ns = 0;
+  scan.metrics.next_ns = 1;
+  scan.metrics.close_ns = 0;
   stats.operators = {join, scan};
   return stats;
 }
 
 TEST(GoldenEncodingTest, ResultSetStatsTrailer) {
-  const net::WireQueryStats stats = GoldenStats();
+  const obs::QueryStats stats = GoldenStats();
   EXPECT_EQ(Hex(net::EncodeResultSetWithStats({GoldenBag()}, &stats)),
             std::string(kGoldenResultSet) + "01" + kGoldenStatsTrailer);
+}
+
+// Every prefix and every single-bit flip of the golden stats payload
+// decodes to a value or a Status: never a throw, an abort or a read past
+// the buffer (the sanitize build checks the last).
+TEST(GoldenEncodingTest, ResultSetStatsTrailerSurvivesTruncationAndBitFlips) {
+  const obs::QueryStats stats = GoldenStats();
+  const std::string payload =
+      net::EncodeResultSetWithStats({GoldenBag()}, &stats);
+  std::optional<obs::QueryStats> decoded_stats;
+  auto decoded = net::DecodeResultSetWithStats(payload, &decoded_stats);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(decoded_stats.has_value());
+  EXPECT_EQ(net::EncodeResultSetWithStats(*decoded, &*decoded_stats),
+            payload);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        net::DecodeResultSetWithStats(payload.substr(0, len), &decoded_stats)
+            .ok())
+        << "prefix of " << len << " bytes";
+  }
+  for (size_t bit = 0; bit < 8 * payload.size(); ++bit) {
+    std::string flipped = payload;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    (void)net::DecodeResultSetWithStats(flipped, &decoded_stats);
+  }
 }
 
 TEST(GoldenEncodingTest, SortRunEntries) {
