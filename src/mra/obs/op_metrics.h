@@ -1,5 +1,6 @@
 // Per-operator execution metrics, filled in by the PhysicalOperator
-// Open/NextBatch/Close wrappers (mra/exec/operator.h).
+// Open/NextBatch/Close wrappers (mra/exec/operator.h), and QueryStats, the
+// per-query record that gathers them with the query's phase latencies.
 //
 // Row counts are always collected (plain single-threaded increments on the
 // operator's own state — a volcano tree never shares an operator across
