@@ -87,9 +87,9 @@ struct Stmt {
   std::string ToString() const;
 };
 
-/// A parsed script: a sequence of transactions and auto-committed
-/// single statements.  `begin p end` brackets a program (Definition 4.3);
-/// a bare statement executes as a single-statement transaction.
+/// A parsed script: a sequence of transactions and bare statements.
+/// `begin p end` brackets a program (Definition 4.3); a bare query reads
+/// the committed state, a bare write is a single-statement transaction.
 struct Script {
   struct Item {
     bool is_transaction = false;

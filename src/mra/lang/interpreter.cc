@@ -42,6 +42,30 @@ void HarvestOpStats(const exec::PhysicalOperator& op, uint32_t depth,
   }
 }
 
+// Act outside any bracket: DDL, `analyze` (statistics describe committed
+// state) and `set` (knobs change between statements, not mid-bracket).
+bool IsTopLevelOnly(Stmt::Kind kind) {
+  using K = Stmt::Kind;
+  return kind == K::kCreate || kind == K::kDrop || kind == K::kConstraint ||
+         kind == K::kDropConstraint || kind == K::kAnalyze || kind == K::kSet;
+}
+
+// A one-tuple relation that carries text through the query channel (more
+// rows would lose line order: relations are unordered bags).
+Relation TextRelation(const char* name, const char* attr, std::string text) {
+  Relation rel(RelationSchema(name, {Attribute{attr, Type::String()}}));
+  rel.InsertUnchecked(Tuple({Value::Str(std::move(text))}), 1);
+  return rel;
+}
+
+Status RefuseInBracket(Stmt::Kind kind) {
+  const char* what = kind == Stmt::Kind::kAnalyze ? "analyze"
+                     : kind == Stmt::Kind::kSet   ? "set"
+                                                  : "DDL";
+  return Status::TxnError(std::string(what) +
+                          " is top-level only, not inside a bracket");
+}
+
 obs::Counter* QueryCounter() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().GetCounter("exec.queries");
@@ -223,119 +247,114 @@ Status Interpreter::ExecuteStmt(const Stmt& stmt, Transaction& txn,
                                 const QueryCallback& on_query) {
   current_stmt_ = &stmt;
   ClearOnExit<const Stmt*> clear{&current_stmt_};
-  switch (stmt.kind) {
-    case Stmt::Kind::kCreate:
-    case Stmt::Kind::kDrop:
-    case Stmt::Kind::kConstraint:
-    case Stmt::Kind::kDropConstraint:
-      return Status::TxnError(
-          "DDL statements are top-level only (line " +
-          std::to_string(stmt.line) + ")");
-    case Stmt::Kind::kAnalyze:
-      // Statistics describe committed state; collecting them against a
-      // transaction's writes would persist uncommitted numbers.
-      return Status::TxnError(
-          "analyze is top-level only (line " + std::to_string(stmt.line) +
-          ")");
-    case Stmt::Kind::kSet:
-      // Config changes take effect between statements, not inside a
-      // bracket whose earlier statements already ran under the old knobs.
-      return Status::TxnError("set is top-level only (line " +
-                              std::to_string(stmt.line) + ")");
-    case Stmt::Kind::kInsert: {
-      MRA_ASSIGN_OR_RETURN(Relation delta, EvaluateExpr(*stmt.expr, txn));
-      return txn.Insert(stmt.target, delta);
-    }
-    case Stmt::Kind::kDelete: {
-      MRA_ASSIGN_OR_RETURN(Relation delta, EvaluateExpr(*stmt.expr, txn));
-      return txn.Delete(stmt.target, delta);
-    }
-    case Stmt::Kind::kUpdate: {
-      MRA_ASSIGN_OR_RETURN(Relation matched, EvaluateExpr(*stmt.expr, txn));
-      return txn.Update(stmt.target, matched, stmt.alpha);
-    }
-    case Stmt::Kind::kAssign: {
-      MRA_ASSIGN_OR_RETURN(Relation value, EvaluateExpr(*stmt.expr, txn));
-      return txn.Assign(stmt.target, std::move(value));
-    }
-    case Stmt::Kind::kQuery: {
-      MRA_ASSIGN_OR_RETURN(Relation result, EvaluateExpr(*stmt.expr, txn));
-      if (on_query) on_query(stmt.ToString(), result);
-      return Status::OK();
-    }
-    case Stmt::Kind::kExplain: {
-      MRA_ASSIGN_OR_RETURN(std::string text,
-                           ExplainExpr(*stmt.expr, txn, stmt.analyze));
-      if (on_query) {
-        // The plan text travels as a one-tuple relation so it flows through
-        // the ordinary query channel (a multi-row rendering would lose line
-        // order: relations are unordered bags).
-        Relation rel(
-            RelationSchema("explain", {Attribute{"plan", Type::String()}}));
-        rel.InsertUnchecked(Tuple({Value::Str(text)}), 1);
-        on_query(stmt.ToString(), rel);
-      }
-      return Status::OK();
-    }
+  if (IsTopLevelOnly(stmt.kind)) return RefuseInBracket(stmt.kind);
+  if (stmt.kind == Stmt::Kind::kQuery || stmt.kind == Stmt::Kind::kExplain) {
+    MRA_ASSIGN_OR_RETURN(Relation result, RunQuery(stmt, txn));
+    if (on_query) on_query(stmt.ToString(), result);
+    return Status::OK();
   }
-  return Status::Internal("bad statement kind");
+  MRA_ASSIGN_OR_RETURN(Relation operand, EvaluateExpr(*stmt.expr, txn));
+  switch (stmt.kind) {
+    case Stmt::Kind::kInsert:
+      return txn.Insert(stmt.target, operand);
+    case Stmt::Kind::kDelete:
+      return txn.Delete(stmt.target, operand);
+    case Stmt::Kind::kUpdate:
+      return txn.Update(stmt.target, operand, stmt.alpha);
+    default:
+      return txn.Assign(stmt.target, std::move(operand));
+  }
 }
 
-Status Interpreter::ExecuteItem(const Script::Item& item,
-                                const QueryCallback& on_query) {
-  // Top-level DDL runs outside transaction brackets.
-  if (!item.is_transaction && item.stmts.size() == 1) {
-    const Stmt& stmt = item.stmts[0];
-    if (stmt.kind == Stmt::Kind::kCreate) {
-      return db_->CreateRelation(stmt.schema);
-    }
-    if (stmt.kind == Stmt::Kind::kDrop) {
-      return db_->DropRelation(stmt.target);
-    }
-    if (stmt.kind == Stmt::Kind::kConstraint) {
-      PlanPtr violation_query;
-      {
-        // Bind against a stable committed state; AddConstraint re-locks
-        // exclusively, so the read lock must not outlive the binding.
-        auto read_lock = db_->ReadLock();
+Result<Relation> Interpreter::RunQuery(const Stmt& stmt,
+                                       const RelationProvider& view) {
+  if (stmt.kind == Stmt::Kind::kQuery) return EvaluateExpr(*stmt.expr, view);
+  std::string text;
+  MRA_RETURN_IF_ERROR(
+      Evaluate(*stmt.expr, view,
+               stmt.analyze ? Mode::kExplainAnalyze : Mode::kExplain, &text)
+          .status());
+  return TextRelation("explain", "plan", std::move(text));
+}
+
+Status Interpreter::InBracket(
+    const std::function<Status(Transaction&)>& body) {
+  MRA_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
+                       db_->Begin(options_.session.block_on_txn_slot));
+  Status s = body(*txn);
+  if (!s.ok()) {
+    // Atomicity (Definition 4.3): the whole bracket rolls back.
+    (void)txn->Abort();
+    return s;
+  }
+  return txn->Commit();
+}
+
+Status Interpreter::ExecuteItem(Stmt::Kind kind, const StmtBuilder& build,
+                                const QueryCallback& on_query,
+                                Transaction* open) {
+  auto write = [&](Transaction& txn) -> Status {
+    MRA_ASSIGN_OR_RETURN(Stmt stmt, build(txn));
+    return ExecuteStmt(stmt, txn, on_query);
+  };
+  if (open != nullptr) {
+    // Refused before it is built, so the caller's bracket stays open.
+    if (IsTopLevelOnly(kind)) return RefuseInBracket(kind);
+    Status s = write(*open);
+    if (!s.ok()) (void)open->Abort();
+    return s;
+  }
+  if (kind == Stmt::Kind::kQuery || kind == Stmt::Kind::kExplain) {
+    // A query changes no relation (Definition 4.1), so it is no
+    // transition: it reads D_t as Query does, and time does not move.
+    Stmt stmt;
+    ClearOnExit<const Stmt*> clear{&current_stmt_};
+    Result<Relation> result =
+        ReadCommitted([&](const RelationProvider& committed)
+                          -> Result<Relation> {
+          MRA_ASSIGN_OR_RETURN(stmt, build(committed));
+          current_stmt_ = &stmt;
+          return RunQuery(stmt, committed);
+        });
+    MRA_RETURN_IF_ERROR(result.status());
+    if (on_query) on_query(stmt.ToString(), *result);
+    return Status::OK();
+  }
+  if (!IsTopLevelOnly(kind)) return InBracket(write);
+
+  Stmt stmt;
+  PlanPtr violation_query;
+  MRA_RETURN_IF_ERROR(
+      ReadCommitted([&](const RelationProvider& committed) -> Status {
+        MRA_ASSIGN_OR_RETURN(stmt, build(committed));
+        // Bound here: AddConstraint re-locks exclusively.
+        if (kind != Stmt::Kind::kConstraint) return Status::OK();
         MRA_ASSIGN_OR_RETURN(violation_query,
-                             BindRelExpr(*stmt.expr, db_->catalog()));
-      }
+                             BindRelExpr(*stmt.expr, committed));
+        return Status::OK();
+      }));
+  switch (kind) {
+    case Stmt::Kind::kCreate:
+      return db_->CreateRelation(stmt.schema);
+    case Stmt::Kind::kDrop:
+      return db_->DropRelation(stmt.target);
+    case Stmt::Kind::kConstraint:
       return db_->AddConstraint(stmt.target, std::move(violation_query));
-    }
-    if (stmt.kind == Stmt::Kind::kDropConstraint) {
+    case Stmt::Kind::kDropConstraint:
       return db_->DropConstraint(stmt.target);
-    }
-    if (stmt.kind == Stmt::Kind::kSet) {
+    case Stmt::Kind::kSet:
       return SetOption(stmt.target, stmt.value);
-    }
-    if (stmt.kind == Stmt::Kind::kAnalyze) {
+    default: {
       MRA_ASSIGN_OR_RETURN(stats::TableStatistics stats,
                            db_->Analyze(stmt.target));
       if (on_query) {
-        // The collection summary travels the query channel as a one-tuple
-        // relation, like EXPLAIN's plan text.
-        Relation rel(RelationSchema(
-            "analyze", {Attribute{"summary", Type::String()}}));
-        rel.InsertUnchecked(
-            Tuple({Value::Str(stmt.target + ": " + stats.ToString())}), 1);
-        on_query(stmt.ToString(), rel);
+        on_query(stmt.ToString(),
+                 TextRelation("analyze", "summary",
+                              stmt.target + ": " + stats.ToString()));
       }
       return Status::OK();
     }
   }
-
-  MRA_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
-                       db_->Begin(options_.session.block_on_txn_slot));
-  for (const Stmt& stmt : item.stmts) {
-    Status s = ExecuteStmt(stmt, *txn, on_query);
-    if (!s.ok()) {
-      // Atomicity (Definition 4.3): the whole bracket rolls back.
-      (void)txn->Abort();
-      return s;
-    }
-  }
-  return txn->Commit();
 }
 
 Status Interpreter::ExecuteScript(std::string_view source,
@@ -351,7 +370,21 @@ Status Interpreter::ExecuteScript(std::string_view source,
     MRA_ASSIGN_OR_RETURN(script, ParseScript(source));
   }
   for (const Script::Item& item : script.items) {
-    MRA_RETURN_IF_ERROR(ExecuteItem(item, on_query));
+    const Stmt& first = item.stmts.front();
+    MRA_RETURN_IF_ERROR(
+        item.is_transaction
+            ? InBracket([&](Transaction& txn) -> Status {
+                for (const Stmt& stmt : item.stmts) {
+                  MRA_RETURN_IF_ERROR(ExecuteStmt(stmt, txn, on_query));
+                }
+                return Status::OK();
+              })
+            : ExecuteItem(
+                  first.kind,
+                  [&first](const RelationProvider&) -> Result<Stmt> {
+                    return first;
+                  },
+                  on_query));
   }
   return Status::OK();
 }
@@ -377,33 +410,29 @@ Result<Relation> Interpreter::Query(std::string_view rel_expr_source) {
     obs::ScopedSpan span("parse");
     MRA_ASSIGN_OR_RETURN(expr, ParseRelExpr(rel_expr_source));
   }
-  // Bind-through-execute pins relation instances from the committed
-  // catalog, so the whole evaluation runs under the shared read lock —
-  // concurrent with other queries, serialized against commits.
-  auto read_lock = db_->ReadLock();
-  return EvaluateExpr(*expr, db_->catalog());
+  return ReadCommitted([&](const RelationProvider& committed) {
+    return EvaluateExpr(*expr, committed);
+  });
 }
 
 Result<std::string> Interpreter::Explain(std::string_view rel_expr_source) {
-  MRA_ASSIGN_OR_RETURN(RelExprPtr expr, ParseRelExpr(rel_expr_source));
-  auto read_lock = db_->ReadLock();
-  return ExplainExpr(*expr, db_->catalog(), /*analyze=*/false);
+  return ExplainCommitted(rel_expr_source, /*analyze=*/false);
 }
 
 Result<std::string> Interpreter::ExplainAnalyze(
     std::string_view rel_expr_source) {
-  MRA_ASSIGN_OR_RETURN(RelExprPtr expr, ParseRelExpr(rel_expr_source));
-  auto read_lock = db_->ReadLock();
-  return ExplainExpr(*expr, db_->catalog(), /*analyze=*/true);
+  return ExplainCommitted(rel_expr_source, /*analyze=*/true);
 }
 
-Result<std::string> Interpreter::ExplainExpr(const RelExpr& expr,
-                                             const RelationProvider& provider,
-                                             bool analyze) {
+Result<std::string> Interpreter::ExplainCommitted(std::string_view source,
+                                                  bool analyze) {
+  MRA_ASSIGN_OR_RETURN(RelExprPtr expr, ParseRelExpr(source));
   std::string text;
-  Result<Relation> result = Evaluate(
-      expr, provider, analyze ? Mode::kExplainAnalyze : Mode::kExplain, &text);
-  MRA_RETURN_IF_ERROR(result.status());
+  MRA_RETURN_IF_ERROR(ReadCommitted([&](const RelationProvider& committed) {
+    return Evaluate(*expr, committed,
+                    analyze ? Mode::kExplainAnalyze : Mode::kExplain, &text)
+        .status();
+  }));
   return text;
 }
 

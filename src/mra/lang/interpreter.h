@@ -5,8 +5,10 @@
 //  * `begin s1; …; sn end` runs as one transaction bracket: any statement
 //    failure aborts the whole bracket (atomicity, Definition 4.3) and
 //    aborts script execution with the error;
-//  * a bare top-level statement runs as a single-statement transaction;
-//  * `create`/`drop` are top-level only (DDL extension, see DESIGN.md);
+//  * a bare query (`? E`, `explain [analyze] E`) reads the committed state
+//    under the shared read lock: no bracket, WAL record or tick (Def 4.1);
+//  * a bare write runs as a single-statement transaction;
+//  * DDL, `analyze` and `set` are top-level only (see DESIGN.md);
 //  * `? E` results are delivered through the query callback.
 
 #ifndef MRA_LANG_INTERPRETER_H_
@@ -41,6 +43,11 @@ class Interpreter {
   using QueryCallback =
       std::function<void(const std::string& query, const Relation& result)>;
 
+  /// Builds a statement against the view ExecuteItem picks for it (SQL
+  /// resolves column names through it; XRA ignores it).
+  using StmtBuilder =
+      std::function<Result<Stmt>(const RelationProvider& view)>;
+
   explicit Interpreter(Database* db, Options options = {})
       : db_(db), options_(options) {
     MRA_CHECK(db != nullptr);
@@ -69,12 +76,6 @@ class Interpreter {
   /// the slow log as a query does.
   Result<std::string> ExplainAnalyze(std::string_view rel_expr_source);
 
-  /// Shared EXPLAIN body over an already-parsed expression and an
-  /// arbitrary view (the SQL front end explains against its transaction).
-  Result<std::string> ExplainExpr(const RelExpr& expr,
-                                  const RelationProvider& provider,
-                                  bool analyze);
-
   /// Stats of the most recent query run through the physical executor
   /// (`valid` is false before the first one).
   const obs::QueryStats& last_query_stats() const {
@@ -89,9 +90,18 @@ class Interpreter {
     return options_.Set(knob, value);
   }
 
-  /// Executes one already-parsed DML/query statement inside an open
-  /// transaction (used by the SQL front end, which manages its own
-  /// bracketing).  DDL statements are rejected here.
+  /// Runs one top-level statement of either language by the model above:
+  /// the one place that decides how.  A query is built against and reads
+  /// the committed state as Query does, and `on_query` runs after the read
+  /// lock is released; a write is built against its bracket.  With `open`
+  /// (SQL's BEGIN) it runs in that bracket: a top-level-only statement is
+  /// refused and leaves it open, any other failure aborts it.
+  Status ExecuteItem(Stmt::Kind kind, const StmtBuilder& build,
+                     const QueryCallback& on_query,
+                     Transaction* open = nullptr);
+
+  /// Executes one parsed statement inside an open transaction; DDL,
+  /// `analyze` and `set` are refused.
   Status ExecuteStmt(const Stmt& stmt, Transaction& txn,
                      const QueryCallback& on_query);
 
@@ -111,12 +121,27 @@ class Interpreter {
   void CancelQuery(uint64_t query_id);
 
  private:
-  Status ExecuteItem(const Script::Item& item, const QueryCallback& on_query);
+  /// Runs `body` in a new bracket: commits it, or aborts it on failure.
+  Status InBracket(const std::function<Status(Transaction&)>& body);
+
+  /// The read path of every top-level query: `read` runs against the
+  /// committed catalog, bind through execute, under one read-lock hold.
+  template <typename Read>
+  auto ReadCommitted(const Read& read) {
+    auto read_lock = db_->ReadLock();
+    return read(db_->catalog());
+  }
+
+  /// Runs a query or EXPLAIN statement (its text as one tuple) on `view`.
+  Result<Relation> RunQuery(const Stmt& stmt, const RelationProvider& view);
+
+  /// Explain / ExplainAnalyze.
+  Result<std::string> ExplainCommitted(std::string_view source, bool analyze);
 
   /// How far an evaluation goes: a query, EXPLAIN (stops once lowered) or
   /// EXPLAIN ANALYZE (a query with per-call timing).
   enum class Mode { kQuery, kExplain, kExplainAnalyze };
-  /// The one query pipeline behind EvaluateExpr and ExplainExpr: bind,
+  /// The one query pipeline behind every evaluation and EXPLAIN: bind,
   /// optimize, lower, execute, harvest the stats and feed the slow log,
   /// governed from the start.  EXPLAIN appends its rendering of each step
   /// to *text (null for a query) and physically lowers even when
@@ -134,7 +159,7 @@ class Interpreter {
   Options options_;
   obs::QueryStats last_query_stats_;
   /// What the slow-query log names as the source of the evaluation in
-  /// progress: the statement ExecuteStmt runs (rendered only when an entry
+  /// progress: the statement being run (rendered only when an entry
   /// is recorded), else the text Query was given.  Each is set for the
   /// duration of that call only; the interpreter is single-threaded.
   const Stmt* current_stmt_ = nullptr;

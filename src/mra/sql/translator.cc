@@ -246,6 +246,22 @@ Result<lang::RelExprPtr> WrapOrderByLimit(
   return lang::RelExprPtr(sort);
 }
 
+// The XRA statement kind a SQL statement translates to, known before any
+// schema is read (transaction control has none).
+lang::Stmt::Kind StatementKind(const SqlStatement& stmt) {
+  using Kind = lang::Stmt::Kind;
+  if (std::holds_alternative<SelectStmt>(stmt)) return Kind::kQuery;
+  if (std::holds_alternative<InsertStmt>(stmt)) return Kind::kInsert;
+  if (std::holds_alternative<UpdateStmt>(stmt)) return Kind::kUpdate;
+  if (std::holds_alternative<DeleteStmt>(stmt)) return Kind::kDelete;
+  if (std::holds_alternative<CreateTableStmt>(stmt)) return Kind::kCreate;
+  if (std::holds_alternative<DropTableStmt>(stmt)) return Kind::kDrop;
+  if (std::holds_alternative<AnalyzeStmt>(stmt)) return Kind::kAnalyze;
+  if (std::holds_alternative<SetStmt>(stmt)) return Kind::kSet;
+  MRA_CHECK(std::holds_alternative<ExplainStmt>(stmt));
+  return Kind::kExplain;
+}
+
 }  // namespace
 
 Result<lang::RelExprPtr> TranslateSelect(const SelectStmt& stmt,
@@ -436,9 +452,13 @@ Result<Value> CoerceValue(const Value& v, Type target) {
 
 Result<lang::Stmt> TranslateStatement(const SqlStatement& stmt,
                                       const RelationProvider& provider) {
+  if (std::holds_alternative<TxnControl>(stmt)) {
+    return Status::InvalidArgument(
+        "transaction control has no statement translation");
+  }
   lang::Stmt out;
+  out.kind = StatementKind(stmt);
   if (const auto* select = std::get_if<SelectStmt>(&stmt)) {
-    out.kind = lang::Stmt::Kind::kQuery;
     MRA_ASSIGN_OR_RETURN(out.expr, TranslateSelect(*select, provider));
     return out;
   }
@@ -462,7 +482,6 @@ Result<lang::Stmt> TranslateStatement(const SqlStatement& stmt,
       }
       MRA_RETURN_IF_ERROR(literal.Insert(Tuple(std::move(coerced))));
     }
-    out.kind = lang::Stmt::Kind::kInsert;
     out.target = insert->table;
     auto node = std::make_shared<lang::RelExpr>();
     node->kind = lang::RelExpr::Kind::kLiteral;
@@ -495,7 +514,6 @@ Result<lang::Stmt> TranslateStatement(const SqlStatement& stmt,
       assigned[index] = true;
       MRA_ASSIGN_OR_RETURN(alpha[index], TranslateExpr(*value, scope));
     }
-    out.kind = lang::Stmt::Kind::kUpdate;
     out.target = update->table;
     out.expr = std::move(target_expr);
     out.alpha = std::move(alpha);
@@ -509,36 +527,33 @@ Result<lang::Stmt> TranslateStatement(const SqlStatement& stmt,
       MRA_ASSIGN_OR_RETURN(ExprPtr cond, TranslateExpr(*del->where, scope));
       target_expr = WrapSelect(std::move(cond), std::move(target_expr));
     }
-    out.kind = lang::Stmt::Kind::kDelete;
     out.target = del->table;
     out.expr = std::move(target_expr);
     return out;
   }
   if (const auto* create = std::get_if<CreateTableStmt>(&stmt)) {
-    out.kind = lang::Stmt::Kind::kCreate;
     out.target = create->schema.name();
     out.schema = create->schema;
     return out;
   }
   if (const auto* drop = std::get_if<DropTableStmt>(&stmt)) {
-    out.kind = lang::Stmt::Kind::kDrop;
     out.target = drop->table;
     return out;
   }
   if (const auto* explain = std::get_if<ExplainStmt>(&stmt)) {
-    out.kind = lang::Stmt::Kind::kExplain;
     out.analyze = explain->analyze;
     MRA_ASSIGN_OR_RETURN(out.expr,
                          TranslateSelect(*explain->select, provider));
     return out;
   }
-  if (std::holds_alternative<SetStmt>(stmt)) {
-    // SET is a session-config action, handled by SqlSession::ExecuteOne
-    // directly — it never reaches statement translation.
-    return Status::InvalidArgument("SET has no statement translation");
+  if (const auto* analyze = std::get_if<AnalyzeStmt>(&stmt)) {
+    out.target = analyze->table;
+    return out;
   }
-  return Status::InvalidArgument(
-      "transaction control has no statement translation");
+  const SetStmt& set = std::get<SetStmt>(stmt);
+  out.target = set.knob;
+  out.value = set.value;
+  return out;
 }
 
 SqlSession::~SqlSession() {
@@ -551,96 +566,32 @@ Status SqlSession::ExecuteOne(
     const SqlStatement& stmt,
     const lang::Interpreter::QueryCallback& on_query) {
   if (const auto* control = std::get_if<TxnControl>(&stmt)) {
-    switch (*control) {
-      case TxnControl::kBegin: {
-        if (txn_ != nullptr) {
-          return Status::TxnError("transaction already in progress");
-        }
-        MRA_ASSIGN_OR_RETURN(txn_, db_->Begin());
-        return Status::OK();
+    if (*control == TxnControl::kBegin) {
+      if (txn_ != nullptr) {
+        return Status::TxnError("transaction already in progress");
       }
-      case TxnControl::kCommit: {
-        if (txn_ == nullptr) {
-          return Status::TxnError("COMMIT outside a transaction");
-        }
-        Status s = txn_->Commit();
-        txn_.reset();
-        return s;
-      }
-      case TxnControl::kRollback: {
-        if (txn_ == nullptr) {
-          return Status::TxnError("ROLLBACK outside a transaction");
-        }
-        Status s = txn_->Abort();
-        txn_.reset();
-        return s;
-      }
+      MRA_ASSIGN_OR_RETURN(
+          txn_, db_->Begin(interp_.options().session.block_on_txn_slot));
+      return Status::OK();
     }
+    const bool commit = *control == TxnControl::kCommit;
+    if (txn_ == nullptr) {
+      return Status::TxnError(std::string(commit ? "COMMIT" : "ROLLBACK") +
+                              " outside a transaction");
+    }
+    std::unique_ptr<Transaction> txn = std::move(txn_);
+    return commit ? txn->Commit() : txn->Abort();
   }
 
-  // DDL: top-level only, like XRA.
-  if (std::holds_alternative<CreateTableStmt>(stmt) ||
-      std::holds_alternative<DropTableStmt>(stmt)) {
-    if (txn_ != nullptr) {
-      return Status::TxnError("DDL is not allowed inside a transaction");
-    }
-    if (const auto* create = std::get_if<CreateTableStmt>(&stmt)) {
-      return db_->CreateRelation(create->schema);
-    }
-    return db_->DropRelation(std::get<DropTableStmt>(stmt).table);
-  }
-
-  // ANALYZE: top-level only — statistics describe committed state.
-  if (const auto* analyze = std::get_if<AnalyzeStmt>(&stmt)) {
-    if (txn_ != nullptr) {
-      return Status::TxnError("ANALYZE is not allowed inside a transaction");
-    }
-    MRA_ASSIGN_OR_RETURN(stats::TableStatistics stats,
-                         db_->Analyze(analyze->table));
-    if (on_query) {
-      Relation rel(
-          RelationSchema("analyze", {Attribute{"summary", Type::String()}}));
-      rel.InsertUnchecked(
-          Tuple({Value::Str(analyze->table + ": " + stats.ToString())}), 1);
-      on_query("ANALYZE " + analyze->table, rel);
-    }
-    return Status::OK();
-  }
-
-  // SET: a session-config override, applied between statements.  Top-level
-  // only, like the XRA `set` — earlier statements of an open bracket
-  // already ran under the old knobs.
-  if (const auto* set = std::get_if<SetStmt>(&stmt)) {
-    if (txn_ != nullptr) {
-      return Status::TxnError("SET is not allowed inside a transaction");
-    }
-    return interp_.SetOption(set->knob, set->value);
-  }
-
-  if (txn_ != nullptr) {
-    // Translate against the transaction's view (read-your-writes).  Any
-    // statement failure — translation or execution — aborts the whole
-    // bracket (Definition 4.3 atomicity).
-    Result<lang::Stmt> translated = TranslateStatement(stmt, *txn_);
-    Status s = translated.ok()
-                   ? interp_.ExecuteStmt(*translated, *txn_, on_query)
-                   : translated.status();
-    if (!s.ok()) {
-      (void)txn_->Abort();
-      txn_.reset();
-    }
-    return s;
-  }
-
-  // Autocommit: a single-statement transaction bracket.
-  MRA_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn, db_->Begin());
-  MRA_ASSIGN_OR_RETURN(lang::Stmt translated, TranslateStatement(stmt, *txn));
-  Status s = interp_.ExecuteStmt(translated, *txn, on_query);
-  if (!s.ok()) {
-    (void)txn->Abort();
-    return s;
-  }
-  return txn->Commit();
+  Status s = interp_.ExecuteItem(
+      StatementKind(stmt),
+      [&stmt](const RelationProvider& view) {
+        return TranslateStatement(stmt, view);
+      },
+      on_query, txn_.get());
+  // A failure inside an explicit bracket aborted it (Definition 4.3).
+  if (txn_ != nullptr && !txn_->active()) txn_.reset();
+  return s;
 }
 
 Status SqlSession::Execute(std::string_view sql_text,

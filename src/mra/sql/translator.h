@@ -14,11 +14,12 @@
 //                                             — exactly Example 4.1
 //   DELETE FROM t WHERE p                   → delete(t, select(p', t))
 //   CREATE TABLE / DROP TABLE               → create / drop
+//   ANALYZE t / SET knob = v                → analyze t / set knob = v
 //
 // Named column references resolve to positional %i over the ⊕-concatenated
-// FROM schema.  SqlSession then executes the translated statements through
-// the XRA interpreter, with SQL's autocommit/BEGIN/COMMIT/ROLLBACK mapped
-// onto the paper's transaction brackets.
+// FROM schema.  SqlSession hands each statement to Interpreter::ExecuteItem,
+// which runs it as it runs the XRA statement it translates to; SQL's
+// BEGIN/COMMIT/ROLLBACK map onto the paper's transaction brackets.
 
 #ifndef MRA_SQL_TRANSLATOR_H_
 #define MRA_SQL_TRANSLATOR_H_
@@ -72,10 +73,10 @@ Result<lang::Stmt> TranslateStatement(const SqlStatement& stmt,
 /// int → real, int → decimal.  Anything else is a TypeError.
 Result<Value> CoerceValue(const Value& v, Type target);
 
-/// Executes SQL against a Database through the XRA pipeline.  Supports
-/// autocommit (each statement its own bracket) and explicit
-/// BEGIN/COMMIT/ROLLBACK; a statement failure inside an explicit
-/// transaction aborts the whole bracket (Definition 4.3 atomicity).
+/// Executes SQL against a Database through the XRA pipeline: a statement
+/// runs as its translation would in an XRA script, and BEGIN … COMMIT or
+/// ROLLBACK keeps one bracket open across Execute calls (a statement failure
+/// aborts it, Definition 4.3).  BEGIN honours block_on_txn_slot.
 class SqlSession {
  public:
   explicit SqlSession(Database* db, ExecConfig options = {})

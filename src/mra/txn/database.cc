@@ -372,11 +372,7 @@ Status Database::ReplayCommitDelta(storage::Decoder* dec,
 }
 
 Status Database::CreateRelation(RelationSchema schema) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (txn_active_) {
-    return Status::TxnError(
-        "DDL is not allowed inside a transaction bracket");
-  }
+  MRA_ASSIGN_OR_RETURN(auto lock, LockOutsideBracket("DDL"));
   MRA_RETURN_IF_ERROR(catalog_.CreateRelation(schema));
   if (durable()) {
     Status s = AppendDdlRecord(kRecCreateRelation, schema, schema.name());
@@ -390,11 +386,7 @@ Status Database::CreateRelation(RelationSchema schema) {
 }
 
 Status Database::DropRelation(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (txn_active_) {
-    return Status::TxnError(
-        "DDL is not allowed inside a transaction bracket");
-  }
+  MRA_ASSIGN_OR_RETURN(auto lock, LockOutsideBracket("DDL"));
   MRA_ASSIGN_OR_RETURN(const Relation* existing, catalog_.GetRelation(name));
   Relation saved = *existing;
   MRA_RETURN_IF_ERROR(catalog_.DropRelation(name));
@@ -411,11 +403,7 @@ Status Database::DropRelation(const std::string& name) {
 }
 
 Result<stats::TableStatistics> Database::Analyze(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (txn_active_) {
-    return Status::TxnError(
-        "ANALYZE is not allowed inside a transaction bracket");
-  }
+  MRA_ASSIGN_OR_RETURN(auto lock, LockOutsideBracket("ANALYZE"));
   static obs::Counter* analyzes =
       obs::MetricsRegistry::Global().GetCounter("stats.analyze_total");
   static obs::Histogram* duration =
@@ -454,11 +442,7 @@ Status Database::AppendDdlRecord(uint8_t kind, const RelationSchema& schema,
 
 Status Database::AddConstraint(const std::string& name,
                                PlanPtr violation_query) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (txn_active_) {
-    return Status::TxnError(
-        "constraints cannot be registered inside a transaction bracket");
-  }
+  MRA_ASSIGN_OR_RETURN(auto lock, LockOutsideBracket("a constraint change"));
   if (name.empty() || violation_query == nullptr) {
     return Status::InvalidArgument("constraint needs a name and a query");
   }
@@ -485,11 +469,7 @@ Status Database::AddConstraint(const std::string& name,
 }
 
 Status Database::DropConstraint(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (txn_active_) {
-    return Status::TxnError(
-        "constraints cannot be dropped inside a transaction bracket");
-  }
+  MRA_ASSIGN_OR_RETURN(auto lock, LockOutsideBracket("a constraint change"));
   if (constraints_.count(name) == 0) {
     return Status::NotFound("no constraint named " + name);
   }
@@ -520,6 +500,16 @@ Status Database::CheckConstraints(const RelationProvider& view) const {
     }
   }
   return Status::OK();
+}
+
+Result<std::unique_lock<std::shared_mutex>> Database::LockOutsideBracket(
+    const char* what) {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (txn_active_) {
+    return Status::TxnError(std::string(what) +
+                            " is not allowed while a transaction is active");
+  }
+  return lock;
 }
 
 Result<std::unique_ptr<Transaction>> Database::Begin(bool wait) {
@@ -603,11 +593,8 @@ void Database::EndTransaction() {
 }
 
 Status Database::Checkpoint() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
   if (!durable()) return Status::OK();
-  if (txn_active_) {
-    return Status::TxnError("cannot checkpoint while a transaction is active");
-  }
+  MRA_ASSIGN_OR_RETURN(auto lock, LockOutsideBracket("a checkpoint"));
   storage::Encoder image;
   std::string catalog_bytes = storage::EncodeCatalog(catalog_);
   image.PutString(catalog_bytes);

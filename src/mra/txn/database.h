@@ -168,6 +168,11 @@ class Database {
   // Replays one kRecCommitDelta record (the fields after its kind byte).
   Status ReplayCommitDelta(storage::Decoder* dec, bool checkpoint_loaded);
 
+  // The exclusive lock for a top-level action (`what`: DDL, ANALYZE, …),
+  // refused with TxnError while a bracket holds the transaction slot.
+  Result<std::unique_lock<std::shared_mutex>> LockOutsideBracket(
+      const char* what);
+
   // Releases the transaction slot without committing (abort / destruction).
   void EndTransaction();
 

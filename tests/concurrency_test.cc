@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mra/lang/interpreter.h"
+#include "mra/sql/translator.h"
 #include "mra/txn/transaction.h"
 
 namespace mra {
@@ -298,6 +299,91 @@ TEST(Concurrency, ReadersRaceCheckpoints) {
   stop.store(true);
   reader.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// A top-level query is no transition (Definition 4.1), so it takes no
+// transaction slot: while another session holds a bracket, an XRA script's
+// `? E`, a SQL SELECT and Interpreter::Query all run, and each sees only
+// the committed state, never the open bracket's writes (Definition 4.3).
+TEST(Concurrency, TopLevelQueriesRunBesideAnOpenBracket) {
+  auto db = MakeDb();
+  auto bracket = db->Begin();
+  ASSERT_TRUE(bracket.ok());
+  Relation delta(db->catalog().GetRelation("r").value()->schema());
+  delta.InsertUnchecked(Tuple({Value::Int(1), Value::Int(1)}), 3);
+  ASSERT_TRUE((*bracket)->Insert("r", delta).ok());
+
+  std::atomic<int> failures{0};
+  // Each reader checks that it saw r as committed: (0, 0) five times.
+  auto committed = [&failures](const Relation& r) {
+    if (r.size() != 5 || r.distinct_size() != 1) ++failures;
+  };
+  std::thread xra([&] {
+    lang::Interpreter interp(db.get());
+    for (int i = 0; i < 50; ++i) {
+      Status s = interp.ExecuteScript(
+          "? r; ? select(%1 >= 0, r);",
+          [&](const std::string&, const Relation& r) { committed(r); });
+      if (!s.ok()) ++failures;
+    }
+  });
+  std::thread sql([&] {
+    sql::SqlSession session(db.get());
+    for (int i = 0; i < 50; ++i) {
+      Status s = session.Execute(
+          "SELECT * FROM r; SELECT a, b FROM r WHERE a >= 0",
+          [&](const std::string&, const Relation& r) { committed(r); });
+      if (!s.ok()) ++failures;
+    }
+  });
+  // The bracket keeps writing while the readers run.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE((*bracket)->Insert("r", delta).ok());
+    std::this_thread::yield();
+  }
+  xra.join();
+  sql.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE((*bracket)->Commit().ok());
+
+  sql::SqlSession session(db.get());
+  auto after = session.ExecuteCollect("SELECT * FROM r");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ((*after)[0].size(), 5u + 21 * 3);
+}
+
+// SQL's BEGIN and its single-statement write brackets queue on the slot
+// when block_on_txn_slot is set, as XRA brackets do; without it they
+// bounce with TxnError.
+TEST(Concurrency, SqlBracketsWaitForTheSlotWhenBlocking) {
+  auto db = MakeDb();
+  auto held = db->Begin();
+  ASSERT_TRUE(held.ok());
+
+  sql::SqlSession bouncing(db.get());
+  EXPECT_EQ(bouncing.Execute("BEGIN").code(), StatusCode::kTxnError);
+  EXPECT_EQ(bouncing.Execute("INSERT INTO r VALUES (8, 8)").code(),
+            StatusCode::kTxnError);
+
+  std::atomic<bool> done{false};
+  std::thread waiter([&] {
+    sql::SqlSession session(db.get(), Blocking());
+    Status s = session.Execute(
+        "BEGIN; INSERT INTO r VALUES (7, 7); COMMIT;"
+        "INSERT INTO r VALUES (8, 8)");
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done.load()) << "BEGIN took a held slot";
+  ASSERT_TRUE((*held)->Abort().ok());
+  waiter.join();
+  EXPECT_TRUE(done.load());
+
+  lang::Interpreter interp(db.get());
+  auto r = interp.Query("r");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->size(), 7u);
 }
 
 }  // namespace

@@ -240,5 +240,39 @@ TEST(IntegrationTest, LargeGeneratedWorkloadEndToEnd) {
   EXPECT_EQ((*db)->logical_time(), 300u);  // DDL does not tick; 300 inserts do
 }
 
+// A query is no transition (Definitions 2.6, 4.1): a thousand top-level
+// queries in each language, EXPLAIN [ANALYZE] among them, leave the WAL
+// and the logical time exactly as they were on a durable database.
+TEST(IntegrationTest, TopLevelQueriesLogNothingAndDoNotTick) {
+  TempDir dir;
+  DatabaseOptions options;
+  options.directory = dir.path();
+  auto db = Database::Open(options);
+  ASSERT_OK(db);
+  lang::Interpreter xra(db->get());
+  sql::SqlSession sql(db->get());
+  ASSERT_OK(xra.ExecuteScript(
+      "create r(a: int, b: int); insert(r, {(1, 2), (3, 4) : 2});", nullptr));
+  const uint64_t time = (*db)->logical_time();
+  const uintmax_t wal_bytes = std::filesystem::file_size((*db)->wal_path());
+
+  std::string script = "explain unique(r); explain analyze unique(r);";
+  for (int i = 0; i < 1000; ++i) {
+    script += "? select(%1 > " + std::to_string(i % 4) + ", r);";
+  }
+  size_t results = 0;
+  ASSERT_OK(xra.ExecuteScript(
+      script, [&results](const std::string&, const Relation&) { ++results; }));
+  EXPECT_EQ(results, 1002u);
+  ASSERT_OK(sql.Execute("EXPLAIN SELECT a FROM r;"
+                        "EXPLAIN ANALYZE SELECT a FROM r"));
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_OK(sql.Execute("SELECT a FROM r WHERE b > " + std::to_string(i % 4)));
+  }
+
+  EXPECT_EQ((*db)->logical_time(), time);
+  EXPECT_EQ(std::filesystem::file_size((*db)->wal_path()), wal_bytes);
+}
+
 }  // namespace
 }  // namespace mra
