@@ -556,29 +556,39 @@ std::string Database::EncodeCommitRecord(
 
 Status Database::ApplyCommit(uint64_t txn_id,
                              std::map<std::string, RelationChange> changes) {
+  // A bracket that changed nothing (only queries and temporaries, or empty
+  // operands) is no transition: it logs no record and time does not move,
+  // so a reopened database reaches the live one's logical time.
+  const bool changed =
+      std::any_of(changes.begin(), changes.end(), [](const auto& entry) {
+        return entry.second.replaced || !entry.second.overlay.empty();
+      });
   // Encoded before the exclusive lock, so readers run while it is built.
   // The caller holds the transaction slot, which refuses every other
   // writer: the logical time the record names cannot move meanwhile, and
   // each change's `base` is still the catalog's relation.
   std::string record;
-  if (durable()) record = EncodeCommitRecord(txn_id, changes);
+  if (changed && durable()) record = EncodeCommitRecord(txn_id, changes);
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  // Log first (write-ahead), then install in memory.
-  if (durable()) {
-    MRA_RETURN_IF_ERROR(wal_.Append(record, options_.sync_commits));
-  }
-  for (auto& [name, change] : changes) {
-    MRA_ASSIGN_OR_RETURN(Relation* target, catalog_.GetMutableRelation(name));
-    if (change.replaced) {
-      // The displaced image stays in `changes`, freed after the lock.
-      std::swap(*target, *change.image);
-      continue;
+  if (changed) {
+    // Log first (write-ahead), then install in memory.
+    if (durable()) {
+      MRA_RETURN_IF_ERROR(wal_.Append(record, options_.sync_commits));
     }
-    for (const auto& [tuple, count] : change.overlay) {
-      target->SetMultiplicity(tuple, count);
+    for (auto& [name, change] : changes) {
+      MRA_ASSIGN_OR_RETURN(Relation* target,
+                           catalog_.GetMutableRelation(name));
+      if (change.replaced) {
+        // The displaced image stays in `changes`, freed after the lock.
+        std::swap(*target, *change.image);
+        continue;
+      }
+      for (const auto& [tuple, count] : change.overlay) {
+        target->SetMultiplicity(tuple, count);
+      }
     }
+    catalog_.AdvanceTime();
   }
-  catalog_.AdvanceTime();
   txn_active_ = false;
   txn_slot_cv_.notify_all();
   lock.unlock();

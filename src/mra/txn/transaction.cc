@@ -42,13 +42,16 @@ const Relation& View(RelationChange& change) {
   return *change.image;
 }
 
-// The replacement rule: an insert/delete whose operand has at least as
-// many distinct tuples as R's current state replaces R, keeping that state
-// as the after-image.  Returns the after-image to edit, or nullptr when
-// the statement edits the overlay.
+// The replacement rule: an insert/delete whose non-empty operand has at
+// least as many distinct tuples as R's current state replaces R, keeping
+// that state as the after-image.  Returns the after-image to edit, or
+// nullptr when the statement edits the overlay (an empty operand edits
+// nothing, so the bracket stays a no-op).
 Relation* ReplacedTarget(RelationChange& change, const Relation& delta) {
   if (!change.replaced) {
-    if (delta.distinct_size() < change.distinct) return nullptr;
+    if (delta.empty() || delta.distinct_size() < change.distinct) {
+      return nullptr;
+    }
     View(change);
     if (!change.image) change.image = *change.base;
     change.overlay.clear();

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "mra/algebra/ops.h"
+#include "mra/lang/interpreter.h"
 #include "mra/storage/serializer.h"
 #include "mra/txn/database.h"
 #include "mra/txn/transaction.h"
@@ -991,6 +992,59 @@ TEST(DurabilityTest, ReplayingTheLogTwiceOverACheckpointConverges) {
     ExpectSnapshotsEqual(TakeSnapshot(**db), live);
     EXPECT_EQ((*db)->logical_time(), time);
   }
+}
+
+// A bracket that changed nothing is no transition (Definition 2.6): it
+// writes no WAL record and does not tick, so a reopened database reaches
+// the live one's logical time.  Covers a bracket of only an assignment and
+// a query, empty operands (into an empty relation too, where the
+// replacement rule would otherwise apply) and a read-only API bracket.
+TEST(DurabilityTest, BracketThatChangedNothingLogsNothingAndDoesNotTick) {
+  TempDir dir;
+  uint64_t time = 0;
+  uintmax_t wal_bytes = 0;
+  {
+    auto db = Database::Open({.directory = dir.path()});
+    ASSERT_OK(db);
+    ASSERT_OK((*db)->CreateRelation(XSchema("r")));
+    ASSERT_OK((*db)->CreateRelation(XSchema("e")));
+    auto txn = (*db)->Begin();
+    ASSERT_OK(txn);
+    ASSERT_OK((*txn)->Insert("r", Delta({{1, 2}})));
+    ASSERT_OK((*txn)->Commit());
+    time = (*db)->logical_time();
+    wal_bytes = std::filesystem::file_size((*db)->wal_path());
+
+    lang::Interpreter interp(db->get());
+    ASSERT_OK(interp.ExecuteScript(
+        "begin x := r; ? x end;"
+        "begin insert(r, empty(x: int)); delete(r, empty(x: int)) end;"
+        "begin insert(e, empty(x: int)) end;"
+        "insert(e, empty(x: int));",
+        nullptr));
+    auto reader = (*db)->Begin();
+    ASSERT_OK(reader);
+    ASSERT_OK((*reader)->GetRelation("r"));
+    ASSERT_OK((*reader)->Commit());
+    EXPECT_EQ((*db)->logical_time(), time);
+    EXPECT_EQ(std::filesystem::file_size((*db)->wal_path()), wal_bytes);
+  }
+  {
+    auto db = Database::Open({.directory = dir.path()});
+    ASSERT_OK(db);
+    EXPECT_EQ((*db)->logical_time(), time);
+    EXPECT_EQ(std::filesystem::file_size((*db)->wal_path()), wal_bytes);
+    // A bracket that does change a relation still ticks and logs.
+    lang::Interpreter interp(db->get());
+    ASSERT_OK(interp.ExecuteScript("insert(e, {(7)});", nullptr));
+    EXPECT_EQ((*db)->logical_time(), time + 1);
+    EXPECT_GT(std::filesystem::file_size((*db)->wal_path()), wal_bytes);
+  }
+  auto db = Database::Open({.directory = dir.path()});
+  ASSERT_OK(db);
+  EXPECT_EQ((*db)->logical_time(), time + 1);
+  EXPECT_EQ((*db)->catalog().GetRelation("r").value()->size(), 2u);
+  EXPECT_EQ((*db)->catalog().GetRelation("e").value()->size(), 1u);
 }
 
 }  // namespace
