@@ -449,6 +449,16 @@ Status Database::AddConstraint(const std::string& name,
   if (constraints_.count(name) > 0) {
     return Status::AlreadyExists("constraint " + name + " already exists");
   }
+  // The WAL and every checkpoint persist the plan, and recovery must read
+  // it back: refuse what the decoder would (e.g. nesting past its limit).
+  Status decodes = storage::DecodePlanFromString(
+                       storage::EncodePlanToString(*violation_query))
+                       .status();
+  if (!decodes.ok()) {
+    return Status::InvalidArgument("constraint " + name +
+                                   " cannot be persisted: " +
+                                   decodes.message());
+  }
   // The current state must already satisfy the constraint.
   MRA_ASSIGN_OR_RETURN(Relation violations,
                        EvaluatePlan(*violation_query, catalog_));

@@ -200,6 +200,62 @@ TEST(DurableConstraintTest, ConstraintsSurviveReopen) {
   std::filesystem::remove_all(dir);
 }
 
+// σ_{%1 + 1 + … + 1 < 0}(r) with `additions` left-nested additions: the
+// decoder reads the comparison at depth 0 and the innermost %1 at depth
+// additions + 1.
+PlanPtr DeepViolationQuery(int additions) {
+  ExprPtr sum = Attr(0);
+  for (int i = 0; i < additions; ++i) {
+    sum = Add(std::move(sum), Lit(int64_t{1}));
+  }
+  return Plan::Select(
+             Lt(std::move(sum), Lit(int64_t{0})),
+             Plan::Scan("r", RelationSchema("r", {{"x", Type::Int()}})))
+      .value();
+}
+
+// A constraint is accepted only if recovery can read its plan back: one
+// its own decoder would refuse ("expression nesting too deep") is refused
+// up front, before anything reaches the WAL, so the database still opens.
+// The deepest plan the decoder accepts survives a checkpoint and reopens.
+TEST(DurableConstraintTest, OnlyConstraintsThatDecodeAreAccepted) {
+  auto dir = std::filesystem::temp_directory_path() /
+             ("mra_deep_constraint_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    auto db = Database::Open({.directory = dir.string()});
+    ASSERT_OK(db);
+    lang::Interpreter interp(db->get());
+    ASSERT_OK(interp.ExecuteScript("create r(x: int); insert(r, {(1)});",
+                                   nullptr));
+    for (int additions : {512, 600}) {
+      Status refused =
+          (*db)->AddConstraint("deep", DeepViolationQuery(additions));
+      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << additions;
+      EXPECT_NE(refused.message().find("nesting too deep"), std::string::npos)
+          << refused.ToString();
+    }
+    ASSERT_OK((*db)->AddConstraint("deepest", DeepViolationQuery(511)));
+  }
+  {
+    auto db = Database::Open({.directory = dir.string()});
+    ASSERT_OK(db);
+    EXPECT_EQ((*db)->ConstraintNames(), (std::vector<std::string>{"deepest"}));
+    ASSERT_OK((*db)->Checkpoint());
+  }
+  {
+    auto db = Database::Open({.directory = dir.string()});
+    ASSERT_OK(db);
+    EXPECT_EQ((*db)->ConstraintNames(), (std::vector<std::string>{"deepest"}));
+    lang::Interpreter interp(db->get());
+    // Still enforced: -5 + 511 < 0 is false, -600 + 511 < 0 is true.
+    ASSERT_OK(interp.ExecuteScript("insert(r, {(-5)});", nullptr));
+    EXPECT_EQ(interp.ExecuteScript("insert(r, {(-600)});", nullptr).code(),
+              StatusCode::kConstraintViolation);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace storage
 }  // namespace mra
