@@ -11,6 +11,8 @@
 #ifndef MRA_EXPR_SCALAR_EXPR_H_
 #define MRA_EXPR_SCALAR_EXPR_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -61,6 +63,9 @@ class ScalarExpr {
 
   ExprKind kind() const { return kind_; }
 
+  /// Nodes on the longest path from here down to a leaf (1 for a leaf).
+  uint32_t height() const { return height_; }
+
   /// Static type of this expression over tuples of `input`; TypeError /
   /// InvalidArgument on mismatch.
   virtual Result<Type> Infer(const RelationSchema& input) const = 0;
@@ -74,10 +79,12 @@ class ScalarExpr {
   virtual std::string ToString() const = 0;
 
  protected:
-  explicit ScalarExpr(ExprKind kind) : kind_(kind) {}
+  explicit ScalarExpr(ExprKind kind, uint32_t height = 1)
+      : kind_(kind), height_(height) {}
 
  private:
   ExprKind kind_;
+  uint32_t height_;
 };
 
 /// %i — reference to the i-th attribute of the input tuple (0-based here;
@@ -117,7 +124,9 @@ class LiteralExpr final : public ScalarExpr {
 class UnaryExpr final : public ScalarExpr {
  public:
   UnaryExpr(UnaryOp op, ExprPtr operand)
-      : ScalarExpr(ExprKind::kUnary), op_(op), operand_(std::move(operand)) {}
+      : ScalarExpr(ExprKind::kUnary, operand->height() + 1),
+        op_(op),
+        operand_(std::move(operand)) {}
 
   UnaryOp op() const { return op_; }
   const ExprPtr& operand() const { return operand_; }
@@ -140,7 +149,8 @@ class UnaryExpr final : public ScalarExpr {
 class BinaryExpr final : public ScalarExpr {
  public:
   BinaryExpr(BinaryOp op, ExprPtr lhs, ExprPtr rhs)
-      : ScalarExpr(ExprKind::kBinary),
+      : ScalarExpr(ExprKind::kBinary,
+                   std::max(lhs->height(), rhs->height()) + 1),
         op_(op),
         lhs_(std::move(lhs)),
         rhs_(std::move(rhs)) {}

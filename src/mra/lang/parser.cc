@@ -1,5 +1,6 @@
 #include "mra/lang/parser.h"
 
+#include "mra/common/limits.h"
 #include "mra/lang/lexer.h"
 
 namespace mra {
@@ -75,6 +76,12 @@ class Parser {
   Result<std::string> ExpectIdentifier() {
     if (!Check(TokenKind::kIdentifier)) return Error("expected an identifier");
     return Advance().text;
+  }
+
+  // Refuses a subtree `height` levels tall at the parse position.
+  Status CheckDepth(uint32_t height) const {
+    if (nesting_.Fits(height)) return Status::OK();
+    return Error(ParseNesting::LimitMessage());
   }
 
   // --- Statements. ---
@@ -209,6 +216,8 @@ class Parser {
   // --- Relation expressions. ---
 
   Result<RelExprPtr> ParseRelExpr() {
+    MRA_RETURN_IF_ERROR(CheckDepth(1));
+    ParseNesting::Level level(&nesting_);
     auto node = std::make_shared<RelExpr>();
     node->line = Peek().line;
     switch (Peek().kind) {
@@ -539,6 +548,7 @@ class Parser {
       Advance();
       MRA_ASSIGN_OR_RETURN(ExprPtr r, ParseAnd());
       e = Or(std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height()));
     }
     return e;
   }
@@ -549,13 +559,16 @@ class Parser {
       Advance();
       MRA_ASSIGN_OR_RETURN(ExprPtr r, ParseNot());
       e = And(std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height()));
     }
     return e;
   }
 
   Result<ExprPtr> ParseNot() {
     if (Check(TokenKind::kKwNot)) {
+      MRA_RETURN_IF_ERROR(CheckDepth(1));
       Advance();
+      ParseNesting::Level level(&nesting_);
       MRA_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
       return Not(std::move(e));
     }
@@ -589,7 +602,9 @@ class Parser {
     }
     Advance();
     MRA_ASSIGN_OR_RETURN(ExprPtr r, ParseAdditive());
-    return ExprPtr(std::make_shared<BinaryExpr>(op, std::move(e), std::move(r)));
+    e = std::make_shared<BinaryExpr>(op, std::move(e), std::move(r));
+    MRA_RETURN_IF_ERROR(CheckDepth(e->height()));
+    return e;
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -599,6 +614,7 @@ class Parser {
                                                        : BinaryOp::kSub;
       MRA_ASSIGN_OR_RETURN(ExprPtr r, ParseMultiplicative());
       e = std::make_shared<BinaryExpr>(op, std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height()));
     }
     return e;
   }
@@ -613,13 +629,16 @@ class Parser {
                                              : BinaryOp::kMod;
       MRA_ASSIGN_OR_RETURN(ExprPtr r, ParseUnary());
       e = std::make_shared<BinaryExpr>(op, std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height()));
     }
     return e;
   }
 
   Result<ExprPtr> ParseUnary() {
     if (Check(TokenKind::kMinus)) {
+      MRA_RETURN_IF_ERROR(CheckDepth(1));
       Advance();
+      ParseNesting::Level level(&nesting_);
       MRA_ASSIGN_OR_RETURN(ExprPtr e, ParseUnary());
       return Neg(std::move(e));
     }
@@ -627,6 +646,7 @@ class Parser {
   }
 
   Result<ExprPtr> ParsePrimary() {
+    MRA_RETURN_IF_ERROR(CheckDepth(1));
     switch (Peek().kind) {
       case TokenKind::kAttrRef:
         return Attr(Advance().attr_index);
@@ -652,6 +672,7 @@ class Parser {
         return Lit(Value::Bool(false));
       case TokenKind::kLParen: {
         Advance();
+        ParseNesting::Level level(&nesting_);
         MRA_ASSIGN_OR_RETURN(ExprPtr e, ParseScalar());
         MRA_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
         return e;
@@ -663,6 +684,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  ParseNesting nesting_;  // Against kMaxParseDepth.
 };
 
 }  // namespace

@@ -22,6 +22,9 @@
 //
 // Scalar expressions use the usual precedence:
 // or < and < not < comparisons < + - < * / % < unary - < primary.
+//
+// Input that nests kMaxParseDepth levels deep (common/limits.h) is a
+// ParseError, whether the nesting is recursive or a long operator chain.
 
 #ifndef MRA_LANG_PARSER_H_
 #define MRA_LANG_PARSER_H_

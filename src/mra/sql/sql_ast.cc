@@ -1,5 +1,6 @@
 #include "mra/sql/sql_ast.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -24,6 +25,7 @@ SqlExprPtr SqlUnary(UnaryOp op, SqlExprPtr operand) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = SqlExpr::Kind::kUnary;
   e->unary_op = op;
+  e->height = operand->height + 1;
   e->lhs = std::move(operand);
   return e;
 }
@@ -32,6 +34,7 @@ SqlExprPtr SqlBinary(BinaryOp op, SqlExprPtr lhs, SqlExprPtr rhs) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = SqlExpr::Kind::kBinary;
   e->binary_op = op;
+  e->height = std::max(lhs->height, rhs->height) + 1;
   e->lhs = std::move(lhs);
   e->rhs = std::move(rhs);
   return e;
@@ -41,6 +44,7 @@ SqlExprPtr SqlAggregate(AggKind agg, SqlExprPtr arg_or_null) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = SqlExpr::Kind::kAggregate;
   e->agg = agg;
+  if (arg_or_null != nullptr) e->height = arg_or_null->height + 1;
   e->lhs = std::move(arg_or_null);
   return e;
 }

@@ -50,6 +50,7 @@ struct SqlExpr {
   BinaryOp binary_op{};      // kBinary
   SqlExprPtr lhs, rhs;       // kUnary/kAggregate use lhs only
   AggKind agg{};             // kAggregate; lhs null means COUNT(*)
+  uint32_t height = 1;       // nodes on the longest path down to a leaf
 
   std::string ToString() const;
 };

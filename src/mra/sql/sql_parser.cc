@@ -1,5 +1,6 @@
 #include "mra/sql/sql_parser.h"
 
+#include "mra/common/limits.h"
 #include "mra/sql/sql_lexer.h"
 
 namespace mra {
@@ -50,6 +51,12 @@ class SqlParser {
   Status Error(const std::string& message) const {
     return Status::ParseError(message + " (found " + Peek().Describe() +
                               " at line " + std::to_string(Peek().line) + ")");
+  }
+
+  // Refuses a subtree `height` levels tall at the parse position.
+  Status CheckDepth(uint32_t height) const {
+    if (nesting_.Fits(height)) return Status::OK();
+    return Error(ParseNesting::LimitMessage());
   }
 
   Status ExpectKw(std::string_view kw) {
@@ -178,6 +185,9 @@ class SqlParser {
 
     MRA_RETURN_IF_ERROR(ExpectKw("FROM"));
     while (true) {
+      // n tables translate to a product chain n levels deep.
+      MRA_RETURN_IF_ERROR(
+          CheckDepth(static_cast<uint32_t>(stmt.tables.size()) + 1));
       MRA_ASSIGN_OR_RETURN(std::string table, ExpectName("table name"));
       stmt.tables.push_back(std::move(table));
       if (Check(SqlTokenKind::kComma)) {
@@ -423,6 +433,7 @@ class SqlParser {
     while (AcceptKw("OR")) {
       MRA_ASSIGN_OR_RETURN(SqlExprPtr r, ParseAnd());
       e = SqlBinary(BinaryOp::kOr, std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height));
     }
     return e;
   }
@@ -432,12 +443,15 @@ class SqlParser {
     while (AcceptKw("AND")) {
       MRA_ASSIGN_OR_RETURN(SqlExprPtr r, ParseNot());
       e = SqlBinary(BinaryOp::kAnd, std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height));
     }
     return e;
   }
 
   Result<SqlExprPtr> ParseNot() {
     if (AcceptKw("NOT")) {
+      MRA_RETURN_IF_ERROR(CheckDepth(1));
+      ParseNesting::Level level(&nesting_);
       MRA_ASSIGN_OR_RETURN(SqlExprPtr e, ParseNot());
       return SqlUnary(UnaryOp::kNot, std::move(e));
     }
@@ -471,7 +485,9 @@ class SqlParser {
     }
     Advance();
     MRA_ASSIGN_OR_RETURN(SqlExprPtr r, ParseAdditive());
-    return SqlBinary(op, std::move(e), std::move(r));
+    e = SqlBinary(op, std::move(e), std::move(r));
+    MRA_RETURN_IF_ERROR(CheckDepth(e->height));
+    return e;
   }
 
   Result<SqlExprPtr> ParseAdditive() {
@@ -481,6 +497,7 @@ class SqlParser {
                                                           : BinaryOp::kSub;
       MRA_ASSIGN_OR_RETURN(SqlExprPtr r, ParseMultiplicative());
       e = SqlBinary(op, std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height));
     }
     return e;
   }
@@ -495,13 +512,16 @@ class SqlParser {
                                                 : BinaryOp::kMod;
       MRA_ASSIGN_OR_RETURN(SqlExprPtr r, ParseUnary());
       e = SqlBinary(op, std::move(e), std::move(r));
+      MRA_RETURN_IF_ERROR(CheckDepth(e->height));
     }
     return e;
   }
 
   Result<SqlExprPtr> ParseUnary() {
     if (Check(SqlTokenKind::kMinus)) {
+      MRA_RETURN_IF_ERROR(CheckDepth(1));
       Advance();
+      ParseNesting::Level level(&nesting_);
       MRA_ASSIGN_OR_RETURN(SqlExprPtr e, ParseUnary());
       return SqlUnary(UnaryOp::kNeg, std::move(e));
     }
@@ -509,6 +529,9 @@ class SqlParser {
   }
 
   Result<SqlExprPtr> ParsePrimary() {
+    MRA_RETURN_IF_ERROR(CheckDepth(1));
+    // One level for a parenthesis' contents or an aggregate's argument.
+    ParseNesting::Level level(&nesting_);
     if (Check(SqlTokenKind::kLParen)) {
       Advance();
       MRA_ASSIGN_OR_RETURN(SqlExprPtr e, ParseExpr());
@@ -543,6 +566,7 @@ class SqlParser {
 
   std::vector<SqlToken> tokens_;
   size_t pos_ = 0;
+  ParseNesting nesting_;  // Against kMaxParseDepth.
 };
 
 }  // namespace

@@ -12,7 +12,8 @@
 namespace mra {
 namespace sql {
 
-/// Parses a `;`-separated sequence of SQL statements.
+/// Parses a `;`-separated sequence of SQL statements.  Input that nests
+/// kMaxParseDepth levels deep (common/limits.h) is a ParseError.
 Result<std::vector<SqlStatement>> ParseSql(std::string_view source);
 
 }  // namespace sql

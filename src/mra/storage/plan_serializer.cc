@@ -1,5 +1,7 @@
 #include "mra/storage/plan_serializer.h"
 
+#include "mra/common/limits.h"
+
 namespace mra {
 namespace storage {
 
@@ -7,6 +9,8 @@ namespace {
 
 // Guards recursive decoding against adversarial deeply nested input.
 constexpr int kMaxDepth = 512;
+// What either parser returns must persist and decode.
+static_assert(kMaxParseDepth < kMaxDepth);
 
 Result<ExprPtr> DecodeExprAtDepth(Decoder* decoder, int depth);
 Result<PlanPtr> DecodePlanAtDepth(Decoder* decoder, int depth);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "mra/common/limits.h"
+#include "mra/lang/interpreter.h"
 #include "mra/lang/lexer.h"
 #include "mra/lang/parser.h"
 #include "test_util.h"
@@ -232,6 +236,74 @@ TEST(ParserTest, StatementToStringRoundTrip) {
   auto script = ParseScript(text);
   ASSERT_OK(script);
   EXPECT_EQ(script->items[0].stmts[0].ToString(), text);
+}
+
+// --- Depth cap (kMaxParseDepth). ---
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * n);
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+// `? select(C, r)` whose tree is `depth` levels deep: σ is one level, and
+// each shape of C adds its nesting above a comparison `%1 > 0` (two
+// levels).  Chain and `and` nest by iteration, parentheses and `not` by
+// recursion.
+std::string DeepQuery(const std::string& shape, int depth) {
+  const int n = depth - 3;
+  std::string cond;
+  if (shape == "chain") cond = "%1" + Repeat(" + 1", n) + " > 0";
+  if (shape == "parens") cond = Repeat("(", n) + "%1 > 0" + Repeat(")", n);
+  if (shape == "not") cond = Repeat("not ", n) + "%1 > 0";
+  if (shape == "and") cond = "%1 > 0" + Repeat(" and %1 > 0", n);
+  if (shape == "unique") {
+    return "? " + Repeat("unique(", depth - 1) + "r" + Repeat(")", depth - 1);
+  }
+  return "? select(" + cond + ", r)";
+}
+
+class ParseDepthTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ParseDepthTest, DeepestAcceptedTreeEvaluatesAndTheCapIsRefused) {
+  auto db = Database::Open();
+  ASSERT_OK(db);
+  Interpreter interp(db->get());
+  ASSERT_OK(interp.ExecuteScript("create r(a: int); insert(r, {(1)});",
+                                 nullptr));
+  auto deepest = interp.ExecuteScriptCollect(
+      DeepQuery(GetParam(), kMaxParseDepth - 1));
+  ASSERT_OK(deepest);
+  ASSERT_EQ(deepest->size(), 1u);
+
+  for (int depth : {kMaxParseDepth, 100000}) {
+    SCOPED_TRACE(depth);
+    auto refused = ParseScript(DeepQuery(GetParam(), depth));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+    EXPECT_NE(refused.status().message().find(
+                  std::to_string(kMaxParseDepth) + " levels"),
+              std::string::npos)
+        << refused.status().ToString();
+    EXPECT_EQ(interp.ExecuteScript(DeepQuery(GetParam(), depth), nullptr)
+                  .code(),
+              StatusCode::kParseError);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ParseDepthTest,
+                         ::testing::Values("chain", "parens", "not", "and",
+                                           "unique"));
+
+TEST(ParserTest, ScalarExpressionsShareTheDepthCap) {
+  ASSERT_OK(ParseScalarExpr("1" + Repeat(" * 2", kMaxParseDepth - 2)));
+  EXPECT_EQ(ParseScalarExpr("1" + Repeat(" * 2", kMaxParseDepth - 1))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseScalarExpr(Repeat("-", 100000) + "1").status().code(),
+            StatusCode::kParseError);
 }
 
 }  // namespace

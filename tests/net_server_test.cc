@@ -442,6 +442,39 @@ TEST(NetServer, HostileFramesCloseOneSessionNeverTheProcess) {
   EXPECT_EQ(server.active_sessions(), 0);
 }
 
+// Scripts nested 100,000 levels deep — a left-associative chain, which
+// the parser builds by iteration, and nested parentheses, which it builds
+// by recursion — are refused with a ParseError at the depth cap.  Neither
+// takes the server down: the next session is served.
+TEST(NetServer, DeeplyNestedScriptsAreRefusedNeverTheProcess) {
+  auto db = MakeSeededDb();
+  Server server(db.get());
+  ASSERT_TRUE(server.Start().ok());
+  constexpr int kLevels = 100000;
+  std::string chain = "? select(%3";
+  std::string parens = "? select(";
+  for (int i = 0; i < kLevels; ++i) {
+    chain += " + 1";
+    parens += "(";
+  }
+  chain += " > 0, beer);";
+  parens += "%3 > 0";
+  parens.append(kLevels, ')');
+  parens += ", beer);";
+  for (const std::string* script : {&chain, &parens}) {
+    Client client = MustConnect(server);
+    auto refused = client.ExecuteScript(*script);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kParseError)
+        << refused.status().ToString();
+  }
+  Client next = MustConnect(server);
+  auto served = next.Query("beer");
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->size(), 6u);
+  server.Shutdown();
+}
+
 TEST(NetServer, DoubleShutdownIsIdempotent) {
   auto db = MakeSeededDb();
   Server server(db.get());

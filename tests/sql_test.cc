@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "mra/common/limits.h"
 #include "mra/sql/sql_parser.h"
 #include "mra/sql/translator.h"
 #include "test_util.h"
@@ -408,6 +411,69 @@ TEST_F(SqlTest, DropTable) {
   ASSERT_OK(session_->Execute("DROP TABLE brewery"));
   EXPECT_EQ(One("SELECT * FROM brewery").status().code(),
             StatusCode::kNotFound);
+}
+
+// --- Depth cap (kMaxParseDepth). ---
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * n);
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+// `SELECT name FROM beer WHERE C` whose WHERE tree is `depth` levels deep:
+// each shape of C adds its nesting above `alcperc > 0` (two levels).
+std::string DeepSelect(const std::string& shape, int depth) {
+  const int n = depth - 2;
+  std::string cond;
+  if (shape == "chain") cond = "alcperc" + Repeat(" + 1", n) + " > 0";
+  if (shape == "parens") {
+    cond = Repeat("(", n) + "alcperc > 0" + Repeat(")", n);
+  }
+  if (shape == "not") cond = Repeat("NOT ", n) + "alcperc > 0";
+  if (shape == "and") cond = "alcperc > 0" + Repeat(" AND alcperc > 0", n);
+  return "SELECT name FROM beer WHERE " + cond;
+}
+
+class SqlParseDepthTest : public SqlTest,
+                          public ::testing::WithParamInterface<const char*> {
+};
+
+TEST_P(SqlParseDepthTest, DeepestAcceptedTreeEvaluatesAndTheCapIsRefused) {
+  auto deepest = session_->ExecuteCollect(
+      DeepSelect(GetParam(), kMaxParseDepth - 1));
+  ASSERT_OK(deepest);
+  ASSERT_EQ(deepest->size(), 1u);
+
+  for (int depth : {kMaxParseDepth, 100000}) {
+    SCOPED_TRACE(depth);
+    auto refused = ParseSql(DeepSelect(GetParam(), depth));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+    EXPECT_NE(refused.status().message().find(
+                  std::to_string(kMaxParseDepth) + " levels"),
+              std::string::npos)
+        << refused.status().ToString();
+    EXPECT_EQ(session_->Execute(DeepSelect(GetParam(), depth)).code(),
+              StatusCode::kParseError);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SqlParseDepthTest,
+                         ::testing::Values("chain", "parens", "not", "and"));
+
+// A FROM list of n tables translates to a product chain n levels deep.
+TEST(SqlParseDepth, FromListSharesTheDepthCap) {
+  auto from = [](int tables) {
+    return "SELECT * FROM t" + Repeat(", t", tables - 1);
+  };
+  ASSERT_OK(ParseSql(from(kMaxParseDepth - 1)));
+  for (int tables : {kMaxParseDepth, 100000}) {
+    EXPECT_EQ(ParseSql(from(tables)).status().code(),
+              StatusCode::kParseError)
+        << tables;
+  }
 }
 
 }  // namespace
