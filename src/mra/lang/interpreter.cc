@@ -363,6 +363,7 @@ Status Interpreter::ExecuteScript(std::string_view source,
   // network server, which binds the wire-provided id) set one already.
   std::optional<obs::ScopedQueryId> qid;
   if (obs::CurrentQueryId() == 0) qid.emplace(obs::NextQueryId());
+  last_query_stats_ = obs::QueryStats{};
   obs::ScopedSpan script_span("script");
   Script script;
   {

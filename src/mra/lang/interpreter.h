@@ -77,7 +77,8 @@ class Interpreter {
   Result<std::string> ExplainAnalyze(std::string_view rel_expr_source);
 
   /// Stats of the most recent query run through the physical executor
-  /// (`valid` is false before the first one).
+  /// (`valid` is false before the first one).  ExecuteScript starts
+  /// without any, so after a script they are that script's or invalid.
   const obs::QueryStats& last_query_stats() const {
     return last_query_stats_;
   }

@@ -53,6 +53,7 @@ Result<std::unique_ptr<RemoteSession>> RemoteSession::Connect(
 }
 
 Result<QueryResult> RemoteSession::Execute(std::string_view script) {
+  last_stats_ = obs::QueryStats{};
   MRA_ASSIGN_OR_RETURN(std::vector<Relation> relations,
                        client_.ExecuteScript(script));
   if (client_.last_query_stats().has_value()) {

@@ -64,11 +64,12 @@ class Session {
   /// session, the server's for a remote one.
   virtual Result<std::string> Stats() = 0;
 
-  /// Per-query stats of the most recent Execute() that reached the
-  /// physical executor — embedded: the interpreter's harvest; remote: the
-  /// server-side stats trailer decoded from the result frame, so both
-  /// deployment shapes report the *server's* numbers (parity contract in
-  /// docs/EXECUTION.md).  nullptr before the first such query.
+  /// Per-query stats of the last query the most recent Execute() ran
+  /// through the physical executor — embedded: the interpreter's harvest;
+  /// remote: the server-side stats trailer decoded from the result frame,
+  /// so both deployment shapes report the *server's* numbers (parity
+  /// contract in docs/EXECUTION.md).  nullptr when that Execute() ran no
+  /// such query; otherwise its query_id is last_query_id().
   virtual const obs::QueryStats* last_query_stats() const { return nullptr; }
 
   /// Query id attributed to the most recent Execute() — feed it to the
@@ -146,8 +147,8 @@ class RemoteSession : public Session {
 
   net::Client client_;
   std::string backend_;  // "remote(host:port)"
-  /// Most recent server-side stats trailer (valid = false until the
-  /// server sends one).
+  /// The most recent Execute()'s server-side stats trailer (valid = false
+  /// when the server sent none).
   obs::QueryStats last_stats_;
 };
 

@@ -76,8 +76,9 @@ class SessionParityTest : public ::testing::Test {
     if (server_ != nullptr) server_->Shutdown();
   }
 
-  // Runs `script` through both sessions and checks the contract.
-  void ExpectParity(const std::string& script) {
+  // Runs `script` through both sessions and checks the contract: stats,
+  // per Execute(), exist in both (`expect_stats`) or in neither.
+  void ExpectParity(const std::string& script, bool expect_stats = true) {
     auto embedded = embedded_->Execute(script);
     ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
     auto remote = remote_->Execute(script);
@@ -89,11 +90,17 @@ class SessionParityTest : public ::testing::Test {
 
     const obs::QueryStats* embedded_stats = embedded_->last_query_stats();
     const obs::QueryStats* remote_stats = remote_->last_query_stats();
+    EXPECT_NE(remote_->last_query_id(), 0u);
+    if (!expect_stats) {
+      EXPECT_EQ(embedded_stats, nullptr);
+      EXPECT_EQ(remote_stats, nullptr);
+      return;
+    }
     ASSERT_NE(embedded_stats, nullptr);
     ASSERT_NE(remote_stats, nullptr);
     ExpectSameStats(*embedded_stats, *remote_stats);
-    EXPECT_NE(remote_->last_query_id(), 0u);
     EXPECT_EQ(remote_stats->query_id, remote_->last_query_id());
+    EXPECT_EQ(embedded_stats->query_id, embedded_->last_query_id());
   }
 
   std::unique_ptr<EmbeddedSession> embedded_;
@@ -117,6 +124,16 @@ TEST_F(SessionParityTest, EachQueryReportsTheSameStats) {
     SCOPED_TRACE(query);
     ExpectParity(std::string("? ") + query + ";");
   }
+}
+
+// The stats contract is per Execute(): a DDL-only script evaluates
+// nothing, so right after a query both sessions report no stats rather
+// than that query's.
+TEST_F(SessionParityTest, DdlOnlyScriptReportsNoStats) {
+  ExpectParity(kSchemaAndData);
+  ExpectParity(std::string("? ") + kQueries[0] + ";");
+  ExpectParity("create u(b: int);", /*expect_stats=*/false);
+  ExpectParity(std::string("? ") + kQueries[1] + ";");
 }
 
 }  // namespace
