@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "mra/common/limits.h"
 #include "mra/net/client.h"
 #include "mra/obs/op_metrics.h"
 #include "mra/obs/slow_log.h"
@@ -472,6 +473,15 @@ TEST(NetServer, DeeplyNestedScriptsAreRefusedNeverTheProcess) {
   auto served = next.Query("beer");
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ(served->size(), 6u);
+  // The deepest chain the cap admits evaluates on a session's stack: σ,
+  // >, the additions and %3 make kMaxParseDepth - 1 levels.
+  std::string deepest = "? select(%3";
+  for (int i = 0; i < kMaxParseDepth - 4; ++i) deepest += " + 1";
+  deepest += " > 0, beer);";
+  auto admitted = next.ExecuteScript(deepest);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  ASSERT_EQ(admitted->size(), 1u);
+  EXPECT_EQ((*admitted)[0].size(), 6u);
   server.Shutdown();
 }
 
