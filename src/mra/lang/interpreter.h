@@ -32,8 +32,8 @@ namespace mra {
 namespace lang {
 
 /// Not itself thread-safe: use one Interpreter per thread/session.  Many
-/// interpreters may share one Database — Query/Explain evaluate under the
-/// database's shared read lock, transaction brackets serialize on its
+/// interpreters may share one Database — top-level queries evaluate under
+/// the database's shared read lock, transaction brackets serialize on its
 /// transaction slot (see the thread-model note in txn/database.h).
 class Interpreter {
  public:
