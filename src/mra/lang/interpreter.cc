@@ -371,21 +371,21 @@ Status Interpreter::ExecuteScript(std::string_view source,
     MRA_ASSIGN_OR_RETURN(script, ParseScript(source));
   }
   for (const Script::Item& item : script.items) {
-    const Stmt& first = item.stmts.front();
-    MRA_RETURN_IF_ERROR(
-        item.is_transaction
-            ? InBracket([&](Transaction& txn) -> Status {
-                for (const Stmt& stmt : item.stmts) {
-                  MRA_RETURN_IF_ERROR(ExecuteStmt(stmt, txn, on_query));
-                }
-                return Status::OK();
-              })
-            : ExecuteItem(
-                  first.kind,
-                  [&first](const RelationProvider&) -> Result<Stmt> {
-                    return first;
-                  },
-                  on_query));
+    if (item.is_transaction) {
+      MRA_RETURN_IF_ERROR(InBracket([&](Transaction& txn) -> Status {
+        for (const Stmt& stmt : item.stmts) {
+          MRA_RETURN_IF_ERROR(ExecuteStmt(stmt, txn, on_query));
+        }
+        return Status::OK();
+      }));
+      continue;
+    }
+    // A bare statement: parsed already, so it ignores the view.
+    const Stmt& stmt = item.stmts.front();
+    auto parsed = [&stmt](const RelationProvider&) -> Result<Stmt> {
+      return stmt;
+    };
+    MRA_RETURN_IF_ERROR(ExecuteItem(stmt.kind, parsed, on_query));
   }
   return Status::OK();
 }
