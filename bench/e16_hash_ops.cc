@@ -95,7 +95,7 @@ class MaterialisedBagOp final : public exec::PhysicalOperator {
   std::string_view name() const override { return "MaterialisedBag"; }
 
  protected:
-  Status OpenImpl() override {
+  Status OpenImpl(size_t) override {
     MRA_ASSIGN_OR_RETURN(Relation lhs, exec::ExecuteToRelation(*lhs_));
     MRA_ASSIGN_OR_RETURN(Relation rhs, exec::ExecuteToRelation(*rhs_));
     MRA_ASSIGN_OR_RETURN(result_, fn_ == exec::BagFn::kDifference
@@ -105,7 +105,7 @@ class MaterialisedBagOp final : public exec::PhysicalOperator {
     return Status::OK();
   }
 
-  Status NextBatchImpl(exec::RowBatch& out) override {
+  Status NextBatchImpl(exec::RowBatch& out, size_t) override {
     for (; it_ != result_.end() && !out.full(); ++it_) {
       exec::Row& slot = out.AppendSlot();
       slot.tuple = it_->first;
@@ -140,7 +140,7 @@ class SortUniqueOp final : public exec::PhysicalOperator {
   std::string_view name() const override { return "SortUnique"; }
 
  protected:
-  Status OpenImpl() override {
+  Status OpenImpl(size_t) override {
     tuples_.clear();
     pos_ = 0;
     MRA_RETURN_IF_ERROR(child_->Open());
@@ -161,7 +161,7 @@ class SortUniqueOp final : public exec::PhysicalOperator {
     return Status::OK();
   }
 
-  Status NextBatchImpl(exec::RowBatch& out) override {
+  Status NextBatchImpl(exec::RowBatch& out, size_t) override {
     for (; pos_ < tuples_.size() && !out.full(); ++pos_) {
       exec::Row& slot = out.AppendSlot();
       slot.tuple = std::move(tuples_[pos_]);

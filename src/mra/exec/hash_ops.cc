@@ -51,10 +51,6 @@ obs::Counter* IdleLanes() {
   return c;
 }
 
-// Time this thread spent waiting for a SharedCursor; lanes subtract it
-// from their busy time, however deeply the cursor sits below them.
-thread_local uint64_t tls_blocked_ns = 0;
-
 /// The first error any lane reports; once one has latched, every lane's
 /// loop ends before its next morsel.
 class ErrorLatch {
@@ -76,30 +72,36 @@ class ErrorLatch {
   Status status_;
 };
 
-/// Runs the lease's lanes until each has drained: a lane checks the
-/// ExecContext, pulls a morsel with pull(lane, morsel) — empty once that
-/// lane is done — and hands it to consume(lane, morsel).  Lane 0, always
-/// the query thread and the only lane that charges memory, then calls
-/// charge().  Adds the lanes' busy time, less time blocked on a
-/// SharedCursor, to *cpu_ns and the pulled rows to *rows, counts the lanes
-/// that pulled nothing in a drain that pulled something into
-/// parallel.idle_lanes, and returns the first error.
-template <typename Pull, typename Consume, typename Charge>
-Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
-                size_t morsel_size, uint64_t* cpu_ns, uint64_t* rows,
-                Pull pull, Consume consume, Charge charge) {
+/// One morsel-driven pass over `child`: opens it for the lease's lanes,
+/// calls opened() — where the kernel sizes its tables, after every build
+/// below it — and runs the lanes until each has drained.  A lane checks
+/// the ExecContext, pulls its next morsel with NextBatch(morsel, lane) and
+/// hands it to consume(lane, morsel); lane 0, always the query thread and
+/// the only lane that charges memory, then calls charge().  Adds the
+/// lanes' busy time, less time waiting at a serialised cursor, to *cpu_ns
+/// and the pulled rows to *rows, counts the lanes that pulled nothing in a
+/// drain that pulled something into parallel.idle_lanes, and returns the
+/// first error.  At the join the child closes, whether or not the pass
+/// failed.
+template <typename Opened, typename Consume, typename Charge>
+Status DrainChild(const WorkerPool::Lease& lease, ExecContext* ctx,
+                  PhysicalOperator* child, size_t morsel_size,
+                  uint64_t* cpu_ns, uint64_t* rows, Opened opened,
+                  Consume consume, Charge charge) {
+  MRA_RETURN_IF_ERROR(child->Open(lease.lanes()));
+  opened();
   ErrorLatch latch;
   std::atomic<uint64_t> busy_ns{0};
   std::atomic<uint64_t> pulled{0};
   std::atomic<uint64_t> idle{0};
   WorkerPool::Global().ParallelFor(lease, [&](size_t lane) {
     const uint64_t t0 = NowNs();
-    const uint64_t blocked0 = tls_blocked_ns;
+    const uint64_t waited0 = CursorWaitNs();
     uint64_t n = 0;
     RowBatch morsel(morsel_size);
     while (!latch.stopped()) {
       Status s = ctx != nullptr ? ctx->Check() : Status::OK();
-      if (s.ok()) s = pull(lane, morsel);
+      if (s.ok()) s = child->NextBatch(morsel, lane);
       if (s.ok() && morsel.empty()) break;
       if (s.ok()) {
         n += morsel.size();
@@ -113,7 +115,7 @@ Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
     }
     pulled.fetch_add(n, std::memory_order_relaxed);
     if (n == 0) idle.fetch_add(1, std::memory_order_relaxed);
-    busy_ns.fetch_add(NowNs() - t0 - (tls_blocked_ns - blocked0),
+    busy_ns.fetch_add(NowNs() - t0 - (CursorWaitNs() - waited0),
                       std::memory_order_relaxed);
   });
   *cpu_ns += busy_ns.load(std::memory_order_relaxed);
@@ -122,41 +124,10 @@ Status RunLanes(const WorkerPool::Lease& lease, ExecContext* ctx,
   if (total > 0 && idle.load(std::memory_order_relaxed) > 0) {
     IdleLanes()->Inc(idle.load(std::memory_order_relaxed));
   }
-  return latch.status();
-}
-
-/// One morsel-driven pass over `child`: opens it for the lease's lanes (a
-/// plain Open on a one-lane lease), calls opened() — where the kernel
-/// sizes its tables, after every build below it — and runs the lanes over
-/// it, each pulling its own morsels when the child is a partitioned
-/// source, else taking turns at a SharedCursor.  At the join the child's
-/// lane counters fold into its nodes and it closes, whether or not the
-/// pass failed.
-template <typename Opened, typename Consume, typename Charge>
-Status DrainChild(const WorkerPool::Lease& lease, ExecContext* ctx,
-                  PhysicalOperator* child, size_t morsel_size,
-                  uint64_t* cpu_ns, uint64_t* rows, Opened opened,
-                  Consume consume, Charge charge) {
-  bool by_lanes = false;
-  if (lease.lanes() > 1) {
-    MRA_RETURN_IF_ERROR(child->OpenForLanes(lease.lanes(), &by_lanes));
-  } else {
-    MRA_RETURN_IF_ERROR(child->Open());
-  }
-  opened();
-  SharedCursor shared;
-  Status s = RunLanes(
-      lease, ctx, morsel_size, cpu_ns, rows,
-      [&](size_t lane, RowBatch& morsel) {
-        return by_lanes ? child->NextLaneBatch(lane, morsel)
-                        : shared.Pull(child, morsel);
-      },
-      consume, charge);
   // Closing on failure too hands the subtree's budget charges back at
   // once: a killed kernel's Close never reaches an input it opened here.
-  child->FoldLaneMetrics();
   child->Close();
-  return s;
+  return latch.status();
 }
 
 /// One partition-wise phase: the lease's lanes claim partitions
@@ -209,21 +180,6 @@ uint64_t SumLaneBytes(const std::vector<std::atomic<uint64_t>>& lane_bytes) {
 }
 
 }  // namespace
-
-Status SharedCursor::Pull(PhysicalOperator* child, RowBatch& out) {
-  const uint64_t t0 = NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  tls_blocked_ns += NowNs() - t0;
-  if (done_) {
-    out.Clear();
-    return Status::OK();
-  }
-  Status s = child->NextBatch(out);
-  // After the end of stream, or an error that another lane reports, the
-  // waiting lanes see an empty morsel.
-  if (!s.ok() || out.empty()) done_ = true;
-  return s;
-}
 
 // --- HashJoinOp. ---
 
@@ -302,8 +258,6 @@ void HashJoinOp::Reset() {
     c.chain = kNone;
     c.probed = 0;
   }
-  probe_by_lanes_ = false;
-  probe_cursor_.reset();
   // Nothing spilled opens no run, so it has nothing to reset.
   if (!spill_.files.empty()) {
     RemoveRunFiles(&spill_.files);
@@ -454,29 +408,21 @@ void HashJoinOp::SetProbeLanes(size_t lanes) {
   for (ProbeCursor& c : lane_probes_) c.batch.SetCapacity(morsel_size_);
 }
 
-// Drained through NextBatch, the join builds on its own lease and then
-// probes on the calling thread, batch by batch, into the caller's
-// recycled slots: it holds its build arenas and nothing else.
-Status HashJoinOp::OpenImpl() { return OpenLanesImpl(1, nullptr); }
-
-// Drained by lanes, the join builds on its own lease and then probes on
-// its consumer's lanes, pulling probe morsels lane by lane — unless it
-// spilled, when its passes run through NextBatch.
-Status HashJoinOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
+// The join builds on its own lease, then probes on each lane it is opened
+// for, pulling that lane's probe morsels into the caller's recycled
+// slots: it holds its build arenas and nothing else.  A join that spilled
+// is one cursor whose passes run at lane 0.
+Status HashJoinOp::OpenImpl(size_t lanes) {
   if (!base_annotation_captured_) {
     base_annotation_ = annotation();
     base_annotation_captured_ = true;
   }
   set_annotation(base_annotation_);
   Status s = Build();
-  if (s.ok() && by_lanes != nullptr && chunks_ == 0) {
-    SetProbeLanes(lanes);
-    probe_cursor_ = std::make_unique<SharedCursor>();
-    s = left_->OpenForLanes(lanes, &probe_by_lanes_);
-    *by_lanes = s.ok();
-  } else if (s.ok()) {
-    SetProbeLanes(1);
-    s = left_->Open();
+  if (s.ok()) {
+    const size_t probe_lanes = chunks_ == 0 ? lanes : 1;
+    SetProbeLanes(probe_lanes);
+    s = left_->Open(probe_lanes);
     if (s.ok() && chunks_ > 0) {
       s = spill_.probe_writer.Open();
       spill_.files.push_back(spill_.probe_writer.path());
@@ -530,21 +476,11 @@ Status HashJoinOp::Probe(ProbeCursor& c, RowBatch& out, Pull pull) {
   return Status::OK();
 }
 
-Status HashJoinOp::LaneBatchImpl(size_t lane, RowBatch& out) {
+Status HashJoinOp::NextBatchImpl(RowBatch& out, size_t lane) {
   ProbeCursor& c = lane_probes_[lane];
-  if (probe_by_lanes_) {
-    return Probe(c, out,
-                 [&](RowBatch& b) { return left_->NextLaneBatch(lane, b); });
-  }
-  return Probe(c, out, [&](RowBatch& b) {
-    return probe_cursor_->Pull(left_.get(), b);
-  });
-}
-
-Status HashJoinOp::NextBatchImpl(RowBatch& out) {
-  ProbeCursor& c = lane_probes_[0];
   if (chunks_ == 0) {
-    return Probe(c, out, [&](RowBatch& b) { return left_->NextBatch(b); });
+    return Probe(c, out,
+                 [&](RowBatch& b) { return left_->NextBatch(b, lane); });
   }
   // Spilled: pass by pass until `out` fills or the chunks run out.  The
   // first pass tees the probe stream into the probe run; later passes
@@ -631,7 +567,7 @@ void HashJoinOp::CloseImpl() {
   CountHashRows(metrics_.build_rows, metrics_.probe_rows);
   Reset();
   // Inputs close at the end of their phases on the success path; Close is
-  // idempotent, so this also covers unwinds and lane-drained probes.
+  // idempotent, so this also covers unwinds and the probe input.
   left_->Close();
   right_->Close();
 }
@@ -654,7 +590,7 @@ HashGroupByOp::HashGroupByOp(std::vector<size_t> keys,
   }
 }
 
-Status HashGroupByOp::OpenImpl() {
+Status HashGroupByOp::OpenImpl(size_t) {
   lane_tables_.clear();
   emit_part_ = 0;
   emit_lane_ = 0;
@@ -797,7 +733,7 @@ Result<Row> HashGroupByOp::EmitGroup(const GroupTable& table,
   return Row{Tuple(std::move(values)), 1};
 }
 
-Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
+Status HashGroupByOp::NextBatchImpl(RowBatch& out, size_t) {
   // Partition by partition, lane by lane, skipping folded groups.
   while (!out.full()) {
     if (emit_lane_ >= lane_tables_.size()) {
@@ -929,7 +865,7 @@ Status BagCountOp::Collapse(const WorkerPool::Lease& lease,
   return NoteHashFootprint(*bytes);
 }
 
-Status BagCountOp::OpenImpl() {
+Status BagCountOp::OpenImpl(size_t) {
   emit_part_ = 0;
   emit_pos_ = 0;
 
@@ -1017,7 +953,7 @@ Status BagCountOp::StreamBatch(RowBatch& out) {
   }
 }
 
-Status BagCountOp::NextBatchImpl(RowBatch& out) {
+Status BagCountOp::NextBatchImpl(RowBatch& out, size_t) {
   if (streaming_) return StreamBatch(out);
   // δ on more lanes: each partition's keys, given away as they go.
   while (!out.full()) {

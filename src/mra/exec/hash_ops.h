@@ -6,11 +6,12 @@
 // With more than one lane a kernel's build happens in OpenImpl as a
 // sequence of phases fanned out over the lease.  A *morsel* is one
 // RowBatch of the child's output.  The kernel opens its child with
-// OpenForLanes: a partitioned source (a stored-relation scan, σ/π over
-// one, a multi-lane ⋈) lets every lane produce its own morsels — the scan
-// claims disjoint ranges of the relation, σ and π run on the claiming
-// lane, the ⋈ probes on it — with no lock; any other child is one
-// SharedCursor pulled under a mutex (operator.h).
+// Open(lanes) and every lane pulls its own morsels with NextBatch(morsel,
+// lane): a partitioned source (a stored-relation scan, σ/π over one, an
+// unspilled ⋈) produces them with no lock — the scan claims disjoint
+// ranges of the relation, σ and π run on the claiming lane, the ⋈ probes
+// on it — and the wrapper serialises the lanes of any other child
+// (operator.h).
 // Partitioning is by key-hash radix on the hash's top bits (the key
 // indexes place keys by the low bits): P = next power of two >= 4 x lanes
 // partitions, which makes the partitions *disjoint by key* — and under the
@@ -33,12 +34,13 @@
 //
 // A one-lane lease (workers <= 1, or a saturated pool that shed the
 // admission) uses a single partition, skips the routing and opens the
-// child with a plain Open.  The join streams on every lease: once built,
-// it probes batch by batch on the calling thread, or morsel by morsel on
-// its consumer's lanes.  The bag-count kernel builds its rhs key sets and
-// compacts each lhs batch in place against them (δ on one lane against a
-// seen-set; δ on more lanes emits the key sets its lhs built).  Γ, which
-// must see its whole input before it can emit, materialises.
+// child for one lane.  The join streams on every lease: once built, it
+// probes on each lane it is opened for — the calling thread of a
+// NextBatch consumer, or its consumer kernel's lanes.  The bag-count
+// kernel builds its rhs key sets and compacts each lhs batch in place
+// against them (δ on one lane against a seen-set; δ on more lanes emits
+// the key sets its lhs built).  Γ, which must see its whole input before
+// it can emit, materialises.
 //
 // Governance: the shared ExecContext reaches every lane — each lane checks
 // it per morsel (and the child's own batch wrapper checks per pull), so a
@@ -49,11 +51,11 @@
 //
 // Metrics: per-lane row counters and busy-times merge after each phase
 // join into OperatorMetrics — `workers=N` and the summed lane time
-// (`cpu=`, which leaves out time blocked on a locked child cursor) appear
-// in EXPLAIN ANALYZE next to the elapsed wall time.  A lane-drained
-// child's counters fold into its own node at the same joins.  Close adds
-// the build/probe row counts to the process-wide `hash.build_rows` /
-// `hash.probe_rows` counters.
+// (`cpu=`, which leaves out time waiting at a serialised child's cursor)
+// appear in EXPLAIN ANALYZE next to the elapsed wall time.  A lane-drained
+// child's counters fold into its own node when the phase closes it.
+// Close adds the build/probe row counts to the process-wide
+// `hash.build_rows` / `hash.probe_rows` counters.
 
 #ifndef MRA_EXEC_HASH_OPS_H_
 #define MRA_EXEC_HASH_OPS_H_
@@ -61,7 +63,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -74,22 +75,6 @@
 namespace mra {
 namespace exec {
 
-/// The locked fallback for a child that is not a partitioned source: one
-/// shared NextBatch cursor that concurrent lanes pull a morsel at a time
-/// under a mutex, which also serializes the child subtree's own metrics
-/// and budget charges.
-class SharedCursor {
- public:
-  /// Fills `out` with the next morsel; empty once the child has drained
-  /// or failed.  Time spent waiting for the lock is left out of the
-  /// calling lane's `cpu=`.
-  Status Pull(PhysicalOperator* child, RowBatch& out);
-
- private:
-  std::mutex mu_;
-  bool done_ = false;
-};
-
 /// ⋈ on equi-key conjuncts %i = %j: builds a hash table over the right
 /// input keyed by its key attributes, probes with left rows, and applies
 /// the residual condition (non-equi conjuncts) to survivors.  Output
@@ -100,10 +85,9 @@ class SharedCursor {
 /// single arena; on more it radix-partitions the build side and builds one
 /// private arena per partition in parallel.  The partitions are read-only
 /// from then on, so any number of lanes can probe them.  The probe
-/// streams and materialises nothing: a join drained through NextBatch
-/// probes on the calling thread, batch by batch, and one drained by lanes
-/// (a partitioned source) probes on its consumer's lanes, morsel by
-/// morsel.
+/// streams and materialises nothing: each lane the join is opened for
+/// probes on its own thread, pulling its probe morsels from the left input
+/// on the same lane.
 ///
 /// Spill (docs/EXECUTION.md "Spilling hash join"): past SortOp's spill
 /// threshold each build lane appends its further rows to a run file of
@@ -112,7 +96,7 @@ class SharedCursor {
 /// threshold-sized chunk of the build runs into one partition and joins it
 /// with the probe run.  ⋈ distributes over any ⊎-split of its build side,
 /// so the passes' ⊎ is the join, however many rows one key has.  A join
-/// that spilled probes through NextBatch only.
+/// that spilled is not a partitioned source: its passes run at lane 0.
 class HashJoinOp final : public PhysicalOperator {
  public:
   /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
@@ -136,15 +120,15 @@ class HashJoinOp final : public PhysicalOperator {
     return {left_.get(), right_.get()};
   }
 
+  bool partitioned() const override { return chunks_ == 0; }
+
   /// Chunks the last Open joined in passes: 0 when the build fit.
   size_t spilled_chunks() const { return chunks_; }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
-  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
-  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
   static constexpr size_t kNone = static_cast<size_t>(-1);
@@ -179,8 +163,8 @@ class HashJoinOp final : public PhysicalOperator {
   };
 
   /// Where a probe stands: the current probe morsel, the row in it and its
-  /// place in the match chain (kNone = take the next probe row).  The
-  /// NextBatch stream keeps one; a lane-drained join keeps one a lane.
+  /// place in the match chain (kNone = take the next probe row).  One a
+  /// lane.
   struct alignas(64) ProbeCursor {
     RowBatch batch;
     size_t pos = 0;
@@ -207,8 +191,8 @@ class HashJoinOp final : public PhysicalOperator {
   /// recycled rows across Opens.
   void SetProbeLanes(size_t lanes);
   /// The probe kernel: fills `out` with the matches of the cursor's probe
-  /// rows, pulling probe morsels with pull(batch) — one code path for the
-  /// NextBatch stream (cursor 0) and lane-drained joins.
+  /// rows, pulling probe morsels with pull(batch) — one code path for every
+  /// lane and for a spilled join's passes.
   template <typename Pull>
   Status Probe(ProbeCursor& c, RowBatch& out, Pull pull);
 
@@ -224,11 +208,9 @@ class HashJoinOp final : public PhysicalOperator {
   // Open-time state, cleared on Close.
   std::vector<Partition> partitions_;
   int radix_bits_ = 0;  // log2 of partitions_.size().
-  // [lane] probing cursors; NextBatch probes through cursor 0.  Kept
-  // across Opens so their batches' rows are recycled.
+  // [lane] probing cursors.  Kept across Opens so their batches' rows are
+  // recycled.
   std::vector<ProbeCursor> lane_probes_;
-  bool probe_by_lanes_ = false;
-  std::unique_ptr<SharedCursor> probe_cursor_;
 
   uint64_t spill_bytes_;
   // Spill state, reset with the Open-time state.
@@ -270,8 +252,8 @@ class HashGroupByOp final : public PhysicalOperator {
   }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:
@@ -341,8 +323,8 @@ class BagCountOp final : public PhysicalOperator {
   }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:

@@ -58,6 +58,9 @@ fault::Failpoint* CancelCloseFp() {
   return fp;
 }
 
+// Time this thread spent waiting for a serialised operator's cursor.
+thread_local uint64_t tls_cursor_wait_ns = 0;
+
 // True when the armed failpoint fired on this hit.
 bool FpFired(fault::Failpoint* fp) {
   return fp->Hit().kind != fault::ActionKind::kOff;
@@ -168,16 +171,13 @@ size_t PlannedRows(double estimate, const ExecContext* ctx, size_t cap) {
              : static_cast<size_t>(std::ceil(estimate));
 }
 
-Status PhysicalOperator::Open() { return OpenChecked(0, nullptr); }
-
-Status PhysicalOperator::OpenForLanes(size_t lanes, bool* by_lanes) {
-  *by_lanes = false;
-  return OpenChecked(lanes, by_lanes);
-}
-
-Status PhysicalOperator::OpenChecked(size_t lanes, bool* by_lanes) {
+Status PhysicalOperator::Open(size_t lanes) {
   MRA_CHECK(state_ != State::kOpen) << "Open() while already open";
+  MRA_CHECK_GE(lanes, 1u);
+  lanes_ = lanes;
   lane_counters_.clear();
+  serialised_ = false;
+  drained_ = false;
   if (state_ == State::kClosed) metrics_.ResetRuntime();
   charged_bytes_ = 0;
   timing_ = obs::ExecTimingEnabled();
@@ -192,25 +192,22 @@ Status PhysicalOperator::OpenChecked(size_t lanes, bool* by_lanes) {
       return g;
     }
   }
-  auto open = [&] {
-    return by_lanes == nullptr ? OpenImpl() : OpenLanesImpl(lanes, by_lanes);
-  };
   Status s;
   if (timing_) {
     uint64_t t0 = NowNs();
-    s = open();
+    s = OpenImpl(lanes);
     metrics_.open_ns += NowNs() - t0;
   } else {
-    s = open();
+    s = OpenImpl(lanes);
   }
-  if (by_lanes != nullptr && *by_lanes) {
-    if (s.ok()) {
+  if (s.ok() && lanes > 1) {
+    if (partitioned()) {
       lane_counters_.resize(lanes);
       if (metrics_.workers == 0) {
         metrics_.workers = static_cast<uint32_t>(lanes);
       }
     } else {
-      *by_lanes = false;
+      serialised_ = true;
     }
   }
   // A failed Open leaves the operator Closed: resources the impl did
@@ -226,8 +223,27 @@ Status PhysicalOperator::OpenChecked(size_t lanes, bool* by_lanes) {
   return s;
 }
 
-Status PhysicalOperator::NextBatch(RowBatch& out) {
-  MRA_CHECK(state_ == State::kOpen) << "NextBatch() before Open()";
+Status PhysicalOperator::NextBatch(RowBatch& out, size_t lane) {
+  MRA_CHECK(state_ == State::kOpen && lane < lanes_)
+      << "NextBatch() on an operator not open for lane " << lane;
+  if (!serialised_) return PullBatch(out, lane);
+  // The lanes take turns at the one cursor, which also serialises the
+  // subtree's own metrics and budget charges.  After the end of stream,
+  // or an error that another lane reports, the waiting lanes see an empty
+  // batch.
+  const uint64_t t0 = NowNs();
+  std::lock_guard<std::mutex> lock(cursor_mu_);
+  tls_cursor_wait_ns += NowNs() - t0;
+  if (drained_) {
+    out.Clear();
+    return Status::OK();
+  }
+  Status s = PullBatch(out, 0);
+  if (!s.ok() || out.empty()) drained_ = true;
+  return s;
+}
+
+Status PhysicalOperator::PullBatch(RowBatch& out, size_t lane) {
   out.Clear();
   if (exec_ctx_ != nullptr) {
     // The cooperative governance check: one relaxed atomic load per batch
@@ -238,70 +254,42 @@ Status PhysicalOperator::NextBatch(RowBatch& out) {
     if (!g.ok()) return g;
   }
   Status s;
+  uint64_t elapsed_ns = 0;
   if (timing_) {
     uint64_t t0 = NowNs();
-    s = NextBatchImpl(out);
-    uint64_t elapsed_ns = NowNs() - t0;
-    metrics_.next_ns += elapsed_ns;
-    OpBatchLatency()->Observe(elapsed_ns / 1000);
+    s = NextBatchImpl(out, lane);
+    elapsed_ns = NowNs() - t0;
   } else {
-    s = NextBatchImpl(out);
+    s = NextBatchImpl(out, lane);
   }
-  if (s.ok() && !out.empty()) {
-    ++metrics_.batches_emitted;
-    metrics_.rows_emitted += out.size();
-    uint64_t weighted = 0;
+  const bool emitted = s.ok() && !out.empty();
+  uint64_t weighted = 0;
+  if (emitted) {
     for (const Row& row : out) weighted += row.count;
-    metrics_.weighted_rows += weighted;
   }
-  return s;
-}
-
-Status PhysicalOperator::NextLaneBatch(size_t lane, RowBatch& out) {
-  MRA_CHECK(state_ == State::kOpen && lane < lane_counters_.size())
-      << "NextLaneBatch() on an operator not open for lane " << lane;
-  out.Clear();
-  if (exec_ctx_ != nullptr) {
-    if (FpFired(CancelBatchFp())) exec_ctx_->RequestCancel();
-    Status g = exec_ctx_->Check();
-    if (!g.ok()) return g;
-  }
-  LaneCounters& counters = lane_counters_[lane];
-  Status s;
-  if (timing_) {
-    uint64_t t0 = NowNs();
-    s = LaneBatchImpl(lane, out);
-    counters.ns += NowNs() - t0;
+  if (lane_counters_.empty()) {
+    if (timing_) {
+      metrics_.next_ns += elapsed_ns;
+      OpBatchLatency()->Observe(elapsed_ns / 1000);
+    }
+    if (emitted) {
+      ++metrics_.batches_emitted;
+      metrics_.rows_emitted += out.size();
+      metrics_.weighted_rows += weighted;
+    }
   } else {
-    s = LaneBatchImpl(lane, out);
-  }
-  if (s.ok() && !out.empty()) {
-    ++counters.batches;
-    counters.rows += out.size();
-    for (const Row& row : out) counters.weighted += row.count;
+    LaneCounters& counters = lane_counters_[lane];
+    counters.ns += elapsed_ns;
+    if (emitted) {
+      ++counters.batches;
+      counters.rows += out.size();
+      counters.weighted += weighted;
+    }
   }
   return s;
 }
 
-Status PhysicalOperator::LaneBatchImpl(size_t lane, RowBatch& out) {
-  (void)lane;
-  (void)out;
-  return Status::Internal(std::string(name()) + " is not a partitioned source");
-}
-
-void PhysicalOperator::FoldLaneMetrics() {
-  // A lane-drained node's `time=` is the sum of its lanes' time.
-  for (LaneCounters& c : lane_counters_) {
-    metrics_.batches_emitted += c.batches;
-    metrics_.rows_emitted += c.rows;
-    metrics_.weighted_rows += c.weighted;
-    metrics_.next_ns += c.ns;
-    c = LaneCounters();
-  }
-  for (const PhysicalOperator* child : children()) {
-    const_cast<PhysicalOperator*>(child)->FoldLaneMetrics();
-  }
-}
+uint64_t CursorWaitNs() { return tls_cursor_wait_ns; }
 
 Status PhysicalOperator::NoteHashFootprint(uint64_t bytes,
                                            uint64_t value_bytes) {
@@ -326,6 +314,16 @@ void PhysicalOperator::Close() {
   } else {
     CloseImpl();
   }
+  // A node drained by lanes reports as on one lane: its lanes' counters
+  // fold into it once they have all joined, and its `time=` is the sum of
+  // its lanes' time.
+  for (const LaneCounters& c : lane_counters_) {
+    metrics_.batches_emitted += c.batches;
+    metrics_.rows_emitted += c.rows;
+    metrics_.weighted_rows += c.weighted;
+    metrics_.next_ns += c.ns;
+  }
+  lane_counters_.clear();
   // Whatever the impl still had charged goes back to the query budget —
   // this is what makes "killed query releases its memory" a wrapper-level
   // guarantee instead of a per-operator obligation.
@@ -385,38 +383,17 @@ ScanOp::ScanOp(const Relation* relation, std::vector<size_t> columns,
   for (size_t c : *columns_) MRA_CHECK_LT(c, relation->schema().arity());
 }
 
-Status ScanOp::OpenImpl() {
-  it_ = relation_->begin();
-  return Status::OK();
-}
-
-Status ScanOp::NextBatchImpl(RowBatch& out) {
-  // Assign into the recycled slot: the tuple's value storage from the
-  // previous batch is reused, so a steady-state scan never allocates.
-  if (columns_) {
-    for (; it_ != relation_->end() && !out.full(); ++it_) {
-      Row& slot = out.AppendSlot();
-      slot.tuple.AssignProjection(it_->first, *columns_);
-      slot.count = it_->second;
-    }
-    return Status::OK();
-  }
-  FillFromRelation(it_, relation_->end(), out);
-  return Status::OK();
-}
-
-Status ScanOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
+Status ScanOp::OpenImpl(size_t lanes) {
   // Ranges of up to a morsel, at least four a lane so the dynamic claim
   // evens out.
   stride_ = std::clamp<size_t>(relation_->distinct_size() / (4 * lanes), 1,
                                kDefaultBatchSize);
   next_range_.store(0, std::memory_order_relaxed);
   cursors_.assign(lanes, LaneCursor{});
-  *by_lanes = true;
   return Status::OK();
 }
 
-Status ScanOp::LaneBatchImpl(size_t lane, RowBatch& out) {
+Status ScanOp::NextBatchImpl(RowBatch& out, size_t lane) {
   LaneCursor& c = cursors_[lane];
   const size_t distinct = relation_->distinct_size();
   const Relation::const_iterator entries = relation_->begin();
@@ -427,16 +404,23 @@ Status ScanOp::LaneBatchImpl(size_t lane, RowBatch& out) {
       if (k >= (distinct + stride_ - 1) / stride_) break;
       c.next = k * stride_;
       c.end = std::min(c.next + stride_, distinct);
-      continue;
     }
-    const Relation::Entry& entry = entries[c.next++];
-    Row& slot = out.AppendSlot();
+    // The claimed range, as far as the batch has room.  Assign into the
+    // recycled slot: the tuple's value storage from the previous batch is
+    // reused, so a steady-state scan never allocates.
+    Relation::const_iterator it = entries + c.next;
+    const Relation::const_iterator stop =
+        entries + std::min(c.end, c.next + out.capacity() - out.size());
     if (columns_) {
-      slot.tuple.AssignProjection(entry.first, *columns_);
+      for (; it != stop; ++it) {
+        Row& slot = out.AppendSlot();
+        slot.tuple.AssignProjection(it->first, *columns_);
+        slot.count = it->second;
+      }
     } else {
-      slot.tuple = entry.first;
+      FillFromRelation(it, stop, out);
     }
-    slot.count = entry.second;
+    c.next = static_cast<size_t>(it - entries);
   }
   return Status::OK();
 }
@@ -451,12 +435,12 @@ const RelationSchema& ScanOp::schema() const {
 
 ConstScanOp::ConstScanOp(Relation relation) : relation_(std::move(relation)) {}
 
-Status ConstScanOp::OpenImpl() {
+Status ConstScanOp::OpenImpl(size_t) {
   it_ = relation_.begin();
   return Status::OK();
 }
 
-Status ConstScanOp::NextBatchImpl(RowBatch& out) {
+Status ConstScanOp::NextBatchImpl(RowBatch& out, size_t) {
   FillFromRelation(it_, relation_.end(), out);
   return Status::OK();
 }
@@ -472,14 +456,9 @@ const RelationSchema& ConstScanOp::schema() const {
 FilterOp::FilterOp(ExprPtr condition, PhysOpPtr child)
     : condition_(std::move(condition)), child_(std::move(child)) {}
 
-Status FilterOp::OpenImpl() {
+Status FilterOp::OpenImpl(size_t lanes) {
   compiled_ = CompiledPredicate::Compile(condition_, child_->schema());
-  return child_->Open();
-}
-
-Status FilterOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
-  compiled_ = CompiledPredicate::Compile(condition_, child_->schema());
-  return child_->OpenForLanes(lanes, by_lanes);
+  return child_->Open(lanes);
 }
 
 Status FilterOp::KeepMatches(RowBatch& batch) const {
@@ -508,21 +487,12 @@ Status FilterOp::KeepMatches(RowBatch& batch) const {
   return Status::OK();
 }
 
-Status FilterOp::NextBatchImpl(RowBatch& out) {
+Status FilterOp::NextBatchImpl(RowBatch& out, size_t lane) {
   // In-place: the child fills `out`, then the kernel compacts it.  Pull
   // again until at least one row survives (an empty output means end of
   // stream) or the child drains.
   while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(out));
-    if (out.empty()) return Status::OK();
-    MRA_RETURN_IF_ERROR(KeepMatches(out));
-    if (!out.empty()) return Status::OK();
-  }
-}
-
-Status FilterOp::LaneBatchImpl(size_t lane, RowBatch& out) {
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextLaneBatch(lane, out));
+    MRA_RETURN_IF_ERROR(child_->NextBatch(out, lane));
     if (out.empty()) return Status::OK();
     MRA_RETURN_IF_ERROR(KeepMatches(out));
     if (!out.empty()) return Status::OK();
@@ -539,16 +509,10 @@ ComputeOp::ComputeOp(std::vector<ExprPtr> exprs, RelationSchema output_schema,
       schema_(std::move(output_schema)),
       child_(std::move(child)) {}
 
-Status ComputeOp::OpenImpl() {
+Status ComputeOp::OpenImpl(size_t lanes) {
   attr_only_ = AttrOnlyProjection(exprs_, child_->schema().arity());
-  return child_->Open();
-}
-
-Status ComputeOp::OpenLanesImpl(size_t lanes, bool* by_lanes) {
-  attr_only_ = AttrOnlyProjection(exprs_, child_->schema().arity());
-  MRA_RETURN_IF_ERROR(child_->OpenForLanes(lanes, by_lanes));
-  if (*by_lanes) lane_scratch_.resize(lanes);
-  return Status::OK();
+  lane_scratch_.resize(lanes);
+  return child_->Open(lanes);
 }
 
 Status ComputeOp::Rewrite(RowBatch& batch, Tuple& scratch) const {
@@ -571,20 +535,12 @@ Status ComputeOp::Rewrite(RowBatch& batch, Tuple& scratch) const {
   return Status::OK();
 }
 
-Status ComputeOp::NextBatchImpl(RowBatch& out) {
-  MRA_RETURN_IF_ERROR(child_->NextBatch(out));
-  return Rewrite(out, scratch_);
-}
-
-Status ComputeOp::LaneBatchImpl(size_t lane, RowBatch& out) {
-  MRA_RETURN_IF_ERROR(child_->NextLaneBatch(lane, out));
+Status ComputeOp::NextBatchImpl(RowBatch& out, size_t lane) {
+  MRA_RETURN_IF_ERROR(child_->NextBatch(out, lane));
   return Rewrite(out, lane_scratch_[lane].tuple);
 }
 
-void ComputeOp::CloseImpl() {
-  lane_scratch_.clear();
-  child_->Close();
-}
+void ComputeOp::CloseImpl() { child_->Close(); }
 
 // --- UnionAllOp. ---
 
@@ -594,13 +550,13 @@ UnionAllOp::UnionAllOp(PhysOpPtr left, PhysOpPtr right)
       << "UnionAll over incompatible schemas";
 }
 
-Status UnionAllOp::OpenImpl() {
+Status UnionAllOp::OpenImpl(size_t) {
   on_right_ = false;
   MRA_RETURN_IF_ERROR(left_->Open());
   return right_->Open();
 }
 
-Status UnionAllOp::NextBatchImpl(RowBatch& out) {
+Status UnionAllOp::NextBatchImpl(RowBatch& out, size_t) {
   // ⊎ forwards whole child batches: per-tuple counts add up across
   // batches by the bag-stream convention, so no merging is needed.
   if (!on_right_) {
@@ -625,7 +581,7 @@ NestedLoopJoinOp::NestedLoopJoinOp(ExprPtr condition_or_null, PhysOpPtr left,
       left_(std::move(left)),
       right_(std::move(right)) {}
 
-Status NestedLoopJoinOp::OpenImpl() {
+Status NestedLoopJoinOp::OpenImpl(size_t) {
   right_rows_.clear();
   left_batch_.Clear();
   left_pos_ = 0;
@@ -646,7 +602,7 @@ Status NestedLoopJoinOp::OpenImpl() {
   return left_->Open();
 }
 
-Status NestedLoopJoinOp::NextBatchImpl(RowBatch& out) {
+Status NestedLoopJoinOp::NextBatchImpl(RowBatch& out, size_t) {
   // Pairs the current left row with right rows from right_pos_ on,
   // concatenating into recycled slots; a pair the condition rejects is
   // truncated back off.
@@ -685,7 +641,7 @@ void NestedLoopJoinOp::CloseImpl() {
 
 ClosureOp::ClosureOp(PhysOpPtr child) : child_(std::move(child)) {}
 
-Status ClosureOp::OpenImpl() {
+Status ClosureOp::OpenImpl(size_t) {
   MRA_ASSIGN_OR_RETURN(Relation input, ExecuteToRelation(*child_));
   MRA_RETURN_IF_ERROR(ChargeMemTo(input.ApproxBytes()));
   MRA_ASSIGN_OR_RETURN(result_, ops::TransitiveClosure(input));
@@ -696,7 +652,7 @@ Status ClosureOp::OpenImpl() {
   return ChargeMemTo(result_.ApproxBytes());
 }
 
-Status ClosureOp::NextBatchImpl(RowBatch& out) {
+Status ClosureOp::NextBatchImpl(RowBatch& out, size_t) {
   FillFromRelation(it_, result_.end(), out);
   return Status::OK();
 }
@@ -710,7 +666,7 @@ SubplanCacheOp::SubplanCacheOp(std::shared_ptr<SubplanState> state, bool owner)
   MRA_CHECK(state_ != nullptr && state_->source != nullptr);
 }
 
-Status SubplanCacheOp::OpenImpl() {
+Status SubplanCacheOp::OpenImpl(size_t) {
   if (!state_->materialized) {
     MRA_ASSIGN_OR_RETURN(state_->cached, ExecuteToRelation(*state_->source));
     state_->materialized = true;
@@ -723,7 +679,7 @@ Status SubplanCacheOp::OpenImpl() {
   return Status::OK();
 }
 
-Status SubplanCacheOp::NextBatchImpl(RowBatch& out) {
+Status SubplanCacheOp::NextBatchImpl(RowBatch& out, size_t) {
   FillFromRelation(it_, state_->cached.end(), out);
   return Status::OK();
 }

@@ -22,13 +22,16 @@
 // successful call) is end of stream; a consumer that wants one row at a
 // time pulls with a capacity-1 batch.
 //
-// A multi-lane hash kernel (hash_ops.h) opens its input with OpenForLanes
-// instead.  A child that is a *partitioned source* — a stored-relation
-// scan, σ and π over one, a multi-lane ⋈ — then serves every lane through
-// NextLaneBatch with no lock: the scan hands out disjoint slot ranges of
-// the relation's dense entries, σ and π run their batch kernels on the
-// calling lane, the ⋈ probes on it.  Any other child is drained through
-// its ordinary NextBatch cursor under a mutex (docs/EXECUTION.md).
+// How many lanes pull an operator is a parameter of the same protocol:
+// Open(lanes) opens it for `lanes` concurrent callers of NextBatch(out,
+// lane), one lane each.  By Definition 3.1 a bag is the ⊎ of any split of
+// its support, so whatever the lanes pull together is the operator's bag.
+// A *partitioned source* — a stored-relation scan, σ and π over one, an
+// unspilled ⋈ — serves every lane with no lock through the kernel it runs
+// on one lane: the scan claims disjoint slot ranges of the relation's
+// dense entries, σ and π run their batch kernels on the calling lane, the
+// ⋈ probes on it.  The wrapper serialises the lanes of any other operator
+// at its one cursor (docs/EXECUTION.md).
 //
 // The hash kernels (⋈, Γ, δ) are in hash_ops.h, sort in sort.h, and the
 // run files both spill to in spill.h.
@@ -38,6 +41,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -149,35 +153,28 @@ class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
 
-  /// Prepares the operator (builds hash tables, opens children).  Must be
-  /// called before NextBatch(); reopening a Closed operator restarts it (and
-  /// resets its metrics), reopening an Open one is a programming error.
-  Status Open();
+  /// Prepares the operator (builds hash tables, opens children) for
+  /// `lanes` concurrent pullers.  Must be called before NextBatch();
+  /// reopening a Closed operator restarts it (and resets its metrics),
+  /// reopening an Open one is a programming error.
+  Status Open(size_t lanes = 1);
 
-  /// Produces the next batch of rows: clears `out`, then fills it with up
-  /// to out.capacity() rows.  An empty `out` after a successful call is
-  /// end of stream.  Metrics update once per batch, not per row.
-  Status NextBatch(RowBatch& out);
+  /// Produces lane `lane`'s next batch of rows: clears `out`, then fills it
+  /// with up to out.capacity() rows.  An empty `out` after a successful
+  /// call is end of stream for that lane.  Callable concurrently for
+  /// distinct lanes < the lanes Open was given.  Metrics update once per
+  /// batch, not per row; a lane's counters stay lane-local, a cache line
+  /// apart from the next lane's, until Close folds them in.
+  Status NextBatch(RowBatch& out, size_t lane = 0);
 
   /// Releases resources.  Idempotent by contract — enforced here: a second
   /// Close, or a Close without Open, is a safe no-op.
   void Close();
 
-  /// Opens the operator as the input of `lanes` concurrent lanes.  On
-  /// success *by_lanes says how to drain it: true for a partitioned
-  /// source, which every lane pulls through NextLaneBatch with no lock;
-  /// false when it opened as by Open() for the one NextBatch cursor.
-  Status OpenForLanes(size_t lanes, bool* by_lanes);
-
-  /// Lane `lane`'s next morsel from a partitioned source; callable
-  /// concurrently for distinct lanes.  Like NextBatch it clears `out`,
-  /// checks governance first, and leaves `out` empty once this lane has
-  /// drained.  Row and batch counts stay lane-local until FoldLaneMetrics.
-  Status NextLaneBatch(size_t lane, RowBatch& out);
-
-  /// Adds the lane-local counters of this subtree into metrics(): the
-  /// kernel calls it on the query thread when its lanes have joined.
-  void FoldLaneMetrics();
+  /// True when this operator, open for more than one lane, serves every
+  /// lane concurrently with no lock: a partitioned source.  The wrapper
+  /// serialises the lanes of any other.  Valid once open.
+  virtual bool partitioned() const { return false; }
 
   virtual const RelationSchema& schema() const = 0;
 
@@ -219,19 +216,15 @@ class PhysicalOperator {
   ExecContext* exec_context() const { return exec_ctx_; }
 
  protected:
-  virtual Status OpenImpl() = 0;
-  /// Fills `out` (already cleared) with up to out.capacity() rows; leave
-  /// it empty at end of stream.
-  virtual Status NextBatchImpl(RowBatch& out) = 0;
+  /// Opens for `lanes` lanes.  An operator that is never a partitioned
+  /// source ignores `lanes`: it runs as one cursor and opens its inputs
+  /// for one lane.
+  virtual Status OpenImpl(size_t lanes) = 0;
+  /// Fills `out` (already cleared) with up to out.capacity() of lane
+  /// `lane`'s rows; leave it empty at end of stream.  `lane` is 0 on an
+  /// operator that is not a partitioned source.
+  virtual Status NextBatchImpl(RowBatch& out, size_t lane) = 0;
   virtual void CloseImpl() = 0;
-
-  /// Partitioned-source hooks.  The default opens for the shared cursor.
-  virtual Status OpenLanesImpl(size_t lanes, bool* by_lanes) {
-    (void)lanes;
-    *by_lanes = false;
-    return OpenImpl();
-  }
-  virtual Status LaneBatchImpl(size_t lane, RowBatch& out);
 
   /// Memory accounting against the per-query budget.  ChargeMemTo makes
   /// this operator's cumulative charge equal `total_bytes` (charging or
@@ -267,8 +260,9 @@ class PhysicalOperator {
  private:
   enum class State : uint8_t { kCreated, kOpen, kClosed };
 
-  /// The Open and OpenForLanes wrapper; `by_lanes` null means Open().
-  Status OpenChecked(size_t lanes, bool* by_lanes);
+  /// One batch through NextBatchImpl: governance first, then the counters
+  /// of `lane`, or metrics_ when the operator is not drained by lanes.
+  Status PullBatch(RowBatch& out, size_t lane);
 
   /// One lane's counters, a cache line apart from the next lane's.
   struct alignas(64) LaneCounters {
@@ -279,7 +273,14 @@ class PhysicalOperator {
   };
 
   State state_ = State::kCreated;
-  std::vector<LaneCounters> lane_counters_;  // Open for lanes: one a lane.
+  size_t lanes_ = 1;
+  // Open for lanes as a partitioned source: one a lane, folded at Close.
+  std::vector<LaneCounters> lane_counters_;
+  // Open for lanes and not a partitioned source: the lanes take turns at
+  // the one cursor under cursor_mu_; drained_ once it ended or failed.
+  bool serialised_ = false;
+  std::mutex cursor_mu_;
+  bool drained_ = false;
   ExecContext* exec_ctx_ = nullptr;
   uint64_t charged_bytes_ = 0;
   bool timing_ = false;
@@ -294,6 +295,11 @@ using PhysOpPtr = std::unique_ptr<PhysicalOperator>;
 /// RowBatch).
 Result<Relation> ExecuteToRelation(PhysicalOperator& op,
                                    size_t batch_size = kDefaultBatchSize);
+
+/// Nanoseconds the calling thread has spent waiting for its turn at the
+/// cursor of an operator the wrapper serialises; a kernel's lanes leave it
+/// out of their `cpu=`.
+uint64_t CursorWaitNs();
 
 /// Renders the operator tree annotated per node with estimated vs. actual
 /// cardinalities, estimation error, wall time and hash-table peaks — the
@@ -319,15 +325,14 @@ class ScanOp final : public PhysicalOperator {
 
   const RelationSchema& schema() const override;
   std::string_view name() const override { return "Scan"; }
+  bool partitioned() const override { return true; }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
   /// Lanes claim disjoint slot ranges of the relation, up to a morsel
-  /// each, off one atomic counter.
-  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
-  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
+  /// each, off one atomic counter; one lane claims them in turn.
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
+  void CloseImpl() override;
 
  private:
   /// The rest of a lane's claimed slot range, [next, end).
@@ -339,7 +344,6 @@ class ScanOp final : public PhysicalOperator {
   const Relation* relation_;
   std::optional<std::vector<size_t>> columns_;  // Set on a projecting scan.
   RelationSchema projected_schema_;
-  Relation::const_iterator it_;
   size_t stride_ = 1;  // Slots per lane claim.
   std::atomic<size_t> next_range_{0};
   std::vector<LaneCursor> cursors_;
@@ -354,8 +358,8 @@ class ConstScanOp final : public PhysicalOperator {
   std::string_view name() const override { return "ConstScan"; }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:
@@ -375,13 +379,12 @@ class FilterOp final : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override {
     return {child_.get()};
   }
+  bool partitioned() const override { return child_->partitioned(); }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
-  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
-  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
   /// The batch kernel: compacts the rows that satisfy the condition to
@@ -405,13 +408,12 @@ class ComputeOp final : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override {
     return {child_.get()};
   }
+  bool partitioned() const override { return child_->partitioned(); }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
-  Status OpenLanesImpl(size_t lanes, bool* by_lanes) override;
-  Status LaneBatchImpl(size_t lane, RowBatch& out) override;
 
  private:
   /// The batch kernel: rewrites every row of `batch` in place, projecting
@@ -428,10 +430,9 @@ class ComputeOp final : public PhysicalOperator {
   PhysOpPtr child_;
   /// Attribute indexes when every expression is a plain %i reference
   /// (resolved once per Open): projection becomes a storage-recycling
-  /// in-place rewrite through `scratch_`.
+  /// in-place rewrite through the lane's scratch tuple.
   std::optional<std::vector<size_t>> attr_only_;
-  Tuple scratch_;
-  std::vector<LaneScratch> lane_scratch_;
+  std::vector<LaneScratch> lane_scratch_;  // [lane], kept across Opens.
 };
 
 // --- Binary operators. ---
@@ -449,8 +450,8 @@ class UnionAllOp final : public PhysicalOperator {
   }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:
@@ -476,8 +477,8 @@ class NestedLoopJoinOp final : public PhysicalOperator {
   }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:
@@ -506,8 +507,8 @@ class ClosureOp final : public PhysicalOperator {
   }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:
@@ -542,8 +543,8 @@ class SubplanCacheOp final : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override;
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:

@@ -239,7 +239,7 @@ SortOp::SortOp(std::vector<size_t> keys, std::vector<bool> desc,
 
 SortOp::~SortOp() { RemoveRunFiles(&run_files_); }
 
-Status SortOp::OpenImpl() {
+Status SortOp::OpenImpl(size_t) {
   if (!base_annotation_captured_) {
     base_annotation_ = annotation();
     base_annotation_captured_ = true;
@@ -462,7 +462,7 @@ Result<bool> SortOp::NextSorted(Row& slot) {
   return true;
 }
 
-Status SortOp::NextBatchImpl(RowBatch& out) {
+Status SortOp::NextBatchImpl(RowBatch& out, size_t) {
   while (!out.full()) {
     MRA_ASSIGN_OR_RETURN(bool more, NextSorted(out.AppendSlot()));
     if (!more) {

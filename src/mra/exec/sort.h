@@ -57,8 +57,8 @@ class SortOp final : public PhysicalOperator {
   uint64_t limit() const { return limit_; }
 
  protected:
-  Status OpenImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
+  Status OpenImpl(size_t lanes) override;
+  Status NextBatchImpl(RowBatch& out, size_t lane) override;
   void CloseImpl() override;
 
  private:

@@ -29,6 +29,7 @@
 #include "mra/exec/exec_context.h"
 #include "mra/exec/hash_ops.h"
 #include "mra/exec/operator.h"
+#include "mra/exec/sort.h"
 #include "mra/fault/failpoint.h"
 #include "mra/lang/interpreter.h"
 #include "mra/obs/metrics.h"
@@ -158,23 +159,20 @@ TEST(ParallelExecDifferential, KeyFreeAggregationKeepsEmptyInputGroup) {
 // returns every row each lane pulled.
 std::vector<exec::Row> DrainByLanes(exec::PhysicalOperator& op, size_t lanes,
                                     size_t morsel) {
-  bool by_lanes = false;
-  EXPECT_OK(op.OpenForLanes(lanes, &by_lanes));
-  EXPECT_TRUE(by_lanes);
+  EXPECT_OK(op.Open(lanes));
   std::vector<std::vector<exec::Row>> pulled(lanes);
   std::vector<std::thread> threads;
   for (size_t lane = 0; lane < lanes; ++lane) {
     threads.emplace_back([&, lane] {
       exec::RowBatch batch(morsel);
       while (true) {
-        EXPECT_OK(op.NextLaneBatch(lane, batch));
+        EXPECT_OK(op.NextBatch(batch, lane));
         if (batch.empty()) break;
         for (const exec::Row& row : batch) pulled[lane].push_back(row);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  op.FoldLaneMetrics();
   op.Close();
   std::vector<exec::Row> rows;
   for (auto& lane_rows : pulled) {
@@ -234,8 +232,137 @@ TEST(ParallelScan, RangeClaimsCoverEverySupportEntryOnce) {
         auto oracle = ops::ProjectIndexes({1}, *rel);
         ASSERT_OK(oracle);
         EXPECT_REL_EQ(projected, *oracle);
+
+        // A lane-drained scan reports its lanes as workers; one lane is
+        // the plain cursor every NextBatch consumer pulls, with none.
+        EXPECT_EQ(scan.metrics().workers, lanes > 1 ? lanes : 0u);
+        if (lanes == 1) {
+          auto drained = exec::ExecuteToRelation(scan, morsel);
+          ASSERT_OK(drained);
+          EXPECT_REL_EQ(*drained, *rel);
+          drained = exec::ExecuteToRelation(projecting, morsel);
+          ASSERT_OK(drained);
+          EXPECT_REL_EQ(*drained, *oracle);
+        }
       }
     }
+  }
+}
+
+// --- The wrapper's shared cursor: an operator that is not a partitioned
+// --- source, opened for lanes, serves them one batch at a time.
+
+struct SerialisedCase {
+  const char* name;
+  bool charges;  // Holds a budget charge while open.
+  std::function<exec::PhysOpPtr()> build;
+};
+
+std::vector<SerialisedCase> SerialisedCases(const Relation& r,
+                                            const Relation& s) {
+  return {
+      {"union", false,
+       [&] {
+         return std::make_unique<exec::UnionAllOp>(Scan(r), Scan(s));
+       }},
+      {"sort", true,
+       [&] {
+         return std::make_unique<exec::SortOp>(
+             std::vector<size_t>{0}, std::vector<bool>{false}, /*limit=*/0,
+             /*spill_bytes=*/0, Scan(r));
+       }},
+  };
+}
+
+TEST(SerialisedCursor, LanesTakeTurnsAndCountEachBatchOnce) {
+  std::mt19937_64 rng(29);
+  Relation r = RandomIntRelation(rng, 2, 900, 300, 1000);
+  Relation s = RandomIntRelation(rng, 2, 600, 300, 1000);
+  for (const SerialisedCase& c : SerialisedCases(r, s)) {
+    SCOPED_TRACE(c.name);
+    exec::ExecContext one_ctx;
+    auto one = c.build();
+    one->SetExecContext(&one_ctx);
+    auto expected = exec::ExecuteToRelation(*one, 7);
+    ASSERT_OK(expected);
+
+    exec::ExecContext ctx;
+    auto op = c.build();
+    op->SetExecContext(&ctx);
+    std::vector<exec::Row> rows = DrainByLanes(*op, 4, 7);
+    EXPECT_FALSE(op->partitioned());
+    // The lanes' pulls ⊎ to the one-lane bag.
+    Relation got(op->schema());
+    for (const exec::Row& row : rows) got.InsertUnchecked(row.tuple, row.count);
+    EXPECT_REL_EQ(got, *expected);
+    // Every node counts each batch once, as on one lane, and none claims
+    // the lanes as workers.
+    std::function<void(const exec::PhysicalOperator&,
+                       const exec::PhysicalOperator&)>
+        same = [&](const exec::PhysicalOperator& a,
+                   const exec::PhysicalOperator& b) {
+          EXPECT_EQ(a.metrics().rows_emitted, b.metrics().rows_emitted)
+              << a.name();
+          EXPECT_EQ(a.metrics().weighted_rows, b.metrics().weighted_rows)
+              << a.name();
+          EXPECT_EQ(a.metrics().batches_emitted, b.metrics().batches_emitted)
+              << a.name();
+          EXPECT_EQ(a.metrics().workers, 0u) << a.name();
+          ASSERT_EQ(a.children().size(), b.children().size());
+          for (size_t i = 0; i < a.children().size(); ++i) {
+            same(*a.children()[i], *b.children()[i]);
+          }
+        };
+    same(*op, *one);
+    EXPECT_EQ(ctx.mem_used(), 0u);
+  }
+}
+
+TEST(SerialisedCursor, CancelOnOneLaneEndsEveryLaneAndReleasesTheBudget) {
+  std::mt19937_64 rng(31);
+  Relation r = RandomIntRelation(rng, 2, 900, 300, 1000);
+  Relation s = RandomIntRelation(rng, 2, 600, 300, 1000);
+  for (const SerialisedCase& c : SerialisedCases(r, s)) {
+    SCOPED_TRACE(c.name);
+    exec::ExecContext ctx;
+    auto op = c.build();
+    op->SetExecContext(&ctx);
+    ASSERT_OK(op->Open(4));
+    if (c.charges) {
+      EXPECT_GT(ctx.mem_used(), 0u);
+    }
+    // Armed once open, so the cancel lands on a lane's pull, after a few.
+    ASSERT_TRUE(fault::FaultRegistry::Global()
+                    .ConfigureFromSpec("exec.cancel.batch=error:after=5")
+                    .ok());
+    std::vector<StatusCode> ended(4, StatusCode::kOk);
+    std::vector<std::thread> threads;
+    for (size_t lane = 0; lane < 4; ++lane) {
+      threads.emplace_back([&, lane] {
+        exec::RowBatch batch(7);
+        while (true) {
+          Status st = op->NextBatch(batch, lane);
+          if (!st.ok()) {
+            ended[lane] = st.code();
+            return;
+          }
+          if (batch.empty()) return;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    fault::FaultRegistry::Global().DisarmAll();
+    // Every lane ended: the one the failpoint tripped with kCancelled, the
+    // others on the cursor's end or on the cancelled context.
+    size_t cancelled = 0;
+    for (StatusCode code : ended) {
+      EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kCancelled)
+          << static_cast<int>(code);
+      if (code == StatusCode::kCancelled) ++cancelled;
+    }
+    EXPECT_GE(cancelled, 1u);
+    op->Close();
+    EXPECT_EQ(ctx.mem_used(), 0u);
   }
 }
 
